@@ -1,8 +1,9 @@
 """Aggregated solver instrumentation for one verification run.
 
 The verifier discharges many SMT queries per method; this module rolls
-their per-query measurements (wall time, SAT rounds, axioms asserted,
-deepening passes, cache hits/misses, verdict counts) up into per-method
+their per-query measurements (wall time, SAT rounds, theory conflicts
+and their core sizes, axioms asserted, deepening passes, cache
+hits/misses, verdict counts) up into per-method
 and whole-run totals.  The aggregate is surfaced on
 :class:`repro.verify.VerificationReport` and rendered by
 ``repro.cli verify --stats``.
@@ -24,6 +25,8 @@ class QueryStats:
     unknown: int = 0
     sat_rounds: int = 0
     theory_conflicts: int = 0
+    #: literals across the conflicts' explained cores (see SolverStats)
+    theory_core_lits: int = 0
     axioms_asserted: int = 0
     deepening_passes: int = 0
     cache_hits: int = 0
@@ -52,6 +55,7 @@ class QueryStats:
             self.unknown += 1
         self.sat_rounds += solver_stats.sat_rounds
         self.theory_conflicts += solver_stats.theory_conflicts
+        self.theory_core_lits += solver_stats.theory_core_lits
         self.axioms_asserted += solver_stats.axioms_asserted
         self.deepening_passes += solver_stats.deepening_passes
         self.cache_hits += solver_stats.cache_hits
@@ -78,6 +82,7 @@ class QueryStats:
             "unknown": self.unknown,
             "sat_rounds": self.sat_rounds,
             "theory_conflicts": self.theory_conflicts,
+            "theory_core_lits": self.theory_core_lits,
             "axioms_asserted": self.axioms_asserted,
             "deepening_passes": self.deepening_passes,
             "cache_hits": self.cache_hits,
@@ -101,6 +106,7 @@ class QueryStats:
         self.unknown += other.unknown
         self.sat_rounds += other.sat_rounds
         self.theory_conflicts += other.theory_conflicts
+        self.theory_core_lits += other.theory_core_lits
         self.axioms_asserted += other.axioms_asserted
         self.deepening_passes += other.deepening_passes
         self.cache_hits += other.cache_hits
@@ -283,6 +289,10 @@ class VerifyStats:
                 f"backend disqualified: {name} "
                 f"({self.backends_disqualified[name]})"
             )
+        lines.append(
+            f"theory conflicts: {t.theory_conflicts} "
+            f"({t.theory_core_lits} core literals)"
+        )
         lines.append(
             f"cache hit rate: {t.cache_hit_rate:.1%} "
             f"({t.cache_hits}/{t.cache_hits + t.cache_misses}; "

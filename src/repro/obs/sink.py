@@ -21,8 +21,9 @@ parents before children, ids assigned in document order at write time:
   within-process ordering.
 * ``attrs`` — kind-specific data: query spans carry ``verdict``,
   ``cache`` (memory/disk/miss/off), ``depth``, ``passes``, ``rounds``,
-  and the solver phase timers; task spans carry the task kind and any
-  degradation flags.
+  ``conflicts`` and ``core_lits`` (theory conflicts and the literals
+  across their cores), and the solver phase timers; task spans carry
+  the task kind and any degradation flags.
 * ``events`` — point events (``retry``, ``timeout``, ``failed``).
 
 :func:`validate_trace_rows` is the schema's executable definition; the

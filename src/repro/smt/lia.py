@@ -14,7 +14,11 @@ The algorithm is Pugh's Omega test:
   *dark* shadow otherwise, and splinter case-splits when the dark
   shadow is too strong,
 * models are rebuilt by back-substitution through the elimination
-  order.
+  order,
+* an UNSAT answer names the input constraints it used (its *core*):
+  every derived constraint carries a bitmask of the inputs it was
+  derived from, and case splits (``!=`` branches, dark shadow plus
+  splinters) union the cores of their branches.
 
 Constraints are in normal form ``sum(coeff * var) + const <= 0`` /
 ``= 0`` / ``!= 0``, with variables being arbitrary hashable keys (the
@@ -24,7 +28,7 @@ DPLL(T) layer uses purified SMT terms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import budget
 from typing import Hashable, Iterable
@@ -39,21 +43,30 @@ NE = "!=0"
 
 @dataclass(frozen=True)
 class Constraint:
-    """``expr + const  (<=|=|!=)  0`` with integer coefficients."""
+    """``expr + const  (<=|=|!=)  0`` with integer coefficients.
+
+    ``src`` is provenance inside :func:`solve`: a bitmask of the input
+    constraints this one was derived from.  It takes no part in
+    equality or hashing, so deduplication and the solve cache still key
+    on the constraint's value.
+    """
 
     coeffs: tuple[tuple[Var, int], ...]
     const: int
     rel: str = LE
+    src: int = field(default=0, compare=False, repr=False)
 
     @staticmethod
-    def make(coeffs: LinExpr, const: int, rel: str = LE) -> "Constraint":
+    def make(
+        coeffs: LinExpr, const: int, rel: str = LE, src: int = 0
+    ) -> "Constraint":
         clean = tuple(
             sorted(
                 ((v, c) for v, c in coeffs.items() if c != 0),
                 key=lambda item: repr(item[0]),
             )
         )
-        return Constraint(clean, const, rel)
+        return Constraint(clean, const, rel, src)
 
     def expr(self) -> LinExpr:
         return dict(self.coeffs)
@@ -79,17 +92,26 @@ class Constraint:
 
 
 class LiaResult:
-    """Outcome of a LIA check: SAT with a model, or UNSAT."""
+    """Outcome of a LIA check: SAT with a model, or UNSAT with a core.
 
-    def __init__(self, sat: bool, model: dict[Var, int] | None = None):
+    Inside the elimination the core is a bitmask over the inputs of
+    :func:`solve`; :func:`solve` returns it as the tuple of those input
+    constraints, an inconsistent subset of its argument.
+    """
+
+    def __init__(
+        self, sat: bool, model: dict[Var, int] | None = None, core=()
+    ):
         self.sat = sat
         self.model = model or {}
+        self.core = core
 
     def __bool__(self) -> bool:
         return self.sat
 
 
-_SPLINTER_LIMIT = 4096  # safety valve on splinter enumeration
+def _unsat(src: int) -> LiaResult:
+    return LiaResult(False, core=src)
 
 
 def _gcd_all(values: Iterable[int]) -> int:
@@ -179,19 +201,31 @@ _SOLVE_CACHE_LIMIT = 200_000
 
 
 def solve(constraints: list[Constraint]) -> LiaResult:
-    """Decide a conjunction of LIA constraints, producing a model if SAT.
+    """Decide a conjunction of LIA constraints: a model if SAT, else a core.
 
-    Results are memoised: the DPLL(T) loop, conflict minimisation, and
-    equality probing repeatedly decide overlapping systems.
+    The core of an UNSAT result is a tuple of input constraints that is
+    itself inconsistent.  Results are memoised: the DPLL(T) loop and
+    equality probing repeatedly decide overlapping systems, and a cached
+    core stays valid because the key is the constraint set.
     """
     key = frozenset(constraints)
     cached = _solve_cache.get(key)
     if cached is not None:
         return cached
-    eqs = [c for c in constraints if c.rel == EQ]
-    les = [c for c in constraints if c.rel == LE]
-    nes = [c for c in constraints if c.rel == NE]
+    tagged = [
+        Constraint(c.coeffs, c.const, c.rel, 1 << i)
+        for i, c in enumerate(constraints)
+    ]
+    eqs = [c for c in tagged if c.rel == EQ]
+    les = [c for c in tagged if c.rel == LE]
+    nes = [c for c in tagged if c.rel == NE]
     result = _solve_with_ne(eqs, les, nes)
+    if not result:
+        mask = result.core
+        result = LiaResult(
+            False,
+            core=tuple(c for i, c in enumerate(constraints) if mask >> i & 1),
+        )
     if len(_solve_cache) >= _SOLVE_CACHE_LIMIT:
         _solve_cache.clear()
     _solve_cache[key] = result
@@ -205,20 +239,26 @@ def _solve_with_ne(
         return _solve_eq_le(eqs, les)
     head, rest = nes[0], nes[1:]
     # expr != 0 splits into expr <= -1 or expr >= 1.
-    left = Constraint(head.coeffs, head.const + 1, LE)
+    left = Constraint(head.coeffs, head.const + 1, LE, head.src)
     result = _solve_with_ne(eqs, les + [left], rest)
     if result:
         return result
+    if not result.core & head.src:
+        # The left branch failed without the split: so does the system.
+        return result
     negated = tuple((v, -c) for v, c in head.coeffs)
-    right = Constraint(negated, -head.const + 1, LE)
-    return _solve_with_ne(eqs, les + [right], rest)
+    right = Constraint(negated, -head.const + 1, LE, head.src)
+    other = _solve_with_ne(eqs, les + [right], rest)
+    if other:
+        return other
+    return _unsat(result.core | other.core)
 
 
 def _solve_eq_le(eqs: list[Constraint], les: list[Constraint]) -> LiaResult:
     subs: list[_Subst] = []
     result = _eliminate(eqs, les, subs)
     if not result:
-        return LiaResult(False)
+        return result
     model = dict(result.model)
     for step in reversed(subs):
         step.apply(model)
@@ -234,7 +274,7 @@ def _normalize_le(c: Constraint) -> Constraint | None:
     if g > 1:
         # sum(c*x) <= -const  =>  sum(c/g * x) <= floor(-const / g)
         expr = {v: k // g for v, k in expr.items()}
-        return Constraint.make(expr, -_floor_div(-c.const, g), LE)
+        return Constraint.make(expr, -_floor_div(-c.const, g), LE, c.src)
     return c
 
 
@@ -250,14 +290,15 @@ def _eliminate(
         expr = eq.expr()
         if not expr:
             if eq.const != 0:
-                return LiaResult(False)
+                return _unsat(eq.src)
             continue
         g = _gcd_all(expr.values())
         if eq.const % g != 0:
-            return LiaResult(False)
+            return _unsat(eq.src)
         if g > 1:
             expr = {v: c // g for v, c in expr.items()}
-            eq = Constraint.make(expr, eq.const // g, EQ)
+            eq = Constraint.make(expr, eq.const // g, EQ, eq.src)
+        src = eq.src
         unit = next((v for v, c in expr.items() if abs(c) == 1), None)
         if unit is not None:
             a = expr[unit]
@@ -265,8 +306,8 @@ def _eliminate(
             coeffs = {v: -c // a for v, c in expr.items() if v is not unit}
             const = -eq.const // a
             subs.append(_EqSubst(unit, coeffs, const))
-            eqs = [_substitute(c, unit, coeffs, const) for c in eqs]
-            les = [_substitute(c, unit, coeffs, const) for c in les]
+            eqs = [_substitute(c, unit, coeffs, const, src) for c in eqs]
+            les = [_substitute(c, unit, coeffs, const, src) for c in les]
             continue
         # Pugh's symmetric-modulus elimination for non-unit coefficients.
         k = min(expr, key=lambda v: abs(expr[v]))
@@ -282,21 +323,24 @@ def _eliminate(
         coeffs[sigma] = -sign * m
         const = sign * hat_const
         subs.append(_EqSubst(k, coeffs, const))
-        eqs = [_substitute(c, k, coeffs, const) for c in eqs]
-        les = [_substitute(c, k, coeffs, const) for c in les]
-        eqs.append(_substitute(eq, k, coeffs, const))
+        eqs = [_substitute(c, k, coeffs, const, src) for c in eqs]
+        les = [_substitute(c, k, coeffs, const, src) for c in les]
+        eqs.append(_substitute(eq, k, coeffs, const, src))
     # --- inequality elimination ---------------------------------------------
     return _eliminate_ineqs(les, subs)
 
 
-def _substitute(c: Constraint, var: Var, coeffs: LinExpr, const: int) -> Constraint:
+def _substitute(
+    c: Constraint, var: Var, coeffs: LinExpr, const: int, src: int
+) -> Constraint:
+    """``c`` with ``var := coeffs + const``, an equality with provenance ``src``."""
     expr = c.expr()
     factor = expr.pop(var, 0)
     if factor == 0:
         return c
     for v, k in coeffs.items():
         expr[v] = expr.get(v, 0) + factor * k
-    return Constraint.make(expr, c.const + factor * const, c.rel)
+    return Constraint.make(expr, c.const + factor * const, c.rel, c.src | src)
 
 
 def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
@@ -308,7 +352,7 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
             continue
         if not c2.coeffs:
             if c2.const > 0:
-                return LiaResult(False)
+                return _unsat(c2.src)
             continue
         work.append(c2)
     work = list(dict.fromkeys(work))
@@ -332,6 +376,8 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
 
     lowers: list[tuple[int, LinExpr, int]] = []  # (b, rest, const): -b*x + rest + const <= 0
     uppers: list[tuple[int, LinExpr, int]] = []  # (a, rest, const): a*x + rest + const <= 0
+    lower_src: list[int] = []
+    upper_src: list[int] = []
     others: list[Constraint] = []
     for c in work:
         expr = c.expr()
@@ -340,8 +386,10 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
             others.append(c)
         elif a > 0:
             uppers.append((a, expr, c.const))
+            upper_src.append(c.src)
         else:
             lowers.append((-a, expr, c.const))
+            lower_src.append(c.src)
 
     if not lowers or not uppers:
         # Unbounded in one direction: any consistent assignment extends.
@@ -351,8 +399,8 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
     exact = all(a == 1 for a, _, _ in uppers) or all(b == 1 for b, _, _ in lowers)
     shadow: list[Constraint] = list(others)
     dark: list[Constraint] = list(others)
-    for a, ru, cu in uppers:
-        for b, rl, cl in lowers:
+    for (a, ru, cu), su in zip(uppers, upper_src):
+        for (b, rl, cl), sl in zip(lowers, lower_src):
             # From a*x <= -(ru+cu) and b*x >= (rl+cl) ... combine:
             expr: LinExpr = {}
             for v, k in ru.items():
@@ -360,8 +408,11 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
             for v, k in rl.items():
                 expr[v] = expr.get(v, 0) + a * k
             const = b * cu + a * cl
-            shadow.append(Constraint.make(expr, const, LE))
-            dark.append(Constraint.make(dict(expr), const + (a - 1) * (b - 1), LE))
+            src = su | sl
+            shadow.append(Constraint.make(expr, const, LE, src))
+            dark.append(
+                Constraint.make(dict(expr), const + (a - 1) * (b - 1), LE, src)
+            )
 
     if exact:
         subs.append(_BoundSubst(var, lowers, uppers))
@@ -378,25 +429,29 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
 
     real_result = _eliminate_ineqs(shadow, list(subs))
     if not real_result:
-        return LiaResult(False)
+        return real_result
 
     # Splinters: the real shadow is satisfiable but the dark shadow is not.
+    # The system is infeasible only if every splinter is, so the core is
+    # the union of the dark shadow's and every splinter's.  The budget
+    # checkpoint in _eliminate bounds a long enumeration: it ends as
+    # UNKNOWN, never as UNSAT.
+    core = dark_result.core
     a_max = max(a for a, _, _ in uppers)
-    for b, rl, cl in lowers:
+    for (b, rl, cl), sl in zip(lowers, lower_src):
         limit = (a_max * b - a_max - b) // a_max
-        if limit > _SPLINTER_LIMIT:
-            limit = _SPLINTER_LIMIT
         for i in range(limit + 1):
             # b*x = (rl + cl) + i   i.e.  b*x - rl - cl - i = 0
             expr = {v: -k for v, k in rl.items()}
             expr[var] = expr.get(var, 0) + b
-            eq = Constraint.make(expr, -cl - i, EQ)
+            eq = Constraint.make(expr, -cl - i, EQ, sl)
             trial_subs: list[_Subst] = list(subs)
             result = _eliminate([eq], work, trial_subs)
             if result:
                 subs[:] = trial_subs
                 return result
-    return LiaResult(False)
+            core |= result.core
+    return _unsat(core)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +463,23 @@ def is_consistent(constraints: list[Constraint]) -> bool:
     return bool(solve(constraints))
 
 
-def entails_eq(constraints: list[Constraint], x: Var, y: Var) -> bool:
-    """Do the constraints force ``x == y``?"""
+def eq_core(
+    constraints: list[Constraint], x: Var, y: Var
+) -> tuple[Constraint, ...] | None:
+    """The constraints that force ``x == y``, or None if they do not.
+
+    The union of the two failing probes' cores, minus the probes: a
+    subset of ``constraints`` that entails the equality by itself.
+    """
     lt = Constraint.make({x: 1, y: -1}, 1, LE)  # x - y <= -1
+    below = solve(constraints + [lt])
+    if below:
+        return None
     gt = Constraint.make({x: -1, y: 1}, 1, LE)  # y - x <= -1
-    return not solve(constraints + [lt]) and not solve(constraints + [gt])
+    above = solve(constraints + [gt])
+    if above:
+        return None
+    probes = (lt, gt)
+    return tuple(
+        dict.fromkeys(c for c in below.core + above.core if c not in probes)
+    )

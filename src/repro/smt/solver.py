@@ -10,7 +10,7 @@ plays in the paper.  The architecture is the classic *lazy* SMT loop:
    triggered by the assignment (Section 6.2); if it produced new
    clauses, go to 2.
 4. Check the assignment's theory literals with EUF+LIA.  On conflict,
-   add the (minimised) blocking clause and go to 2.
+   add the blocking clause of the explained conflict core and go to 2.
 5. On theory success, validate the candidate model against the
    original assertions; block the assignment if validation fails
    (guards against combination incompleteness), otherwise report SAT.
@@ -65,6 +65,9 @@ class Result(enum.Enum):
 class SolverStats:
     sat_rounds: int = 0
     theory_conflicts: int = 0
+    #: literals across the theory conflict cores (the blocking clauses'
+    #: total width): how tight the explanations are
+    theory_core_lits: int = 0
     axioms_asserted: int = 0
     deepening_passes: int = 0
     cache_hits: int = 0
@@ -383,6 +386,7 @@ class Solver:
             if not outcome.consistent:
                 self.stats.theory_conflicts += 1
                 conflict = outcome.conflict or literals
+                self.stats.theory_core_lits += len(conflict)
                 blocking = [
                     tm.mk_not(atom) if value else atom
                     for atom, value in conflict
@@ -581,6 +585,7 @@ class Solver:
             if not outcome.consistent:
                 self.stats.theory_conflicts += 1
                 conflict = outcome.conflict or literals
+                self.stats.theory_core_lits += len(conflict)
                 blocking = [
                     tm.mk_not(atom) if value else atom for atom, value in conflict
                 ]

@@ -9,9 +9,13 @@ arithmetic.  Combination follows a light-weight Nelson-Oppen scheme:
    integer subterms (uninterpreted applications, variables) become LIA
    variables while also being registered with the congruence closure;
 2. EUF and LIA exchange equalities over those shared terms until a
-   fixpoint (EUF by congruence, LIA by entailment probing);
+   fixpoint (EUF by congruence, LIA by entailment probing), each
+   equality carrying its justification: ``euf.explain`` for one EUF
+   hands to LIA, the failing probes' cores for one LIA hands to EUF;
 3. a combined model is assembled from the LIA model and the EUF
-   classes.
+   classes -- or, when either theory fails, its explanation is mapped
+   back through those justifications to the input literals, giving the
+   conflict core in one pass.
 
 LIA is non-convex, so entailment probing can in principle miss a
 disjunction of equalities; the solver driver guards against this by
@@ -23,6 +27,7 @@ the overall procedure sound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import lia
@@ -103,26 +108,29 @@ def _diff_constraint(a: Term, b: Term, rel: str, vars_out: set[Term]) -> lia.Con
 
 
 class _Separation:
-    """Literals split into their EUF and LIA parts."""
+    """Literals split into their EUF and LIA parts, each part keeping
+    the literal it came from (the reason EUF records, the source of a
+    LIA constraint)."""
 
     def __init__(self, literals: list[Literal]):
-        self.euf_eqs: list[tuple[Term, Term]] = []
-        self.euf_nes: list[tuple[Term, Term]] = []
+        self.euf_eqs: list[tuple[Term, Term, Literal]] = []
+        self.euf_nes: list[tuple[Term, Term, Literal]] = []
         self.preds: list[tuple[Term, bool]] = []
         self.lia_constraints: list[lia.Constraint] = []
+        #: parallel to lia_constraints: the literal behind each
+        self.lia_sources: list[Literal] = []
         self.shared: set[Term] = set()
-        for atom, value in literals:
+        for lit in literals:
+            atom, value = lit
             if atom.kind == tm.LE:
                 a, b = atom.args
                 if value:
-                    self.lia_constraints.append(
-                        _diff_constraint(a, b, lia.LE, self.shared)
-                    )
+                    c = _diff_constraint(a, b, lia.LE, self.shared)
                 else:  # not (a <= b)  ==  b + 1 <= a  ==  b - a + 1 <= 0
                     c = _diff_constraint(b, a, lia.LE, self.shared)
-                    self.lia_constraints.append(
-                        lia.Constraint(c.coeffs, c.const + 1, lia.LE)
-                    )
+                    c = lia.Constraint(c.coeffs, c.const + 1, lia.LE)
+                self.lia_constraints.append(c)
+                self.lia_sources.append(lit)
             elif atom.kind == tm.EQ:
                 a, b = atom.args
                 if a.sort == INT:
@@ -130,39 +138,104 @@ class _Separation:
                     self.lia_constraints.append(
                         _diff_constraint(a, b, rel, self.shared)
                     )
+                    self.lia_sources.append(lit)
                 else:
-                    (self.euf_eqs if value else self.euf_nes).append((a, b))
+                    (self.euf_eqs if value else self.euf_nes).append((a, b, lit))
             else:
                 # Boolean VAR or APP: an EUF predicate atom.
                 self.preds.append((atom, value))
 
+    def assert_euf(self, euf: EufSolver) -> None:
+        """Assert the EUF part, each fact with its literal as reason."""
+        for a, b, lit in self.euf_eqs:
+            euf.assert_eq(a, b, lit)
+        for a, b, lit in self.euf_nes:
+            euf.assert_ne(a, b, lit)
+        for atom, value in self.preds:
+            euf.assert_pred(atom, value)  # reason: the literal itself
+        # Register shared integer terms so congruence can reach them.
+        for t in self.shared:
+            euf.find(t)
+
 
 def check_literals(literals: list[Literal]) -> TheoryCheck:
-    """Decide a conjunction of theory literals; model or minimised conflict."""
-    consistent, model = _check_once(literals)
-    if consistent:
-        return TheoryCheck(True, model=model)
-    core = _minimize_conflict(literals)
-    return TheoryCheck(False, conflict=core)
+    """Decide a conjunction of theory literals: a model, or a conflict core."""
+    sep = _Separation(literals)
+    euf = EufSolver()
+    sep.assert_euf(euf)
+    return _combine(
+        euf, sep.lia_constraints, sep.lia_sources, sep.shared, literals
+    )
 
 
-_MINIMIZE_LIMIT = 120  # deletion tests per conflict; larger cores stay coarse
+class _FromEuf:
+    """Source of an equality EUF handed to LIA: explained by the closure."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Term, b: Term):
+        self.a = a
+        self.b = b
 
 
-def _minimize_conflict(literals: list[Literal]) -> list[Literal]:
-    """Deletion-based minimisation of an inconsistent literal set."""
-    core = list(literals)
-    i = 0
-    budget = _MINIMIZE_LIMIT
-    while i < len(core) and budget > 0:
-        budget -= 1
-        trial = core[:i] + core[i + 1 :]
-        ok, _ = _check_once(trial)
-        if not ok:
-            core = trial
-        else:
-            i += 1
-    return core
+class _FromLia:
+    """Reason of an equality LIA handed to EUF: the constraints forcing it."""
+
+    __slots__ = ("core",)
+
+    def __init__(self, core: tuple[lia.Constraint, ...]):
+        self.core = core
+
+
+def _conflict(
+    explanations: list[list],
+    euf: EufSolver,
+    constraints: list[lia.Constraint],
+    sources: list,
+    literals: list[Literal],
+) -> TheoryCheck:
+    """Map a theory's explanations back to input literals, in input order.
+
+    Each explanation mixes literals, LIA constraints (resolved through
+    ``sources``), and the two exchange justifications.  The resolution
+    is well-founded: an exchanged equality is justified only by facts
+    that existed before it was exchanged.
+    """
+    source_of: dict[lia.Constraint, object] = {}
+    for c, source in zip(constraints, sources):
+        source_of.setdefault(c, source)
+    cores = []
+    for reasons in explanations:
+        core: set[Literal] = set()
+        seen: set = set()
+        todo = list(reasons)
+        while todo:
+            reason = todo.pop()
+            if type(reason) is tuple:
+                core.add(reason)
+            elif reason not in seen:
+                seen.add(reason)
+                if type(reason) is lia.Constraint:
+                    todo.append(source_of[reason])
+                elif type(reason) is _FromLia:
+                    todo.extend(reason.core)
+                else:
+                    todo.extend(euf.explain(reason.a, reason.b))
+        cores.append(core)
+    best = max(cores, key=_recency)
+    return TheoryCheck(False, conflict=[lit for lit in literals if lit in best])
+
+
+def _recency(core: set[Literal]) -> tuple:
+    """Order on cores: the larger one is over more recently created atoms.
+
+    Ascending atom ids compared lexicographically, where a subset beats
+    its supersets.  Of several conflicts this picks the one deletion
+    from the front of the literal list would keep; its blocking clause
+    targets the newest axiom instances, which keeps the DPLL(T) search
+    as short as deletion-based cores did.
+    """
+    return tuple(sorted(atom._id for atom, _ in core)) + (math.inf,)
 
 
 def _iface_candidates(atom: Term) -> tuple[Term, ...]:
@@ -202,36 +275,24 @@ def _interface_terms(literals: list[Literal], shared: set[Term]) -> list[Term]:
     return sorted(out, key=lambda t: t._id)
 
 
-def _check_once(literals: list[Literal]) -> tuple[bool, TheoryModel | None]:
-    sep = _Separation(literals)
-    euf = EufSolver()
-    for a, b in sep.euf_eqs:
-        euf.assert_eq(a, b)
-    for a, b in sep.euf_nes:
-        euf.assert_ne(a, b)
-    for atom, value in sep.preds:
-        euf.assert_pred(atom, value)
-    # Register shared integer terms so congruence can reach them.
-    for t in sep.shared:
-        euf.find(t)
-    return _combine(euf, sep.lia_constraints, sep.shared, literals)
-
-
 def _combine(
     euf: EufSolver,
     lia_constraints: list[lia.Constraint],
+    lia_sources: list[Literal],
     shared_set: set[Term],
     literals: list[Literal],
-) -> tuple[bool, TheoryModel | None]:
+) -> TheoryCheck:
     """Nelson-Oppen fixpoint + model assembly over a primed EUF engine.
 
     ``euf`` must already hold the literal set's equalities, disequalities
-    and predicate assertions, with every shared term registered; the
-    fixpoint then only exchanges equalities between the theories.  The
-    caller owns the engine, so a persistent (undoable) instance can roll
-    the exchange back afterwards.
+    and predicate assertions, with every shared term registered and each
+    fact's literal as its reason; ``lia_sources`` gives the literal
+    behind each constraint.  The fixpoint then only exchanges equalities
+    between the theories.  The caller owns the engine, so a persistent
+    (undoable) instance can roll the exchange back afterwards.
     """
     constraints = list(lia_constraints)
+    sources: list = list(lia_sources)
     shared = sorted(shared_set, key=lambda t: t._id)
     probe_terms = _interface_terms(literals, shared_set)
     known_eq: set[tuple[Term, Term]] = set()
@@ -239,7 +300,7 @@ def _combine(
 
     for _ in range(len(probe_terms) * len(probe_terms) + 2):
         if not euf.check():
-            return False, None
+            return _conflict(euf.conflicts(), euf, constraints, sources, literals)
         # EUF -> LIA: congruent shared terms are numerically equal.
         changed = False
         for a, b in itertools.combinations(shared, 2):
@@ -250,28 +311,30 @@ def _combine(
                 constraints.append(
                     lia.Constraint.make({a: 1, b: -1}, 0, lia.EQ)
                 )
+                sources.append(_FromEuf(a, b))
                 changed = True
         result = lia.solve(constraints)
         if not result:
-            return False, None
+            return _conflict([result.core], euf, constraints, sources, literals)
         # LIA -> EUF: entailed equalities, but only over terms whose
         # equality EUF could actually exploit (congruence interfaces).
         for a, b in itertools.combinations(probe_terms, 2):
             if (a, b) in known_eq:
                 continue
-            if lia.entails_eq(constraints, a, b):
+            core = lia.eq_core(constraints, a, b)
+            if core is not None:
                 known_eq.add((a, b))
-                euf.assert_eq(a, b)
+                euf.assert_eq(a, b, _FromLia(core))
                 changed = True
         if not changed:
             break
     else:
         result = lia.solve(constraints)
         if not result:
-            return False, None
+            return _conflict([result.core], euf, constraints, sources, literals)
 
     if not euf.check():
-        return False, None
+        return _conflict(euf.conflicts(), euf, constraints, sources, literals)
 
     # --- model assembly ----------------------------------------------------
     model = TheoryModel()
@@ -289,7 +352,7 @@ def _combine(
             model.obj_class[m] = cid
     for atom, value in literals:
         model.atom_values[atom] = value
-    return True, model
+    return TheoryCheck(True, model=model)
 
 
 class _StackEntry:
@@ -323,26 +386,26 @@ class TheoryContext:
     Verdicts match :func:`check_literals` (the closure is
     order-independent and the exchange runs on identical data); model
     *representatives* may differ, which is fine because callers only use
-    models semantically.  Conflicts are minimised by the stateless path.
+    models semantically.  Conflict cores come from this context's own
+    closure: its proof edges sit on the same undo trail as the rest of
+    its state, so they always describe the current literal stack.
     """
 
     def __init__(self) -> None:
         self._euf = EufSolver(undoable=True)
         self._stack: list[_StackEntry] = []
         self._lia: list[lia.Constraint] = []
+        #: parallel to _lia: the literal behind each constraint
+        self._lia_sources: list[Literal] = []
         self._shared: dict[Term, int] = {}
-        self._fix_mark: tuple[int, int] | None = None
+        self._fix_mark: tuple[int, int, int] | None = None
 
     def check(self, literals: list[Literal]) -> TheoryCheck:
         self._sync(literals)
         self._fix_mark = self._euf.mark()
-        consistent, model = _combine(
-            self._euf, self._lia, set(self._shared), literals
+        return _combine(
+            self._euf, self._lia, self._lia_sources, set(self._shared), literals
         )
-        if consistent:
-            return TheoryCheck(True, model=model)
-        core = _minimize_conflict(literals)
-        return TheoryCheck(False, conflict=core)
 
     def _sync(self, literals: list[Literal]) -> None:
         euf = self._euf
@@ -362,6 +425,7 @@ class TheoryContext:
             entry = stack.pop()
             euf.undo_to(entry.mark)
             del self._lia[entry.n_lia :]
+            del self._lia_sources[entry.n_lia :]
             for t in entry.shared:
                 count = self._shared[t] - 1
                 if count:
@@ -377,19 +441,13 @@ class TheoryContext:
             lit[0], lit[1], euf.mark(), len(self._lia), ()
         )
         sep = _Separation([lit])
-        for a, b in sep.euf_eqs:
-            euf.assert_eq(a, b)
-        for a, b in sep.euf_nes:
-            euf.assert_ne(a, b)
-        for atom, value in sep.preds:
-            euf.assert_pred(atom, value)
-        for t in sep.shared:
-            euf.find(t)
+        sep.assert_euf(euf)
         # Settle now so this literal's closure work sits below the next
         # literal's mark and survives later pops of deeper entries.
         euf._settle()
         if sep.lia_constraints:
             self._lia.extend(sep.lia_constraints)
+            self._lia_sources.extend(sep.lia_sources)
         if sep.shared:
             entry.shared = tuple(sep.shared)
             for t in sep.shared:

@@ -137,6 +137,7 @@ class SolverSession:
                     "rounds": query_stats.sat_rounds,
                     "axioms": query_stats.axioms_asserted,
                     "conflicts": query_stats.theory_conflicts,
+                    "core_lits": query_stats.theory_core_lits,
                     "encode_s": round(query_stats.encode_s, 6),
                     "sat_s": round(query_stats.sat_s, 6),
                     "expand_s": round(query_stats.expand_s, 6),

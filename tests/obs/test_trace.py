@@ -122,7 +122,8 @@ def test_query_spans_carry_verdict_cache_and_phase_timers(traced):
         assert attrs["verdict"] in ("sat", "unsat", "unknown")
         assert attrs["cache"] in ("memory", "disk", "miss", "off")
         for key in ("encode_s", "sat_s", "expand_s", "theory_s",
-                    "validate_s", "depth", "passes", "rounds"):
+                    "validate_s", "depth", "passes", "rounds",
+                    "conflicts", "core_lits"):
             assert key in attrs, f"query span missing {key}"
 
 

@@ -130,3 +130,59 @@ def test_int_valued_functions():
     e.assert_eq(t1, t2)
     assert e.check()
     assert e.congruent(h1, h2)
+
+
+def test_explain_returns_the_path_reasons():
+    e = EufSolver()
+    a, b, c, d = obj("a"), obj("b"), obj("c"), obj("d")
+    e.assert_eq(a, b, "ab")
+    e.assert_eq(c, d, "cd")
+    e.assert_eq(b, c, "bc")
+    assert e.check()
+    assert sorted(e.explain(a, d)) == ["ab", "bc", "cd"]
+    assert e.explain(a, b) == ["ab"]
+
+
+def test_explain_recurses_into_congruence_arguments():
+    f = fun("f", 2)
+    e = EufSolver()
+    a, b, c, d, x = obj("a"), obj("b"), obj("c"), obj("d"), obj("x")
+    fac, fbd = tm.mk_app(f, [a, c]), tm.mk_app(f, [b, d])
+    e.assert_eq(fac, x, "fac=x")
+    e.assert_eq(a, b, "ab")
+    e.assert_eq(c, d, "cd")
+    assert e.congruent(fbd, fac)
+    assert sorted(e.explain(fbd, fac)) == ["ab", "cd"]
+    assert sorted(e.explain(fbd, x)) == ["ab", "cd", "fac=x"]
+
+
+def test_conflicts_explain_disequality_and_predicates():
+    p = fun("p", 1, BOOL)
+    e = EufSolver()
+    a, b, c = obj("a"), obj("b"), obj("c")
+    e.assert_eq(a, b, "ab")
+    e.assert_ne(a, b, "a!=b")
+    e.assert_pred(tm.mk_app(p, [b]), True, "pb")
+    e.assert_pred(tm.mk_app(p, [c]), False, "not pc")
+    e.assert_eq(b, c, "bc")
+    assert not e.check()
+    found = sorted(sorted(reasons) for reasons in e.conflicts())
+    assert found == [["a!=b", "ab"], ["bc", "not pc", "pb"]]
+
+
+def test_undo_rolls_back_proof_edges():
+    e = EufSolver(undoable=True)
+    a, b, c = obj("a"), obj("b"), obj("c")
+    e.assert_eq(a, b, "ab")
+    e.check()
+    mark = e.mark()
+    e.assert_eq(b, c, "bc")
+    e.assert_eq(a, c, "ac")
+    e.assert_ne(a, c, "a!=c")
+    assert not e.check()
+    e.undo_to(mark)
+    assert e.check()
+    assert not e.congruent(a, c)
+    e.assert_eq(c, a, "ca")
+    assert e.check()
+    assert sorted(e.explain(b, c)) == ["ab", "ca"]

@@ -164,14 +164,14 @@ def test_pugh_with_feasible_bounds():
 
 def test_entails_eq():
     cons = [c({"x": 1, "y": -1}, 0, EQ)]
-    assert lia.entails_eq(cons, "x", "y")
-    assert not lia.entails_eq([], "x", "y")
+    assert lia.eq_core(cons, "x", "y") == tuple(cons)
+    assert lia.eq_core([], "x", "y") is None
 
 
 def test_entails_eq_via_bounds():
     # x <= y and y <= x entails x = y.
     cons = [c({"x": 1, "y": -1}, 0), c({"y": 1, "x": -1}, 0)]
-    assert lia.entails_eq(cons, "x", "y")
+    assert set(lia.eq_core(cons, "x", "y")) == set(cons)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -205,3 +205,78 @@ def test_random_small_systems_vs_enumeration(seed):
         model = {v: result.model.get(v, 0) for v in vars_}
         for con in cons:
             assert con.holds(model)
+
+
+def test_unsat_core_is_an_inconsistent_subset():
+    # x <= 5 and x >= 7 conflict; the bound on y is irrelevant.
+    le5, ge7, other = c({"x": 1}, -5), c({"x": -1}, 7), c({"y": 1}, 0)
+    result = lia.solve([le5, other, ge7])
+    assert not result
+    assert set(result.core) == {le5, ge7}
+
+
+def test_unsat_core_through_disequality_split():
+    # x != 3 with 3 <= x <= 3: both split branches fail, and both need
+    # the disequality.
+    ne3, le3, ge3 = c({"x": 1}, -3, NE), c({"x": 1}, -3), c({"x": -1}, 3)
+    result = lia.solve([c({"y": -1}, 0), ne3, le3, ge3])
+    assert not result
+    assert set(result.core) == {ne3, le3, ge3}
+
+
+def test_eq_core_leaves_out_unrelated_constraints():
+    below = c({"x": 1, "y": -1}, 0)
+    above = c({"y": 1, "x": -1}, 0)
+    unrelated = c({"z": 1}, -4)
+    assert set(lia.eq_core([below, unrelated, above], "x", "y")) == {
+        below,
+        above,
+    }
+    assert lia.eq_core([below, unrelated], "x", "y") is None
+
+
+def test_splinter_beyond_old_cap_is_sat():
+    # The only satisfying splinter is i = 5000 (x = 1, y = 0); an
+    # enumeration capped below that used to answer UNSAT.
+    cons = [
+        c({"x": 10000, "y": -9999}, -14000),
+        c({"x": -10000, "y": 9999}, 5000),
+        c({"y": -1}, 0),
+        c({"y": 1}, 0),
+    ]
+    model = assert_model_satisfies(cons)
+    assert (model["x"], model["y"]) == (1, 0)
+
+
+def test_long_splinter_enumeration_ends_in_budget_not_unsat():
+    from repro.smt import budget
+
+    # Same shape with a splinter range of ~10^7: past the budget, the
+    # answer must be "out of budget", never UNSAT.
+    cons = [
+        c({"x": 10**7, "y": -(10**7 - 1)}, -(10**7 + 4 * 10**6)),
+        c({"x": -(10**7), "y": 10**7 - 1}, 5 * 10**6),
+        c({"y": -1}, 0),
+        c({"y": 1}, 0),
+    ]
+    budget.arm(0.2)
+    try:
+        with pytest.raises(budget.BudgetExceeded):
+            lia.solve(cons)
+    finally:
+        budget.disarm()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_unsat_cores_are_inconsistent_subsets(seed):
+    rng = random.Random(1000 + seed)
+    vars_ = ["x", "y", "z"]
+    cons = []
+    for _ in range(rng.randint(2, 7)):
+        coeffs = {v: rng.randint(-3, 3) for v in vars_[: rng.randint(1, 3)]}
+        cons.append(c(coeffs, rng.randint(-6, 6), rng.choice([LE, LE, EQ, NE])))
+    result = lia.solve(cons)
+    if result:
+        return
+    assert set(result.core) <= set(cons)
+    assert not lia.solve(list(result.core))

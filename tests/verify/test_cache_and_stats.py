@@ -86,6 +86,26 @@ class TestSolverStatsSurfaced:
         assert "cache hit rate" in table
         assert "total" in table
 
+    def test_conflict_core_literals_are_counted(self):
+        # The lists group runs into theory conflicts, each core there
+        # has at least two literals, and --stats and the JSON report
+        # both show the total.
+        from repro.corpus import combined_programs
+
+        report = api.verify(
+            compile_(combined_programs()["lists"]),
+            options=api.VerifyOptions(cache=SolverCache()),
+        )
+        total = report.solver_stats.total
+        assert total.theory_conflicts > 0
+        assert total.theory_core_lits >= 2 * total.theory_conflicts
+        assert total.to_dict()["theory_core_lits"] == total.theory_core_lits
+        table = report.solver_stats.format_table()
+        assert (
+            f"theory conflicts: {total.theory_conflicts} "
+            f"({total.theory_core_lits} core literals)" in table
+        )
+
 
 class TestBudgetThreading:
     def test_budget_is_per_run_not_global(self):
