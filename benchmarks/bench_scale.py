@@ -77,11 +77,9 @@ def _percentile(values: list[float], q: float) -> float:
 
 def _verify_lane(units, jobs, batch_size="auto"):
     """One no-cache pass over every unit; returns (seconds, reports)."""
+    options = api.VerifyOptions(cache=None, jobs=jobs, batch_size=batch_size)
     start = time.perf_counter()
-    reports = [
-        api.verify(unit, cache=None, jobs=jobs, batch_size=batch_size)
-        for unit in units
-    ]
+    reports = [api.verify(unit, options=options) for unit in units]
     return time.perf_counter() - start, reports
 
 

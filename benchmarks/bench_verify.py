@@ -13,7 +13,7 @@ configurations and writes the measurements to ``BENCH_verify.json``:
   parallel engine's speedup from cache effects;
 * **incremental / from-scratch serial** — best-of-3 interleaved
   no-cache serial passes of the default incremental engine and of the
-  ``incremental=False`` reference engine (which rebuilds the CNF
+  ``backend="reference"`` engine (which rebuilds the CNF
   encoding and CDCL state per query and per deepening depth, as the
   seed architecture did); their ratio is the end-to-end state-reuse
   speedup.  This pair and the cold-cached-vs-no-cache pair are
@@ -25,14 +25,10 @@ configurations and writes the measurements to ``BENCH_verify.json``:
   syntactic pattern algebra discharges what it can before SMT) against
   ``tier=smt-only``; the lane also records how many obligations the
   algebra discharged;
-* **per-backend lanes** — the ``reference`` / ``incremental`` /
-  ``portfolio`` backends on the same no-cache serial workload
-  (best-of-3 interleaved CPU time; the reference and incremental lanes
-  double as the from-scratch/incremental pair above).  The portfolio
-  floor: racing must never be slower than the *worst* single strategy
-  — the whole point of a portfolio — and a healthy run disqualifies
-  nothing.  Per-strategy query attribution is recorded so the JSON
-  shows who actually won the races.
+* **per-backend lanes** — the ``reference`` and ``incremental``
+  backends on the same no-cache serial workload (best-of-3 interleaved
+  CPU time; they are the from-scratch/incremental pair above, recorded
+  under their backend names too).
 
 Run it directly (``python benchmarks/bench_verify.py``) to refresh the
 JSON; ``test_bench_verify.py`` asserts the floor the ISSUE demands
@@ -75,7 +71,7 @@ def verify_corpus(
     jobs: int,
     cache_dir: str | None,
     use_cache: bool,
-    incremental: bool = True,
+    backend: str = "incremental",
 ):
     """One full pass over the corpus; returns (seconds, reports).
 
@@ -84,7 +80,7 @@ def verify_corpus(
     lanes and the CLI consume.
     """
     wall, _, reports = verify_corpus_cpu(
-        units, jobs, cache_dir, use_cache, incremental
+        units, jobs, cache_dir, use_cache, backend=backend
     )
     return wall, reports
 
@@ -94,9 +90,8 @@ def verify_corpus_cpu(
     jobs: int,
     cache_dir: str | None,
     use_cache: bool,
-    incremental: bool = True,
     tier: str = "auto",
-    backend: str | None = None,
+    backend: str = "incremental",
 ):
     """One full pass; returns (wall seconds, CPU seconds, reports).
 
@@ -108,10 +103,6 @@ def verify_corpus_cpu(
     processes), which stay on wall-clock.
     """
     cache = api.GLOBAL_CACHE if use_cache else None
-    # The legacy flag folds into the backend name here, so the bench
-    # exercises the modern options path without DeprecationWarnings.
-    if backend is None:
-        backend = "incremental" if incremental else "reference"
     start = time.perf_counter()
     cpu_start = time.process_time()
     reports = {
@@ -171,18 +162,14 @@ def run_bench(jobs: int = JOBS) -> dict:
             t_nc, c_nc, _ = verify_corpus_cpu(units, 1, None, False)
             nocache_serial_s = min(nocache_serial_s, t_nc)
             nocache_cpu_s = min(nocache_cpu_s, c_nc)
-        # The per-backend lanes: the default incremental engine, the
-        # from-scratch reference engine, and the portfolio racer, all
-        # on the same no-cache workload so engine differences are
-        # isolated from cache effects.  Three interleaved samples per
-        # backend, symmetrically, so no lane wins on sample count.
-        # reference doubles as the historical "from-scratch" lane and
-        # incremental as the historical default-engine lane.
+        # The per-backend lanes: the default incremental engine and
+        # the from-scratch reference engine, on the same no-cache
+        # workload so engine differences are isolated from cache
+        # effects.  Three interleaved samples per backend,
+        # symmetrically, so no lane wins on sample count.
         incremental_cpu_s = None
         fromscratch_cpu_s = None
-        portfolio_cpu_s = None
         scratch = None
-        portfolio = None
         for _ in range(3):
             _, c_inc, _ = verify_corpus_cpu(units, 1, None, False)
             if incremental_cpu_s is None or c_inc < incremental_cpu_s:
@@ -193,12 +180,6 @@ def run_bench(jobs: int = JOBS) -> dict:
             if fromscratch_cpu_s is None or c_scr < fromscratch_cpu_s:
                 fromscratch_cpu_s = c_scr
                 scratch = scratch_reports
-            _, c_pf, portfolio_reports = verify_corpus_cpu(
-                units, 1, None, False, backend="portfolio"
-            )
-            if portfolio_cpu_s is None or c_pf < portfolio_cpu_s:
-                portfolio_cpu_s = c_pf
-                portfolio = portfolio_reports
         # The tiered lane: the pattern-algebra first pass (tier=auto,
         # the default every other lane already runs) against the pure
         # SMT pipeline (tier=smt-only) on the same cold no-cache serial
@@ -232,18 +213,6 @@ def run_bench(jobs: int = JOBS) -> dict:
     algebra_discharged = sum(
         r.solver_stats.algebra_discharged for r in tiered.values()
     )
-    # Who won the races: per-strategy query counts across the portfolio
-    # pass, plus the disqualification count a healthy run pins at zero.
-    portfolio_strategy_queries: dict[str, int] = {}
-    portfolio_disqualified = 0
-    for report in portfolio.values():
-        for engine, stats in report.solver_stats.per_backend.items():
-            portfolio_strategy_queries[engine] = (
-                portfolio_strategy_queries.get(engine, 0) + stats.queries
-            )
-        portfolio_disqualified += len(
-            report.solver_stats.backends_disqualified
-        )
     for label, reports in (
         ("warm", warm_reports),
         ("parallel-cold", par_cold),
@@ -251,7 +220,6 @@ def run_bench(jobs: int = JOBS) -> dict:
         ("no-cache", plain),
         ("no-cache-parallel", par_plain),
         ("from-scratch", scratch),
-        ("portfolio", portfolio),
         ("tier-auto", tiered),
         ("tier-smt-only", smt_only),
     ):
@@ -263,7 +231,7 @@ def run_bench(jobs: int = JOBS) -> dict:
 
     return {
         "benchmark": "bench_verify",
-        "schema_version": 4,
+        "schema_version": 5,
         "date": time.strftime("%Y-%m-%d"),
         "python": platform.python_version(),
         "cpus": usable_cpus(),
@@ -291,11 +259,6 @@ def run_bench(jobs: int = JOBS) -> dict:
         # interleaved); reference/incremental alias the two lanes above.
         "backend_reference_serial_s": round(fromscratch_cpu_s, 4),
         "backend_incremental_serial_s": round(incremental_cpu_s, 4),
-        "backend_portfolio_serial_s": round(portfolio_cpu_s, 4),
-        "portfolio_strategy_queries": dict(
-            sorted(portfolio_strategy_queries.items())
-        ),
-        "portfolio_disqualified": portfolio_disqualified,
         "tasks_retried": tasks_retried,
         "tasks_timed_out": tasks_timed_out,
         "tasks_failed": tasks_failed,
@@ -312,11 +275,6 @@ def run_bench(jobs: int = JOBS) -> dict:
         ),
         "speedup_tiered_vs_smt_only": round(
             tier_smt_only_cpu_s / tier_auto_cpu_s, 2
-        ),
-        # >= 1.0 means the portfolio kept its promise: never slower
-        # than the worst single strategy it raced.
-        "speedup_portfolio_vs_worst_single": round(
-            max(fromscratch_cpu_s, incremental_cpu_s) / portfolio_cpu_s, 2
         ),
     }
 

@@ -22,7 +22,8 @@ GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
 
 def _verify_all(units, cache):
-    return {g: api.verify(units[g], cache=cache) for g in GROUPS}
+    options = api.VerifyOptions(cache=cache)
+    return {g: api.verify(units[g], options=options) for g in GROUPS}
 
 
 def _warnings(reports):
@@ -63,8 +64,8 @@ def test_cache_disabled_run_matches_cached_warnings():
     programs = combined_programs()
     for group in GROUPS:
         unit = api.compile_program(programs[group])
-        cached = api.verify(unit, cache=cache)
-        plain = api.verify(unit, cache=None)
+        cached = api.verify(unit, options=api.VerifyOptions(cache=cache))
+        plain = api.verify(unit, options=api.VerifyOptions(cache=None))
         assert [str(w) for w in cached.diagnostics.warnings] == [
             str(w) for w in plain.diagnostics.warnings
         ], f"cache changed warnings for corpus group {group}"

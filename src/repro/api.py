@@ -2,15 +2,14 @@
 
 >>> from repro import api
 >>> unit = api.compile_program(source_text)
->>> report = api.verify(unit, options=api.VerifyOptions(backend="portfolio"))
+>>> report = api.verify(unit, options=api.VerifyOptions(budget=2.0))
 >>> interp = api.interpreter(unit)
 
 Everything in ``__all__`` is the supported surface; reaching into
 ``repro.verify.*`` / ``repro.smt.*`` internals is not covered by any
-compatibility promise.  Verification takes its configuration as the
-consolidated :class:`VerifyOptions` object (``api.verify(unit,
-options=...)``); the historical loose keyword arguments are still
-accepted for one transition window but emit ``DeprecationWarning``.
+compatibility promise.  Verification takes its whole configuration as
+one :class:`VerifyOptions` object (``api.verify(unit, options=...)``);
+there are no per-setting keyword arguments.
 
 Solver backends are part of the stable surface: the
 :class:`SolverBackend` protocol, the registry
@@ -23,7 +22,6 @@ touching internals.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import Diagnostics
@@ -39,7 +37,7 @@ from .smt.backend import (
 )
 from .smt.cache import GLOBAL_CACHE, SolverCache
 from .verify import VerificationReport, Verifier
-from .verify.options import VerifyOptions, coalesce
+from .verify.options import VerifyOptions
 
 __all__ = [
     "CompiledUnit",
@@ -73,34 +71,14 @@ def compile_program(source: str, filename: str = "<input>") -> CompiledUnit:
     return CompiledUnit(program, table, filename)
 
 
-#: distinguishes "keyword not passed" from every meaningful value
-_UNSET = object()
-
-
 def verify(
-    unit: CompiledUnit,
-    budget: float | None = _UNSET,
-    cache: SolverCache | None = _UNSET,
-    jobs: int | str = _UNSET,
-    cache_dir: str | None = _UNSET,
-    incremental: bool = _UNSET,
-    task_timeout: float | None = _UNSET,
-    trace: str | None = _UNSET,
-    format: str = _UNSET,
-    tier: str = _UNSET,
-    batch_size: int | str = _UNSET,
-    backend: str | None = _UNSET,
-    *,
-    options: VerifyOptions | None = None,
+    unit: CompiledUnit, *, options: VerifyOptions | None = None
 ) -> VerificationReport:
     """Run the full static verification pass (Sections 5-6).
 
-    Configuration comes from ``options`` (a :class:`VerifyOptions`) or
-    from the individual keyword arguments — never both.  The keywords
-    map 1:1 onto option fields with identical defaults, so
-    ``verify(unit, budget=2.0)`` and
-    ``verify(unit, options=VerifyOptions(budget=2.0))`` are the same
-    call.
+    Configuration comes from ``options`` (a :class:`VerifyOptions`;
+    None means the defaults), which is validated before anything runs.
+    The fields:
 
     ``budget`` bounds each SMT query's wall time for this run only (it
     is threaded to the solver instances, never written to global
@@ -141,17 +119,9 @@ def verify(
     ``backend`` selects the solving strategy by registry name (see
     :mod:`repro.smt.backend`): ``"incremental"`` (persistent engines,
     the default), ``"reference"`` (rebuild-per-query, the differential
-    baseline), ``"z3"`` (optional z3py, when installed), or
-    ``"portfolio"`` (race the available strategies per obligation and
-    take the first definitive verdict).  All backends produce
-    byte-identical reports on conclusive corpora — models always come
-    from the canonical reference solve.
-
-    ``incremental`` is the historical way to pick between the first
-    two backends and is deprecated as ``False`` (an alias for
-    ``backend="reference"``); an explicit ``backend`` always wins, and
-    contradictory combinations are rejected by
-    :meth:`VerifyOptions.validate`.
+    baseline), or ``"z3"`` (optional z3py, when installed).  All
+    backends produce byte-identical reports on conclusive corpora —
+    models always come from the canonical reference solve.
 
     ``task_timeout`` bounds each verification task's (method's) wall
     time; an obligation that overruns it is reported with an
@@ -178,31 +148,7 @@ def verify(
     and raises :class:`~repro.verify.tiered.TierMismatchError` (with
     the report attached) if their verdicts ever disagree.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("budget", budget),
-            ("cache", cache),
-            ("jobs", jobs),
-            ("cache_dir", cache_dir),
-            ("incremental", incremental),
-            ("task_timeout", task_timeout),
-            ("trace", trace),
-            ("format", format),
-            ("tier", tier),
-            ("batch_size", batch_size),
-            ("backend", backend),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warnings.warn(
-            "passing loose keyword arguments to api.verify is deprecated; "
-            f"use options=VerifyOptions({', '.join(sorted(legacy))}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    opts = coalesce(options, legacy)
+    opts = VerifyOptions() if options is None else options
     opts.validate()
     # The tracer: an externally-owned one (the CLI's, collecting many
     # files under one run span), our own (``trace`` path set: we open

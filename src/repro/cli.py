@@ -128,7 +128,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cache=cache,
         jobs=jobs,
         cache_dir=cache_dir,
-        incremental=not args.no_incremental,
         task_timeout=args.task_timeout,
         batch_size=batch_size,
         tracer=tracer,
@@ -223,8 +222,8 @@ def _verify_via_daemon(args: argparse.Namespace) -> int:
 
     ``--jobs``/``--batch-size`` are ignored here — the daemon verifies
     warm-serial by design (its speed comes from hot caches and the
-    dependency index, not a process pool) — as are ``--cache-dir`` and
-    ``--no-incremental``-adjacent knobs the daemon fixed at spawn time.
+    dependency index, not a process pool) — as is ``--cache-dir``, which
+    the daemon fixed at spawn time.
     """
     json_mode = args.format == "json"
     from .verify.daemon import DaemonError, ensure_daemon
@@ -232,7 +231,6 @@ def _verify_via_daemon(args: argparse.Namespace) -> int:
     options = {
         "budget": args.budget,
         "tier": args.tier,
-        "incremental": not args.no_incremental,
         "backend": args.backend,
         "task_timeout": args.task_timeout,
         "use_cache": not args.no_cache,
@@ -418,19 +416,12 @@ def main(argv: list[str] | None = None) -> int:
         "in-memory and the disk cache tier)",
     )
     p_verify.add_argument(
-        "--no-incremental", action="store_true",
-        help="deprecated alias for --backend reference: rebuild the "
-        "solver from scratch for every query instead of reusing the "
-        "persistent incremental engine",
-    )
-    p_verify.add_argument(
         "--backend",
-        choices=("reference", "incremental", "z3", "portfolio"),
-        default=None,
+        choices=("reference", "incremental", "z3"),
+        default="incremental",
         help="solving strategy: 'incremental' (persistent engines, the "
-        "default), 'reference' (rebuild per query), 'z3' (optional "
-        "z3py, when installed), or 'portfolio' (race the available "
-        "strategies per obligation; first definitive verdict wins)",
+        "default), 'reference' (rebuild per query), or 'z3' (optional "
+        "z3py, when installed)",
     )
     p_verify.add_argument(
         "--trace", default=None, metavar="FILE",

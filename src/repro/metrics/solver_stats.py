@@ -126,14 +126,6 @@ class VerifyStats:
 
     per_method: dict[str, QueryStats] = field(default_factory=dict)
     total: QueryStats = field(default_factory=QueryStats)
-    #: per-engine attribution: which backend actually answered each
-    #: query.  A single-backend run has one row; a portfolio run has
-    #: one row per strategy (the row counts its *wins* — queries where
-    #: that strategy produced the verdict the run used), so ``--stats``
-    #: never sums incompatible engine counters into one aggregate.
-    per_backend: dict[str, QueryStats] = field(default_factory=dict)
-    #: portfolio strategies knocked out for the run (crash/hang) and why
-    backends_disqualified: dict[str, str] = field(default_factory=dict)
     # -- pipeline fault-tolerance accounting (repro.verify.parallel) --
     #: task re-executions after a worker crash/failure (pool retry
     #: round plus in-process serial fallback runs)
@@ -169,16 +161,11 @@ class VerifyStats:
         verdict: str,
         seconds: float,
         solver_stats,
-        backend: str | None = None,
     ) -> None:
         self.per_method.setdefault(method, QueryStats()).add_query(
             verdict, seconds, solver_stats
         )
         self.total.add_query(verdict, seconds, solver_stats)
-        if backend:
-            self.per_backend.setdefault(backend, QueryStats()).add_query(
-                verdict, seconds, solver_stats
-            )
 
     def merge(self, other: "VerifyStats") -> None:
         """Fold another run's statistics into this one.
@@ -192,10 +179,6 @@ class VerifyStats:
         """
         for name, stats in other.per_method.items():
             self.per_method.setdefault(name, QueryStats()).merge(stats)
-        for name, stats in other.per_backend.items():
-            self.per_backend.setdefault(name, QueryStats()).merge(stats)
-        for name, reason in other.backends_disqualified.items():
-            self.backends_disqualified.setdefault(name, reason)
         self.total.merge(other.total)
         self.tasks_retried += other.tasks_retried
         self.tasks_timed_out += other.tasks_timed_out
@@ -221,14 +204,6 @@ class VerifyStats:
             "per_method": {
                 name: self.per_method[name].to_dict()
                 for name in sorted(self.per_method)
-            },
-            "per_backend": {
-                name: self.per_backend[name].to_dict()
-                for name in sorted(self.per_backend)
-            },
-            "backends_disqualified": {
-                name: self.backends_disqualified[name]
-                for name in sorted(self.backends_disqualified)
             },
             "tasks_retried": self.tasks_retried,
             "tasks_timed_out": self.tasks_timed_out,
@@ -265,30 +240,6 @@ class VerifyStats:
             f"{t.seconds:>9.3f}{t.sat_rounds:>8}{t.axioms_asserted:>8}"
             f"{t.deepening_passes:>8}{t.cache_hits:>6}{t.cache_misses:>6}"
         )
-        if self.per_backend:
-            # One row per engine that actually answered queries.  Under
-            # a portfolio each row is that strategy's wins; the counters
-            # are the winner's own (never summed across engines, whose
-            # internals count different things).
-            lines.append("")
-            lines.append("backend" + " " * 33 + header[40:])
-            lines.append("-" * len(header))
-            for name in sorted(self.per_backend):
-                stats = self.per_backend[name]
-                label = name if len(name) <= 39 else name[:36] + "..."
-                lines.append(
-                    f"{label:<40}{stats.queries:>8}{stats.sat:>6}"
-                    f"{stats.unsat:>7}{stats.unknown:>5}{stats.seconds:>9.3f}"
-                    f"{stats.sat_rounds:>8}{stats.axioms_asserted:>8}"
-                    f"{stats.deepening_passes:>8}{stats.cache_hits:>6}"
-                    f"{stats.cache_misses:>6}"
-                )
-            lines.append("-" * len(header))
-        for name in sorted(self.backends_disqualified):
-            lines.append(
-                f"backend disqualified: {name} "
-                f"({self.backends_disqualified[name]})"
-            )
         lines.append(
             f"theory conflicts: {t.theory_conflicts} "
             f"({t.theory_core_lits} core literals)"

@@ -1,27 +1,23 @@
-"""The formal solver-backend seam: one protocol, many engines.
+"""The formal solver-backend seam: one protocol, a few engines.
 
-ROADMAP item 5: the Solver/TheoryContext surface is narrow enough to
-formalize, so this module defines the :class:`SolverBackend` protocol
-every solving strategy implements and a registry the rest of the
-pipeline (``VerifyOptions.backend`` / ``verify --backend``) resolves
-names against.  The built-in backends re-home code that used to live
-inline in :class:`repro.verify.solving.SolverSession`:
+This module defines the :class:`SolverBackend` protocol every solving
+strategy implements and a registry the rest of the pipeline
+(``VerifyOptions.backend`` / ``verify --backend``) resolves names
+against.  One run uses exactly one backend:
 
+* :class:`IncrementalBackend` — the default: one persistent engine per
+  encoding context (plugin), diffing each query against the engine's
+  assertion stack via :meth:`~IncrementalBackend.push` /
+  :meth:`~IncrementalBackend.pop`.
 * :class:`ReferenceBackend` — the from-scratch engine: a fresh
-  rebuild-per-query :class:`~repro.smt.solver.Solver` per obligation
-  (the historical ``incremental=False`` path).  Its models are
-  canonical by construction; every other backend defers model
-  production to it so counterexamples are byte-identical across
-  backends.
-* :class:`IncrementalBackend` — one persistent engine per encoding
-  context (plugin), diffing each query against the engine's assertion
-  stack via :meth:`push`/:meth:`pop` (the default path since PR 3).
+  rebuild-per-query :class:`~repro.smt.solver.Solver` per obligation.
+  Its models are canonical by construction; the incremental engine
+  defers model production to the same single-query solve, so
+  counterexamples are byte-identical across backends.  It is the
+  differential oracle the parity tests compare against.
 * ``Z3Backend`` (:mod:`repro.smt.z3backend`) — optional, guarded
   import of z3py; registered lazily and reported unavailable when the
-  wheel is absent.
-* ``PortfolioBackend`` (:mod:`repro.verify.portfolio`) — races the
-  single-strategy backends per obligation and takes the first
-  definitive verdict.
+  wheel is absent.  A second parity oracle.
 
 Protocol contract
 -----------------
@@ -31,14 +27,11 @@ assertion stack (the checkers re-send the growing prefix chain each
 query); how much of it is re-solved is the backend's business.  The
 returned :class:`CheckOutcome` carries the verdict, the model (only
 when ``want_model`` and SAT), a :class:`~repro.smt.solver.SolverStats`
-delta covering exactly this query, and the name of the engine that
-actually answered — which is how portfolio wins are attributed per
-strategy in ``--stats``.
+delta covering exactly this query, and the cache tier and deepening
+depth the query reached.
 
 Budget hooks: backends honor ``self.budget`` (seconds per query) via
-the cooperative :mod:`repro.smt.budget` checkpoints, which are
-thread-local and double as the cancellation points the portfolio uses
-to stop losing strategies.
+the cooperative :mod:`repro.smt.budget` checkpoints.
 
 Third-party backends subclass :class:`SolverBackend` and call
 :func:`register_backend`; :mod:`repro.api` re-exports the registry so
@@ -64,23 +57,19 @@ class BackendUnavailable(RuntimeError):
 class CheckOutcome:
     """What one backend check produced, for recording and tracing."""
 
-    __slots__ = ("result", "model", "stats", "engine", "cache_tier", "depth")
+    __slots__ = ("result", "model", "stats", "cache_tier", "depth")
 
     def __init__(
         self,
         result: Result,
         model: TheoryModel | None,
         stats: SolverStats,
-        engine: str,
         cache_tier: str | None = None,
         depth: int | None = None,
     ):
         self.result = result
         self.model = model
         self.stats = stats
-        #: the strategy that actually answered (a portfolio reports its
-        #: winning lane here, not "portfolio")
-        self.engine = engine
         self.cache_tier = cache_tier
         self.depth = depth
 
@@ -90,9 +79,6 @@ class SolverBackend:
 
     #: registry name; subclasses must override
     name = "abstract"
-    #: advertised capabilities, e.g. {"models", "incremental"};
-    #: informational — the pipeline works off ``check`` alone
-    capabilities: frozenset = frozenset()
 
     def __init__(
         self,
@@ -115,23 +101,14 @@ class SolverBackend:
     ) -> CheckOutcome:
         raise NotImplementedError
 
-    # -- optional incremental surface (capability "incremental") ---------
-
-    def push(self, plugin: LazyTheoryPlugin, term: Term) -> None:
-        raise BackendUnavailable(f"backend {self.name!r} is not incremental")
-
-    def pop(self, plugin: LazyTheoryPlugin) -> None:
-        raise BackendUnavailable(f"backend {self.name!r} is not incremental")
-
     def reset(self) -> None:
-        """Drop any persistent state (engines, disqualifications)."""
+        """Drop any persistent state (engines)."""
 
 
 class ReferenceBackend(SolverBackend):
     """Rebuild-per-query solving: the canonical, model-producing engine."""
 
     name = "reference"
-    capabilities = frozenset({"models"})
 
     def check(self, plugin, terms, want_model=False):
         solver = Solver(
@@ -151,7 +128,6 @@ class ReferenceBackend(SolverBackend):
             result,
             model,
             solver.stats,
-            self.name,
             solver.last_cache_tier,
             solver.last_depth,
         )
@@ -184,7 +160,6 @@ class IncrementalBackend(SolverBackend):
     """
 
     name = "incremental"
-    capabilities = frozenset({"models", "incremental"})
 
     #: engines kept alive at once; checkers use one context per
     #: statement, so a tiny LRU covers the live chain plus stragglers
@@ -220,7 +195,6 @@ class IncrementalBackend(SolverBackend):
                 result,
                 model,
                 solver.stats,
-                self.name,
                 solver.last_cache_tier,
                 solver.last_depth,
             )
@@ -243,7 +217,6 @@ class IncrementalBackend(SolverBackend):
             result,
             None,
             solver.stats.delta(before),
-            self.name,
             solver.last_cache_tier,
             solver.last_depth,
         )
@@ -306,7 +279,6 @@ class IncrementalBackend(SolverBackend):
             result,
             model,
             solver.stats,
-            self.name,
             solver.last_cache_tier,
             solver.last_depth,
         )
@@ -317,8 +289,7 @@ class IncrementalBackend(SolverBackend):
 # ---------------------------------------------------------------------------
 
 #: name -> backend class, or a (module, attribute) pair resolved on
-#: first use so optional backends (z3) and higher-layer ones
-#: (portfolio, which lives in repro.verify) never cost an import here
+#: first use so optional backends (z3) never cost an import here
 _REGISTRY: dict[str, object] = {}
 
 
@@ -377,4 +348,3 @@ def create_backend(
 register_backend(ReferenceBackend.name, ReferenceBackend)
 register_backend(IncrementalBackend.name, IncrementalBackend)
 register_lazy_backend("z3", "repro.smt.z3backend", "Z3Backend")
-register_lazy_backend("portfolio", "repro.verify.portfolio", "PortfolioBackend")

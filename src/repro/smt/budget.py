@@ -1,4 +1,4 @@
-"""A cooperative wall-clock budget (and cancel signal) for one SMT query.
+"""A cooperative wall-clock budget for one SMT query.
 
 The verifier's queries are usually milliseconds, but a pathological
 one (deep arithmetic over abstract heights, say) can push the
@@ -8,13 +8,10 @@ the SAT and LIA hot loops poll it and raise :class:`BudgetExceeded`,
 which the solver reports as UNKNOWN -- the same role the paper's
 iterative-deepening time budget plays (Section 6.2).
 
-Both the deadline and the cancel event are **thread-local**: the
-portfolio backend (:mod:`repro.verify.portfolio`) races strategies in
-threads, each with its own budget window, and the winner cancels the
-losers by setting a shared :class:`threading.Event` that each loser
-registered on its own thread before starting.  The same
-:func:`checkpoint` polls both, so cancellation reaches the SAT/LIA hot
-loops with no extra plumbing.
+The deadline is **thread-local**: the daemon verifies on its
+connection-handler threads, and ``repro.api.verify`` may be called
+from any thread of a host program, so one thread's query must never
+see (or disarm) another thread's budget window.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ _state = threading.local()
 
 
 class BudgetExceeded(Exception):
-    """The current query ran past its wall-clock budget (or was cancelled)."""
+    """The current query ran past its wall-clock budget."""
 
 
 def arm(seconds: float) -> None:
@@ -38,31 +35,8 @@ def disarm() -> None:
     _state.deadline = None
 
 
-def set_cancel(event: threading.Event) -> None:
-    """Register a cancel event for this thread's solver work.
-
-    While registered, :func:`checkpoint` (and the solver's own round
-    polls, via :func:`cancelled`) treat a set event exactly like an
-    exhausted budget: the query unwinds and reports UNKNOWN, which is
-    never cached, so a cancelled loser can never poison a verdict.
-    """
-    _state.cancel = event
-
-
-def clear_cancel() -> None:
-    _state.cancel = None
-
-
-def cancelled() -> bool:
-    event = getattr(_state, "cancel", None)
-    return event is not None and event.is_set()
-
-
 def checkpoint() -> None:
-    """Raise BudgetExceeded when the armed budget ran out or a cancel
-    event was set for this thread."""
+    """Raise BudgetExceeded when this thread's armed budget ran out."""
     deadline = getattr(_state, "deadline", None)
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded()
-    if cancelled():
         raise BudgetExceeded()

@@ -63,8 +63,9 @@ class LazyTheoryPlugin:
     #: assignments span a long query chain
     _unfired: set[tuple[Term, bool]] = field(default_factory=set)
     #: serializes registry growth and first-firing of callbacks when
-    #: portfolio racers share this plugin through views; reentrant
-    #: because a firing callback registers nested triggers back here
+    #: several views (see PluginView) share this plugin across threads;
+    #: reentrant because a firing callback registers nested triggers
+    #: back here
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -105,9 +106,9 @@ class LazyTheoryPlugin:
 
         Callbacks mint fresh variables and register nested triggers, so
         a key's callback must run exactly once per obligation no matter
-        how many racing strategies observe the trigger; the reentrant
-        lock serializes the first firing and every later caller reuses
-        the cached term, exactly as the serial engines always did.
+        how many views observe the trigger; the reentrant lock
+        serializes the first firing and every later caller reuses the
+        cached term.
         """
         reg = self._registry[key]
         if reg.axiom is None:
@@ -117,7 +118,7 @@ class LazyTheoryPlugin:
         return reg.axiom
 
     def view(self) -> "PluginView":
-        """A per-strategy cursor over this plugin (see PluginView)."""
+        """A private cursor over this plugin (see PluginView)."""
         return PluginView(self)
 
     def pending(self, assignment: dict[Term, bool]) -> bool:
@@ -197,21 +198,24 @@ class LazyTheoryPlugin:
 
 
 class PluginView:
-    """A per-strategy cursor over a shared :class:`LazyTheoryPlugin`.
+    """A private cursor over a shared :class:`LazyTheoryPlugin`.
 
-    Portfolio racing (:mod:`repro.verify.portfolio`) runs several
-    solver strategies against the *same* obligation concurrently.  The
-    registry of trigger callbacks — and each registration's
-    instantiated axiom — must be shared: a callback mints fresh
-    variables and registers nested triggers, so it has to run exactly
-    once per obligation regardless of how many strategies observe its
-    trigger (see :meth:`LazyTheoryPlugin.axiom_for`).  But the *cursor*
-    (which keys fired this pass, the current depth bound, the
-    suppression record) is per-strategy: each racer walks its own
-    iterative-deepening schedule.  A view shares the former and owns
-    the latter, and quacks exactly like a plugin to the solver and the
-    query cache (``signature``/``has_triggers``/``registrations`` are
-    proxied, so cache fingerprints are identical to the base plugin's).
+    Lets several solvers work on the *same* obligation, each walking
+    its own iterative-deepening schedule.  The registry of trigger
+    callbacks — and each registration's instantiated axiom — is
+    shared: a callback mints fresh variables and registers nested
+    triggers, so it has to run exactly once per obligation regardless
+    of how many views observe its trigger (see
+    :meth:`LazyTheoryPlugin.axiom_for`).  The *cursor* (which keys
+    fired this pass, the current depth bound, the suppression record)
+    belongs to the view.  A view quacks exactly like a plugin to the
+    solver and the query cache (``signature``/``has_triggers``/
+    ``registrations`` are proxied, so cache fingerprints are identical
+    to the base plugin's).
+
+    No solving path creates views: one run solves each obligation
+    with one backend.  The class stays while ``perfbench/spans.py``
+    names ``PluginView.expand`` as a layer target; both go together.
     """
 
     def __init__(self, plugin: LazyTheoryPlugin):
@@ -238,7 +242,7 @@ class PluginView:
         self._plugin.register(atom, polarity, callback, depth, weak=weak)
 
     def _sync(self) -> None:
-        # Adopt registry keys added (by any racer's callbacks) since the
+        # Adopt registry keys added (by any view's callbacks) since the
         # last sync.  The registry dict is insertion-ordered and only
         # ever grows, so the new keys are exactly the tail.
         plugin = self._plugin

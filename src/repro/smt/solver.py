@@ -351,7 +351,7 @@ class Solver:
 
         for _ in range(self.MAX_ROUNDS):
             self.stats.sat_rounds += 1
-            if time.monotonic() > self._deadline or budget.cancelled():
+            if time.monotonic() > self._deadline:
                 return Result.UNKNOWN
             t0 = time.perf_counter()
             satisfiable = sat.solve()
@@ -520,7 +520,7 @@ class Solver:
 
         for _ in range(self.MAX_ROUNDS):
             self.stats.sat_rounds += 1
-            if time.monotonic() > self._deadline or budget.cancelled():
+            if time.monotonic() > self._deadline:
                 return Result.UNKNOWN
             t0 = time.perf_counter()
             satisfiable = sat.solve(assumptions)

@@ -78,9 +78,10 @@ class Term:
 
     _interned: dict[tuple, "Term"] = {}
     _counter = itertools.count()
-    #: guards the miss path of ``__new__`` when portfolio strategies
-    #: race in threads; two threads interning the same structure must
-    #: get the same node or pointer equality breaks everywhere
+    #: guards the miss path of ``__new__``: the daemon verifies on its
+    #: connection-handler threads and ``repro.api.verify`` may be called
+    #: from any thread, and two threads interning the same structure
+    #: must get the same node or pointer equality breaks everywhere
     _lock = threading.Lock()
 
     def __new__(cls, kind: str, args: tuple, payload, sort: Sort):

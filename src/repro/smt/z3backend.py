@@ -23,8 +23,8 @@ blocked is downgraded to UNKNOWN at the final depth, mirroring
 :meth:`LazyTheoryPlugin.axiom_for`, so the terms asserted are the very
 same interned terms every other backend uses.
 
-Model queries are answered by the canonical reference solve (like
-every backend), so reports stay byte-identical; this keeps z3 a pure
+Model queries are answered by the canonical reference solve (as the
+incremental backend does), so reports stay byte-identical; this keeps z3 a pure
 verdict engine and sidesteps translating z3 models back into theory
 models.  The solver cache is bypassed: entries fingerprint the lazy
 engine's behavior, and a cache populated by one backend must not
@@ -71,7 +71,6 @@ class Z3Backend(SolverBackend):
     """Depth-bounded eager expansion into z3, verdicts only."""
 
     name = "z3"
-    capabilities = frozenset({"models"})
 
     @classmethod
     def available(cls) -> bool:
@@ -94,9 +93,7 @@ class Z3Backend(SolverBackend):
         except BudgetExceeded:
             result, depth = Result.UNKNOWN, None
         stats.cache_misses += 1
-        return CheckOutcome(
-            result, None, stats, self.name, cache_tier="off", depth=depth
-        )
+        return CheckOutcome(result, None, stats, cache_tier="off", depth=depth)
 
     def _check_deepening(self, z3, plugin, terms, stats):
         deadline = None

@@ -81,8 +81,7 @@ class _FileState:
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
     "tier": "auto",
-    "incremental": True,
-    "backend": None,
+    "backend": "incremental",
     "task_timeout": None,
     "use_cache": True,
     "dep_index": True,
@@ -101,8 +100,8 @@ def _options_signature(opts: dict) -> str:
     participates, so changing e.g. the tier flushes the outcome cache
     instead of replaying verdicts produced under different rules.
     """
-    keys = ("budget", "tier", "incremental", "backend", "task_timeout",
-            "use_cache", "trace")
+    keys = ("budget", "tier", "backend", "task_timeout", "use_cache",
+            "trace")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -231,7 +230,6 @@ class VerifyDaemon:
             api.VerifyOptions(
                 budget=opts["budget"],
                 tier=opts["tier"],
-                incremental=bool(opts["incremental"]),
                 backend=opts["backend"],
                 task_timeout=opts["task_timeout"],
             ).validate()
@@ -337,8 +335,7 @@ class VerifyDaemon:
                     try:
                         outcome = run_one_task(
                             table, task, opts["budget"], cache,
-                            bool(opts["incremental"]), opts["task_timeout"],
-                            tracing, opts["tier"],
+                            opts["task_timeout"], tracing, opts["tier"],
                             backend=opts["backend"],
                         )
                     except Exception as exc:

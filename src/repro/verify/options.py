@@ -1,16 +1,13 @@
-"""The consolidated verification configuration: ``VerifyOptions``.
+"""The verification configuration: ``VerifyOptions``.
 
-``api.verify`` grew one keyword per PR — budget, cache, jobs,
-cache_dir, incremental, task_timeout — each re-threaded by hand
-through ``verify_parallel`` / ``verify_serial_with_timeout`` /
-``Verifier``.  ``VerifyOptions`` replaces that sprawl with one object
-the drivers consume directly; the legacy keywords remain accepted (and
-tested) on ``api.verify``, which simply folds them into an options
-object.
+``api.verify(unit, options=VerifyOptions(...))`` is the one way to
+configure a run; the drivers (``Verifier``, ``verify_parallel``,
+``verify_serial_with_timeout``) consume the same object directly, and
+the CLI and the daemon build one from their flags and request options
+and call :meth:`VerifyOptions.validate` on it before verifying.
 
-The fields mirror the legacy keywords exactly (same names, same
-defaults, same semantics — see :func:`repro.api.verify` for the full
-contract), plus the observability additions:
+Beyond the solver and driver knobs, three fields serve observability
+and rendering:
 
 * ``trace`` — a path; the run's span tree is written there as JSONL
   (see :mod:`repro.obs.sink`).
@@ -25,8 +22,8 @@ contract), plus the observability additions:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from ..smt.cache import GLOBAL_CACHE, SolverCache
@@ -40,9 +37,8 @@ OUTPUT_FORMATS = ("text", "json")
 #: accepted values of ``VerifyOptions.tier`` (see repro.verify.tiered)
 TIERS = ("auto", "smt-only", "algebra-only", "check")
 
-#: accepted values of ``VerifyOptions.backend`` (see repro.smt.backend);
-#: None selects by the legacy ``incremental`` flag
-BACKENDS = ("reference", "incremental", "z3", "portfolio")
+#: accepted values of ``VerifyOptions.backend`` (see repro.smt.backend)
+BACKENDS = ("reference", "incremental", "z3")
 
 
 @dataclass
@@ -64,8 +60,6 @@ class VerifyOptions:
     jobs: int | str = 1
     #: persistent disk verdict-cache directory (None: no disk tier)
     cache_dir: str | None = None
-    #: persistent incremental solver engine vs. rebuild-per-query
-    incremental: bool = True
     #: wall-clock limit per verification task (method), in seconds
     task_timeout: float | None = None
     #: obligations per parallel worker submission: an int, or "auto" to
@@ -87,31 +81,13 @@ class VerifyOptions:
     #: disagreement -- see :mod:`repro.verify.tiered`)
     tier: str = "auto"
     #: solving strategy by registry name (see :mod:`repro.smt.backend`):
-    #: "reference" (rebuild-per-query), "incremental" (persistent
-    #: engines, the default), "z3" (optional z3py), "portfolio" (race
-    #: them, first definitive verdict wins).  None defers to the legacy
-    #: ``incremental`` flag.  Precedence story: an explicit ``backend``
-    #: always wins; ``incremental=False`` is a deprecated alias for
-    #: ``backend="reference"``; combining ``incremental=False`` with a
-    #: conflicting explicit backend is rejected by :meth:`validate`.
-    backend: str | None = None
+    #: "incremental" (persistent engines, the default), "reference"
+    #: (rebuild-per-query), or "z3" (optional z3py)
+    backend: str = "incremental"
 
     @property
     def use_cache(self) -> bool:
         return self.cache is not None
-
-    @property
-    def resolved_backend(self) -> str:
-        """The backend name the engines will actually run.
-
-        The single documented precedence rule: explicit ``backend``
-        wins, else ``incremental`` picks between the two historical
-        engines ("incremental" when True — the default — "reference"
-        when False).
-        """
-        if self.backend:
-            return self.backend
-        return "incremental" if self.incremental else "reference"
 
     @property
     def trace_enabled(self) -> bool:
@@ -132,14 +108,21 @@ class VerifyOptions:
         == 1`` by accident of the bool/int subtyping, never intent.
         """
         # budget 0.0 is legal: it starves every query to UNKNOWN, which
-        # the budget-threading tests use to make solving observable
-        if self.budget is not None and self.budget < 0:
+        # the budget-threading tests use to make solving observable.
+        # NaN compares false against everything and inf overflows the
+        # deadline arithmetic, so both must be rejected explicitly.
+        if self.budget is not None and not (
+            math.isfinite(self.budget) and self.budget >= 0
+        ):
             raise ValueError(
-                f"budget must be non-negative, got {self.budget}"
+                f"budget must be finite and non-negative, got {self.budget}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not (
+            math.isfinite(self.task_timeout) and self.task_timeout > 0
+        ):
             raise ValueError(
-                f"task_timeout must be positive, got {self.task_timeout}"
+                "task_timeout must be finite and positive, "
+                f"got {self.task_timeout}"
             )
         self.jobs = self._normalize_count("jobs", self.jobs)
         self.batch_size = self._normalize_count("batch_size", self.batch_size)
@@ -151,26 +134,10 @@ class VerifyOptions:
             raise ValueError(
                 f"tier must be one of {TIERS}, got {self.tier!r}"
             )
-        if self.backend is not None and self.backend not in BACKENDS:
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not self.incremental:
-            if self.backend is not None and self.backend != "reference":
-                # One coherent message for every contradictory combo:
-                # the two knobs steer the same engine choice.
-                raise ValueError(
-                    "incremental=False selects the reference backend and "
-                    f"conflicts with backend={self.backend!r}; drop "
-                    "incremental=False (deprecated) and pass backend= alone"
-                )
-            if self.backend is None:
-                warnings.warn(
-                    "incremental=False is deprecated; use "
-                    "backend='reference' instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
 
     @staticmethod
     def _normalize_count(name: str, value) -> int | str:
@@ -191,27 +158,3 @@ class VerifyOptions:
             raise ValueError(f"{name} must be >= 1, got {count}")
         return count
 
-
-#: the legacy ``api.verify`` keywords that map 1:1 onto option fields
-LEGACY_KWARGS = tuple(
-    f.name for f in fields(VerifyOptions) if f.name not in ("tracer",)
-)
-
-
-def coalesce(
-    options: VerifyOptions | None, legacy: dict
-) -> VerifyOptions:
-    """One options object from an explicit one or legacy keywords.
-
-    Mixing both is rejected loudly: silently preferring one over the
-    other would make ``verify(unit, budget=2, options=opts)`` mean
-    different things to different readers.
-    """
-    if options is None:
-        return VerifyOptions(**legacy)
-    if legacy:
-        raise TypeError(
-            "pass either options=VerifyOptions(...) or the legacy keyword "
-            f"arguments, not both (got both options= and {sorted(legacy)})"
-        )
-    return options

@@ -186,11 +186,10 @@ def _init_worker(
     budget: float | None,
     use_cache: bool,
     cache_dir: str | None,
-    incremental: bool = True,
     task_timeout: float | None = None,
     trace: bool = False,
     tier: str = "auto",
-    backend: str | None = None,
+    backend: str = "incremental",
 ) -> None:
     """Build this worker's warm state (runs once per process).
 
@@ -202,7 +201,6 @@ def _init_worker(
     _WORKER["table"] = table
     _WORKER["budget"] = budget
     _WORKER["cache"] = build_cache(use_cache, cache_dir)
-    _WORKER["incremental"] = incremental
     _WORKER["task_timeout"] = task_timeout
     _WORKER["trace"] = trace
     _WORKER["tier"] = tier
@@ -218,11 +216,10 @@ def run_one_task(
     task: VerifyTask,
     budget: float | None,
     cache,
-    incremental: bool,
     task_timeout: float | None,
     trace: bool = False,
     tier: str = "auto",
-    backend: str | None = None,
+    backend: str = "incremental",
 ) -> TaskOutcome:
     """Verify one task, rebuilding the solver session.
 
@@ -254,8 +251,8 @@ def run_one_task(
         )
     tracer = Tracer() if trace else NULL_TRACER
     verifier = Verifier(
-        table, budget=effective_budget, cache=cache, incremental=incremental,
-        tracer=tracer, tier=tier, backend=backend,
+        table, budget=effective_budget, cache=cache, tracer=tracer,
+        tier=tier, backend=backend,
     )
     started = time.perf_counter()
     try:
@@ -354,11 +351,10 @@ def verify_method_task(task: VerifyTask) -> TaskOutcome:
         task,
         _WORKER["budget"],
         _WORKER["cache"],
-        _WORKER.get("incremental", True),
         _WORKER.get("task_timeout"),
         _WORKER.get("trace", False),
         _WORKER.get("tier", "auto"),
-        backend=_WORKER.get("backend"),
+        backend=_WORKER.get("backend", "incremental"),
     )
 
 
@@ -605,12 +601,11 @@ def _run_rounds(
     budget: float | None,
     use_cache: bool,
     cache_dir: str | None,
-    incremental: bool,
     task_timeout: float | None,
     trace: bool = False,
     tier: str = "auto",
     batch_size: int = 1,
-    backend: str | None = None,
+    backend: str = "incremental",
 ) -> tuple[dict[int, TaskOutcome], int]:
     """The pool rounds plus serial fallback; every task gets an outcome.
 
@@ -646,7 +641,6 @@ def _run_rounds(
                 budget,
                 use_cache,
                 cache_dir,
-                incremental,
                 task_timeout,
                 trace,
                 tier,
@@ -682,8 +676,8 @@ def _run_rounds(
         for index, task in sorted(fallback.items()):
             try:
                 outcomes[index] = run_one_task(
-                    table, task, budget, cache, incremental, task_timeout,
-                    trace, tier, backend=backend,
+                    table, task, budget, cache, task_timeout, trace, tier,
+                    backend=backend,
                 )
             except Exception as exc:
                 outcomes[index] = _failed_outcome(table, task, exc, trace)
@@ -699,12 +693,11 @@ def verify_serial_with_timeout(
     table: ProgramTable,
     budget: float | None = None,
     cache=None,
-    incremental: bool = True,
     task_timeout: float | None = None,
     tracer=NULL_TRACER,
     options=None,
     tier: str = "auto",
-    backend: str | None = None,
+    backend: str = "incremental",
 ) -> VerificationReport:
     """The serial driver with per-task deadlines and degradation.
 
@@ -712,12 +705,11 @@ def verify_serial_with_timeout(
     in-process fallback semantics): each task runs under the deadline,
     and a task that raises degrades to an UNKNOWN-style warning.  An
     explicit ``options`` (:class:`repro.api.VerifyOptions`) supplies
-    budget/incremental/task_timeout; ``cache`` stays a direct argument
+    budget/task_timeout/tier/backend; ``cache`` stays a direct argument
     because the caller has already resolved the tiers.
     """
     if options is not None:
         budget = options.budget
-        incremental = options.incremental
         task_timeout = options.task_timeout
         tier = options.tier
         backend = options.backend
@@ -728,8 +720,8 @@ def verify_serial_with_timeout(
     for task in iter_tasks(table):
         try:
             outcome = run_one_task(
-                table, task, budget, cache, incremental, task_timeout,
-                trace, tier, backend=backend,
+                table, task, budget, cache, task_timeout, trace, tier,
+                backend=backend,
             )
         except Exception as exc:
             outcome = _failed_outcome(table, task, exc, trace)
@@ -746,13 +738,12 @@ def verify_parallel(
     budget: float | None = None,
     use_cache: bool = True,
     cache_dir: str | None = None,
-    incremental: bool = True,
     task_timeout: float | None = None,
     tracer=NULL_TRACER,
     options=None,
     tier: str = "auto",
     batch_size: int | str = "auto",
-    backend: str | None = None,
+    backend: str = "incremental",
 ) -> VerificationReport:
     """Verify every task of ``table`` on a pool of ``jobs`` processes.
 
@@ -770,7 +761,6 @@ def verify_parallel(
         budget = options.budget
         use_cache = options.use_cache
         cache_dir = options.cache_dir
-        incremental = options.incremental
         task_timeout = options.task_timeout
         tier = options.tier
         batch_size = options.batch_size
@@ -797,15 +787,14 @@ def verify_parallel(
         cache = build_cache(use_cache, cache_dir)
         if task_timeout is None:
             report = Verifier(
-                table, budget=budget, cache=cache, incremental=incremental,
-                tracer=tracer, tier=tier, backend=backend,
+                table, budget=budget, cache=cache, tracer=tracer, tier=tier,
+                backend=backend,
             ).run()
         else:
             report = verify_serial_with_timeout(
                 table,
                 budget=budget,
                 cache=cache,
-                incremental=incremental,
                 task_timeout=task_timeout,
                 tracer=tracer,
                 tier=tier,
@@ -814,8 +803,8 @@ def verify_parallel(
         report.solver_stats.parallel_decision = decision
         return report
     outcomes, retried = _run_rounds(
-        table, tasks, jobs, budget, use_cache, cache_dir, incremental,
-        task_timeout, tracer.enabled, tier, batch_size, backend=backend,
+        table, tasks, jobs, budget, use_cache, cache_dir, task_timeout,
+        tracer.enabled, tier, batch_size, backend=backend,
     )
     assert len(outcomes) == len(tasks), "every task must have an outcome"
     if tracer.enabled:

@@ -10,22 +10,13 @@ single place to
   in-process caller),
 * choose the query cache (the process-wide one by default, a private
   one, or none),
-* choose the solving strategy — a named
-  :class:`~repro.smt.backend.SolverBackend` (``reference``,
-  ``incremental``, ``z3``, ``portfolio``) resolved through the backend
+* choose the solving strategy — one named
+  :class:`~repro.smt.backend.SolverBackend` per run (``incremental``,
+  the default, ``reference`` or ``z3``) resolved through the backend
   registry; the engine mechanics themselves (persistent incremental
-  engines, canonical model solves, portfolio racing) live behind that
-  seam, and
+  engines, canonical model solves) live behind that seam, and
 * record per-query wall time and solver counters against the method
-  currently being verified, attributed to the engine that actually
-  answered (a portfolio run shows per-strategy rows, not an
-  aggregate).
-
-The historical ``incremental`` flag maps onto the backend names:
-``incremental=True`` (the default) is the ``incremental`` backend,
-``incremental=False`` the ``reference`` backend.  An explicit
-``backend=`` wins; :meth:`repro.api.VerifyOptions.validate` rejects
-contradictory combinations before a session is ever built.
+  currently being verified.
 """
 
 from __future__ import annotations
@@ -34,21 +25,12 @@ import time
 
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER
-from ..smt import Result, Solver
+from ..smt import Result
 from ..smt.backend import create_backend
 from ..smt.cache import GLOBAL_CACHE, SolverCache
 from ..smt.plugin import LazyTheoryPlugin
 from ..smt.terms import Term
 from ..smt.theory import TheoryModel
-
-
-def resolve_backend_name(
-    backend: str | None, incremental: bool = True
-) -> str:
-    """The one place the legacy flag and the new name are reconciled."""
-    if backend:
-        return backend
-    return "incremental" if incremental else "reference"
 
 
 class SolverSession:
@@ -59,35 +41,18 @@ class SolverSession:
         budget: float | None = None,
         cache: SolverCache | None = GLOBAL_CACHE,
         stats: VerifyStats | None = None,
-        incremental: bool = True,
         tracer=NULL_TRACER,
-        backend: str | None = None,
+        backend: str = "incremental",
     ):
         self.budget = budget
         self.cache = cache
         self.stats = stats
-        self.incremental = incremental
         #: the observability tracer; the zero-cost null one by default
         self.tracer = tracer
         #: set by the driver around each method; labels the stats rows
         self.method_label = "<toplevel>"
-        self.backend_name = resolve_backend_name(backend, incremental)
-        self.backend = create_backend(
-            self.backend_name, budget=budget, cache=cache
-        )
-        self._disqualified_seen: set[str] = set()
-
-    def solver(
-        self, plugin: LazyTheoryPlugin | None = None, need_model: bool = False
-    ) -> Solver:
-        """A bare solver with this session's budget/cache (test hook)."""
-        return Solver(
-            plugin,
-            cache=self.cache,
-            time_budget=self.budget,
-            incremental=self.incremental,
-            need_model=need_model,
-        )
+        self.backend_name = backend
+        self.backend = create_backend(backend, budget=budget, cache=cache)
 
     def check(
         self,
@@ -100,7 +65,7 @@ class SolverSession:
         ``want_model`` asks for a counterexample model on SAT; callers
         that only branch on the verdict leave it off, which lets
         incremental engines skip the canonical re-solve that models
-        require (all backends answer model queries with the reference
+        require (every backend answers model queries with the reference
         single-query solve, so counterexamples are byte-identical no
         matter which backend is selected).
         """
@@ -114,12 +79,10 @@ class SolverSession:
                 outcome.result.value,
                 elapsed,
                 query_stats,
-                backend=outcome.engine,
             )
-            self._sync_disqualifications(start)
         tracer = self.tracer
         if tracer.enabled:
-            # The observability leaf: verdict, the engine that answered,
+            # The observability leaf: verdict, the backend that answered,
             # cache-tier outcome, deepening depth reached, and where the
             # time went.  Guarded by ``enabled`` so an untraced run
             # never assembles this.
@@ -130,7 +93,7 @@ class SolverSession:
                 start + elapsed,
                 {
                     "verdict": outcome.result.value,
-                    "backend": outcome.engine,
+                    "backend": self.backend_name,
                     "cache": outcome.cache_tier,
                     "depth": outcome.depth,
                     "passes": query_stats.deepening_passes,
@@ -146,22 +109,3 @@ class SolverSession:
                 },
             )
         return outcome.result, outcome.model
-
-    def _sync_disqualifications(self, when: float) -> None:
-        """Surface portfolio strategy disqualifications once each."""
-        disqualified = getattr(self.backend, "disqualified", None)
-        if not disqualified:
-            return
-        for strategy, reason in disqualified.items():
-            self.stats.backends_disqualified.setdefault(strategy, reason)
-            if strategy in self._disqualified_seen:
-                continue
-            self._disqualified_seen.add(strategy)
-            if self.tracer.enabled:
-                self.tracer.leaf(
-                    "backend-disqualified",
-                    strategy,
-                    when,
-                    when,
-                    {"backend": strategy, "reason": reason},
-                )

@@ -108,7 +108,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -188,20 +188,18 @@ class Verifier:
         table: ProgramTable,
         budget: float | None = None,
         cache: SolverCache | None = GLOBAL_CACHE,
-        incremental: bool = True,
         tracer=NULL_TRACER,
         tier: str = "auto",
         options=None,
-        backend: str | None = None,
+        backend: str = "incremental",
     ):
         if options is not None:
             # The consolidated configuration object (repro.api
-            # .VerifyOptions); budget/incremental/tier/backend come from
-            # it, while ``cache`` stays an explicit argument because the
-            # driver that builds a Verifier has already resolved the
-            # cache tiers.
+            # .VerifyOptions); budget/tier/backend come from it, while
+            # ``cache`` stays an explicit argument because the driver
+            # that builds a Verifier has already resolved the cache
+            # tiers.
             budget = options.budget
-            incremental = options.incremental
             tier = options.tier
             backend = options.backend
         self.table = table
@@ -212,7 +210,6 @@ class Verifier:
             budget=budget,
             cache=cache,
             stats=VerifyStats(),
-            incremental=incremental,
             tracer=tracer,
             backend=backend,
         )

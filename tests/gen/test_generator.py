@@ -99,7 +99,9 @@ def test_config_validation_rejects_nonsense():
 def test_verifier_matches_ground_truth(corpus, tier):
     for generated in corpus.files:
         unit = api.compile_program(generated.source, filename=generated.name)
-        report = api.verify(unit, cache=None, tier=tier)
+        report = api.verify(
+            unit, options=api.VerifyOptions(cache=None, tier=tier)
+        )
         assert check_report(generated.expected, report) == [], (
             f"{generated.name} under tier={tier}"
         )
@@ -108,7 +110,7 @@ def test_verifier_matches_ground_truth(corpus, tier):
 def test_check_report_flags_divergence(corpus):
     generated = corpus.files[0]
     unit = api.compile_program(generated.source, filename=generated.name)
-    report = api.verify(unit, cache=None)
+    report = api.verify(unit, options=api.VerifyOptions(cache=None))
     assert report.diagnostics.warnings, "sweep config should warn somewhere"
     # Drop one real warning: the checker must notice it is missing.
     report.diagnostics.warnings.pop()
@@ -118,7 +120,7 @@ def test_check_report_flags_divergence(corpus):
 def test_manifest_round_trips_through_json(corpus):
     generated = corpus.files[0]
     unit = api.compile_program(generated.source, filename=generated.name)
-    report = api.verify(unit, cache=None)
+    report = api.verify(unit, options=api.VerifyOptions(cache=None))
     entry = json.loads(json.dumps(corpus.manifest()))["files"][0]
     assert check_report(entry["warnings"], report) == []
 

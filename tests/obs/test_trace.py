@@ -75,7 +75,9 @@ def normalize(rows):
 def traced(tmp_path_factory):
     unit = api.compile_program(PROGRAM)
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
-    report = api.verify(unit, cache=SolverCache(), trace=str(path))
+    report = api.verify(
+        unit, options=api.VerifyOptions(cache=SolverCache(), trace=str(path))
+    )
     return unit, report, read_jsonl(str(path))
 
 
@@ -136,9 +138,13 @@ def test_trace_shape_matches_golden_file(traced):
 
 def test_tracing_does_not_change_the_report(tmp_path):
     unit = api.compile_program(PROGRAM)
-    plain = api.verify(unit, cache=SolverCache())
+    plain = api.verify(unit, options=api.VerifyOptions(cache=SolverCache()))
     traced = api.verify(
-        unit, cache=SolverCache(), trace=str(tmp_path / "t.jsonl")
+        unit,
+        options=api.VerifyOptions(
+            cache=SolverCache(),
+            trace=str(tmp_path / "t.jsonl"),
+        ),
     )
     assert [str(w) for w in plain.diagnostics.warnings] == [
         str(w) for w in traced.diagnostics.warnings
@@ -153,10 +159,12 @@ def test_degraded_task_spans_record_events(tmp_path):
     path = tmp_path / "t.jsonl"
     report = api.verify(
         unit,
-        cache=SolverCache(),
-        budget=0.0,  # starve queries so the deadline can win the race
-        task_timeout=1e-9,
-        trace=str(path),
+        options=api.VerifyOptions(
+            cache=SolverCache(),
+            budget=0.0,  # starve queries so the deadline can win the race
+            task_timeout=1e-9,
+            trace=str(path),
+        ),
     )
     rows = read_jsonl(str(path))
     assert validate_trace_rows(rows) == []

@@ -28,8 +28,10 @@ def units():
     return {g: api.compile_program(programs[g]) for g in FAST_GROUPS}
 
 
-def _traced_rows(unit, path, **kwargs):
-    report = api.verify(unit, trace=str(path), **kwargs)
+def _traced_rows(unit, path, **settings):
+    report = api.verify(
+        unit, options=api.VerifyOptions(trace=str(path), **settings)
+    )
     rows = read_jsonl(str(path))
     assert validate_trace_rows(rows) == []
     return report, rows

@@ -205,7 +205,10 @@ static int double(int x) {
 }
 """
     unit = api.compile_program(source)
-    report = api.verify(unit, cache=SolverCache(), cache_dir=str(blocker))
+    report = api.verify(
+        unit,
+        options=api.VerifyOptions(cache=SolverCache(), cache_dir=str(blocker)),
+    )
     assert report.methods_checked == 1
 
 

@@ -104,6 +104,15 @@ def test_verify_rejects_nonpositive_task_timeout(program, capsys):
         assert "--task-timeout must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--task-timeout"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_verify_rejects_non_finite_budget_and_timeout(program, capsys, flag, bad):
+    assert main(["verify", program(BUGGY), flag, bad]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_task_timeout_output_matches_plain(program, capsys):
     path = program(BUGGY)
     strip = lambda text: [
@@ -368,7 +377,7 @@ def test_tokens_table(capsys):
     assert "average reduction" in out
 
 
-# -- observability flags (--trace, --format, --no-incremental) -----------
+# -- observability flags (--trace, --format) ----------------------------
 
 
 def test_verify_format_json_emits_one_parseable_document(program, capsys):
@@ -454,21 +463,20 @@ def test_verify_trace_does_not_change_text_output(program, capsys, tmp_path):
     assert strip(plain) == strip(traced)
 
 
-def test_verify_no_incremental_output_matches_default(program, capsys):
+def test_verify_reference_backend_output_matches_default(program, capsys):
     path = program(BUGGY)
     strip = lambda text: [
         l for l in text.splitlines() if not l.startswith("checked ")
     ]
     assert main(["verify", path]) == 0
     incremental = capsys.readouterr().out
-    assert main(["verify", path, "--no-incremental"]) == 0
+    assert main(["verify", path, "--backend", "reference"]) == 0
     rebuilt = capsys.readouterr().out
     assert strip(incremental) == strip(rebuilt)
 
 
-def test_verify_no_incremental_reaches_the_session(program, capsys, monkeypatch):
-    """The --no-incremental flag must thread through api.verify (the
-    historical bug: cmd_verify never passed ``incremental`` at all)."""
+def test_verify_backend_flag_reaches_the_session(program, capsys, monkeypatch):
+    """--backend must thread through api.verify's options."""
     from repro import api as api_module
 
     seen = {}
@@ -476,16 +484,23 @@ def test_verify_no_incremental_reaches_the_session(program, capsys, monkeypatch)
 
     def spy(unit, *args, **kwargs):
         report = real_verify(unit, *args, **kwargs)
-        seen["incremental"] = kwargs["options"].incremental
+        seen["backend"] = kwargs["options"].backend
         return report
 
     monkeypatch.setattr(api_module, "verify", spy)
-    assert main(["verify", program(CLEAN), "--no-incremental"]) == 0
+    assert main(["verify", program(CLEAN), "--backend", "reference"]) == 0
     capsys.readouterr()
-    assert seen["incremental"] is False
+    assert seen["backend"] == "reference"
     assert main(["verify", program(CLEAN)]) == 0
     capsys.readouterr()
-    assert seen["incremental"] is True
+    assert seen["backend"] == "incremental"
+
+
+def test_no_incremental_flag_is_rejected(program, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", program(CLEAN), "--no-incremental"])
+    assert excinfo.value.code == 2
+    assert "--no-incremental" in capsys.readouterr().err
 
 # -- exit-status matrix, JSON stats round-trip, and --tier ----------------
 
@@ -512,20 +527,11 @@ def test_exit_status_matrix_invalid_flag(program, capsys, format_flag):
     capsys.readouterr()
 
 
-def test_conflicting_backend_and_no_incremental_exits_2(program, capsys):
-    # --no-incremental is a deprecated alias for --backend reference;
-    # combining it with a different backend must die with one coherent
-    # message, not silently prefer either knob.
-    args = ["verify", program(CLEAN), "--no-incremental",
-            "--backend", "portfolio"]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "conflicts with backend" in err
-
-
-def test_backend_flag_selects_portfolio(program, capsys):
-    assert main(["verify", program(CLEAN), "--backend", "portfolio"]) == 0
-    capsys.readouterr()
+def test_backend_portfolio_is_rejected(program, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", program(CLEAN), "--backend", "portfolio"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'portfolio'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("format_flag", ["text", "json"])

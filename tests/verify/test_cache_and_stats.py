@@ -42,16 +42,16 @@ class TestCacheParity:
         # be byte-identical regardless of where verdicts came from.
         unit = compile_(WARNY_SOURCE)
         cache = SolverCache()
-        cold = api.verify(unit, cache=cache)
-        warm = api.verify(unit, cache=cache)
-        plain = api.verify(unit, cache=None)
+        cold = api.verify(unit, options=api.VerifyOptions(cache=cache))
+        warm = api.verify(unit, options=api.VerifyOptions(cache=cache))
+        plain = api.verify(unit, options=api.VerifyOptions(cache=None))
         assert warning_strings(cold) == warning_strings(warm)
         assert warning_strings(warm) == warning_strings(plain)
         assert warm.solver_stats.total.cache_hits > 0
 
     def test_uncached_run_records_no_cache_traffic(self):
         unit = compile_(WARNY_SOURCE)
-        report = api.verify(unit, cache=None)
+        report = api.verify(unit, options=api.VerifyOptions(cache=None))
         assert report.solver_stats.total.cache_hits == 0
         assert report.solver_stats.total.cache_misses == 0
 
@@ -59,7 +59,9 @@ class TestCacheParity:
 class TestSolverStatsSurfaced:
     def test_report_carries_per_method_stats(self):
         unit = compile_(WARNY_SOURCE)
-        report = api.verify(unit, cache=SolverCache())
+        report = api.verify(
+            unit, options=api.VerifyOptions(cache=SolverCache())
+        )
         stats = report.solver_stats
         assert stats is not None
         assert stats.total.queries > 0
@@ -68,7 +70,10 @@ class TestSolverStatsSurfaced:
         # (no queries), but partial's non-exhaustive switch falls back
         # to SMT for its model counterexample, so it records queries.
         assert any("partial" in label for label in stats.per_method)
-        smt_only = api.verify(unit, cache=SolverCache(), tier="smt-only")
+        smt_only = api.verify(
+            unit,
+            options=api.VerifyOptions(cache=SolverCache(), tier="smt-only"),
+        )
         assert any("observe" in label for label in smt_only.solver_stats.per_method)
         # Verdict tallies are consistent with the query count.
         total = stats.total
@@ -79,8 +84,12 @@ class TestSolverStatsSurfaced:
         cache = SolverCache()
         # smt-only so observe's (algebra-dischargeable) switch still
         # reaches the solver and earns a per-method row.
-        api.verify(unit, cache=cache, tier="smt-only")
-        report = api.verify(unit, cache=cache, tier="smt-only")
+        api.verify(
+            unit, options=api.VerifyOptions(cache=cache, tier="smt-only")
+        )
+        report = api.verify(
+            unit, options=api.VerifyOptions(cache=cache, tier="smt-only")
+        )
         table = report.solver_stats.format_table()
         assert "observe" in table
         assert "cache hit rate" in table
@@ -120,11 +129,13 @@ class TestBudgetThreading:
         }
         """)
         before = Solver.TIME_BUDGET
-        starved = api.verify(unit, budget=0.0, cache=None)
+        starved = api.verify(
+            unit, options=api.VerifyOptions(budget=0.0, cache=None)
+        )
         assert Solver.TIME_BUDGET == before
         assert starved.of_kind(WarningKind.UNKNOWN)
         # A later default-budget run is unaffected by the starved one.
-        normal = api.verify(unit, cache=None)
+        normal = api.verify(unit, options=api.VerifyOptions(cache=None))
         assert not normal.of_kind(WarningKind.UNKNOWN)
         assert not normal.of_kind(WarningKind.NONEXHAUSTIVE)
 
@@ -142,7 +153,9 @@ class TestPathConditionRebinding:
           }
         }
         """
-        report = api.verify(compile_(source), cache=None)
+        report = api.verify(
+            compile_(source), options=api.VerifyOptions(cache=None)
+        )
         assert not report.of_kind(WarningKind.LET_MAY_FAIL)
 
     def test_rebinding_guarded_variable_drops_path(self):
@@ -156,7 +169,9 @@ class TestPathConditionRebinding:
           }
         }
         """
-        report = api.verify(compile_(source), cache=None)
+        report = api.verify(
+            compile_(source), options=api.VerifyOptions(cache=None)
+        )
         assert report.of_kind(WarningKind.LET_MAY_FAIL)
 
 
@@ -177,7 +192,9 @@ class TestCacheTierAttribution:
 
         # Run 1 (cold): empty memory, empty disk — misses only.
         cold_cache = SolverCache(disk=DiskCache(disk_dir))
-        cold = api.verify(unit, cache=cold_cache).solver_stats.total
+        cold = api.verify(
+            unit, options=api.VerifyOptions(cache=cold_cache)
+        ).solver_stats.total
         assert cold.cache_hits == 0
         assert cold.cache_memory_hits == 0
         assert cold.cache_disk_hits == 0
@@ -187,13 +204,17 @@ class TestCacheTierAttribution:
         # models a new process — every hit must come from disk, and the
         # promotion into memory must not count as a memory hit.
         warm_cache = SolverCache(disk=DiskCache(disk_dir))
-        disk_warm = api.verify(unit, cache=warm_cache).solver_stats.total
+        disk_warm = api.verify(
+            unit, options=api.VerifyOptions(cache=warm_cache)
+        ).solver_stats.total
         assert disk_warm.cache_disk_hits > 0
         assert disk_warm.cache_memory_hits == 0
 
         # Run 3 (memory-warm): same cache object again — the promoted
         # entries now answer from memory, never touching the disk.
-        memory_warm = api.verify(unit, cache=warm_cache).solver_stats.total
+        memory_warm = api.verify(
+            unit, options=api.VerifyOptions(cache=warm_cache)
+        ).solver_stats.total
         assert memory_warm.cache_memory_hits > 0
         assert memory_warm.cache_disk_hits == 0
 
@@ -206,6 +227,8 @@ class TestCacheTierAttribution:
 
         # And the warnings never depend on which tier answered.
         for report_cache in (SolverCache(disk=DiskCache(disk_dir)),):
-            rerun = api.verify(unit, cache=report_cache)
-            baseline = api.verify(unit, cache=None)
+            rerun = api.verify(
+                unit, options=api.VerifyOptions(cache=report_cache)
+            )
+            baseline = api.verify(unit, options=api.VerifyOptions(cache=None))
             assert warning_strings(rerun) == warning_strings(baseline)

@@ -277,10 +277,22 @@ def test_daemon_verify_rejects_bad_params(program):
         {"paths": [1]},
         {"paths": ["x.jm"], "options": {"bogus": 1}},
         {"paths": ["x.jm"], "options": {"budget": -1}},
+        {"paths": ["x.jm"], "options": {"budget": float("nan")}},
+        {"paths": ["x.jm"], "options": {"task_timeout": float("inf")}},
         {"paths": ["x.jm"], "options": []},
     ):
         response = daemon.handle_line(request_line("verify", 1, **params))
         assert response["ok"] is False, params
+        assert response["error"]["code"] == protocol.ERROR_INVALID_PARAMS
+
+
+def test_daemon_verify_rejects_removed_options(program):
+    daemon = VerifyDaemon(use_cache=False)
+    for options in ({"incremental": False}, {"backend": "portfolio"}):
+        response = daemon.handle_line(
+            request_line("verify", 1, paths=[program(CLEAN)], options=options)
+        )
+        assert response["ok"] is False, options
         assert response["error"]["code"] == protocol.ERROR_INVALID_PARAMS
 
 
@@ -520,12 +532,8 @@ def test_task_deadline_degrades_off_main_thread():
     outcomes = {}
 
     def worker():
-        outcomes["normal"] = run_one_task(
-            table, task, None, None, True, 30.0
-        )
-        outcomes["overrun"] = run_one_task(
-            table, task, None, None, True, 1e-9
-        )
+        outcomes["normal"] = run_one_task(table, task, None, None, 30.0)
+        outcomes["overrun"] = run_one_task(table, task, None, None, 1e-9)
 
     thread = threading.Thread(target=worker)
     thread.start()

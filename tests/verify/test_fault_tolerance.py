@@ -71,7 +71,7 @@ def unit():
 
 @pytest.fixture(scope="module")
 def baseline(unit):
-    return api.verify(unit, cache=SolverCache())
+    return api.verify(unit, options=api.VerifyOptions(cache=SolverCache()))
 
 
 def test_baseline_has_warnings_including_target(baseline):
@@ -96,7 +96,7 @@ def test_task_labels_name_every_obligation(unit):
 
 def test_crash_recovered_run_is_byte_identical(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(unit, jobs=4)
+    recovered = api.verify(unit, options=api.VerifyOptions(jobs=4))
     assert _snapshot(recovered) == _snapshot(baseline)
     # The pool crashed (twice: first round and retry round), so the
     # target was re-executed at least once before the serial fallback
@@ -108,7 +108,10 @@ def test_crash_recovered_run_is_byte_identical(unit, baseline, monkeypatch):
 
 def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(unit, jobs=4, cache_dir=str(tmp_path / "cache"))
+    recovered = api.verify(
+        unit,
+        options=api.VerifyOptions(jobs=4, cache_dir=str(tmp_path / "cache")),
+    )
     assert _snapshot(recovered) == _snapshot(baseline)
     assert recovered.tasks_retried >= 1
 
@@ -116,7 +119,9 @@ def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
 def test_crash_fault_never_fires_in_process(unit, baseline, monkeypatch):
     """Serial runs survive a crash spec: the fault only kills workers."""
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    serial = api.verify(unit, cache=SolverCache(), task_timeout=30.0)
+    serial = api.verify(
+        unit, options=api.VerifyOptions(cache=SolverCache(), task_timeout=30.0)
+    )
     assert _snapshot(serial) == _snapshot(baseline)
 
 
@@ -126,7 +131,9 @@ def test_crash_fault_never_fires_in_process(unit, baseline, monkeypatch):
 
 def test_hung_task_times_out_parallel(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
-    report = api.verify(unit, jobs=4, task_timeout=1.0)
+    report = api.verify(
+        unit, options=api.VerifyOptions(jobs=4, task_timeout=1.0)
+    )
     assert report.tasks_timed_out == 1
     timeouts = [
         w
@@ -146,14 +153,23 @@ def test_hung_task_times_out_parallel(unit, baseline, monkeypatch):
 
 def test_hung_task_times_out_serial(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
-    report = api.verify(unit, cache=SolverCache(), task_timeout=0.5)
+    report = api.verify(
+        unit, options=api.VerifyOptions(cache=SolverCache(), task_timeout=0.5)
+    )
     assert report.tasks_timed_out == 1
     assert any("task timeout" in w.message for w in report.diagnostics.warnings)
 
 
 def test_timeout_without_fault_changes_nothing(unit, baseline):
     for jobs in (1, 4):
-        report = api.verify(unit, jobs=jobs, cache=None, task_timeout=60.0)
+        report = api.verify(
+            unit,
+            options=api.VerifyOptions(
+                jobs=jobs,
+                cache=None,
+                task_timeout=60.0,
+            ),
+        )
         assert _snapshot(report) == _snapshot(baseline)
         assert report.tasks_timed_out == 0
 
@@ -176,7 +192,7 @@ def test_task_deadline_fires_and_disarms():
 
 def test_raising_task_degrades_to_unknown(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
-    report = api.verify(unit, jobs=4)
+    report = api.verify(unit, options=api.VerifyOptions(jobs=4))
     assert report.tasks_failed == 1
     assert report.tasks_retried >= 1
     degraded = [
@@ -190,7 +206,9 @@ def test_raising_task_degrades_to_unknown(unit, baseline, monkeypatch):
 
 def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
-    report = api.verify(unit, cache=SolverCache(), task_timeout=30.0)
+    report = api.verify(
+        unit, options=api.VerifyOptions(cache=SolverCache(), task_timeout=30.0)
+    )
     assert report.tasks_failed == 1
     assert any("FaultInjected" in w.message for w in report.diagnostics.warnings)
 
@@ -203,7 +221,14 @@ def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
 
 def test_batched_run_without_faults_is_byte_identical(unit, baseline):
     for batch_size in (1, 2, 5):
-        report = api.verify(unit, jobs=2, cache=None, batch_size=batch_size)
+        report = api.verify(
+            unit,
+            options=api.VerifyOptions(
+                jobs=2,
+                cache=None,
+                batch_size=batch_size,
+            ),
+        )
         assert _snapshot(report) == _snapshot(baseline)
         assert report.tasks_retried == 0
 
@@ -212,7 +237,7 @@ def test_raise_inside_batch_degrades_only_that_member(
     unit, baseline, monkeypatch
 ):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
-    report = api.verify(unit, jobs=2, batch_size=3)
+    report = api.verify(unit, options=api.VerifyOptions(jobs=2, batch_size=3))
     assert report.tasks_failed == 1
     # Only the poisoned member took the serial-fallback path; its
     # batchmates' outcomes from the same submission were kept.
@@ -234,7 +259,9 @@ def test_crash_inside_batch_recovers_byte_identical(
     unit, baseline, monkeypatch
 ):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(unit, jobs=2, batch_size=3)
+    recovered = api.verify(
+        unit, options=api.VerifyOptions(jobs=2, batch_size=3)
+    )
     assert _snapshot(recovered) == _snapshot(baseline)
     # The retry round re-batches at size 1, so the crashing member is
     # isolated before the serial fallback completes it in-process.
@@ -246,7 +273,9 @@ def test_hang_inside_batch_times_out_only_that_member(
     unit, baseline, monkeypatch
 ):
     monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
-    report = api.verify(unit, jobs=2, batch_size=3, task_timeout=1.0)
+    report = api.verify(
+        unit, options=api.VerifyOptions(jobs=2, batch_size=3, task_timeout=1.0)
+    )
     assert report.tasks_timed_out == 1
     timeouts = [
         w
@@ -267,7 +296,7 @@ def test_hang_inside_batch_times_out_only_that_member(
 
 def test_accounting_reaches_the_stats_table(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
-    report = api.verify(unit, jobs=4)
+    report = api.verify(unit, options=api.VerifyOptions(jobs=4))
     table = report.solver_stats.format_table()
     assert "tasks:" in table
     assert "1 failed" in table
@@ -291,9 +320,11 @@ def test_unknown_fault_spec_is_rejected(unit, monkeypatch):
         faults.active_fault()
     # The pipeline rejects it up front, not one degraded task at a time.
     with pytest.raises(ValueError):
-        api.verify(unit, jobs=4)
+        api.verify(unit, options=api.VerifyOptions(jobs=4))
     with pytest.raises(ValueError):
-        api.verify(unit, cache=None, task_timeout=30.0)
+        api.verify(
+            unit, options=api.VerifyOptions(cache=None, task_timeout=30.0)
+        )
 
 
 def test_fault_spec_round_trip(monkeypatch):

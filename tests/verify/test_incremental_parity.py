@@ -3,11 +3,11 @@
 The incremental engine shares Tseitin encodings, plugin axioms, theory
 lemmas, and CDCL-learned clauses across the query chain of each
 statement; the acceptance bar is that this is *pure* work sharing.
-For every corpus program, ``incremental=True`` (the default) must
+For every corpus program, ``backend="incremental"`` (the default) must
 produce byte-identical warnings (messages and counterexample text),
 the same ``methods_checked`` / ``statements_checked``, and the same
-verdict counts as ``incremental=False``, which rebuilds a fresh solver
-per query -- under both the serial driver and the process pool.
+verdict counts as ``backend="reference"``, which rebuilds a fresh
+solver per query -- under both the serial driver and the process pool.
 """
 
 import pytest
@@ -32,6 +32,12 @@ def _snapshot(report):
     )
 
 
+def _run(unit, backend, **settings):
+    return api.verify(
+        unit, options=api.VerifyOptions(backend=backend, **settings)
+    )
+
+
 def _verdicts(report):
     t = report.solver_stats.total
     return (t.queries, t.sat, t.unsat, t.unknown)
@@ -45,20 +51,16 @@ def units():
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_serial(units, group):
-    baseline = api.verify(units[group], cache=None, incremental=False)
-    incremental = api.verify(units[group], cache=None, incremental=True)
+    baseline = _run(units[group], "reference", cache=None)
+    incremental = _run(units[group], "incremental", cache=None)
     assert _snapshot(baseline) == _snapshot(incremental)
     assert _verdicts(baseline) == _verdicts(incremental)
 
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_parallel(units, group):
-    baseline = api.verify(
-        units[group], jobs=4, cache=None, incremental=False
-    )
-    incremental = api.verify(
-        units[group], jobs=4, cache=None, incremental=True
-    )
+    baseline = _run(units[group], "reference", jobs=4, cache=None)
+    incremental = _run(units[group], "incremental", jobs=4, cache=None)
     assert _snapshot(baseline) == _snapshot(incremental)
 
 
@@ -74,11 +76,9 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
     warning (never a wrong verdict), the same methods and statements
     are visited, and each engine is deterministic run to run.
     """
-    baseline = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=False
-    )
-    incremental = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=True
+    baseline = _run(units["trees"], "reference", cache=None, budget=NO_BUDGET)
+    incremental = _run(
+        units["trees"], "incremental", cache=None, budget=NO_BUDGET
     )
     for report in (baseline, incremental):
         assert report.diagnostics.warnings, "trees should warn under tiny budget"
@@ -88,9 +88,7 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
         )
     assert baseline.methods_checked == incremental.methods_checked
     assert baseline.statements_checked == incremental.statements_checked
-    again = api.verify(
-        units["trees"], cache=None, budget=NO_BUDGET, incremental=True
-    )
+    again = _run(units["trees"], "incremental", cache=None, budget=NO_BUDGET)
     assert _snapshot(incremental) == _snapshot(again)
 
 
@@ -119,8 +117,8 @@ static int g(Nat n) {
 }
 """
     unit = api.compile_program(source)
-    baseline = api.verify(unit, cache=None, incremental=False)
-    incremental = api.verify(unit, cache=None, incremental=True)
+    baseline = _run(unit, "reference", cache=None)
+    incremental = _run(unit, "incremental", cache=None)
     assert any(w.counterexample for w in baseline.diagnostics.warnings)
     assert _snapshot(baseline) == _snapshot(incremental)
 
@@ -128,15 +126,15 @@ static int g(Nat n) {
 def test_incremental_with_shared_cache_matches(units):
     """A warm shared cache does not perturb incremental verdicts."""
     cache = SolverCache()
-    cold = api.verify(units["nat"], cache=cache, incremental=True)
-    warm = api.verify(units["nat"], cache=cache, incremental=True)
-    baseline = api.verify(units["nat"], cache=None, incremental=False)
+    cold = _run(units["nat"], "incremental", cache=cache)
+    warm = _run(units["nat"], "incremental", cache=cache)
+    baseline = _run(units["nat"], "reference", cache=None)
     assert _snapshot(cold) == _snapshot(baseline)
     assert _snapshot(warm) == _snapshot(baseline)
 
 
 def test_incremental_repeat_runs_are_deterministic(units):
-    first = api.verify(units["cps"], cache=None, incremental=True)
-    second = api.verify(units["cps"], cache=None, incremental=True)
+    first = _run(units["cps"], "incremental", cache=None)
+    second = _run(units["cps"], "incremental", cache=None)
     assert _snapshot(first) == _snapshot(second)
     assert _verdicts(first) == _verdicts(second)

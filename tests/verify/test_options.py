@@ -1,10 +1,10 @@
-"""``VerifyOptions`` vs. the legacy keywords, and the JSON report.
+"""``VerifyOptions``, the one way to configure ``api.verify``, and the
+JSON report.
 
-The consolidated options object must be a drop-in for the historical
-``api.verify`` keywords: the same configuration expressed either way
-produces byte-identical warnings and counts, mixing the two forms is
-rejected loudly, and out-of-range settings fail fast.  The report's
-machine-readable form (``to_dict``/``to_json``) is exercised here too.
+Loose keyword arguments to ``api.verify`` and the retired
+``incremental`` option are rejected, and out-of-range settings fail
+fast.  The report's machine-readable form (``to_dict``/``to_json``) is
+exercised here too.
 """
 
 import json
@@ -44,20 +44,6 @@ def _snapshot(report):
     )
 
 
-def test_options_object_equals_legacy_kwargs(unit):
-    legacy = api.verify(unit, budget=2.0, cache=SolverCache(), jobs=1)
-    options = api.verify(
-        unit, options=VerifyOptions(budget=2.0, cache=SolverCache(), jobs=1)
-    )
-    assert _snapshot(legacy) == _snapshot(options)
-
-
-def test_options_object_equals_legacy_kwargs_parallel(unit):
-    legacy = api.verify(unit, jobs=2)
-    options = api.verify(unit, options=VerifyOptions(jobs=2))
-    assert _snapshot(legacy) == _snapshot(options)
-
-
 def test_defaults_are_identical(unit):
     assert _snapshot(api.verify(unit)) == _snapshot(
         api.verify(unit, options=VerifyOptions())
@@ -65,8 +51,15 @@ def test_defaults_are_identical(unit):
 
 
 def test_mixing_options_and_legacy_kwargs_raises(unit):
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="budget"):
         api.verify(unit, budget=2.0, options=VerifyOptions())
+
+
+def test_loose_kwargs_to_api_verify_are_rejected(unit):
+    with pytest.raises(TypeError, match="budget"):
+        api.verify(unit, budget=1)
+    with pytest.raises(TypeError):
+        api.verify(unit, None)
 
 
 def test_options_fields_mirror_legacy_defaults():
@@ -77,12 +70,11 @@ def test_options_fields_mirror_legacy_defaults():
     assert opts.cache is GLOBAL_CACHE
     assert opts.jobs == 1
     assert opts.cache_dir is None
-    assert opts.incremental is True
     assert opts.task_timeout is None
     assert opts.trace is None
     assert opts.tracer is None
     assert opts.format == "text"
-    assert opts.backend is None
+    assert opts.backend == "incremental"
     assert opts.use_cache is True
     assert opts.trace_enabled is False
 
@@ -97,7 +89,11 @@ def test_replace_returns_a_modified_copy():
     "bad",
     [
         {"budget": -1.0},
+        {"budget": float("nan")},
+        {"budget": float("inf")},
         {"task_timeout": 0.0},
+        {"task_timeout": float("nan")},
+        {"task_timeout": float("inf")},
         {"jobs": 0},
         {"jobs": "many"},
         {"format": "xml"},
@@ -140,65 +136,23 @@ def test_validate_rejects_booleans(bad):
         VerifyOptions(**bad).validate()
 
 
-def test_incremental_flag_is_threaded(unit):
-    """The cmd_verify bug: ``incremental`` must actually reach the
-    session (historically the CLI never passed it)."""
-    on = api.verify(unit, options=VerifyOptions(incremental=True))
-    off = api.verify(unit, options=VerifyOptions(incremental=False))
-    assert _snapshot(on) == _snapshot(off)
-
-
-# -- backend selection and the incremental/backend precedence story ------
+# -- backend selection ---------------------------------------------------
 
 
 def test_validate_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend must be one of"):
-        VerifyOptions(backend="cvc5").validate()
+    for backend in ("cvc5", "portfolio", None):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            VerifyOptions(backend=backend).validate()
 
 
-def test_explicit_backend_wins_over_incremental_flag():
-    # The one documented precedence rule: backend= beats incremental=.
-    assert VerifyOptions().resolved_backend == "incremental"
-    assert VerifyOptions(incremental=False).resolved_backend == "reference"
-    assert (
-        VerifyOptions(backend="portfolio").resolved_backend == "portfolio"
-    )
-
-
-def test_incremental_false_is_a_deprecated_alias_for_reference():
-    opts = VerifyOptions(incremental=False)
-    with pytest.warns(DeprecationWarning, match="backend='reference'"):
-        opts.validate()
-    assert opts.resolved_backend == "reference"
-
-
-def test_incremental_false_with_conflicting_backend_raises():
-    for backend in ("incremental", "portfolio"):
-        opts = VerifyOptions(incremental=False, backend=backend)
-        with pytest.raises(ValueError, match="conflicts with backend"):
-            opts.validate()
-
-
-def test_incremental_false_with_reference_backend_is_consistent():
-    # Redundant but not contradictory: both knobs name the same engine,
-    # and the explicit backend= suppresses the deprecation warning.
-    import warnings as warnings_module
-
-    opts = VerifyOptions(incremental=False, backend="reference")
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        opts.validate()
-    assert opts.resolved_backend == "reference"
-
-
-def test_loose_kwargs_to_api_verify_emit_deprecation(unit):
-    with pytest.warns(DeprecationWarning, match="loose keyword arguments"):
-        api.verify(unit, cache=None)
+def test_incremental_option_is_rejected():
+    with pytest.raises(TypeError, match="incremental"):
+        VerifyOptions(incremental=False)
 
 
 def test_api_verify_backend_kwarg_is_threaded(unit):
     baseline = api.verify(unit, options=VerifyOptions(cache=None))
-    for backend in ("reference", "portfolio"):
+    for backend in ("reference", "incremental"):
         report = api.verify(
             unit, options=VerifyOptions(cache=None, backend=backend)
         )
@@ -207,9 +161,7 @@ def test_api_verify_backend_kwarg_is_threaded(unit):
 
 def test_api_exports_the_backend_registry():
     assert "SolverBackend" in api.__all__
-    assert set(api.backend_names()) >= {
-        "incremental", "portfolio", "reference", "z3",
-    }
+    assert set(api.backend_names()) == {"incremental", "reference", "z3"}
     assert {"incremental", "reference"} <= set(api.available_backends())
 
 
@@ -217,7 +169,7 @@ def test_api_exports_the_backend_registry():
 
 
 def test_report_to_dict_shape(unit):
-    report = api.verify(unit, cache=SolverCache())
+    report = api.verify(unit, options=VerifyOptions(cache=SolverCache()))
     data = report.to_dict()
     assert data["schema"] == REPORT_SCHEMA_VERSION
     assert data["clean"] is False
@@ -233,16 +185,21 @@ def test_report_to_dict_shape(unit):
     assert first["line"] > 0
     assert sum(data["warning_counts"].values()) == len(data["warnings"])
     assert data["solver_stats"]["total"]["queries"] > 0
+    assert set(data["solver_stats"]) == {
+        "total", "per_method", "tasks_retried", "tasks_timed_out",
+        "tasks_failed", "deadlines_degraded", "algebra_discharged",
+        "algebra_fallbacks", "tier_mismatches", "parallel_decision",
+    }
 
 
 def test_report_to_json_roundtrips(unit):
-    report = api.verify(unit, cache=SolverCache())
+    report = api.verify(unit, options=VerifyOptions(cache=SolverCache()))
     assert json.loads(report.to_json()) == report.to_dict()
     assert json.loads(report.to_json(indent=2)) == report.to_dict()
 
 
 def test_warning_order_matches_text_output(unit):
-    report = api.verify(unit, cache=SolverCache())
+    report = api.verify(unit, options=VerifyOptions(cache=SolverCache()))
     texts = [str(w) for w in report.diagnostics.warnings]
     dicts = report.to_dict()["warnings"]
     assert [d["message"] for d in dicts] == [

@@ -42,21 +42,30 @@ def units():
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_parallel_matches_serial(units, group):
-    serial = api.verify(units[group], cache=SolverCache())
-    parallel = api.verify(units[group], jobs=4)
+    serial = api.verify(
+        units[group], options=api.VerifyOptions(cache=SolverCache())
+    )
+    parallel = api.verify(units[group], options=api.VerifyOptions(jobs=4))
     assert _snapshot(serial) == _snapshot(parallel)
 
 
 def test_parallel_matches_serial_trees(units):
-    serial = api.verify(units["trees"], cache=SolverCache(), budget=NO_BUDGET)
-    parallel = api.verify(units["trees"], jobs=4, budget=NO_BUDGET)
+    serial = api.verify(
+        units["trees"],
+        options=api.VerifyOptions(cache=SolverCache(), budget=NO_BUDGET),
+    )
+    parallel = api.verify(
+        units["trees"], options=api.VerifyOptions(jobs=4, budget=NO_BUDGET)
+    )
     assert serial.diagnostics.warnings, "trees should warn under a tiny budget"
     assert _snapshot(serial) == _snapshot(parallel)
 
 
 def test_parallel_matches_serial_without_cache(units):
-    serial = api.verify(units["nat"], cache=None)
-    parallel = api.verify(units["nat"], jobs=2, cache=None)
+    serial = api.verify(units["nat"], options=api.VerifyOptions(cache=None))
+    parallel = api.verify(
+        units["nat"], options=api.VerifyOptions(jobs=2, cache=None)
+    )
     assert _snapshot(serial) == _snapshot(parallel)
 
 
@@ -80,8 +89,8 @@ static int g(Nat n) {
 }
 """
     unit = api.compile_program(source)
-    serial = api.verify(unit, cache=SolverCache())
-    parallel = api.verify(unit, jobs=3)
+    serial = api.verify(unit, options=api.VerifyOptions(cache=SolverCache()))
+    parallel = api.verify(unit, options=api.VerifyOptions(jobs=3))
     assert any(w.counterexample for w in serial.diagnostics.warnings)
     assert _snapshot(serial) == _snapshot(parallel)
 
@@ -92,7 +101,9 @@ def test_iter_tasks_covers_the_program(units):
     assert len(tasks) == len(set(tasks)), "tasks must be unique"
     method_tasks = [t for t in tasks if t.kind == "method"]
     function_tasks = [t for t in tasks if t.kind == "function"]
-    report = api.verify(units["collections"], cache=SolverCache())
+    report = api.verify(
+        units["collections"], options=api.VerifyOptions(cache=SolverCache())
+    )
     assert len(method_tasks) + len(function_tasks) == report.methods_checked
 
 
@@ -120,8 +131,10 @@ def test_merge_preserves_task_order():
 
 def test_parallel_stats_totals_match_serial_queries(units):
     """Merged stats count every query exactly once."""
-    serial = api.verify(units["lists"], cache=None)
-    parallel = api.verify(units["lists"], jobs=4, cache=None)
+    serial = api.verify(units["lists"], options=api.VerifyOptions(cache=None))
+    parallel = api.verify(
+        units["lists"], options=api.VerifyOptions(jobs=4, cache=None)
+    )
     assert (
         parallel.solver_stats.total.queries
         == serial.solver_stats.total.queries

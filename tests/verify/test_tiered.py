@@ -41,7 +41,10 @@ def warning_strings(report):
 
 
 def verify_tier(source, tier):
-    return api.verify(compile_(source), cache=SolverCache(), tier=tier)
+    return api.verify(
+        compile_(source),
+        options=api.VerifyOptions(cache=SolverCache(), tier=tier),
+    )
 
 
 def in_method(body):
@@ -193,8 +196,7 @@ class TestCheckModeOverCorpus:
         source = combined_programs()[name]
         report = api.verify(
             api.compile_program(source, filename=name),
-            cache=SolverCache(),
-            tier="check",
+            options=api.VerifyOptions(cache=SolverCache(), tier="check"),
         )
         assert report.solver_stats.tier_mismatches == 0
 
@@ -202,9 +204,11 @@ class TestCheckModeOverCorpus:
         source = combined_programs()["trees"]
         report = api.verify(
             api.compile_program(source, filename="trees"),
-            cache=SolverCache(),
-            budget=1e-9,
-            tier="check",
+            options=api.VerifyOptions(
+                cache=SolverCache(),
+                budget=1e-9,
+                tier="check",
+            ),
         )
         assert report.solver_stats.tier_mismatches == 0
 
@@ -213,8 +217,7 @@ class TestCheckModeOverCorpus:
         for name in FAST_GROUPS:
             report = api.verify(
                 api.compile_program(combined_programs()[name], filename=name),
-                cache=SolverCache(),
-                tier="auto",
+                options=api.VerifyOptions(cache=SolverCache(), tier="auto"),
             )
             total += report.solver_stats.algebra_discharged
         assert total > 0
@@ -243,7 +246,10 @@ class TestTierPlumbing:
         monkeypatch.setattr(tiered.PatternAlgebra, "analyze_switch", lying)
         source = in_method("switch (n) { case succ(Nat p): return 1; }")
         with pytest.raises(TierMismatchError) as excinfo:
-            api.verify(compile_(source), cache=SolverCache(), tier="check")
+            api.verify(
+                compile_(source),
+                options=api.VerifyOptions(cache=SolverCache(), tier="check"),
+            )
         report = excinfo.value.report
         assert report is not None
         assert report.solver_stats.tier_mismatches > 0
@@ -355,5 +361,7 @@ if HAVE_HYPOTHESIS:
             return
         # check mode IS the oracle comparison: it runs the algebra and
         # SMT on the same obligations and raises on any disagreement.
-        report = api.verify(unit, cache=SolverCache(), tier="check")
+        report = api.verify(
+            unit, options=api.VerifyOptions(cache=SolverCache(), tier="check")
+        )
         assert report.solver_stats.tier_mismatches == 0
