@@ -1,165 +1,196 @@
 """Lexer for the JMatch 2.0 subset.
 
-Hand-written maximal-munch scanner.  A bare ``_`` is its own token (the
-wildcard pattern); identifiers may still contain underscores elsewhere
-(``create$foo``-style names from the translation of Section 6.1 use
-``$``, which is allowed in identifier tails like in Java).
+One compiled master regex finds every token and every stretch of
+trivia (whitespace and comments) in a single left-to-right pass; the
+scan keeps only the current line number and the offset where that line
+starts, so each token records ``(line, column, end column)`` as plain
+integers and builds its :class:`~repro.errors.Span` only when someone
+asks for it (:class:`~repro.lang.tokens.Token`).
+
+A bare ``_`` is its own token (the wildcard pattern); identifiers may
+still contain underscores elsewhere (``create$foo``-style names from
+the translation of Section 6.1 use ``$``, which is allowed in
+identifier tails like in Java).  Characters are classified as Python's
+``str`` predicates do: an identifier starts with a letter
+(``isalpha``), ``_`` or ``$`` and continues with ``isalnum`` characters,
+``_`` or ``$``; a number is a run of ``isdigit`` characters.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError, Position, Span
 from .tokens import KEYWORDS, OPERATORS, Token, TokenKind
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == "$"
-
-
-def _ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ch == "$"
+# Alternatives are tried in order; the first that matches at the
+# current offset wins.  ``word`` is the maximal run of identifier-tail
+# characters (``\w`` is exactly ``isalnum`` plus ``_``); whether the run
+# is an identifier, a number or an error is decided on its first
+# character.  The ``bad_*`` alternatives catch an opening delimiter
+# whose well-formed alternative failed, and ``other`` any character no
+# token starts with.
+_MASTER = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<word>[\w$]+)
+    | (?P<op>{ops})
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<string>"(?:[^"\\\n]|\\[nt"\\])*")
+    | (?P<bad_block_comment>/\*)
+    | (?P<bad_string>")
+    | (?P<other>.)
+    """.format(
+        # Comments must win over the `/` operator.
+        ops="|".join(
+            "/(?![/*])" if op == "/" else re.escape(op)
+            for op in OPERATORS
+            if op != "_"
+        )
+    ),
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 class Lexer:
     def __init__(self, source: str, filename: str = "<input>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _position(self) -> Position:
-        return Position(self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._position()
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError(
-                        "unterminated block comment",
-                        Span(start, self._position(), self.filename),
-                    )
-                self._advance(2)
-            else:
-                break
 
     def tokens(self) -> list[Token]:
         """Scan the entire source into a token list ending with EOF."""
+        source = self.source
+        filename = self.filename
         out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            start = self._position()
-            if self.pos >= len(self.source):
-                out.append(
-                    Token(TokenKind.EOF, "", Span(start, start, self.filename))
-                )
-                return out
-            ch = self._peek()
-            if ch.isdigit():
-                out.append(self._scan_number(start))
-            elif ch == '"':
-                out.append(self._scan_string(start))
-            elif _ident_start(ch):
-                out.append(self._scan_word(start))
-            else:
-                out.append(self._scan_operator(start))
-
-    def _scan_number(self, start: Position) -> Token:
-        begin = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        if _ident_start(self._peek()):
-            raise LexError(
-                f"malformed number near {self.source[begin:self.pos + 1]!r}",
-                Span(start, self._position(), self.filename),
-            )
-        text = self.source[begin : self.pos]
-        return Token(TokenKind.INT_LIT, text, Span(start, self._position(), self.filename))
-
-    def _scan_string(self, start: Position) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError(
-                    "unterminated string literal",
-                    Span(start, self._position(), self.filename),
-                )
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escape = self._peek()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if escape not in mapping:
-                    raise LexError(
-                        f"unknown escape \\{escape}",
-                        Span(start, self._position(), self.filename),
-                    )
-                chars.append(mapping[escape])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        return Token(
-            TokenKind.STRING_LIT,
-            "".join(chars),
-            Span(start, self._position(), self.filename),
-        )
-
-    def _scan_word(self, start: Position) -> Token:
-        begin = self.pos
-        while _ident_part(self._peek()):
-            self._advance()
-        text = self.source[begin : self.pos]
-        span = Span(start, self._position(), self.filename)
-        if text == "_":
-            return Token(TokenKind.OPERATOR, "_", span)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, span)
-
-    def _scan_operator(self, start: Position) -> Token:
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
+        append = out.append
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        for match in _MASTER.finditer(source):
+            group = match.lastgroup
+            text = match.group()
+            if group == "space" or group == "block_comment":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = match.start() + text.rindex("\n") + 1
+                continue
+            start = match.start()
+            column = start - line_start + 1
+            if group == "word":
+                first = text[0]
+                if first.isalpha() or first == "_" or first == "$":
+                    if text in KEYWORDS:
+                        kind = TokenKind.KEYWORD
+                    elif text == "_":
+                        kind = TokenKind.OPERATOR
+                    else:
+                        kind = TokenKind.IDENT
+                elif text.isdigit():
+                    kind = TokenKind.INT_LIT
+                else:
+                    raise self._word_error(text, line, column)
+                append(Token(kind, text, line, column, column + len(text), filename))
+            elif group == "op":
                 # `==` is accepted as a synonym for JMatch's `=` equality.
-                text = "=" if op == "==" else op
-                return Token(
-                    TokenKind.OPERATOR,
-                    text,
-                    Span(start, self._position(), self.filename),
+                append(
+                    Token(
+                        TokenKind.OPERATOR,
+                        "=" if text == "==" else text,
+                        line, column, column + len(text), filename,
+                    )
                 )
-        raise LexError(
-            f"unexpected character {self._peek()!r}",
-            Span(start, self._position(), self.filename),
+            elif group == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], body)
+                append(
+                    Token(
+                        TokenKind.STRING_LIT, body,
+                        line, column, column + len(text), filename,
+                    )
+                )
+            elif group == "line_comment":
+                continue
+            elif group == "bad_block_comment":
+                raise LexError(
+                    "unterminated block comment",
+                    Span(
+                        Position(line, column),
+                        self._end_position(line, line_start),
+                        filename,
+                    ),
+                )
+            elif group == "bad_string":
+                raise self._bad_string(start, line, column)
+            else:
+                raise self._error(f"unexpected character {text!r}", line, column)
+        column = len(source) - line_start + 1
+        append(Token(TokenKind.EOF, "", line, column, column, filename))
+        return out
+
+    # -- errors (cold paths) ---------------------------------------------
+
+    def _error(self, message: str, line: int, column: int, width: int = 0):
+        """A LexError from ``column`` to ``width`` characters on."""
+        return LexError(
+            message,
+            Span(
+                Position(line, column),
+                Position(line, column + width),
+                self.filename,
+            ),
         )
+
+    def _end_position(self, line: int, line_start: int) -> Position:
+        rest = self.source[line_start:]
+        newlines = rest.count("\n")
+        if newlines:
+            return Position(line + newlines, len(rest) - rest.rindex("\n"))
+        return Position(line, len(rest) + 1)
+
+    def _word_error(self, word: str, line: int, column: int) -> LexError:
+        """The error in a word that is neither an identifier nor a number.
+
+        A word starting with a digit is a number up to its first
+        non-digit.  A letter, ``_`` or ``$`` there makes the number
+        malformed; any other character (one that may continue an
+        identifier but starts no token, e.g. ``Ⅷ``) is unexpected.
+        """
+        digits = 0
+        while word[digits].isdigit():
+            digits += 1
+        after = word[digits]
+        if digits and (after.isalpha() or after == "_" or after == "$"):
+            return self._error(
+                f"malformed number near {word[:digits + 1]!r}",
+                line, column, digits,
+            )
+        return self._error(
+            f"unexpected character {after!r}", line, column + digits
+        )
+
+    def _bad_string(self, start: int, line: int, column: int) -> LexError:
+        """The first defect of the string literal opening at ``start``."""
+        source = self.source
+        index = start + 1
+        while True:
+            ch = source[index] if index < len(source) else ""
+            if not ch or ch == "\n":
+                return self._error(
+                    "unterminated string literal", line, column, index - start
+                )
+            if ch == "\\":
+                index += 1
+                escape = source[index] if index < len(source) else ""
+                if escape not in _ESCAPES:
+                    return self._error(
+                        f"unknown escape \\{escape}", line, column, index - start
+                    )
+            index += 1
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:

@@ -24,6 +24,16 @@ from .lexer import tokenize
 from .tokens import Token, TokenKind
 
 _VISIBILITIES = ("public", "protected", "private")
+_KEYWORD = TokenKind.KEYWORD
+_OPERATOR = TokenKind.OPERATOR
+_EOF = TokenKind.EOF
+#: keywords that are literals
+_LITERALS = {"true": True, "false": False, "null": None}
+
+
+def _shown(tok: Token) -> str:
+    """A token as a parse error names it: its quoted text, or end of input."""
+    return "end of input" if tok.kind is _EOF else repr(tok.text)
 
 
 class Parser:
@@ -37,32 +47,34 @@ class Parser:
 
     # -- token helpers --------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    # The token list always ends with EOF and ``pos`` never moves past
+    # it, so the helpers index ``self.tokens[self.pos]`` directly.
+
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def _at(self, kind: TokenKind, text: str | None = None) -> bool:
-        return self._peek().matches(kind, text)
+        return self.tokens[self.pos].matches(kind, text)
 
     def _at_keyword(self, *texts: str) -> bool:
-        tok = self._peek()
-        return tok.kind == TokenKind.KEYWORD and tok.text in texts
+        tok = self.tokens[self.pos]
+        return tok.kind is _KEYWORD and tok.text in texts
 
     def _at_op(self, *texts: str) -> bool:
-        tok = self._peek()
-        return tok.kind == TokenKind.OPERATOR and tok.text in texts
+        tok = self.tokens[self.pos]
+        return tok.kind is _OPERATOR and tok.text in texts
 
     def _advance(self) -> Token:
-        tok = self._peek()
-        if not tok.is_eof:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
     def _expect(self, kind: TokenKind, text: str | None = None) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if not tok.matches(kind, text):
             wanted = text or kind.value
-            raise ParseError(f"expected {wanted!r}, found {tok!r}", tok.span)
+            raise ParseError(f"expected {wanted!r}, found {_shown(tok)}", tok.span)
         return self._advance()
 
     def _expect_op(self, text: str) -> Token:
@@ -107,7 +119,7 @@ class Parser:
         if self._at_keyword("static") or self._looks_like_type():
             return self._parse_function()
         tok = self._peek()
-        raise ParseError(f"expected a declaration, found {tok!r}", tok.span)
+        raise ParseError(f"expected a declaration, found {_shown(tok)}", tok.span)
 
     def _parse_interface(self) -> ast.InterfaceDecl:
         span = self._expect_keyword("interface").span
@@ -232,7 +244,7 @@ class Parser:
             kind = "equality" if name == "equals" else "constructor"
         elif (
             self._at(TokenKind.IDENT, class_name)
-            and self._peek(1).matches(TokenKind.OPERATOR, "(")
+            and self.tokens[self.pos + 1].matches(TokenKind.OPERATOR, "(")
         ):
             # A class constructor: `private ZNat(int n) ...`.
             name = self._advance().text
@@ -334,7 +346,7 @@ class Parser:
             self._expect_op(")")
             return formula
         tok = self._peek()
-        raise ParseError(f"expected a method body, found {tok!r}", tok.span)
+        raise ParseError(f"expected a method body, found {_shown(tok)}", tok.span)
 
     # -- statements ------------------------------------------------------
 
@@ -453,7 +465,7 @@ class Parser:
             else:
                 tok = self._peek()
                 raise ParseError(
-                    f"expected 'case' or 'default', found {tok!r}", tok.span
+                    f"expected 'case' or 'default', found {_shown(tok)}", tok.span
                 )
         self._expect_op("}")
         if pending_patterns:
@@ -467,7 +479,7 @@ class Parser:
         if tok.kind == TokenKind.OPERATOR and tok.text == ":":
             self._advance()
             return
-        raise ParseError(f"expected ':', found {tok!r}", tok.span)
+        raise ParseError(f"expected ':', found {_shown(tok)}", tok.span)
 
     def _parse_case_body(self) -> list[ast.Stmt]:
         body: list[ast.Stmt] = []
@@ -628,67 +640,65 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind == TokenKind.INT_LIT:
-            self._advance()
-            return ast.Lit(int(tok.text), span=tok.span)
-        if tok.kind == TokenKind.STRING_LIT:
-            self._advance()
-            return ast.Lit(tok.text, span=tok.span)
-        if self._at_keyword("true"):
-            self._advance()
-            return ast.Lit(True, span=tok.span)
-        if self._at_keyword("false"):
-            self._advance()
-            return ast.Lit(False, span=tok.span)
-        if self._at_keyword("null"):
-            self._advance()
-            return ast.Lit(None, span=tok.span)
-        if self._at_keyword("this"):
-            self._advance()
-            return ast.Var("this", span=tok.span)
-        if self._at_op("_"):
-            self._advance()
-            return ast.Wildcard(span=tok.span)
-        if self._at_keyword("notall"):
-            self._advance()
-            self._expect_op("(")
-            names: list[str] = []
-            if not self._at_op(")"):
-                while True:
-                    names.append(self._expect_ident().text)
-                    if not self._accept_op(","):
-                        break
-            self._expect_op(")")
-            return ast.NotAll(names, span=tok.span)
-        if self._at_keyword("new"):
-            # `new Foo(args)` is accepted as a synonym for `Foo(args)`.
-            self._advance()
-            name = self._expect_ident().text
-            args = self._parse_args()
-            return ast.Call(None, None, name, args, span=tok.span)
-        if self._at_keyword("int") or self._at_keyword("boolean"):
-            type_ = self._parse_type()
-            return self._parse_decl_pattern(type_, tok.span)
-        if self._at_op("("):
-            self._advance()
-            items = [self.parse_formula()]
-            while self._accept_op(","):
-                items.append(self.parse_formula())
-            self._expect_op(")")
-            if len(items) == 1:
-                return items[0]
-            return ast.TupleExpr(items, span=tok.span)
-        if tok.kind == TokenKind.IDENT:
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        text = tok.text
+        if kind is TokenKind.IDENT:
+            self.pos += 1
             if self._at_op("("):
                 args = self._parse_args()
-                return ast.Call(None, None, tok.text, args, span=tok.span)
+                return ast.Call(None, None, text, args, span=tok.span)
             if self._at(TokenKind.IDENT) or self._at_op("_"):
                 # `Nat x` / `Nat _` declaration pattern.
-                return self._parse_decl_pattern(ast.Type(tok.text), tok.span)
-            return ast.Var(tok.text, span=tok.span)
-        raise ParseError(f"expected an expression, found {tok!r}", tok.span)
+                return self._parse_decl_pattern(ast.Type(text), tok.span)
+            return ast.Var(text, span=tok.span)
+        if kind is TokenKind.INT_LIT:
+            self.pos += 1
+            return ast.Lit(int(text), span=tok.span)
+        if kind is TokenKind.STRING_LIT:
+            self.pos += 1
+            return ast.Lit(text, span=tok.span)
+        if kind is _KEYWORD:
+            if text in _LITERALS:
+                self.pos += 1
+                return ast.Lit(_LITERALS[text], span=tok.span)
+            if text == "this":
+                self.pos += 1
+                return ast.Var("this", span=tok.span)
+            if text == "notall":
+                self.pos += 1
+                self._expect_op("(")
+                names: list[str] = []
+                if not self._at_op(")"):
+                    while True:
+                        names.append(self._expect_ident().text)
+                        if not self._accept_op(","):
+                            break
+                self._expect_op(")")
+                return ast.NotAll(names, span=tok.span)
+            if text == "new":
+                # `new Foo(args)` is accepted as a synonym for `Foo(args)`.
+                self.pos += 1
+                name = self._expect_ident().text
+                args = self._parse_args()
+                return ast.Call(None, None, name, args, span=tok.span)
+            if text == "int" or text == "boolean":
+                type_ = self._parse_type()
+                return self._parse_decl_pattern(type_, tok.span)
+        elif kind is _OPERATOR:
+            if text == "_":
+                self.pos += 1
+                return ast.Wildcard(span=tok.span)
+            if text == "(":
+                self.pos += 1
+                items = [self.parse_formula()]
+                while self._accept_op(","):
+                    items.append(self.parse_formula())
+                self._expect_op(")")
+                if len(items) == 1:
+                    return items[0]
+                return ast.TupleExpr(items, span=tok.span)
+        raise ParseError(f"expected an expression, found {_shown(tok)}", tok.span)
 
     def _parse_decl_pattern(self, type_: ast.Type, span: Span) -> ast.Expr:
         if self._at_op("_"):
@@ -709,8 +719,7 @@ def parse_formula(source: str, type_names: set[str] | None = None) -> ast.Expr:
     if type_names:
         parser.type_names |= type_names
     expr = parser.parse_formula()
-    if not parser._peek().is_eof:
-        raise ParseError(
-            f"unexpected trailing input {parser._peek()!r}", parser._peek().span
-        )
+    tok = parser._peek()
+    if not tok.is_eof:
+        raise ParseError(f"unexpected trailing input {_shown(tok)}", tok.span)
     return expr

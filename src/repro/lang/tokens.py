@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from ..errors import Span
+from ..errors import Position, Span
 
 
 class TokenKind(enum.Enum):
@@ -90,20 +89,55 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    span: Span
+    """One token: its kind, its text, and where it sits on its line.
+
+    A token never spans lines, so its position is three integers; the
+    :class:`~repro.errors.Span` is built on first access (most tokens'
+    spans are never read) and then kept.
+    """
+
+    __slots__ = ("kind", "text", "line", "column", "end_column", "filename", "_span")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        line: int,
+        column: int,
+        end_column: int,
+        filename: str,
+    ):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self.end_column = end_column
+        self.filename = filename
+        self._span: Span | None = None
+
+    @property
+    def span(self) -> Span:
+        span = self._span
+        if span is None:
+            span = self._span = Span(
+                Position(self.line, self.column),
+                Position(self.line, self.end_column),
+                self.filename,
+            )
+        return span
 
     @property
     def is_eof(self) -> bool:
-        return self.kind == TokenKind.EOF
+        return self.kind is TokenKind.EOF
 
     def matches(self, kind: TokenKind, text: str | None = None) -> bool:
-        return self.kind == kind and (text is None or self.text == text)
+        return self.kind is kind and (text is None or self.text == text)
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind.name}, {self.text!r}, {self.span})"
 
     def __str__(self) -> str:
-        if self.kind == TokenKind.EOF:
+        if self.kind is TokenKind.EOF:
             return "<eof>"
         return self.text

@@ -42,6 +42,7 @@ never guesses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 from ...lang import ast
@@ -52,38 +53,46 @@ from ..verifier import VerifyTask, iter_tasks
 _IMPLICIT_METHODS = ("equals",)
 
 
-def _dump(node, out: list[str], with_spans: bool) -> None:
-    """A canonical structural rendering of an AST subtree.
+@functools.cache
+def _fields_of(cls: type) -> tuple[str, ...] | None:
+    """``cls``'s field names other than ``span``; None for a non-dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "span")
+
+
+def _dump(node, out: list[str]) -> None:
+    """A canonical, span-free structural rendering of an AST subtree.
 
     Dataclass reprs are structural already, but always include spans;
     dependency components must be span-*free* so that editing one
     method (which shifts everything below it in the file) does not
     invalidate tasks whose own text is unchanged.
     """
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        out.append(type(node).__name__)
+    cls = type(node)
+    fields = _fields_of(cls)
+    if fields is not None:
+        out.append(cls.__name__)
         out.append("(")
-        for f in dataclasses.fields(node):
-            if f.name == "span" and not with_spans:
-                continue
-            out.append(f.name)
+        for name in fields:
+            out.append(name)
             out.append("=")
-            _dump(getattr(node, f.name), out, with_spans)
+            _dump(getattr(node, name), out)
             out.append(",")
         out.append(")")
-    elif isinstance(node, (list, tuple)):
+    elif cls is list or cls is tuple:
         out.append("[")
         for item in node:
-            _dump(item, out, with_spans)
+            _dump(item, out)
             out.append(",")
         out.append("]")
     else:
         out.append(repr(node))
 
 
-def _dumps(node, with_spans: bool = False) -> str:
+def _dumps(node) -> str:
     out: list[str] = []
-    _dump(node, out, with_spans)
+    _dump(node, out)
     return "".join(out)
 
 
@@ -97,26 +106,24 @@ def _referenced_names(node, names: set[str]) -> None:
     stack = [node]
     while stack:
         current = stack.pop()
-        if isinstance(current, (list, tuple)):
+        cls = type(current)
+        if cls is list or cls is tuple:
             stack.extend(current)
             continue
-        if isinstance(current, ast.Type):
+        if cls is ast.Type:
             names.add(current.name)
             stack.extend(current.elements)
             continue
-        if not dataclasses.is_dataclass(current) or isinstance(current, type):
+        fields = _fields_of(cls)
+        if fields is None:
             continue
-        if isinstance(current, ast.Call):
+        if cls is ast.Call:
             names.add(current.name)
             if current.qualifier is not None:
                 names.add(current.qualifier)
-        for f in dataclasses.fields(current):
-            if f.name == "span":
-                continue
-            value = getattr(current, f.name)
-            if isinstance(value, (ast.Type, list, tuple)) or (
-                dataclasses.is_dataclass(value) and not isinstance(value, type)
-            ):
+        for name in fields:
+            value = getattr(current, name)
+            if type(value) in (list, tuple) or _fields_of(type(value)) is not None:
                 stack.append(value)
 
 
@@ -149,6 +156,10 @@ class _TableIndex:
         self.table = table
         self._type_components: dict[str, tuple[str, set[str]]] = {}
         self._method_components: dict[str, tuple[str, set[str]]] = {}
+        #: every name that resolves as a method or function somewhere
+        self._method_names: set[str] = set(table.functions)
+        for info in table.types.values():
+            self._method_names.update(info.methods)
 
     # -- components ----------------------------------------------------
 
@@ -274,13 +285,7 @@ class _TableIndex:
                     n for n in self.type_component(name)[1]
                     if n not in types_done
                 )
-            if name not in methods_done and (
-                name in self.table.functions
-                or any(
-                    name in self.table.types[t].methods
-                    for t in self.table.types
-                )
-            ):
+            if name not in methods_done and name in self._method_names:
                 methods_done.add(name)
                 pending.update(
                     n
@@ -291,7 +296,8 @@ class _TableIndex:
         digest.update(f"task={task.kind}:{task.label}\n".encode("utf-8"))
         digest.update(f"viewer={task.type_name or None}\n".encode("utf-8"))
         for root in roots:
-            digest.update(_dumps(root, with_spans=True).encode("utf-8"))
+            # The dataclass repr: structural, spans included.
+            digest.update(repr(root).encode("utf-8"))
             digest.update(b"\n")
         for name in sorted(types_done):
             digest.update(self.type_component(name)[0].encode("utf-8"))

@@ -75,6 +75,11 @@ Cont = Callable[[VEnv], F]
 ValCont = Callable[[VValue, VEnv], F]
 
 
+def _true(env: VEnv) -> F:
+    """The continuation that accepts every solution."""
+    return fir.TRUE
+
+
 def bound_names(env: VEnv) -> set[str]:
     return set(env)
 
@@ -126,6 +131,9 @@ class EncodeContext:
         self.plugin.signature = (table_signature(table), viewer)
         self._funsyms: dict[tuple, FunSym] = {}
         self._counter = 0
+        #: (term, owner, id of invariant, depth) -> (invariant, its
+        #: instance) for the instances that mint no variable
+        self._pure_parts: dict[tuple, tuple[ast.InvariantDecl, F]] = {}
         #: success predicates whose canonical method is abstract; their
         #: disjointness cannot be decided through the abstraction
         #: boundary (Section 8's caveat)
@@ -223,14 +231,35 @@ class EncodeContext:
         invariants = self.table.invariants_visible_from(type_name, self.viewer)
         parts: list[F] = []
         for owner, inv in invariants:
-            translator = Translator(self, owner=owner, depth=depth)
-            env: VEnv = {"this": (x, ast.Type(owner))}
-            translator.bind_fields(env, x, owner)
             try:
-                parts.append(translator.vf(inv.formula, env, lambda e: fir.TRUE))
+                parts.append(self._invariant_part(x, owner, inv, depth))
             except TranslationError:
                 continue  # an invariant we cannot reason about is dropped
         return fand(*parts)
+
+    def _invariant_part(
+        self, x: Term, owner: str, inv: ast.InvariantDecl, depth: int
+    ) -> F:
+        """One invariant instantiated on ``x``.
+
+        Both polarities of an invariant atom, and the atoms of every
+        subtype that sees the same invariant, ask for the same part; one
+        whose translation mints no variable is translated once (see
+        :meth:`Translator.vf_true`).
+        """
+        key = (x, owner, id(inv), depth)
+        hit = self._pure_parts.get(key)
+        if hit is not None:
+            return hit[1]
+        minted = self._counter
+        translator = Translator(self, owner=owner, depth=depth)
+        env: VEnv = {"this": (x, ast.Type(owner))}
+        translator.bind_fields(env, x, owner)
+        part = translator.vf(inv.formula, env, _true)
+        if self._counter == minted:
+            # Keeping ``inv`` alive keeps its id from being reused.
+            self._pure_parts[key] = (inv, part)
+        return part
 
     def type_formula(self, value: VValue, type_: ast.Type | None, depth: int) -> F:
         if type_ is None or not isinstance(value, Term):
@@ -276,6 +305,9 @@ class Translator:
         self.owner = owner
         self.depth = depth
         self.solv_ctx = SolvabilityContext(ctx.table, owner)
+        #: (id of formula, env items) -> (formula, VF under ``_true``)
+        #: for the translations that mint no variable (see ``vf_true``)
+        self._pure: dict[tuple, tuple[ast.Expr, F]] = {}
 
     # -- helpers --------------------------------------------------------
 
@@ -364,16 +396,21 @@ class Translator:
                 )
             raise TranslationError(f"cannot translate formula {f}", f.span)
         if isinstance(f, ast.PatOr):
-            disjunction = for_(
-                self.vf(f.left, env, cont), self.vf(f.right, env, cont)
-            )
+            if cont is _true:
+                disjunction = for_(
+                    self.vf_true(f.left, env), self.vf_true(f.right, env)
+                )
+            else:
+                disjunction = for_(
+                    self.vf(f.left, env, cont), self.vf(f.right, env, cont)
+                )
             if f.disjoint:
                 # `|` asserts disjointness (Section 4.1): at most one arm
                 # holds.  The arms' own soundness is checked separately.
                 return fand(disjunction, self._exclusion(f, env))
             return disjunction
         if isinstance(f, ast.Not):
-            inner = self.vf(f.operand, dict(env), lambda e: fir.TRUE)
+            inner = self.vf(f.operand, dict(env), _true)
             return fand(negate(inner), cont(env))
         if isinstance(f, ast.Where):
             return self.vf(f.pattern, env, lambda e: self.vf(f.condition, e, cont))
@@ -385,11 +422,33 @@ class Translator:
             )
         raise TranslationError(f"cannot translate formula {f}", f.span)
 
+    def vf_true(self, f: ast.Expr, env: VEnv) -> F:
+        """VF[[f]] under ``env`` with the continuation ``true``.
+
+        A translation that mints no variable (no ``ctx.fresh``, hence no
+        unknowns for ``fir.fresh`` to rename) is a function of ``f`` and
+        ``env`` alone, and is memoised for this pass.  Without that, a
+        right-nested ``a | b | c | ...`` chain re-translates every
+        sub-chain once in its disjunction and once in its exclusion,
+        doubling the work per arm.  Any other translation runs as
+        before, so variable numbering and registrations do not change.
+        """
+        key = (id(f), tuple(env.items()))
+        hit = self._pure.get(key)
+        if hit is not None:
+            return hit[1]
+        minted = self.ctx._counter
+        result = self.vf(f, dict(env), _true)
+        if self.ctx._counter == minted:
+            # Keeping ``f`` alive keeps its id from being reused.
+            self._pure[key] = (f, result)
+        return result
+
     def _exclusion(self, f: ast.PatOr, env: VEnv) -> F:
         """not (left /\\ right), with each arm's unknowns renamed apart."""
         try:
-            left = fir.fresh(self.vf(f.left, dict(env), lambda e: fir.TRUE))
-            right = fir.fresh(self.vf(f.right, dict(env), lambda e: fir.TRUE))
+            left = fir.fresh(self.vf_true(f.left, env))
+            right = fir.fresh(self.vf_true(f.right, env))
         except TranslationError:
             return fir.TRUE
         return FAtom(tm.mk_not(tm.mk_and(left.to_term(), right.to_term())))
@@ -686,7 +745,7 @@ class Translator:
             p.op in ast.COMPARE_OPS or p.op in ast.LOGIC_OPS
         ):
             # A boolean-valued expression as a value: reify via its truth.
-            inner = self.vf(p, dict(env), lambda e: fir.TRUE)
+            inner = self.vf(p, dict(env), _true)
             var = self.ctx.fresh("b", BOOL)
             premise = for_(
                 fand(inner, FAtom(tm.mk_eq(var, tm.TRUE))),
@@ -975,7 +1034,7 @@ class Translator:
         def on_false() -> Term:
             translator = Translator(ctx, self.owner, depth + 1)
             try:
-                f = translator.vf(matches_ast, spec_env(), lambda e: fir.TRUE)
+                f = translator.vf(matches_ast, spec_env(), _true)
             except TranslationError:
                 return tm.TRUE
             # not P => not ExtractM(M): asserted via implication premise.
@@ -1000,7 +1059,7 @@ class Translator:
             ensures_ast = method.decl.ensures
             if ensures_ast is not None:
                 try:
-                    f = translator.vf(ensures_ast, env, lambda e: fir.TRUE)
+                    f = translator.vf(ensures_ast, env, _true)
                     parts.append(f.to_term())
                 except TranslationError:
                     pass

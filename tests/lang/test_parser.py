@@ -370,3 +370,30 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc_info:
         parse_program("class { }")
     assert "expected" in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("class A { int x }", "expected '(', found '}'"),
+        ("class A {", "expected 'identifier', found end of input"),
+        ("class A { void f() { x = ; } }", "expected an expression, found ';'"),
+        ("class A { A(int x) ( x = 1 ) }}", "expected a declaration, found '}'"),
+        ("static int f() { switch (x) { foo } }",
+         "expected 'case' or 'default', found 'foo'"),
+        ("static int f() { switch (x) { case 1 x } }", "expected ':', found 'x'"),
+        ("static int f() return", "expected a method body, found 'return'"),
+    ],
+)
+def test_parse_errors_name_the_token_not_its_repr(source, found):
+    with pytest.raises(ParseError) as exc_info:
+        parse_program(source, "bad.jm")
+    message = str(exc_info.value)
+    assert "Token(" not in message
+    assert message.endswith(found)
+
+
+def test_trailing_input_error_names_the_token():
+    with pytest.raises(ParseError) as exc_info:
+        parse_formula("x = 1 )")
+    assert str(exc_info.value) == "<input>:1:7: unexpected trailing input ')'"
