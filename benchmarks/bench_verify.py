@@ -12,11 +12,12 @@ configurations and writes the measurements to ``BENCH_verify.json``:
 * **no-cache serial / parallel** — both cache tiers off, isolating the
   parallel engine's speedup from cache effects;
 * **incremental / from-scratch serial** — best-of-3 interleaved
-  no-cache serial passes of the default incremental engine and of the
-  ``backend="reference"`` engine (which rebuilds the CNF
-  encoding and CDCL state per query and per deepening depth, as the
-  seed architecture did); their ratio is the end-to-end state-reuse
-  speedup.  This pair and the cold-cached-vs-no-cache pair are
+  no-cache serial passes of the engine and of the reference oracle
+  (``tests/smt/reference_solver.py``, patched in with the same
+  ``reference_engine()`` monkeypatch the parity tests use; it rebuilds
+  the CNF encoding and CDCL state per query and per deepening depth,
+  as the seed architecture did); their ratio is the end-to-end
+  state-reuse speedup.  This pair and the cold-cached-vs-no-cache pair are
   measured in CPU time (``time.process_time``), not wall-clock: the
   ratios they pin are tight, and CPU time is immune to the scheduler
   preemption that dominates wall-clock variance on loaded boxes;
@@ -24,11 +25,7 @@ configurations and writes the measurements to ``BENCH_verify.json``:
   CPU-time protocol comparing the default ``tier=auto`` pipeline (the
   syntactic pattern algebra discharges what it can before SMT) against
   ``tier=smt-only``; the lane also records how many obligations the
-  algebra discharged;
-* **per-backend lanes** — the ``reference`` and ``incremental``
-  backends on the same no-cache serial workload (best-of-3 interleaved
-  CPU time; they are the from-scratch/incremental pair above, recorded
-  under their backend names too).
+  algebra discharged.
 
 Run it directly (``python benchmarks/bench_verify.py``) to refresh the
 JSON; ``test_bench_verify.py`` asserts the floor the ISSUE demands
@@ -48,6 +45,11 @@ from pathlib import Path
 
 from repro import api
 from repro.corpus import combined_programs
+
+# The from-scratch lane's oracle lives in the test suite; make the repo
+# root importable when this file runs as a script.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.smt.reference_solver import reference_engine  # noqa: E402
 
 GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 JOBS = 4
@@ -71,7 +73,6 @@ def verify_corpus(
     jobs: int,
     cache_dir: str | None,
     use_cache: bool,
-    backend: str = "incremental",
 ):
     """One full pass over the corpus; returns (seconds, reports).
 
@@ -79,9 +80,7 @@ def verify_corpus(
     :func:`verify_corpus_cpu`) but this two-tuple shape is what most
     lanes and the CLI consume.
     """
-    wall, _, reports = verify_corpus_cpu(
-        units, jobs, cache_dir, use_cache, backend=backend
-    )
+    wall, _, reports = verify_corpus_cpu(units, jobs, cache_dir, use_cache)
     return wall, reports
 
 
@@ -91,7 +90,6 @@ def verify_corpus_cpu(
     cache_dir: str | None,
     use_cache: bool,
     tier: str = "auto",
-    backend: str = "incremental",
 ):
     """One full pass; returns (wall seconds, CPU seconds, reports).
 
@@ -113,7 +111,6 @@ def verify_corpus_cpu(
                 jobs=jobs,
                 cache_dir=cache_dir,
                 tier=tier,
-                backend=backend,
             ),
         )
         for group in GROUPS
@@ -162,10 +159,9 @@ def run_bench(jobs: int = JOBS) -> dict:
             t_nc, c_nc, _ = verify_corpus_cpu(units, 1, None, False)
             nocache_serial_s = min(nocache_serial_s, t_nc)
             nocache_cpu_s = min(nocache_cpu_s, c_nc)
-        # The per-backend lanes: the default incremental engine and
-        # the from-scratch reference engine, on the same no-cache
-        # workload so engine differences are isolated from cache
-        # effects.  Three interleaved samples per backend,
+        # The engine and the from-scratch reference oracle, on the
+        # same no-cache workload so engine differences are isolated
+        # from cache effects.  Three interleaved samples per side,
         # symmetrically, so no lane wins on sample count.
         incremental_cpu_s = None
         fromscratch_cpu_s = None
@@ -174,9 +170,10 @@ def run_bench(jobs: int = JOBS) -> dict:
             _, c_inc, _ = verify_corpus_cpu(units, 1, None, False)
             if incremental_cpu_s is None or c_inc < incremental_cpu_s:
                 incremental_cpu_s = c_inc
-            _, c_scr, scratch_reports = verify_corpus_cpu(
-                units, 1, None, False, backend="reference"
-            )
+            with reference_engine():
+                _, c_scr, scratch_reports = verify_corpus_cpu(
+                    units, 1, None, False
+                )
             if fromscratch_cpu_s is None or c_scr < fromscratch_cpu_s:
                 fromscratch_cpu_s = c_scr
                 scratch = scratch_reports
@@ -231,7 +228,7 @@ def run_bench(jobs: int = JOBS) -> dict:
 
     return {
         "benchmark": "bench_verify",
-        "schema_version": 5,
+        "schema_version": 6,
         "date": time.strftime("%Y-%m-%d"),
         "python": platform.python_version(),
         "cpus": usable_cpus(),
@@ -255,10 +252,6 @@ def run_bench(jobs: int = JOBS) -> dict:
         "tier_auto_serial_s": round(tier_auto_cpu_s, 4),
         "tier_smt_only_serial_s": round(tier_smt_only_cpu_s, 4),
         "algebra_discharged": algebra_discharged,
-        # Per-backend lanes (cold serial no-cache CPU, best-of-3
-        # interleaved); reference/incremental alias the two lanes above.
-        "backend_reference_serial_s": round(fromscratch_cpu_s, 4),
-        "backend_incremental_serial_s": round(incremental_cpu_s, 4),
         "tasks_retried": tasks_retried,
         "tasks_timed_out": tasks_timed_out,
         "tasks_failed": tasks_failed,

@@ -11,13 +11,8 @@ compatibility promise.  Verification takes its whole configuration as
 one :class:`VerifyOptions` object (``api.verify(unit, options=...)``);
 there are no per-setting keyword arguments.
 
-Solver backends are part of the stable surface: the
-:class:`SolverBackend` protocol, the registry
-(:func:`register_backend`, :func:`available_backends`,
-:func:`backend_names`), and selection via ``VerifyOptions.backend`` —
-a third-party backend subclasses the protocol, registers a name, and
-is selectable everywhere (API, CLI, parallel workers, daemon) without
-touching internals.
+There is one solving engine, the incremental lazy DPLL(T)
+:class:`~repro.smt.solver.Solver`; no option selects another.
 """
 
 from __future__ import annotations
@@ -29,27 +24,17 @@ from .lang import analyze, ast, parse_program
 from .lang.symbols import ProgramTable
 from .obs import NULL_TRACER, Tracer, write_jsonl
 from .runtime import Interpreter
-from .smt.backend import (
-    SolverBackend,
-    available_backends,
-    backend_names,
-    register_backend,
-)
 from .smt.cache import GLOBAL_CACHE, SolverCache
 from .verify import VerificationReport, Verifier
 from .verify.options import VerifyOptions
 
 __all__ = [
     "CompiledUnit",
-    "SolverBackend",
     "VerificationReport",
     "VerifyOptions",
-    "available_backends",
-    "backend_names",
     "compile_and_verify",
     "compile_program",
     "interpreter",
-    "register_backend",
     "verify",
 ]
 
@@ -115,13 +100,6 @@ def verify(
     ``"auto"`` sizes batches from the task and worker counts, and
     keeps single-task batches under ``task_timeout`` so deadlines
     attribute to exactly one method.
-
-    ``backend`` selects the solving strategy by registry name (see
-    :mod:`repro.smt.backend`): ``"incremental"`` (persistent engines,
-    the default), ``"reference"`` (rebuild-per-query, the differential
-    baseline), or ``"z3"`` (optional z3py, when installed).  All
-    backends produce byte-identical reports on conclusive corpora —
-    models always come from the canonical reference solve.
 
     ``task_timeout`` bounds each verification task's (method's) wall
     time; an obligation that overruns it is reported with an

@@ -133,7 +133,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tracer=tracer,
         format=args.format,
         tier=args.tier,
-        backend=args.backend,
     )
     try:
         options.validate()
@@ -231,7 +230,6 @@ def _verify_via_daemon(args: argparse.Namespace) -> int:
     options = {
         "budget": args.budget,
         "tier": args.tier,
-        "backend": args.backend,
         "task_timeout": args.task_timeout,
         "use_cache": not args.no_cache,
         "stats": bool(args.stats) and not json_mode,
@@ -414,14 +412,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-cache", action="store_true",
         help="solve every SMT query from scratch (disables both the "
         "in-memory and the disk cache tier)",
-    )
-    p_verify.add_argument(
-        "--backend",
-        choices=("reference", "incremental", "z3"),
-        default="incremental",
-        help="solving strategy: 'incremental' (persistent engines, the "
-        "default), 'reference' (rebuild per query), or 'z3' (optional "
-        "z3py, when installed)",
     )
     p_verify.add_argument(
         "--trace", default=None, metavar="FILE",

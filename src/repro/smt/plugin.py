@@ -213,9 +213,9 @@ class PluginView:
     ``registrations`` are proxied, so cache fingerprints are identical
     to the base plugin's).
 
-    No solving path creates views: one run solves each obligation
-    with one backend.  The class stays while ``perfbench/spans.py``
-    names ``PluginView.expand`` as a layer target; both go together.
+    No solving path creates views: one engine solves each obligation.
+    The class stays while ``perfbench/spans.py`` names
+    ``PluginView.expand`` as a layer target; both go together.
     """
 
     def __init__(self, plugin: LazyTheoryPlugin):

@@ -19,8 +19,8 @@ Responses::
     {"id": 1, "ok": false, "error": {"code": "...", "message": "..."}}
 
 ``verify`` options mirror the scalar :class:`repro.api.VerifyOptions`
-fields that affect verdicts (``budget``, ``tier``, ``backend``,
-``task_timeout``, ``use_cache``) plus daemon extras: ``dep_index``
+fields that affect verdicts (``budget``, ``tier``, ``task_timeout``,
+``use_cache``) plus daemon extras: ``dep_index``
 (default true) to enable dependency-aware outcome reuse, ``stats`` /
 ``profile`` to render the ``--stats``/``--profile`` tables
 server-side, and ``trace`` to ship the request's span rows back in the
@@ -52,7 +52,7 @@ import os
 import tempfile
 
 #: bump on any incompatible wire-format change
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: environment override for the daemon socket location
 SOCKET_ENV = "REPRO_DAEMON_SOCKET"

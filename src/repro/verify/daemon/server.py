@@ -81,7 +81,6 @@ class _FileState:
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
     "tier": "auto",
-    "backend": "incremental",
     "task_timeout": None,
     "use_cache": True,
     "dep_index": True,
@@ -100,8 +99,7 @@ def _options_signature(opts: dict) -> str:
     participates, so changing e.g. the tier flushes the outcome cache
     instead of replaying verdicts produced under different rules.
     """
-    keys = ("budget", "tier", "backend", "task_timeout", "use_cache",
-            "trace")
+    keys = ("budget", "tier", "task_timeout", "use_cache", "trace")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -230,7 +228,6 @@ class VerifyDaemon:
             api.VerifyOptions(
                 budget=opts["budget"],
                 tier=opts["tier"],
-                backend=opts["backend"],
                 task_timeout=opts["task_timeout"],
             ).validate()
         except (TypeError, ValueError) as exc:
@@ -336,7 +333,6 @@ class VerifyDaemon:
                         outcome = run_one_task(
                             table, task, opts["budget"], cache,
                             opts["task_timeout"], tracing, opts["tier"],
-                            backend=opts["backend"],
                         )
                     except Exception as exc:
                         outcome = _failed_outcome(table, task, exc, tracing)

@@ -37,9 +37,6 @@ OUTPUT_FORMATS = ("text", "json")
 #: accepted values of ``VerifyOptions.tier`` (see repro.verify.tiered)
 TIERS = ("auto", "smt-only", "algebra-only", "check")
 
-#: accepted values of ``VerifyOptions.backend`` (see repro.smt.backend)
-BACKENDS = ("reference", "incremental", "z3")
-
 
 @dataclass
 class VerifyOptions:
@@ -80,10 +77,6 @@ class VerifyOptions:
     #: "check" (run both on algebra-decidable obligations and fail on
     #: disagreement -- see :mod:`repro.verify.tiered`)
     tier: str = "auto"
-    #: solving strategy by registry name (see :mod:`repro.smt.backend`):
-    #: "incremental" (persistent engines, the default), "reference"
-    #: (rebuild-per-query), or "z3" (optional z3py)
-    backend: str = "incremental"
 
     @property
     def use_cache(self) -> bool:
@@ -133,10 +126,6 @@ class VerifyOptions:
         if self.tier not in TIERS:
             raise ValueError(
                 f"tier must be one of {TIERS}, got {self.tier!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
 
     @staticmethod

@@ -189,7 +189,6 @@ def _init_worker(
     task_timeout: float | None = None,
     trace: bool = False,
     tier: str = "auto",
-    backend: str = "incremental",
 ) -> None:
     """Build this worker's warm state (runs once per process).
 
@@ -204,7 +203,6 @@ def _init_worker(
     _WORKER["task_timeout"] = task_timeout
     _WORKER["trace"] = trace
     _WORKER["tier"] = tier
-    _WORKER["backend"] = backend
     if tier != "smt-only":
         from .tiered import warm_algebra
 
@@ -219,7 +217,6 @@ def run_one_task(
     task_timeout: float | None,
     trace: bool = False,
     tier: str = "auto",
-    backend: str = "incremental",
 ) -> TaskOutcome:
     """Verify one task, rebuilding the solver session.
 
@@ -252,7 +249,7 @@ def run_one_task(
     tracer = Tracer() if trace else NULL_TRACER
     verifier = Verifier(
         table, budget=effective_budget, cache=cache, tracer=tracer,
-        tier=tier, backend=backend,
+        tier=tier,
     )
     started = time.perf_counter()
     try:
@@ -354,7 +351,6 @@ def verify_method_task(task: VerifyTask) -> TaskOutcome:
         _WORKER.get("task_timeout"),
         _WORKER.get("trace", False),
         _WORKER.get("tier", "auto"),
-        backend=_WORKER.get("backend", "incremental"),
     )
 
 
@@ -605,7 +601,6 @@ def _run_rounds(
     trace: bool = False,
     tier: str = "auto",
     batch_size: int = 1,
-    backend: str = "incremental",
 ) -> tuple[dict[int, TaskOutcome], int]:
     """The pool rounds plus serial fallback; every task gets an outcome.
 
@@ -644,7 +639,6 @@ def _run_rounds(
                 task_timeout,
                 trace,
                 tier,
-                backend,
             ),
         )
         try:
@@ -676,8 +670,7 @@ def _run_rounds(
         for index, task in sorted(fallback.items()):
             try:
                 outcomes[index] = run_one_task(
-                    table, task, budget, cache, task_timeout, trace, tier,
-                    backend=backend,
+                    table, task, budget, cache, task_timeout, trace, tier
                 )
             except Exception as exc:
                 outcomes[index] = _failed_outcome(table, task, exc, trace)
@@ -697,7 +690,6 @@ def verify_serial_with_timeout(
     tracer=NULL_TRACER,
     options=None,
     tier: str = "auto",
-    backend: str = "incremental",
 ) -> VerificationReport:
     """The serial driver with per-task deadlines and degradation.
 
@@ -705,14 +697,13 @@ def verify_serial_with_timeout(
     in-process fallback semantics): each task runs under the deadline,
     and a task that raises degrades to an UNKNOWN-style warning.  An
     explicit ``options`` (:class:`repro.api.VerifyOptions`) supplies
-    budget/task_timeout/tier/backend; ``cache`` stays a direct argument
+    budget/task_timeout/tier; ``cache`` stays a direct argument
     because the caller has already resolved the tiers.
     """
     if options is not None:
         budget = options.budget
         task_timeout = options.task_timeout
         tier = options.tier
-        backend = options.backend
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     start = time.perf_counter()
     trace = tracer.enabled
@@ -720,8 +711,7 @@ def verify_serial_with_timeout(
     for task in iter_tasks(table):
         try:
             outcome = run_one_task(
-                table, task, budget, cache, task_timeout, trace, tier,
-                backend=backend,
+                table, task, budget, cache, task_timeout, trace, tier
             )
         except Exception as exc:
             outcome = _failed_outcome(table, task, exc, trace)
@@ -743,7 +733,6 @@ def verify_parallel(
     options=None,
     tier: str = "auto",
     batch_size: int | str = "auto",
-    backend: str = "incremental",
 ) -> VerificationReport:
     """Verify every task of ``table`` on a pool of ``jobs`` processes.
 
@@ -764,7 +753,6 @@ def verify_parallel(
         task_timeout = options.task_timeout
         tier = options.tier
         batch_size = options.batch_size
-        backend = options.backend
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     tasks = list(iter_tasks(table))
     requested = jobs
@@ -787,8 +775,7 @@ def verify_parallel(
         cache = build_cache(use_cache, cache_dir)
         if task_timeout is None:
             report = Verifier(
-                table, budget=budget, cache=cache, tracer=tracer, tier=tier,
-                backend=backend,
+                table, budget=budget, cache=cache, tracer=tracer, tier=tier
             ).run()
         else:
             report = verify_serial_with_timeout(
@@ -798,13 +785,12 @@ def verify_parallel(
                 task_timeout=task_timeout,
                 tracer=tracer,
                 tier=tier,
-                backend=backend,
             )
         report.solver_stats.parallel_decision = decision
         return report
     outcomes, retried = _run_rounds(
         table, tasks, jobs, budget, use_cache, cache_dir, task_timeout,
-        tracer.enabled, tier, batch_size, backend=backend,
+        tracer.enabled, tier, batch_size,
     )
     assert len(outcomes) == len(tasks), "every task must have an outcome"
     if tracer.enabled:

@@ -5,16 +5,15 @@ bare :class:`~repro.smt.solver.Solver` instances; a
 :class:`SolverSession` centralizes that so one verification run has a
 single place to
 
-* thread the per-query time budget to the backend *instance* (never by
+* thread the per-query time budget to each solver *instance* (never by
   mutating ``Solver.TIME_BUDGET``, which would leak to every later
   in-process caller),
 * choose the query cache (the process-wide one by default, a private
   one, or none),
-* choose the solving strategy — one named
-  :class:`~repro.smt.backend.SolverBackend` per run (``incremental``,
-  the default, ``reference`` or ``z3``) resolved through the backend
-  registry; the engine mechanics themselves (persistent incremental
-  engines, canonical model solves) live behind that seam, and
+* keep the persistent incremental engines: one ``Solver`` per encoding
+  context (plugin), diffed against each query's assertion stack, while
+  a query that needs a model gets a fresh solve of its own (see
+  :meth:`SolverSession._solve`), and
 * record per-query wall time and solver counters against the method
   currently being verified.
 """
@@ -22,19 +21,63 @@ single place to
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
+from typing import NamedTuple
 
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER
 from ..smt import Result
-from ..smt.backend import create_backend
 from ..smt.cache import GLOBAL_CACHE, SolverCache
 from ..smt.plugin import LazyTheoryPlugin
+from ..smt.solver import Solver, SolverStats
 from ..smt.terms import Term
 from ..smt.theory import TheoryModel
 
 
+class QueryOutcome(NamedTuple):
+    """What answering one query produced, for recording and tracing."""
+
+    result: Result
+    #: only when the caller asked for a model and the verdict is SAT
+    model: TheoryModel | None
+    #: the counters this query alone spent
+    stats: SolverStats
+    #: "memory" | "disk" | "miss" | "off"
+    cache_tier: str
+    #: deepest iterative-deepening depth reached
+    depth: int
+
+
+def solve_fresh(
+    solver: Solver, terms: list[Term], want_model: bool
+) -> QueryOutcome:
+    """Answer one query with a solver that has seen no other query."""
+    for term in terms:
+        solver.add(term)
+    result = solver.check()
+    model = solver.model() if want_model and result == Result.SAT else None
+    return QueryOutcome(
+        result, model, solver.stats, solver.last_cache_tier, solver.last_depth
+    )
+
+
+class _Engine:
+    """A persistent incremental solver plus its raw assertion stack."""
+
+    __slots__ = ("plugin", "solver", "stack")
+
+    def __init__(self, plugin: LazyTheoryPlugin, solver: Solver):
+        self.plugin = plugin
+        self.solver = solver
+        self.stack: list[Term] = []
+
+
 class SolverSession:
     """One verification run's solver configuration and statistics."""
+
+    #: engines kept alive at once; checkers use one context per
+    #: statement, so a tiny LRU covers the live chain plus stragglers
+    MAX_ENGINES = 4
 
     def __init__(
         self,
@@ -42,7 +85,6 @@ class SolverSession:
         cache: SolverCache | None = GLOBAL_CACHE,
         stats: VerifyStats | None = None,
         tracer=NULL_TRACER,
-        backend: str = "incremental",
     ):
         self.budget = budget
         self.cache = cache
@@ -51,8 +93,7 @@ class SolverSession:
         self.tracer = tracer
         #: set by the driver around each method; labels the stats rows
         self.method_label = "<toplevel>"
-        self.backend_name = backend
-        self.backend = create_backend(backend, budget=budget, cache=cache)
+        self._engines: OrderedDict[int, _Engine] = OrderedDict()
 
     def check(
         self,
@@ -63,14 +104,12 @@ class SolverSession:
         """Solve one query, recording it against the current method.
 
         ``want_model`` asks for a counterexample model on SAT; callers
-        that only branch on the verdict leave it off, which lets
-        incremental engines skip the canonical re-solve that models
-        require (every backend answers model queries with the reference
-        single-query solve, so counterexamples are byte-identical no
-        matter which backend is selected).
+        that only branch on the verdict leave it off, which lets the
+        query run on a shared engine instead of the fresh solve that
+        models require.
         """
         start = time.perf_counter()
-        outcome = self.backend.check(plugin, terms, want_model=want_model)
+        outcome = self._solve(plugin, terms, want_model)
         elapsed = time.perf_counter() - start
         query_stats = outcome.stats
         if self.stats is not None:
@@ -82,10 +121,9 @@ class SolverSession:
             )
         tracer = self.tracer
         if tracer.enabled:
-            # The observability leaf: verdict, the backend that answered,
-            # cache-tier outcome, deepening depth reached, and where the
-            # time went.  Guarded by ``enabled`` so an untraced run
-            # never assembles this.
+            # The observability leaf: verdict, cache-tier outcome,
+            # deepening depth reached, and where the time went.  Guarded
+            # by ``enabled`` so an untraced run never assembles this.
             tracer.leaf(
                 "query",
                 outcome.result.value,
@@ -93,7 +131,6 @@ class SolverSession:
                 start + elapsed,
                 {
                     "verdict": outcome.result.value,
-                    "backend": self.backend_name,
                     "cache": outcome.cache_tier,
                     "depth": outcome.depth,
                     "passes": query_stats.deepening_passes,
@@ -109,3 +146,84 @@ class SolverSession:
                 },
             )
         return outcome.result, outcome.model
+
+    def _solve(
+        self,
+        plugin: LazyTheoryPlugin | None,
+        terms: list[Term],
+        want_model: bool,
+    ) -> QueryOutcome:
+        """Answer one query, on a shared engine or a fresh solver.
+
+        The query chain a checker emits (the same invariant under arm
+        1, arms 1-2, arms 1-2-3, ...) runs on one persistent engine per
+        encoding context, sharing its Tseitin encoding, plugin axioms,
+        theory lemmas and CDCL-learned clauses: the longest common
+        prefix of the assertion stack is kept, the stale suffix popped,
+        the new suffix pushed one frame per assertion.  Only work is
+        shared, never verdicts.
+
+        A query that needs a model gets a fresh solver instead: a
+        shared engine's SAT models depend on search state inherited
+        from earlier queries, while a fresh solve's model depends on
+        the query alone, so the counterexample the user sees is
+        canonical whether it is solved now or decoded from the cache.
+        ``need_model`` keeps a shared engine's verdict-only cache entry
+        from answering it (a SAT hit without a model snapshot counts as
+        a miss, and the fresh model then displaces it).  A query with
+        no axiom context has nothing to persist against and is solved
+        fresh as well.
+        """
+        if plugin is None or want_model:
+            solver = Solver(
+                plugin,
+                cache=self.cache,
+                time_budget=self.budget,
+                need_model=want_model,
+            )
+            return solve_fresh(solver, terms, want_model)
+        engine = self._engine_for(plugin)
+        solver = engine.solver
+        stack = engine.stack
+        prefix = 0
+        limit = min(len(stack), len(terms))
+        while prefix < limit and stack[prefix] is terms[prefix]:
+            prefix += 1
+        while len(stack) > prefix:
+            solver.pop()
+            stack.pop()
+        for term in terms[prefix:]:
+            solver.push()
+            solver.add(term)
+            stack.append(term)
+        before = solver.stats.snapshot()
+        result = solver.check()
+        return QueryOutcome(
+            result,
+            None,
+            solver.stats.delta(before),
+            solver.last_cache_tier,
+            solver.last_depth,
+        )
+
+    def _engine_for(self, plugin: LazyTheoryPlugin) -> _Engine:
+        key = id(plugin)
+        engine = self._engines.get(key)
+        if engine is not None and engine.plugin is plugin:
+            self._engines.move_to_end(key)
+            return engine
+        # store_models=False: this engine's models depend on inherited
+        # state and must not displace canonical models in the cache
+        engine = _Engine(
+            plugin,
+            Solver(
+                plugin,
+                cache=self.cache,
+                time_budget=self.budget,
+                store_models=False,
+            ),
+        )
+        self._engines[key] = engine
+        while len(self._engines) > self.MAX_ENGINES:
+            self._engines.popitem(last=False)
+        return engine

@@ -191,17 +191,15 @@ class Verifier:
         tracer=NULL_TRACER,
         tier: str = "auto",
         options=None,
-        backend: str = "incremental",
     ):
         if options is not None:
             # The consolidated configuration object (repro.api
-            # .VerifyOptions); budget/tier/backend come from it, while
+            # .VerifyOptions); budget and tier come from it, while
             # ``cache`` stays an explicit argument because the driver
             # that builds a Verifier has already resolved the cache
             # tiers.
             budget = options.budget
             tier = options.tier
-            backend = options.backend
         self.table = table
         self.diag = Diagnostics()
         self.tracer = tracer
@@ -211,7 +209,6 @@ class Verifier:
             cache=cache,
             stats=VerifyStats(),
             tracer=tracer,
-            backend=backend,
         )
         self.totality = TotalityChecker(table, self.diag, self.session)
         self.disjointness = DisjointnessChecker(

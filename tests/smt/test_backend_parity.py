@@ -1,48 +1,57 @@
-"""Differential backend parity: every backend, byte-identical reports.
+"""Differential engine parity: the engine and the oracles, byte-identical.
 
-The ``SolverBackend`` contract (``repro.smt.backend``) is that the
-strategy only changes *how* a verdict is reached, never *which* verdict
-— or which counterexample text — the user sees.  This harness runs
-every registered backend over two corpora and compares whole reports:
+There is one solving engine; the oracles only change *how* a verdict
+is reached, never *which* verdict -- or which counterexample text --
+the user sees.  This harness compares whole reports over two corpora:
 
 * the hand-written corpus groups with conclusive verdicts (``trees``
   is excluded on purpose: it exhausts any budget by design, so which
-  queries answer UNKNOWN is legitimately engine-dependent there — see
+  queries answer UNKNOWN is legitimately engine-dependent there -- see
   ``tests/verify/test_incremental_parity.py``);
 * a seeded ``repro.gen`` corpus, so parity is also checked on shapes
   no human wrote (or thought to write).
+
+The baseline is the reference oracle (``reference_solver.py``, a fresh
+rebuild-per-query solve).  Compared against it, by parameter id:
+
+* ``incremental`` -- the engine itself, unpatched;
+* ``z3`` -- the z3 verdict oracle (``z3_oracle.py``), with model
+  queries answered by the reference oracle.
 
 "Byte-identical" means the full ``report.to_dict()`` document minus
 the fields that measure *how* the run went (timings and solver
 internals): warnings with their rendered counterexamples, per-kind
 counts, methods/statements checked, and the clean flag.  Verdict
-counts (queries / sat / unsat / unknown) must match too — each
-obligation records exactly one query outcome regardless of strategy.
+counts (queries / sat / unsat / unknown) must match too -- each
+obligation records exactly one query outcome regardless of engine.
 
-Backends that are registered but not importable here (z3 without
-z3py installed) skip cleanly instead of failing; CI's backend-matrix
-lane installs z3-solver and runs this same file to un-skip them.
+The z3 cases skip cleanly when the z3 wheel is not installed; CI's
+``oracle-parity`` job has a lane that installs z3-solver and runs this
+same file to un-skip them.
 """
+
+import contextlib
 
 import pytest
 
 from repro import api
 from repro.corpus import combined_programs
 from repro.gen import GenConfig, generate_corpus
-from repro.smt.backend import backend_available, backend_names
+
+from .reference_solver import reference_engine
+from .z3_oracle import z3_available, z3_engine
 
 #: corpus groups whose verdicts are conclusive under the default budget
 CONCLUSIVE_GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
-#: the differential baseline every other backend is compared against
-BASELINE = "reference"
-
-BACKENDS = [name for name in backend_names() if name != BASELINE]
+#: what is compared against the reference baseline, by parameter id
+ENGINES = {"incremental": contextlib.nullcontext, "z3": z3_engine}
 
 
-def _require(backend):
-    if not backend_available(backend):
-        pytest.skip(f"backend {backend!r} not available in this environment")
+def _engine(name):
+    if name == "z3" and not z3_available():
+        pytest.skip("z3 is not installed in this environment")
+    return ENGINES[name]()
 
 
 def _report_key(report):
@@ -58,10 +67,13 @@ def _verdicts(report):
     return (t.queries, t.sat, t.unsat, t.unknown)
 
 
-def _verify(unit, backend):
-    return api.verify(
-        unit, options=api.VerifyOptions(cache=None, backend=backend)
-    )
+def _verify(unit, jobs=1):
+    return api.verify(unit, options=api.VerifyOptions(cache=None, jobs=jobs))
+
+
+def _verify_reference(unit, jobs=1):
+    with reference_engine():
+        return _verify(unit, jobs)
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +84,7 @@ def corpus_units():
 
 @pytest.fixture(scope="module")
 def corpus_baselines(corpus_units):
-    return {
-        g: _verify(unit, BASELINE) for g, unit in corpus_units.items()
-    }
+    return {g: _verify_reference(unit) for g, unit in corpus_units.items()}
 
 
 @pytest.fixture(scope="module")
@@ -87,33 +97,47 @@ def gen_units():
 
 @pytest.fixture(scope="module")
 def gen_baselines(gen_units):
-    return [_verify(unit, BASELINE) for unit in gen_units]
+    return [_verify_reference(unit) for unit in gen_units]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", list(ENGINES))
 @pytest.mark.parametrize("group", CONCLUSIVE_GROUPS)
 def test_backend_matches_reference_on_corpus(
-    corpus_units, corpus_baselines, backend, group
+    corpus_units, corpus_baselines, engine, group
 ):
-    _require(backend)
-    report = _verify(corpus_units[group], backend)
+    with _engine(engine):
+        report = _verify(corpus_units[group])
     assert _report_key(report) == _report_key(corpus_baselines[group])
     assert _verdicts(report) == _verdicts(corpus_baselines[group])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", list(ENGINES))
 def test_backend_matches_reference_on_generated_corpus(
-    gen_units, gen_baselines, backend
+    gen_units, gen_baselines, engine
 ):
-    _require(backend)
     for unit, baseline in zip(gen_units, gen_baselines):
-        report = _verify(unit, backend)
+        with _engine(engine):
+            report = _verify(unit)
         assert _report_key(report) == _report_key(baseline), unit.filename
         assert _verdicts(report) == _verdicts(baseline), unit.filename
 
 
+def test_engine_matches_reference_on_generated_corpus_jobs4(
+    gen_units, gen_baselines
+):
+    """The engine and the reference oracle through the process pool:
+    forked workers inherit the oracle patch, and the merge must not
+    reorder or lose anything."""
+    for unit, baseline in zip(gen_units, gen_baselines):
+        report = _verify(unit, jobs=4)
+        reference = _verify_reference(unit, jobs=4)
+        for got in (report, reference):
+            assert _report_key(got) == _report_key(baseline), unit.filename
+            assert _verdicts(got) == _verdicts(baseline), unit.filename
+
+
 def test_generated_corpus_exercises_both_verdict_polarities(gen_baselines):
-    """The seeded corpus must contain real work for the backends.
+    """The seeded corpus must contain real work for the engines.
 
     If a future generator change made every method clean (or every
     method warn), the parity assertions above would still pass while

@@ -1,53 +1,51 @@
-"""An optional z3py backend behind the :class:`SolverBackend` seam.
+"""z3 as a verdict-only differential oracle.
 
 This module never imports ``z3`` at the top level: the wheel is not a
-dependency of this project, so the backend reports itself unavailable
-(``Z3Backend.available() -> False``) when the import would fail and
-the registry skips it cleanly — selecting ``--backend z3`` without the
-wheel exits with a clear error instead of a traceback, and the CI
-``backend-matrix`` z3 lane is the only place it runs routinely.
+dependency of this project, so :func:`z3_available` reports whether it
+is installed and the parity tests that use the oracle skip cleanly
+without it.  A CI lane installs ``z3-solver`` to run them.
 
-Semantics: the pure-Python engine is *lazy* DPLL(T) — trigger axioms
-are asserted only when their trigger literal is assigned, bounded by
-the iterative-deepening depth schedule.  z3 has no hook for that
-discipline, so this backend expands the trigger universe **eagerly but
+Semantics: the engine is *lazy* DPLL(T) -- trigger axioms are asserted
+only when their trigger literal is assigned, bounded by the
+iterative-deepening depth schedule.  z3 has no hook for that
+discipline, so this oracle expands the trigger universe **eagerly but
 depth-bounded**: for each depth in the schedule it transitively
 instantiates every registration whose depth fits the bound, asserts
 the guarded implication ``premise => axiom`` (the paper's global
 assertion discipline), and treats deeper registrations exactly like
-the lazy engine's suppressed keys — a SAT model that relies on a
+the lazy engine's suppressed keys -- a SAT model that relies on a
 suppressed (atom, polarity) is *unconfirmed*, so the model is blocked
 and the search re-run; an UNSAT answer derived while any model was
 blocked is downgraded to UNKNOWN at the final depth, mirroring
 ``Solver._blocked_unconfirmed``.  Axiom instantiation goes through
 :meth:`LazyTheoryPlugin.axiom_for`, so the terms asserted are the very
-same interned terms every other backend uses.
+same interned terms the engine uses.
 
-Model queries are answered by the canonical reference solve (as the
-incremental backend does), so reports stay byte-identical; this keeps z3 a pure
-verdict engine and sidesteps translating z3 models back into theory
-models.  The solver cache is bypassed: entries fingerprint the lazy
-engine's behavior, and a cache populated by one backend must not
-change what another backend would answer.
+Model queries are answered by the reference oracle's fresh solve, so
+reports stay byte-identical; this keeps z3 a pure verdict oracle and
+sidesteps translating z3 models back into theory models.  The solver
+cache is bypassed for verdicts: entries fingerprint the lazy engine's
+behavior, and a cache populated by one engine must not change what
+another would answer.
 
-Differential testing: ``tests/smt/test_backend_parity.py`` runs this
-backend (when the wheel is present) over the corpus and a seeded
-generated corpus, asserting verdict-for-verdict report equality with
-the reference engine.
+:func:`z3_engine` monkeypatches ``SolverSession._solve`` so every query
+goes through the oracle (see ``tests/smt/test_backend_parity.py``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import time
 
-from . import budget as budget_mod
-from . import terms as tm
-from .backend import CheckOutcome, ReferenceBackend, SolverBackend
-from .budget import BudgetExceeded
-from .solver import Result, Solver, SolverStats
-from .sorts import BOOL, INT, Sort
-from .terms import (
+import pytest
+
+from repro.smt import budget as budget_mod
+from repro.smt import terms as tm
+from repro.smt.budget import BudgetExceeded
+from repro.smt.solver import Result, Solver, SolverStats
+from repro.smt.sorts import BOOL, INT, Sort
+from repro.smt.terms import (
     ADD,
     AND,
     APP,
@@ -65,37 +63,48 @@ from .terms import (
     VAR,
     Term,
 )
+from repro.verify.solving import QueryOutcome, SolverSession
+
+from .reference_solver import reference_solve
 
 
-class Z3Backend(SolverBackend):
+def z3_available() -> bool:
+    """Is the z3 wheel installed?  Cheap: nothing is imported."""
+    return importlib.util.find_spec("z3") is not None
+
+
+def z3_solve(session, plugin, terms, want_model=False):
+    """``SolverSession._solve`` with verdicts from z3."""
+    if want_model:
+        return reference_solve(session, plugin, terms, want_model=True)
+    import z3
+
+    stats = SolverStats()
+    try:
+        result, depth = _Z3Oracle(session.budget).check(
+            z3, plugin, terms, stats
+        )
+    except BudgetExceeded:
+        result, depth = Result.UNKNOWN, None
+    stats.cache_misses += 1
+    return QueryOutcome(result, None, stats, "off", depth)
+
+
+@contextlib.contextmanager
+def z3_engine():
+    """Answer every ``SolverSession`` query through the z3 oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SolverSession, "_solve", z3_solve)
+        yield
+
+
+class _Z3Oracle:
     """Depth-bounded eager expansion into z3, verdicts only."""
 
-    name = "z3"
+    def __init__(self, budget: float | None):
+        self.budget = budget
 
-    @classmethod
-    def available(cls) -> bool:
-        return importlib.util.find_spec("z3") is not None
-
-    def __init__(self, budget=None, cache=None):
-        # ``cache=None`` always: see the module docstring.
-        super().__init__(budget, cache=None)
-        self._canonical = ReferenceBackend(budget=budget, cache=cache)
-
-    def check(self, plugin, terms, want_model=False):
-        if want_model:
-            return self._canonical.check(plugin, terms, want_model=True)
-        import z3
-
-        start = time.perf_counter()
-        stats = SolverStats()
-        try:
-            result, depth = self._check_deepening(z3, plugin, terms, stats)
-        except BudgetExceeded:
-            result, depth = Result.UNKNOWN, None
-        stats.cache_misses += 1
-        return CheckOutcome(result, None, stats, cache_tier="off", depth=depth)
-
-    def _check_deepening(self, z3, plugin, terms, stats):
+    def check(self, z3, plugin, terms, stats):
         deadline = None
         if self.budget is not None:
             deadline = time.monotonic() + self.budget
@@ -163,8 +172,8 @@ class Z3Backend(SolverBackend):
         Firing an axiom registers its nested triggers, so iterate to a
         fixpoint over ``plugin.registrations()``; instantiation goes
         through ``axiom_for`` and therefore shares the interned axiom
-        terms (and the exactly-once callback discipline) with every
-        other backend touching this plugin.
+        terms (and the exactly-once callback discipline) with the
+        engine.
         """
         asserted: set = set()
         suppressed: list = []

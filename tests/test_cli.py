@@ -463,37 +463,36 @@ def test_verify_trace_does_not_change_text_output(program, capsys, tmp_path):
     assert strip(plain) == strip(traced)
 
 
-def test_verify_reference_backend_output_matches_default(program, capsys):
+def test_verify_output_matches_reference_oracle(program, capsys):
+    """The CLI's bytes are the same when the reference oracle answers."""
+    from .smt.reference_solver import reference_engine
+
     path = program(BUGGY)
     strip = lambda text: [
         l for l in text.splitlines() if not l.startswith("checked ")
     ]
     assert main(["verify", path]) == 0
     incremental = capsys.readouterr().out
-    assert main(["verify", path, "--backend", "reference"]) == 0
+    with reference_engine():
+        assert main(["verify", path]) == 0
     rebuilt = capsys.readouterr().out
     assert strip(incremental) == strip(rebuilt)
 
 
-def test_verify_backend_flag_reaches_the_session(program, capsys, monkeypatch):
-    """--backend must thread through api.verify's options."""
+def test_verify_backend_flag_is_rejected(program, capsys, monkeypatch):
+    """--backend is gone: a usage error (exit 2), never a verify run."""
     from repro import api as api_module
 
-    seen = {}
-    real_verify = api_module.verify
-
-    def spy(unit, *args, **kwargs):
-        report = real_verify(unit, *args, **kwargs)
-        seen["backend"] = kwargs["options"].backend
-        return report
-
-    monkeypatch.setattr(api_module, "verify", spy)
-    assert main(["verify", program(CLEAN), "--backend", "reference"]) == 0
-    capsys.readouterr()
-    assert seen["backend"] == "reference"
-    assert main(["verify", program(CLEAN)]) == 0
-    capsys.readouterr()
-    assert seen["backend"] == "incremental"
+    calls = []
+    monkeypatch.setattr(
+        api_module, "verify", lambda *args, **kwargs: calls.append(args)
+    )
+    for backend in ("reference", "incremental", "z3"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", program(CLEAN), "--backend", backend])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_no_incremental_flag_is_rejected(program, capsys):
@@ -531,7 +530,8 @@ def test_backend_portfolio_is_rejected(program, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", program(CLEAN), "--backend", "portfolio"])
     assert excinfo.value.code == 2
-    assert "invalid choice: 'portfolio'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --backend portfolio" in err
 
 
 @pytest.mark.parametrize("format_flag", ["text", "json"])

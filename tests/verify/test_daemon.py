@@ -288,12 +288,28 @@ def test_daemon_verify_rejects_bad_params(program):
 
 def test_daemon_verify_rejects_removed_options(program):
     daemon = VerifyDaemon(use_cache=False)
-    for options in ({"incremental": False}, {"backend": "portfolio"}):
+    for options in (
+        {"incremental": False},
+        {"backend": "portfolio"},
+        {"backend": "reference"},
+        {"backend": "incremental"},
+    ):
         response = daemon.handle_line(
             request_line("verify", 1, paths=[program(CLEAN)], options=options)
         )
         assert response["ok"] is False, options
         assert response["error"]["code"] == protocol.ERROR_INVALID_PARAMS
+        (name,) = options
+        assert name in response["error"]["message"]
+
+
+def test_daemon_reports_protocol_4():
+    # Protocol 4 dropped the ``backend`` verify option.
+    daemon = VerifyDaemon(use_cache=False)
+    response = daemon.handle_line(request_line("status", 1))
+    assert response["ok"] is True
+    assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 4
+    assert response["result"]["version"].startswith("repro-daemon/4.")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):

@@ -3,11 +3,12 @@
 The incremental engine shares Tseitin encodings, plugin axioms, theory
 lemmas, and CDCL-learned clauses across the query chain of each
 statement; the acceptance bar is that this is *pure* work sharing.
-For every corpus program, ``backend="incremental"`` (the default) must
-produce byte-identical warnings (messages and counterexample text),
-the same ``methods_checked`` / ``statements_checked``, and the same
-verdict counts as ``backend="reference"``, which rebuilds a fresh
-solver per query -- under both the serial driver and the process pool.
+For every corpus program, the engine must produce byte-identical
+warnings (messages and counterexample text), the same
+``methods_checked`` / ``statements_checked``, and the same verdict
+counts as the reference oracle (``tests/smt/reference_solver.py``),
+which rebuilds a fresh solver per query -- under both the serial
+driver and the process pool.
 """
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from repro import api
 from repro.corpus import combined_programs
 from repro.smt.cache import SolverCache
+
+from ..smt.reference_solver import reference_engine
 
 FAST_GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
@@ -32,10 +35,21 @@ def _snapshot(report):
     )
 
 
-def _run(unit, backend, **settings):
-    return api.verify(
-        unit, options=api.VerifyOptions(backend=backend, **settings)
-    )
+def _report_key(report):
+    """The report document minus timings and solver internals."""
+    doc = report.to_dict()
+    doc.pop("seconds")
+    doc.pop("solver_stats")
+    return doc
+
+
+def _run(unit, **settings):
+    return api.verify(unit, options=api.VerifyOptions(**settings))
+
+
+def _run_reference(unit, **settings):
+    with reference_engine():
+        return _run(unit, **settings)
 
 
 def _verdicts(report):
@@ -51,17 +65,33 @@ def units():
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_serial(units, group):
-    baseline = _run(units[group], "reference", cache=None)
-    incremental = _run(units[group], "incremental", cache=None)
+    baseline = _run_reference(units[group], cache=None)
+    incremental = _run(units[group], cache=None)
     assert _snapshot(baseline) == _snapshot(incremental)
+    assert _report_key(baseline) == _report_key(incremental)
     assert _verdicts(baseline) == _verdicts(incremental)
 
 
 @pytest.mark.parametrize("group", FAST_GROUPS)
 def test_incremental_matches_fromscratch_parallel(units, group):
-    baseline = _run(units[group], "reference", jobs=4, cache=None)
-    incremental = _run(units[group], "incremental", jobs=4, cache=None)
+    baseline = _run_reference(units[group], jobs=4, cache=None)
+    incremental = _run(units[group], jobs=4, cache=None)
     assert _snapshot(baseline) == _snapshot(incremental)
+    assert _report_key(baseline) == _report_key(incremental)
+    assert _verdicts(baseline) == _verdicts(incremental)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_reference_oracle_really_answers(units, jobs):
+    """Guards the comparisons above against a patch that silently does
+    nothing (or does not reach forked workers): the rebuild engine
+    re-derives axioms per depth, so its work counters differ."""
+    engine = _run(units["collections"], jobs=jobs, cache=None)
+    oracle = _run_reference(units["collections"], jobs=jobs, cache=None)
+    assert (
+        oracle.solver_stats.total.axioms_asserted
+        > engine.solver_stats.total.axioms_asserted
+    )
 
 
 def test_trees_under_dead_budget_is_sound_and_deterministic(units):
@@ -76,10 +106,8 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
     warning (never a wrong verdict), the same methods and statements
     are visited, and each engine is deterministic run to run.
     """
-    baseline = _run(units["trees"], "reference", cache=None, budget=NO_BUDGET)
-    incremental = _run(
-        units["trees"], "incremental", cache=None, budget=NO_BUDGET
-    )
+    baseline = _run_reference(units["trees"], cache=None, budget=NO_BUDGET)
+    incremental = _run(units["trees"], cache=None, budget=NO_BUDGET)
     for report in (baseline, incremental):
         assert report.diagnostics.warnings, "trees should warn under tiny budget"
         assert all(
@@ -88,7 +116,7 @@ def test_trees_under_dead_budget_is_sound_and_deterministic(units):
         )
     assert baseline.methods_checked == incremental.methods_checked
     assert baseline.statements_checked == incremental.statements_checked
-    again = _run(units["trees"], "incremental", cache=None, budget=NO_BUDGET)
+    again = _run(units["trees"], cache=None, budget=NO_BUDGET)
     assert _snapshot(incremental) == _snapshot(again)
 
 
@@ -117,24 +145,48 @@ static int g(Nat n) {
 }
 """
     unit = api.compile_program(source)
-    baseline = _run(unit, "reference", cache=None)
-    incremental = _run(unit, "incremental", cache=None)
+    baseline = _run_reference(unit, cache=None)
+    incremental = _run(unit, cache=None)
     assert any(w.counterexample for w in baseline.diagnostics.warnings)
     assert _snapshot(baseline) == _snapshot(incremental)
+
+
+#: the one corpus counterexample whose text depends on *which* solve
+#: produces the model: answering this model query on the statement's
+#: shared engine (with its inherited search state) renders a different
+#: counterexample, so it pins that model queries get a fresh solve
+COLLECTIONS_144 = (
+    "warning[nonexhaustive] <input>:144:5: match is not exhaustive\n"
+    "  counterexample: c = 1; k = 0; "
+    "l: matched-by RBTree.rbleaf[pred], "
+    "not matched-by RBTree.rbnode[color,key,l,r,val], instanceof RBTree; "
+    "r: matched-by RBTree.rbleaf[pred], "
+    "not matched-by RBTree.rbnode[color,key,l,r,val], instanceof RBTree; "
+    "result: not matched-by RBTree.rbleaf[pred], "
+    "matched-by RBTree.rbnode[color,key,l,r,val], instanceof RBTree"
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_collections_counterexample_is_pinned(units, jobs):
+    for run in (_run, _run_reference):
+        report = run(units["collections"], jobs=jobs, cache=None)
+        rendered = [str(w) for w in report.diagnostics.warnings]
+        assert COLLECTIONS_144 in rendered
 
 
 def test_incremental_with_shared_cache_matches(units):
     """A warm shared cache does not perturb incremental verdicts."""
     cache = SolverCache()
-    cold = _run(units["nat"], "incremental", cache=cache)
-    warm = _run(units["nat"], "incremental", cache=cache)
-    baseline = _run(units["nat"], "reference", cache=None)
+    cold = _run(units["nat"], cache=cache)
+    warm = _run(units["nat"], cache=cache)
+    baseline = _run_reference(units["nat"], cache=None)
     assert _snapshot(cold) == _snapshot(baseline)
     assert _snapshot(warm) == _snapshot(baseline)
 
 
 def test_incremental_repeat_runs_are_deterministic(units):
-    first = _run(units["cps"], "incremental", cache=None)
-    second = _run(units["cps"], "incremental", cache=None)
+    first = _run(units["cps"], cache=None)
+    second = _run(units["cps"], cache=None)
     assert _snapshot(first) == _snapshot(second)
     assert _verdicts(first) == _verdicts(second)

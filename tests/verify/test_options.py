@@ -74,7 +74,7 @@ def test_options_fields_mirror_legacy_defaults():
     assert opts.trace is None
     assert opts.tracer is None
     assert opts.format == "text"
-    assert opts.backend == "incremental"
+    assert not hasattr(opts, "backend")
     assert opts.use_cache is True
     assert opts.trace_enabled is False
 
@@ -136,13 +136,15 @@ def test_validate_rejects_booleans(bad):
         VerifyOptions(**bad).validate()
 
 
-# -- backend selection ---------------------------------------------------
+# -- the removed backend option ------------------------------------------
 
 
 def test_validate_rejects_unknown_backend():
-    for backend in ("cvc5", "portfolio", None):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            VerifyOptions(backend=backend).validate()
+    # There is one engine and no option that names one: every former
+    # backend name is rejected at construction, not silently ignored.
+    for backend in ("incremental", "reference", "z3", "cvc5", "portfolio", None):
+        with pytest.raises(TypeError, match="backend"):
+            VerifyOptions(backend=backend)
 
 
 def test_incremental_option_is_rejected():
@@ -150,19 +152,30 @@ def test_incremental_option_is_rejected():
         VerifyOptions(incremental=False)
 
 
-def test_api_verify_backend_kwarg_is_threaded(unit):
-    baseline = api.verify(unit, options=VerifyOptions(cache=None))
+def test_api_verify_backend_kwarg_is_rejected(unit):
     for backend in ("reference", "incremental"):
-        report = api.verify(
-            unit, options=VerifyOptions(cache=None, backend=backend)
-        )
-        assert _snapshot(report) == _snapshot(baseline)
+        with pytest.raises(TypeError, match="backend"):
+            api.verify(unit, backend=backend)
+        with pytest.raises(TypeError, match="backend"):
+            api.verify(
+                unit, options=VerifyOptions(cache=None, backend=backend)
+            )
 
 
-def test_api_exports_the_backend_registry():
-    assert "SolverBackend" in api.__all__
-    assert set(api.backend_names()) == {"incremental", "reference", "z3"}
-    assert {"incremental", "reference"} <= set(api.available_backends())
+def test_api_does_not_export_a_backend_registry():
+    import importlib.util
+
+    removed = (
+        "SolverBackend",
+        "register_backend",
+        "available_backends",
+        "backend_names",
+    )
+    for name in removed:
+        assert name not in api.__all__
+        assert not hasattr(api, name)
+    for module in ("repro.smt.backend", "repro.smt.z3backend"):
+        assert importlib.util.find_spec(module) is None
 
 
 # -- the machine-readable report -----------------------------------------
