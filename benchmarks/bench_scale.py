@@ -75,9 +75,9 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
-def _verify_lane(units, jobs, batch_size="auto"):
+def _verify_lane(units, jobs):
     """One no-cache pass over every unit; returns (seconds, reports)."""
-    options = api.VerifyOptions(cache=None, jobs=jobs, batch_size=batch_size)
+    options = api.VerifyOptions(cache=None, jobs=jobs)
     start = time.perf_counter()
     reports = [api.verify(unit, options=options) for unit in units]
     return time.perf_counter() - start, reports

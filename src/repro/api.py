@@ -17,6 +17,7 @@ There is one solving engine, the incremental lazy DPLL(T)
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .errors import Diagnostics
@@ -25,7 +26,7 @@ from .lang.symbols import ProgramTable
 from .obs import NULL_TRACER, Tracer, write_jsonl
 from .runtime import Interpreter
 from .smt.cache import GLOBAL_CACHE, SolverCache
-from .verify import VerificationReport, Verifier
+from .verify import VerificationReport
 from .verify.options import VerifyOptions
 
 __all__ = [
@@ -72,9 +73,9 @@ def verify(
     ``None`` to solve every query from scratch.  The returned report
     carries per-method solver statistics in ``solver_stats``.
 
-    ``jobs`` selects the verification engine: 1 (the default) runs the
-    serial driver exactly as before; above 1, per-method tasks are
-    fanned out over that many worker processes and merged back in
+    ``jobs`` selects the driver: 1 (the default) verifies the
+    per-method tasks one after another in this process; above 1, they
+    are fanned out over that many worker processes and merged back in
     source order, producing byte-identical warnings and counts.
 
     ``cache_dir`` adds a persistent disk tier under that directory so
@@ -94,21 +95,17 @@ def verify(
     serially; the resolved decision is recorded on the report
     (``solver_stats.parallel_decision``) and in the trace.
 
-    ``batch_size`` groups that many per-method obligations into one
-    worker submission (parallel runs only), amortizing submit/pickle
-    overhead on corpora with many small methods.  The default
-    ``"auto"`` sizes batches from the task and worker counts, and
-    keeps single-task batches under ``task_timeout`` so deadlines
-    attribute to exactly one method.
+    Parallel runs ship obligations to workers in batches sized from
+    the task and worker counts (single-task batches under
+    ``task_timeout``, so deadlines attribute to exactly one method);
+    no option sets the batch size.
 
     ``task_timeout`` bounds each verification task's (method's) wall
     time; an obligation that overruns it is reported with an
-    UNKNOWN-style warning instead of hanging the run.  It also arms
-    the fault-tolerant pipeline on the serial path: a task that fails
-    degrades to a warning rather than raising.  Parallel runs are
-    always fault-tolerant — a crashed worker's unfinished tasks are
-    retried and, as a last resort, run serially in this process (see
-    :mod:`repro.verify.parallel`).
+    UNKNOWN-style warning instead of hanging the run.  Whatever the
+    driver, a task that fails degrades to an UNKNOWN-style warning
+    rather than raising, and a crashed worker's unfinished tasks run
+    serially in this process (see :mod:`repro.verify.parallel`).
 
     ``trace`` writes the run's span tree — run, file, task, statement,
     obligation, and query spans, with verdicts, cache-tier outcomes,
@@ -160,42 +157,40 @@ def verify(
 def _verify_table(
     table: ProgramTable, opts: VerifyOptions, tracer
 ) -> VerificationReport:
-    """Dispatch one table to the right driver for ``opts``."""
+    """Run every task of one table on the driver ``opts.jobs`` picks."""
+    from .verify.faults import active_fault
     from .verify.parallel import (
         describe_parallel_decision,
+        merge_outcomes,
         resolve_jobs,
+        run_serial,
     )
     from .verify.verifier import iter_tasks
 
-    task_count = sum(1 for _ in iter_tasks(table))
-    jobs = resolve_jobs(opts.jobs, task_count)
-    if jobs != 1:
-        # verify_parallel re-resolves from the original request, so the
-        # recorded decision names what the caller actually asked for.
-        from .verify.parallel import verify_parallel
-
-        return verify_parallel(table, tracer=tracer, options=opts)
-    decision = describe_parallel_decision(opts.jobs, 1, task_count, 1)
+    active_fault()  # reject a malformed REPRO_FAULT loudly, up front
+    tasks = list(iter_tasks(table))
+    jobs = resolve_jobs(opts.jobs, len(tasks))
+    decision = describe_parallel_decision(
+        opts.jobs, jobs, len(tasks), opts.task_timeout
+    )
     if tracer.enabled:
         tracer.event("jobs-decision", decision=decision)
-    cache = opts.cache
-    if opts.use_cache and opts.cache_dir is not None:
-        from .smt.diskcache import DiskCache
+    if jobs > 1:
+        from .verify.parallel import verify_parallel
 
-        if cache is GLOBAL_CACHE:
-            cache = SolverCache(disk=DiskCache(opts.cache_dir))
-        elif cache.disk is None:
-            cache.disk = DiskCache(opts.cache_dir)
-    if opts.task_timeout is not None:
-        from .verify.parallel import verify_serial_with_timeout
-
-        report = verify_serial_with_timeout(
-            table, cache=cache, tracer=tracer, options=opts
-        )
+        report = verify_parallel(table, opts, tracer, jobs)
     else:
-        report = Verifier(
-            table, cache=cache, tracer=tracer, options=opts
-        ).run()
+        cache = opts.cache
+        if opts.use_cache and opts.cache_dir is not None:
+            from .smt.diskcache import DiskCache
+
+            if cache is GLOBAL_CACHE:
+                cache = SolverCache(disk=DiskCache(opts.cache_dir))
+            elif cache.disk is None:
+                cache.disk = DiskCache(opts.cache_dir)
+        start = time.perf_counter()
+        outcomes = run_serial(table, tasks, opts, cache, tracer)
+        report = merge_outcomes(outcomes, time.perf_counter() - start)
     report.solver_stats.parallel_decision = decision
     return report
 

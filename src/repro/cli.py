@@ -21,9 +21,8 @@ verification "only affects warnings given to the programmer"); 1 on
 per-file failures — compile errors, unreadable files, or a ``--tier
 check`` disagreement (with several files: if any file failed) — the
 same in text and JSON mode; 2 on bad usage, including a non-positive
-``--budget``, ``--jobs``, ``--batch-size``, or ``--task-timeout`` and
-invalid option combinations; 130 when interrupted (Ctrl-C), after
-cancelling any
+``--budget``, ``--jobs``, or ``--task-timeout`` and invalid option
+combinations; 130 when interrupted (Ctrl-C), after cancelling any
 verification work still queued on the worker pool.
 """
 
@@ -91,23 +90,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if jobs < 1:
             print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
             return 2
-    batch_size: int | str = args.batch_size
-    if batch_size != "auto":
-        try:
-            batch_size = int(batch_size)
-        except ValueError:
-            print(
-                f"error: --batch-size must be a positive integer or 'auto', "
-                f"got {args.batch_size!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if batch_size < 1:
-            print(
-                f"error: --batch-size must be >= 1, got {batch_size}",
-                file=sys.stderr,
-            )
-            return 2
     if args.daemon:
         return _verify_via_daemon(args)
     from .smt.cache import GLOBAL_CACHE
@@ -129,7 +111,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         jobs=jobs,
         cache_dir=cache_dir,
         task_timeout=args.task_timeout,
-        batch_size=batch_size,
         tracer=tracer,
         format=args.format,
         tier=args.tier,
@@ -219,10 +200,10 @@ def _format_warning(warning: dict) -> str:
 def _verify_via_daemon(args: argparse.Namespace) -> int:
     """The ``verify --daemon`` path: one request to a warm daemon.
 
-    ``--jobs``/``--batch-size`` are ignored here — the daemon verifies
-    warm-serial by design (its speed comes from hot caches and the
-    dependency index, not a process pool) — as is ``--cache-dir``, which
-    the daemon fixed at spawn time.
+    ``--jobs`` is ignored here — the daemon verifies warm-serial by
+    design (its speed comes from hot caches and the dependency index,
+    not a process pool) — as is ``--cache-dir``, which the daemon fixed
+    at spawn time.
     """
     json_mode = args.format == "json"
     from .verify.daemon import DaemonError, ensure_daemon
@@ -366,14 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument(
         "--jobs", default="1", metavar="N",
         help="verify methods on N worker processes, or 'auto' to size the "
-        "pool from the CPU count and task count (default: 1, serial)",
-    )
-    p_verify.add_argument(
-        "--batch-size", default="auto", metavar="N",
-        help="obligations per parallel worker submission, or 'auto' "
-        "(default) to size batches from the task and worker counts; "
-        "runs under --task-timeout default to single-task batches so "
-        "deadlines attribute to exactly one method",
+        "pool from the CPU count and task count (default: 1, serial); "
+        "methods ship to workers in batches sized from the task and "
+        "worker counts",
     )
     p_verify.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -391,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         "--daemon", action="store_true",
         help="verify through the warm daemon (spawning one if needed): "
         "hot SMT caches plus dependency-aware re-verification across "
-        "invocations; --jobs/--batch-size/--cache-dir are ignored on "
+        "invocations; --jobs/--cache-dir are ignored on "
         "this path (the daemon is warm-serial and owns its cache)",
     )
     p_verify.add_argument(

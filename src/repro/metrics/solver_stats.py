@@ -127,12 +127,12 @@ class VerifyStats:
     per_method: dict[str, QueryStats] = field(default_factory=dict)
     total: QueryStats = field(default_factory=QueryStats)
     # -- pipeline fault-tolerance accounting (repro.verify.parallel) --
-    #: task re-executions after a worker crash/failure (pool retry
-    #: round plus in-process serial fallback runs)
+    #: tasks the pool's in-process serial fallback re-ran after a
+    #: worker crash or failure
     tasks_retried: int = 0
     #: obligations cut off by the per-task deadline and warned UNKNOWN
     tasks_timed_out: int = 0
-    #: obligations degraded to UNKNOWN after exhausting every retry
+    #: obligations degraded to UNKNOWN because their run raised
     tasks_failed: int = 0
     #: tasks whose per-task deadline could not arm (no SIGALRM off the
     #: main thread) and ran under the soft-deadline fallback instead:

@@ -1,8 +1,9 @@
 """Deterministic fault injection for the verification pipeline.
 
-The fault-tolerance machinery in :mod:`repro.verify.parallel` — pool
-respawn after a worker crash, per-task wall-clock deadlines, in-process
-serial fallback, disk-cache corruption handling — guards against events
+The fault-tolerance machinery in :mod:`repro.verify.parallel` — the
+in-process serial fallback after a worker crash, per-task wall-clock
+deadlines, degradation of a failing task, disk-cache corruption
+handling — guards against events
 that are hard to produce on demand: an OOM-killed worker, an obligation
 that never terminates, a half-written cache entry.  This module makes
 each of them reproducible, so tests and CI exercise every recovery path
@@ -27,9 +28,10 @@ workers), selects at most one fault per run:
 
 ``raise:<task>``
     Raise :class:`FaultInjected` instead of verifying the matching
-    task, wherever it runs.  Exercises graceful degradation: the
-    pipeline re-runs the task serially, fails again, and reports the
-    obligation inconclusive instead of crashing the run.
+    task, wherever it runs.  Exercises graceful degradation: every
+    driver reports the obligation inconclusive instead of crashing the
+    run (a pool run first re-runs the task serially, which fails
+    again).
 
 ``corrupt-cache``
     Truncate every disk-cache entry as it is written
@@ -87,8 +89,8 @@ def in_worker() -> bool:
 def maybe_fail_task(label: str) -> None:
     """Fire the configured task fault if ``label`` matches its target.
 
-    Called by the pipeline immediately before a task's real work, both
-    in pool workers and in the in-process serial paths.
+    Called by :func:`repro.verify.parallel.run_one_task` immediately
+    before a task's real work, in pool workers and in process alike.
     """
     fault = active_fault()
     if fault is None or fault[1] != label:

@@ -1,10 +1,13 @@
 """The verification configuration: ``VerifyOptions``.
 
 ``api.verify(unit, options=VerifyOptions(...))`` is the one way to
-configure a run; the drivers (``Verifier``, ``verify_parallel``,
-``verify_serial_with_timeout``) consume the same object directly, and
-the CLI and the daemon build one from their flags and request options
-and call :meth:`VerifyOptions.validate` on it before verifying.
+configure a run; both drivers (the serial task loop
+:func:`~repro.verify.parallel.run_serial` and the pool,
+:func:`~repro.verify.parallel.verify_parallel`) consume the same object
+directly, and the CLI and the daemon build one from their flags and
+request options and call :meth:`VerifyOptions.validate` on it before
+verifying.  Settings that only tune how a run is carried out, such as
+the pool's batch size, are derived rather than set.
 
 Beyond the solver and driver knobs, three fields serve observability
 and rendering:
@@ -59,11 +62,6 @@ class VerifyOptions:
     cache_dir: str | None = None
     #: wall-clock limit per verification task (method), in seconds
     task_timeout: float | None = None
-    #: obligations per parallel worker submission: an int, or "auto" to
-    #: size batches from the task and worker counts (serial runs and
-    #: runs under ``task_timeout`` always use single-task batches, so
-    #: tail latency and timeout attribution stay per-method)
-    batch_size: int | str = "auto"
     #: path to write the run's JSONL trace (None: tracing off)
     trace: str | None = None
     #: an externally-owned tracer to record into (overrides ``trace``
@@ -93,9 +91,9 @@ class VerifyOptions:
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range settings — and normalize.
 
-        ``jobs``/``batch_size`` arrive as strings from CLIs and config
-        files; validation converts them to ``int`` *in place*, so the
-        drivers downstream never see ``jobs="3"`` (which used to pass
+        ``jobs`` arrives as a string from CLIs and config files;
+        validation converts it to ``int`` *in place*, so the drivers
+        downstream never see ``jobs="3"`` (which used to pass
         validation un-normalized and then fail arithmetic later).
         Booleans are rejected explicitly: ``jobs=True`` is ``int(True)
         == 1`` by accident of the bool/int subtyping, never intent.
@@ -117,8 +115,7 @@ class VerifyOptions:
                 "task_timeout must be finite and positive, "
                 f"got {self.task_timeout}"
             )
-        self.jobs = self._normalize_count("jobs", self.jobs)
-        self.batch_size = self._normalize_count("batch_size", self.batch_size)
+        self.jobs = self._normalize_jobs(self.jobs)
         if self.format not in OUTPUT_FORMATS:
             raise ValueError(
                 f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}"
@@ -129,21 +126,21 @@ class VerifyOptions:
             )
 
     @staticmethod
-    def _normalize_count(name: str, value) -> int | str:
+    def _normalize_jobs(value) -> int | str:
         """``"auto"`` or a positive int; digit strings become ints."""
         if value == "auto":
             return "auto"
         if isinstance(value, bool):
             raise ValueError(
-                f"{name} must be a positive integer or 'auto', got {value!r}"
+                f"jobs must be a positive integer or 'auto', got {value!r}"
             )
         try:
             count = int(value)
         except (TypeError, ValueError):
             raise ValueError(
-                f"{name} must be a positive integer or 'auto', got {value!r}"
+                f"jobs must be a positive integer or 'auto', got {value!r}"
             ) from None
         if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+            raise ValueError(f"jobs must be >= 1, got {count}")
         return count
 

@@ -1,58 +1,53 @@
-"""Parallel per-method verification with fault tolerance.
+"""The per-method task loop: in process, or fanned out over a pool.
 
 The paper verifies "one method at a time" (Section 7), so the program
 table decomposes into independent :class:`~repro.verify.verifier
-.VerifyTask` obligations — this module fans them out across a
-``ProcessPoolExecutor`` and deterministically reassembles the result:
+.VerifyTask` obligations.  Every in-process run verifies them through
+one loop, :func:`run_serial` (each task via :func:`run_one_task`,
+merged by :func:`merge_outcomes`); :func:`verify_parallel` fans them
+out across a ``ProcessPoolExecutor`` and reassembles the same result:
 
 * the task list is produced in serial (source) order by
   :func:`~repro.verify.verifier.iter_tasks` and results are merged back
   in that same order, so warnings come out byte-identical to a serial
   run, whatever order workers finish in;
-* every task runs inside a pristine term-interning scope (the serial
-  driver does the same), so models, counterexample text, and cache
-  fingerprints do not depend on which worker ran which tasks before;
-* each worker process rebuilds its own ``SolverSession`` (solver
-  state, in-memory :class:`~repro.smt.cache.SolverCache`) from the
-  pickled program table; workers share nothing in memory, but they do
-  share the optional disk tier (:mod:`repro.smt.diskcache`), whose
-  atomic writes make concurrent access safe — a verdict one worker
-  stores is a solve another worker skips.
+* every task runs inside a pristine term-interning scope with a fresh
+  ``SolverSession``, so models, counterexample text, and cache
+  fingerprints do not depend on which process ran which tasks before;
+* each worker process builds its own in-memory
+  :class:`~repro.smt.cache.SolverCache` from the pickled program
+  table; workers share nothing in memory, but they do share the
+  optional disk tier (:mod:`repro.smt.diskcache`), whose atomic writes
+  make concurrent access safe.
 
 Throughput comes from amortization, not from more processes:
 
 * **warm workers** — the pool initializer builds the table, the cache
   tiers, and the shared pattern-algebra signature memo
-  (:func:`repro.verify.tiered.warm_algebra`) once per worker process,
-  so per-task setup is a fresh ``Verifier`` over already-warm state;
+  (:func:`repro.verify.tiered.warm_algebra`) once per worker process;
 * **batching** — many small obligations ship per pool submission
-  (:func:`resolve_batch_size`; ``batch_size="auto"`` sizes batches
-  from the task and worker counts), collapsing the per-future
-  submit/pickle/result overhead that made one-obligation-per-task
-  *slower* than serial on corpus-sized workloads.  Outcomes stay
-  per-task inside each batch, so merging is unchanged.  Runs under
-  ``--task-timeout`` keep single-task batches: a deadline or a
-  degradation must attribute to exactly one method;
-* **serial fallback for tiny workloads** — both ``--jobs auto`` and an
-  explicit ``--jobs N`` stay serial below a small task count
+  (:func:`resolve_batch_size` sizes batches from the task and worker
+  counts), collapsing the per-future submit/pickle/result overhead.
+  Outcomes stay per-task inside each batch, so merging is unchanged.
+  Runs under ``--task-timeout`` keep single-task batches: a deadline
+  must attribute to exactly one method;
+* **serial for tiny workloads** — both ``--jobs auto`` and an explicit
+  ``--jobs N`` stay serial below a small task count
   (:data:`MIN_TASKS_PARALLEL`), where pool spawn dominates; the
   decision is recorded on ``VerifyStats.parallel_decision`` (rendered
   by ``--stats``) and as a trace event.
 
-The pipeline survives worker failure the way the solver already
-survives hard queries — by degrading instead of diverging (the paper's
-Section 6.2 time budget turns an undecidable obligation into a
-conservative warning; this module does the same at the process level):
+A failing task degrades instead of diverging, on every driver (the
+paper's Section 6.2 time budget turns an undecidable obligation into a
+conservative warning; this module does the same per task):
 
-* **crash recovery** — tasks go through per-task ``submit`` with
-  completion tracking, so when a worker dies (OOM killer, hard crash:
-  ``BrokenProcessPool``) every already-completed outcome is kept, the
-  pool is respawned once, and only the unfinished tasks are retried;
-  tasks still unfinished after the retry round run serially in this
-  process.  A task whose execution raises (worker alive) skips the
-  pool retry — a deterministic exception would just recur — and goes
-  straight to the serial fallback; if it fails there too, it degrades
-  to an UNKNOWN-style warning instead of crashing the run.
+* **degradation** — a task whose run raises becomes an UNKNOWN-style
+  warning (``tasks_failed``), serial and parallel alike.
+* **crash recovery** — when a worker dies (OOM killer, hard crash:
+  ``BrokenProcessPool``), every completed outcome is kept and the
+  tasks without one run through :func:`run_serial` in this process.
+  A task that raised inside a live worker takes the same path.  There
+  is no second pool: a deterministic crash would only recur.
 * **per-task deadlines** — ``task_timeout`` bounds each obligation's
   wall time via ``SIGALRM`` in whichever process runs it, converting a
   hung task into a deterministic UNKNOWN-style warning attributed to
@@ -90,7 +85,8 @@ from ..errors import Diagnostics, Warning, WarningKind
 from ..lang.symbols import ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER, Span, Tracer
-from .faults import active_fault, maybe_fail_task
+from .faults import maybe_fail_task
+from .options import VerifyOptions
 from .verifier import (
     VerificationReport,
     Verifier,
@@ -161,9 +157,9 @@ def build_cache(use_cache: bool, cache_dir: str | None):
     """The cache tiers one verifying process uses (or None).
 
     The single construction point for "an in-memory tier, optionally in
-    front of a disk tier at ``cache_dir``" — the worker initializer,
-    the serial path, and the serial fallback all call it, so the tier
-    wiring cannot drift between them.
+    front of a disk tier at ``cache_dir``" — the worker initializer
+    and the pool's serial fallback both call it, so the tier wiring
+    cannot drift between them.
     """
     if not use_cache:
         return None
@@ -186,9 +182,9 @@ def _init_worker(
     budget: float | None,
     use_cache: bool,
     cache_dir: str | None,
-    task_timeout: float | None = None,
-    trace: bool = False,
-    tier: str = "auto",
+    task_timeout: float | None,
+    trace: bool,
+    tier: str,
 ) -> None:
     """Build this worker's warm state (runs once per process).
 
@@ -323,7 +319,7 @@ def _failed_outcome(
     exc: BaseException,
     trace: bool = False,
 ) -> TaskOutcome:
-    """The degraded outcome of a task that failed its last retry."""
+    """The degraded outcome of a task whose run raised."""
     diag = Diagnostics()
     diag.warn(
         WarningKind.UNKNOWN,
@@ -341,6 +337,35 @@ def _failed_outcome(
     return outcome
 
 
+def run_serial(
+    table: ProgramTable,
+    tasks: list[VerifyTask],
+    options: VerifyOptions,
+    cache,
+    tracer,
+) -> list[TaskOutcome]:
+    """Verify ``tasks`` one after another in this process.
+
+    The one in-process task loop: serial runs and the pool's fallback
+    both go through it.  A task that raises degrades to an
+    UNKNOWN-style warning instead of taking the run down, and each
+    task's span tree is adopted by ``tracer`` in task order.
+    """
+    trace = tracer.enabled
+    outcomes: list[TaskOutcome] = []
+    for task in tasks:
+        try:
+            outcome = run_one_task(
+                table, task, options.budget, cache, options.task_timeout,
+                trace, options.tier,
+            )
+        except Exception as exc:
+            outcome = _failed_outcome(table, task, exc, trace)
+        tracer.attach(outcome.trace)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def verify_method_task(task: VerifyTask) -> TaskOutcome:
     """Verify one task inside a pool worker (see :func:`run_one_task`)."""
     return run_one_task(
@@ -348,9 +373,9 @@ def verify_method_task(task: VerifyTask) -> TaskOutcome:
         task,
         _WORKER["budget"],
         _WORKER["cache"],
-        _WORKER.get("task_timeout"),
-        _WORKER.get("trace", False),
-        _WORKER.get("tier", "auto"),
+        _WORKER["task_timeout"],
+        _WORKER["trace"],
+        _WORKER["tier"],
     )
 
 
@@ -364,7 +389,7 @@ def verify_batch_task(tasks: list[VerifyTask]) -> list:
     consults the harness with each member's own label, so
     ``crash:T.m`` fires exactly when the batch reaches ``T.m`` (a
     crash then loses the batch's buffered outcomes — the parent
-    re-runs those members in isolation).  Per-member deadlines arm
+    re-runs those members serially).  Per-member deadlines arm
     inside :func:`run_one_task` too, so a hung member times out alone
     and its batchmates keep running.
     """
@@ -422,13 +447,12 @@ AUTO_MAX_JOBS = 8
 #: so only the hopeless cases override it.
 MIN_TASKS_PARALLEL = 4
 
-#: ``--batch-size auto`` aims for about this many batches per worker,
-#: enough slack for the pool to rebalance around uneven task costs
+#: batches aim for about this many per worker, enough slack for the
+#: pool to rebalance around uneven task costs
 BATCHES_PER_WORKER = 4
 
-#: ``--batch-size auto`` never batches more obligations than this into
-#: one submission, bounding how much finished work a crashed worker
-#: can take down with it
+#: no batch holds more obligations than this, bounding how much
+#: finished work a crashed worker can take down with it
 MAX_AUTO_BATCH = 64
 
 
@@ -453,24 +477,17 @@ def resolve_jobs(jobs: int | str, task_count: int) -> int:
 
 
 def resolve_batch_size(
-    batch_size: int | str,
-    task_count: int,
-    jobs: int,
-    task_timeout: float | None = None,
+    task_count: int, jobs: int, task_timeout: float | None = None
 ) -> int:
-    """Turn a ``--batch-size`` value into obligations per submission.
+    """Obligations per pool submission for ``task_count`` tasks.
 
-    ``auto`` targets :data:`BATCHES_PER_WORKER` batches per worker
-    (capped at :data:`MAX_AUTO_BATCH`), which amortizes submit/pickle
-    overhead while leaving the pool enough batches to load-balance.
-    Under ``task_timeout`` it stays at 1: a deadline must cut off and
+    Targets :data:`BATCHES_PER_WORKER` batches per worker (capped at
+    :data:`MAX_AUTO_BATCH`), which amortizes submit/pickle overhead
+    while leaving the pool enough batches to load-balance.  Under
+    ``task_timeout`` it stays at 1: a deadline must cut off and
     attribute exactly one method, and a batch would stretch the
-    parent-side watchdog window by its whole length.  An explicit
-    integer is honored as given — including alongside a timeout, for
-    callers who prefer throughput over tail-latency attribution.
+    parent-side watchdog window by its whole length.
     """
-    if batch_size != "auto":
-        return max(1, int(batch_size))
     if jobs <= 1 or task_timeout is not None:
         return 1
     target = -(-task_count // (jobs * BATCHES_PER_WORKER))  # ceil div
@@ -478,7 +495,10 @@ def resolve_batch_size(
 
 
 def describe_parallel_decision(
-    requested: int | str, jobs: int, task_count: int, batch_size: int
+    requested: int | str,
+    jobs: int,
+    task_count: int,
+    task_timeout: float | None,
 ) -> str:
     """One human-readable line on how the run's driver was chosen.
 
@@ -487,6 +507,7 @@ def describe_parallel_decision(
     "why did my --jobs 8 run serially?" is answerable from the output.
     """
     if jobs > 1:
+        batch_size = resolve_batch_size(task_count, jobs, task_timeout)
         return (
             f"parallel: {jobs} workers over {task_count} tasks, "
             f"batch size {batch_size} (requested jobs={requested})"
@@ -528,25 +549,22 @@ def _chunk(items: list, size: int) -> list[list]:
 
 def _drain_pool(
     pool: ProcessPoolExecutor,
-    indexed_tasks: list[tuple[int, VerifyTask]],
+    tasks: list[VerifyTask],
     task_timeout: float | None,
-    batch_size: int = 1,
-):
+    batch_size: int,
+) -> tuple[dict[int, TaskOutcome], bool]:
     """Submit task batches and collect outcomes until done or broken.
 
-    Returns ``(outcomes, raised, broken)``: outcomes and in-worker
-    exceptions by task index, plus whether the pool died (worker crash
-    or watchdog kill) — in which case unaccounted tasks are simply the
-    ones in neither dict.  A batch resolves member-by-member: finished
-    members land in ``outcomes``, members whose run raised land in
-    ``raised``, so one bad obligation never voids its batchmates.
+    Returns the outcomes by task index, plus whether the pool died
+    (worker crash or watchdog kill).  A batch resolves member by
+    member: a member whose run raised inside a live worker simply has
+    no outcome, so one bad obligation never voids its batchmates.
     """
     futures = {
         pool.submit(verify_batch_task, [task for _, task in batch]): batch
-        for batch in _chunk(indexed_tasks, batch_size)
+        for batch in _chunk(list(enumerate(tasks)), batch_size)
     }
     outcomes: dict[int, TaskOutcome] = {}
-    raised: dict[int, BaseException] = {}
     broken = False
     pending = set(futures)
     # A healthy batch may legitimately produce nothing for as long as
@@ -576,230 +594,83 @@ def _drain_pool(
             except BrokenProcessPool:
                 broken = True
                 continue
-            except Exception as exc:
+            except Exception:
                 # The batch call itself failed (e.g. its result did not
-                # unpickle); every member takes the serial-fallback path.
-                for index, _ in batch:
-                    raised[index] = exc
+                # unpickle); every member takes the serial fallback.
                 continue
             for (index, _), result in zip(batch, results):
                 if isinstance(result, TaskOutcome):
                     outcomes[index] = result
-                else:  # the member's run raised inside a live worker
-                    raised[index] = result
-    return outcomes, raised, broken
-
-
-def _run_rounds(
-    table: ProgramTable,
-    tasks: list[VerifyTask],
-    jobs: int,
-    budget: float | None,
-    use_cache: bool,
-    cache_dir: str | None,
-    task_timeout: float | None,
-    trace: bool = False,
-    tier: str = "auto",
-    batch_size: int = 1,
-) -> tuple[dict[int, TaskOutcome], int]:
-    """The pool rounds plus serial fallback; every task gets an outcome.
-
-    Round one submits everything in batches of ``batch_size``; if the
-    pool breaks, round two respawns it and retries only the unfinished
-    tasks — in single-task batches, so a poisoned obligation can take
-    down at most itself the second time.  Whatever is left after that —
-    and any task that raised inside a worker — runs serially in this
-    process, where a final failure degrades to an UNKNOWN-style warning
-    instead of taking the run down.  Retried tasks get a ``retry``
-    event on their task span, so a trace shows which obligations
-    survived a crash.
-    """
-    outcomes: dict[int, TaskOutcome] = {}
-    retried = 0
-    retried_indices: set[int] = set()
-    fallback: dict[int, VerifyTask] = {}
-    remaining = list(enumerate(tasks))
-    for round_number in (1, 2):
-        if not remaining:
-            break
-        round_batch = batch_size
-        if round_number == 2:
-            retried += len(remaining)
-            retried_indices.update(index for index, _ in remaining)
-            round_batch = 1
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(remaining)),
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(
-                table,
-                budget,
-                use_cache,
-                cache_dir,
-                task_timeout,
-                trace,
-                tier,
-            ),
-        )
-        try:
-            done, raised, broken = _drain_pool(
-                pool, remaining, task_timeout, round_batch
-            )
-        except BaseException:
-            # KeyboardInterrupt (or anything unexpected): drop queued
-            # work without blocking on what is already running.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=not broken, cancel_futures=True)
-        outcomes.update(done)
-        fallback.update(
-            (index, task) for index, task in remaining if index in raised
-        )
-        remaining = [
-            (index, task)
-            for index, task in remaining
-            if index not in outcomes and index not in raised
-        ]
-        if not broken:
-            break
-    fallback.update(remaining)
-    if fallback:
-        retried += len(fallback)
-        retried_indices.update(fallback)
-        cache = build_cache(use_cache, cache_dir)
-        for index, task in sorted(fallback.items()):
-            try:
-                outcomes[index] = run_one_task(
-                    table, task, budget, cache, task_timeout, trace, tier
-                )
-            except Exception as exc:
-                outcomes[index] = _failed_outcome(table, task, exc, trace)
-    if trace:
-        for index in retried_indices:
-            outcome = outcomes.get(index)
-            if outcome is not None and outcome.trace is not None:
-                outcome.trace.event("retry")
-    return outcomes, retried
-
-
-def verify_serial_with_timeout(
-    table: ProgramTable,
-    budget: float | None = None,
-    cache=None,
-    task_timeout: float | None = None,
-    tracer=NULL_TRACER,
-    options=None,
-    tier: str = "auto",
-) -> VerificationReport:
-    """The serial driver with per-task deadlines and degradation.
-
-    The ``jobs == 1`` analogue of the fault-tolerant pipeline (also its
-    in-process fallback semantics): each task runs under the deadline,
-    and a task that raises degrades to an UNKNOWN-style warning.  An
-    explicit ``options`` (:class:`repro.api.VerifyOptions`) supplies
-    budget/task_timeout/tier; ``cache`` stays a direct argument
-    because the caller has already resolved the tiers.
-    """
-    if options is not None:
-        budget = options.budget
-        task_timeout = options.task_timeout
-        tier = options.tier
-    active_fault()  # reject a malformed REPRO_FAULT loudly, up front
-    start = time.perf_counter()
-    trace = tracer.enabled
-    outcomes: list[TaskOutcome] = []
-    for task in iter_tasks(table):
-        try:
-            outcome = run_one_task(
-                table, task, budget, cache, task_timeout, trace, tier
-            )
-        except Exception as exc:
-            outcome = _failed_outcome(table, task, exc, trace)
-        outcomes.append(outcome)
-        # Each task records under its own private tracer (matching the
-        # worker protocol exactly); adopt its tree in task order.
-        tracer.attach(outcome.trace)
-    return merge_outcomes(outcomes, time.perf_counter() - start)
+    return outcomes, broken
 
 
 def verify_parallel(
     table: ProgramTable,
-    jobs: int | str = 1,
-    budget: float | None = None,
-    use_cache: bool = True,
-    cache_dir: str | None = None,
-    task_timeout: float | None = None,
-    tracer=NULL_TRACER,
-    options=None,
-    tier: str = "auto",
-    batch_size: int | str = "auto",
+    options: VerifyOptions,
+    tracer,
+    jobs: int,
 ) -> VerificationReport:
-    """Verify every task of ``table`` on a pool of ``jobs`` processes.
+    """Verify every task of ``table`` on a pool of ``jobs`` (> 1) processes.
 
-    Partial results are always preserved: outcomes are tracked per
-    task, merged in deterministic task order exactly as a serial run
-    would produce them, whatever crashed, hung, or got retried along
-    the way (see the module docstring for the recovery policy).  Worker
-    span trees are re-attached to ``tracer`` in that same task order,
-    so a traced parallel run yields the serial span tree modulo span
-    ids, pids, and timings.  An explicit ``options``
-    (:class:`repro.api.VerifyOptions`) supplies every scalar knob.
+    ``jobs`` is the count :func:`resolve_jobs` already decided.  The
+    pool runs everything in batches of :func:`resolve_batch_size`.  The
+    tasks left without an outcome — a broken pool's unfinished ones,
+    and any whose run raised inside a live worker — go through
+    :func:`run_serial` in this process and count as retried; each gets
+    a ``retry`` event on its task span.  Outcomes are merged in task
+    order exactly as a serial run would produce them, and worker span
+    trees are re-attached to ``tracer`` in that same order, so a traced
+    parallel run yields the serial span tree modulo span ids, pids, and
+    timings.
     """
-    if options is not None:
-        jobs = options.jobs
-        budget = options.budget
-        use_cache = options.use_cache
-        cache_dir = options.cache_dir
-        task_timeout = options.task_timeout
-        tier = options.tier
-        batch_size = options.batch_size
-    active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     tasks = list(iter_tasks(table))
-    requested = jobs
-    jobs = resolve_jobs(jobs, len(tasks))
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1 and len(tasks) <= 1:
-        jobs = 1
-    batch_size = resolve_batch_size(
-        batch_size, len(tasks), jobs, task_timeout
-    )
-    decision = describe_parallel_decision(
-        requested, jobs, len(tasks), batch_size
-    )
-    if tracer.enabled:
-        tracer.event("jobs-decision", decision=decision)
+    trace = tracer.enabled
     start = time.perf_counter()
-    if jobs == 1:
-        # Nothing to fan out: take the serial path (same code, no pool).
-        cache = build_cache(use_cache, cache_dir)
-        if task_timeout is None:
-            report = Verifier(
-                table, budget=budget, cache=cache, tracer=tracer, tier=tier
-            ).run()
-        else:
-            report = verify_serial_with_timeout(
-                table,
-                budget=budget,
-                cache=cache,
-                task_timeout=task_timeout,
-                tracer=tracer,
-                tier=tier,
-            )
-        report.solver_stats.parallel_decision = decision
-        return report
-    outcomes, retried = _run_rounds(
-        table, tasks, jobs, budget, use_cache, cache_dir, task_timeout,
-        tracer.enabled, tier, batch_size,
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=_pool_context(),
+        initializer=_init_worker,
+        initargs=(
+            table,
+            options.budget,
+            options.use_cache,
+            options.cache_dir,
+            options.task_timeout,
+            trace,
+            options.tier,
+        ),
     )
-    assert len(outcomes) == len(tasks), "every task must have an outcome"
-    if tracer.enabled:
-        for index in range(len(tasks)):
-            tracer.attach(outcomes[index].trace)
-    report = merge_outcomes(
-        [outcomes[index] for index in range(len(tasks))],
-        time.perf_counter() - start,
-    )
-    report.solver_stats.tasks_retried += retried
-    report.solver_stats.parallel_decision = decision
+    try:
+        outcomes, broken = _drain_pool(
+            pool,
+            tasks,
+            options.task_timeout,
+            resolve_batch_size(len(tasks), jobs, options.task_timeout),
+        )
+    except BaseException:
+        # KeyboardInterrupt (or anything unexpected): drop queued work
+        # without blocking on what is already running.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=not broken, cancel_futures=True)
+    missing = [index for index in range(len(tasks)) if index not in outcomes]
+    if missing:
+        # The trees are adopted in task order below, so the fallback's
+        # own tracer only has to keep traces recording.
+        rerun = run_serial(
+            table,
+            [tasks[index] for index in missing],
+            options,
+            build_cache(options.use_cache, options.cache_dir),
+            Tracer() if trace else NULL_TRACER,
+        )
+        for index, outcome in zip(missing, rerun):
+            if outcome.trace is not None:
+                outcome.trace.event("retry")
+            outcomes[index] = outcome
+    ordered = [outcomes[index] for index in range(len(tasks))]
+    for outcome in ordered:
+        tracer.attach(outcome.trace)
+    report = merge_outcomes(ordered, time.perf_counter() - start)
+    report.solver_stats.tasks_retried += len(missing)
     return report

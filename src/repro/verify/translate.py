@@ -219,23 +219,34 @@ class EncodeContext:
         self.plugin.register(
             atom,
             False,
-            lambda: negate(
-                self._invariant_instance(x, type_name, depth + 1)
+            lambda: self._invariant_instance(
+                x, type_name, depth + 1, negated=True
             ).to_term(),
             depth,
             weak=True,
         )
         return atom
 
-    def _invariant_instance(self, x: Term, type_name: str, depth: int) -> F:
+    def _invariant_instance(
+        self, x: Term, type_name: str, depth: int, negated: bool = False
+    ) -> F:
+        """The visible invariants of ``type_name`` on ``x``, or their negation.
+
+        An invariant that cannot be translated is dropped.  That only
+        weakens the positive instance, which is sound; but the negation
+        of a weakened conjunction says more than the program does, so
+        a negated instance with a dropped part asserts nothing.
+        """
         invariants = self.table.invariants_visible_from(type_name, self.viewer)
         parts: list[F] = []
         for owner, inv in invariants:
             try:
                 parts.append(self._invariant_part(x, owner, inv, depth))
             except TranslationError:
-                continue  # an invariant we cannot reason about is dropped
-        return fand(*parts)
+                if negated:
+                    return fir.TRUE
+        instance = fand(*parts)
+        return negate(instance) if negated else instance
 
     def _invariant_part(
         self, x: Term, owner: str, inv: ast.InvariantDecl, depth: int

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -79,9 +78,8 @@ class VerifyTask:
 def iter_tasks(table: ProgramTable) -> Iterator[VerifyTask]:
     """All verification tasks of a program, in serial (source) order.
 
-    The order matches :meth:`Verifier.run`'s traversal exactly, so
-    concatenating per-task warnings in task order reproduces the serial
-    warning stream byte for byte.
+    Every driver verifies and merges tasks in this order, so the
+    warning stream is the same byte for byte whichever driver ran.
     """
     for name, info in table.types.items():
         if info.decl is None:
@@ -178,7 +176,7 @@ class VerificationReport:
 
     @property
     def tasks_failed(self) -> int:
-        """Obligations degraded to UNKNOWN after exhausting retries."""
+        """Obligations degraded to UNKNOWN because their run raised."""
         return self.solver_stats.tasks_failed if self.solver_stats else 0
 
 
@@ -190,16 +188,7 @@ class Verifier:
         cache: SolverCache | None = GLOBAL_CACHE,
         tracer=NULL_TRACER,
         tier: str = "auto",
-        options=None,
     ):
-        if options is not None:
-            # The consolidated configuration object (repro.api
-            # .VerifyOptions); budget and tier come from it, while
-            # ``cache`` stays an explicit argument because the driver
-            # that builds a Verifier has already resolved the cache
-            # tiers.
-            budget = options.budget
-            tier = options.tier
         self.table = table
         self.diag = Diagnostics()
         self.tracer = tracer
@@ -218,18 +207,6 @@ class Verifier:
         self.methods_checked = 0
 
     # ------------------------------------------------------------------
-
-    def run(self) -> VerificationReport:
-        start = time.perf_counter()
-        for task in iter_tasks(self.table):
-            self.run_task(task)
-        return VerificationReport(
-            self.diag,
-            seconds=time.perf_counter() - start,
-            methods_checked=self.methods_checked,
-            statements_checked=self.statements_checked,
-            solver_stats=self.session.stats,
-        )
 
     def run_task(self, task: VerifyTask) -> None:
         """Verify one task's obligations, appending to ``self.diag``.

@@ -250,28 +250,29 @@ def test_resolve_batch_size_policy():
         resolve_batch_size,
     )
 
-    # Explicit integers are honored as given.
-    assert resolve_batch_size(7, 1000, 4) == 7
-    assert resolve_batch_size("3", 10, 2) == 3
-    assert resolve_batch_size(5, 10, 2, task_timeout=1.0) == 5
-    # auto: single-task batches for serial runs and under a deadline
+    # Single-task batches for serial runs and under a deadline
     # (timeouts must attribute to exactly one method).
-    assert resolve_batch_size("auto", 1000, 1) == 1
-    assert resolve_batch_size("auto", 1000, 4, task_timeout=1.0) == 1
-    # auto: about BATCHES_PER_WORKER batches per worker, capped.
-    assert resolve_batch_size("auto", 1000, 4) == -(
+    assert resolve_batch_size(1000, 1) == 1
+    assert resolve_batch_size(1000, 4, task_timeout=1.0) == 1
+    # About BATCHES_PER_WORKER batches per worker, capped.
+    assert resolve_batch_size(1000, 4) == -(
         -1000 // (4 * BATCHES_PER_WORKER)
     )
-    assert resolve_batch_size("auto", 10_000_000, 2) == MAX_AUTO_BATCH
-    assert resolve_batch_size("auto", 6, 4) == 1
+    assert resolve_batch_size(10_000_000, 2) == MAX_AUTO_BATCH
+    assert resolve_batch_size(6, 4) == 1
 
 
 def test_verify_batch_size_flag_validation(program, capsys):
+    # The batch size is derived from the task and worker counts; no
+    # flag sets it.
     path = program(BUGGY)
-    assert main(["verify", path, "--batch-size", "zero"]) == 2
-    assert "--batch-size" in capsys.readouterr().err
-    assert main(["verify", path, "--batch-size", "0"]) == 2
-    assert "--batch-size" in capsys.readouterr().err
+    for value in ("auto", "2"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, "--batch-size", value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-size" in (
+            capsys.readouterr().err
+        )
 
 
 def test_verify_batched_parallel_output_matches_serial(program, capsys):
@@ -283,13 +284,7 @@ def test_verify_batched_parallel_output_matches_serial(program, capsys):
     ]
     assert main(["verify", path, "--no-cache"]) == 0
     serial = capsys.readouterr().out
-    assert (
-        main(
-            ["verify", path, "--no-cache", "--jobs", "4",
-             "--batch-size", "2"]
-        )
-        == 0
-    )
+    assert main(["verify", path, "--no-cache", "--jobs", "4"]) == 0
     batched = capsys.readouterr().out
     assert strip(serial) == strip(batched)
 

@@ -11,7 +11,8 @@ deterministically through the :mod:`repro.verify.faults` harness
   as a per-method UNKNOWN-style warning, not a hung run — serial and
   parallel alike;
 * a task that keeps raising (``raise:<task>``) must degrade to an
-  UNKNOWN-style warning after its serial-fallback retry;
+  UNKNOWN-style warning, the same one on every driver (a pool run gets
+  there after its serial-fallback retry);
 * the accounting (``tasks_retried`` / ``tasks_timed_out`` /
   ``tasks_failed``) must land on the report and ``--stats``.
 """
@@ -21,7 +22,7 @@ import pytest
 from repro import api
 from repro.errors import WarningKind
 from repro.smt.cache import SolverCache
-from repro.verify import faults
+from repro.verify import faults, parallel
 from repro.verify.parallel import TaskTimeout, task_deadline
 from repro.verify.verifier import iter_tasks
 
@@ -98,9 +99,9 @@ def test_crash_recovered_run_is_byte_identical(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=4))
     assert _snapshot(recovered) == _snapshot(baseline)
-    # The pool crashed (twice: first round and retry round), so the
-    # target was re-executed at least once before the serial fallback
-    # completed it in-process.
+    # The crash broke the pool, so the target (with every other task
+    # still unfinished) re-ran in the serial fallback, where the crash
+    # fault does not fire.
     assert recovered.tasks_retried >= 1
     assert recovered.tasks_failed == 0
     assert recovered.tasks_timed_out == 0
@@ -113,6 +114,23 @@ def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
         options=api.VerifyOptions(jobs=4, cache_dir=str(tmp_path / "cache")),
     )
     assert _snapshot(recovered) == _snapshot(baseline)
+    assert recovered.tasks_retried >= 1
+
+
+def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):
+    """A broken pool is not respawned: the serial fallback finishes."""
+    pools = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
+    recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
+    assert _snapshot(recovered) == _snapshot(baseline)
+    assert len(pools) == 1
     assert recovered.tasks_retried >= 1
 
 
@@ -204,6 +222,20 @@ def test_raising_task_degrades_to_unknown(unit, baseline, monkeypatch):
     assert report.methods_checked == baseline.methods_checked - 1
 
 
+def test_raising_task_degrades_the_same_on_every_driver(unit, monkeypatch):
+    """One fault, one behaviour: serial and pool runs report alike."""
+    monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
+    reports = [
+        api.verify(unit, options=api.VerifyOptions(cache=None, jobs=jobs))
+        for jobs in (1, 2)
+    ]
+    serial, pooled = ([str(w) for w in r.diagnostics.warnings] for r in reports)
+    assert serial == pooled
+    degraded = [text for text in serial if "failed (FaultInjected)" in text]
+    assert len(degraded) == 1 and TARGET in degraded[0]
+    assert [r.tasks_failed for r in reports] == [1, 1]
+
+
 def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
     report = api.verify(
@@ -216,28 +248,38 @@ def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
 # ----------------------------------------------------------------------
 # batch granularity: a fault inside a batch costs only that batch's
 # unfinished members (the REPRO_FAULT label matches per member, since
-# batches consult the harness one task at a time)
+# batches consult the harness one task at a time).  No option sets the
+# batch size, so these tests force one where the parent process
+# computes it.
 
 
-def test_batched_run_without_faults_is_byte_identical(unit, baseline):
+def _force_batch_size(monkeypatch, size):
+    monkeypatch.setattr(
+        parallel, "resolve_batch_size", lambda *args, **kwargs: size
+    )
+
+
+def test_batched_run_without_faults_is_byte_identical(
+    unit, baseline, monkeypatch
+):
     for batch_size in (1, 2, 5):
+        _force_batch_size(monkeypatch, batch_size)
         report = api.verify(
-            unit,
-            options=api.VerifyOptions(
-                jobs=2,
-                cache=None,
-                batch_size=batch_size,
-            ),
+            unit, options=api.VerifyOptions(jobs=2, cache=None)
         )
         assert _snapshot(report) == _snapshot(baseline)
         assert report.tasks_retried == 0
+        assert f"batch size {batch_size}" in (
+            report.solver_stats.parallel_decision
+        )
 
 
 def test_raise_inside_batch_degrades_only_that_member(
     unit, baseline, monkeypatch
 ):
+    _force_batch_size(monkeypatch, 3)
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
-    report = api.verify(unit, options=api.VerifyOptions(jobs=2, batch_size=3))
+    report = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert report.tasks_failed == 1
     # Only the poisoned member took the serial-fallback path; its
     # batchmates' outcomes from the same submission were kept.
@@ -258,13 +300,12 @@ def test_raise_inside_batch_degrades_only_that_member(
 def test_crash_inside_batch_recovers_byte_identical(
     unit, baseline, monkeypatch
 ):
+    _force_batch_size(monkeypatch, 3)
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(
-        unit, options=api.VerifyOptions(jobs=2, batch_size=3)
-    )
+    recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert _snapshot(recovered) == _snapshot(baseline)
-    # The retry round re-batches at size 1, so the crashing member is
-    # isolated before the serial fallback completes it in-process.
+    # The crash lost the batch's buffered outcomes and broke the pool;
+    # the serial fallback completed every task left without an outcome.
     assert recovered.tasks_retried >= 1
     assert recovered.tasks_failed == 0
 
@@ -272,9 +313,12 @@ def test_crash_inside_batch_recovers_byte_identical(
 def test_hang_inside_batch_times_out_only_that_member(
     unit, baseline, monkeypatch
 ):
+    # Under a timeout the computed batch size is 1; force 3 so the
+    # hung member shares a batch.
+    _force_batch_size(monkeypatch, 3)
     monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
     report = api.verify(
-        unit, options=api.VerifyOptions(jobs=2, batch_size=3, task_timeout=1.0)
+        unit, options=api.VerifyOptions(jobs=2, task_timeout=1.0)
     )
     assert report.tasks_timed_out == 1
     timeouts = [
@@ -318,7 +362,9 @@ def test_unknown_fault_spec_is_rejected(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, "crash:")
     with pytest.raises(ValueError):
         faults.active_fault()
-    # The pipeline rejects it up front, not one degraded task at a time.
+    # Every driver rejects it up front, not one degraded task at a time.
+    with pytest.raises(ValueError):
+        api.verify(unit, options=api.VerifyOptions(cache=None))
     with pytest.raises(ValueError):
         api.verify(unit, options=api.VerifyOptions(jobs=4))
     with pytest.raises(ValueError):

@@ -75,6 +75,7 @@ def test_options_fields_mirror_legacy_defaults():
     assert opts.tracer is None
     assert opts.format == "text"
     assert not hasattr(opts, "backend")
+    assert not hasattr(opts, "batch_size")
     assert opts.use_cache is True
     assert opts.trace_enabled is False
 
@@ -111,23 +112,23 @@ def test_validate_accepts_auto_jobs_and_zero_budget():
 def test_validate_normalizes_numeric_strings_in_place():
     # config files and CLIs hand over strings; after validate() the
     # drivers must never see jobs="3" again
-    opts = VerifyOptions(jobs="3", batch_size="8")
+    opts = VerifyOptions(jobs="3")
     opts.validate()
     assert opts.jobs == 3 and type(opts.jobs) is int
-    assert opts.batch_size == 8 and type(opts.batch_size) is int
 
 
 def test_validate_keeps_auto_and_ints_as_is():
-    opts = VerifyOptions(jobs="auto", batch_size=4)
+    opts = VerifyOptions(jobs="auto")
     opts.validate()
     assert opts.jobs == "auto"
-    assert opts.batch_size == 4
+    opts = VerifyOptions(jobs=4)
+    opts.validate()
+    assert opts.jobs == 4
 
 
 @pytest.mark.parametrize("bad", [
     {"jobs": True},
     {"jobs": False},
-    {"batch_size": True},
 ])
 def test_validate_rejects_booleans(bad):
     # bool subclasses int, so int(True) == 1 would slip through as a
@@ -145,6 +146,14 @@ def test_validate_rejects_unknown_backend():
     for backend in ("incremental", "reference", "z3", "cvc5", "portfolio", None):
         with pytest.raises(TypeError, match="backend"):
             VerifyOptions(backend=backend)
+
+
+def test_batch_size_option_is_rejected():
+    # The pool sizes its batches from the task and worker counts; no
+    # option sets them.
+    for batch_size in ("auto", 1, 8):
+        with pytest.raises(TypeError, match="batch_size"):
+            VerifyOptions(batch_size=batch_size)
 
 
 def test_incremental_option_is_rejected():
