@@ -22,10 +22,11 @@ configurations and writes the measurements to ``BENCH_verify.json``:
   ratios they pin are tight, and CPU time is immune to the scheduler
   preemption that dominates wall-clock variance on loaded boxes;
 * **tiered / smt-only serial** — the same best-of-3 interleaved
-  CPU-time protocol comparing the default ``tier=auto`` pipeline (the
-  syntactic pattern algebra discharges what it can before SMT) against
-  ``tier=smt-only``; the lane also records how many obligations the
-  algebra discharged.
+  CPU-time protocol comparing the default pipeline (the syntactic
+  pattern algebra discharges what it can before SMT) against pure SMT
+  (the algebra switched off by ``tests/verify/tier_oracle.py``'s
+  ``smt_only()`` monkeypatch); the lane also records how many
+  obligations the algebra discharged.
 
 Run it directly (``python benchmarks/bench_verify.py``) to refresh the
 JSON; ``test_bench_verify.py`` asserts the floor the ISSUE demands
@@ -46,10 +47,11 @@ from pathlib import Path
 from repro import api
 from repro.corpus import combined_programs
 
-# The from-scratch lane's oracle lives in the test suite; make the repo
-# root importable when this file runs as a script.
+# The from-scratch and smt-only lanes' oracles live in the test suite;
+# make the repo root importable when this file runs as a script.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.smt.reference_solver import reference_engine  # noqa: E402
+from tests.verify.tier_oracle import smt_only  # noqa: E402
 
 GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 JOBS = 4
@@ -89,7 +91,6 @@ def verify_corpus_cpu(
     jobs: int,
     cache_dir: str | None,
     use_cache: bool,
-    tier: str = "auto",
 ):
     """One full pass; returns (wall seconds, CPU seconds, reports).
 
@@ -110,7 +111,6 @@ def verify_corpus_cpu(
                 cache=cache,
                 jobs=jobs,
                 cache_dir=cache_dir,
-                tier=tier,
             ),
         )
         for group in GROUPS
@@ -177,27 +177,26 @@ def run_bench(jobs: int = JOBS) -> dict:
             if fromscratch_cpu_s is None or c_scr < fromscratch_cpu_s:
                 fromscratch_cpu_s = c_scr
                 scratch = scratch_reports
-        # The tiered lane: the pattern-algebra first pass (tier=auto,
-        # the default every other lane already runs) against the pure
-        # SMT pipeline (tier=smt-only) on the same cold no-cache serial
-        # workload.  Best-of-3 interleaved CPU samples, like the other
-        # tight ratios; the floor asserts auto is never slower.
+        # The tiered lane: the pattern-algebra first pass (the default
+        # every other lane already runs) against the pure SMT pipeline
+        # (smt_only()) on the same cold no-cache serial workload.
+        # Best-of-3 interleaved CPU samples, like the other tight
+        # ratios; the floor asserts auto is never slower.
         tier_auto_cpu_s = None
         tier_smt_only_cpu_s = None
         tiered = None
         for _ in range(3):
-            _, c_auto, auto_reports = verify_corpus_cpu(
-                units, 1, None, False, tier="auto"
-            )
+            _, c_auto, auto_reports = verify_corpus_cpu(units, 1, None, False)
             if tier_auto_cpu_s is None or c_auto < tier_auto_cpu_s:
                 tier_auto_cpu_s = c_auto
                 tiered = auto_reports
-            _, c_smt, smt_only_reports = verify_corpus_cpu(
-                units, 1, None, False, tier="smt-only"
-            )
+            with smt_only():
+                _, c_smt, pure_smt_reports = verify_corpus_cpu(
+                    units, 1, None, False
+                )
             if tier_smt_only_cpu_s is None or c_smt < tier_smt_only_cpu_s:
                 tier_smt_only_cpu_s = c_smt
-                smt_only = smt_only_reports
+                pure_smt = pure_smt_reports
 
     queries, _, _, warnings = _totals(cold_reports)
     _, warm_hits, warm_misses, _ = _totals(warm_reports)
@@ -218,7 +217,7 @@ def run_bench(jobs: int = JOBS) -> dict:
         ("no-cache-parallel", par_plain),
         ("from-scratch", scratch),
         ("tier-auto", tiered),
-        ("tier-smt-only", smt_only),
+        ("tier-smt-only", pure_smt),
     ):
         got = sum(len(r.diagnostics.warnings) for r in reports.values())
         if got != warnings:

@@ -110,7 +110,7 @@ def test_tiered_cold_pass_is_not_slower_than_smt_only(results):
     The algebra is pure syntax (no encoding, no SAT search), so every
     switch it discharges is an SMT obligation the auto pipeline never
     runs; the lane asserts the cold serial pass is no slower than
-    ``tier=smt-only`` (1.05x tolerance for residual CPU-time noise)
+    pure SMT (``smt_only()``; 1.05x tolerance for residual CPU-time noise)
     and that the algebra actually fired.
     """
     auto = results["tier_auto_serial_s"]

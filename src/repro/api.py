@@ -114,14 +114,10 @@ def verify(
     produce the same tree modulo span ids, pids, and timings.  Leaving
     it off runs the pipeline with the zero-cost null tracer.
 
-    ``tier`` selects the checker tiering (:mod:`repro.verify.tiered`):
-    ``"auto"`` (default) lets the syntactic pattern algebra discharge
-    the obligations it can decide and sends the rest to SMT;
-    ``"smt-only"`` disables the algebra; ``"algebra-only"`` runs just
-    the algebra (a testing tier — obligations it cannot decide are
-    skipped); ``"check"`` runs both on algebra-decidable obligations
-    and raises :class:`~repro.verify.tiered.TierMismatchError` (with
-    the report attached) if their verdicts ever disagree.
+    No option selects how obligations are decided: the syntactic
+    pattern algebra (:mod:`repro.verify.tiered`) discharges the
+    constructor-only ones it can decide, and everything else goes to
+    SMT, with warnings byte-identical to an SMT-only run.
     """
     opts = VerifyOptions() if options is None else options
     opts.validate()
@@ -140,17 +136,6 @@ def verify(
         if owns_trace:
             tracer.end(run_span)
             write_jsonl(opts.trace, tracer.roots)
-    if opts.tier == "check":
-        mismatches = report.solver_stats.tier_mismatches
-        if mismatches:
-            from .verify.tiered import TierMismatchError
-
-            raise TierMismatchError(
-                f"tier check failed: the pattern algebra and SMT disagreed "
-                f"on {mismatches} obligation(s); see the report's "
-                f"tier-mismatch warnings",
-                report,
-            )
     return report
 
 

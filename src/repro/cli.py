@@ -18,11 +18,10 @@ JSONL (see :mod:`repro.obs`).
 
 Exit status: 0 on success (for ``verify``: even with warnings, since
 verification "only affects warnings given to the programmer"); 1 on
-per-file failures — compile errors, unreadable files, or a ``--tier
-check`` disagreement (with several files: if any file failed) — the
-same in text and JSON mode; 2 on bad usage, including a non-positive
-``--budget``, ``--jobs``, or ``--task-timeout`` and invalid option
-combinations; 130 when interrupted (Ctrl-C), after cancelling any
+per-file failures — compile errors or unreadable files (with several
+files: if any file failed) — the same in text and JSON mode; 2 on bad
+usage, including a non-positive ``--budget``, ``--jobs``, or
+``--task-timeout`` and invalid option combinations; 130 when interrupted (Ctrl-C), after cancelling any
 verification work still queued on the worker pool.
 """
 
@@ -112,16 +111,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         task_timeout=args.task_timeout,
         tracer=tracer,
-        format=args.format,
-        tier=args.tier,
     )
     try:
         options.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .verify.tiered import TierMismatchError
-
     json_mode = args.format == "json"
     documents: list[dict] = []
     status = 0
@@ -140,23 +135,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if json_mode:
                     documents.append({"path": path, "error": str(exc)})
                 continue
-            tier_error = None
-            try:
-                report = api.verify(unit, options=options)
-            except TierMismatchError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                status = max(status, 1)
-                tier_error = str(exc)
-                report = exc.report
-            if report is None:
-                if json_mode:
-                    documents.append({"path": path, "error": tier_error})
-                continue
+            report = api.verify(unit, options=options)
             if json_mode:
-                document = {"path": path, "report": report.to_dict()}
-                if tier_error is not None:
-                    document["error"] = tier_error
-                documents.append(document)
+                documents.append({"path": path, "report": report.to_dict()})
                 continue
             for warning in report.diagnostics.warnings:
                 print(warning)
@@ -210,7 +191,6 @@ def _verify_via_daemon(args: argparse.Namespace) -> int:
 
     options = {
         "budget": args.budget,
-        "tier": args.tier,
         "task_timeout": args.task_timeout,
         "use_cache": not args.no_cache,
         "stats": bool(args.stats) and not json_mode,
@@ -399,15 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         "--format", choices=("text", "json"), default="text",
         help="output format: 'text' (default, the historical output) or "
         "'json' (one machine-readable document covering all files)",
-    )
-    p_verify.add_argument(
-        "--tier", choices=("auto", "smt-only", "algebra-only", "check"),
-        default="auto",
-        help="checker tiering: 'auto' (default) lets the syntactic "
-        "pattern algebra discharge what it can before SMT; 'smt-only' "
-        "disables it; 'algebra-only' runs just the algebra; 'check' runs "
-        "both on algebra-decidable obligations and exits 1 on any "
-        "verdict disagreement",
     )
     p_verify.set_defaults(func=cmd_verify)
 

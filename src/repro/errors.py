@@ -93,10 +93,6 @@ class WarningKind(enum.Enum):
     POSTCONDITION = "postcondition"
     NOT_DISJOINT = "not-disjoint"
     MULTIPLICITY = "multiplicity"
-    #: ``--tier check`` only: the syntactic pattern-algebra tier and the
-    #: SMT tier disagreed on an obligation both claim to decide -- an
-    #: internal verifier inconsistency, never a property of the program.
-    TIER_MISMATCH = "tier-mismatch"
     #: Section 6.2: iterative deepening exhausted its budget, so the
     #: compiler "warns that it did not find a counterexample to
     #: exhaustiveness, but that there might be one".

@@ -3,7 +3,7 @@
 Every generated file is a self-contained JMatch program: a handful of
 sealed interface/class hierarchies (the exact shape
 ``tests/verify/test_tiered.py`` uses for its algebra-vs-SMT oracle,
-which both tiers verify warning-free), followed by ``static`` methods
+which the algebra and SMT both verify warning-free), followed by ``static`` methods
 that switch over a hierarchy value.
 
 The ground truth comes from *construction*, not from running the
@@ -27,15 +27,15 @@ perturbs the matrix in a way whose warning set is known exactly:
   arm ``case p:``; the guarded arm is reachable (``k > 0``), the
   original stays reachable (``k <= 0``), exhaustiveness is unchanged —
   no warnings, but the ``where`` pushes the statement off the pattern
-  algebra's fragment, so the SMT tier is exercised.
+  algebra's fragment, so the SMT pipeline is exercised.
 * ``default`` — delete one row *and* add a ``default:`` arm, which
   suppresses the exhaustiveness obligation; no warnings.
 
 Warnings land at the ``switch`` keyword's position (the generator
 emits it at a fixed indent, so line *and* column are known), with the
 exact message strings ``repro.verify.exhaustiveness`` produces.  The
-honesty of all of this against the real pipeline — per tier — is
-pinned by ``tests/gen/test_generator.py``.
+honesty of all of this against the real pipeline — with and without
+the algebra fast path — is pinned by ``tests/gen/test_generator.py``.
 
 Determinism: all randomness flows from one ``random.Random(seed)``;
 identical ``GenConfig`` values produce byte-identical sources and
@@ -183,8 +183,8 @@ class _Hierarchy:
 def _hierarchy_source(h: _Hierarchy) -> str:
     """The sealed interface + implementing class for one hierarchy.
 
-    This is exactly the shape the tier-oracle tests verify clean under
-    every tier: an ``invariant(this = c0() | c1(_) ...)`` seal,
+    This is exactly the shape the tier-oracle tests verify clean with
+    and without the algebra: an ``invariant(this = c0() | c1(_) ...)`` seal,
     abstract ``constructor`` declarations with full-``returns`` modes,
     and a tag/field implementation class.
     """

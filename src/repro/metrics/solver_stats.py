@@ -138,18 +138,14 @@ class VerifyStats:
     #: main thread) and ran under the soft-deadline fallback instead:
     #: clamped per-query budget plus post-hoc overrun conversion
     deadlines_degraded: int = 0
-    # -- checker tiering (repro.verify.tiered) ------------------------
-    #: obligations the syntactic pattern-algebra tier decided without an
-    #: SMT query (under ``tier=check`` they are decided *and* re-proved
-    #: by SMT, and still counted here as algebra coverage)
+    # -- the pattern-algebra fast path (repro.verify.tiered) ----------
+    #: obligations the syntactic pattern algebra decided without an
+    #: SMT query
     algebra_discharged: int = 0
     #: switch statements the algebra analyzed but handed to SMT anyway
     #: (non-exhaustive matches fall through so the counterexample comes
-    #: from the model, byte-identical to an smt-only run)
+    #: from the model, byte-identical to an SMT-only run)
     algebra_fallbacks: int = 0
-    #: ``tier=check`` disagreements between the two tiers (always 0 on a
-    #: healthy build; ``api.verify`` raises TierMismatchError when not)
-    tier_mismatches: int = 0
     #: how the run's driver was chosen — serial or a pool, and why
     #: (task count vs. thresholds, batch size); set by the dispatcher,
     #: empty for direct Verifier runs
@@ -186,7 +182,6 @@ class VerifyStats:
         self.deadlines_degraded += other.deadlines_degraded
         self.algebra_discharged += other.algebra_discharged
         self.algebra_fallbacks += other.algebra_fallbacks
-        self.tier_mismatches += other.tier_mismatches
         # The decision is a whole-run fact the dispatcher sets once;
         # per-task stats merged in never carry one.
         if not self.parallel_decision:
@@ -211,7 +206,6 @@ class VerifyStats:
             "deadlines_degraded": self.deadlines_degraded,
             "algebra_discharged": self.algebra_discharged,
             "algebra_fallbacks": self.algebra_fallbacks,
-            "tier_mismatches": self.tier_mismatches,
             "parallel_decision": self.parallel_decision,
         }
 
@@ -260,8 +254,7 @@ class VerifyStats:
             )
         lines.append(
             f"tiers: {self.algebra_discharged} obligations discharged by "
-            f"the pattern algebra, {self.algebra_fallbacks} fell back to "
-            f"SMT, {self.tier_mismatches} mismatches"
+            f"the pattern algebra, {self.algebra_fallbacks} fell back to SMT"
         )
         if self.parallel_decision:
             lines.append(f"jobs: {self.parallel_decision}")

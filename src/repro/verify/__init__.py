@@ -1,16 +1,14 @@
 """Static verification of exhaustiveness, redundancy, totality, and
 disjointness (Sections 4-6 of the paper)."""
 
-from .options import TIERS, VerifyOptions
+from .options import VerifyOptions
 from .parallel import verify_parallel
-from .tiered import AlgebraDecision, PatternAlgebra, TierMismatchError
+from .tiered import AlgebraDecision, PatternAlgebra
 from .verifier import VerificationReport, Verifier, VerifyTask, iter_tasks
 
 __all__ = [
     "AlgebraDecision",
     "PatternAlgebra",
-    "TIERS",
-    "TierMismatchError",
     "VerificationReport",
     "Verifier",
     "VerifyOptions",

@@ -19,7 +19,7 @@ Responses::
     {"id": 1, "ok": false, "error": {"code": "...", "message": "..."}}
 
 ``verify`` options mirror the scalar :class:`repro.api.VerifyOptions`
-fields that affect verdicts (``budget``, ``tier``, ``task_timeout``,
+fields that affect verdicts (``budget``, ``task_timeout``,
 ``use_cache``) plus daemon extras: ``dep_index``
 (default true) to enable dependency-aware outcome reuse, ``stats`` /
 ``profile`` to render the ``--stats``/``--profile`` tables
@@ -52,7 +52,7 @@ import os
 import tempfile
 
 #: bump on any incompatible wire-format change
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: environment override for the daemon socket location
 SOCKET_ENV = "REPRO_DAEMON_SOCKET"

@@ -52,6 +52,7 @@ from ..parallel import (
     run_one_task,
     TaskOutcome,
 )
+from ..tiered import warm_algebra
 from ..verifier import VerifyTask, iter_tasks
 from . import protocol
 from .index import fingerprint_tasks
@@ -80,7 +81,6 @@ class _FileState:
 #: extras (dep_index / stats / profile / trace)
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
-    "tier": "auto",
     "task_timeout": None,
     "use_cache": True,
     "dep_index": True,
@@ -96,10 +96,10 @@ def _options_signature(opts: dict) -> str:
     ``stats``/``profile`` only change rendering and ``dep_index`` only
     changes reuse policy; everything else (including ``trace`` — an
     outcome recorded without spans cannot serve a traced request)
-    participates, so changing e.g. the tier flushes the outcome cache
+    participates, so changing e.g. the budget flushes the outcome cache
     instead of replaying verdicts produced under different rules.
     """
-    keys = ("budget", "tier", "task_timeout", "use_cache", "trace")
+    keys = ("budget", "task_timeout", "use_cache", "trace")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -226,9 +226,7 @@ class VerifyDaemon:
         opts.update(raw)
         try:
             api.VerifyOptions(
-                budget=opts["budget"],
-                tier=opts["tier"],
-                task_timeout=opts["task_timeout"],
+                budget=opts["budget"], task_timeout=opts["task_timeout"]
             ).validate()
         except (TypeError, ValueError) as exc:
             return protocol.error_response(
@@ -280,9 +278,8 @@ class VerifyDaemon:
         """Verify one path against the warm state; a CLI-shaped entry.
 
         The returned entry matches ``verify --format json`` exactly
-        (``{"path", "report"}`` or ``{"path", "error"}``, with both on
-        a tier-check failure), so daemon and CLI reports are the same
-        document.
+        (``{"path", "report"}`` or ``{"path", "error"}``), so daemon and
+        CLI reports are the same document.
         """
         abspath = os.path.abspath(path)
         try:
@@ -295,10 +292,7 @@ class VerifyDaemon:
         except JMatchError as exc:
             return {"path": path, "error": str(exc)}, 0, 0
         table = unit.table
-        if opts["tier"] != "smt-only":
-            from ..tiered import warm_algebra
-
-            warm_algebra(table)
+        warm_algebra(table)
         tasks = list(iter_tasks(table))
         fingerprints = (
             fingerprint_tasks(table, tasks)
@@ -332,7 +326,7 @@ class VerifyDaemon:
                     try:
                         outcome = run_one_task(
                             table, task, opts["budget"], cache,
-                            opts["task_timeout"], tracing, opts["tier"],
+                            opts["task_timeout"], tracing,
                         )
                     except Exception as exc:
                         outcome = _failed_outcome(table, task, exc, tracing)
@@ -360,14 +354,6 @@ class VerifyDaemon:
             f"({hits} dep hits, {misses} dep misses)"
         )
         entry: dict = {"path": path, "report": report.to_dict()}
-        if opts["tier"] == "check" and report.solver_stats.tier_mismatches:
-            # Mirror api.verify's TierMismatchError contract: the report
-            # is still delivered, but the file fails.
-            entry["error"] = (
-                f"tier check failed: the pattern algebra and SMT disagreed "
-                f"on {report.solver_stats.tier_mismatches} obligation(s); "
-                f"see the report's tier-mismatch warnings"
-            )
         if opts["stats"]:
             entry["stats_text"] = report.solver_stats.format_table()
         if opts["profile"]:

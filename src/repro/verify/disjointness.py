@@ -53,12 +53,10 @@ class DisjointnessChecker:
         table,
         diag: Diagnostics,
         session: SolverSession | None = None,
-        tier: str = "auto",
     ):
         self.table = table
         self.diag = diag
         self.session = session or SolverSession()
-        self.tier = tier
         #: one PatternAlgebra per owner (viewer) seen, for the
         #: structural discharge predicate (see _asserted_by_algebra)
         self._algebras: dict = {}
@@ -71,8 +69,8 @@ class DisjointnessChecker:
         The SMT path below never warns when an arm's translation
         mentions an abstract constructor predicate (or cannot be
         translated at all), so such disjunctions are *asserted*, not
-        verified -- the query's verdict cannot matter.  The algebra
-        tier detects that case syntactically and skips the query.
+        verified -- the query's verdict cannot matter.  The pattern
+        algebra detects that case syntactically and skips the query.
         """
         from .tiered import PatternAlgebra
 
@@ -105,10 +103,7 @@ class DisjointnessChecker:
         span: Span,
         label: str,
     ) -> None:
-        discharged = self.tier not in ("smt-only", "check") and (
-            self._asserted_by_algebra(node, owner)
-        )
-        if discharged:
+        if self._asserted_by_algebra(node, owner):
             stats = self.session.stats
             if stats is not None:
                 stats.algebra_discharged += 1
@@ -121,6 +116,17 @@ class DisjointnessChecker:
                     {"tier": "algebra", "verdict": "asserted"},
                 )
             return
+        self._check_smt(node, owner, env_types, span, label)
+
+    def _check_smt(
+        self,
+        node: ast.PatOr,
+        owner: str | None,
+        env_types: dict[str, ast.Type | None],
+        span: Span,
+        label: str,
+    ) -> None:
+        """Ask the solver whether the arms of ``node`` can overlap."""
         ctx = EncodeContext(self.table, viewer=owner)
         translator = Translator(ctx, owner)
         # Knowns shared by both arms; unknowns are renamed apart simply
@@ -138,7 +144,6 @@ class DisjointnessChecker:
             # Arms we cannot translate are not checked; the paper's
             # compiler similarly reports only what it can analyze.
             return
-        warnings_before = len(self.diag.warnings)
         with self.session.tracer.span(
             "obligation", f"disjointness of `{node}`", tier="smt"
         ):
@@ -164,21 +169,6 @@ class DisjointnessChecker:
                 self.diag.warn(
                     WarningKind.UNKNOWN,
                     f"{label}: could not prove `{node}` disjoint",
-                    span,
-                )
-        if self.tier == "check" and self._asserted_by_algebra(node, owner):
-            # The algebra claims this disjunction is structurally
-            # asserted (SMT cannot warn about it); verify that claim.
-            stats = self.session.stats
-            if stats is not None:
-                stats.algebra_discharged += 1
-            if len(self.diag.warnings) != warnings_before:
-                if stats is not None:
-                    stats.tier_mismatches += 1
-                self.diag.warn(
-                    WarningKind.TIER_MISMATCH,
-                    f"tier disagreement on `{node}` (algebra predicted no "
-                    f"disjointness warning, smt warned)",
                     span,
                 )
 

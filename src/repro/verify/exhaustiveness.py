@@ -46,7 +46,8 @@ class CheckOutcome:
     arm_verdicts: list[str] = field(default_factory=list)
     #: the exhaustiveness obligation's outcome: "exhaustive" |
     #: "nonexhaustive" | "unknown", or None when an else/default
-    #: suppressed the obligation.  ``tier=check`` compares these (and
+    #: suppressed the obligation.  The tier oracle
+    #: (``tests/verify/tier_oracle.py``) compares these (and
     #: ``arm_verdicts``) against the pattern algebra's decision.
     exhaustive_verdict: str | None = None
 

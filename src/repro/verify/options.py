@@ -9,8 +9,7 @@ request options and call :meth:`VerifyOptions.validate` on it before
 verifying.  Settings that only tune how a run is carried out, such as
 the pool's batch size, are derived rather than set.
 
-Beyond the solver and driver knobs, three fields serve observability
-and rendering:
+Beyond the solver and driver knobs, two fields serve observability:
 
 * ``trace`` — a path; the run's span tree is written there as JSONL
   (see :mod:`repro.obs.sink`).
@@ -18,9 +17,9 @@ and rendering:
   into instead; the CLI uses this to collect several files under one
   ``run`` span.  When both are None, tracing is disabled and the
   pipeline runs with the zero-cost null tracer.
-* ``format`` — output rendering for the CLI (``"text"`` is
-  byte-identical to the historical output; ``"json"`` emits
-  :meth:`~repro.verify.verifier.VerificationReport.to_dict` documents).
+
+No field selects how obligations are decided: the pattern algebra
+(:mod:`repro.verify.tiered`) always discharges what it can before SMT.
 """
 
 from __future__ import annotations
@@ -33,12 +32,6 @@ from ..smt.cache import GLOBAL_CACHE, SolverCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Tracer
-
-#: accepted values of ``VerifyOptions.format``
-OUTPUT_FORMATS = ("text", "json")
-
-#: accepted values of ``VerifyOptions.tier`` (see repro.verify.tiered)
-TIERS = ("auto", "smt-only", "algebra-only", "check")
 
 
 @dataclass
@@ -67,14 +60,6 @@ class VerifyOptions:
     #: an externally-owned tracer to record into (overrides ``trace``
     #: file handling; the caller writes the sink)
     tracer: "Tracer | None" = field(default=None, repr=False)
-    #: CLI output rendering: "text" (historical) or "json"
-    format: str = "text"
-    #: checker tiering: "auto" (syntactic pattern algebra first, SMT
-    #: for the rest), "smt-only" (the historical pipeline),
-    #: "algebra-only" (algebra verdicts alone, for testing), or
-    #: "check" (run both on algebra-decidable obligations and fail on
-    #: disagreement -- see :mod:`repro.verify.tiered`)
-    tier: str = "auto"
 
     @property
     def use_cache(self) -> bool:
@@ -116,14 +101,6 @@ class VerifyOptions:
                 f"got {self.task_timeout}"
             )
         self.jobs = self._normalize_jobs(self.jobs)
-        if self.format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}"
-            )
-        if self.tier not in TIERS:
-            raise ValueError(
-                f"tier must be one of {TIERS}, got {self.tier!r}"
-            )
 
     @staticmethod
     def _normalize_jobs(value) -> int | str:

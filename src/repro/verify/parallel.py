@@ -87,6 +87,7 @@ from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER, Span, Tracer
 from .faults import maybe_fail_task
 from .options import VerifyOptions
+from .tiered import warm_algebra
 from .verifier import (
     VerificationReport,
     Verifier,
@@ -184,25 +185,20 @@ def _init_worker(
     cache_dir: str | None,
     task_timeout: float | None,
     trace: bool,
-    tier: str,
 ) -> None:
     """Build this worker's warm state (runs once per process).
 
     Everything a task would otherwise rebuild on first touch happens
-    here instead: the cache tiers, and — unless the run is
-    ``smt-only`` — the pattern-algebra signature memo for every
-    (viewer, type) pair, shared by all of this worker's tasks.
+    here instead: the cache tiers, and the pattern-algebra signature
+    memo for every (viewer, type) pair, shared by all of this worker's
+    tasks.
     """
     _WORKER["table"] = table
     _WORKER["budget"] = budget
     _WORKER["cache"] = build_cache(use_cache, cache_dir)
     _WORKER["task_timeout"] = task_timeout
     _WORKER["trace"] = trace
-    _WORKER["tier"] = tier
-    if tier != "smt-only":
-        from .tiered import warm_algebra
-
-        warm_algebra(table)
+    warm_algebra(table)
 
 
 def run_one_task(
@@ -212,7 +208,6 @@ def run_one_task(
     cache,
     task_timeout: float | None,
     trace: bool = False,
-    tier: str = "auto",
 ) -> TaskOutcome:
     """Verify one task, rebuilding the solver session.
 
@@ -244,8 +239,7 @@ def run_one_task(
         )
     tracer = Tracer() if trace else NULL_TRACER
     verifier = Verifier(
-        table, budget=effective_budget, cache=cache, tracer=tracer,
-        tier=tier,
+        table, budget=effective_budget, cache=cache, tracer=tracer
     )
     started = time.perf_counter()
     try:
@@ -357,7 +351,7 @@ def run_serial(
         try:
             outcome = run_one_task(
                 table, task, options.budget, cache, options.task_timeout,
-                trace, options.tier,
+                trace,
             )
         except Exception as exc:
             outcome = _failed_outcome(table, task, exc, trace)
@@ -375,7 +369,6 @@ def verify_method_task(task: VerifyTask) -> TaskOutcome:
         _WORKER["cache"],
         _WORKER["task_timeout"],
         _WORKER["trace"],
-        _WORKER["tier"],
     )
 
 
@@ -637,7 +630,6 @@ def verify_parallel(
             options.cache_dir,
             options.task_timeout,
             trace,
-            options.tier,
         ),
     )
     try:

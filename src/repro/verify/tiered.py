@@ -1,4 +1,4 @@
-"""The pre-SMT pattern-algebra tier (ROADMAP open item 2).
+"""The pre-SMT pattern-algebra fast path.
 
 Most ``switch`` exhaustiveness/redundancy obligations in the corpus
 range over plain constructor patterns: no ``where`` refinements, no
@@ -8,10 +8,10 @@ signature, like ``invariant(this = zero() | succ(_))`` -- those
 obligations are decidable purely syntactically by the classic
 usefulness-matrix algorithm (Maranget-style constructor splitting with
 wildcard defaults, tuple and nested-pattern expansion, or-pattern
-flattening).  This module implements that first tier; anything it
+flattening).  This module implements that fast path; anything it
 cannot decide falls through to the SMT pipeline untouched.
 
-Alignment with the SMT tier is the design constraint, not an
+Alignment with SMT is the design constraint, not an
 afterthought: an obligation is only *eligible* here when the free-
 term-algebra reading provably coincides with the F-translation's
 semantics.  Concretely:
@@ -38,9 +38,10 @@ semantics.  Concretely:
   subtype of ``T``.
 
 When the algebra concludes NON-exhaustive, the driver still falls
-through to SMT in ``auto`` mode, so the model-based counterexample in
-the warning stays byte-identical to an smt-only run; the algebra's own
-witness rendering is used by the ``algebra-only`` testing tier.
+through to SMT, so the model-based counterexample in the warning stays
+byte-identical to an SMT-only run.  ``tests/verify/tier_oracle.py``
+runs both sides on every obligation the algebra decides and fails on
+any disagreement.
 
 Disjointness obligations get a narrower treatment: the SMT checker
 never warns about a ``|`` whose overlap witness involves an abstract
@@ -60,35 +61,16 @@ from dataclasses import dataclass, field
 from ..lang import ast
 from ..lang.symbols import MethodInfo, ProgramTable
 from ..modes.ordering import SolvabilityContext
-from .options import TIERS
 
 __all__ = [
-    "TIERS",
     "AlgebraDecision",
     "PatternAlgebra",
     "PCtor",
     "POr",
     "PWild",
     "Signature",
-    "TierMismatchError",
     "warm_algebra",
 ]
-
-
-class TierMismatchError(Exception):
-    """``--tier check`` found the algebra and SMT tiers disagreeing.
-
-    Raised by :func:`repro.api.verify` after the run completes (so the
-    report -- including the per-statement mismatch warnings -- is fully
-    assembled and merged across workers first).  A mismatch is an
-    internal consistency failure of the verifier, never a property of
-    the program under verification.  The completed report rides along
-    on ``.report`` so callers (the CLI) can still render its warnings.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class _Ineligible(Exception):
@@ -103,9 +85,6 @@ class _Ineligible(Exception):
 class PWild:
     """Matches anything: ``_``, a fresh binder, an irrefutable ``T x``."""
 
-    def render(self) -> str:
-        return "_"
-
 
 @dataclass(frozen=True)
 class PCtor:
@@ -117,20 +96,12 @@ class PCtor:
     #: argument column produced by specialization
     arg_types: tuple = ()
 
-    def render(self) -> str:
-        if not self.args:
-            return f"{self.name}()"
-        return f"{self.name}({', '.join(a.render() for a in self.args)})"
-
 
 @dataclass(frozen=True)
 class POr:
     """A (nested) or-pattern; alternatives are already flattened."""
 
     alts: tuple = ()
-
-    def render(self) -> str:
-        return " | ".join(a.render() for a in self.alts)
 
 
 @dataclass(frozen=True)
@@ -152,24 +123,11 @@ class AlgebraDecision:
     redundant: list = field(default_factory=list)
     #: True/False, or None when a ``default`` suppresses the obligation
     exhaustive: bool | None = None
-    #: per-column skeletons of an unmatched value (non-exhaustive only)
-    witness: list = field(default_factory=list)
-    #: subject column names, for witness rendering
-    columns: list = field(default_factory=list)
 
     @property
     def obligations(self) -> int:
         """How many SMT obligations this decision replaces."""
         return self.arms + (0 if self.exhaustive is None else 1)
-
-    def render_witness(self) -> str | None:
-        if not self.witness:
-            return None
-        parts = [
-            f"{name} = {pat}"
-            for name, pat in zip(self.columns, self.witness)
-        ]
-        return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +168,7 @@ def warm_algebra(table: ProgramTable) -> None:
 
 
 class PatternAlgebra:
-    """The syntactic tier for one (table, viewer) verification context."""
+    """The syntactic fast path for one (table, viewer) context."""
 
     def __init__(self, table: ProgramTable, viewer: str | None):
         self.table = table
@@ -244,7 +202,7 @@ class PatternAlgebra:
 
         Mirrors ``Translator._resolve`` for receiver-less, qualifier-
         less calls followed by canonicalisation, so the algebra reasons
-        about exactly the success predicate the SMT tier would use.
+        about exactly the success predicate the SMT encoding uses.
         Returns None when the call resolves elsewhere (function, method
         with a receiver convention) or to nothing.
         """
@@ -290,7 +248,7 @@ class PatternAlgebra:
 
         Raises :class:`_Ineligible` when the type's visible invariants
         exist but do not form exactly one clean sealing invariant --
-        such invariants give the SMT tier knowledge the free algebra
+        such invariants give SMT knowledge the free algebra
         lacks, so the whole column must fall through.
         """
         if type_name in self._signatures:
@@ -495,65 +453,36 @@ class PatternAlgebra:
                     out.extend(self._default([[alt] + rest]))
         return out
 
-    def _useful(self, rows: list, q: list, types: list):
-        """A witness vector matched by ``q`` but no row, or None.
-
-        The returned witness covers exactly ``len(q)`` columns as
-        rendered skeletons (:class:`PWild`/:class:`PCtor`).
-        """
+    def _useful(self, rows: list, q: list, types: list) -> bool:
+        """Does some value match ``q`` but no row of ``rows``?"""
         if not q:
-            return None if rows else []
+            return not rows
         head, rest = q[0], q[1:]
         if isinstance(head, POr):
-            for alt in head.alts:
-                witness = self._useful(rows, [alt] + rest, types)
-                if witness is not None:
-                    return witness
-            return None
+            return any(
+                self._useful(rows, [alt] + rest, types) for alt in head.alts
+            )
         if isinstance(head, PCtor):
-            arity = len(head.args)
-            witness = self._useful(
-                self._specialize(rows, head.name, arity),
+            return self._useful(
+                self._specialize(rows, head.name, len(head.args)),
                 list(head.args) + rest,
                 list(head.arg_types) + types[1:],
             )
-            if witness is None:
-                return None
-            return [self._fold_ctor(head, witness[:arity])] + witness[arity:]
         # Wildcard head: split on a complete signature, else default.
         sig = self._column_signature(types[0])
         heads: set = set()
         for row in rows:
             heads |= self._head_ctors(row[0])
         if sig is not None and set(sig.ctors) <= heads:
-            for key, (_, arg_types) in sig.ctors.items():
-                arity = len(arg_types)
-                skeleton = PCtor(key, tuple([PWild()] * arity), arg_types)
-                witness = self._useful(
-                    self._specialize(rows, key, arity),
-                    [PWild()] * arity + rest,
+            return any(
+                self._useful(
+                    self._specialize(rows, key, len(arg_types)),
+                    [PWild()] * len(arg_types) + rest,
                     list(arg_types) + types[1:],
                 )
-                if witness is not None:
-                    return [
-                        self._fold_ctor(skeleton, witness[:arity])
-                    ] + witness[arity:]
-            return None
-        witness = self._useful(self._default(rows), rest, types[1:])
-        if witness is None:
-            return None
-        missing = PWild()
-        if sig is not None:
-            for key, (_, arg_types) in sig.ctors.items():
-                if key not in heads:
-                    missing = PCtor(
-                        key, tuple([PWild()] * len(arg_types)), arg_types
-                    )
-                    break
-        return [missing] + witness
-
-    def _fold_ctor(self, skeleton: PCtor, args: list) -> PCtor:
-        return PCtor(skeleton.name, tuple(args), skeleton.arg_types)
+                for key, (_, arg_types) in sig.ctors.items()
+            )
+        return self._useful(self._default(rows), rest, types[1:])
 
     def _column_signature(self, col_type) -> Signature | None:
         if (
@@ -586,47 +515,37 @@ class PatternAlgebra:
     def _analyze_switch(self, stmt, scope, path):
         if path:
             raise _Ineligible("path conditions in scope")
-        columns: list[tuple[str, ast.Type | None]] = []
+        col_types: list[ast.Type | None] = []
         subject = stmt.subject
         items = subject.items if isinstance(subject, ast.TupleExpr) else [subject]
         for item in items:
             if not (isinstance(item, ast.Var) and item.name in scope):
                 raise _Ineligible("subject is not a scoped variable")
-            columns.append((item.name, scope[item.name]))
-        col_types = [type_ for _, type_ in columns]
+            col_types.append(scope[item.name])
         for col_type in col_types:
             self._check_column_safety(col_type)
         env_names = frozenset(scope)
-        width = len(columns)
+        width = len(col_types)
         arm_rows: list[list] = []
         for case in stmt.cases:
             for pattern in case.patterns:
                 arm_rows.append(
                     self._lower_arm(pattern, col_types, width, env_names)
                 )
-        decision = AlgebraDecision(
-            arms=len(arm_rows),
-            columns=[name for name, _ in columns],
-            exhaustive=None,
-        )
+        decision = AlgebraDecision(arms=len(arm_rows))
         matrix: list = []
         for index, rows in enumerate(arm_rows):
-            useful = any(
-                self._useful(matrix, row, list(col_types)) is not None
-                for row in rows
-            )
-            if not useful:
+            if not any(
+                self._useful(matrix, row, list(col_types)) for row in rows
+            ):
                 decision.redundant.append(index)
             # The SMT invariant accumulates every arm's negation,
             # redundant or not; mirror that.
             matrix.extend(rows)
         if stmt.default is None:
-            witness = self._useful(
+            decision.exhaustive = not self._useful(
                 matrix, [PWild()] * width, list(col_types)
             )
-            decision.exhaustive = witness is None
-            if witness is not None:
-                decision.witness = [pat.render() for pat in witness]
         return decision
 
     def _lower_arm(self, pattern, col_types, width, env_names) -> list:

@@ -35,7 +35,7 @@ from ..smt.cache import GLOBAL_CACHE, SolverCache
 from ..smt.terms import scoped_intern_state
 from . import fir
 from .disjointness import DisjointnessChecker
-from .exhaustiveness import ExhaustivenessChecker
+from .exhaustiveness import CheckOutcome, ExhaustivenessChecker
 from .extract import mode_knowns
 from .fir import F
 from .solving import SolverSession
@@ -106,7 +106,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -187,12 +187,10 @@ class Verifier:
         budget: float | None = None,
         cache: SolverCache | None = GLOBAL_CACHE,
         tracer=NULL_TRACER,
-        tier: str = "auto",
     ):
         self.table = table
         self.diag = Diagnostics()
         self.tracer = tracer
-        self.tier = tier
         self.session = SolverSession(
             budget=budget,
             cache=cache,
@@ -201,7 +199,7 @@ class Verifier:
         )
         self.totality = TotalityChecker(table, self.diag, self.session)
         self.disjointness = DisjointnessChecker(
-            table, self.diag, self.session, tier=tier
+            table, self.diag, self.session
         )
         self.statements_checked = 0
         self.methods_checked = 0
@@ -333,12 +331,7 @@ class _BodyWalker:
         self.diag = verifier.diag
         self.tracer = verifier.tracer
         self.owner = owner
-        self.tier = verifier.tier
-        self.algebra = (
-            None
-            if self.tier == "smt-only"
-            else PatternAlgebra(verifier.table, owner)
-        )
+        self.algebra = PatternAlgebra(verifier.table, owner)
 
     # -- environment assembly ------------------------------------------------
 
@@ -439,7 +432,7 @@ class _BodyWalker:
         if isinstance(stmt, ast.SwitchStmt):
             self.verifier.statements_checked += 1
             with self.tracer.span("statement", f"switch@{stmt.span.start}"):
-                self._check_switch_tiered(stmt, scope, path)
+                self._check_switch(stmt, scope, path)
                 self._check_disjoint_in(
                     stmt.subject, scope, stmt.span, "switch"
                 )
@@ -493,33 +486,18 @@ class _BodyWalker:
             return scope, path
         return scope, path
 
-    # -- checker tiering (repro.verify.tiered) -------------------------
+    # -- the pattern-algebra fast path (repro.verify.tiered) -----------
 
-    def _check_switch_tiered(self, stmt, scope, path) -> None:
-        """Dispatch one switch to the algebra tier, SMT, or both.
+    def _check_switch(self, stmt, scope, path) -> None:
+        """Discharge one switch with the pattern algebra, else SMT.
 
-        ``auto`` discharges statements the algebra proves exhaustive
-        (or that carry a ``default``) without any SMT query; a
-        non-exhaustive or ineligible statement runs the SMT pipeline
-        unchanged, so its warnings -- including the model-derived
-        counterexample -- stay byte-identical to an ``smt-only`` run.
-        ``check`` runs both and records disagreements.
+        Statements the algebra proves exhaustive (or that carry a
+        ``default``) are decided without any SMT query; a non-exhaustive
+        or ineligible statement runs the SMT pipeline unchanged, so its
+        warnings -- including the model-derived counterexample -- stay
+        byte-identical to an SMT-only run.
         """
-        decision = None
-        if self.algebra is not None:
-            decision = self.algebra.analyze_switch(stmt, scope, path)
-        if self.tier == "algebra-only":
-            # Testing tier: algebra verdicts alone; statements outside
-            # the algebra's fragment are skipped, not proven.
-            if decision is not None:
-                self._report_algebra(stmt, decision)
-            return
-        if self.tier == "check" and decision is not None:
-            checker, env, context = self._fresh_context(scope, path)
-            outcome = checker.check_switch(stmt, context, env)
-            self._count_discharged(decision.obligations)
-            self._compare_tiers(stmt, decision, outcome)
-            return
+        decision = self.algebra.analyze_switch(stmt, scope, path)
         if decision is not None and decision.exhaustive is not False:
             self._report_algebra(stmt, decision)
             return
@@ -529,14 +507,17 @@ class _BodyWalker:
             stats = self.verifier.session.stats
             if stats is not None:
                 stats.algebra_fallbacks += 1
+        self._check_switch_smt(stmt, scope, path)
+
+    def _check_switch_smt(self, stmt, scope, path) -> CheckOutcome:
         checker, env, context = self._fresh_context(scope, path)
-        checker.check_switch(stmt, context, env)
+        return checker.check_switch(stmt, context, env)
 
     def _report_algebra(self, stmt, decision: AlgebraDecision) -> None:
-        """Emit one algebra decision's warnings, spans, and counters.
+        """Emit one exhaustive decision's warnings, spans, and counters.
 
-        Warning text matches the SMT tier byte for byte, so flipping
-        ``tier`` never changes what a clean or redundant program
+        Warning text matches the SMT pipeline byte for byte, so the
+        fast path never changes what a clean or redundant program
         reports.
         """
         tracer = self.tracer
@@ -559,77 +540,17 @@ class _BodyWalker:
                     f"arm {index + 1} is redundant: no value reaches it",
                     stmt.span,
                 )
-        if decision.exhaustive is not None:
-            if tracer.enabled:
-                tracer.leaf(
-                    "obligation",
-                    "exhaustiveness",
-                    0.0,
-                    0.0,
-                    {
-                        "tier": "algebra",
-                        "verdict": (
-                            "unsat" if decision.exhaustive else "sat"
-                        ),
-                    },
-                )
-            if not decision.exhaustive:
-                # Only the algebra-only testing tier reports from here;
-                # auto falls back to SMT for the model counterexample.
-                self.diag.warn(
-                    WarningKind.NONEXHAUSTIVE,
-                    "match is not exhaustive",
-                    stmt.span,
-                    counterexample=decision.render_witness(),
-                )
-        self._count_discharged(decision.obligations)
-
-    def _count_discharged(self, obligations: int) -> None:
+        if decision.exhaustive is not None and tracer.enabled:
+            tracer.leaf(
+                "obligation",
+                "exhaustiveness",
+                0.0,
+                0.0,
+                {"tier": "algebra", "verdict": "unsat"},
+            )
         stats = self.verifier.session.stats
         if stats is not None:
-            stats.algebra_discharged += obligations
-
-    def _compare_tiers(self, stmt, decision, outcome) -> None:
-        """Record every ``tier=check`` disagreement on one statement.
-
-        UNKNOWN and untranslatable SMT outcomes are compatible with any
-        algebra verdict (the SMT tier ran out of budget or scope, it
-        did not disagree).
-        """
-        mismatches: list[str] = []
-        for index, verdict in enumerate(outcome.arm_verdicts):
-            algebra_redundant = index in decision.redundant
-            if verdict == "redundant" and not algebra_redundant:
-                mismatches.append(
-                    f"arm {index + 1}: smt=redundant, algebra=reachable"
-                )
-            elif verdict == "reachable" and algebra_redundant:
-                mismatches.append(
-                    f"arm {index + 1}: smt=reachable, algebra=redundant"
-                )
-        smt_exhaustive = outcome.exhaustive_verdict
-        if smt_exhaustive == "exhaustive" and decision.exhaustive is False:
-            mismatches.append(
-                "exhaustiveness: smt=exhaustive, algebra=nonexhaustive"
-            )
-        elif (
-            smt_exhaustive == "nonexhaustive"
-            and decision.exhaustive is True
-        ):
-            mismatches.append(
-                "exhaustiveness: smt=nonexhaustive, algebra=exhaustive"
-            )
-        if not mismatches:
-            return
-        stats = self.verifier.session.stats
-        for detail in mismatches:
-            if stats is not None:
-                stats.tier_mismatches += 1
-            self.diag.warn(
-                WarningKind.TIER_MISMATCH,
-                f"tier disagreement on switch ({detail})",
-                stmt.span,
-            )
+            stats.algebra_discharged += decision.obligations
 
     def _walk_let(self, formula, span, scope, path):
         self.verifier.statements_checked += 1

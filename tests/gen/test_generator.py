@@ -5,11 +5,13 @@ sources and manifests (benchmarks and CI lanes key on this).
 
 *Honesty* — the manifest is ground truth computed at generation time;
 ``api.verify`` over the generated programs must emit exactly those
-warnings, under the tiered pipeline and pure SMT alike.  This is the
+warnings, with the pattern-algebra fast path and under pure SMT
+(``tests/verify/tier_oracle.py``'s ``smt_only()``) alike.  This is the
 property that makes ``bench_scale`` a correctness check and not just a
 stopwatch.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -22,6 +24,7 @@ from repro.gen import (
     write_corpus,
 )
 from repro.gen.__main__ import main as gen_main
+from tests.verify.tier_oracle import smt_only
 
 SWEEP = GenConfig(methods=40, seed=7)
 
@@ -97,14 +100,16 @@ def test_config_validation_rejects_nonsense():
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only"])
 def test_verifier_matches_ground_truth(corpus, tier):
-    for generated in corpus.files:
-        unit = api.compile_program(generated.source, filename=generated.name)
-        report = api.verify(
-            unit, options=api.VerifyOptions(cache=None, tier=tier)
-        )
-        assert check_report(generated.expected, report) == [], (
-            f"{generated.name} under tier={tier}"
-        )
+    dispatch = smt_only() if tier == "smt-only" else contextlib.nullcontext()
+    with dispatch:
+        for generated in corpus.files:
+            unit = api.compile_program(
+                generated.source, filename=generated.name
+            )
+            report = api.verify(unit, options=api.VerifyOptions(cache=None))
+            assert check_report(generated.expected, report) == [], (
+                f"{generated.name} under tier={tier}"
+            )
 
 
 def test_check_report_flags_divergence(corpus):

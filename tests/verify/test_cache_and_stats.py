@@ -7,6 +7,7 @@ from repro.smt import SolverCache
 from repro.smt.solver import Solver
 
 from .test_exhaustiveness import NAT_PRELUDE
+from .tier_oracle import smt_only
 
 
 def compile_(source):
@@ -66,15 +67,15 @@ class TestSolverStatsSurfaced:
         assert stats is not None
         assert stats.total.queries > 0
         assert stats.total.seconds > 0.0
-        # observe's switch is discharged by the pattern-algebra tier
-        # (no queries), but partial's non-exhaustive switch falls back
-        # to SMT for its model counterexample, so it records queries.
+        # observe's switch is discharged by the pattern algebra (no
+        # queries), but partial's non-exhaustive switch falls back to
+        # SMT for its model counterexample, so it records queries.
         assert any("partial" in label for label in stats.per_method)
-        smt_only = api.verify(
-            unit,
-            options=api.VerifyOptions(cache=SolverCache(), tier="smt-only"),
-        )
-        assert any("observe" in label for label in smt_only.solver_stats.per_method)
+        with smt_only():
+            smt = api.verify(
+                unit, options=api.VerifyOptions(cache=SolverCache())
+            )
+        assert any("observe" in label for label in smt.solver_stats.per_method)
         # Verdict tallies are consistent with the query count.
         total = stats.total
         assert total.sat + total.unsat + total.unknown == total.queries
@@ -82,14 +83,11 @@ class TestSolverStatsSurfaced:
     def test_format_table_mentions_methods_and_hit_rate(self):
         unit = compile_(WARNY_SOURCE)
         cache = SolverCache()
-        # smt-only so observe's (algebra-dischargeable) switch still
+        # smt_only so observe's (algebra-dischargeable) switch still
         # reaches the solver and earns a per-method row.
-        api.verify(
-            unit, options=api.VerifyOptions(cache=cache, tier="smt-only")
-        )
-        report = api.verify(
-            unit, options=api.VerifyOptions(cache=cache, tier="smt-only")
-        )
+        with smt_only():
+            api.verify(unit, options=api.VerifyOptions(cache=cache))
+            report = api.verify(unit, options=api.VerifyOptions(cache=cache))
         table = report.solver_stats.format_table()
         assert "observe" in table
         assert "cache hit rate" in table

@@ -303,13 +303,31 @@ def test_daemon_verify_rejects_removed_options(program):
         assert name in response["error"]["message"]
 
 
-def test_daemon_reports_protocol_4():
-    # Protocol 4 dropped the ``backend`` verify option.
+def test_daemon_verify_rejects_tier_option(program):
+    # Protocol 5 dropped the ``tier`` verify option: the pattern
+    # algebra is a fast path, not a setting.
+    daemon = VerifyDaemon(use_cache=False)
+    for tier in ("auto", "smt-only", "algebra-only", "check"):
+        response = daemon.handle_line(
+            request_line(
+                "verify", 1, paths=[program(CLEAN)], options={"tier": tier}
+            )
+        )
+        assert response["ok"] is False, tier
+        assert response["error"] == {
+            "code": protocol.ERROR_INVALID_PARAMS,
+            "message": "unknown verify options: tier",
+        }
+
+
+def test_daemon_reports_protocol_5():
+    # Protocol 4 dropped the ``backend`` verify option, protocol 5 the
+    # ``tier`` one.
     daemon = VerifyDaemon(use_cache=False)
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
-    assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 4
-    assert response["result"]["version"].startswith("repro-daemon/4.")
+    assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 5
+    assert response["result"]["version"].startswith("repro-daemon/5.3")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):

@@ -73,7 +73,8 @@ def test_options_fields_mirror_legacy_defaults():
     assert opts.task_timeout is None
     assert opts.trace is None
     assert opts.tracer is None
-    assert opts.format == "text"
+    assert not hasattr(opts, "format")
+    assert not hasattr(opts, "tier")
     assert not hasattr(opts, "backend")
     assert not hasattr(opts, "batch_size")
     assert opts.use_cache is True
@@ -97,7 +98,6 @@ def test_replace_returns_a_modified_copy():
         {"task_timeout": float("inf")},
         {"jobs": 0},
         {"jobs": "many"},
-        {"format": "xml"},
     ],
 )
 def test_validate_rejects_out_of_range_settings(bad):
@@ -210,7 +210,7 @@ def test_report_to_dict_shape(unit):
     assert set(data["solver_stats"]) == {
         "total", "per_method", "tasks_retried", "tasks_timed_out",
         "tasks_failed", "deadlines_degraded", "algebra_discharged",
-        "algebra_fallbacks", "tier_mismatches", "parallel_decision",
+        "algebra_fallbacks", "parallel_decision",
     }
 
 

@@ -1,16 +1,17 @@
-"""Tests for the pre-SMT pattern-algebra tier (:mod:`repro.verify.tiered`).
+"""Tests for the pattern-algebra fast path (:mod:`repro.verify.tiered`).
 
-Three layers of assurance:
+Three layers of assurance, all through the oracle in
+:mod:`tests.verify.tier_oracle`:
 
 - hand-written edge cases (empty match, lone wildcard, or-patterns at
   the top and under nesting, arms shadowed by an earlier wildcard),
-  each checked for byte-identical warnings across tiers and for the
-  expected discharge accounting;
-- the whole example corpus run in ``--tier check`` differential mode,
-  which hard-fails on any algebra/SMT verdict disagreement;
+  each checked for byte-identical warnings with and without the
+  algebra (``smt_only()``) and for the expected discharge accounting;
+- the whole example corpus under ``tier_check()``, which fails a task
+  on any algebra/SMT verdict disagreement;
 - a property-style sweep: random small constructor hierarchies and
-  random pattern columns, verified in check mode with the SMT pipeline
-  as the oracle.
+  random pattern columns, verified under ``tier_check()`` with the SMT
+  pipeline as the oracle.
 """
 
 import pytest
@@ -19,9 +20,10 @@ from repro import api
 from repro.corpus import combined_programs
 from repro.errors import WarningKind
 from repro.smt import SolverCache
-from repro.verify import PatternAlgebra, TierMismatchError, VerifyOptions
+from repro.verify import PatternAlgebra, VerifyOptions
 
 from .test_exhaustiveness import NAT_PRELUDE
+from .tier_oracle import smt_only, tier_check
 
 try:
     from hypothesis import given, settings
@@ -40,11 +42,21 @@ def warning_strings(report):
     return [str(w) for w in report.diagnostics.warnings]
 
 
-def verify_tier(source, tier):
-    return api.verify(
-        compile_(source),
-        options=api.VerifyOptions(cache=SolverCache(), tier=tier),
-    )
+def verify_tier(source, tier="auto"):
+    """Verify ``source`` by default, under ``smt_only()``, or under
+    ``tier_check()`` (which must not find a disagreement)."""
+    unit = compile_(source)
+    options = api.VerifyOptions(cache=SolverCache())
+    if tier == "auto":
+        return api.verify(unit, options=options)
+    if tier == "smt-only":
+        with smt_only():
+            return api.verify(unit, options=options)
+    assert tier == "check"
+    with tier_check() as disagreements:
+        report = api.verify(unit, options=options)
+    assert disagreements == [] and report.tasks_failed == 0
+    return report
 
 
 def in_method(body):
@@ -90,7 +102,7 @@ class TestEdgeCases:
         ),
     }
 
-    #: every case is conclusive for both tiers (the canonical pattern-
+    #: every case is conclusive for both sides (the canonical pattern-
     #: mode encoding keeps one success predicate per constructor, so
     #: nested-wildcard redundancy like ``deep_redundant`` is provable
     #: by SMT too), so warnings must match byte for byte.
@@ -116,10 +128,9 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_check_mode_agrees(self, name):
-        # check mode raises TierMismatchError on any disagreement, so
-        # merely completing is the assertion.
+        # verify_tier asserts the oracle found no disagreement; the
+        # discharge count shows the algebra really decided something.
         report = verify_tier(self.CASES[name], "check")
-        assert report.solver_stats.tier_mismatches == 0
         assert report.solver_stats.algebra_discharged > 0
 
     def test_exhaustive_switch_discharged_without_queries(self):
@@ -144,19 +155,6 @@ class TestEdgeCases:
         assert redundant
         assert auto.solver_stats.algebra_discharged > 0
 
-    def test_algebra_only_renders_witness(self):
-        report = verify_tier(self.CASES["missing_ctor"], "algebra-only")
-        warnings = [
-            str(w) for w in report.of_kind(WarningKind.NONEXHAUSTIVE)
-        ]
-        assert warnings
-        # The witness names the missing constructor syntactically.
-        assert any("zero" in w for w in warnings)
-
-    def test_algebra_only_makes_no_queries_for_switches(self):
-        report = verify_tier(self.CASES["deep_redundant"], "algebra-only")
-        assert report.solver_stats.algebra_discharged > 0
-
 
 class TestRefinementsStayOnSmt:
     """Patterns the algebra must refuse to judge."""
@@ -176,16 +174,10 @@ class TestRefinementsStayOnSmt:
         smt = verify_tier(self.GUARDED, "smt-only")
         assert warning_strings(auto) == warning_strings(smt)
 
-    def test_algebra_only_skips_ineligible_switch(self):
-        # algebra-only must not invent verdicts for switches it cannot
-        # lower; the guarded switch is skipped silently.
-        report = verify_tier(self.GUARDED, "algebra-only")
-        assert not report.of_kind(WarningKind.NONEXHAUSTIVE)
-
 
 #: trees is minutes-long under full-budget SMT, so (matching the
 #: parity suites' convention) it runs separately under a tiny budget —
-#: check mode treats the resulting UNKNOWNs as compatible, which still
+#: the oracle treats the resulting UNKNOWNs as compatible, which still
 #: exercises the comparison plumbing on every switch.
 FAST_GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
@@ -194,30 +186,30 @@ class TestCheckModeOverCorpus:
     @pytest.mark.parametrize("name", FAST_GROUPS)
     def test_corpus_program_survives_tier_check(self, name):
         source = combined_programs()[name]
-        report = api.verify(
-            api.compile_program(source, filename=name),
-            options=api.VerifyOptions(cache=SolverCache(), tier="check"),
-        )
-        assert report.solver_stats.tier_mismatches == 0
+        with tier_check() as disagreements:
+            report = api.verify(
+                api.compile_program(source, filename=name),
+                options=api.VerifyOptions(cache=SolverCache()),
+            )
+        assert disagreements == []
+        assert report.tasks_failed == 0
 
     def test_trees_survives_tier_check_under_tiny_budget(self):
         source = combined_programs()["trees"]
-        report = api.verify(
-            api.compile_program(source, filename="trees"),
-            options=api.VerifyOptions(
-                cache=SolverCache(),
-                budget=1e-9,
-                tier="check",
-            ),
-        )
-        assert report.solver_stats.tier_mismatches == 0
+        with tier_check() as disagreements:
+            report = api.verify(
+                api.compile_program(source, filename="trees"),
+                options=api.VerifyOptions(cache=SolverCache(), budget=1e-9),
+            )
+        assert disagreements == []
+        assert report.tasks_failed == 0
 
     def test_corpus_has_nonzero_algebra_discharge(self):
         total = 0
         for name in FAST_GROUPS:
             report = api.verify(
                 api.compile_program(combined_programs()[name], filename=name),
-                options=api.VerifyOptions(cache=SolverCache(), tier="auto"),
+                options=api.VerifyOptions(cache=SolverCache()),
             )
             total += report.solver_stats.algebra_discharged
         assert total > 0
@@ -225,13 +217,22 @@ class TestCheckModeOverCorpus:
 
 class TestTierPlumbing:
     def test_invalid_tier_rejected(self):
-        with pytest.raises(ValueError):
-            VerifyOptions(tier="fast").validate()
+        # The algebra is a fast path, not a setting: no tier option.
+        with pytest.raises(TypeError):
+            VerifyOptions(tier="auto")
 
-    def test_mismatch_error_carries_report(self, monkeypatch):
-        # Force a disagreement by making the algebra swear an
-        # incomplete switch is exhaustive; check mode must raise with
-        # the report attached.
+    def test_algebra_exported_from_verify_package(self):
+        assert PatternAlgebra is not None
+
+
+class TestOracleSelfTest:
+    """A lying algebra must fail ``tier_check()`` on every driver."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lying_algebra_fails_tier_check(self, monkeypatch, jobs):
+        # The algebra swears an incomplete switch is exhaustive.  Four
+        # copies of the method take the program over the pool's task
+        # floor, so jobs=2 really forks workers.
         from repro.verify import tiered
 
         real = tiered.PatternAlgebra.analyze_switch
@@ -240,23 +241,38 @@ class TestTierPlumbing:
             decision = real(self, node, *rest)
             if decision is not None and decision.exhaustive is False:
                 decision.exhaustive = True
-                decision.witness = []
             return decision
 
         monkeypatch.setattr(tiered.PatternAlgebra, "analyze_switch", lying)
-        source = in_method("switch (n) { case succ(Nat p): return 1; }")
-        with pytest.raises(TierMismatchError) as excinfo:
-            api.verify(
-                compile_(source),
-                options=api.VerifyOptions(cache=SolverCache(), tier="check"),
+        methods = "".join(
+            f"static int f{i}(Nat n) {{\n"
+            "  switch (n) { case succ(Nat p): return 1; }\n"
+            "}\n"
+            for i in range(4)
+        )
+        unit = compile_(NAT_PRELUDE + methods)
+        with tier_check() as disagreements:
+            report = api.verify(
+                unit, options=api.VerifyOptions(cache=SolverCache(), jobs=jobs)
             )
-        report = excinfo.value.report
-        assert report is not None
-        assert report.solver_stats.tier_mismatches > 0
-        assert report.of_kind(WarningKind.TIER_MISMATCH)
-
-    def test_algebra_exported_from_verify_package(self):
-        assert PatternAlgebra is not None
+        # Under jobs=2 each task failed first in a forked worker, then
+        # again in the parent's serial re-run.
+        assert report.tasks_failed == 4
+        assert report.tasks_retried == (4 if jobs > 1 else 0)
+        assert report.solver_stats.parallel_decision.startswith(
+            "parallel" if jobs > 1 else "serial"
+        )
+        assert disagreements
+        assert all(
+            "tier disagreement on switch (exhaustiveness: "
+            "smt=nonexhaustive, algebra=exhaustive)" in d
+            for d in disagreements
+        )
+        failed = [
+            w for w in report.of_kind(WarningKind.UNKNOWN)
+            if "failed (AssertionError)" in w.message
+        ]
+        assert len(failed) == 4
 
 
 def _hierarchy_source(arities):
@@ -359,9 +375,12 @@ if HAVE_HYPOTHESIS:
             # Some generated shapes are rejected upstream (e.g. the
             # checker refuses a pattern form); that is out of scope.
             return
-        # check mode IS the oracle comparison: it runs the algebra and
-        # SMT on the same obligations and raises on any disagreement.
-        report = api.verify(
-            unit, options=api.VerifyOptions(cache=SolverCache(), tier="check")
-        )
-        assert report.solver_stats.tier_mismatches == 0
+        # tier_check IS the oracle comparison: it runs the algebra and
+        # SMT on the same obligations and fails the task on any
+        # disagreement.
+        with tier_check() as disagreements:
+            report = api.verify(
+                unit, options=api.VerifyOptions(cache=SolverCache())
+            )
+        assert disagreements == []
+        assert report.tasks_failed == 0

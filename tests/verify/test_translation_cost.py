@@ -12,6 +12,8 @@ from repro import api
 from repro.verify import exhaustiveness, translate
 from repro.verify.options import VerifyOptions
 
+from .tier_oracle import smt_only
+
 
 def shapes(arms: int) -> str:
     """An interface sealed by an ``arms``-arm invariant and one switch."""
@@ -55,7 +57,8 @@ def switch_translations(monkeypatch, arms: int) -> int:
         counted_check_switch,
     )
     unit = api.compile_program(shapes(arms), "shapes.jm")
-    report = api.verify(unit, options=VerifyOptions(cache=None, tier="smt-only"))
+    with smt_only():
+        report = api.verify(unit, options=VerifyOptions(cache=None))
     assert report.clean
     monkeypatch.undo()
     return calls

@@ -1,0 +1,119 @@
+"""The pattern algebra's differential oracle: SMT on every obligation.
+
+The verifier discharges constructor-only obligations with the pattern
+algebra (:mod:`repro.verify.tiered`) and sends the rest to SMT.  Two
+context managers here re-route that dispatch, the same way
+``tests/smt/reference_solver.py``'s ``reference_engine()`` swaps the
+solving engine:
+
+* :func:`smt_only` turns the algebra off: every switch and every ``|``
+  goes to SMT, as if the fast path did not exist.  Warnings under it
+  must be byte-identical to a default run.
+* :func:`tier_check` runs both sides on every obligation the algebra
+  decides and raises ``AssertionError`` on any verdict disagreement.
+  UNKNOWN and untranslatable SMT outcomes are compatible with any
+  algebra verdict (SMT ran out of budget or scope; it did not
+  disagree).  The task loop turns the error into a failed task on
+  every driver, so a run passes the check when ``tasks_failed == 0``.
+  The ``with`` target is a list that collects the disagreements raised
+  in this process.
+
+Both patch classes, so pool workers forked inside the ``with`` block
+inherit them, and a task that fails in a worker is re-run, and fails
+again, in this process.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+from repro.verify.disjointness import DisjointnessChecker
+from repro.verify.tiered import PatternAlgebra
+from repro.verify.verifier import _BodyWalker
+
+
+@contextlib.contextmanager
+def smt_only():
+    """Decide every switch and ``|`` with SMT; the algebra decides none."""
+    with mock.patch.object(
+        PatternAlgebra, "analyze_switch", lambda self, *args: None
+    ), mock.patch.object(
+        DisjointnessChecker, "_asserted_by_algebra", lambda self, *args: False
+    ):
+        yield
+
+
+def switch_disagreements(decision, outcome) -> list[str]:
+    """Where an algebra decision and an SMT ``CheckOutcome`` disagree."""
+    mismatches: list[str] = []
+    for index, verdict in enumerate(outcome.arm_verdicts):
+        algebra_redundant = index in decision.redundant
+        if verdict == "redundant" and not algebra_redundant:
+            mismatches.append(
+                f"arm {index + 1}: smt=redundant, algebra=reachable"
+            )
+        elif verdict == "reachable" and algebra_redundant:
+            mismatches.append(
+                f"arm {index + 1}: smt=reachable, algebra=redundant"
+            )
+    smt_exhaustive = outcome.exhaustive_verdict
+    if smt_exhaustive == "exhaustive" and decision.exhaustive is False:
+        mismatches.append(
+            "exhaustiveness: smt=exhaustive, algebra=nonexhaustive"
+        )
+    elif smt_exhaustive == "nonexhaustive" and decision.exhaustive is True:
+        mismatches.append(
+            "exhaustiveness: smt=nonexhaustive, algebra=exhaustive"
+        )
+    return mismatches
+
+
+@contextlib.contextmanager
+def tier_check():
+    """Run the algebra and SMT side by side; raise on any disagreement."""
+    disagreements: list[str] = []
+
+    def fail(span, messages: list[str]):
+        located = [f"{span}: {message}" for message in messages]
+        disagreements.extend(located)
+        raise AssertionError("; ".join(located))
+
+    def checked_switch(walker, stmt, scope, path):
+        decision = walker.algebra.analyze_switch(stmt, scope, path)
+        outcome = walker._check_switch_smt(stmt, scope, path)
+        if decision is None:
+            return
+        stats = walker.verifier.session.stats
+        if stats is not None:
+            stats.algebra_discharged += decision.obligations
+        details = switch_disagreements(decision, outcome)
+        if details:
+            fail(
+                stmt.span,
+                [f"tier disagreement on switch ({d})" for d in details],
+            )
+
+    def checked_disjunction(checker, node, owner, env_types, span, label):
+        before = len(checker.diag.warnings)
+        checker._check_smt(node, owner, env_types, span, label)
+        if not checker._asserted_by_algebra(node, owner):
+            return
+        stats = checker.session.stats
+        if stats is not None:
+            stats.algebra_discharged += 1
+        if len(checker.diag.warnings) != before:
+            fail(
+                span,
+                [
+                    f"tier disagreement on `{node}` (algebra predicted no "
+                    f"disjointness warning, smt warned)"
+                ],
+            )
+
+    with mock.patch.object(
+        _BodyWalker, "_check_switch", checked_switch
+    ), mock.patch.object(
+        DisjointnessChecker, "_check_one", checked_disjunction
+    ):
+        yield disagreements
