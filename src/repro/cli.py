@@ -14,7 +14,8 @@ Usage::
 whole invocation (``{"files": [{"path", "report" | "error"}, ...]}``);
 ``--trace FILE`` writes the run's span tree — every task, obligation,
 and SMT query, across all files and worker processes — to FILE as
-JSONL (see :mod:`repro.obs`).
+JSONL (see :mod:`repro.obs`); ``--profile`` prints each file's solver
+phase table, rendered from those same spans.
 
 Exit status: 0 on success (for ``verify``: even with warnings, since
 verification "only affects warnings given to the programmer"); 1 on
@@ -89,144 +90,50 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if jobs < 1:
             print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
             return 2
-    if args.daemon:
-        return _verify_via_daemon(args)
     from .smt.cache import GLOBAL_CACHE
 
-    cache = None if args.no_cache else GLOBAL_CACHE
-    cache_dir = _cache_dir(args)
-    # With --trace, the CLI owns the tracer (and the run span), so one
-    # invocation over several files yields a single trace file; each
-    # api.verify call records its file span into it.
-    tracer = run_span = None
-    if args.trace is not None:
-        from .obs import Tracer
-
-        tracer = Tracer()
-        run_span = tracer.begin("run", "verify")
     options = api.VerifyOptions(
         budget=args.budget,
-        cache=cache,
+        cache=None if args.no_cache else GLOBAL_CACHE,
         jobs=jobs,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir(args),
         task_timeout=args.task_timeout,
-        tracer=tracer,
     )
+    # Validate before either path runs, so a bad flag exits 2 with or
+    # without --daemon (and never spawns a daemon).
     try:
         options.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.daemon:
+        from .verify.daemon import DaemonError
+
+        try:
+            entries = _daemon_entries(args)
+        except DaemonError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    else:
+        entries = _local_entries(args, options)
+    from .metrics.solver_stats import format_stats
+
     json_mode = args.format == "json"
     documents: list[dict] = []
     status = 0
     several = len(args.files) > 1
-    try:
-        for path in args.files:
-            if several and not json_mode:
-                print(f"{path}:")
-            try:
-                unit = api.compile_program(_read(path), filename=path)
-            except (OSError, JMatchError) as exc:
-                # Unreadable files and compile errors fail this file the
-                # same way in both output modes: record it, exit 1.
-                print(f"error: {exc}", file=sys.stderr)
-                status = max(status, 1)
-                if json_mode:
-                    documents.append({"path": path, "error": str(exc)})
-                continue
-            report = api.verify(unit, options=options)
-            if json_mode:
-                documents.append({"path": path, "report": report.to_dict()})
-                continue
-            for warning in report.diagnostics.warnings:
-                print(warning)
-            print(
-                f"checked {report.methods_checked} methods, "
-                f"{report.statements_checked} statements in "
-                f"{report.seconds:.2f}s; "
-                f"{len(report.diagnostics.warnings)} warnings"
-            )
-            if args.stats and report.solver_stats is not None:
-                print(report.solver_stats.format_table())
-            if args.profile and report.solver_stats is not None:
-                print(report.solver_stats.format_profile())
-    finally:
-        if tracer is not None:
-            from .obs import write_jsonl
-
-            tracer.end(run_span)
-            write_jsonl(args.trace, tracer.roots)
-    if json_mode:
-        print(json.dumps({"files": documents}, indent=2))
-    return status
-
-
-def _format_warning(warning: dict) -> str:
-    """Render one report-dict warning exactly as ``Warning.__str__``.
-
-    The daemon ships report *documents*; the client re-renders them so
-    daemon and local text output are byte-identical (the equivalence
-    test locks this against :class:`repro.errors.Warning`).
-    """
-    text = (
-        f"warning[{warning['kind']}] {warning['file']}:"
-        f"{warning['line']}:{warning['column']}: {warning['message']}"
-    )
-    if warning.get("counterexample"):
-        text += f"\n  counterexample: {warning['counterexample']}"
-    return text
-
-
-def _verify_via_daemon(args: argparse.Namespace) -> int:
-    """The ``verify --daemon`` path: one request to a warm daemon.
-
-    ``--jobs`` is ignored here — the daemon verifies warm-serial by
-    design (its speed comes from hot caches and the dependency index,
-    not a process pool) — as is ``--cache-dir``, which the daemon fixed
-    at spawn time.
-    """
-    json_mode = args.format == "json"
-    from .verify.daemon import DaemonError, ensure_daemon
-
-    options = {
-        "budget": args.budget,
-        "task_timeout": args.task_timeout,
-        "use_cache": not args.no_cache,
-        "stats": bool(args.stats) and not json_mode,
-        "profile": bool(args.profile) and not json_mode,
-        "trace": args.trace is not None,
-    }
-    try:
-        with ensure_daemon(socket_path=args.socket) as client:
-            result = client.verify(args.files, options)
-    except DaemonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.trace is not None and "trace" in result:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for row in result["trace"]:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-    status = 0
-    several = len(args.files) > 1
-    documents: list[dict] = []
-    for entry in result["files"]:
-        path = entry["path"]
-        report = entry.get("report")
-        error = entry.get("error")
-        if not json_mode and several:
-            print(f"{path}:")
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            status = max(status, 1)
+    for entry, profile in entries:
+        if several and not json_mode:
+            print(f"{entry['path']}:")
+        if "error" in entry:
+            # Unreadable files and compile errors fail this file the
+            # same way in both output modes: record it, exit 1.
+            print(f"error: {entry['error']}", file=sys.stderr)
+            status = 1
         if json_mode:
-            document: dict = {"path": path}
-            if report is not None:
-                document["report"] = report
-            if error is not None:
-                document["error"] = error
-            documents.append(document)
+            documents.append(entry)
             continue
+        report = entry.get("report")
         if report is None:
             continue
         for warning in report["warnings"]:
@@ -237,13 +144,92 @@ def _verify_via_daemon(args: argparse.Namespace) -> int:
             f"{report['seconds']:.2f}s; "
             f"{len(report['warnings'])} warnings"
         )
-        if entry.get("stats_text"):
-            print(entry["stats_text"])
-        if entry.get("profile_text"):
-            print(entry["profile_text"])
+        if args.stats:
+            print(format_stats(report["solver_stats"]))
+        if args.profile:
+            print(profile)
     if json_mode:
         print(json.dumps({"files": documents}, indent=2))
     return status
+
+
+def _local_entries(args: argparse.Namespace, options: api.VerifyOptions):
+    """Verify each file in this process, yielding ``(entry, profile)``.
+
+    ``entry`` is the file's ``--format json`` document; ``profile`` its
+    ``--profile`` table, or None.  With ``--trace`` or ``--profile`` the
+    CLI owns the tracer (and the run span), so several files yield one
+    trace; each api.verify call records its file span into it.
+    """
+    from . import obs
+
+    tracing = args.trace is not None or args.profile
+    options.tracer = tracer = obs.Tracer() if tracing else obs.NULL_TRACER
+    run_span = tracer.begin("run", "verify")
+    try:
+        for path in args.files:
+            try:
+                unit = api.compile_program(_read(path), filename=path)
+            except (OSError, JMatchError) as exc:
+                yield {"path": path, "error": str(exc)}, None
+                continue
+            report = api.verify(unit, options=options)
+            profile = None
+            if args.profile:
+                file_span = run_span.children[-1]
+                (profile,) = obs.format_profiles(obs.span_rows([file_span]))
+            yield {"path": path, "report": report.to_dict()}, profile
+    finally:
+        if args.trace is not None:
+            tracer.end(run_span)
+            obs.write_jsonl(args.trace, tracer.roots)
+
+
+def _format_warning(warning: dict) -> str:
+    """Render one report-dict warning exactly as ``Warning.__str__``.
+
+    Both paths print report *documents* (the daemon ships nothing
+    else), so daemon and local text output are byte-identical.
+    """
+    text = (
+        f"warning[{warning['kind']}] {warning['file']}:"
+        f"{warning['line']}:{warning['column']}: {warning['message']}"
+    )
+    if warning.get("counterexample"):
+        text += f"\n  counterexample: {warning['counterexample']}"
+    return text
+
+
+def _daemon_entries(args: argparse.Namespace) -> list:
+    """:func:`_local_entries`' pairs from one request to a warm daemon.
+
+    ``--jobs`` is ignored here — the daemon verifies warm-serial by
+    design (its speed comes from hot caches and the dependency index,
+    not a process pool) — as is ``--cache-dir``, which the daemon fixed
+    at spawn time.
+    """
+    from .obs import format_profiles
+    from .verify.daemon import ensure_daemon
+
+    options = {
+        "budget": args.budget,
+        "task_timeout": args.task_timeout,
+        "use_cache": not args.no_cache,
+        "trace": args.trace is not None or args.profile,
+    }
+    with ensure_daemon(socket_path=args.socket) as client:
+        result = client.verify(args.files, options)
+    rows = result.get("trace", [])
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(json.dumps(row, sort_keys=True) + "\n")
+    # Only files that compiled have a file span (and a report).
+    profiles = iter(format_profiles(rows))
+    return [
+        (entry, next(profiles, None) if "report" in entry else None)
+        for entry in result["files"]
+    ]
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -362,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument(
         "--profile", action="store_true",
         help="print per-method solver phase timers (encode / SAT / "
-        "expand / theory / validate)",
+        "expand / theory / validate), read from the run's trace spans",
     )
     p_verify.add_argument(
         "--no-cache", action="store_true",

@@ -5,8 +5,11 @@ their per-query measurements (wall time, SAT rounds, theory conflicts
 and their core sizes, axioms asserted, deepening passes, cache
 hits/misses, verdict counts) up into per-method
 and whole-run totals.  The aggregate is surfaced on
-:class:`repro.verify.VerificationReport` and rendered by
-``repro.cli verify --stats``.
+:class:`repro.verify.VerificationReport`; :func:`format_stats` renders
+its document form as ``repro.cli verify --stats``.  The solver phase
+timers are not rolled up here: they live on each ``query`` trace span,
+and ``--profile`` renders them from the trace
+(:func:`repro.obs.format_profiles`).
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ class QueryStats:
     #: two always sum to cache_hits
     cache_memory_hits: int = 0
     cache_disk_hits: int = 0
-    # phase timers (seconds); see SolverStats in repro.smt.solver
-    encode_s: float = 0.0
-    sat_s: float = 0.0
-    expand_s: float = 0.0
-    theory_s: float = 0.0
-    validate_s: float = 0.0
 
     def add_query(self, verdict: str, seconds: float, solver_stats) -> None:
         """Fold in one query's verdict, wall time, and SolverStats."""
@@ -62,10 +59,6 @@ class QueryStats:
         self.cache_misses += solver_stats.cache_misses
         self.cache_memory_hits += getattr(solver_stats, "cache_memory_hits", 0)
         self.cache_disk_hits += getattr(solver_stats, "cache_disk_hits", 0)
-        for phase in ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s"):
-            setattr(
-                self, phase, getattr(self, phase) + getattr(solver_stats, phase, 0.0)
-            )
 
     @property
     def cache_hit_rate(self) -> float:
@@ -90,11 +83,6 @@ class QueryStats:
             "cache_memory_hits": self.cache_memory_hits,
             "cache_disk_hits": self.cache_disk_hits,
             "cache_hit_rate": self.cache_hit_rate,
-            "encode_s": self.encode_s,
-            "sat_s": self.sat_s,
-            "expand_s": self.expand_s,
-            "theory_s": self.theory_s,
-            "validate_s": self.validate_s,
         }
 
     def merge(self, other: "QueryStats") -> None:
@@ -113,11 +101,6 @@ class QueryStats:
         self.cache_misses += other.cache_misses
         self.cache_memory_hits += other.cache_memory_hits
         self.cache_disk_hits += other.cache_disk_hits
-        self.encode_s += other.encode_s
-        self.sat_s += other.sat_s
-        self.expand_s += other.expand_s
-        self.theory_s += other.theory_s
-        self.validate_s += other.validate_s
 
 
 @dataclass
@@ -209,84 +192,55 @@ class VerifyStats:
             "parallel_decision": self.parallel_decision,
         }
 
-    def format_table(self) -> str:
-        """The ``--stats`` table: one row per method plus totals."""
-        header = (
-            f"{'method':<40}{'queries':>8}{'sat':>6}{'unsat':>7}{'unk':>5}"
-            f"{'time(s)':>9}{'rounds':>8}{'axioms':>8}{'deepen':>8}"
-            f"{'hits':>6}{'miss':>6}"
-        )
-        lines = [header, "-" * len(header)]
-        for name in sorted(self.per_method):
-            stats = self.per_method[name]
-            label = name if len(name) <= 39 else name[:36] + "..."
-            lines.append(
-                f"{label:<40}{stats.queries:>8}{stats.sat:>6}"
-                f"{stats.unsat:>7}{stats.unknown:>5}{stats.seconds:>9.3f}"
-                f"{stats.sat_rounds:>8}{stats.axioms_asserted:>8}"
-                f"{stats.deepening_passes:>8}{stats.cache_hits:>6}"
-                f"{stats.cache_misses:>6}"
-            )
-        lines.append("-" * len(header))
-        t = self.total
-        lines.append(
-            f"{'total':<40}{t.queries:>8}{t.sat:>6}{t.unsat:>7}{t.unknown:>5}"
-            f"{t.seconds:>9.3f}{t.sat_rounds:>8}{t.axioms_asserted:>8}"
-            f"{t.deepening_passes:>8}{t.cache_hits:>6}{t.cache_misses:>6}"
-        )
-        lines.append(
-            f"theory conflicts: {t.theory_conflicts} "
-            f"({t.theory_core_lits} core literals)"
-        )
-        lines.append(
-            f"cache hit rate: {t.cache_hit_rate:.1%} "
-            f"({t.cache_hits}/{t.cache_hits + t.cache_misses}; "
-            f"{t.cache_memory_hits} memory, {t.cache_disk_hits} disk)"
-        )
-        lines.append(
-            f"tasks: {self.tasks_retried} retried, "
-            f"{self.tasks_timed_out} timed out, {self.tasks_failed} failed"
-        )
-        if self.deadlines_degraded:
-            lines.append(
-                f"deadlines: {self.deadlines_degraded} task(s) ran with a "
-                f"soft deadline (SIGALRM unavailable off the main thread)"
-            )
-        lines.append(
-            f"tiers: {self.algebra_discharged} obligations discharged by "
-            f"the pattern algebra, {self.algebra_fallbacks} fell back to SMT"
-        )
-        if self.parallel_decision:
-            lines.append(f"jobs: {self.parallel_decision}")
-        return "\n".join(lines)
 
-    def format_profile(self) -> str:
-        """The ``--profile`` table: per-method solver phase timers."""
-        header = (
-            f"{'method':<40}{'time(s)':>9}{'encode':>9}{'sat':>9}"
-            f"{'expand':>9}{'theory':>9}{'validate':>9}"
-        )
-        lines = [header, "-" * len(header)]
+def format_stats(stats: dict) -> str:
+    """The ``--stats`` table from a report's ``solver_stats`` document.
 
-        def row(label: str, stats: QueryStats) -> str:
-            return (
-                f"{label:<40}{stats.seconds:>9.3f}{stats.encode_s:>9.3f}"
-                f"{stats.sat_s:>9.3f}{stats.expand_s:>9.3f}"
-                f"{stats.theory_s:>9.3f}{stats.validate_s:>9.3f}"
-            )
+    Reads the :meth:`VerifyStats.to_dict` form, so a local run and a
+    ``--daemon`` reply render through this one function.
+    """
+    header = (
+        f"{'method':<40}{'queries':>8}{'sat':>6}{'unsat':>7}{'unk':>5}"
+        f"{'time(s)':>9}{'rounds':>8}{'axioms':>8}{'deepen':>8}"
+        f"{'hits':>6}{'miss':>6}"
+    )
 
-        for name in sorted(self.per_method):
-            stats = self.per_method[name]
-            label = name if len(name) <= 39 else name[:36] + "..."
-            lines.append(row(label, stats))
-        lines.append("-" * len(header))
-        lines.append(row("total", self.total))
-        solver_time = (
-            self.total.encode_s + self.total.sat_s + self.total.expand_s
-            + self.total.theory_s + self.total.validate_s
+    def row(label: str, q: dict) -> str:
+        return (
+            f"{label:<40}{q['queries']:>8}{q['sat']:>6}{q['unsat']:>7}"
+            f"{q['unknown']:>5}{q['seconds']:>9.3f}{q['sat_rounds']:>8}"
+            f"{q['axioms_asserted']:>8}{q['deepening_passes']:>8}"
+            f"{q['cache_hits']:>6}{q['cache_misses']:>6}"
         )
+
+    lines = [header, "-" * len(header)]
+    for name, q in stats["per_method"].items():
+        lines.append(row(name if len(name) <= 39 else name[:36] + "...", q))
+    lines.append("-" * len(header))
+    t = stats["total"]
+    lines.append(row("total", t))
+    lines.append(
+        f"theory conflicts: {t['theory_conflicts']} "
+        f"({t['theory_core_lits']} core literals)"
+    )
+    lines.append(
+        f"cache hit rate: {t['cache_hit_rate']:.1%} "
+        f"({t['cache_hits']}/{t['cache_hits'] + t['cache_misses']}; "
+        f"{t['cache_memory_hits']} memory, {t['cache_disk_hits']} disk)"
+    )
+    lines.append(
+        f"tasks: {stats['tasks_retried']} retried, "
+        f"{stats['tasks_timed_out']} timed out, {stats['tasks_failed']} failed"
+    )
+    if stats["deadlines_degraded"]:
         lines.append(
-            f"solver phases cover {solver_time:.3f}s of "
-            f"{self.total.seconds:.3f}s query wall time"
+            f"deadlines: {stats['deadlines_degraded']} task(s) ran with a "
+            f"soft deadline (SIGALRM unavailable off the main thread)"
         )
-        return "\n".join(lines)
+    lines.append(
+        f"tiers: {stats['algebra_discharged']} obligations discharged by "
+        f"the pattern algebra, {stats['algebra_fallbacks']} fell back to SMT"
+    )
+    if stats["parallel_decision"]:
+        lines.append(f"jobs: {stats['parallel_decision']}")
+    return "\n".join(lines)

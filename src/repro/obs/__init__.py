@@ -4,7 +4,8 @@
 from the rest of the package), so any layer — the CLI, the drivers,
 the solver session, pool workers — can thread a tracer through without
 import cycles.  See :mod:`repro.obs.tracer` for the span model and
-:mod:`repro.obs.sink` for the JSONL format.
+:mod:`repro.obs.sink` for the JSONL format and the ``--profile`` table
+rendered from it.
 """
 
 from .sink import (
@@ -13,6 +14,7 @@ from .sink import (
     ROW_KEYS,
     TRACE_SCHEMA_VERSION,
     append_jsonl,
+    format_profiles,
     read_jsonl,
     span_rows,
     validate_trace_rows,
@@ -31,6 +33,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "append_jsonl",
+    "format_profiles",
     "read_jsonl",
     "span_rows",
     "validate_trace_rows",

@@ -27,7 +27,10 @@ parents before children, ids assigned in document order at write time:
 * ``events`` — point events (``retry``, ``timeout``, ``failed``).
 
 :func:`validate_trace_rows` is the schema's executable definition; the
-golden-file test and the CI smoke lane both call it.
+golden-file test and the CI smoke lane both call it.  The query spans
+are the only stored copy of the phase timers: :func:`format_profiles`
+renders ``verify --profile`` from rows, for local and daemon runs
+alike.
 """
 
 from __future__ import annotations
@@ -112,6 +115,59 @@ def read_jsonl(path: str) -> list[dict]:
             if line:
                 rows.append(json.loads(line))
     return rows
+
+
+def format_profiles(rows: list[dict]) -> list[str]:
+    """The ``--profile`` table of each ``file`` span in ``rows``, in order.
+
+    A table has one row per task label that ran queries: the summed
+    query wall time and the summed :data:`QUERY_PHASE_KEYS` of the
+    task's ``query`` spans, then a total and the share of query wall
+    time the solver phases cover.  ``rows`` must be in document order
+    (parents first), as :func:`span_rows` and :func:`read_jsonl` give.
+    """
+    tables: list[dict[str, list[float]]] = []
+    #: row id -> (the table of its file span, the label of its task span)
+    scope: dict[int, tuple] = {}
+    for row in rows:
+        table, task = scope.get(row["parent"], (None, None))
+        if row["kind"] == "file":
+            table = {}
+            tables.append(table)
+        elif row["kind"] == "task":
+            task = row["name"]
+        elif row["kind"] == "query" and table is not None and task is not None:
+            values = [row["dur_ms"] / 1000.0]
+            values += [row["attrs"].get(key, 0.0) for key in QUERY_PHASE_KEYS]
+            sums = table.get(task, [0.0] * len(values))
+            table[task] = [a + b for a, b in zip(sums, values)]
+        scope[row["id"]] = (table, task)
+    return [_profile_table(table) for table in tables]
+
+
+def _profile_table(table: dict[str, list[float]]) -> str:
+    header = (
+        f"{'method':<40}{'time(s)':>9}{'encode':>9}{'sat':>9}"
+        f"{'expand':>9}{'theory':>9}{'validate':>9}"
+    )
+    rule = "-" * len(header)
+
+    def line(label: str, sums: list[float]) -> str:
+        label = label if len(label) <= 39 else label[:36] + "..."
+        return f"{label:<40}" + "".join(f"{value:>9.3f}" for value in sums)
+
+    lines = [header, rule]
+    total = [0.0] * (1 + len(QUERY_PHASE_KEYS))
+    for name in sorted(table):
+        lines.append(line(name, table[name]))
+        total = [a + b for a, b in zip(total, table[name])]
+    lines += [
+        rule,
+        line("total", total),
+        f"solver phases cover {sum(total[1:]):.3f}s of "
+        f"{total[0]:.3f}s query wall time",
+    ]
+    return "\n".join(lines)
 
 
 def validate_trace_rows(rows: list[dict]) -> list[str]:

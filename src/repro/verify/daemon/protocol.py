@@ -18,16 +18,16 @@ Responses::
     {"id": 1, "ok": true, "result": {...}}
     {"id": 1, "ok": false, "error": {"code": "...", "message": "..."}}
 
-``verify`` options mirror the scalar :class:`repro.api.VerifyOptions`
-fields that affect verdicts (``budget``, ``task_timeout``,
-``use_cache``) plus daemon extras: ``dep_index``
-(default true) to enable dependency-aware outcome reuse, ``stats`` /
-``profile`` to render the ``--stats``/``--profile`` tables
-server-side, and ``trace`` to ship the request's span rows back in the
-response.  Any other option key is rejected with ``invalid-params``.
-The result reuses
+``verify`` takes four options: the scalar
+:class:`repro.api.VerifyOptions` fields that affect verdicts
+(``budget``, ``task_timeout``, ``use_cache``) and ``trace``, which
+ships the request's span rows back in the response.  Any other option
+key is rejected with ``invalid-params`` (protocol 6 dropped ``stats``,
+``profile`` and ``dep_index``: the daemon renders no text, and
+dependency-aware reuse is always on).  The result reuses
 :meth:`~repro.verify.verifier.VerificationReport.to_dict` verbatim per
-file, so daemon and CLI reports share one schema.
+file, so daemon and CLI reports share one schema; the CLI renders
+``--stats`` from that document and ``--profile`` from the span rows.
 
 Error codes (``error.code``):
 
@@ -52,7 +52,7 @@ import os
 import tempfile
 
 #: bump on any incompatible wire-format change
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: environment override for the daemon socket location
 SOCKET_ENV = "REPRO_DAEMON_SOCKET"

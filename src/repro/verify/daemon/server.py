@@ -13,7 +13,9 @@ socket (or stdio), and everything expensive stays hot between them:
   (:mod:`repro.verify.daemon.index`): a re-``verify`` of an edited file
   re-runs only the tasks whose fingerprints changed (``dep-miss``) and
   replays the cached outcome for the rest (``dep-hit``), falling back
-  to a full re-run for any task the index cannot fingerprint.
+  to a full re-run for any task the index cannot fingerprint.  A
+  dep-miss runs through :func:`repro.verify.parallel.run_serial`, the
+  task loop every driver shares.
 
 Requests are handled one at a time under a lock — verification is
 CPU-bound pure Python, so request-level concurrency would only
@@ -30,7 +32,10 @@ Observability: every request runs under a ``run``-kind span named
 ``revalidate`` event (dep-hit/dep-miss counts) and one ``task`` span
 per task tagged with a ``dep-hit`` or ``dep-miss`` event.  With
 ``serve --trace FILE`` the rows append to FILE per request; a client
-may also ask for the rows in its response (``"trace": true``).
+may also ask for the rows in its response (``"trace": true``), which
+is how ``verify --daemon --profile`` gets its phase table.  The daemon
+renders no text: a response carries report documents and span rows,
+and the CLI prints both paths' output through one printer.
 """
 
 from __future__ import annotations
@@ -45,13 +50,8 @@ from ... import api
 from ...errors import JMatchError
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
-from ..parallel import (
-    _failed_outcome,
-    build_cache,
-    merge_outcomes,
-    run_one_task,
-    TaskOutcome,
-)
+from ..parallel import build_cache, merge_outcomes, run_serial
+from ..parallel import task_event_span, TaskOutcome
 from ..tiered import warm_algebra
 from ..verifier import VerifyTask, iter_tasks
 from . import protocol
@@ -77,15 +77,12 @@ class _FileState:
 
 
 #: ``verify`` request options the daemon honors, with defaults; every
-#: one maps onto the same-named VerifyOptions field except the daemon
-#: extras (dep_index / stats / profile / trace)
+#: one maps onto the same-named VerifyOptions field except ``trace``,
+#: which ships the request's span rows back in the response
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
     "task_timeout": None,
     "use_cache": True,
-    "dep_index": True,
-    "stats": False,
-    "profile": False,
     "trace": False,
 }
 
@@ -93,13 +90,14 @@ _VERIFY_OPTION_DEFAULTS = {
 def _options_signature(opts: dict) -> str:
     """The part of a request's options that cached outcomes depend on.
 
-    ``stats``/``profile`` only change rendering and ``dep_index`` only
-    changes reuse policy; everything else (including ``trace`` — an
-    outcome recorded without spans cannot serve a traced request)
-    participates, so changing e.g. the budget flushes the outcome cache
-    instead of replaying verdicts produced under different rules.
+    Every option that can change a verdict participates, so changing
+    e.g. the budget flushes the outcome cache instead of replaying
+    verdicts produced under different rules.  ``trace`` does not: a
+    dep-hit never replays the cached outcome's spans (it gets a fresh
+    zero-work span), so a traced request can reuse outcomes an untraced
+    one stored, and the other way round.
     """
-    keys = ("budget", "task_timeout", "use_cache", "trace")
+    keys = ("budget", "task_timeout", "use_cache")
     return repr([(k, opts[k]) for k in keys])
 
 
@@ -224,36 +222,34 @@ class VerifyDaemon:
             )
         opts = dict(_VERIFY_OPTION_DEFAULTS)
         opts.update(raw)
+        options = api.VerifyOptions(
+            budget=opts["budget"],
+            task_timeout=opts["task_timeout"],
+            cache=self.cache if opts["use_cache"] else None,
+        )
         try:
-            api.VerifyOptions(
-                budget=opts["budget"], task_timeout=opts["task_timeout"]
-            ).validate()
+            options.validate()
         except (TypeError, ValueError) as exc:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS, str(exc)
             )
+        options_sig = _options_signature(opts)
         self.requests_served += 1
         tracing = bool(opts["trace"]) or self.trace_path is not None
         tracer = Tracer() if tracing else NULL_TRACER
-        request_span = (
-            tracer.begin("run", "request", op="verify") if tracing else None
-        )
         files = []
         status = 0
         hits = misses = 0
-        try:
+        with tracer.span("run", "request", op="verify"):
             for path in paths:
                 entry, file_hits, file_misses = self._verify_file(
-                    path, opts, tracer
+                    path, options, options_sig, tracer
                 )
                 files.append(entry)
                 hits += file_hits
                 misses += file_misses
                 if "error" in entry:
                     status = 1
-        finally:
-            if tracing:
-                tracer.end(request_span)
         self.dep_hits += hits
         self.dep_misses += misses
         result = {
@@ -273,7 +269,7 @@ class VerifyDaemon:
     # -- the warm verification path ------------------------------------
 
     def _verify_file(
-        self, path: str, opts: dict, tracer
+        self, path: str, options: api.VerifyOptions, options_sig: str, tracer
     ) -> tuple[dict, int, int]:
         """Verify one path against the warm state; a CLI-shaped entry.
 
@@ -294,21 +290,14 @@ class VerifyDaemon:
         table = unit.table
         warm_algebra(table)
         tasks = list(iter_tasks(table))
-        fingerprints = (
-            fingerprint_tasks(table, tasks)
-            if opts["dep_index"]
-            else {task: None for task in tasks}
-        )
-        options_sig = _options_signature(opts)
+        fingerprints = fingerprint_tasks(table, tasks)
         state = self.files.get(abspath)
         if state is None or state.options_sig != options_sig:
             state = _FileState(options_sig)
-        cache = self.cache if opts["use_cache"] else None
-        tracing = tracer.enabled
         start = time.perf_counter()
         outcomes: list[TaskOutcome] = []
         hits = misses = 0
-        with tracer.span("file", path) if tracing else _null_ctx():
+        with tracer.span("file", path):
             for task in tasks:
                 fingerprint = fingerprints.get(task)
                 previous = state.entries.get(task)
@@ -319,28 +308,25 @@ class VerifyDaemon:
                 ):
                     hits += 1
                     outcome = previous.outcome
-                    if tracing:
-                        tracer.attach(_hit_span(task, outcome))
+                    # A hit did no work: a fresh span, not the stored one.
+                    if tracer.enabled:
+                        warned = len(outcome.warnings)
+                        tracer.attach(
+                            task_event_span(task, "dep-hit", warnings=warned)
+                        )
                 else:
                     misses += 1
-                    try:
-                        outcome = run_one_task(
-                            table, task, opts["budget"], cache,
-                            opts["task_timeout"], tracing,
-                        )
-                    except Exception as exc:
-                        outcome = _failed_outcome(table, task, exc, tracing)
-                    if tracing:
-                        if outcome.trace is not None:
-                            outcome.trace.event("dep-miss")
-                        tracer.attach(outcome.trace)
+                    (outcome,) = run_serial(
+                        table, [task], options, options.cache, tracer
+                    )
+                    if outcome.trace is not None:
+                        outcome.trace.event("dep-miss")
                     if fingerprint is not None:
                         state.entries[task] = _TaskEntry(fingerprint, outcome)
                     else:
                         state.entries.pop(task, None)
                 outcomes.append(outcome)
-            if tracing:
-                tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
+            tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
         # Drop entries for tasks that no longer exist in the source.
         live = set(tasks)
         for stale in [key for key in state.entries if key not in live]:
@@ -353,12 +339,7 @@ class VerifyDaemon:
             f"daemon: warm serial over {len(tasks)} tasks "
             f"({hits} dep hits, {misses} dep misses)"
         )
-        entry: dict = {"path": path, "report": report.to_dict()}
-        if opts["stats"]:
-            entry["stats_text"] = report.solver_stats.format_table()
-        if opts["profile"]:
-            entry["profile_text"] = report.solver_stats.format_profile()
-        return entry, hits, misses
+        return {"path": path, "report": report.to_dict()}, hits, misses
 
     def _append_trace(self, rows: list[dict]) -> None:
         from ...obs.sink import append_jsonl
@@ -449,28 +430,6 @@ class VerifyDaemon:
                 connection.close()
             except OSError:
                 pass
-
-
-class _null_ctx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _hit_span(task: VerifyTask, outcome: TaskOutcome):
-    """The synthetic span replayed for a dep-hit task.
-
-    The cached outcome's own span tree (if any) describes the *original*
-    run; a hit did no work, so it gets a fresh zero-work task span
-    tagged ``dep-hit`` instead of replaying stale timings.
-    """
-    from ...obs import Span
-
-    span = Span("task", task.label, attrs={"kind": task.kind})
-    span.event("dep-hit", warnings=len(outcome.warnings))
-    return span
 
 
 def _socket_alive(socket_path: str) -> bool:

@@ -39,8 +39,8 @@ class VerifyOptions:
     """Every knob of one verification run, in one picklable-ish bundle.
 
     (The ``cache`` and ``tracer`` fields hold live objects and do not
-    cross process boundaries; the parallel driver ships workers the
-    derived scalars — ``use_cache``, ``cache_dir``, ``trace_enabled`` —
+    cross process boundaries; the parallel driver ships workers
+    scalars — ``use_cache``, ``cache_dir``, whether tracing is on —
     instead.)
     """
 
@@ -64,10 +64,6 @@ class VerifyOptions:
     @property
     def use_cache(self) -> bool:
         return self.cache is not None
-
-    @property
-    def trace_enabled(self) -> bool:
-        return self.trace is not None or self.tracer is not None
 
     def replace(self, **changes) -> "VerifyOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

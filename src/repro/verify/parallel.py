@@ -270,13 +270,14 @@ def _mark_degraded(outcome: TaskOutcome) -> None:
         outcome.trace.event("deadline-degraded")
 
 
-def _degraded_trace(task: VerifyTask, event: str, **attrs) -> Span:
-    """A synthetic task span for a task that never finished normally.
+def task_event_span(task: VerifyTask, event: str, **attrs) -> Span:
+    """A synthetic childless task span carrying one ``event``.
 
-    Replaces whatever partial spans the doomed attempt recorded — like
-    partial warnings, they depend on where the scheduler cut the task
-    off, so a fixed single-span tree keeps degraded traces
-    deterministic.
+    A task that never finished normally gets one in place of whatever
+    partial spans the doomed attempt recorded — like partial warnings,
+    they depend on where the scheduler cut the task off, so a fixed
+    single-span tree keeps degraded traces deterministic.  The daemon
+    gives one to each dep-hit task, which did no work.
     """
     span = Span("task", task.label, attrs={"kind": task.kind})
     span.event(event, **attrs)
@@ -301,7 +302,7 @@ def _timed_out_outcome(
     stats.tasks_timed_out = 1
     outcome = TaskOutcome(warnings=diag.warnings, stats=stats)
     if trace:
-        outcome.trace = _degraded_trace(
+        outcome.trace = task_event_span(
             task, "timeout", seconds=task_timeout
         )
     return outcome
@@ -325,7 +326,7 @@ def _failed_outcome(
     stats.tasks_failed = 1
     outcome = TaskOutcome(warnings=diag.warnings, stats=stats)
     if trace:
-        outcome.trace = _degraded_trace(
+        outcome.trace = task_event_span(
             task, "failed", error=type(exc).__name__
         )
     return outcome

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from typing import NamedTuple
 
 from ..metrics.solver_stats import VerifyStats
-from ..obs import NULL_TRACER
+from ..obs import NULL_TRACER, QUERY_PHASE_KEYS
 from ..smt import Result
 from ..smt.cache import GLOBAL_CACHE, SolverCache
 from ..smt.plugin import LazyTheoryPlugin
@@ -138,11 +138,10 @@ class SolverSession:
                     "axioms": query_stats.axioms_asserted,
                     "conflicts": query_stats.theory_conflicts,
                     "core_lits": query_stats.theory_core_lits,
-                    "encode_s": round(query_stats.encode_s, 6),
-                    "sat_s": round(query_stats.sat_s, 6),
-                    "expand_s": round(query_stats.expand_s, 6),
-                    "theory_s": round(query_stats.theory_s, 6),
-                    "validate_s": round(query_stats.validate_s, 6),
+                    **{
+                        key: round(getattr(query_stats, key), 6)
+                        for key in QUERY_PHASE_KEYS
+                    },
                 },
             )
         return outcome.result, outcome.model

@@ -214,6 +214,41 @@ def test_verify_profile_table(program, capsys):
     assert "solver phases cover" in out
 
 
+def test_verify_profile_sums_the_trace_query_spans(program, capsys, tmp_path):
+    # --profile reads the trace: each method's columns are the sums over
+    # its task's query spans in the file --trace writes.
+    from repro.obs import QUERY_PHASE_KEYS, read_jsonl
+
+    trace = str(tmp_path / "t.jsonl")
+    args = ["verify", program(BUGGY), "--profile", "--trace", trace]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = read_jsonl(trace)
+    by_id = {row["id"]: row for row in rows}
+    expected: dict[str, list[float]] = {}
+    for row in rows:
+        if row["kind"] != "query":
+            continue
+        task = row
+        while task["kind"] != "task":
+            task = by_id[task["parent"]]
+        sums = expected.setdefault(task["name"], [0.0] * 6)
+        sums[0] += row["dur_ms"] / 1000.0
+        for index, key in enumerate(QUERY_PHASE_KEYS, 1):
+            sums[index] += row["attrs"][key]
+    assert expected
+    start = next(i for i, line in enumerate(lines) if line.startswith("method"))
+    printed = {}
+    for line in lines[start + 2:]:
+        if line.startswith("-"):
+            break
+        printed[line[:40].strip()] = line[40:].split()
+    assert printed == {
+        name: [f"{value:.3f}" for value in sums]
+        for name, sums in expected.items()
+    }
+
+
 def test_resolve_jobs_auto_policy(monkeypatch):
     from repro.verify import parallel
     from repro.verify.parallel import resolve_jobs
@@ -577,11 +612,13 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
     for key in ("cache_hits", "cache_misses", "cache_memory_hits", "cache_disk_hits"):
         assert key in total
     assert total["cache_memory_hits"] + total["cache_disk_hits"] == total["cache_hits"]
-    # Phase timers (the --profile block) are embedded per method too.
-    for key in ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s"):
-        assert key in total
-        assert all(key in row for row in stats["per_method"].values())
+    # Schema 4: the phase timers live only on the trace's query spans
+    # (tests/obs/test_trace.py checks them there), not in the report.
     assert stats["per_method"]
+    for key in ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s"):
+        assert key not in total
+        assert all(key not in row for row in stats["per_method"].values())
+    assert entry["report"]["schema"] == 4
 
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only", "algebra-only", "check"])

@@ -3,6 +3,7 @@ threading, and the path-condition re-binding fix."""
 
 from repro import api
 from repro.errors import WarningKind
+from repro.metrics.solver_stats import format_stats
 from repro.smt import SolverCache
 from repro.smt.solver import Solver
 
@@ -88,7 +89,7 @@ class TestSolverStatsSurfaced:
         with smt_only():
             api.verify(unit, options=api.VerifyOptions(cache=cache))
             report = api.verify(unit, options=api.VerifyOptions(cache=cache))
-        table = report.solver_stats.format_table()
+        table = format_stats(report.solver_stats.to_dict())
         assert "observe" in table
         assert "cache hit rate" in table
         assert "total" in table
@@ -107,7 +108,7 @@ class TestSolverStatsSurfaced:
         assert total.theory_conflicts > 0
         assert total.theory_core_lits >= 2 * total.theory_conflicts
         assert total.to_dict()["theory_core_lits"] == total.theory_core_lits
-        table = report.solver_stats.format_table()
+        table = format_stats(report.solver_stats.to_dict())
         assert (
             f"theory conflicts: {total.theory_conflicts} "
             f"({total.theory_core_lits} core literals)" in table

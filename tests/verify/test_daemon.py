@@ -8,6 +8,7 @@ subprocess exercising the CLI path end to end.
 
 import json
 import os
+import re
 import socket as socket_module
 import subprocess
 import sys
@@ -293,6 +294,11 @@ def test_daemon_verify_rejects_removed_options(program):
         {"backend": "portfolio"},
         {"backend": "reference"},
         {"backend": "incremental"},
+        # protocol 6: the daemon renders no text, and outcome reuse is
+        # always on
+        {"stats": True},
+        {"profile": True},
+        {"dep_index": False},
     ):
         response = daemon.handle_line(
             request_line("verify", 1, paths=[program(CLEAN)], options=options)
@@ -320,14 +326,15 @@ def test_daemon_verify_rejects_tier_option(program):
         }
 
 
-def test_daemon_reports_protocol_5():
+def test_daemon_reports_protocol_6():
     # Protocol 4 dropped the ``backend`` verify option, protocol 5 the
-    # ``tier`` one.
+    # ``tier`` one, protocol 6 ``stats``, ``profile`` and ``dep_index``;
+    # report schema 4 dropped the phase timers.
     daemon = VerifyDaemon(use_cache=False)
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
-    assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 5
-    assert response["result"]["version"].startswith("repro-daemon/5.3")
+    assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 6
+    assert response["result"]["version"].startswith("repro-daemon/6.4")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
@@ -370,6 +377,19 @@ def test_daemon_trace_rows_validate(program):
     ]
     assert "dep-hit" in warm_events and "dep-miss" not in warm_events
     assert validate_trace_rows(warm["trace"]) == []
+
+
+def test_daemon_trace_toggle_keeps_outcomes(program):
+    # A dep-hit gets a fresh span, never the stored outcome's, so asking
+    # for a trace (--trace, --profile) must not flush the outcomes.
+    path = program(BUGGY)
+    daemon = VerifyDaemon(use_cache=False)
+    cold = verify_result(daemon, [path])
+    traced = verify_result(daemon, [path], request_id=2, trace=True)
+    assert traced["dep_misses"] == 0
+    assert traced["dep_hits"] == cold["dep_misses"]
+    untraced = verify_result(daemon, [path], request_id=3)
+    assert untraced["dep_misses"] == 0
 
 
 # -- the daemon, over a socket -----------------------------------------
@@ -549,9 +569,43 @@ def test_cli_daemon_auto_spawn_and_output_parity(program, capsys,
         assert any(
             line.startswith("checked ") for line in served_warm.splitlines()
         )
+        # --stats and --profile print through the same printer on both
+        # paths: same headers and method rows, timings aside.  (A new
+        # cache setting flushes the daemon's outcomes, so every task
+        # runs and earns its --profile row; the driver line differs.)
+        flags = ["--stats", "--profile", "--no-cache"]
+        assert main(["verify", path, *flags]) == 0
+        local = capsys.readouterr().out
+        assert main(["verify", "--daemon", path, *flags]) == 0
+        served = capsys.readouterr().out
+        mask = lambda text: [
+            re.sub(r"\d+\.\d+", "#", line) for line in text.splitlines()
+            if not line.startswith(("checked ", "jobs: "))
+        ]
+        assert mask(served) == mask(local)
+        assert "solver phases cover" in served
+        assert "f" in [line.split(" ")[0] for line in mask(served)]
     finally:
         with DaemonClient(socket_path, timeout=10.0) as client:
             client.shutdown()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "nan"], ["--budget", "inf"], ["--task-timeout", "nan"]],
+)
+def test_cli_daemon_bad_numbers_exit_2_without_spawning(
+    program, capsys, monkeypatch, flags
+):
+    # The options are validated before the --daemon branch, so both
+    # paths give the same usage error and no daemon is spawned.
+    socket_path = _short_socket_path()
+    monkeypatch.setenv("REPRO_DAEMON_SOCKET", socket_path)
+    path = program(CLEAN)
+    assert main(["verify", path, *flags]) == 2
+    assert main(["verify", "--daemon", path, *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(socket_path)
 
 
 # -- degraded per-task deadlines off the main thread -------------------

@@ -21,6 +21,7 @@ import pytest
 
 from repro import api
 from repro.errors import WarningKind
+from repro.metrics.solver_stats import format_stats
 from repro.smt.cache import SolverCache
 from repro.verify import faults, parallel
 from repro.verify.parallel import TaskTimeout, task_deadline
@@ -341,7 +342,7 @@ def test_hang_inside_batch_times_out_only_that_member(
 def test_accounting_reaches_the_stats_table(unit, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
     report = api.verify(unit, options=api.VerifyOptions(jobs=4))
-    table = report.solver_stats.format_table()
+    table = format_stats(report.solver_stats.to_dict())
     assert "tasks:" in table
     assert "1 failed" in table
 

@@ -78,7 +78,7 @@ def test_options_fields_mirror_legacy_defaults():
     assert not hasattr(opts, "backend")
     assert not hasattr(opts, "batch_size")
     assert opts.use_cache is True
-    assert opts.trace_enabled is False
+    assert not hasattr(opts, "trace_enabled")
 
 
 def test_replace_returns_a_modified_copy():
