@@ -2,8 +2,10 @@
 
 Builds the environment every later stage queries: subtype tests,
 method lookup through superclasses and interfaces, invariant
-collection (with visibility filtering, Section 4.1), and the set of
-known implementations of an interface.
+collection (with visibility filtering, Section 4.1), the set of
+known implementations of an interface, and the canonical (most
+abstract) declaration of an overriding method family, which both the
+SMT encoding and the pattern algebra key their reasoning on.
 """
 
 from __future__ import annotations
@@ -202,12 +204,6 @@ class ProgramTable:
 
     # -- member lookup ------------------------------------------------------
 
-    def lookup_type(self, name: str) -> TypeInfo:
-        info = self.types.get(name)
-        if info is None:
-            raise TypeCheckError(f"unknown type {name}")
-        return info
-
     def lookup_function(self, name: str) -> MethodInfo | None:
         decl = self.functions.get(name)
         if decl is None:
@@ -220,6 +216,25 @@ class ProgramTable:
             if info is not None and method in info.methods:
                 return info.methods[method]
         return None
+
+    def canonical(self, method: MethodInfo) -> MethodInfo:
+        """The highest supertype's declaration of this method.
+
+        Specifications are modular: client reasoning must go through the
+        most abstract declaration, so all call sites of an overriding
+        family share one success predicate and one spec.  Ancestors
+        declaring the name with a different arity are skipped; an
+        owner-less function is its own canonical declaration.
+        """
+        if not method.owner:
+            return method
+        for ancestor in reversed(self.supertypes(method.owner)):
+            info = self.types.get(ancestor)
+            if info is not None and method.name in info.methods:
+                candidate = info.methods[method.name]
+                if len(candidate.params) == len(method.params):
+                    return candidate
+        return method
 
     def lookup_field(self, type_name: str, field_name: str) -> ast.FieldDecl | None:
         for ancestor in self.supertypes(type_name):

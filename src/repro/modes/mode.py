@@ -40,10 +40,6 @@ class Mode:
         return Mode(frozenset(names), iterative)
 
     @property
-    def is_creation(self) -> bool:
-        return RESULT in self.unknowns
-
-    @property
     def is_predicate(self) -> bool:
         return not self.unknowns
 

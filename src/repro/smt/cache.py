@@ -497,11 +497,6 @@ class SolverCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def clear(self) -> None:
         """Drop the in-memory tier (the disk tier, if any, persists)."""
         with self._lock:

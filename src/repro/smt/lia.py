@@ -459,10 +459,6 @@ def _eliminate_ineqs(les: list[Constraint], subs: list[_Subst]) -> LiaResult:
 # ---------------------------------------------------------------------------
 
 
-def is_consistent(constraints: list[Constraint]) -> bool:
-    return bool(solve(constraints))
-
-
 def eq_core(
     constraints: list[Constraint], x: Var, y: Var
 ) -> tuple[Constraint, ...] | None:

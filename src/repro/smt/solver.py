@@ -110,11 +110,6 @@ class SolverStats:
             }
         )
 
-    def accumulate(self, other: "SolverStats") -> None:
-        """Fold another solver's counters into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 class _Frame:
     """One ``push`` level: its assertion mark and lazy activation literal."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..errors import Diagnostics, Span, WarningKind
 from ..lang import ast
-from ..modes.mode import RESULT, Mode
 from ..smt import Result
 from ..smt.sorts import OBJ
 from . import fir
@@ -131,12 +130,7 @@ class DisjointnessChecker:
         translator = Translator(ctx, owner)
         # Knowns shared by both arms; unknowns are renamed apart simply
         # by translating each arm with its own environment copy.
-        env: VEnv = {}
-        context: list[F] = []
-        for name, type_ in env_types.items():
-            var = ctx.fresh(name, ctx.sort_of(type_))
-            env[name] = (var, type_)
-            context.append(ctx.type_formula(var, type_, depth=0))
+        env, context = ctx.declare(env_types)
         try:
             left = self._arm_formula(translator, node.left, env, ctx)
             right = self._arm_formula(translator, node.right, env, ctx)

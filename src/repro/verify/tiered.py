@@ -25,13 +25,15 @@ semantics.  Concretely:
   abstract named constructors.  A type with other visible invariants
   (class-listing, arithmetic refinements) can make SMT prove more arms
   redundant than the free algebra, so it poisons the statement;
-* constructor patterns must resolve -- through the same unqualified-
-  call resolution and canonicalisation the translator uses -- to an
-  *abstract* constructor with no ``ensures``, a ``matches`` clause
-  that is absent or opaque (``notall``), and a non-iterative mode
-  binding every parameter.  Iterative modes produce fresh existential
-  outputs rather than unique skolem functions, which breaks the
-  functional reading redundancy alignment depends on;
+* constructor patterns must resolve -- through the unqualified-call
+  resolution (``SolvabilityContext.lookup``) and the canonical-method
+  rule (``ProgramTable.canonical``) the translator itself calls, not
+  a copy of them -- to an *abstract* constructor with no ``ensures``,
+  a ``matches`` clause that is absent or opaque (``notall``), and a
+  non-iterative mode binding every parameter.  Iterative modes
+  produce fresh existential outputs rather than unique skolem
+  functions, which breaks the functional reading redundancy alignment
+  depends on;
 * variable patterns must be fresh (a name already in scope, or bound
   twice in one arm, is an equality constraint -- SMT territory);
   ``T x`` declarations are irrefutable only when the column type is a
@@ -181,30 +183,17 @@ class PatternAlgebra:
 
     # -- constructor resolution ----------------------------------------
 
-    def _canonical(self, method: MethodInfo) -> MethodInfo:
-        """Mirror ``EncodeContext.canonical``: the highest declaration."""
-        if not method.owner:
-            return method
-        best = method
-        for ancestor in reversed(self.table.supertypes(method.owner)):
-            info = self.table.types.get(ancestor)
-            if info is not None and method.name in info.methods:
-                candidate = info.methods[method.name]
-                if len(candidate.params) == len(method.params):
-                    best = candidate
-                    break
-        return best
-
     def _resolve_pattern_ctor(
         self, call: ast.Call, owner: str | None = None
     ) -> MethodInfo | None:
         """The canonical constructor a pattern call translates through.
 
-        Mirrors ``Translator._resolve`` for receiver-less, qualifier-
-        less calls followed by canonicalisation, so the algebra reasons
-        about exactly the success predicate the SMT encoding uses.
-        Returns None when the call resolves elsewhere (function, method
-        with a receiver convention) or to nothing.
+        Receiver-less, qualifier-less calls resolve through the same
+        ``SolvabilityContext.lookup`` and ``ProgramTable.canonical`` the
+        translator uses, so the algebra reasons about exactly the
+        success predicate the SMT encoding builds.  Returns None when
+        the call resolves elsewhere (function, method with a receiver
+        convention) or to nothing.
         """
         if call.receiver is not None or call.qualifier is not None:
             return None
@@ -216,7 +205,7 @@ class PatternAlgebra:
         method = resolver.lookup(call)
         if method is None or not method.owner:
             return None
-        return self._canonical(method)
+        return self.table.canonical(method)
 
     def _eligible_ctor(self, canonical: MethodInfo, arity: int) -> bool:
         """Is this constructor inside the aligned free-algebra fragment?"""

@@ -77,22 +77,20 @@ class TotalityChecker:
             context.append(ctx.type_formula(this, this_type, depth=0))
             if owner:
                 translator.bind_fields(env, this, owner)
-        for param in method.params:
-            if param.name in mode.unknowns:
-                continue
-            var = ctx.fresh(param.name, ctx.sort_of(param.type))
-            env[param.name] = (var, param.type)
-            context.append(ctx.type_formula(var, param.type, depth=0))
+        scope: dict[str, ast.Type | None] = {
+            param.name: param.type
+            for param in method.params
+            if param.name not in mode.unknowns
+        }
         if (
             RESULT not in mode.unknowns
             and not method.is_constructor
             and method.decl.return_type not in (ast.BOOLEAN_TYPE, None)
         ):
-            var = ctx.fresh(RESULT, ctx.sort_of(method.decl.return_type))
-            env[RESULT] = (var, method.decl.return_type)
-            context.append(
-                ctx.type_formula(var, method.decl.return_type, depth=0)
-            )
+            scope[RESULT] = method.decl.return_type
+        known, known_context = ctx.declare(scope)
+        env.update(known)
+        context.extend(known_context)
         return ctx, translator, env, context
 
     def _label(self, method: MethodInfo, mode: Mode) -> str:

@@ -73,6 +73,11 @@ VValue = Union[Term, TupleVal]
 VEnv = dict[str, tuple]  # name -> (VValue, ast.Type | None)
 Cont = Callable[[VEnv], F]
 ValCont = Callable[[VValue, VEnv], F]
+#: (parameter, argument) pairs of one call
+ArgPairs = list[tuple[ast.Param, ast.Expr]]
+#: a continuation over a call's terms by parameter name (known
+#: arguments, or the mode's outputs)
+TermsCont = Callable[[dict[str, Term], VEnv], F]
 
 
 def _true(env: VEnv) -> F:
@@ -286,26 +291,19 @@ class EncodeContext:
             FAtom(self.invariant_atom(value, type_.name, depth)),
         )
 
-    # -- canonical method resolution ------------------------------------
+    def declare(self, scope: dict[str, ast.Type | None]) -> tuple[VEnv, list[F]]:
+        """Fresh known variables for ``scope``, in its order.
 
-    def canonical(self, method: MethodInfo) -> MethodInfo:
-        """The highest supertype's declaration of this method.
-
-        Specifications are modular: client reasoning must go through the
-        most abstract declaration, so all call sites of an overriding
-        family share one success predicate and one spec.
+        Returns the environment binding each name to its variable and
+        the context asserting each variable's declared type.
         """
-        if not method.owner:
-            return method
-        best = method
-        for ancestor in reversed(self.table.supertypes(method.owner)):
-            info = self.table.types.get(ancestor)
-            if info is not None and method.name in info.methods:
-                candidate = info.methods[method.name]
-                if len(candidate.params) == len(method.params):
-                    best = candidate
-                    break
-        return best
+        env: VEnv = {}
+        context: list[F] = []
+        for name, type_ in scope.items():
+            var = self.fresh(name, self.sort_of(type_))
+            env[name] = (var, type_)
+            context.append(self.type_formula(var, type_, depth=0))
+        return env, context
 
 
 class Translator:
@@ -816,17 +814,9 @@ class Translator:
                 raise TranslationError(f"cannot resolve call {p}", p.span)
             if method.is_constructor and recv is None and method.kind != "equality":
                 target = creation_class or self.owner or method.owner
-                return self._invoke_creation(p, method, target, env, cont)
+                return self._invoke_value(p, method, None, target, env, cont)
             if not method.is_constructor:
-                result_var_holder: list[Term] = []
-
-                def k(e: VEnv) -> F:
-                    return cont(result_var_holder[0], e)
-
-                return self._invoke_forward(
-                    p, method, recv, env, k, result_var_holder
-                )
-            raise TranslationError(f"cannot produce value for {p}", p.span)
+                return self._invoke_value(p, method, recv, None, env, cont)
         raise TranslationError(f"cannot produce value for {p}", p.span)
 
     def _receiver_type(self, receiver: ast.Expr, env: VEnv) -> ast.Type | None:
@@ -860,69 +850,106 @@ class Translator:
 
     def _resolve(self, call: ast.Call, env: VEnv):
         """Resolve a call; returns (method, receiver value or None,
-        creation class or None).  The receiver expression is *not* yet
-        translated -- callers translate it via vp when needed."""
-        table = self.ctx.table
-        if call.qualifier is not None:
-            return (
-                table.lookup_method(call.qualifier, call.name),
-                None,
-                call.qualifier,
+        creation class or None).  Only the receiver is translated here,
+        and it must be evaluable; the arguments are left to the caller."""
+        if call.receiver is None or call.qualifier is not None:
+            # A unique-name match (e.g. a pattern in a static function's
+            # switch) is lifted to the declaring interface by
+            # canonicalisation.  The creation class is the qualifier, or
+            # the name when it is a type.
+            creation = call.qualifier or (
+                call.name if call.name in self.ctx.table.types else None
             )
-        if call.receiver is not None:
-            recv_type = self._receiver_type(call.receiver, env)
-            method = None
-            if recv_type is not None and not recv_type.is_primitive:
-                method = table.lookup_method(recv_type.name, call.name)
-            if method is None:
-                # Fall back to a unique global resolution.
-                method = SolvabilityContext(table, self.owner).lookup(call)
-            if method is None:
-                return None, None, None
-            recv_holder: list = []
+            return self.solv_ctx.lookup(call), None, creation
+        recv_type = self._receiver_type(call.receiver, env)
+        method = None
+        if recv_type is not None and not recv_type.is_primitive:
+            method = self.ctx.table.lookup_method(recv_type.name, call.name)
+        if method is None:
+            # Fall back to a unique global resolution.
+            method = self.solv_ctx.lookup(call)
+        if method is None:
+            return None, None, None
+        recv_holder: list[VValue] = []
 
-            # Translate the receiver eagerly: it must be evaluable here.
-            def grab(v: VValue, e: VEnv) -> F:
-                recv_holder.append((v, e))
-                return fir.TRUE
+        # Translate the receiver eagerly: it must be evaluable here.
+        def grab(v: VValue, e: VEnv) -> F:
+            recv_holder.append(v)
+            return fir.TRUE
 
-            self.vp(call.receiver, env, grab)
-            if not recv_holder:
-                return None, None, None
-            value, _ = recv_holder[0]
-            return method, value, None
-        if call.name in table.types:
-            return table.lookup_method(call.name, call.name), None, call.name
-        if call.name in table.functions:
-            return table.lookup_function(call.name), None, None
-        if self.owner is not None:
-            method = table.lookup_method(self.owner, call.name)
-            if method is not None:
-                return method, None, None
-        # Pattern position outside any class (e.g. a switch in a static
-        # function): resolve by unique name across the program -- the
-        # canonicalisation step lifts it to the declaring interface.
-        method = SolvabilityContext(table, self.owner).lookup(call)
-        if method is not None:
-            return method, None, None
-        return None, None, None
+        self.vp(call.receiver, env, grab)
+        if not recv_holder:
+            return None, None, None
+        return method, recv_holder[0], None
 
-    def _classify_args(
-        self, call: ast.Call, method: MethodInfo, env: VEnv
-    ) -> tuple[list[tuple[ast.Param, ast.Expr]], list[tuple[ast.Param, ast.Expr]]]:
-        bound = bound_names(env)
-        known: list[tuple[ast.Param, ast.Expr]] = []
-        unknown: list[tuple[ast.Param, ast.Expr]] = []
+    def _arguments(self, call: ast.Call, method: MethodInfo) -> ArgPairs:
+        """Each parameter of ``method`` paired with its argument."""
         if len(call.args) != len(method.params):
             raise TranslationError(
                 f"arity mismatch calling {method.name}", call.span
             )
-        for param, arg in zip(method.params, call.args):
+        return list(zip(method.params, call.args))
+
+    def _classify_args(
+        self, call: ast.Call, method: MethodInfo, env: VEnv
+    ) -> tuple[ArgPairs, ArgPairs]:
+        """Split the arguments into evaluable (known) and unknown ones."""
+        bound = bound_names(env)
+        known: ArgPairs = []
+        unknown: ArgPairs = []
+        for param, arg in self._arguments(call, method):
             if is_evaluable(arg, bound):
                 known.append((param, arg))
             else:
                 unknown.append((param, arg))
         return known, unknown
+
+    def _with_args(
+        self,
+        call: ast.Call,
+        known: ArgPairs,
+        env: VEnv,
+        k: TermsCont,
+    ) -> F:
+        """VP the ``known`` arguments left to right, then ``k(args, env)``.
+
+        ``args`` maps each parameter name to its argument's term, in a
+        dict of its own per solution.  A tuple is not a term and cannot
+        key a success predicate, whatever the kind of call.
+        """
+
+        def step(idx: int, acc: dict[str, Term], e: VEnv) -> F:
+            if idx == len(known):
+                return k(acc, e)
+            param, arg = known[idx]
+
+            def bind(v: VValue, e1: VEnv) -> F:
+                if not isinstance(v, Term):
+                    raise TranslationError("tuple argument", call.span)
+                return step(idx + 1, {**acc, param.name: v}, e1)
+
+            return self.vp(arg, e, bind)
+
+        return step(0, {}, env)
+
+    def _match_outputs(
+        self, unknown: ArgPairs, cont: Cont
+    ) -> TermsCont:
+        """The rest of a call: VM each unknown argument against its mode
+        output, left to right, then ``cont``."""
+
+        def rest(outputs: dict[str, Term], env: VEnv) -> F:
+            def step(idx: int, e: VEnv) -> F:
+                if idx == len(unknown):
+                    return cont(e)
+                param, arg = unknown[idx]
+                return self.vm(
+                    arg, outputs[param.name], e, lambda e1: step(idx + 1, e1)
+                )
+
+            return step(0, env)
+
+        return rest
 
     def _mode_symbol_base(self, method: MethodInfo, mode: Mode) -> str:
         owner = method.owner or "$fn"
@@ -931,22 +958,21 @@ class Translator:
 
     def _invoke(
         self,
-        call: ast.Call,
         method: MethodInfo,
         mode: Mode,
         recv_result: Term | None,
         known_args: dict[str, Term],
         env: VEnv,
-        build_rest: Callable[[dict[str, Term], VEnv], F],
+        build_rest: TermsCont,
     ) -> F:
-        """Common invocation core.
+        """The invocation core every call kind goes through.
 
         ``recv_result`` is the known receiver/result term (for pattern
         modes of constructors it is the matched value; for backward
         modes of methods it is the known result).  ``build_rest``
         receives the output terms and finishes the translation.
         """
-        canonical = self.ctx.canonical(method)
+        canonical = self.ctx.table.canonical(method)
         base = self._mode_symbol_base(canonical, mode)
         key_terms: list[Term] = []
         if recv_result is not None:
@@ -1108,7 +1134,7 @@ class Translator:
         """Match ``value`` against constructor/equality pattern ``call``."""
         if not isinstance(value, Term):
             raise TranslationError("constructor pattern against tuple", call.span)
-        canonical = self.ctx.canonical(method)
+        canonical = self.ctx.table.canonical(method)
         known, unknown = self._classify_args(call, canonical, env)
         if known and method.kind != "equality":
             # The success predicate's signature must not depend on which
@@ -1125,49 +1151,18 @@ class Translator:
                 and m.unknowns == wanted
                 for m in canonical.modes()
             ):
-                known, unknown = [], list(zip(canonical.params, call.args))
+                known, unknown = [], self._arguments(call, canonical)
         mode = self._select_pattern_mode(canonical, {p.name for p, _ in unknown})
-        result_type = canonical.result_type()
 
-        def with_known(idx: int, acc: dict[str, Term], e: VEnv) -> F:
-            if idx == len(known):
-                return self._finish_pattern(
-                    call, canonical, mode, value, acc, unknown, e, cont, result_type
-                )
-            param, arg = known[idx]
+        match = self._match_outputs(unknown, cont)
 
-            def k(v: VValue, e1: VEnv) -> F:
-                if not isinstance(v, Term):
-                    raise TranslationError("tuple argument", call.span)
-                acc2 = dict(acc)
-                acc2[param.name] = v
-                return with_known(idx + 1, acc2, e1)
+        def encode(args: dict[str, Term], e: VEnv) -> F:
+            type_f = self.ctx.type_formula(
+                value, canonical.result_type(), self.depth
+            )
+            return fand(type_f, self._invoke(canonical, mode, value, args, e, match))
 
-            return self.vp(arg, e, k)
-
-        return with_known(0, {}, env)
-
-    def _finish_pattern(
-        self, call, canonical, mode, value, known_args, unknown, env, cont,
-        result_type,
-    ) -> F:
-        def build_rest(outputs: dict[str, Term], e: VEnv) -> F:
-            def chain(idx: int) -> Cont:
-                def k(e1: VEnv) -> F:
-                    if idx == len(unknown):
-                        return cont(e1)
-                    param, arg = unknown[idx]
-                    return self.vm(arg, outputs[param.name], e1, chain(idx + 1))
-
-                return k
-
-            return chain(0)(e)
-
-        type_f = self.ctx.type_formula(value, result_type, self.depth)
-        return fand(
-            type_f,
-            self._invoke(call, canonical, mode, value, known_args, env, build_rest),
-        )
+        return self._with_args(call, known, env, encode)
 
     def _invoke_predicate(
         self,
@@ -1177,43 +1172,20 @@ class Translator:
         env: VEnv,
         cont: Cont,
     ) -> F:
-        canonical = self.ctx.canonical(method)
+        canonical = self.ctx.table.canonical(method)
         known, unknown = self._classify_args(call, canonical, env)
         mode = select_mode(canonical.modes(), {p.name for p, _ in unknown})
         if mode is None:
             raise TranslationError(
                 f"no mode of {canonical.name} for this call", call.span
             )
-
-        def with_known(idx: int, acc: dict[str, Term], e: VEnv) -> F:
-            if idx == len(known):
-                def build_rest(outputs: dict[str, Term], e1: VEnv) -> F:
-                    def chain(j: int) -> Cont:
-                        def k(e2: VEnv) -> F:
-                            if j == len(unknown):
-                                return cont(e2)
-                            param, arg = unknown[j]
-                            return self.vm(
-                                arg, outputs[param.name], e2, chain(j + 1)
-                            )
-
-                        return k
-
-                    return chain(0)(e1)
-
-                return self._invoke(
-                    call, canonical, mode, recv, acc, e, build_rest
-                )
-            param, arg = known[idx]
-
-            def k(v: VValue, e1: VEnv) -> F:
-                acc2 = dict(acc)
-                acc2[param.name] = v  # type: ignore[assignment]
-                return with_known(idx + 1, acc2, e1)
-
-            return self.vp(arg, e, k)
-
-        return with_known(0, {}, env)
+        match = self._match_outputs(unknown, cont)
+        return self._with_args(
+            call,
+            known,
+            env,
+            lambda args, e: self._invoke(canonical, mode, recv, args, e, match),
+        )
 
     def _invoke_method(
         self,
@@ -1231,7 +1203,7 @@ class Translator:
         """
         if not isinstance(result, Term):
             raise TranslationError("method result matched against tuple", call.span)
-        canonical = self.ctx.canonical(method)
+        canonical = self.ctx.table.canonical(method)
         known, unknown = self._classify_args(call, canonical, env)
         wanted = {p.name for p, _ in unknown}
         mode = select_mode(
@@ -1239,118 +1211,63 @@ class Translator:
         ) or select_mode(canonical.modes(), wanted | {RESULT})
         if mode is None:
             raise TranslationError(f"no usable mode for {call}", call.span)
-        known_args: dict[str, Term] = {}
+        match_args = self._match_outputs(unknown, cont)
 
-        # Receiver participates as an extra known input named `this`.
-        def with_known(idx: int, acc: dict[str, Term], e: VEnv) -> F:
-            if idx == len(known):
-                acc2 = dict(acc)
-                if recv is not None:
-                    acc2["this"] = recv
-                if RESULT not in mode.unknowns:
-                    acc2[RESULT] = result
+        def encode(args: dict[str, Term], e: VEnv) -> F:
+            # The receiver participates as an extra known input named
+            # `this`, and a known result as one named `result`.
+            if recv is not None:
+                args["this"] = recv
+            if RESULT not in mode.unknowns:
+                args[RESULT] = result
 
-                def build_rest(outputs: dict[str, Term], e1: VEnv) -> F:
-                    parts: list[F] = []
-                    if RESULT in mode.unknowns:
-                        parts.append(self._eq(outputs[RESULT], result))
+            def match(outputs: dict[str, Term], e1: VEnv) -> F:
+                parts: list[F] = []
+                if RESULT in mode.unknowns:
+                    parts.append(self._eq(outputs[RESULT], result))
+                return fand(*parts, match_args(outputs, e1))
 
-                    def chain(j: int) -> Cont:
-                        def k(e2: VEnv) -> F:
-                            if j == len(unknown):
-                                return cont(e2)
-                            param, arg = unknown[j]
-                            return self.vm(
-                                arg, outputs[param.name], e2, chain(j + 1)
-                            )
+            return self._invoke(canonical, mode, None, args, e, match)
 
-                        return k
+        return self._with_args(call, known, env, encode)
 
-                    return fand(*parts, chain(0)(e1))
-
-                return self._invoke(call, canonical, mode, None, acc2, e, build_rest)
-            param, arg = known[idx]
-
-            def k(v: VValue, e1: VEnv) -> F:
-                acc3 = dict(acc)
-                acc3[param.name] = v  # type: ignore[assignment]
-                return with_known(idx + 1, acc3, e1)
-
-            return self.vp(arg, e, k)
-
-        return with_known(0, known_args, env)
-
-    def _invoke_creation(
-        self,
-        call: ast.Call,
-        method: MethodInfo,
-        target_class: str,
-        env: VEnv,
-        cont: ValCont,
-    ) -> F:
-        canonical = self.ctx.canonical(method)
-        mode = select_mode(canonical.modes(), {RESULT})
-        if mode is None:
-            raise TranslationError(f"{call.name} has no creation mode", call.span)
-
-        def with_args(idx: int, acc: dict[str, Term], e: VEnv) -> F:
-            if idx == len(call.args):
-                def build_rest(outputs: dict[str, Term], e1: VEnv) -> F:
-                    result_term = outputs[RESULT]
-                    type_f = self.ctx.type_formula(
-                        result_term, ast.Type(target_class), self.depth
-                    )
-                    return fand(type_f, cont(result_term, e1))
-
-                return self._invoke(call, canonical, mode, None, acc, e, build_rest)
-            param = canonical.params[idx]
-
-            def k(v: VValue, e1: VEnv) -> F:
-                if not isinstance(v, Term):
-                    raise TranslationError("tuple argument", call.span)
-                acc2 = dict(acc)
-                acc2[param.name] = v
-                return with_args(idx + 1, acc2, e1)
-
-            return self.vp(call.args[idx], e, k)
-
-        return with_args(0, {}, env)
-
-    def _invoke_forward(
+    def _invoke_value(
         self,
         call: ast.Call,
         method: MethodInfo,
         recv: Term | None,
+        creation_class: str | None,
         env: VEnv,
-        cont: Cont,
-        result_holder: list,
+        cont: ValCont,
     ) -> F:
-        canonical = self.ctx.canonical(method)
+        """A call producing a value, handed to ``cont``.
+
+        Object creation ``C(args)`` when ``creation_class`` is set (the
+        new object is assumed an instance of it), else a forward call
+        ``recv.m(args)`` / ``f(args)``.  Every argument is translated as
+        a known input of the mode that solves for ``result``.
+        """
+        canonical = self.ctx.table.canonical(method)
         mode = select_mode(canonical.modes(), {RESULT})
         if mode is None:
-            raise TranslationError(f"{call.name} has no forward mode", call.span)
+            kind = "forward" if creation_class is None else "creation"
+            raise TranslationError(f"{call.name} has no {kind} mode", call.span)
 
-        def with_args(idx: int, acc: dict[str, Term], e: VEnv) -> F:
-            if idx == len(call.args):
-                acc2 = dict(acc)
-                if recv is not None:
-                    acc2["this"] = recv
+        def encode(args: dict[str, Term], e: VEnv) -> F:
+            if recv is not None:
+                args["this"] = recv
 
-                def build_rest(outputs: dict[str, Term], e1: VEnv) -> F:
-                    result_holder.clear()
-                    result_holder.append(outputs[RESULT])
-                    return cont(e1)
+            def produce(outputs: dict[str, Term], e1: VEnv) -> F:
+                result = outputs[RESULT]
+                if creation_class is None:
+                    return cont(result, e1)
+                type_f = self.ctx.type_formula(
+                    result, ast.Type(creation_class), self.depth
+                )
+                return fand(type_f, cont(result, e1))
 
-                return self._invoke(call, canonical, mode, None, acc2, e, build_rest)
-            param = canonical.params[idx]
+            return self._invoke(canonical, mode, None, args, e, produce)
 
-            def k(v: VValue, e1: VEnv) -> F:
-                if not isinstance(v, Term):
-                    raise TranslationError("tuple argument", call.span)
-                acc2 = dict(acc)
-                acc2[param.name] = v
-                return with_args(idx + 1, acc2, e1)
-
-            return self.vp(call.args[idx], e, k)
-
-        return with_args(0, {}, env)
+        return self._with_args(
+            call, self._arguments(call, canonical), env, encode
+        )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import NO_SPAN, Diagnostics, WarningKind
@@ -29,7 +29,6 @@ from ..lang import ast
 from ..lang.symbols import MethodInfo, ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..modes.mode import RESULT
-from ..modes.ordering import declared_vars
 from ..obs import NULL_TRACER
 from ..smt.cache import GLOBAL_CACHE, SolverCache
 from ..smt.terms import scoped_intern_state
@@ -340,12 +339,7 @@ class _BodyWalker:
     ) -> tuple[ExhaustivenessChecker, VEnv, list[F]]:
         ctx = EncodeContext(self.table, viewer=self.owner)
         translator = Translator(ctx, self.owner)
-        env: VEnv = {}
-        context: list[F] = []
-        for name, type_ in scope.items():
-            var = ctx.fresh(name, ctx.sort_of(type_))
-            env[name] = (var, type_)
-            context.append(ctx.type_formula(var, type_, depth=0))
+        env, context = ctx.declare(scope)
         if "this" in env and self.owner:
             translator.bind_fields(env, env["this"][0], self.owner)
         for formula in path:

@@ -223,3 +223,42 @@ def test_infer_calls():
     )
     # Class constructor call yields the class type.
     assert infer_type(parse_formula("ZNat(0)", {"ZNat"}), env) == ast.Type("ZNat")
+
+
+CANONICAL_SOURCE = """
+interface Top {
+  int size(int a, int b);
+}
+interface Mid extends Top {
+  int size(int a);
+}
+class Leaf implements Mid {
+  int size(int a) ( result = a )
+}
+static int twice(int a) ( result = a + a )
+"""
+
+
+def test_canonical_resolves_overriding_family_to_most_abstract():
+    _, table = analyze_source(NAT_SOURCE)
+    canonical = table.canonical(table.lookup_method("ZNat", "succ"))
+    assert canonical is table.types["Nat"].methods["succ"]
+    # The most abstract declaration is its own canonical one.
+    assert table.canonical(canonical) is canonical
+
+
+def test_canonical_skips_ancestor_with_different_arity():
+    _, table = analyze_source(CANONICAL_SOURCE)
+    leaf = table.types["Leaf"].methods["size"]
+    # Top.size takes two parameters, so it is not part of the family;
+    # the most abstract one-parameter declaration is Mid.size.
+    assert table.canonical(leaf) is table.types["Mid"].methods["size"]
+    top = table.types["Top"].methods["size"]
+    assert table.canonical(top) is top
+
+
+def test_canonical_returns_ownerless_function_unchanged():
+    _, table = analyze_source(CANONICAL_SOURCE)
+    function = table.lookup_function("twice")
+    assert function.owner == ""
+    assert table.canonical(function) is function
