@@ -851,7 +851,11 @@ class Translator:
     def _resolve(self, call: ast.Call, env: VEnv):
         """Resolve a call; returns (method, receiver value or None,
         creation class or None).  Only the receiver is translated here,
-        and it must be evaluable; the arguments are left to the caller."""
+        and it must be evaluable; the arguments are left to the caller.
+
+        An unqualified, receiver-less call of an instance method (e.g.
+        ``height()`` in a ``matches``, ``ensures`` or ``invariant``
+        clause) is a call on ``this`` when ``this`` is bound."""
         if call.receiver is None or call.qualifier is not None:
             # A unique-name match (e.g. a pattern in a static function's
             # switch) is lifted to the declaring interface by
@@ -860,7 +864,16 @@ class Translator:
             creation = call.qualifier or (
                 call.name if call.name in self.ctx.table.types else None
             )
-            return self.solv_ctx.lookup(call), None, creation
+            method = self.solv_ctx.lookup(call)
+            if (
+                call.qualifier is None
+                and method is not None
+                and method.kind == "method"
+                and not method.decl.static
+                and "this" in env
+            ):
+                return method, env["this"][0], None
+            return method, None, creation
         recv_type = self._receiver_type(call.receiver, env)
         method = None
         if recv_type is not None and not recv_type.is_primitive:
