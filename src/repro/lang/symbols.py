@@ -93,6 +93,10 @@ class ProgramTable:
         for builtin in self.BUILTIN_TYPES:
             self.types[builtin] = TypeInfo(builtin, None)
         self.types["String"].superclass = "Object"
+        self._supertypes: dict[str, list[str]] = {}
+        #: the lazy axiom templates of this program, filled as axioms
+        #: first fire (see :mod:`repro.verify.templates`)
+        self.axiom_templates: dict = {}
         for decl in program.declarations:
             if isinstance(decl, ast.FunctionDecl):
                 if decl.name in self.functions:
@@ -103,6 +107,13 @@ class ProgramTable:
             else:
                 self._add_type(decl)
         self._check_hierarchy()
+
+    def __getstate__(self) -> dict:
+        # Templates hold recorded calls; a process that unpickles the
+        # table (a pool worker) records its own.
+        state = self.__dict__.copy()
+        state["axiom_templates"] = {}
+        return state
 
     def _add_type(self, decl: ast.ClassDecl | ast.InterfaceDecl) -> None:
         if decl.name in self.types:
@@ -174,11 +185,18 @@ class ProgramTable:
             queue.extend(info.interfaces)
 
     def supertypes(self, name: str) -> list[str]:
-        """All supertypes of ``name`` including itself, deduplicated."""
-        out: list[str] = []
-        for t in self._ancestry(name):
-            if t not in out:
-                out.append(t)
+        """All supertypes of ``name`` including itself, deduplicated.
+
+        The hierarchy is fixed once the table is built, so each answer
+        is computed once; callers must not mutate the list.
+        """
+        out = self._supertypes.get(name)
+        if out is None:
+            out = []
+            for t in self._ancestry(name):
+                if t not in out:
+                    out.append(t)
+            self._supertypes[name] = out
         return out
 
     def is_subtype(self, sub: ast.Type, sup: ast.Type) -> bool:

@@ -69,6 +69,9 @@ def _sort_named(name: str) -> Sort:
 
 def _callback_site(callback: Callable) -> str:
     """A stable-within-the-process identity for an axiom callback."""
+    site = getattr(callback, "site", None)
+    if site is not None:
+        return site
     code = getattr(callback, "__code__", None)
     if code is not None:
         return f"{code.co_filename}:{code.co_firstlineno}"

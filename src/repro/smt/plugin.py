@@ -85,6 +85,10 @@ class LazyTheoryPlugin:
                 self._registry[key] = _Registration(callback, depth, weak=weak)
                 self._unfired.add(key)
 
+    def registered(self, atom: Term, polarity: bool) -> bool:
+        """Does one polarity of ``atom`` already have a generator?"""
+        return (atom, polarity) in self._registry
+
     def has_triggers(self) -> bool:
         return bool(self._registry)
 

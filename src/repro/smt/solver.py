@@ -169,6 +169,10 @@ class Solver:
         #: deepest iterative-deepening depth the last check() reached
         #: (0: answered before deepening -- cache hit or no triggers)
         self.last_depth: int = 0
+        #: why the last check() answered UNKNOWN: "deadline" (the time
+        #: budget ran out) or "depth" (the deepening schedule ended with
+        #: an expansion still suppressed); None for any other answer
+        self.last_unknown_cause: str | None = None
         # -- the persistent incremental engine ---------------------------
         self._cnf = CnfBuilder()
         self._sat = SatSolver()
@@ -221,6 +225,7 @@ class Solver:
         self._model = None
         self.last_depth = 0
         self.last_cache_tier = "off"
+        self.last_unknown_cause = None
         fp = None
         if self.cache is not None:
             fp = self.cache.fingerprint(
@@ -255,6 +260,7 @@ class Solver:
             result = self._check_with_deepening()
         except budget.BudgetExceeded:
             result = Result.UNKNOWN
+            self.last_unknown_cause = "deadline"
         finally:
             budget.disarm()
         if fp is not None and result != Result.UNKNOWN:
@@ -291,6 +297,7 @@ class Solver:
                 return result
             if result == Result.UNKNOWN:
                 return result
+        self.last_unknown_cause = "depth"
         return Result.UNKNOWN
 
     def model(self) -> TheoryModel:
@@ -395,6 +402,7 @@ class Solver:
         while True:
             self.stats.sat_rounds += 1
             if time.monotonic() > self._deadline:
+                self.last_unknown_cause = "deadline"
                 return Result.UNKNOWN
             t0 = time.perf_counter()
             satisfiable = sat.solve(assumptions)

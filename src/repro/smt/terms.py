@@ -173,6 +173,19 @@ def fresh_var(prefix: str, sort: Sort) -> Term:
     return mk_var(f"{prefix}!{next(_fresh_counter)}", sort)
 
 
+def fresh_copies(variables: Sequence[Term]) -> tuple[Term, ...]:
+    """A fresh variable named after each of ``variables``, in their order.
+
+    The copies are minted in interning order of the originals, so the
+    names they get do not depend on the order the caller lists them in.
+    """
+    copies = {
+        var: fresh_var(str(var.payload).split("!")[0], var.sort)
+        for var in sorted(variables, key=lambda t: t._id)
+    }
+    return tuple(copies[var] for var in variables)
+
+
 @contextmanager
 def scoped_intern_state():
     """Run a block against a pristine term-interning state.

@@ -126,7 +126,9 @@ class DisjointnessChecker:
         label: str,
     ) -> None:
         """Ask the solver whether the arms of ``node`` can overlap."""
-        ctx = EncodeContext(self.table, viewer=owner)
+        ctx = EncodeContext(
+            self.table, viewer=owner, tracer=self.session.tracer
+        )
         translator = Translator(ctx, owner)
         # Knowns shared by both arms; unknowns are renamed apart simply
         # by translating each arm with its own environment copy.

@@ -153,10 +153,15 @@ class ExhaustivenessChecker:
             elif result == Result.UNKNOWN:
                 outcome.exhaustive_verdict = "unknown"
                 outcome.inconclusive = True
+                exhausted = (
+                    "time budget"
+                    if self.session.last_unknown_cause == "deadline"
+                    else "expansion depth"
+                )
                 self.diag.warn(
                     WarningKind.UNKNOWN,
                     "no counterexample to exhaustiveness found, but there "
-                    "may be one (expansion depth exhausted)",
+                    f"may be one ({exhausted} exhausted)",
                     span,
                 )
             else:

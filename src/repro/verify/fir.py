@@ -28,27 +28,31 @@ from ..smt.terms import Term
 class F:
     """Base class of F formulas."""
 
-    def to_term(self) -> Term:
-        """Lower to a plain SMT term (assume becomes conjunction)."""
+    def to_term(self, b=tm) -> Term:
+        """Lower to a plain SMT term (assume becomes conjunction).
+
+        ``b`` supplies the term builders (``terms`` itself, or a
+        recording of them; see :mod:`repro.verify.templates`).
+        """
         raise NotImplementedError
 
     def unknowns(self) -> frozenset[Term]:
         """All unknown variables introduced anywhere in this formula."""
         raise NotImplementedError
 
-    def substitute(self, mapping: dict[Term, Term]) -> "F":
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> "F":
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FTrue(F):
-    def to_term(self) -> Term:
+    def to_term(self, b=tm) -> Term:
         return tm.TRUE
 
     def unknowns(self) -> frozenset[Term]:
         return frozenset()
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
         return self
 
     def __str__(self) -> str:
@@ -57,13 +61,13 @@ class FTrue(F):
 
 @dataclass(frozen=True)
 class FFalse(F):
-    def to_term(self) -> Term:
+    def to_term(self, b=tm) -> Term:
         return tm.FALSE
 
     def unknowns(self) -> frozenset[Term]:
         return frozenset()
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
         return self
 
     def __str__(self) -> str:
@@ -81,14 +85,14 @@ class FAtom(F):
     term: Term
     negated: bool = False
 
-    def to_term(self) -> Term:
-        return tm.mk_not(self.term) if self.negated else self.term
+    def to_term(self, b=tm) -> Term:
+        return b.mk_not(self.term) if self.negated else self.term
 
     def unknowns(self) -> frozenset[Term]:
         return frozenset()
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
-        return FAtom(tm.substitute(self.term, mapping), self.negated)
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
+        return FAtom(b.substitute(self.term, mapping), self.negated)
 
     def __str__(self) -> str:
         return f"!{self.term}" if self.negated else str(self.term)
@@ -100,8 +104,8 @@ class FAnd(F):
     #: unknown variables whose solutions this conjunction introduces
     bound: frozenset[Term] = field(default=frozenset())
 
-    def to_term(self) -> Term:
-        return tm.mk_and(*[i.to_term() for i in self.items])
+    def to_term(self, b=tm) -> Term:
+        return b.mk_and(*[i.to_term(b) for i in self.items])
 
     def unknowns(self) -> frozenset[Term]:
         out = frozenset(self.bound)
@@ -109,9 +113,9 @@ class FAnd(F):
             out |= item.unknowns()
         return out
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
         return FAnd(
-            tuple(i.substitute(mapping) for i in self.items),
+            tuple(i.substitute(mapping, b) for i in self.items),
             frozenset(mapping.get(v, v) for v in self.bound),
         )
 
@@ -123,8 +127,8 @@ class FAnd(F):
 class FOr(F):
     items: tuple[F, ...]
 
-    def to_term(self) -> Term:
-        return tm.mk_or(*[i.to_term() for i in self.items])
+    def to_term(self, b=tm) -> Term:
+        return b.mk_or(*[i.to_term(b) for i in self.items])
 
     def unknowns(self) -> frozenset[Term]:
         out: frozenset[Term] = frozenset()
@@ -132,8 +136,8 @@ class FOr(F):
             out |= item.unknowns()
         return out
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
-        return FOr(tuple(i.substitute(mapping) for i in self.items))
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
+        return FOr(tuple(i.substitute(mapping, b) for i in self.items))
 
     def __str__(self) -> str:
         return "(" + " || ".join(str(i) for i in self.items) + ")"
@@ -153,16 +157,16 @@ class FAssume(F):
     #: unknowns whose solutions the premise provides
     bound: frozenset[Term] = field(default=frozenset())
 
-    def to_term(self) -> Term:
-        return tm.mk_and(self.premise.to_term(), self.body.to_term())
+    def to_term(self, b=tm) -> Term:
+        return b.mk_and(self.premise.to_term(b), self.body.to_term(b))
 
     def unknowns(self) -> frozenset[Term]:
         return frozenset(self.bound) | self.premise.unknowns() | self.body.unknowns()
 
-    def substitute(self, mapping: dict[Term, Term]) -> F:
+    def substitute(self, mapping: dict[Term, Term], b=tm) -> F:
         return FAssume(
-            self.premise.substitute(mapping),
-            self.body.substitute(mapping),
+            self.premise.substitute(mapping, b),
+            self.body.substitute(mapping, b),
             frozenset(mapping.get(v, v) for v in self.bound),
         )
 
@@ -232,12 +236,9 @@ def negate(f: F) -> F:
     raise AssertionError(f"unexpected F node {f!r}")
 
 
-def fresh(f: F) -> F:
+def fresh(f: F, b=tm) -> F:
     """Rename every unknown variable introduced in ``f`` (Section 5.1)."""
-    mapping: dict[Term, Term] = {}
-    for var in sorted(f.unknowns(), key=lambda t: t._id):
-        base = str(var.payload).split("!")[0]
-        mapping[var] = tm.fresh_var(base, var.sort)
-    if not mapping:
+    unknowns = sorted(f.unknowns(), key=lambda t: t._id)
+    if not unknowns:
         return f
-    return f.substitute(mapping)
+    return f.substitute(dict(zip(unknowns, b.fresh_copies(unknowns))), b)

@@ -96,6 +96,13 @@ class VerifyOptions:
                 "task_timeout must be finite and positive, "
                 f"got {self.task_timeout}"
             )
+        # ``cache=False`` reads as "no cache" but is not None: every task
+        # would then fail on the first cache call.  None turns it off.
+        if self.cache is not None and not isinstance(self.cache, SolverCache):
+            raise ValueError(
+                "cache must be a SolverCache or None (no cache), "
+                f"got {self.cache!r}"
+            )
         self.jobs = self._normalize_jobs(self.jobs)
 
     @staticmethod

@@ -46,6 +46,8 @@ class QueryOutcome(NamedTuple):
     cache_tier: str
     #: deepest iterative-deepening depth reached
     depth: int
+    #: why an UNKNOWN verdict is unknown: "deadline" or "depth"
+    unknown_cause: str | None = None
 
 
 def solve_fresh(
@@ -57,7 +59,12 @@ def solve_fresh(
     result = solver.check()
     model = solver.model() if want_model and result == Result.SAT else None
     return QueryOutcome(
-        result, model, solver.stats, solver.last_cache_tier, solver.last_depth
+        result,
+        model,
+        solver.stats,
+        solver.last_cache_tier,
+        solver.last_depth,
+        solver.last_unknown_cause,
     )
 
 
@@ -93,6 +100,8 @@ class SolverSession:
         self.tracer = tracer
         #: set by the driver around each method; labels the stats rows
         self.method_label = "<toplevel>"
+        #: why the last query answered UNKNOWN ("deadline" or "depth")
+        self.last_unknown_cause: str | None = None
         self._engines: OrderedDict[int, _Engine] = OrderedDict()
 
     def check(
@@ -111,6 +120,7 @@ class SolverSession:
         start = time.perf_counter()
         outcome = self._solve(plugin, terms, want_model)
         elapsed = time.perf_counter() - start
+        self.last_unknown_cause = outcome.unknown_cause
         query_stats = outcome.stats
         if self.stats is not None:
             self.stats.record(
@@ -203,6 +213,7 @@ class SolverSession:
             solver.stats.delta(before),
             solver.last_cache_tier,
             solver.last_depth,
+            solver.last_unknown_cause,
         )
 
     def _engine_for(self, plugin: LazyTheoryPlugin) -> _Engine:

@@ -57,7 +57,9 @@ class TotalityChecker:
     ) -> tuple[EncodeContext, Translator, VEnv, list[F]]:
         """Build the known-variable environment for one mode."""
         owner = method.owner or None
-        ctx = EncodeContext(self.table, viewer=owner)
+        ctx = EncodeContext(
+            self.table, viewer=owner, tracer=self.session.tracer
+        )
         translator = Translator(ctx, owner)
         env: VEnv = {}
         context: list[F] = []

@@ -47,12 +47,15 @@ from ..modes.ordering import (
     order_conjuncts,
     _pattern_solvable,
 )
+from ..obs import NULL_TRACER
 from ..smt import terms as tm
 from ..smt.plugin import LazyTheoryPlugin
 from ..smt.sorts import BOOL, INT, OBJ, Sort
 from ..smt.terms import FunSym, Term
 from . import fir
 from .fir import F, FAtom, assume, fand, for_, negate
+from . import templates
+from .templates import Depth, LazyAxiom
 
 
 class TranslationError(JMatchError):
@@ -126,6 +129,7 @@ class EncodeContext:
         table: ProgramTable,
         viewer: str | None = None,
         plugin: LazyTheoryPlugin | None = None,
+        tracer=NULL_TRACER,
     ):
         self.table = table
         #: the class from whose perspective invariants are visible
@@ -134,11 +138,19 @@ class EncodeContext:
         # Axiom expansions depend on the declarations and on invariant
         # visibility; the query cache must see both (see cache.py).
         self.plugin.signature = (table_signature(table), viewer)
+        #: receives an ``invariant-drop`` event per untranslatable part
+        self.tracer = tracer
         self._funsyms: dict[tuple, FunSym] = {}
         self._counter = 0
-        #: (term, owner, id of invariant, depth) -> (invariant, its
-        #: instance) for the instances that mint no variable
-        self._pure_parts: dict[tuple, tuple[ast.InvariantDecl, F]] = {}
+        #: (term, owner, id of invariant, depth) -> (the part's F or None
+        #: when only replayed, the values it produced) for the invariant
+        #: parts that mint no variable (see _invariant_part)
+        self._parts: dict[tuple, tuple[F | None, tuple]] = {}
+        #: the term builders: ``terms`` itself, or the tape recording a
+        #: lazy axiom's first firing (see :mod:`.templates`)
+        self.b = tm
+        #: that tape while it records, else None
+        self.tape = None
         #: success predicates whose canonical method is abstract; their
         #: disjointness cannot be decided through the abstraction
         #: boundary (Section 8's caveat)
@@ -152,6 +164,10 @@ class EncodeContext:
         if sym is None:
             sym = FunSym(name, arg_sorts, result)
             self._funsyms[key] = sym
+        if self.tape is not None:
+            self.tape.record(
+                EncodeContext.funsym, (self, name, arg_sorts, result), sym
+            )
         return sym
 
     def sort_of(self, type_: ast.Type | None) -> Sort:
@@ -163,13 +179,16 @@ class EncodeContext:
 
     def fresh(self, prefix: str, sort: Sort) -> Term:
         self._counter += 1
-        return tm.mk_var(f"{prefix}${self._counter}", sort)
+        var = tm.mk_var(f"{prefix}${self._counter}", sort)
+        if self.tape is not None:
+            self.tape.record(EncodeContext.fresh, (self, prefix, sort), var)
+        return var
 
     def null(self) -> Term:
-        return tm.mk_app(self.funsym("$null", [], OBJ))
+        return self.b.mk_app(self.funsym("$null", [], OBJ))
 
     def string_const(self, s: str) -> Term:
-        return tm.mk_app(self.funsym(f"$str:{s!r}", [], OBJ))
+        return self.b.mk_app(self.funsym(f"$str:{s!r}", [], OBJ))
 
     def field_fn(self, class_name: str, field_name: str, type_: ast.Type) -> FunSym:
         return self.funsym(
@@ -180,14 +199,13 @@ class EncodeContext:
 
     def instanceof_atom(self, x: Term, type_name: str, depth: int) -> Term:
         sym = self.funsym(f"instanceof:{type_name}", [OBJ], BOOL)
-        atom = tm.mk_app(sym, [x])
-        self.plugin.register(
-            atom, True, lambda: self._hierarchy_axioms(x, type_name, depth + 1), depth
-        )
+        atom = self.b.mk_app(sym, [x])
+        self.lazy(atom, True, depth, Hierarchy(type_name), (x,))
         return atom
 
     def _hierarchy_axioms(self, x: Term, type_name: str, depth: int) -> Term:
         """Upward closure and disjointness of unrelated concrete classes."""
+        b = self.b
         parts: list[Term] = []
         supers = self.table.supertypes(type_name)
         for sup in supers:
@@ -203,51 +221,78 @@ class EncodeContext:
                     and type_name not in self.table.supertypes(other.name)
                 ):
                     parts.append(
-                        tm.mk_not(self.instanceof_atom(x, other.name, depth))
+                        b.mk_not(self.instanceof_atom(x, other.name, depth))
                     )
-            parts.append(tm.mk_ne(x, self.null()))
-        return tm.mk_and(*parts)
+            parts.append(b.mk_ne(x, self.null()))
+        return b.mk_and(*parts)
 
     def invariant_atom(self, x: Term, type_name: str, depth: int) -> Term:
         sym = self.funsym(f"inv:{type_name}", [OBJ], BOOL)
-        atom = tm.mk_app(sym, [x])
+        atom = self.b.mk_app(sym, [x])
         # Both polarities are meaningful: the invariant atom is *defined*
         # by its instantiation, so `not inv` asserts the negation (this
         # is what lets e.g. creation results discharge the interface
         # invariants of their supertypes).
-        self.plugin.register(
-            atom,
-            True,
-            lambda: self._invariant_instance(x, type_name, depth + 1).to_term(),
-            depth,
-        )
-        self.plugin.register(
-            atom,
-            False,
-            lambda: self._invariant_instance(
-                x, type_name, depth + 1, negated=True
-            ).to_term(),
-            depth,
-            weak=True,
+        self.lazy(atom, True, depth, Invariant(type_name, False), (x,))
+        self.lazy(
+            atom, False, depth, Invariant(type_name, True), (x,), weak=True
         )
         return atom
+
+    def lazy(
+        self,
+        atom: Term,
+        polarity: bool,
+        depth: int,
+        axiom: "Axiom",
+        inputs: tuple[Term, ...],
+        weak: bool = False,
+    ) -> None:
+        """Register ``axiom`` on ``inputs`` for one polarity of ``atom``.
+
+        The axiom is instantiated at ``depth + 1`` when the solver
+        assigns the atom that polarity (see :mod:`.templates`).
+        """
+        if self.tape is not None:
+            self.tape.record(
+                EncodeContext.lazy,
+                (self, atom, polarity, Depth(depth), axiom, inputs, weak),
+                None,
+            )
+        if self.plugin.registered(atom, polarity):
+            return
+        self.plugin.register(
+            atom,
+            polarity,
+            LazyAxiom(self, axiom, inputs, depth + 1),
+            depth,
+            weak=weak,
+        )
+
+    def mark_abstract(self, pred: FunSym) -> None:
+        """``pred`` is the success predicate of an abstract method."""
+        if self.tape is not None:
+            self.tape.record(EncodeContext.mark_abstract, (self, pred), None)
+        self.abstract_preds.add(pred)
 
     def _invariant_instance(
         self, x: Term, type_name: str, depth: int, negated: bool = False
     ) -> F:
         """The visible invariants of ``type_name`` on ``x``, or their negation.
 
-        An invariant that cannot be translated is dropped.  That only
-        weakens the positive instance, which is sound; but the negation
-        of a weakened conjunction says more than the program does, so
-        a negated instance with a dropped part asserts nothing.
+        An invariant that cannot be translated is dropped, and the drop
+        is traced.  That only weakens the positive instance, which is
+        sound; but the negation of a weakened conjunction says more than
+        the program does, so a negated instance with a dropped part
+        asserts nothing.
         """
         invariants = self.table.invariants_visible_from(type_name, self.viewer)
         parts: list[F] = []
         for owner, inv in invariants:
             try:
                 parts.append(self._invariant_part(x, owner, inv, depth))
-            except TranslationError:
+            except TranslationError as exc:
+                self.drop_invariant(type_name, owner, not negated, exc.message)
                 if negated:
                     return fir.TRUE
         instance = fand(*parts)
@@ -259,23 +304,94 @@ class EncodeContext:
         """One invariant instantiated on ``x``.
 
         Both polarities of an invariant atom, and the atoms of every
-        subtype that sees the same invariant, ask for the same part; one
-        whose translation mints no variable is translated once (see
-        :meth:`Translator.vf_true`).
+        subtype that sees the same invariant, ask for the same part.
+        A part is a template of its own (:class:`InvariantPart`), and
+        one that mints no variable is kept per context with the values
+        it produced: a later request for it, by a translation or by a
+        replay (:meth:`part_values`), builds nothing.
         """
+        part = InvariantPart(owner, _position(inv, self.table.types[owner]), inv)
         key = (x, owner, id(inv), depth)
-        hit = self._pure_parts.get(key)
+        hit = self._parts.get(key)
+        if hit is not None and hit[0] is not None:
+            f, values = hit
+        elif hit is not None:
+            # Produced by a replay, which keeps no F: translating again
+            # only meets terms and registrations that already exist.
+            tape, self.tape, self.b = self.tape, None, tm
+            try:
+                f = part.translate(self, (x,), depth)
+            finally:
+                self.tape = tape
+                self.b = tm if tape is None else tape
+            values = hit[1]
+            self._parts[key] = (f, values)
+        else:
+            minted = self._counter
+            try:
+                f, values = templates.record(self, part, (x,), depth)
+            except TranslationError:
+                self._note_part(part, x, depth, ())
+                raise
+            if self._counter == minted:
+                self._parts[key] = (f, values)
+        self._note_part(part, x, depth, values)
+        return f
+
+    def _note_part(
+        self, part: "InvariantPart", x: Term, depth: int, values: tuple
+    ) -> None:
+        if self.tape is not None:
+            self.tape.record(
+                EncodeContext.part_values, (self, part, x, Depth(depth)), values
+            )
+
+    def part_values(
+        self, part: "InvariantPart", x: Term, depth: int
+    ) -> tuple:
+        """The values an invariant part on ``x`` produces (a replay's view).
+
+        A part that raised produces none: the replayed instance records
+        the drop itself.
+        """
+        key = (x, part.owner, id(part.inv), depth)
+        hit = self._parts.get(key)
         if hit is not None:
             return hit[1]
+        template = templates.lookup(self, part, (x,))
         minted = self._counter
-        translator = Translator(self, owner=owner, depth=depth)
-        env: VEnv = {"this": (x, ast.Type(owner))}
-        translator.bind_fields(env, x, owner)
-        part = translator.vf(inv.formula, env, _true)
+        if template is None:
+            try:
+                f, values = templates.record(self, part, (x,), depth)
+            except TranslationError:
+                return ()
+        else:
+            if template.error is not None:
+                template.run(self, (x,), depth)
+                return ()
+            f = None
+            values = tuple(template.run(self, (x,), depth)[1:])
         if self._counter == minted:
-            # Keeping ``inv`` alive keeps its id from being reused.
-            self._pure_parts[key] = (inv, part)
-        return part
+            self._parts[key] = (f, values)
+        return values
+
+    def drop_invariant(
+        self, type_name: str, owner: str, polarity: bool, reason: str
+    ) -> None:
+        """Trace an invariant of ``owner`` left out of ``type_name``'s instance."""
+        if self.tape is not None:
+            self.tape.record(
+                EncodeContext.drop_invariant,
+                (self, type_name, owner, polarity, reason),
+                None,
+            )
+        self.tracer.event(
+            "invariant-drop",
+            type=type_name,
+            owner=owner,
+            polarity=polarity,
+            reason=reason,
+        )
 
     def type_formula(self, value: VValue, type_: ast.Type | None, depth: int) -> F:
         if type_ is None or not isinstance(value, Term):
@@ -314,6 +430,8 @@ class Translator:
         self.owner = owner
         self.depth = depth
         self.solv_ctx = SolvabilityContext(ctx.table, owner)
+        #: the context's term builders when this pass began
+        self.b = ctx.b
         #: (id of formula, env items) -> (formula, VF under ``_true``)
         #: for the translations that mint no variable (see ``vf_true``)
         self._pure: dict[tuple, tuple[ast.Expr, F]] = {}
@@ -329,15 +447,15 @@ class Translator:
             for fname, fdecl in info.fields.items():
                 if fname not in env:
                     sym = self.ctx.field_fn(ancestor, fname, fdecl.type)
-                    env[fname] = (tm.mk_app(sym, [this]), fdecl.type)
+                    env[fname] = (self.b.mk_app(sym, [this]), fdecl.type)
 
     def _lit_term(self, lit: ast.Lit) -> Term:
         if lit.value is None:
             return self.ctx.null()
         if isinstance(lit.value, bool):
-            return tm.mk_bool(lit.value)
+            return self.b.mk_bool(lit.value)
         if isinstance(lit.value, int):
-            return tm.mk_int(lit.value)
+            return self.b.mk_int(lit.value)
         return self.ctx.string_const(lit.value)
 
     def _eq(self, a: VValue, b: VValue) -> F:
@@ -351,7 +469,7 @@ class Translator:
             return fand(*[self._eq(x, y) for x, y in zip(a.items, b.items)])
         if a.sort != b.sort:
             return fir.FALSE
-        return FAtom(tm.mk_eq(a, b))
+        return FAtom(self.b.mk_eq(a, b))
 
     # ------------------------------------------------------------------
     # VF
@@ -456,11 +574,12 @@ class Translator:
     def _exclusion(self, f: ast.PatOr, env: VEnv) -> F:
         """not (left /\\ right), with each arm's unknowns renamed apart."""
         try:
-            left = fir.fresh(self.vf_true(f.left, env))
-            right = fir.fresh(self.vf_true(f.right, env))
+            left = fir.fresh(self.vf_true(f.left, env), self.b)
+            right = fir.fresh(self.vf_true(f.right, env), self.b)
         except TranslationError:
             return fir.TRUE
-        return FAtom(tm.mk_not(tm.mk_and(left.to_term(), right.to_term())))
+        b = self.b
+        return FAtom(b.mk_not(b.mk_and(left.to_term(b), right.to_term(b))))
 
     def _compare_atom(self, op: str, a: VValue, b: VValue) -> F:
         if op == "!=":
@@ -469,10 +588,10 @@ class Translator:
         if not isinstance(a, Term) or not isinstance(b, Term):
             raise TranslationError("ordering comparison on tuples")
         table = {
-            "<": tm.mk_lt,
-            "<=": tm.mk_le,
-            ">": tm.mk_gt,
-            ">=": tm.mk_ge,
+            "<": self.b.mk_lt,
+            "<=": self.b.mk_le,
+            ">": self.b.mk_gt,
+            ">=": self.b.mk_ge,
         }
         return FAtom(table[op](a, b))
 
@@ -625,23 +744,23 @@ class Translator:
             if left_known:
                 return self.vp(
                     p.left, env,
-                    lambda v, e: self.vm(p.right, tm.mk_sub(value, v), e, cont),
+                    lambda v, e: self.vm(p.right, self.b.mk_sub(value, v), e, cont),
                 )
             if right_known:
                 return self.vp(
                     p.right, env,
-                    lambda v, e: self.vm(p.left, tm.mk_sub(value, v), e, cont),
+                    lambda v, e: self.vm(p.left, self.b.mk_sub(value, v), e, cont),
                 )
         elif p.op == "-":
             if left_known:
                 return self.vp(
                     p.left, env,
-                    lambda v, e: self.vm(p.right, tm.mk_sub(v, value), e, cont),
+                    lambda v, e: self.vm(p.right, self.b.mk_sub(v, value), e, cont),
                 )
             if right_known:
                 return self.vp(
                     p.right, env,
-                    lambda v, e: self.vm(p.left, tm.mk_add(value, v), e, cont),
+                    lambda v, e: self.vm(p.left, self.b.mk_add(value, v), e, cont),
                 )
         elif p.op == "*":
             # value = k * p' has a solution only when k divides value;
@@ -653,7 +772,7 @@ class Translator:
                 quotient = self.ctx.fresh("q", INT)
 
                 def with_quotient(v: Term, e: VEnv) -> F:
-                    eq = FAtom(tm.mk_eq(tm.mk_mul(v, quotient), value))
+                    eq = FAtom(self.b.mk_eq(self.b.mk_mul(v, quotient), value))
                     return assume(
                         eq,
                         self.vm(unknown, quotient, e, cont),
@@ -686,7 +805,7 @@ class Translator:
             env1 = dict(env)
             env1[p.receiver.name] = (obj, ast.Type(decl_class))
             premise = fand(
-                FAtom(tm.mk_eq(tm.mk_app(sym, [obj]), value)),
+                FAtom(self.b.mk_eq(self.b.mk_app(sym, [obj]), value)),
                 self.ctx.type_formula(obj, ast.Type(decl_class), self.depth),
             )
             return assume(premise, cont(env1), frozenset({obj}))
@@ -757,8 +876,11 @@ class Translator:
             inner = self.vf(p, dict(env), _true)
             var = self.ctx.fresh("b", BOOL)
             premise = for_(
-                fand(inner, FAtom(tm.mk_eq(var, tm.TRUE))),
-                fand(negate(fir.fresh(inner)), FAtom(tm.mk_eq(var, tm.FALSE))),
+                fand(inner, FAtom(self.b.mk_eq(var, tm.TRUE))),
+                fand(
+                    negate(fir.fresh(inner, self.b)),
+                    FAtom(self.b.mk_eq(var, tm.FALSE)),
+                ),
             )
             return assume(premise, cont(var, env), frozenset({var}))
         if isinstance(p, ast.Not):
@@ -793,7 +915,7 @@ class Translator:
                     )
                 fdecl = self.ctx.table.lookup_field(decl_class, p.name)
                 sym = self.ctx.field_fn(decl_class, p.name, fdecl.type)
-                return cont(tm.mk_app(sym, [v]), e)
+                return cont(self.b.mk_app(sym, [v]), e)
 
             return self.vp(p.receiver, env, recv_k)
         if isinstance(p, ast.PatOr):
@@ -834,15 +956,15 @@ class Translator:
         if not isinstance(a, Term) or not isinstance(b, Term):
             raise TranslationError("arithmetic on tuples", span)
         if op == "+":
-            return tm.mk_add(a, b)
+            return self.b.mk_add(a, b)
         if op == "-":
-            return tm.mk_sub(a, b)
+            return self.b.mk_sub(a, b)
         if op == "*":
-            return tm.mk_mul(a, b)
+            return self.b.mk_mul(a, b)
         # Division/modulus become uninterpreted functions: sound for
         # equality reasoning, no arithmetic theory support.
         sym = self.ctx.funsym(f"$int{op}", [INT, INT], INT)
-        return tm.mk_app(sym, [a, b])
+        return self.b.mk_app(sym, [a, b])
 
     # ------------------------------------------------------------------
     # Invocation encoding (Section 6.2)
@@ -999,7 +1121,7 @@ class Translator:
         for uname in sorted(mode.unknowns):
             if uname == RESULT and recv_result is not None:
                 continue
-            out_type = self._param_type(canonical, uname)
+            out_type = param_type(canonical, uname)
             out_sort = self.ctx.sort_of(out_type)
             if mode.iterative:
                 var = self.ctx.fresh(f"{canonical.name}.{uname}", out_sort)
@@ -1007,7 +1129,7 @@ class Translator:
                 output_bound.add(var)
             else:
                 sym = self.ctx.funsym(f"out:{base}.{uname}", sorts, out_sort)
-                outputs[uname] = tm.mk_app(sym, key_terms)
+                outputs[uname] = self.b.mk_app(sym, key_terms)
 
         pred_args = list(key_terms) + [
             outputs[u] for u in sorted(outputs) if mode.iterative
@@ -1016,8 +1138,8 @@ class Translator:
             f"call:{base}", [t.sort for t in pred_args], BOOL
         )
         if canonical.abstract:
-            self.ctx.abstract_preds.add(pred_sym)
-        atom = tm.mk_app(pred_sym, pred_args)
+            self.ctx.mark_abstract(pred_sym)
+        atom = self.b.mk_app(pred_sym, pred_args)
         self._register_spec_axioms(
             atom, canonical, mode, recv_result, known_args, outputs
         )
@@ -1025,14 +1147,6 @@ class Translator:
         if output_bound:
             return fand(FAtom(atom), assume(fir.TRUE, rest, frozenset(output_bound)))
         return fand(FAtom(atom), rest)
-
-    def _param_type(self, method: MethodInfo, name: str) -> ast.Type | None:
-        if name == RESULT:
-            return method.result_type()
-        for param in method.params:
-            if param.name == name:
-                return param.type
-        return None
 
     def _register_spec_axioms(
         self,
@@ -1046,83 +1160,57 @@ class Translator:
         """Attach the Section 6.2 lazy axioms to a success predicate."""
         from .extract import extract_matches  # local import to avoid cycle
 
-        ctx = self.ctx
-        depth = self.depth
+        table = self.ctx.table
         matches_ast = extract_matches(
-            method.decl, mode, ctx.table, method.owner or None
+            method.decl, mode, table, method.owner or None
         )
         matches_trivial = (
             isinstance(matches_ast, ast.Lit) and matches_ast.value is False
         )
+
         def nontrivial_type(t: ast.Type | None) -> bool:
             return (
                 t is not None
                 and not t.is_primitive
-                and t.name in ctx.table.types
+                and t.name in table.types
             )
 
         has_ref_output = any(
-            nontrivial_type(self._param_type(method, u)) for u in outputs
+            nontrivial_type(param_type(method, u)) for u in outputs
         )
         ensures_trivial = method.decl.ensures is None and not has_ref_output
+        receiver = () if recv_result is None else (recv_result,)
+        inputs = receiver + tuple(known_args.values()) + tuple(outputs.values())
 
-        def spec_env() -> VEnv:
-            env: VEnv = {}
-            for pname, term in known_args.items():
-                env[pname] = (term, self._param_type(method, pname))
-            for uname, term in outputs.items():
-                env[uname] = (term, self._param_type(method, uname))
-            if recv_result is not None:
-                env[RESULT] = (recv_result, method.result_type())
-                if method.is_constructor:
-                    env["this"] = (recv_result, method.result_type())
-            elif RESULT in outputs:
-                if method.is_constructor:
-                    env["this"] = (outputs[RESULT], method.result_type())
-            return env
-
-        def on_false() -> Term:
-            translator = Translator(ctx, self.owner, depth + 1)
-            try:
-                f = translator.vf(matches_ast, spec_env(), _true)
-            except TranslationError:
-                return tm.TRUE
-            # not P => not ExtractM(M): asserted via implication premise.
-            return negate(f).to_term()
-
-        def on_true() -> Term:
-            parts: list[Term] = []
-            translator = Translator(ctx, self.owner, depth + 1)
-            env = spec_env()
-            # Output signature types (including invariants).
-            for uname, term in outputs.items():
-                type_ = self._param_type(method, uname)
-                parts.append(
-                    translator.ctx.type_formula(term, type_, depth + 1).to_term()
-                )
-            if method.is_constructor and recv_result is None and RESULT in outputs:
-                parts.append(
-                    translator.ctx.type_formula(
-                        outputs[RESULT], method.result_type(), depth + 1
-                    ).to_term()
-                )
-            ensures_ast = method.decl.ensures
-            if ensures_ast is not None:
-                try:
-                    f = translator.vf(ensures_ast, env, _true)
-                    parts.append(f.to_term())
-                except TranslationError:
-                    pass
-            return tm.mk_and(*parts)
+        def axiom(kind: str, clause: ast.Expr | None) -> SpecAxiom:
+            return SpecAxiom(
+                kind,
+                f"{method.owner}.{method.name}",
+                mode,
+                self.owner,
+                recv_result is not None,
+                tuple(known_args),
+                tuple(outputs),
+                method,
+                clause,
+            )
 
         # Trivial axioms are not registered: a missing matches clause
         # means `not P => true`, and a missing ensures clause with no
         # reference-typed outputs means `P => true`.  Skipping them keeps
         # the lazy unrolling finite on recursive types.
         if not matches_trivial:
-            ctx.plugin.register(atom, False, on_false, depth)
+            self.ctx.lazy(
+                atom, False, self.depth, axiom("matches", matches_ast), inputs
+            )
         if not ensures_trivial:
-            ctx.plugin.register(atom, True, on_true, depth)
+            self.ctx.lazy(
+                atom,
+                True,
+                self.depth,
+                axiom("ensures", method.decl.ensures),
+                inputs,
+            )
 
     def _select_pattern_mode(
         self, method: MethodInfo, unknown_names: set[str]
@@ -1284,3 +1372,155 @@ class Translator:
         return self._with_args(
             call, self._arguments(call, canonical), env, encode
         )
+
+
+def param_type(method: MethodInfo, name: str) -> ast.Type | None:
+    """The declared type of ``method``'s parameter (or result) ``name``."""
+    if name == RESULT:
+        return method.result_type()
+    for param in method.params:
+        if param.name == name:
+            return param.type
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Lazy axiom schemas: what a registration instantiates, minus its terms
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Hierarchy:
+    """``instanceof:T(x)``: upward closure and disjointness of classes."""
+
+    type_name: str
+
+    kind = "hierarchy"
+    sees_invariants = False
+
+    def translate(self, ctx: EncodeContext, inputs: tuple, depth: int) -> Term:
+        return ctx._hierarchy_axioms(inputs[0], self.type_name, depth)
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """``inv:T(x)``: T's visible invariants on x, or their negation."""
+
+    type_name: str
+    negated: bool
+
+    kind = "invariant"
+    #: the instance is the invariants visible from the context's viewer
+    sees_invariants = True
+
+    def translate(self, ctx: EncodeContext, inputs: tuple, depth: int) -> Term:
+        instance = ctx._invariant_instance(
+            inputs[0], self.type_name, depth, negated=self.negated
+        )
+        return instance.to_term(ctx.b)
+
+
+@dataclass(frozen=True)
+class InvariantPart:
+    """One invariant of ``owner`` on x: a part of invariant instances."""
+
+    owner: str
+    #: the invariant's position among ``owner``'s own invariants
+    index: int
+    inv: ast.InvariantDecl = field(compare=False)
+
+    kind = "invariant-part"
+    sees_invariants = False
+
+    def translate(self, ctx: EncodeContext, inputs: tuple, depth: int) -> F:
+        x = inputs[0]
+        translator = Translator(ctx, owner=self.owner, depth=depth)
+        env: VEnv = {"this": (x, ast.Type(self.owner))}
+        translator.bind_fields(env, x, self.owner)
+        return translator.vf(self.inv.formula, env, _true)
+
+
+def _position(inv: ast.InvariantDecl, info) -> int:
+    return next(i for i, own in enumerate(info.invariants) if own is inv)
+
+
+@dataclass(frozen=True)
+class SpecAxiom:
+    """A success predicate's ``matches`` or ``ensures`` fact (Section 6.2).
+
+    ``not P => not ExtractM(matches)`` and ``P => ensures /\\ output
+    types``.  The inputs are the receiver (or known result) when
+    ``receiver`` is set, then the ``known`` arguments and the
+    ``outputs``, in those orders.
+    """
+
+    #: "matches" or "ensures"
+    kind: str
+    #: the canonical method, ``owner.name``
+    symbol: str
+    mode: Mode
+    #: the owner of the translation that made the call
+    owner: str | None
+    receiver: bool
+    known: tuple[str, ...]
+    outputs: tuple[str, ...]
+    method: MethodInfo = field(compare=False)
+    #: the mode's extracted matches clause, or the ensures clause
+    clause: ast.Expr | None = field(compare=False)
+
+    #: a clause registers invariant atoms but never expands one itself
+    sees_invariants = False
+
+    def translate(self, ctx: EncodeContext, inputs: tuple, depth: int) -> Term:
+        translator = Translator(ctx, self.owner, depth)
+        env, outputs = self._env(inputs)
+        b = ctx.b
+        if self.kind == "matches":
+            try:
+                f = translator.vf(self.clause, env, _true)
+            except TranslationError:
+                return tm.TRUE
+            # not P => not ExtractM(M): asserted via implication premise.
+            return negate(f).to_term(b)
+        method = self.method
+        parts: list[Term] = []
+        # Output signature types (including invariants).
+        for uname, term in outputs.items():
+            type_ = param_type(method, uname)
+            parts.append(ctx.type_formula(term, type_, depth).to_term(b))
+        if method.is_constructor and not self.receiver and RESULT in outputs:
+            parts.append(
+                ctx.type_formula(
+                    outputs[RESULT], method.result_type(), depth
+                ).to_term(b)
+            )
+        if self.clause is not None:
+            try:
+                parts.append(translator.vf(self.clause, env, _true).to_term(b))
+            except TranslationError:
+                pass
+        return b.mk_and(*parts)
+
+    def _env(self, inputs: tuple) -> tuple[VEnv, dict[str, Term]]:
+        """The clause's environment, and the outputs by name."""
+        method = self.method
+        values = iter(inputs)
+        recv = next(values) if self.receiver else None
+        env: VEnv = {}
+        for pname in self.known:
+            env[pname] = (next(values), param_type(method, pname))
+        outputs: dict[str, Term] = {}
+        for uname in self.outputs:
+            outputs[uname] = next(values)
+            env[uname] = (outputs[uname], param_type(method, uname))
+        if recv is not None:
+            env[RESULT] = (recv, method.result_type())
+            if method.is_constructor:
+                env["this"] = (recv, method.result_type())
+        elif RESULT in outputs and method.is_constructor:
+            env["this"] = (outputs[RESULT], method.result_type())
+        return env, outputs
+
+
+#: a lazy axiom schema
+Axiom = Union[Hierarchy, Invariant, InvariantPart, SpecAxiom]

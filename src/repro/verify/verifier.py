@@ -337,7 +337,9 @@ class _BodyWalker:
     def _fresh_context(
         self, scope: dict[str, ast.Type | None], path: list[ast.Expr]
     ) -> tuple[ExhaustivenessChecker, VEnv, list[F]]:
-        ctx = EncodeContext(self.table, viewer=self.owner)
+        ctx = EncodeContext(
+            self.table, viewer=self.owner, tracer=self.tracer
+        )
         translator = Translator(ctx, self.owner)
         env, context = ctx.declare(scope)
         if "this" in env and self.owner:

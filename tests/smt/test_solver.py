@@ -168,6 +168,19 @@ def test_lazy_plugin_depth_exhaustion_reports_unknown():
     # The chain is infinite; every deepening pass leaves expansions
     # suppressed, so the solver cannot confirm a model.
     assert result == Result.UNKNOWN
+    assert s.last_unknown_cause == "depth"
+
+
+def test_unknown_cause_names_the_deadline():
+    s = Solver(cache=None, time_budget=0.0)
+    x = ivar("x")
+    s.add(mk_ge(x, mk_int(0)))
+    assert s.check() == Result.UNKNOWN
+    assert s.last_unknown_cause == "deadline"
+    # A decided check clears it.
+    s.time_budget = None
+    assert s.check() == Result.SAT
+    assert s.last_unknown_cause is None
 
 
 def test_model_validation_guard():

@@ -113,6 +113,19 @@ def test_verify_rejects_non_finite_budget_and_timeout(program, capsys, flag, bad
     assert captured.out == ""
 
 
+def test_verify_exits_2_when_the_cache_is_not_a_solver_cache(
+    program, capsys, monkeypatch
+):
+    # The CLI builds its options from the process-wide cache; whatever
+    # stands there must pass VerifyOptions.validate, or the run exits 2
+    # before any task starts.
+    import repro.smt.cache
+
+    monkeypatch.setattr(repro.smt.cache, "GLOBAL_CACHE", False)
+    assert main(["verify", program(CLEAN)]) == 2
+    assert "SolverCache or None" in capsys.readouterr().err
+
+
 def test_verify_task_timeout_output_matches_plain(program, capsys):
     path = program(BUGGY)
     strip = lambda text: [

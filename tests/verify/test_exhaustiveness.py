@@ -328,3 +328,27 @@ class TestLetTotality:
         """
         report = verify(source)
         assert report.of_kind(WarningKind.LET_MAY_FAIL)
+
+
+class TestUnknownCause:
+    """An inconclusive exhaustiveness check names why it is inconclusive."""
+
+    SOURCE = NAT_PRELUDE + """
+    static int observe(Nat n) {
+      switch (n) {
+        case succ(Nat p): return 1;
+      }
+    }
+    """
+
+    def test_starved_budget_names_the_time_budget(self):
+        unit = api.compile_program(self.SOURCE)
+        report = api.verify(
+            unit, options=api.VerifyOptions(budget=0.0, cache=None)
+        )
+        messages = [w.message for w in report.of_kind(WarningKind.UNKNOWN)]
+        assert (
+            "no counterexample to exhaustiveness found, but there may be "
+            "one (time budget exhausted)"
+        ) in messages
+        assert not any("expansion depth" in m for m in messages)

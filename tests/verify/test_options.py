@@ -105,6 +105,19 @@ def test_validate_rejects_out_of_range_settings(bad):
         VerifyOptions(**bad).validate()
 
 
+@pytest.mark.parametrize("cache", [False, True, 0, "memory"])
+def test_validate_rejects_a_cache_that_is_not_a_solver_cache(cache):
+    # cache=False used to validate, then fail every task with an
+    # AttributeError on the first cache call
+    with pytest.raises(ValueError, match="SolverCache or None"):
+        VerifyOptions(cache=cache).validate()
+
+
+def test_verify_rejects_cache_false_before_any_task_runs(unit):
+    with pytest.raises(ValueError, match="SolverCache or None"):
+        api.verify(unit, options=VerifyOptions(cache=False))
+
+
 def test_validate_accepts_auto_jobs_and_zero_budget():
     VerifyOptions(jobs="auto", budget=0.0).validate()
 
