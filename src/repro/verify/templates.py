@@ -33,6 +33,7 @@ shape of the input terms (:func:`input_shape`).
 
 from __future__ import annotations
 
+from ..errors import JMatchError
 from ..smt import terms as tm
 from ..smt.terms import FunSym, Term
 
@@ -77,7 +78,7 @@ class LazyAxiom:
 
 
 def instantiate(ctx, axiom, inputs: tuple[Term, ...], depth: int) -> Term:
-    """The axiom ``axiom`` on ``inputs`` at ``depth``, replayed if it can be."""
+    """``axiom`` on ``inputs`` at ``depth``, replayed when it can be."""
     template = lookup(ctx, axiom, inputs)
     if template is not None:
         return template.replay(ctx, inputs, depth)
@@ -86,20 +87,22 @@ def instantiate(ctx, axiom, inputs: tuple[Term, ...], depth: int) -> Term:
 
 def lookup(ctx, axiom, inputs: tuple[Term, ...]) -> "Template | None":
     """The table's template of ``axiom`` for inputs shaped like ``inputs``."""
+    return ctx.table.axiom_templates.get(_key(ctx, axiom, inputs))
+
+
+def _key(ctx, axiom, inputs: tuple[Term, ...]) -> tuple:
     viewer = ctx.viewer if axiom.sees_invariants else None
-    return ctx.table.axiom_templates.get(
-        (axiom, viewer, input_shape(inputs))
-    )
+    return (axiom, viewer, input_shape(inputs))
 
 
 def record(ctx, axiom, inputs: tuple[Term, ...], depth: int):
     """Translate ``axiom`` directly, keeping its template.
 
     Returns the translation and the values its operations produced
-    (after the inputs).  A translation that raises keeps a template
-    that raises the same error after its operations, and the error
-    propagates.  Recordings nest: a part of an invariant instance is
-    recorded on a tape of its own while the instance's tape waits.
+    (after the inputs).  A translation that raises (an untranslatable
+    invariant part) keeps a template that notes the error, and the
+    error propagates.  Recordings nest: a part of an invariant instance
+    is recorded on a tape of its own while the instance's tape waits.
     """
     outer = ctx.tape
     tape = Tape(ctx, inputs, depth)
@@ -107,7 +110,7 @@ def record(ctx, axiom, inputs: tuple[Term, ...], depth: int):
     error = None
     try:
         result = axiom.translate(ctx, inputs, depth)
-    except Exception as exc:
+    except JMatchError as exc:  # an untranslatable invariant part
         error = exc
         result = None
     finally:
@@ -115,9 +118,7 @@ def record(ctx, axiom, inputs: tuple[Term, ...], depth: int):
         ctx.b = tm if outer is None else outer
     template = tape.finish(result, error)
     if template is not None:
-        viewer = ctx.viewer if axiom.sees_invariants else None
-        key = (axiom, viewer, input_shape(inputs))
-        ctx.table.axiom_templates[key] = template
+        ctx.table.axiom_templates[_key(ctx, axiom, inputs)] = template
     if error is not None:
         raise error
     return result, tuple(tape.produced())
@@ -164,7 +165,7 @@ class Tape:
         #: every value an operation produced, after the inputs
         self._values: list = list(inputs)
         self._slot_of: dict = {value: i for i, value in enumerate(inputs)}
-        #: (function, encoded arguments, how the result is kept)
+        #: the operations in replay form (see _op)
         self._ops: list[tuple] = []
         self._failed = False
 
@@ -229,7 +230,7 @@ class Tape:
                 return None
         return (result.kind, tuple(refs), payload, result.sort)
 
-    def finish(self, result, error: Exception | None = None):
+    def finish(self, result, error: JMatchError | None = None):
         """The template, or None when some argument could not be encoded.
 
         The result of a recording that raised (``error``) is not kept;
@@ -372,7 +373,11 @@ class Template:
     __slots__ = ("ops", "result", "n_inputs", "error")
 
     def __init__(
-        self, ops: list[tuple], result, n_inputs: int, error: Exception | None
+        self,
+        ops: list[tuple],
+        result,
+        n_inputs: int,
+        error: JMatchError | None,
     ):
         #: the operations, in recorded order (see _op)
         self.ops = ops

@@ -310,7 +310,8 @@ class EncodeContext:
         it produced: a later request for it, by a translation or by a
         replay (:meth:`part_values`), builds nothing.
         """
-        part = InvariantPart(owner, _position(inv, self.table.types[owner]), inv)
+        info = self.table.types[owner]
+        part = InvariantPart(owner, _position(inv, info), inv)
         key = (x, owner, id(inv), depth)
         hit = self._parts.get(key)
         if hit is not None and hit[0] is not None:
@@ -343,7 +344,9 @@ class EncodeContext:
     ) -> None:
         if self.tape is not None:
             self.tape.record(
-                EncodeContext.part_values, (self, part, x, Depth(depth)), values
+                EncodeContext.part_values,
+                (self, part, x, Depth(depth)),
+                values,
             )
 
     def part_values(
@@ -378,7 +381,7 @@ class EncodeContext:
     def drop_invariant(
         self, type_name: str, owner: str, polarity: bool, reason: str
     ) -> None:
-        """Trace an invariant of ``owner`` left out of ``type_name``'s instance."""
+        """Trace an invariant of ``owner`` left out of an instance."""
         if self.tape is not None:
             self.tape.record(
                 EncodeContext.drop_invariant,
@@ -733,6 +736,7 @@ class Translator:
     def _vm_arith(self, p: ast.Binary, value: VValue, env: VEnv, cont: Cont) -> F:
         if not isinstance(value, Term):
             raise TranslationError("arithmetic pattern against tuple", p.span)
+        b = self.b
         bound = bound_names(env)
         if is_evaluable(p, bound):
             return self.vp(
@@ -744,23 +748,23 @@ class Translator:
             if left_known:
                 return self.vp(
                     p.left, env,
-                    lambda v, e: self.vm(p.right, self.b.mk_sub(value, v), e, cont),
+                    lambda v, e: self.vm(p.right, b.mk_sub(value, v), e, cont),
                 )
             if right_known:
                 return self.vp(
                     p.right, env,
-                    lambda v, e: self.vm(p.left, self.b.mk_sub(value, v), e, cont),
+                    lambda v, e: self.vm(p.left, b.mk_sub(value, v), e, cont),
                 )
         elif p.op == "-":
             if left_known:
                 return self.vp(
                     p.left, env,
-                    lambda v, e: self.vm(p.right, self.b.mk_sub(v, value), e, cont),
+                    lambda v, e: self.vm(p.right, b.mk_sub(v, value), e, cont),
                 )
             if right_known:
                 return self.vp(
                     p.right, env,
-                    lambda v, e: self.vm(p.left, self.b.mk_add(value, v), e, cont),
+                    lambda v, e: self.vm(p.left, b.mk_add(value, v), e, cont),
                 )
         elif p.op == "*":
             # value = k * p' has a solution only when k divides value;
@@ -772,7 +776,7 @@ class Translator:
                 quotient = self.ctx.fresh("q", INT)
 
                 def with_quotient(v: Term, e: VEnv) -> F:
-                    eq = FAtom(self.b.mk_eq(self.b.mk_mul(v, quotient), value))
+                    eq = FAtom(b.mk_eq(b.mk_mul(v, quotient), value))
                     return assume(
                         eq,
                         self.vm(unknown, quotient, e, cont),
@@ -1180,7 +1184,9 @@ class Translator:
         )
         ensures_trivial = method.decl.ensures is None and not has_ref_output
         receiver = () if recv_result is None else (recv_result,)
-        inputs = receiver + tuple(known_args.values()) + tuple(outputs.values())
+        inputs = (
+            receiver + tuple(known_args.values()) + tuple(outputs.values())
+        )
 
         def axiom(kind: str, clause: ast.Expr | None) -> SpecAxiom:
             return SpecAxiom(
