@@ -36,6 +36,7 @@ from __future__ import annotations
 from ..errors import JMatchError
 from ..smt import terms as tm
 from ..smt.terms import FunSym, Term
+from . import fir
 
 #: the builders a translation calls through ``ctx.b``
 _BUILDERS = (
@@ -169,16 +170,68 @@ class Tape:
         self._ops: list[tuple] = []
         self._failed = False
 
+    def constant_call(self, fn, args: tuple, result) -> None:
+        """Note that ``fn(ctx, *args)`` ran on constants alone (a symbol
+        lookup, a mint, a dropped part) and returned ``result``."""
+        if self._failed:
+            return
+        keep = 0
+        if result is not None:
+            keep = 1
+            self._bind(result)
+        self._ops.append((_CTX_CALL, keep, fn, args))
+
+    def registration(
+        self, fn, atom: Term, polarity: bool, depth: int, axiom, inputs, weak
+    ) -> None:
+        """Note that ``fn(ctx, atom, polarity, depth, axiom, inputs,
+        weak)`` registered a lazy axiom (see ``EncodeContext.lazy``)."""
+        if self._failed:
+            return
+        slot_of = self._slot_of
+        try:
+            atom_slot = slot_of[atom]
+            slots = tuple([slot_of[term] for term in inputs])
+        except KeyError:
+            self._failed = True
+            return
+        self._ops.append(
+            (
+                _LAZY, 0, fn, atom_slot, polarity, depth - self.depth,
+                axiom, slots, weak,
+            )
+        )
+
     def record(self, fn, args: tuple, result) -> None:
         """Note that ``fn(*args)`` ran and returned ``result``."""
         if self._failed:
+            return
+        slot_of = self._slot_of
+        slots = []
+        for arg in args:
+            slot = slot_of.get(arg) if type(arg) is Term else None
+            if slot is None:
+                break
+            slots.append(slot)
+        else:
+            # Every argument is a slot (most builder calls).
+            if type(result) is not Term:
+                self._ops.append((_CALL, 2, fn, tuple(slots)))
+                for value in result:
+                    self._bind(value)
+                return
+            op = None
+            if fn in _NODE_BUILDERS:
+                op = self._node(args, result)
+            self._bind(result)
+            self._ops.append(op or (_CALL, 1, fn, tuple(slots)))
             return
         try:
             spec = self._encode_args(args)
         except _Unrecordable:
             self._failed = True
             return
-        recipe = None
+        op = None
         if result is None:
             keep = 0
         elif isinstance(result, tuple):
@@ -188,9 +241,21 @@ class Tape:
         else:
             keep = 1
             if fn in _NODE_BUILDERS:
-                recipe = self._recipe(args, result)
+                op = self._node(args, result)
             self._bind(result)
-        self._ops.append(_op(fn, spec, keep, recipe))
+        self._ops.append(op or _op(fn, spec, keep))
+
+    def _node(self, args: tuple, result: Term) -> tuple | None:
+        """The recipe op for ``result``, or None (see _recipe)."""
+        recipe = self._recipe(args, result)
+        if recipe is None:
+            return None
+        if len(recipe) == 1:
+            return (_COPY, 1, recipe[0])
+        kind, refs, payload, sort = recipe
+        if all(type(r) is int for r in refs):
+            return (_NODE, 1, kind, refs, payload, sort)
+        return None
 
     def _recipe(self, args: tuple, result: Term):
         """How to intern ``result`` again without its builder, or None.
@@ -233,19 +298,25 @@ class Tape:
     def finish(self, result, error: JMatchError | None = None):
         """The template, or None when some argument could not be encoded.
 
-        The result of a recording that raised (``error``) is not kept;
-        an F result (an invariant part's) is not encoded either: a part
-        is replayed for the values it produces.
+        The result of a recording that raised (``error``) is not kept.
+        An F result (an invariant part's) is kept as its skeleton: its
+        shape with each term replaced by that term's slot.
         """
         if self._failed:
             return None
         encoded = (_LITERAL, None)
+        skeleton = None
         if error is None and type(result) is Term:
             try:
                 encoded = self._encode(result)
             except _Unrecordable:
                 return None
-        return Template(self._ops, encoded, self._n_inputs, error)
+        elif error is None and isinstance(result, fir.F):
+            try:
+                skeleton = _skeleton(result, self._slot_of)
+            except KeyError:
+                pass
+        return Template(self._ops, encoded, self._n_inputs, error, skeleton)
 
     def produced(self) -> list:
         """The values the recorded operations produced, in order."""
@@ -331,46 +402,24 @@ def _resolve(spec, values: list, ctx, depth: int):
 _COPY, _NODE, _CALL, _CTX_CALL, _LAZY, _GENERAL = range(6)
 
 
-def _op(fn, spec, keep: int, recipe) -> tuple:
-    """One operation in the form ``Template.run`` interprets.
+def _op(fn, spec, keep: int) -> tuple:
+    """An operation with encoded arguments, in ``Template.run``'s form.
 
-    ``(code, keep, ...)``: reuse a slot or intern a node (a recipe),
-    call a builder on slots, call a context method on constants (a
-    lookup or a mint), register a lazy axiom, or anything else with
-    its arguments resolved one by one.  A registration is a context
-    call whose arguments are a slot, constants, a depth and a tuple of
-    slots, in ``ctx.lazy``'s order.
+    The operations are ``(code, keep, ...)``: reuse a slot or intern a
+    node (a recipe, see ``Tape._recipe``), call a builder on slots, call
+    a context method on constants (a lookup, a mint, a dropped part),
+    register a lazy axiom, or anything else with its arguments resolved
+    one by one.
     """
-    if recipe is not None:
-        if len(recipe) == 1:
-            return (_COPY, keep, recipe[0])
-        kind, refs, payload, sort = recipe
-        if all(type(r) is int for r in refs):
-            return (_NODE, keep, kind, refs, payload, sort)
     if type(spec) is tuple:
         return (_CALL, keep, fn, spec)
-    tags = [tag for tag, _ in spec]
-    if tags[0] == _CTX and all(tag == _LITERAL for tag in tags[1:]):
-        return (_CTX_CALL, keep, fn, tuple(value for _, value in spec[1:]))
-    if tags == _LAZY_TAGS:
-        ins = spec[5][1]
-        if all(tag == _SLOT for tag, _ in ins):
-            return (
-                _LAZY, keep, fn, spec[1][1], spec[2][1], spec[3][1],
-                spec[4][1], tuple(i for _, i in ins), spec[6][1],
-            )
     return (_GENERAL, keep, fn, spec)
-
-
-#: the arguments of ``ctx.lazy(atom, polarity, depth, axiom, inputs,
-#: weak)``: a registration, the most frequent context operation
-_LAZY_TAGS = [_CTX, _SLOT, _LITERAL, _DEPTH, _LITERAL, _TUPLE, _LITERAL]
 
 
 class Template:
     """A recorded translation, replayable on other inputs of the same shape."""
 
-    __slots__ = ("ops", "result", "n_inputs", "error")
+    __slots__ = ("ops", "result", "n_inputs", "error", "skeleton")
 
     def __init__(
         self,
@@ -378,6 +427,7 @@ class Template:
         result,
         n_inputs: int,
         error: JMatchError | None,
+        skeleton: tuple | None = None,
     ):
         #: the operations, in recorded order (see _op)
         self.ops = ops
@@ -385,6 +435,8 @@ class Template:
         self.n_inputs = n_inputs
         #: what the recorded translation raised after its operations
         self.error = error
+        #: an F result over slots (see formula), or None
+        self.skeleton = skeleton
 
     def run(self, ctx, inputs: tuple[Term, ...], depth: int) -> list:
         """Re-run the operations; every value, the inputs first."""
@@ -429,6 +481,55 @@ class Template:
     def replay(self, ctx, inputs: tuple[Term, ...], depth: int) -> Term:
         values = self.run(ctx, inputs, depth)
         return _resolve(self.result, values, ctx, depth)
+
+    def formula(self, values: list) -> fir.F:
+        """The recorded F result rebuilt over ``values`` (from ``run``).
+
+        F nodes are plain values, not interned, so building them again
+        has no effect a translation could observe.
+        """
+        return _formula(self.skeleton, values)
+
+
+def _skeleton(f: fir.F, slot_of: dict) -> tuple:
+    """``f`` with every term replaced by its slot (KeyError: not slotted)."""
+    kind = type(f)
+    if kind is fir.FAtom:
+        return (kind, slot_of[f.term], f.negated)
+    if kind is fir.FAnd or kind is fir.FAssume:
+        bound = tuple(slot_of[v] for v in f.bound)
+        if kind is fir.FAnd:
+            items = tuple(_skeleton(i, slot_of) for i in f.items)
+            return (kind, items, bound)
+        return (
+            kind,
+            _skeleton(f.premise, slot_of),
+            _skeleton(f.body, slot_of),
+            bound,
+        )
+    if kind is fir.FOr:
+        return (kind, tuple(_skeleton(i, slot_of) for i in f.items))
+    return (None, f)
+
+
+def _formula(skeleton: tuple, values: list) -> fir.F:
+    kind = skeleton[0]
+    if kind is fir.FAtom:
+        return fir.FAtom(values[skeleton[1]], skeleton[2])
+    if kind is fir.FAnd:
+        return fir.FAnd(
+            tuple(_formula(i, values) for i in skeleton[1]),
+            frozenset(values[i] for i in skeleton[2]),
+        )
+    if kind is fir.FAssume:
+        return fir.FAssume(
+            _formula(skeleton[1], values),
+            _formula(skeleton[2], values),
+            frozenset(values[i] for i in skeleton[3]),
+        )
+    if kind is fir.FOr:
+        return fir.FOr(tuple(_formula(i, values) for i in skeleton[1]))
+    return skeleton[1]
 
 
 # ---------------------------------------------------------------------------

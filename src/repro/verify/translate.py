@@ -165,8 +165,8 @@ class EncodeContext:
             sym = FunSym(name, arg_sorts, result)
             self._funsyms[key] = sym
         if self.tape is not None:
-            self.tape.record(
-                EncodeContext.funsym, (self, name, arg_sorts, result), sym
+            self.tape.constant_call(
+                EncodeContext.funsym, (name, tuple(arg_sorts), result), sym
             )
         return sym
 
@@ -181,7 +181,7 @@ class EncodeContext:
         self._counter += 1
         var = tm.mk_var(f"{prefix}${self._counter}", sort)
         if self.tape is not None:
-            self.tape.record(EncodeContext.fresh, (self, prefix, sort), var)
+            self.tape.constant_call(EncodeContext.fresh, (prefix, sort), var)
         return var
 
     def null(self) -> Term:
@@ -254,10 +254,8 @@ class EncodeContext:
         assigns the atom that polarity (see :mod:`.templates`).
         """
         if self.tape is not None:
-            self.tape.record(
-                EncodeContext.lazy,
-                (self, atom, polarity, Depth(depth), axiom, inputs, weak),
-                None,
+            self.tape.registration(
+                EncodeContext.lazy, atom, polarity, depth, axiom, inputs, weak
             )
         if self.plugin.registered(atom, polarity):
             return
@@ -316,28 +314,62 @@ class EncodeContext:
         hit = self._parts.get(key)
         if hit is not None and hit[0] is not None:
             f, values = hit
-        elif hit is not None:
-            # Produced by a replay, which keeps no F: translating again
-            # only meets terms and registrations that already exist.
-            tape, self.tape, self.b = self.tape, None, tm
-            try:
-                f = part.translate(self, (x,), depth)
-            finally:
-                self.tape = tape
-                self.b = tm if tape is None else tape
-            values = hit[1]
-            self._parts[key] = (f, values)
         else:
-            minted = self._counter
-            try:
-                f, values = templates.record(self, part, (x,), depth)
-            except TranslationError:
-                self._note_part(part, x, depth, ())
-                raise
-            if self._counter == minted:
+            template = templates.lookup(self, part, (x,))
+            if (
+                hit is not None
+                and template is not None
+                and template.skeleton is not None
+            ):
+                # Produced by a replay, which keeps no F.
+                f, values = template.formula([x, *hit[1]]), hit[1]
                 self._parts[key] = (f, values)
+            elif hit is None and template is not None and (
+                template.skeleton is not None or template.error is not None
+            ):
+                f, values = self._replay_part(template, part, x, depth)
+            else:
+                minted = self._counter
+                try:
+                    f, values = templates.record(self, part, (x,), depth)
+                except TranslationError:
+                    self._note_part(part, x, depth, ())
+                    raise
+                if hit is not None:
+                    values = hit[1]
+                if self._counter == minted:
+                    self._parts[key] = (f, values)
         self._note_part(part, x, depth, values)
         return f
+
+    def _replay_part(
+        self,
+        template: "templates.Template",
+        part: "InvariantPart",
+        x: Term,
+        depth: int,
+    ) -> tuple[F, tuple]:
+        """An invariant part on ``x`` from its template: its F and values.
+
+        A part whose recording raised raises the same error once its
+        operations have run again.
+        """
+        minted = self._counter
+        # The part's operations run as themselves; the tape of an
+        # instance being recorded notes the part as one operation.
+        tape, self.tape, self.b = self.tape, None, tm
+        try:
+            run = template.run(self, (x,), depth)
+        finally:
+            self.tape = tape
+            self.b = tm if tape is None else tape
+        if template.error is not None:
+            self._note_part(part, x, depth, ())
+            raise template.error
+        f, values = template.formula(run), tuple(run[1:])
+        if self._counter == minted:
+            self._parts[(x, part.owner, id(part.inv), depth)] = (f, values)
+        return f, values
 
     def _note_part(
         self, part: "InvariantPart", x: Term, depth: int, values: tuple
@@ -383,9 +415,9 @@ class EncodeContext:
     ) -> None:
         """Trace an invariant of ``owner`` left out of an instance."""
         if self.tape is not None:
-            self.tape.record(
+            self.tape.constant_call(
                 EncodeContext.drop_invariant,
-                (self, type_name, owner, polarity, reason),
+                (type_name, owner, polarity, reason),
                 None,
             )
         self.tracer.event(
