@@ -166,8 +166,8 @@ class Tape:
         #: every value an operation produced, after the inputs
         self._values: list = list(inputs)
         self._slot_of: dict = {value: i for i, value in enumerate(inputs)}
-        #: the operations in replay form (see _op)
-        self._ops: list[tuple] = []
+        #: the operations in replay form, one after another (see _op)
+        self._ops: list = []
         self._failed = False
 
     def constant_call(self, fn, args: tuple, result) -> None:
@@ -179,7 +179,7 @@ class Tape:
         if result is not None:
             keep = 1
             self._bind(result)
-        self._ops.append((_CTX_CALL, keep, fn, args))
+        self._ops.extend((_CTX_CALL, keep, fn, len(args), *args))
 
     def registration(
         self, fn, atom: Term, polarity: bool, depth: int, axiom, inputs, weak
@@ -195,10 +195,10 @@ class Tape:
         except KeyError:
             self._failed = True
             return
-        self._ops.append(
+        self._ops.extend(
             (
                 _LAZY, 0, fn, atom_slot, polarity, depth - self.depth,
-                axiom, slots, weak,
+                axiom, weak, len(slots), *slots,
             )
         )
 
@@ -216,7 +216,7 @@ class Tape:
         else:
             # Every argument is a slot (most builder calls).
             if type(result) is not Term:
-                self._ops.append((_CALL, 2, fn, tuple(slots)))
+                self._ops.extend((_CALL, 2, fn, len(slots), *slots))
                 for value in result:
                     self._bind(value)
                 return
@@ -224,7 +224,7 @@ class Tape:
             if fn in _NODE_BUILDERS:
                 op = self._node(args, result)
             self._bind(result)
-            self._ops.append(op or (_CALL, 1, fn, tuple(slots)))
+            self._ops.extend(op or (_CALL, 1, fn, len(slots), *slots))
             return
         try:
             spec = self._encode_args(args)
@@ -243,7 +243,7 @@ class Tape:
             if fn in _NODE_BUILDERS:
                 op = self._node(args, result)
             self._bind(result)
-        self._ops.append(op or _op(fn, spec, keep))
+        self._ops.extend(op or _op(fn, spec, keep))
 
     def _node(self, args: tuple, result: Term) -> tuple | None:
         """The recipe op for ``result``, or None (see _recipe)."""
@@ -254,7 +254,7 @@ class Tape:
             return (_COPY, 1, recipe[0])
         kind, refs, payload, sort = recipe
         if all(type(r) is int for r in refs):
-            return (_NODE, 1, kind, refs, payload, sort)
+            return (_NODE, 1, kind, payload, sort, len(refs), *refs)
         return None
 
     def _recipe(self, args: tuple, result: Term):
@@ -316,7 +316,9 @@ class Tape:
                 skeleton = _skeleton(result, self._slot_of)
             except KeyError:
                 pass
-        return Template(self._ops, encoded, self._n_inputs, error, skeleton)
+        return Template(
+            tuple(self._ops), encoded, self._n_inputs, error, skeleton
+        )
 
     def produced(self) -> list:
         """The values the recorded operations produced, in order."""
@@ -405,14 +407,23 @@ _COPY, _NODE, _CALL, _CTX_CALL, _LAZY, _GENERAL = range(6)
 def _op(fn, spec, keep: int) -> tuple:
     """An operation with encoded arguments, in ``Template.run``'s form.
 
-    The operations are ``(code, keep, ...)``: reuse a slot or intern a
-    node (a recipe, see ``Tape._recipe``), call a builder on slots, call
-    a context method on constants (a lookup, a mint, a dropped part),
-    register a lazy axiom, or anything else with its arguments resolved
-    one by one.
+    A template's operations lie one after another in one flat tuple,
+    so a long-lived template is a handful of objects for the garbage
+    collector to track, not one per operation.  Each is ``code, keep``,
+    its fixed fields, and then a count and that many items:
+
+    * ``_COPY slot``: reuse a slot (see ``Tape._recipe``);
+    * ``_NODE kind payload sort n refs``: intern a node directly;
+    * ``_CALL fn n slots``: call a builder on slots;
+    * ``_CTX_CALL fn n constants``: call a context method on constants
+      (a lookup, a mint, a dropped part);
+    * ``_LAZY fn atom polarity offset axiom weak n slots``: register a
+      lazy axiom (``EncodeContext.lazy``);
+    * ``_GENERAL fn spec``: anything else, its arguments resolved one
+      by one (no count).
     """
     if type(spec) is tuple:
-        return (_CALL, keep, fn, spec)
+        return (_CALL, keep, fn, len(spec), *spec)
     return (_GENERAL, keep, fn, spec)
 
 
@@ -423,13 +434,13 @@ class Template:
 
     def __init__(
         self,
-        ops: list[tuple],
+        ops: tuple,
         result,
         n_inputs: int,
         error: JMatchError | None,
         skeleton: tuple | None = None,
     ):
-        #: the operations, in recorded order (see _op)
+        #: the operations, in recorded order, in one flat tuple (see _op)
         self.ops = ops
         self.result = result
         self.n_inputs = n_inputs
@@ -442,36 +453,52 @@ class Template:
         """Re-run the operations; every value, the inputs first."""
         v = list(inputs)
         new = Term
-        for op in self.ops:
-            code = op[0]
-            if code == _NODE:
-                payload = op[4]
+        code = self.ops
+        i = 0
+        end = len(code)
+        while i < end:
+            op = code[i]
+            keep = code[i + 1]
+            if op == _NODE:
+                j = i + 6
+                kind, payload, sort, n = code[i + 2 : j]
+                i = j + n
                 result = new(
-                    op[2],
-                    tuple([v[i] for i in op[3]]),
+                    kind,
+                    tuple([v[k] for k in code[j:i]]),
                     None if payload is None else v[payload],
-                    op[5],
+                    sort,
                 )
-            elif code == _COPY:
-                result = v[op[2]]
-            elif code == _CTX_CALL:
-                result = op[2](ctx, *op[3])
-            elif code == _LAZY:
-                _, _, fn, atom, polarity, offset, axiom, ins, weak = op
+            elif op == _COPY:
+                result = v[code[i + 2]]
+                i += 3
+            elif op == _CTX_CALL:
+                j = i + 4
+                fn = code[i + 2]
+                i = j + code[i + 3]
+                result = fn(ctx, *code[j:i])
+            elif op == _LAZY:
+                j = i + 9
+                _, _, fn, atom, polarity, offset, axiom, weak, n = code[i:j]
+                i = j + n
                 result = fn(
                     ctx,
                     v[atom],
                     polarity,
                     depth + offset,
                     axiom,
-                    tuple([v[i] for i in ins]),
+                    tuple([v[k] for k in code[j:i]]),
                     weak,
                 )
-            elif code == _CALL:
-                result = op[2](*[v[i] for i in op[3]])
+            elif op == _CALL:
+                j = i + 4
+                fn = code[i + 2]
+                i = j + code[i + 3]
+                result = fn(*[v[k] for k in code[j:i]])
             else:
-                result = op[2](*[_resolve(s, v, ctx, depth) for s in op[3]])
-            keep = op[1]
+                fn, spec = code[i + 2], code[i + 3]
+                i += 4
+                result = fn(*[_resolve(s, v, ctx, depth) for s in spec])
             if keep == 1:
                 v.append(result)
             elif keep == 2:
