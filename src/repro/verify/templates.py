@@ -206,6 +206,12 @@ class Tape:
         """Note that ``fn(*args)`` ran and returned ``result``."""
         if self._failed:
             return
+        if fn in _NODE_BUILDERS:
+            op = self._node(args, result)
+            if op is not None:
+                self._bind(result)
+                self._ops.extend(op)
+                return
         slot_of = self._slot_of
         slots = []
         for arg in args:
@@ -215,23 +221,20 @@ class Tape:
             slots.append(slot)
         else:
             # Every argument is a slot (most builder calls).
-            if type(result) is not Term:
-                self._ops.extend((_CALL, 2, fn, len(slots), *slots))
+            keep = 1
+            if type(result) is Term:
+                self._bind(result)
+            else:
+                keep = 2
                 for value in result:
                     self._bind(value)
-                return
-            op = None
-            if fn in _NODE_BUILDERS:
-                op = self._node(args, result)
-            self._bind(result)
-            self._ops.extend(op or (_CALL, 1, fn, len(slots), *slots))
+            self._ops.extend((_CALL, keep, fn, len(slots), *slots))
             return
         try:
             spec = self._encode_args(args)
         except _Unrecordable:
             self._failed = True
             return
-        op = None
         if result is None:
             keep = 0
         elif isinstance(result, tuple):
@@ -240,10 +243,8 @@ class Tape:
                 self._bind(value)
         else:
             keep = 1
-            if fn in _NODE_BUILDERS:
-                op = self._node(args, result)
             self._bind(result)
-        self._ops.extend(op or _op(fn, spec, keep))
+        self._ops.extend(_op(fn, spec, keep))
 
     def _node(self, args: tuple, result: Term) -> tuple | None:
         """The recipe op for ``result``, or None (see _recipe)."""
