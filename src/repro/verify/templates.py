@@ -144,7 +144,7 @@ class _Unrecordable(Exception):
 
 
 #: the builders that intern at most one node, from their arguments
-#: alone (see Tape._recipe)
+#: alone (see Tape._node)
 _NODE_BUILDERS = frozenset({tm.mk_app, tm.mk_and, tm.mk_or, tm.mk_not})
 
 #: argument encodings (see Tape._encode)
@@ -206,13 +206,17 @@ class Tape:
         """Note that ``fn(*args)`` ran and returned ``result``."""
         if self._failed:
             return
+        slot_of = self._slot_of
         if fn in _NODE_BUILDERS:
-            op = self._node(args, result)
+            if result in slot_of:
+                # The builder met a term this recording already holds;
+                # on inputs of this shape it always will.
+                return
+            op = self._node(result)
             if op is not None:
                 self._bind(result)
                 self._ops.extend(op)
                 return
-        slot_of = self._slot_of
         slots = []
         for arg in args:
             slot = slot_of.get(arg) if type(arg) is Term else None
@@ -246,55 +250,27 @@ class Tape:
             self._bind(result)
         self._ops.extend(_op(fn, spec, keep))
 
-    def _node(self, args: tuple, result: Term) -> tuple | None:
-        """The recipe op for ``result``, or None (see _recipe)."""
-        recipe = self._recipe(args, result)
-        if recipe is None:
-            return None
-        if len(recipe) == 1:
-            return (_COPY, 1, recipe[0])
-        kind, refs, payload, sort = recipe
-        if all(type(r) is int for r in refs):
-            return (_NODE, 1, kind, payload, sort, len(refs), *refs)
-        return None
-
-    def _recipe(self, args: tuple, result: Term):
-        """How to intern ``result`` again without its builder, or None.
+    def _node(self, result: Term) -> tuple | None:
+        """The operation interning ``result`` without its builder, or None.
 
         ``mk_app``, ``mk_and``, ``mk_or`` and ``mk_not`` intern at most
-        one node, and what they return depends only on which of their
+        one node, and which node depends only on which of their
         arguments are which terms -- the same on every input of a
-        template's shape.  So a replay can intern that node (or reuse
-        that argument) directly, in the same order.  A node argument is
-        a slot, or an argument of a slot the builder flattened.
+        template's shape.  When every argument of that node is a slot,
+        a replay interns it directly, in the same order.
         """
-        slot_of = self._slot_of
-        slot = slot_of.get(result)
-        if slot is not None:
-            return (slot,)
         if not result.args and result.kind != tm.APP:
             return None
-        if result.kind == tm.APP:
-            sources = args[1] if len(args) > 1 else ()
-        else:
-            sources = args
-        refs = []
-        for arg in result.args:
-            ref = slot_of.get(arg)
-            if ref is None:
-                for source in sources:
-                    if type(source) is Term and arg in source.args:
-                        ref = (slot_of[source], source.args.index(arg))
-                        break
-                else:
-                    return None
-            refs.append(ref)
+        slot_of = self._slot_of
+        refs = [slot_of.get(arg) for arg in result.args]
+        if None in refs:
+            return None
         payload = result.payload
         if payload is not None:
             payload = slot_of.get(payload)
             if payload is None:
                 return None
-        return (result.kind, tuple(refs), payload, result.sort)
+        return (_NODE, 1, result.kind, payload, result.sort, len(refs), *refs)
 
     def finish(self, result, error: JMatchError | None = None):
         """The template, or None when some argument could not be encoded.
@@ -402,7 +378,7 @@ def _resolve(spec, values: list, ctx, depth: int):
 
 
 #: replay operation codes (see _op and Template.run)
-_COPY, _NODE, _CALL, _CTX_CALL, _LAZY, _GENERAL = range(6)
+_NODE, _CALL, _CTX_CALL, _LAZY, _GENERAL = range(5)
 
 
 def _op(fn, spec, keep: int) -> tuple:
@@ -413,8 +389,8 @@ def _op(fn, spec, keep: int) -> tuple:
     collector to track, not one per operation.  Each is ``code, keep``,
     its fixed fields, and then a count and that many items:
 
-    * ``_COPY slot``: reuse a slot (see ``Tape._recipe``);
-    * ``_NODE kind payload sort n refs``: intern a node directly;
+    * ``_NODE kind payload sort n refs``: intern a node directly (see
+      ``Tape._node``);
     * ``_CALL fn n slots``: call a builder on slots;
     * ``_CTX_CALL fn n constants``: call a context method on constants
       (a lookup, a mint, a dropped part);
@@ -470,9 +446,6 @@ class Template:
                     None if payload is None else v[payload],
                     sort,
                 )
-            elif op == _COPY:
-                result = v[code[i + 2]]
-                i += 3
             elif op == _CTX_CALL:
                 j = i + 4
                 fn = code[i + 2]
