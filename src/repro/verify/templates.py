@@ -294,7 +294,7 @@ class Tape:
             except KeyError:
                 pass
         return Template(
-            tuple(self._ops), encoded, self._n_inputs, error, skeleton
+            tuple(self._ops), encoded, error, skeleton
         )
 
     def produced(self) -> list:
@@ -407,20 +407,18 @@ def _op(fn, spec, keep: int) -> tuple:
 class Template:
     """A recorded translation, replayable on other inputs of the same shape."""
 
-    __slots__ = ("ops", "result", "n_inputs", "error", "skeleton")
+    __slots__ = ("ops", "result", "error", "skeleton")
 
     def __init__(
         self,
         ops: tuple,
         result,
-        n_inputs: int,
         error: JMatchError | None,
         skeleton: tuple | None = None,
     ):
         #: the operations, in recorded order, in one flat tuple (see _op)
         self.ops = ops
         self.result = result
-        self.n_inputs = n_inputs
         #: what the recorded translation raised after its operations
         self.error = error
         #: an F result over slots (see formula), or None
@@ -595,13 +593,15 @@ def _has_var(term: Term) -> bool:
 def _opaque(term: Term, inputs: dict, exposed) -> bool:
     """Is ``term`` (an application) out of every builder's reach?"""
     has_var = False
-    for sub in tm.subterms(term):
-        if sub is term:
-            continue
+    stack = list(term.args)
+    while stack:
+        sub = stack.pop()
         if sub in inputs or sub in exposed:
             return False
         if sub.kind == tm.VAR:
             has_var = True
+        else:
+            stack.extend(sub.args)
     return has_var
 
 

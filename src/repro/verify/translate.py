@@ -299,76 +299,75 @@ class EncodeContext:
     def _invariant_part(
         self, x: Term, owner: str, inv: ast.InvariantDecl, depth: int
     ) -> F:
-        """One invariant instantiated on ``x``.
-
-        Both polarities of an invariant atom, and the atoms of every
-        subtype that sees the same invariant, ask for the same part.
-        A part is a template of its own (:class:`InvariantPart`), and
-        one that mints no variable is kept per context with the values
-        it produced: a later request for it, by a translation or by a
-        replay (:meth:`part_values`), builds nothing.
-        """
+        """One invariant instantiated on ``x`` (see :meth:`_part`)."""
         info = self.table.types[owner]
         part = InvariantPart(owner, _position(inv, info), inv)
-        key = (x, owner, id(inv), depth)
-        hit = self._parts.get(key)
-        if hit is not None and hit[0] is not None:
-            f, values = hit
-        else:
-            template = templates.lookup(self, part, (x,))
-            if (
-                hit is not None
-                and template is not None
-                and template.skeleton is not None
-            ):
-                # Produced by a replay, which keeps no F.
-                f, values = template.formula([x, *hit[1]]), hit[1]
-                self._parts[key] = (f, values)
-            elif hit is None and template is not None and (
-                template.skeleton is not None or template.error is not None
-            ):
-                f, values = self._replay_part(template, part, x, depth)
-            else:
-                minted = self._counter
-                try:
-                    f, values = templates.record(self, part, (x,), depth)
-                except TranslationError:
-                    self._note_part(part, x, depth, ())
-                    raise
-                if hit is not None:
-                    values = hit[1]
-                if self._counter == minted:
-                    self._parts[key] = (f, values)
+        try:
+            f, values = self._part(part, x, depth, need_formula=True)
+        except TranslationError:
+            self._note_part(part, x, depth, ())
+            raise
         self._note_part(part, x, depth, values)
         return f
 
-    def _replay_part(
-        self,
-        template: "templates.Template",
-        part: "InvariantPart",
-        x: Term,
-        depth: int,
-    ) -> tuple[F, tuple]:
-        """An invariant part on ``x`` from its template: its F and values.
+    def part_values(
+        self, part: "InvariantPart", x: Term, depth: int
+    ) -> tuple:
+        """The values an invariant part on ``x`` produces (a replay's view).
 
-        A part whose recording raised raises the same error once its
-        operations have run again.
+        A part that raised produces none: the replayed instance records
+        the drop itself.
         """
-        minted = self._counter
-        # The part's operations run as themselves; the tape of an
-        # instance being recorded notes the part as one operation.
-        tape, self.tape, self.b = self.tape, None, tm
         try:
-            run = template.run(self, (x,), depth)
-        finally:
-            self.tape = tape
-            self.b = tm if tape is None else tape
-        if template.error is not None:
-            self._note_part(part, x, depth, ())
-            raise template.error
-        f, values = template.formula(run), tuple(run[1:])
+            return self._part(part, x, depth, need_formula=False)[1]
+        except TranslationError:
+            return ()
+
+    def _part(
+        self, part: "InvariantPart", x: Term, depth: int, need_formula: bool
+    ) -> tuple[F | None, tuple]:
+        """An invariant part on ``x``: its F and the values it produced.
+
+        Both polarities of an invariant atom, and the atoms of every
+        subtype that sees the same invariant, ask for the same part. A
+        part that mints no variable is kept per context, so a later
+        request builds nothing. Otherwise the part's template is
+        replayed, its F rebuilt from the template's skeleton (F is None
+        when no one asked for it), or, with no template, the part is
+        translated and recorded. A part whose translation raised raises
+        again, after its operations ran.
+        """
+        key = (x, part.owner, id(part.inv), depth)
+        hit = self._parts.get(key)
+        if hit is not None and (hit[0] is not None or not need_formula):
+            return hit
+        template = templates.lookup(self, part, (x,))
+        if hit is not None and template is not None and template.skeleton:
+            f = template.formula([x, *hit[1]])
+            self._parts[key] = (f, hit[1])
+            return f, hit[1]
+        minted = self._counter
+        if template is None or (
+            need_formula
+            and template.skeleton is None
+            and template.error is None
+        ):
+            f, values = templates.record(self, part, (x,), depth)
+        else:
+            # The part's operations run as themselves; the tape of an
+            # instance being recorded notes the part as one operation.
+            tape, self.tape, self.b = self.tape, None, tm
+            try:
+                run = template.run(self, (x,), depth)
+            finally:
+                self.tape = tape
+                self.b = tm if tape is None else tape
+            if template.error is not None:
+                raise template.error
+            f = template.formula(run) if need_formula else None
+            values = tuple(run[1:])
         if self._counter == minted:
-            self._parts[(x, part.owner, id(part.inv), depth)] = (f, values)
+            self._parts[key] = (f, values)
         return f, values
 
     def _note_part(
@@ -380,35 +379,6 @@ class EncodeContext:
                 (self, part, x, Depth(depth)),
                 values,
             )
-
-    def part_values(
-        self, part: "InvariantPart", x: Term, depth: int
-    ) -> tuple:
-        """The values an invariant part on ``x`` produces (a replay's view).
-
-        A part that raised produces none: the replayed instance records
-        the drop itself.
-        """
-        key = (x, part.owner, id(part.inv), depth)
-        hit = self._parts.get(key)
-        if hit is not None:
-            return hit[1]
-        template = templates.lookup(self, part, (x,))
-        minted = self._counter
-        if template is None:
-            try:
-                f, values = templates.record(self, part, (x,), depth)
-            except TranslationError:
-                return ()
-        else:
-            if template.error is not None:
-                template.run(self, (x,), depth)
-                return ()
-            f = None
-            values = tuple(template.run(self, (x,), depth)[1:])
-        if self._counter == minted:
-            self._parts[key] = (f, values)
-        return values
 
     def drop_invariant(
         self, type_name: str, owner: str, polarity: bool, reason: str
