@@ -16,7 +16,6 @@ import pytest
 
 from repro import api
 from repro.corpus import combined_programs
-from repro.smt.solver import Solver
 
 GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
@@ -48,16 +47,12 @@ def test_compile_with_verification(benchmark, programs, group):
 def test_trees_verification_bounded(benchmark, programs):
     """The AVL group: the paper's outlier (18.7s on their prototype)."""
     source = programs["trees"]
-    old_budget = Solver.TIME_BUDGET
-    Solver.TIME_BUDGET = 1.0
-    try:
-        def run():
-            unit = api.compile_program(source)
-            return api.verify(unit)
 
-        report = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        Solver.TIME_BUDGET = old_budget
+    def run():
+        unit = api.compile_program(source)
+        return api.verify(unit, options=api.VerifyOptions(budget=1.0))
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report is not None
 
 

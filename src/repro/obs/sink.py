@@ -22,8 +22,10 @@ parents before children, ids assigned in document order at write time:
 * ``attrs`` — kind-specific data: query spans carry ``verdict``,
   ``cache`` (memory/disk/miss/off), ``depth``, ``passes``, ``rounds``,
   ``conflicts`` and ``core_lits`` (theory conflicts and the literals
-  across their cores), and the solver phase timers; task spans carry
-  the task kind and any degradation flags.
+  across their cores), and the solver phase timers, plus
+  ``unknown_cause`` (``deadline`` or ``depth``) on an UNKNOWN verdict
+  and on no other; task spans carry the task kind and any degradation
+  flags.
 * ``events`` — point events (``retry``, ``timeout``, ``failed``).
 
 :func:`validate_trace_rows` is the schema's executable definition; the
@@ -178,7 +180,7 @@ def validate_trace_rows(rows: list[dict]) -> list[str]:
     parents precede children and nest by hierarchy order (statement
     spans may additionally nest in statement spans, mirroring source
     nesting), and query spans carry a verdict plus a recognized
-    cache-tier outcome.
+    cache-tier outcome, and a cause exactly when the verdict is UNKNOWN.
     """
     problems: list[str] = []
     kind_rank = {kind: rank for rank, kind in enumerate(SPAN_KINDS)}
@@ -229,6 +231,11 @@ def validate_trace_rows(rows: list[dict]) -> list[str]:
                     f"{where}: query cache tier {attrs.get('cache')!r} "
                     f"not in {CACHE_TIERS}"
                 )
+            if attrs.get("verdict") == "unknown":
+                if attrs.get("unknown_cause") not in ("deadline", "depth"):
+                    problems.append(f"{where}: unknown query without a cause")
+            elif "unknown_cause" in attrs:
+                problems.append(f"{where}: conclusive query with a cause")
         if not isinstance(row["events"], list):
             problems.append(f"{where}: events must be a list")
         by_id[row["id"]] = row

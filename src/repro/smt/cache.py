@@ -30,9 +30,17 @@ are excluded from the signature on purpose: callbacks register their
 children while firing, so the registry grows during solving, and
 including those grown entries would make a query's fingerprint depend
 on which earlier queries happened to hit the cache.  Excluding them is
-sound because ``LazyTheoryPlugin.register`` is first-wins and, within
-one encoding context, the registration for an atom is a deterministic
-function of that atom.
+sound: what a callback adds is fixed by the registrations the
+signature does include.
+
+The registration for an atom is *not* a function of the atom alone,
+though.  ``LazyTheoryPlugin.register`` keeps the first registration and
+``EncodeContext.lazy`` skips an atom that is already registered, so an
+atom that an earlier solve registered while expanding (at depth 1)
+keeps that depth, while a pass that solves nothing (a warm pass
+answering from cache) registers it at depth 0.  The depth is part of
+the signature, so such a query misses the cache on a warm pass: a lost
+hit, not a wrong one (ROADMAP, "Warm-pass cache misses").
 
 The cache is a process-wide LRU (:data:`GLOBAL_CACHE`); pass
 ``Solver(cache=None)`` to bypass it or a private :class:`SolverCache`

@@ -164,7 +164,8 @@ class DisjointnessChecker:
             elif result == Result.UNKNOWN:
                 self.diag.warn(
                     WarningKind.UNKNOWN,
-                    f"{label}: could not prove `{node}` disjoint",
+                    f"{label}: could not prove `{node}` disjoint"
+                    + self.session.unknown_suffix(),
                     span,
                 )
 

@@ -128,7 +128,7 @@ class ExhaustivenessChecker:
                     self.diag.warn(
                         WarningKind.UNKNOWN,
                         f"could not decide whether arm {index + 1} is "
-                        "redundant",
+                        "redundant" + self.session.unknown_suffix(),
                         span,
                     )
                 else:
@@ -153,15 +153,10 @@ class ExhaustivenessChecker:
             elif result == Result.UNKNOWN:
                 outcome.exhaustive_verdict = "unknown"
                 outcome.inconclusive = True
-                exhausted = (
-                    "time budget"
-                    if self.session.last_unknown_cause == "deadline"
-                    else "expansion depth"
-                )
                 self.diag.warn(
                     WarningKind.UNKNOWN,
                     "no counterexample to exhaustiveness found, but there "
-                    f"may be one ({exhausted} exhausted)",
+                    "may be one" + self.session.unknown_suffix(),
                     span,
                 )
             else:
@@ -250,7 +245,8 @@ class ExhaustivenessChecker:
             elif result == Result.UNKNOWN:
                 self.diag.warn(
                     WarningKind.UNKNOWN,
-                    "could not prove this let total",
+                    "could not prove this let total"
+                    + self.session.unknown_suffix(),
                     span,
                 )
         return let_f

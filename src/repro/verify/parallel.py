@@ -436,7 +436,8 @@ AUTO_MAX_JOBS = 8
 #: even an *explicit* ``--jobs N`` stays serial below this many tasks:
 #: pool spawn alone costs more than verifying a near-empty program, so
 #: honoring N to the letter would only ever make those runs slower
-#: (BENCH_verify recorded 0.53x on exactly this shape).  Deliberately
+#: (a four-worker pool over a small corpus group measured 0.53x of
+#: serial speed).  Deliberately
 #: lower than AUTO_MIN_TASKS — an explicit N is a stated preference,
 #: so only the hopeless cases override it.
 MIN_TASKS_PARALLEL = 4
@@ -454,9 +455,9 @@ def resolve_jobs(jobs: int | str, task_count: int) -> int:
     """Turn a ``--jobs`` value (an int or ``"auto"``) into a worker count.
 
     ``auto`` falls back to serial on single-CPU machines and for small
-    task counts -- BENCH_verify.json recorded a 0.73x parallel
-    "speedup" on a 1-CPU box, so process-pool overhead must never be
-    the default.  An explicit integer is honored except below
+    task counts -- a pool on a 1-CPU box measured a 0.73x "speedup" over
+    serial, so process-pool overhead must never be the default.  An
+    explicit integer is honored except below
     :data:`MIN_TASKS_PARALLEL` tasks, where the pool cannot win.
     """
     if jobs != "auto":

@@ -104,6 +104,16 @@ class SolverSession:
         self.last_unknown_cause: str | None = None
         self._engines: OrderedDict[int, _Engine] = OrderedDict()
 
+    def unknown_suffix(self) -> str:
+        """What the warning for an UNKNOWN last query appends: which
+        limit it reached, the time budget or the deepening schedule."""
+        exhausted = (
+            "time budget"
+            if self.last_unknown_cause == "deadline"
+            else "expansion depth"
+        )
+        return f" ({exhausted} exhausted)"
+
     def check(
         self,
         plugin: LazyTheoryPlugin | None,
@@ -134,25 +144,24 @@ class SolverSession:
             # The observability leaf: verdict, cache-tier outcome,
             # deepening depth reached, and where the time went.  Guarded
             # by ``enabled`` so an untraced run never assembles this.
-            tracer.leaf(
-                "query",
-                outcome.result.value,
-                start,
-                start + elapsed,
-                {
-                    "verdict": outcome.result.value,
-                    "cache": outcome.cache_tier,
-                    "depth": outcome.depth,
-                    "passes": query_stats.deepening_passes,
-                    "rounds": query_stats.sat_rounds,
-                    "axioms": query_stats.axioms_asserted,
-                    "conflicts": query_stats.theory_conflicts,
-                    "core_lits": query_stats.theory_core_lits,
-                    **{
-                        key: round(getattr(query_stats, key), 6)
-                        for key in QUERY_PHASE_KEYS
-                    },
+            attrs = {
+                "verdict": outcome.result.value,
+                "cache": outcome.cache_tier,
+                "depth": outcome.depth,
+                "passes": query_stats.deepening_passes,
+                "rounds": query_stats.sat_rounds,
+                "axioms": query_stats.axioms_asserted,
+                "conflicts": query_stats.theory_conflicts,
+                "core_lits": query_stats.theory_core_lits,
+                **{
+                    key: round(getattr(query_stats, key), 6)
+                    for key in QUERY_PHASE_KEYS
                 },
+            }
+            if outcome.result == Result.UNKNOWN:
+                attrs["unknown_cause"] = outcome.unknown_cause
+            tracer.leaf(
+                "query", outcome.result.value, start, start + elapsed, attrs
             )
         return outcome.result, outcome.model
 

@@ -68,10 +68,14 @@ class TotalityChecker:
             method.is_constructor
             or (owner is not None and not method.decl.static)
         )
-        if needs_this and not creation:
+        if needs_this:
+            # In creation mode ``this`` is the object being created: it
+            # has no invariant or fields yet, but a receiver-less call in
+            # the spec (``height()``) still means ``this.height()``.
             this = ctx.fresh("this", OBJ)
             this_type = ast.Type(owner) if owner else None
             env["this"] = (this, this_type)
+        if needs_this and not creation:
             if method.is_constructor:
                 env[RESULT] = (this, this_type)
             # The receiver satisfies its class's invariants, including
@@ -137,7 +141,8 @@ class TotalityChecker:
                 self.diag.warn(
                     WarningKind.UNKNOWN,
                     f"could not decide totality of "
-                    f"{self._label(method, mode)}",
+                    f"{self._label(method, mode)}"
+                    + self.session.unknown_suffix(),
                     method.decl.span,
                 )
         # Assertion (5).
@@ -173,7 +178,8 @@ class TotalityChecker:
                     self.diag.warn(
                         WarningKind.UNKNOWN,
                         f"could not decide the postcondition of "
-                        f"{self._label(method, mode)}",
+                        f"{self._label(method, mode)}"
+                        + self.session.unknown_suffix(),
                         method.decl.span,
                     )
 
@@ -207,7 +213,8 @@ class TotalityChecker:
                 self.diag.warn(
                     WarningKind.UNKNOWN,
                     f"could not check specification of "
-                    f"{self._label(method, mode)}",
+                    f"{self._label(method, mode)}"
+                    + self.session.unknown_suffix(),
                     method.decl.span,
                 )
 

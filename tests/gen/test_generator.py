@@ -7,8 +7,8 @@ sources and manifests (benchmarks and CI lanes key on this).
 ``api.verify`` over the generated programs must emit exactly those
 warnings, with the pattern-algebra fast path and under pure SMT
 (``tests/verify/tier_oracle.py``'s ``smt_only()``) alike.  This is the
-property that makes ``bench_scale`` a correctness check and not just a
-stopwatch.
+property that lets perfbench's generated workloads check every verdict
+instead of only timing it.
 """
 
 import contextlib

@@ -11,8 +11,9 @@ that the round loop, like the engine's, is bounded by the budget alone.
 :func:`reference_engine` monkeypatches ``SolverSession._solve`` so that
 every query of every session, model queries included, is answered by a
 fresh ``ReferenceSolver``.  The patch is on the class, so pool workers
-forked inside the ``with`` block inherit it.  The parity suites and
-``benchmarks/bench_verify.py``'s from-scratch lane use it.
+forked inside the ``with`` block inherit it.  The parity suites use it,
+and ``tests/verify/test_work_counts.py`` checks that the engine asserts
+fewer axioms than this oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class ReferenceSolver(Solver):
                 return result
             if result == Result.SAT or result == Result.UNKNOWN:
                 return result
+        self.last_unknown_cause = "depth"
         return Result.UNKNOWN
 
     def _rebuild_pass(self) -> Result:
@@ -82,6 +84,7 @@ class ReferenceSolver(Solver):
         while True:
             self.stats.sat_rounds += 1
             if time.monotonic() > self._deadline:
+                self.last_unknown_cause = "deadline"
                 return Result.UNKNOWN
             t0 = time.perf_counter()
             satisfiable = sat.solve()

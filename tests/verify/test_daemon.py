@@ -245,6 +245,14 @@ def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
     warm = verify_result(daemon, [path], request_id=2)
     assert warm["dep_misses"] == 1
     assert warm["dep_hits"] == cold["dep_misses"] - 1
+    # The replayed and re-run tasks together give the report a fresh
+    # run of the edited file gives.
+    direct = api.verify(
+        api.compile_program(edited, filename=path),
+        options=api.VerifyOptions(cache=None),
+    )
+    served = _normalize_report(warm["files"][0]["report"])
+    assert served == _normalize_report(direct.to_dict())
 
 
 def test_daemon_invalidate_flips_hits_back_to_misses(program):

@@ -74,18 +74,20 @@ def _nullary_calls(term: tm.Term, found: set[str]) -> None:
     "group", ["nat", "lists", "cps", "typeinf", "trees", "collections"]
 )
 def test_no_spec_call_loses_its_receiver(group, monkeypatch):
-    """Expand every registered axiom (to a bounded depth) of every query
-    and collect the receiver-less ``call:`` atoms in the axioms: none may
-    name an instance method.
+    """Collect the receiver-less ``call:`` atoms of every query, in its
+    own terms and in every registered axiom (expanded to a bounded
+    depth): none may name an instance method.
 
-    Only axiom bodies are walked.  A creation-mode spec check binds no
-    ``this`` (the object does not exist yet), so its own top-level
-    formulas may still hold a receiver-less call.
+    A creation-mode spec check (``Tree.branch`` in mode
+    ``returns(result)``) binds ``this`` to the object being created, so
+    its top-level ``height()`` is a call on it too.
     """
     found: set[str] = set()
     solve = SolverSession._solve
 
     def walking_solve(self, plugin, terms, want_model):
+        for term in terms:
+            _nullary_calls(term, found)
         if plugin is not None:
             done: set = set()
             grew = True
