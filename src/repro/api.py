@@ -25,7 +25,6 @@ from .lang import analyze, ast, parse_program
 from .lang.symbols import ProgramTable
 from .obs import NULL_TRACER, Tracer, write_jsonl
 from .runtime import Interpreter
-from .smt.cache import GLOBAL_CACHE, SolverCache
 from .verify import VerificationReport
 from .verify.options import VerifyOptions
 
@@ -79,13 +78,11 @@ def verify(
     source order, producing byte-identical warnings and counts.
 
     ``cache_dir`` adds a persistent disk tier under that directory so
-    conclusive verdicts survive across runs.  With the default
-    ``cache`` (the process-wide one), the run uses a private in-memory
-    tier in front of the disk — the global cache itself is never given
-    a disk tier, so its semantics for other callers are unchanged.  A
-    caller-supplied private cache gets the disk tier attached.
-    ``cache=None`` disables both tiers; parallel workers cannot share a
-    caller's in-memory cache object, only the disk tier.
+    conclusive verdicts survive across runs.  It applies to this run
+    only: the run puts a private in-memory tier in front of the disk,
+    on every driver, and leaves ``cache`` itself untouched (no cache
+    object is ever given a disk tier that outlives the run).
+    ``cache=None`` disables both tiers.
 
     ``jobs`` may also be ``"auto"``, which picks a worker count from
     ``os.cpu_count()`` and the task count -- staying serial on
@@ -145,6 +142,7 @@ def _verify_table(
     """Run every task of one table on the driver ``opts.jobs`` picks."""
     from .verify.faults import active_fault
     from .verify.parallel import (
+        build_cache,
         describe_parallel_decision,
         merge_outcomes,
         resolve_jobs,
@@ -166,13 +164,8 @@ def _verify_table(
         report = verify_parallel(table, opts, tracer, jobs)
     else:
         cache = opts.cache
-        if opts.use_cache and opts.cache_dir is not None:
-            from .smt.diskcache import DiskCache
-
-            if cache is GLOBAL_CACHE:
-                cache = SolverCache(disk=DiskCache(opts.cache_dir))
-            elif cache.disk is None:
-                cache.disk = DiskCache(opts.cache_dir)
+        if opts.cache_dir is not None:
+            cache = build_cache(opts.use_cache, opts.cache_dir)
         start = time.perf_counter()
         outcomes = run_serial(table, tasks, opts, cache, tracer)
         report = merge_outcomes(outcomes, time.perf_counter() - start)

@@ -117,10 +117,6 @@ class VerifyStats:
     tasks_timed_out: int = 0
     #: obligations degraded to UNKNOWN because their run raised
     tasks_failed: int = 0
-    #: tasks whose per-task deadline could not arm (no SIGALRM off the
-    #: main thread) and ran under the soft-deadline fallback instead:
-    #: clamped per-query budget plus post-hoc overrun conversion
-    deadlines_degraded: int = 0
     # -- the pattern-algebra fast path (repro.verify.tiered) ----------
     #: obligations the syntactic pattern algebra decided without an
     #: SMT query
@@ -162,7 +158,6 @@ class VerifyStats:
         self.tasks_retried += other.tasks_retried
         self.tasks_timed_out += other.tasks_timed_out
         self.tasks_failed += other.tasks_failed
-        self.deadlines_degraded += other.deadlines_degraded
         self.algebra_discharged += other.algebra_discharged
         self.algebra_fallbacks += other.algebra_fallbacks
         # The decision is a whole-run fact the dispatcher sets once;
@@ -186,7 +181,6 @@ class VerifyStats:
             "tasks_retried": self.tasks_retried,
             "tasks_timed_out": self.tasks_timed_out,
             "tasks_failed": self.tasks_failed,
-            "deadlines_degraded": self.deadlines_degraded,
             "algebra_discharged": self.algebra_discharged,
             "algebra_fallbacks": self.algebra_fallbacks,
             "parallel_decision": self.parallel_decision,
@@ -232,11 +226,6 @@ def format_stats(stats: dict) -> str:
         f"tasks: {stats['tasks_retried']} retried, "
         f"{stats['tasks_timed_out']} timed out, {stats['tasks_failed']} failed"
     )
-    if stats["deadlines_degraded"]:
-        lines.append(
-            f"deadlines: {stats['deadlines_degraded']} task(s) ran with a "
-            f"soft deadline (SIGALRM unavailable off the main thread)"
-        )
     lines.append(
         f"tiers: {stats['algebra_discharged']} obligations discharged by "
         f"the pattern algebra, {stats['algebra_fallbacks']} fell back to SMT"

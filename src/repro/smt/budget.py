@@ -8,10 +8,12 @@ the SAT and LIA hot loops poll it and raise :class:`BudgetExceeded`,
 which the solver reports as UNKNOWN -- the same role the paper's
 iterative-deepening time budget plays (Section 6.2).
 
-The deadline is **thread-local**: the daemon verifies on its
-connection-handler threads, and ``repro.api.verify`` may be called
+The deadline is **thread-local**: ``repro.api.verify`` may be called
 from any thread of a host program, so one thread's query must never
-see (or disarm) another thread's budget window.
+see (or disarm) another thread's budget window.  The solver's lazy
+loop polls it once per round, through :func:`checkpoint`.  A per-task
+``task_timeout`` is a different deadline: a ``SIGALRM`` alarm on the
+main thread (:func:`repro.verify.parallel.task_deadline`).
 """
 
 from __future__ import annotations

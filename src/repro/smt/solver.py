@@ -254,7 +254,6 @@ class Solver:
         seconds = (
             self.TIME_BUDGET if self.time_budget is None else self.time_budget
         )
-        self._deadline = time.monotonic() + seconds
         budget.arm(seconds)
         try:
             result = self._check_with_deepening()
@@ -294,8 +293,6 @@ class Solver:
                 # tell whether one of them was genuine.
                 return result
             if result == Result.SAT:
-                return result
-            if result == Result.UNKNOWN:
                 return result
         self.last_unknown_cause = "depth"
         return Result.UNKNOWN
@@ -401,9 +398,7 @@ class Solver:
 
         while True:
             self.stats.sat_rounds += 1
-            if time.monotonic() > self._deadline:
-                self.last_unknown_cause = "deadline"
-                return Result.UNKNOWN
+            budget.checkpoint()
             t0 = time.perf_counter()
             satisfiable = sat.solve(assumptions)
             self.stats.sat_s += time.perf_counter() - t0

@@ -17,15 +17,17 @@ socket (or stdio), and everything expensive stays hot between them:
   dep-miss runs through :func:`repro.verify.parallel.run_serial`, the
   task loop every driver shares.
 
-Requests are handled one at a time under a lock — verification is
-CPU-bound pure Python, so request-level concurrency would only
-interleave progress — but each connection gets its own reader thread
-and its own response stream, so two clients never see each other's
-responses.  Per-task deadlines inside those handler threads cannot use
-``SIGALRM`` (worker threads are not the main thread); the pipeline's
-soft-deadline fallback covers them and surfaces the degradation on
-``VerifyStats.deadlines_degraded`` (see
-:func:`repro.verify.parallel.task_deadline`).
+Every connection is served from the thread that calls
+:meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
+requests run one at a time in arrival order (verification is CPU-bound
+pure Python, so request-level concurrency would only interleave
+progress), and each response goes back on the connection that asked,
+so two clients never see each other's responses.  Under ``repro
+serve`` that thread is the main thread, so a request's per-task
+deadline (``task_timeout``) is the real ``SIGALRM`` alarm of
+:func:`repro.verify.parallel.task_deadline`, and a hung task is cut
+off like anywhere else.  A daemon served from another thread rejects
+``task_timeout`` (:meth:`~repro.verify.options.VerifyOptions.validate`).
 
 Observability: every request runs under a ``run``-kind span named
 ``request`` with one ``file`` span per path; each file span carries a
@@ -41,8 +43,8 @@ and the CLI prints both paths' output through one printer.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -87,6 +89,12 @@ _VERIFY_OPTION_DEFAULTS = {
 }
 
 
+#: seconds a response may take to drain into a client's socket: one
+#: thread serves every client, so one that stops reading must not stall
+#: the rest for longer than this
+_SEND_TIMEOUT_S = 30.0
+
+
 def _options_signature(opts: dict) -> str:
     """The part of a request's options that cached outcomes depend on.
 
@@ -115,7 +123,6 @@ class VerifyDaemon:
         use_cache: bool = True,
         trace_path: str | None = None,
     ):
-        self.lock = threading.RLock()
         self.cache = build_cache(use_cache, cache_dir)
         self.use_cache = use_cache
         self.files: dict[str, _FileState] = {}
@@ -125,8 +132,8 @@ class VerifyDaemon:
         self.dep_misses = 0
         self.trace_path = trace_path
         self._trace_rows_written = 0
-        self.shutdown_event = threading.Event()
-        self._listener: socket.socket | None = None
+        #: set by a ``shutdown`` request; the transports stop serving
+        self.shutting_down = False
 
     # -- request dispatch ----------------------------------------------
 
@@ -147,16 +154,15 @@ class VerifyDaemon:
     def handle_request(self, request: dict) -> dict:
         request_id = request.get("id")
         op = request["op"]
-        with self.lock:
-            if op == "verify":
-                return self._op_verify(request_id, request)
-            if op == "status":
-                return protocol.ok_response(request_id, self._status())
-            if op == "invalidate":
-                return self._op_invalidate(request_id, request)
-            # shutdown: acknowledge first, then stop accepting
-            self.shutdown_event.set()
-            return protocol.ok_response(request_id, {"shutting_down": True})
+        if op == "verify":
+            return self._op_verify(request_id, request)
+        if op == "status":
+            return protocol.ok_response(request_id, self._status())
+        if op == "invalidate":
+            return self._op_invalidate(request_id, request)
+        # shutdown: acknowledge first, then stop accepting
+        self.shutting_down = True
+        return protocol.ok_response(request_id, {"shutting_down": True})
 
     # -- ops -----------------------------------------------------------
 
@@ -362,7 +368,7 @@ class VerifyDaemon:
             response = self.handle_line(line)
             stdout.write(protocol.encode(response).decode("utf-8"))
             stdout.flush()
-            if self.shutdown_event.is_set():
+            if self.shutting_down:
                 break
 
     def serve_socket(self, socket_path: str) -> None:
@@ -371,7 +377,9 @@ class VerifyDaemon:
         A leftover socket file from a dead daemon (machine crash, kill
         -9) is detected by attempting to connect: refusal means stale,
         so the file is replaced; an answer means another daemon owns
-        this path and this one refuses to start.
+        this path and this one refuses to start.  Connections are read
+        as they become readable and their requests answered in order,
+        all on this thread.
         """
         if os.path.exists(socket_path):
             if _socket_alive(socket_path):
@@ -380,56 +388,64 @@ class VerifyDaemon:
                 )
             os.unlink(socket_path)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        selector = selectors.DefaultSelector()
         try:
             listener.bind(socket_path)
             listener.listen(16)
-            listener.settimeout(0.2)
-            self._listener = listener
-            threads: list[threading.Thread] = []
-            while not self.shutdown_event.is_set():
-                try:
-                    connection, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(connection,),
-                    daemon=True,
-                )
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join(timeout=2.0)
+            selector.register(listener, selectors.EVENT_READ)
+            while not self.shutting_down:
+                # The timeout only bounds how late a ``shutting_down``
+                # set from outside a request is noticed.
+                for key, _ in selector.select(timeout=0.2):
+                    if key.fileobj is listener:
+                        connection, _ = listener.accept()
+                        connection.settimeout(_SEND_TIMEOUT_S)
+                        selector.register(
+                            connection, selectors.EVENT_READ, bytearray()
+                        )
+                    elif not self._serve_readable(key.fileobj, key.data):
+                        selector.unregister(key.fileobj)
+                        key.fileobj.close()
+                    if self.shutting_down:
+                        break
         finally:
-            self._listener = None
+            for key in list(selector.get_map().values()):
+                key.fileobj.close()
+            selector.close()
             listener.close()
             try:
                 os.unlink(socket_path)
             except OSError:
                 pass
 
-    def _serve_connection(self, connection: socket.socket) -> None:
+    def _serve_readable(
+        self, connection: socket.socket, pending: bytearray
+    ) -> bool:
+        """Answer every complete request line ``connection`` has sent.
+
+        ``pending`` holds the bytes of a line not yet complete.
+        Returns False once the connection is done: closed by the
+        client (a final unterminated line is still answered), or lost.
+        """
         try:
-            reader = connection.makefile("r", encoding="utf-8")
-            for line in reader:
-                if not line.strip():
-                    continue
-                response = self.handle_line(line)
-                try:
-                    connection.sendall(protocol.encode(response))
-                except OSError:
-                    return  # client went away mid-response
-                if self.shutdown_event.is_set():
-                    return
-        except (OSError, ValueError):
-            pass  # a dropped connection is the client's business
-        finally:
+            chunk = connection.recv(65536)
+        except OSError:
+            return False
+        pending += chunk
+        lines = pending.split(b"\n")
+        if chunk:
+            pending[:] = lines.pop()
+        for line in lines:
+            if not line.strip():
+                continue
+            response = self.handle_line(line.decode("utf-8", "replace"))
             try:
-                connection.close()
+                connection.sendall(protocol.encode(response))
             except OSError:
-                pass
+                return False  # client went away mid-response
+            if self.shutting_down:
+                return False
+        return bool(chunk)
 
 
 def _socket_alive(socket_path: str) -> bool:

@@ -25,6 +25,7 @@ No field selects how obligations are decided: the pattern algebra
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -72,6 +73,9 @@ class VerifyOptions:
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range settings — and normalize.
 
+        A ``task_timeout`` is out of range off the main thread: its
+        deadline is a ``SIGALRM`` alarm, which cannot arm there.
+
         ``jobs`` arrives as a string from CLIs and config files;
         validation converts it to ``int`` *in place*, so the drivers
         downstream never see ``jobs="3"`` (which used to pass
@@ -95,6 +99,14 @@ class VerifyOptions:
             raise ValueError(
                 "task_timeout must be finite and positive, "
                 f"got {self.task_timeout}"
+            )
+        if (
+            self.task_timeout is not None
+            and threading.current_thread() is not threading.main_thread()
+        ):
+            raise ValueError(
+                "task_timeout needs the main thread (its deadline is a "
+                "SIGALRM alarm)"
             )
         # ``cache=False`` reads as "no cache" but is not None: every task
         # would then fail on the first cache call.  None turns it off.

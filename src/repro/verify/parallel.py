@@ -54,8 +54,10 @@ conservative warning; this module does the same per task):
   its method.  A parent-side watchdog backstops the alarm: if no task
   completes for well past the deadline (alarm lost, worker wedged in
   native code), the workers are killed and the unfinished tasks take
-  the crash-recovery path.  On platforms without ``SIGALRM`` the
-  deadline is best-effort (no-op).
+  the crash-recovery path.  The alarm arms on a process's main thread
+  only, so a ``task_timeout`` off it is rejected up front (see
+  :func:`task_deadline`); on platforms without ``SIGALRM`` the
+  deadline is a no-op.
 * **accounting** — ``tasks_retried`` / ``tasks_timed_out`` /
   ``tasks_failed`` land on :class:`~repro.metrics.solver_stats
   .VerifyStats` (and the report), rendered by ``verify --stats``.
@@ -75,7 +77,6 @@ import contextlib
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -114,31 +115,17 @@ class TaskTimeout(Exception):
     """A task overran its per-task wall-clock deadline."""
 
 
-def deadline_armable() -> bool:
-    """Can a :func:`task_deadline` actually interrupt this thread?
-
-    ``SIGALRM``/``setitimer`` only arm on the main thread of a process
-    on platforms that have them.  Pool workers always qualify (they run
-    tasks on their main thread); a daemon connection-handler thread
-    never does — callers on such threads must take the soft-deadline
-    path in :func:`run_one_task` instead of assuming the alarm works.
-    """
-    return (
-        hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
 @contextlib.contextmanager
 def task_deadline(seconds: float | None):
     """Raise :class:`TaskTimeout` in this thread after ``seconds``.
 
-    Arms only where :func:`deadline_armable` holds; anywhere else this
-    is a no-op and the caller is responsible for the degraded path
-    (budget clamping + post-hoc overrun conversion in
-    :func:`run_one_task`, the parent-side watchdog for pool runs).
+    The alarm is ``SIGALRM``, so it must be armed on a process's main
+    thread: pool workers run their tasks there, ``repro serve`` serves
+    from there, and :meth:`~repro.verify.options.VerifyOptions.validate`
+    rejects a ``task_timeout`` anywhere else.  Without ``setitimer``
+    (Windows) this is a no-op.
     """
-    if seconds is None or not deadline_armable():
+    if seconds is None or not hasattr(signal, "setitimer"):
         yield
         return
 
@@ -158,9 +145,11 @@ def build_cache(use_cache: bool, cache_dir: str | None):
     """The cache tiers one verifying process uses (or None).
 
     The single construction point for "an in-memory tier, optionally in
-    front of a disk tier at ``cache_dir``" — the worker initializer
-    and the pool's serial fallback both call it, so the tier wiring
-    cannot drift between them.
+    front of a disk tier at ``cache_dir``" — the worker initializer,
+    the pool's serial fallback, a serial run given a ``cache_dir`` and
+    the daemon all call it, so the tier wiring cannot drift between
+    them.  Always a new cache: no caller's cache object gains a disk
+    tier.
     """
     if not use_cache:
         return None
@@ -221,53 +210,22 @@ def run_one_task(
     outcome (partial warnings — and partial spans — are discarded: how
     far a deadline lets a task get is scheduler noise); other failures
     propagate.
-
-    Off the main thread (a daemon handler), the ``SIGALRM`` deadline
-    cannot arm, so the timeout degrades instead of silently vanishing:
-    the per-query budget is clamped to the task timeout (bounding the
-    worst single overshoot, since a soft deadline cannot interrupt a
-    query mid-solve), an overrun is converted post-hoc into the same
-    timed-out outcome the alarm would have produced, and the
-    degradation is surfaced on ``VerifyStats.deadlines_degraded`` and
-    as a ``deadline-degraded`` trace event.
     """
-    degraded = task_timeout is not None and not deadline_armable()
-    effective_budget = budget
-    if degraded:
-        effective_budget = (
-            task_timeout if budget is None else min(budget, task_timeout)
-        )
     tracer = Tracer() if trace else NULL_TRACER
-    verifier = Verifier(
-        table, budget=effective_budget, cache=cache, tracer=tracer
-    )
-    started = time.perf_counter()
+    verifier = Verifier(table, budget=budget, cache=cache, tracer=tracer)
     try:
         with task_deadline(task_timeout):
             maybe_fail_task(task.label)
             verifier.run_task(task)
     except TaskTimeout:
         return _timed_out_outcome(table, task, task_timeout, trace)
-    if degraded and time.perf_counter() - started > task_timeout:
-        outcome = _timed_out_outcome(table, task, task_timeout, trace)
-        _mark_degraded(outcome)
-        return outcome
-    outcome = TaskOutcome(
+    return TaskOutcome(
         warnings=verifier.diag.warnings,
         methods_checked=verifier.methods_checked,
         statements_checked=verifier.statements_checked,
         stats=verifier.session.stats,
         trace=tracer.roots[0] if trace and tracer.roots else None,
     )
-    if degraded:
-        _mark_degraded(outcome)
-    return outcome
-
-
-def _mark_degraded(outcome: TaskOutcome) -> None:
-    outcome.stats.deadlines_degraded = 1
-    if outcome.trace is not None:
-        outcome.trace.event("deadline-degraded")
 
 
 def task_event_span(task: VerifyTask, event: str, **attrs) -> Span:

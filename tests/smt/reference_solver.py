@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.smt import budget
 from repro.smt import terms as tm
 from repro.smt.cnf import CnfBuilder
 from repro.smt.sat import FALSE_VAL, TRUE_VAL, SatSolver
@@ -52,7 +53,7 @@ class ReferenceSolver(Solver):
             result = self._rebuild_pass()
             if result == Result.UNSAT and not self._blocked_unconfirmed:
                 return result
-            if result == Result.SAT or result == Result.UNKNOWN:
+            if result == Result.SAT:
                 return result
         self.last_unknown_cause = "depth"
         return Result.UNKNOWN
@@ -83,9 +84,7 @@ class ReferenceSolver(Solver):
 
         while True:
             self.stats.sat_rounds += 1
-            if time.monotonic() > self._deadline:
-                self.last_unknown_cause = "deadline"
-                return Result.UNKNOWN
+            budget.checkpoint()
             t0 = time.perf_counter()
             satisfiable = sat.solve()
             self.stats.sat_s += time.perf_counter() - t0

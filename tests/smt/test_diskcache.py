@@ -212,6 +212,44 @@ static int double(int x) {
     assert report.methods_checked == 1
 
 
+NAT_SWITCH = """
+interface Nat {
+  invariant(this = zero() | succ(_));
+  constructor zero() matches(notall(result)) returns();
+  constructor succ(Nat n) matches(notall(result)) returns(n);
+}
+static int f(Nat n) {
+  switch (n) {
+    case succ(Nat p): return 1;
+  }
+}
+"""
+
+
+def test_cache_dir_applies_to_its_own_run_only(tmp_path):
+    """A run's cache_dir never stays attached to the caller's cache, so
+    a later run with the same cache and no cache_dir writes nothing
+    there."""
+    from repro import api
+
+    verdicts = tmp_path / "verdicts"
+    cache = SolverCache()
+    api.verify(
+        api.compile_program(NAT_SWITCH),
+        options=api.VerifyOptions(cache=cache, cache_dir=str(verdicts)),
+    )
+    written = len(DiskCache(verdicts))
+    assert written > 0
+    assert cache.disk is None
+    # Another program: its queries miss, and are solved and stored.
+    other = NAT_SWITCH + "static int g(int x) { return x; }\n"
+    report = api.verify(
+        api.compile_program(other), options=api.VerifyOptions(cache=cache)
+    )
+    assert report.solver_stats.total.cache_misses > 0
+    assert len(DiskCache(verdicts)) == written
+
+
 def test_corrupt_cache_fault_truncates_writes(tmp_path, monkeypatch):
     """REPRO_FAULT=corrupt-cache: every published entry is torn; a later
     clean run counts and drops them, and the verdicts still come out."""

@@ -631,7 +631,8 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
     for key in ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s"):
         assert key not in total
         assert all(key not in row for row in stats["per_method"].values())
-    assert entry["report"]["schema"] == 4
+    # Schema 5 dropped the soft-deadline counter with the soft deadline.
+    assert entry["report"]["schema"] == 5
 
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only", "algebra-only", "check"])

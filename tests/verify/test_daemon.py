@@ -6,6 +6,7 @@ tests against a daemon thread — plus one real auto-spawned daemon
 subprocess exercising the CLI path end to end.
 """
 
+import _thread
 import json
 import os
 import re
@@ -337,12 +338,13 @@ def test_daemon_verify_rejects_tier_option(program):
 def test_daemon_reports_protocol_6():
     # Protocol 4 dropped the ``backend`` verify option, protocol 5 the
     # ``tier`` one, protocol 6 ``stats``, ``profile`` and ``dep_index``;
-    # report schema 4 dropped the phase timers.
+    # report schema 4 dropped the phase timers, schema 5 the
+    # soft-deadline counter.
     daemon = VerifyDaemon(use_cache=False)
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
     assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 6
-    assert response["result"]["version"].startswith("repro-daemon/6.4")
+    assert response["result"]["version"].startswith("repro-daemon/6.5")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
@@ -417,7 +419,7 @@ def served_daemon(tmp_path):
             break
         time.sleep(0.01)
     yield daemon, socket_path
-    daemon.shutdown_event.set()
+    daemon.shutting_down = True
     thread.join(timeout=5.0)
 
 
@@ -503,7 +505,7 @@ def test_stale_socket_file_is_replaced():
         assert client.status()["version"] == daemon_version()
         client.close()
     finally:
-        daemon.shutdown_event.set()
+        daemon.shutting_down = True
         thread.join(timeout=5.0)
 
 
@@ -616,40 +618,86 @@ def test_cli_daemon_bad_numbers_exit_2_without_spawning(
     assert not os.path.exists(socket_path)
 
 
-# -- degraded per-task deadlines off the main thread -------------------
+# -- per-task deadlines: only on the main thread ----------------------
 
 
-def test_task_deadline_degrades_off_main_thread():
-    from repro.verify.parallel import run_one_task
-    from repro.verify.verifier import iter_tasks as tasks_of
-
-    table = table_for(BUGGY)
-    task = next(t for t in tasks_of(table) if t.method_name == "f")
-    outcomes = {}
+def test_task_timeout_is_rejected_off_main_thread():
+    # SIGALRM cannot arm off the main thread, so a task_timeout there
+    # is refused up front instead of silently never firing.
+    errors = []
 
     def worker():
-        outcomes["normal"] = run_one_task(table, task, None, None, 30.0)
-        outcomes["overrun"] = run_one_task(table, task, None, None, 1e-9)
+        try:
+            api.VerifyOptions(task_timeout=1.0).validate()
+        except ValueError as exc:
+            errors.append(str(exc))
 
     thread = threading.Thread(target=worker)
     thread.start()
-    thread.join(timeout=120.0)
-    assert set(outcomes) == {"normal", "overrun"}
-    # within the deadline: full verdicts, degradation surfaced on stats
-    assert outcomes["normal"].stats.deadlines_degraded == 1
-    assert any(
-        w.kind.value == "nonexhaustive" for w in outcomes["normal"].warnings
-    )
-    # an overrun converts post hoc to the standard timed-out outcome
-    assert outcomes["overrun"].stats.tasks_timed_out == 1
-    assert outcomes["overrun"].stats.deadlines_degraded == 1
-    assert any(
-        "exceeded the task timeout" in w.message
-        for w in outcomes["overrun"].warnings
-    )
+    thread.join(timeout=10.0)
+    assert len(errors) == 1 and "main thread" in errors[0]
+    api.VerifyOptions(task_timeout=1.0).validate()  # main thread: fine
 
 
-def test_task_deadline_still_arms_on_main_thread():
-    from repro.verify.parallel import deadline_armable
+def test_daemon_off_main_thread_refuses_task_timeout(served_daemon, program):
+    _, socket_path = served_daemon
+    with DaemonClient(socket_path, timeout=30.0) as client:
+        with pytest.raises(DaemonError, match="main thread"):
+            client.verify([program(CLEAN)], {"task_timeout": 5})
+        assert client.status()["requests"] == 0
 
-    assert deadline_armable() is True
+
+def test_socket_hang_times_out_and_daemon_keeps_serving(program,
+                                                        monkeypatch):
+    # The daemon serves from the thread that calls serve_socket -- here
+    # pytest's main thread -- so a hung task meets the real alarm.
+    monkeypatch.setenv("REPRO_FAULT", "hang:f")
+    path = program(BUGGY)
+    socket_path = _short_socket_path()
+    daemon = VerifyDaemon(use_cache=False)
+    results = {}
+
+    def client_side():
+        try:
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    client = DaemonClient(socket_path, timeout=20.0)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        return
+                    time.sleep(0.01)
+            with client:
+                started = time.monotonic()
+                results["verify"] = client.verify(
+                    [path], {"task_timeout": 1}
+                )
+                results["seconds"] = time.monotonic() - started
+                results["status"] = client.status()
+                results["shutdown"] = client.shutdown()
+        finally:
+            if "shutdown" not in results:
+                # The daemon cannot be asked to stop: break it off.
+                _thread.interrupt_main()
+
+    thread = threading.Thread(target=client_side)
+    thread.start()
+    try:
+        daemon.serve_socket(socket_path)
+        thread.join(timeout=30.0)
+    except KeyboardInterrupt:
+        pass
+    assert "verify" in results, "the hung request was never answered"
+    assert not thread.is_alive()
+    report = results["verify"]["files"][0]["report"]
+    timeouts = [
+        w for w in report["warnings"]
+        if "exceeded the task timeout (1s)" in w["message"]
+    ]
+    # f's timeout replaces its nonexhaustive warning; g stays clean
+    assert timeouts == report["warnings"]
+    assert report["tasks"]["timed_out"] == 1
+    assert results["seconds"] < 10.0
+    assert results["status"]["requests"] == 1
+    assert not os.path.exists(socket_path)
