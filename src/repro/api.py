@@ -77,12 +77,12 @@ def verify(
     are fanned out over that many worker processes and merged back in
     source order, producing byte-identical warnings and counts.
 
-    ``cache_dir`` adds a persistent disk tier under that directory so
-    conclusive verdicts survive across runs.  It applies to this run
-    only: the run puts a private in-memory tier in front of the disk,
-    on every driver, and leaves ``cache`` itself untouched (no cache
-    object is ever given a disk tier that outlives the run).
-    ``cache=None`` disables both tiers.
+    ``cache_dir`` keeps task outcomes in a store under that directory
+    (:mod:`repro.verify.store`), so a later run replays every task whose
+    dependency fingerprint, options and verifier source are unchanged
+    instead of verifying it again (``solver_stats.tasks_replayed``).
+    Only conclusive outcomes are kept.  ``cache=None`` disables the
+    store along with the query cache.
 
     ``jobs`` may also be ``"auto"``, which picks a worker count from
     ``os.cpu_count()`` and the task count -- staying serial on
@@ -142,11 +142,11 @@ def _verify_table(
     """Run every task of one table on the driver ``opts.jobs`` picks."""
     from .verify.faults import active_fault
     from .verify.parallel import (
-        build_cache,
         describe_parallel_decision,
         merge_outcomes,
         resolve_jobs,
         run_serial,
+        stored_reuse,
     )
     from .verify.verifier import iter_tasks
 
@@ -158,17 +158,17 @@ def _verify_table(
     )
     if tracer.enabled:
         tracer.event("jobs-decision", decision=decision)
+    reuse = stored_reuse(table, tasks, opts)
     if jobs > 1:
         from .verify.parallel import verify_parallel
 
-        report = verify_parallel(table, opts, tracer, jobs)
+        report = verify_parallel(table, opts, tracer, jobs, reuse)
     else:
-        cache = opts.cache
-        if opts.cache_dir is not None:
-            cache = build_cache(opts.use_cache, opts.cache_dir)
         start = time.perf_counter()
-        outcomes = run_serial(table, tasks, opts, cache, tracer)
+        outcomes = run_serial(table, tasks, opts, opts.cache, tracer, reuse)
         report = merge_outcomes(outcomes, time.perf_counter() - start)
+        if reuse is not None:
+            report.solver_stats.tasks_replayed = reuse.replayed
     report.solver_stats.parallel_decision = decision
     return report
 

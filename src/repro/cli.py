@@ -44,12 +44,12 @@ def _read(path: str) -> str:
 
 
 def _cache_dir(args: argparse.Namespace) -> str | None:
-    """The disk-cache location: flag, then env, then the default.
+    """The outcome store's location: flag, then env, then the default.
 
-    ``REPRO_CACHE_DIR=""`` (set but empty) disables the disk tier —
-    the historical ``env or DEFAULT`` fallthrough silently re-enabled
-    the default directory instead, which is exactly what someone
-    exporting an empty value was trying to avoid.
+    ``REPRO_CACHE_DIR=""`` (set but empty) disables the store — the
+    historical ``env or DEFAULT`` fallthrough silently re-enabled the
+    default directory instead, which is exactly what someone exporting
+    an empty value was trying to avoid.
     """
     if args.no_cache:
         return None
@@ -58,7 +58,7 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
     env = os.environ.get("REPRO_CACHE_DIR")
     if env is not None:
         return env or None
-    from .smt.diskcache import DEFAULT_CACHE_DIR
+    from .verify.store import DEFAULT_CACHE_DIR
 
     return DEFAULT_CACHE_DIR
 
@@ -325,9 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent verdict cache location (default: $REPRO_CACHE_DIR "
-        "when set, else .repro-cache; an empty $REPRO_CACHE_DIR disables "
-        "the disk tier)",
+        help="store of task outcomes, replayed for every method whose "
+        "dependencies are unchanged (default: $REPRO_CACHE_DIR when set, "
+        "else .repro-cache; an empty $REPRO_CACHE_DIR disables the store)",
     )
     p_verify.add_argument(
         "--daemon", action="store_true",
@@ -352,8 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument(
         "--no-cache", action="store_true",
-        help="solve every SMT query from scratch (disables both the "
-        "in-memory and the disk cache tier)",
+        help="solve every SMT query from scratch and verify every "
+        "method (disables the query cache and the outcome store)",
     )
     p_verify.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -385,13 +385,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="disk tier for the daemon's SMT verdict cache (default: "
-        "$REPRO_CACHE_DIR when set, else .repro-cache; an empty "
-        "$REPRO_CACHE_DIR disables the disk tier)",
+        help="store of task outcomes the daemon reads and writes, so a "
+        "fresh daemon starts warm (default: $REPRO_CACHE_DIR when set, "
+        "else .repro-cache; an empty $REPRO_CACHE_DIR disables the store)",
     )
     p_serve.add_argument(
         "--no-cache", action="store_true",
-        help="run the daemon without any SMT verdict cache",
+        help="run the daemon without the SMT query cache or the "
+        "outcome store",
     )
     p_serve.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -14,31 +14,36 @@ and ``--profile`` renders them from the trace
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+def _from_solver():
+    """A counter summed from the same-named ``SolverStats`` field."""
+    return field(default=0, metadata={"from_solver": True})
 
 
 @dataclass
 class QueryStats:
-    """Rolled-up measurements over a group of solver queries."""
+    """Rolled-up measurements over a group of solver queries.
+
+    Every field is a summable counter, and the instance ``__dict__``
+    holds exactly the fields in declaration order: :meth:`to_dict` and
+    :meth:`merge` walk it instead of naming each counter.
+    """
 
     queries: int = 0
     seconds: float = 0.0
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
-    sat_rounds: int = 0
-    theory_conflicts: int = 0
+    sat_rounds: int = _from_solver()
+    theory_conflicts: int = _from_solver()
     #: literals across the conflicts' explained cores (see SolverStats)
-    theory_core_lits: int = 0
-    axioms_asserted: int = 0
-    deepening_passes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: cache_hits split by answering tier (memory LRU vs. disk); a disk
-    #: hit promoted into memory counts as disk for that query, so the
-    #: two always sum to cache_hits
-    cache_memory_hits: int = 0
-    cache_disk_hits: int = 0
+    theory_core_lits: int = _from_solver()
+    axioms_asserted: int = _from_solver()
+    deepening_passes: int = _from_solver()
+    cache_hits: int = _from_solver()
+    cache_misses: int = _from_solver()
 
     def add_query(self, verdict: str, seconds: float, solver_stats) -> None:
         """Fold in one query's verdict, wall time, and SolverStats."""
@@ -50,15 +55,9 @@ class QueryStats:
             self.unsat += 1
         else:
             self.unknown += 1
-        self.sat_rounds += solver_stats.sat_rounds
-        self.theory_conflicts += solver_stats.theory_conflicts
-        self.theory_core_lits += solver_stats.theory_core_lits
-        self.axioms_asserted += solver_stats.axioms_asserted
-        self.deepening_passes += solver_stats.deepening_passes
-        self.cache_hits += solver_stats.cache_hits
-        self.cache_misses += solver_stats.cache_misses
-        self.cache_memory_hits += getattr(solver_stats, "cache_memory_hits", 0)
-        self.cache_disk_hits += getattr(solver_stats, "cache_disk_hits", 0)
+        counters = self.__dict__
+        for name in _SOLVER_COUNTERS:
+            counters[name] += getattr(solver_stats, name)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -67,40 +66,20 @@ class QueryStats:
 
     def to_dict(self) -> dict:
         """The counters as a JSON-ready structure (``--format json``)."""
-        return {
-            "queries": self.queries,
-            "seconds": self.seconds,
-            "sat": self.sat,
-            "unsat": self.unsat,
-            "unknown": self.unknown,
-            "sat_rounds": self.sat_rounds,
-            "theory_conflicts": self.theory_conflicts,
-            "theory_core_lits": self.theory_core_lits,
-            "axioms_asserted": self.axioms_asserted,
-            "deepening_passes": self.deepening_passes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_memory_hits": self.cache_memory_hits,
-            "cache_disk_hits": self.cache_disk_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
+        document = dict(self.__dict__)
+        document["cache_hit_rate"] = self.cache_hit_rate
+        return document
 
     def merge(self, other: "QueryStats") -> None:
         """Fold another group's counters into this one."""
-        self.queries += other.queries
-        self.seconds += other.seconds
-        self.sat += other.sat
-        self.unsat += other.unsat
-        self.unknown += other.unknown
-        self.sat_rounds += other.sat_rounds
-        self.theory_conflicts += other.theory_conflicts
-        self.theory_core_lits += other.theory_core_lits
-        self.axioms_asserted += other.axioms_asserted
-        self.deepening_passes += other.deepening_passes
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_memory_hits += other.cache_memory_hits
-        self.cache_disk_hits += other.cache_disk_hits
+        counters = self.__dict__
+        for name, value in other.__dict__.items():
+            counters[name] += value
+
+
+_SOLVER_COUNTERS = tuple(
+    f.name for f in fields(QueryStats) if f.metadata.get("from_solver")
+)
 
 
 @dataclass
@@ -117,6 +96,9 @@ class VerifyStats:
     tasks_timed_out: int = 0
     #: obligations degraded to UNKNOWN because their run raised
     tasks_failed: int = 0
+    #: tasks whose kept outcome was replayed instead of run (a dep-hit
+    #: of repro.verify.parallel.TaskReuse)
+    tasks_replayed: int = 0
     # -- the pattern-algebra fast path (repro.verify.tiered) ----------
     #: obligations the syntactic pattern algebra decided without an
     #: SMT query
@@ -158,6 +140,7 @@ class VerifyStats:
         self.tasks_retried += other.tasks_retried
         self.tasks_timed_out += other.tasks_timed_out
         self.tasks_failed += other.tasks_failed
+        self.tasks_replayed += other.tasks_replayed
         self.algebra_discharged += other.algebra_discharged
         self.algebra_fallbacks += other.algebra_fallbacks
         # The decision is a whole-run fact the dispatcher sets once;
@@ -181,6 +164,7 @@ class VerifyStats:
             "tasks_retried": self.tasks_retried,
             "tasks_timed_out": self.tasks_timed_out,
             "tasks_failed": self.tasks_failed,
+            "tasks_replayed": self.tasks_replayed,
             "algebra_discharged": self.algebra_discharged,
             "algebra_fallbacks": self.algebra_fallbacks,
             "parallel_decision": self.parallel_decision,
@@ -219,12 +203,13 @@ def format_stats(stats: dict) -> str:
     )
     lines.append(
         f"cache hit rate: {t['cache_hit_rate']:.1%} "
-        f"({t['cache_hits']}/{t['cache_hits'] + t['cache_misses']}; "
-        f"{t['cache_memory_hits']} memory, {t['cache_disk_hits']} disk)"
+        f"({t['cache_hits']}/{t['cache_hits'] + t['cache_misses']})"
     )
     lines.append(
         f"tasks: {stats['tasks_retried']} retried, "
-        f"{stats['tasks_timed_out']} timed out, {stats['tasks_failed']} failed"
+        f"{stats['tasks_timed_out']} timed out, "
+        f"{stats['tasks_failed']} failed, "
+        f"{stats['tasks_replayed']} replayed"
     )
     lines.append(
         f"tiers: {stats['algebra_discharged']} obligations discharged by "

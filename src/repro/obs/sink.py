@@ -20,7 +20,7 @@ parents before children, ids assigned in document order at write time:
   compare across worker processes, while document order already gives
   within-process ordering.
 * ``attrs`` — kind-specific data: query spans carry ``verdict``,
-  ``cache`` (memory/disk/miss/off), ``depth``, ``passes``, ``rounds``,
+  ``cache`` (memory/miss/off), ``depth``, ``passes``, ``rounds``,
   ``conflicts`` and ``core_lits`` (theory conflicts and the literals
   across their cores), and the solver phase timers, plus
   ``unknown_cause`` (``deadline`` or ``depth``) on an UNKNOWN verdict
@@ -51,7 +51,7 @@ ROW_KEYS = ("id", "parent", "kind", "name", "pid", "dur_ms", "attrs", "events")
 QUERY_PHASE_KEYS = ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s")
 
 #: legal values of a query span's ``cache`` attribute
-CACHE_TIERS = ("memory", "disk", "miss", "off")
+CACHE_TIERS = ("memory", "miss", "off")
 
 
 def span_rows(roots: list[Span]) -> list[dict]:

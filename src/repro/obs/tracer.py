@@ -18,7 +18,7 @@ records that chain as a tree of *spans*:
   (redundancy of arm *i*, exhaustiveness, let-totality, totality,
   postcondition, disjointness);
 * ``query`` — one SMT ``check()`` discharged for the obligation,
-  carrying its verdict, cache-tier outcome (memory/disk/miss), the
+  carrying its verdict, cache outcome (memory/miss/off), the
   deepening depth reached, and the solver phase timers.
 
 Spans hold only plain data (strings, numbers, dicts), so a subtree

@@ -49,21 +49,22 @@ The salt is coarse, though.  Every query carries the program's
 included.  So no entry survives an edit anywhere in the file.  With
 one ``SolverCache`` across two passes, ``nat`` hits 2 of 8 queries
 after a one-line body edit, and ``collections`` hits 5 of 58 after one
-unrelated function is appended (54 of 58 when nothing changed).  The
-disk tier and a daemon's long-lived cache therefore pay only on
-unchanged programs, where the daemon's dependency index already
-replays every task.  A finer salt, such as the per-task dependency
-digests of :mod:`repro.verify.daemon.index`, is an open item
-(ROADMAP, "A query-cache salt that survives edits").
+unrelated function is appended (54 of 58 when nothing changed).  A
+daemon's long-lived cache therefore pays only on unchanged programs,
+where its dependency index already replays every task.  A finer salt,
+such as the per-task dependency digests of
+:mod:`repro.verify.daemon.index`, is an open item (ROADMAP, "A
+query-cache salt that survives edits").
+
+The cache lives in memory only, for the lifetime of one process.
+Reuse across runs happens a level up, per task: the ``--cache-dir``
+store (:mod:`repro.verify.store`) keeps whole task outcomes under
+their dependency fingerprints.
 
 The cache is a process-wide LRU (:data:`GLOBAL_CACHE`); pass
 ``Solver(cache=None)`` to bypass it or a private :class:`SolverCache`
 to isolate it.  Lookups, stores, and the hit/miss counters are guarded
-by a lock, so a cache may be shared between threads.  A cache may also
-carry a persistent second tier (``disk``, a
-:class:`~repro.smt.diskcache.DiskCache`): consulted on memory miss,
-written through on store, with disk hits promoted into the memory LRU.
-``GLOBAL_CACHE`` has no disk tier.
+by a lock, so a cache may be shared between threads.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ from .terms import FunSym, Term
 from .theory import TheoryModel
 
 _SORT_BY_NAME = {"Bool": BOOL, "Int": INT, "Obj": OBJ}
-
-#: bump when the serialization format changes
-_FORMAT_VERSION = 2
 
 
 def _sort_named(name: str) -> Sort:
@@ -386,7 +384,7 @@ class Fingerprint:
     carry no model, and neither needs it.
     """
 
-    __slots__ = ("digest", "_vars", "_syms", "_canon", "tier")
+    __slots__ = ("digest", "_vars", "_syms", "_canon")
 
     def __init__(
         self,
@@ -398,11 +396,6 @@ class Fingerprint:
         self._vars = variables
         self._syms = syms
         self._canon: _Canonicalizer | None = None
-        #: which tier answered the last lookup of this fingerprint
-        #: ("memory" | "disk" | "miss"); set by ``SolverCache.lookup``.
-        #: Carried on the fingerprint (per-query, caller-owned) rather
-        #: than the cache so concurrent lookups cannot race on it.
-        self.tier: str = "miss"
 
     @property
     def canon(self) -> _Canonicalizer:
@@ -423,7 +416,7 @@ def fingerprint_query(
     depth_schedule: Iterable[int],
 ) -> Fingerprint:
     """Fingerprint an assertion set under a plugin's trigger signature."""
-    parts: list[Any] = [_FORMAT_VERSION, tuple(depth_schedule)]
+    parts: list[Any] = [tuple(depth_schedule)]
     if plugin is not None and plugin.signature is not None:
         parts.append(("S", repr(plugin.signature)))
     var_index: dict[Term, int] = {}
@@ -501,18 +494,14 @@ class SolverCache:
 
     Entries are ``(verdict, canonical model snapshot)`` pairs built
     from plain tuples, never live :class:`Term` objects, so they remain
-    valid across interning scopes and pickle cleanly.  All mutation —
-    the LRU order, the entry map, and the hit/miss counters — happens
-    under one lock; the optional ``disk`` tier is consulted and written
-    inside it too, which keeps the promote-on-hit path atomic.
+    valid across interning scopes.  All mutation — the LRU order, the
+    entry map, and the hit/miss counters — happens under one lock.
     """
 
-    def __init__(self, max_entries: int = 4096, disk=None):
+    def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
         self._entries: OrderedDict[bytes, tuple] = OrderedDict()
         self._lock = threading.Lock()
-        #: optional persistent tier (repro.smt.diskcache.DiskCache)
-        self.disk = disk
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -523,7 +512,7 @@ class SolverCache:
             return len(self._entries)
 
     def clear(self) -> None:
-        """Drop the in-memory tier (the disk tier, if any, persists)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
@@ -536,19 +525,10 @@ class SolverCache:
         return fingerprint_query(assertions, plugin, depth_schedule)
 
     def lookup(self, fp: Fingerprint):
-        """The stored (verdict, model-or-None), or None on a miss.
-
-        Also records which tier answered on ``fp.tier`` ("memory",
-        "disk", or "miss") for the observability layer.
-        """
+        """The stored (verdict, model-or-None), or None on a miss."""
         with self._lock:
-            fp.tier = "memory"
             entry = self._entries.get(fp.digest)
-            if entry is None and self.disk is not None:
-                fp.tier = "disk"
-                entry = self._load_from_disk(fp.digest)
             if entry is None:
-                fp.tier = "miss"
                 self.misses += 1
                 return None
             verdict, stored_model = entry
@@ -560,9 +540,6 @@ class SolverCache:
                     # A snapshot we cannot reproduce is useless: drop
                     # the entry and let the caller solve afresh.
                     self._entries.pop(fp.digest, None)
-                    if self.disk is not None:
-                        self.disk.invalidate(fp.digest)
-                    fp.tier = "miss"
                     self.misses += 1
                     return None
             self._entries[fp.digest] = entry
@@ -570,20 +547,6 @@ class SolverCache:
             self._evict()
             self.hits += 1
             return verdict, model
-
-    def _load_from_disk(self, digest: bytes):
-        """Fetch a digest from the persistent tier, as a memory entry."""
-        loaded = self.disk.load(digest)
-        if loaded is None:
-            return None
-        verdict_value, snapshot = loaded
-        from .solver import Result
-
-        try:
-            return Result(verdict_value), snapshot
-        except ValueError:
-            self.disk.invalidate(digest)
-            return None
 
     def store(self, fp: Fingerprint, verdict, model: TheoryModel | None) -> None:
         if getattr(verdict, "value", None) == "unknown":
@@ -602,10 +565,6 @@ class SolverCache:
             self._entries.move_to_end(fp.digest)
             self.stores += 1
             self._evict()
-            if self.disk is not None:
-                self.disk.store(
-                    fp.digest, getattr(verdict, "value", str(verdict)), snapshot
-                )
 
     def _evict(self) -> None:
         while len(self._entries) > self.max_entries:

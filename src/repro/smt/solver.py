@@ -83,12 +83,6 @@ class SolverStats:
     deepening_passes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: cache_hits split by which tier answered: a disk hit that lookup()
-    #: promotes into the memory LRU is still one *disk* hit for that
-    #: query (only later queries may count it as a memory hit), so the
-    #: two tier counters always sum to cache_hits
-    cache_memory_hits: int = 0
-    cache_disk_hits: int = 0
     #: phase timers (seconds): where solving time actually goes
     encode_s: float = 0.0
     sat_s: float = 0.0
@@ -163,8 +157,8 @@ class Solver:
         self._blocked_unconfirmed = False
         self.stats = SolverStats()
         # -- per-check observability (read by the tracing layer) ---------
-        #: which cache tier answered the last check():
-        #: "memory" | "disk" | "miss" | "off" (no cache configured)
+        #: how the query cache answered the last check():
+        #: "memory" | "miss" | "off" (no cache configured)
         self.last_cache_tier: str = "off"
         #: deepest iterative-deepening depth the last check() reached
         #: (0: answered before deepening -- cache hit or no triggers)
@@ -232,7 +226,7 @@ class Solver:
                 self._assertions, self.plugin, self.DEPTH_SCHEDULE
             )
             hit = self.cache.lookup(fp)
-            self.last_cache_tier = fp.tier
+            self.last_cache_tier = "miss"
             if hit is not None:
                 verdict, model = hit
                 if not (
@@ -240,16 +234,12 @@ class Solver:
                     and verdict == Result.SAT
                     and model is None
                 ):
+                    self.last_cache_tier = "memory"
                     self.stats.cache_hits += 1
-                    if fp.tier == "memory":
-                        self.stats.cache_memory_hits += 1
-                    elif fp.tier == "disk":
-                        self.stats.cache_disk_hits += 1
                     self._model = model
                     return verdict
                 # A verdict-only entry cannot answer a model query:
                 # behaves (and traces) as a miss.
-                self.last_cache_tier = "miss"
             self.stats.cache_misses += 1
         seconds = (
             self.TIME_BUDGET if self.time_budget is None else self.time_budget

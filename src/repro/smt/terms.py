@@ -198,8 +198,8 @@ def scoped_intern_state():
     same terms, fresh names, models, and cache fingerprints regardless
     of which methods were verified earlier or in which process.  That
     is what lets serial and parallel verification produce byte-identical
-    warnings and lets disk-cache entries written by one partition be
-    hit by any other.
+    warnings, and a task outcome stored by one run be replayed by any
+    other.
 
     Terms created inside the scope must not be compared against terms
     from outside it (pointer interning does not span the boundary);

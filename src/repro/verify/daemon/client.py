@@ -48,8 +48,12 @@ class DaemonClient:
     def __init__(self, socket_path: str, timeout: float | None = None):
         self.socket_path = socket_path
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(socket_path)
+        except BaseException:
+            self._sock.close()
+            raise
         self._reader = self._sock.makefile("r", encoding="utf-8")
         self._next_id = 1
 
@@ -167,11 +171,15 @@ def ensure_daemon(
     # Nothing healthy is listening.  A leftover socket file here is
     # stale (connect refused) or belonged to a just-shut-down daemon;
     # either way the file must go before a fresh daemon can bind.
-    if os.path.exists(socket_path) and _try_connect(socket_path, 1.0) is None:
-        try:
-            os.unlink(socket_path)
-        except OSError:
-            pass
+    if os.path.exists(socket_path):
+        probe = _try_connect(socket_path, 1.0)
+        if probe is not None:
+            probe.close()
+        else:
+            try:
+                os.unlink(socket_path)
+            except OSError:
+                pass
     process = spawn_daemon(socket_path)
     deadline = time.monotonic() + spawn_wait
     while time.monotonic() < deadline:

@@ -3,19 +3,21 @@
 One daemon process serves many ``verify`` requests over a Unix domain
 socket (or stdio), and everything expensive stays hot between them:
 
-* the in-memory :class:`~repro.smt.cache.SolverCache` (optionally in
-  front of the shared disk tier) — the 3.3× warm-cache lever that a
-  cold CLI invocation pays for from scratch every time;
+* the in-memory :class:`~repro.smt.cache.SolverCache`, which a cold
+  CLI invocation pays for from scratch every time;
 * the pattern-algebra signature memos
   (:func:`repro.verify.tiered.warm_algebra`), pre-built per compiled
   table;
 * per-task *outcomes* keyed by dependency fingerprint
   (:mod:`repro.verify.daemon.index`): a re-``verify`` of an edited file
   re-runs only the tasks whose fingerprints changed (``dep-miss``) and
-  replays the cached outcome for the rest (``dep-hit``), falling back
-  to a full re-run for any task the index cannot fingerprint.  A
-  dep-miss runs through :func:`repro.verify.parallel.run_serial`, the
-  task loop every driver shares.
+  replays the kept outcome for the rest (``dep-hit``), falling back
+  to a full re-run for any task the index cannot fingerprint.  This is
+  :class:`repro.verify.parallel.TaskReuse` over
+  :func:`repro.verify.parallel.run_serial`, the task loop every driver
+  shares, backed by the daemon's per-file memory and, when the daemon
+  has a ``cache_dir``, by the on-disk store of
+  :mod:`repro.verify.store`, so a fresh daemon starts warm.
 
 Every connection is served from the thread that calls
 :meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
@@ -52,8 +54,15 @@ from ... import api
 from ...errors import JMatchError
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
-from ..parallel import build_cache, merge_outcomes, run_serial
-from ..parallel import task_event_span, TaskOutcome
+from ...smt.cache import SolverCache
+from ..parallel import (
+    TaskOutcome,
+    TaskReuse,
+    merge_outcomes,
+    options_signature,
+    run_serial,
+)
+from ..store import OutcomeStore
 from ..tiered import warm_algebra
 from ..verifier import VerifyTask, iter_tasks
 from . import protocol
@@ -61,21 +70,27 @@ from .index import fingerprint_tasks
 
 
 @dataclass
-class _TaskEntry:
-    """One cached task outcome plus the fingerprint that justifies it."""
-
-    fingerprint: str
-    outcome: TaskOutcome
-
-
-@dataclass
 class _FileState:
-    """Everything the daemon remembers about one verified path."""
+    """Everything the daemon remembers about one verified path.
+
+    ``entries`` (task -> fingerprint, outcome) is the memory backing of
+    the file's :class:`~repro.verify.parallel.TaskReuse`.
+    """
 
     options_sig: str
-    entries: dict[VerifyTask, _TaskEntry] = field(default_factory=dict)
+    entries: dict[VerifyTask, tuple] = field(default_factory=dict)
     verified_at: float = 0.0
     tasks: int = 0
+
+    def get(self, task: VerifyTask, fingerprint: str) -> TaskOutcome | None:
+        kept, outcome = self.entries.get(task, (None, None))
+        return outcome if kept == fingerprint else None
+
+    def put(self, task: VerifyTask, fingerprint, outcome) -> None:
+        if fingerprint is None:
+            self.entries.pop(task, None)
+        else:
+            self.entries[task] = (fingerprint, outcome)
 
 
 #: ``verify`` request options the daemon honors, with defaults; every
@@ -95,20 +110,6 @@ _VERIFY_OPTION_DEFAULTS = {
 _SEND_TIMEOUT_S = 30.0
 
 
-def _options_signature(opts: dict) -> str:
-    """The part of a request's options that cached outcomes depend on.
-
-    Every option that can change a verdict participates, so changing
-    e.g. the budget flushes the outcome cache instead of replaying
-    verdicts produced under different rules.  ``trace`` does not: a
-    dep-hit never replays the cached outcome's spans (it gets a fresh
-    zero-work span), so a traced request can reuse outcomes an untraced
-    one stored, and the other way round.
-    """
-    keys = ("budget", "task_timeout", "use_cache")
-    return repr([(k, opts[k]) for k in keys])
-
-
 class VerifyDaemon:
     """The daemon's state machine, transport-agnostic.
 
@@ -123,8 +124,10 @@ class VerifyDaemon:
         use_cache: bool = True,
         trace_path: str | None = None,
     ):
-        self.cache = build_cache(use_cache, cache_dir)
-        self.use_cache = use_cache
+        self.cache = SolverCache() if use_cache else None
+        #: the outcome store's directory (None: outcomes stay in memory);
+        #: a request without the query cache does without it too
+        self.cache_dir = cache_dir
         self.files: dict[str, _FileState] = {}
         self.started = time.time()
         self.requests_served = 0
@@ -239,7 +242,7 @@ class VerifyDaemon:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS, str(exc)
             )
-        options_sig = _options_signature(opts)
+        options_sig = options_signature(options)
         self.requests_served += 1
         tracing = bool(opts["trace"]) or self.trace_path is not None
         tracer = Tracer() if tracing else NULL_TRACER
@@ -296,42 +299,20 @@ class VerifyDaemon:
         table = unit.table
         warm_algebra(table)
         tasks = list(iter_tasks(table))
-        fingerprints = fingerprint_tasks(table, tasks)
         state = self.files.get(abspath)
         if state is None or state.options_sig != options_sig:
             state = _FileState(options_sig)
+        backings = [state]
+        if self.cache_dir is not None and options.use_cache:
+            backings.append(OutcomeStore(self.cache_dir, options_sig))
+        reuse = TaskReuse(fingerprint_tasks(table, tasks), backings)
         start = time.perf_counter()
-        outcomes: list[TaskOutcome] = []
-        hits = misses = 0
         with tracer.span("file", path):
-            for task in tasks:
-                fingerprint = fingerprints.get(task)
-                previous = state.entries.get(task)
-                if (
-                    fingerprint is not None
-                    and previous is not None
-                    and previous.fingerprint == fingerprint
-                ):
-                    hits += 1
-                    outcome = previous.outcome
-                    # A hit did no work: a fresh span, not the stored one.
-                    if tracer.enabled:
-                        warned = len(outcome.warnings)
-                        tracer.attach(
-                            task_event_span(task, "dep-hit", warnings=warned)
-                        )
-                else:
-                    misses += 1
-                    (outcome,) = run_serial(
-                        table, [task], options, options.cache, tracer
-                    )
-                    if outcome.trace is not None:
-                        outcome.trace.event("dep-miss")
-                    if fingerprint is not None:
-                        state.entries[task] = _TaskEntry(fingerprint, outcome)
-                    else:
-                        state.entries.pop(task, None)
-                outcomes.append(outcome)
+            outcomes = run_serial(
+                table, tasks, options, options.cache, tracer, reuse
+            )
+            hits = reuse.replayed
+            misses = len(tasks) - hits
             tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
         # Drop entries for tasks that no longer exist in the source.
         live = set(tasks)
@@ -341,6 +322,7 @@ class VerifyDaemon:
         state.tasks = len(tasks)
         self.files[abspath] = state
         report = merge_outcomes(outcomes, time.perf_counter() - start)
+        report.solver_stats.tasks_replayed = hits
         report.solver_stats.parallel_decision = (
             f"daemon: warm serial over {len(tasks)} tasks "
             f"({hits} dep hits, {misses} dep misses)"
@@ -376,22 +358,39 @@ class VerifyDaemon:
 
         A leftover socket file from a dead daemon (machine crash, kill
         -9) is detected by attempting to connect: refusal means stale,
-        so the file is replaced; an answer means another daemon owns
-        this path and this one refuses to start.  Connections are read
-        as they become readable and their requests answered in order,
-        all on this thread.
+        so the file is removed; an answer means another daemon owns
+        this path and this one refuses to start.  The socket is bound
+        under a private name in the same directory and linked to
+        ``socket_path`` only once it listens, so a client that sees the
+        path can always connect; the link fails if a daemon started
+        alongside this one published first.  Connections are read as
+        they become readable and their requests answered in order, all
+        on this thread.
         """
         if os.path.exists(socket_path):
             if _socket_alive(socket_path):
                 raise RuntimeError(
                     f"another daemon is already serving {socket_path}"
                 )
-            os.unlink(socket_path)
+            _unlink_quietly(socket_path)
+        directory, name = os.path.split(socket_path)
+        private_path = os.path.join(directory, f".{name}.{os.getpid()}")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         selector = selectors.DefaultSelector()
+        published = False
         try:
-            listener.bind(socket_path)
+            _unlink_quietly(private_path)
+            listener.bind(private_path)
             listener.listen(16)
+            try:
+                os.link(private_path, socket_path)
+            except FileExistsError:
+                raise RuntimeError(
+                    f"another daemon is already serving {socket_path}"
+                ) from None
+            finally:
+                _unlink_quietly(private_path)
+            published = True
             selector.register(listener, selectors.EVENT_READ)
             while not self.shutting_down:
                 # The timeout only bounds how late a ``shutting_down``
@@ -413,10 +412,9 @@ class VerifyDaemon:
                 key.fileobj.close()
             selector.close()
             listener.close()
-            try:
-                os.unlink(socket_path)
-            except OSError:
-                pass
+            _unlink_quietly(private_path)
+            if published:
+                _unlink_quietly(socket_path)
 
     def _serve_readable(
         self, connection: socket.socket, pending: bytearray
@@ -446,6 +444,13 @@ class VerifyDaemon:
             if self.shutting_down:
                 return False
         return bool(chunk)
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _socket_alive(socket_path: str) -> bool:

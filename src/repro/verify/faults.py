@@ -2,10 +2,10 @@
 
 The fault-tolerance machinery in :mod:`repro.verify.parallel` — the
 in-process serial fallback after a worker crash, per-task wall-clock
-deadlines, degradation of a failing task, disk-cache corruption
-handling — guards against events
-that are hard to produce on demand: an OOM-killed worker, an obligation
-that never terminates, a half-written cache entry.  This module makes
+deadlines, degradation of a failing task — and the outcome store's
+handling of corrupt entries guard against events that are hard to
+produce on demand: an OOM-killed worker, an obligation that never
+terminates, a half-written store entry.  This module makes
 each of them reproducible, so tests and CI exercise every recovery path
 instead of arguing about it.
 
@@ -34,10 +34,10 @@ workers), selects at most one fault per run:
     again).
 
 ``corrupt-cache``
-    Truncate every disk-cache entry as it is written
-    (:meth:`repro.smt.diskcache.DiskCache.store`), simulating the torn
+    Truncate every ``--cache-dir`` store entry as it is written
+    (:meth:`repro.verify.store.OutcomeStore.put`), simulating the torn
     writes of a killed process; later reads must count and drop the
-    entries, never raise.
+    entries and re-run their tasks, never raise.
 
 Faults match by exact task label and are parsed fresh from the
 environment on every check, so tests can flip them with
@@ -108,5 +108,5 @@ def maybe_fail_task(label: str) -> None:
 
 
 def corrupt_cache_writes() -> bool:
-    """True when disk-cache writes should be deliberately truncated."""
+    """True when store writes should be deliberately truncated."""
     return os.environ.get(ENV_VAR) == "corrupt-cache"

@@ -41,8 +41,7 @@ class VerifyOptions:
 
     (The ``cache`` and ``tracer`` fields hold live objects and do not
     cross process boundaries; the parallel driver ships workers
-    scalars — ``use_cache``, ``cache_dir``, whether tracing is on —
-    instead.)
+    scalars — ``use_cache``, whether tracing is on — instead.)
     """
 
     #: per-query SMT wall-time budget in seconds (None: solver default)
@@ -52,7 +51,8 @@ class VerifyOptions:
     cache: SolverCache | None = GLOBAL_CACHE
     #: worker processes (int), or "auto" to size from CPUs and tasks
     jobs: int | str = 1
-    #: persistent disk verdict-cache directory (None: no disk tier)
+    #: directory of the task-outcome store (None: no store); see
+    #: :mod:`repro.verify.store`
     cache_dir: str | None = None
     #: wall-clock limit per verification task (method), in seconds
     task_timeout: float | None = None

@@ -16,9 +16,14 @@ out across a ``ProcessPoolExecutor`` and reassembles the same result:
   fingerprints do not depend on which process ran which tasks before;
 * each worker process builds its own in-memory
   :class:`~repro.smt.cache.SolverCache` from the pickled program
-  table; workers share nothing in memory, but they do share the
-  optional disk tier (:mod:`repro.smt.diskcache`), whose atomic writes
-  make concurrent access safe.
+  table; workers share nothing.
+
+Given a :class:`TaskReuse`, both drivers replay the kept outcome of
+every task whose dependency fingerprint is unchanged (``dep-hit``,
+counted in ``VerifyStats.tasks_replayed``) and keep the outcome of
+every task they run (``dep-miss``); the pool gets only the misses.
+Outcomes live in the daemon's memory, the ``--cache-dir`` store
+(:mod:`repro.verify.store`), or both.
 
 Throughput comes from amortization, not from more processes:
 
@@ -80,12 +85,13 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import Diagnostics, Warning, WarningKind
 from ..lang.symbols import ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER, Span, Tracer
+from ..smt.cache import SolverCache
 from .faults import maybe_fail_task
 from .options import VerifyOptions
 from .tiered import warm_algebra
@@ -141,26 +147,70 @@ def task_deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def build_cache(use_cache: bool, cache_dir: str | None):
-    """The cache tiers one verifying process uses (or None).
+def options_signature(options: VerifyOptions) -> str:
+    """The options a task outcome depends on (not ``jobs``, not tracing:
+    every driver gives the same outcomes, and a replay gets a fresh
+    span), so a budget change re-runs every task."""
+    return repr((options.budget, options.task_timeout, options.use_cache))
 
-    The single construction point for "an in-memory tier, optionally in
-    front of a disk tier at ``cache_dir``" — the worker initializer,
-    the pool's serial fallback, a serial run given a ``cache_dir`` and
-    the daemon all call it, so the tier wiring cannot drift between
-    them.  Always a new cache: no caller's cache object gains a disk
-    tier.
+
+class TaskReuse:
+    """Replays kept task outcomes in place of running their tasks.
+
+    ``fingerprints`` maps each task to its dependency fingerprint (None:
+    never replay).  ``backings`` hold the outcomes, each with
+    ``get(task, fingerprint)`` and ``put(task, fingerprint, outcome)``;
+    a lookup tries them in order and copies a hit into the backings
+    before the one that answered.
     """
-    if not use_cache:
+
+    def __init__(self, fingerprints: dict, backings: list):
+        self.fingerprints = fingerprints
+        self.backings = backings
+        #: how many tasks :meth:`replay` answered
+        self.replayed = 0
+
+    def replay(self, task: VerifyTask, trace: bool) -> TaskOutcome | None:
+        """The kept outcome of ``task`` (with a fresh span), or None."""
+        fingerprint = self.fingerprints.get(task)
+        if fingerprint is None:
+            return None
+        for position, backing in enumerate(self.backings):
+            outcome = backing.get(task, fingerprint)
+            if outcome is not None:
+                for earlier in self.backings[:position]:
+                    earlier.put(task, fingerprint, outcome)
+                self.replayed += 1
+                if trace:
+                    span = task_event_span(
+                        task, "dep-hit", warnings=len(outcome.warnings)
+                    )
+                    outcome = replace(outcome, trace=span)
+                return outcome
         return None
-    from ..smt.cache import SolverCache
 
-    disk = None
-    if cache_dir is not None:
-        from ..smt.diskcache import DiskCache
+    def keep(self, task: VerifyTask, outcome: TaskOutcome) -> None:
+        """Record the outcome of a task that ran, without its spans."""
+        kept = outcome
+        if outcome.trace is not None:
+            outcome.trace.event("dep-miss")
+            kept = replace(outcome, trace=None)
+        for backing in self.backings:
+            backing.put(task, self.fingerprints.get(task), kept)
 
-        disk = DiskCache(cache_dir)
-    return SolverCache(disk=disk)
+
+def stored_reuse(
+    table: ProgramTable, tasks: list[VerifyTask], options: VerifyOptions
+) -> TaskReuse | None:
+    """Reuse backed by ``options.cache_dir``'s store, or None without
+    one; ``cache=None`` (``--no-cache``) turns the store off too."""
+    if options.cache_dir is None or not options.use_cache:
+        return None
+    from .daemon.index import fingerprint_tasks
+    from .store import OutcomeStore
+
+    store = OutcomeStore(options.cache_dir, options_signature(options))
+    return TaskReuse(fingerprint_tasks(table, tasks), [store])
 
 
 #: per-worker-process state, set once by the pool initializer
@@ -171,20 +221,19 @@ def _init_worker(
     table: ProgramTable,
     budget: float | None,
     use_cache: bool,
-    cache_dir: str | None,
     task_timeout: float | None,
     trace: bool,
 ) -> None:
     """Build this worker's warm state (runs once per process).
 
     Everything a task would otherwise rebuild on first touch happens
-    here instead: the cache tiers, and the pattern-algebra signature
+    here instead: the query cache, and the pattern-algebra signature
     memo for every (viewer, type) pair, shared by all of this worker's
     tasks.
     """
     _WORKER["table"] = table
     _WORKER["budget"] = budget
-    _WORKER["cache"] = build_cache(use_cache, cache_dir)
+    _WORKER["cache"] = SolverCache() if use_cache else None
     _WORKER["task_timeout"] = task_timeout
     _WORKER["trace"] = trace
     warm_algebra(table)
@@ -234,8 +283,8 @@ def task_event_span(task: VerifyTask, event: str, **attrs) -> Span:
     A task that never finished normally gets one in place of whatever
     partial spans the doomed attempt recorded — like partial warnings,
     they depend on where the scheduler cut the task off, so a fixed
-    single-span tree keeps degraded traces deterministic.  The daemon
-    gives one to each dep-hit task, which did no work.
+    single-span tree keeps degraded traces deterministic.  A replayed
+    (dep-hit) task, which did no work, gets one too.
     """
     span = Span("task", task.label, attrs={"kind": task.kind})
     span.event(event, **attrs)
@@ -296,24 +345,30 @@ def run_serial(
     options: VerifyOptions,
     cache,
     tracer,
+    reuse: TaskReuse | None = None,
 ) -> list[TaskOutcome]:
     """Verify ``tasks`` one after another in this process.
 
-    The one in-process task loop: serial runs and the pool's fallback
-    both go through it.  A task that raises degrades to an
-    UNKNOWN-style warning instead of taking the run down, and each
-    task's span tree is adopted by ``tracer`` in task order.
+    The one in-process task loop: serial runs, the pool's fallback and
+    the daemon all go through it, replaying what ``reuse`` can.  A task
+    that raises degrades to an UNKNOWN-style warning instead of taking
+    the run down, and each task's span tree is adopted by ``tracer`` in
+    task order.
     """
     trace = tracer.enabled
     outcomes: list[TaskOutcome] = []
     for task in tasks:
-        try:
-            outcome = run_one_task(
-                table, task, options.budget, cache, options.task_timeout,
-                trace,
-            )
-        except Exception as exc:
-            outcome = _failed_outcome(table, task, exc, trace)
+        outcome = None if reuse is None else reuse.replay(task, trace)
+        if outcome is None:
+            try:
+                outcome = run_one_task(
+                    table, task, options.budget, cache, options.task_timeout,
+                    trace,
+                )
+            except Exception as exc:
+                outcome = _failed_outcome(table, task, exc, trace)
+            if reuse is not None:
+                reuse.keep(task, outcome)
         tracer.attach(outcome.trace)
         outcomes.append(outcome)
     return outcomes
@@ -562,11 +617,13 @@ def verify_parallel(
     options: VerifyOptions,
     tracer,
     jobs: int,
+    reuse: TaskReuse | None = None,
 ) -> VerificationReport:
     """Verify every task of ``table`` on a pool of ``jobs`` (> 1) processes.
 
-    ``jobs`` is the count :func:`resolve_jobs` already decided.  The
-    pool runs everything in batches of :func:`resolve_batch_size`.  The
+    ``jobs`` is the count :func:`resolve_jobs` already decided.  This
+    process replays what ``reuse`` can; a pool, forked only if tasks
+    are left, runs them in batches of :func:`resolve_batch_size`.  The
     tasks left without an outcome — a broken pool's unfinished ones,
     and any whose run raised inside a live worker — go through
     :func:`run_serial` in this process and count as retried; each gets
@@ -579,33 +636,45 @@ def verify_parallel(
     tasks = list(iter_tasks(table))
     trace = tracer.enabled
     start = time.perf_counter()
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(
-            table,
-            options.budget,
-            options.use_cache,
-            options.cache_dir,
-            options.task_timeout,
-            trace,
-        ),
-    )
-    try:
-        outcomes, broken = _drain_pool(
-            pool,
-            tasks,
-            options.task_timeout,
-            resolve_batch_size(len(tasks), jobs, options.task_timeout),
+    outcomes: dict[int, TaskOutcome] = {}
+    if reuse is not None:
+        for index, task in enumerate(tasks):
+            outcome = reuse.replay(task, trace)
+            if outcome is not None:
+                outcomes[index] = outcome
+    runnable = [index for index in range(len(tasks)) if index not in outcomes]
+    if runnable:
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(runnable)),
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+            initargs=(
+                table,
+                options.budget,
+                options.use_cache,
+                options.task_timeout,
+                trace,
+            ),
         )
-    except BaseException:
-        # KeyboardInterrupt (or anything unexpected): drop queued work
-        # without blocking on what is already running.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=not broken, cancel_futures=True)
-    missing = [index for index in range(len(tasks)) if index not in outcomes]
+        try:
+            pooled, broken = _drain_pool(
+                pool,
+                [tasks[index] for index in runnable],
+                options.task_timeout,
+                resolve_batch_size(len(runnable), jobs, options.task_timeout),
+            )
+        except BaseException:
+            # KeyboardInterrupt (or anything unexpected): drop queued
+            # work without blocking on what is already running.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown(wait=not broken, cancel_futures=True)
+        for position, outcome in pooled.items():
+            index = runnable[position]
+            if reuse is not None:
+                reuse.keep(tasks[index], outcome)
+            outcomes[index] = outcome
+    missing = [index for index in runnable if index not in outcomes]
     if missing:
         # The trees are adopted in task order below, so the fallback's
         # own tracer only has to keep traces recording.
@@ -613,10 +682,12 @@ def verify_parallel(
             table,
             [tasks[index] for index in missing],
             options,
-            build_cache(options.use_cache, options.cache_dir),
+            SolverCache() if options.use_cache else None,
             Tracer() if trace else NULL_TRACER,
         )
         for index, outcome in zip(missing, rerun):
+            if reuse is not None:
+                reuse.keep(tasks[index], outcome)
             if outcome.trace is not None:
                 outcome.trace.event("retry")
             outcomes[index] = outcome
@@ -625,4 +696,6 @@ def verify_parallel(
         tracer.attach(outcome.trace)
     report = merge_outcomes(ordered, time.perf_counter() - start)
     report.solver_stats.tasks_retried += len(missing)
+    if reuse is not None:
+        report.solver_stats.tasks_replayed = reuse.replayed
     return report

@@ -42,7 +42,7 @@ class QueryOutcome(NamedTuple):
     model: TheoryModel | None
     #: the counters this query alone spent
     stats: SolverStats
-    #: "memory" | "disk" | "miss" | "off"
+    #: "memory" | "miss" | "off"
     cache_tier: str
     #: deepest iterative-deepening depth reached
     depth: int

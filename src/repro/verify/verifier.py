@@ -105,7 +105,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 5
+REPORT_SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -177,6 +177,11 @@ class VerificationReport:
     def tasks_failed(self) -> int:
         """Obligations degraded to UNKNOWN because their run raised."""
         return self.solver_stats.tasks_failed if self.solver_stats else 0
+
+    @property
+    def tasks_replayed(self) -> int:
+        """Tasks answered by a kept outcome instead of a run."""
+        return self.solver_stats.tasks_replayed if self.solver_stats else 0
 
 
 class Verifier:

@@ -122,7 +122,7 @@ def test_query_spans_carry_verdict_cache_and_phase_timers(traced):
     for row in queries:
         attrs = row["attrs"]
         assert attrs["verdict"] in ("sat", "unsat", "unknown")
-        assert attrs["cache"] in ("memory", "disk", "miss", "off")
+        assert attrs["cache"] in ("memory", "miss", "off")
         for key in ("encode_s", "sat_s", "expand_s", "theory_s",
                     "validate_s", "depth", "passes", "rounds",
                     "conflicts", "core_lits"):

@@ -25,9 +25,11 @@ static int f(Nat n) {
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache_dir(tmp_path, monkeypatch):
-    """Keep CLI runs from writing .repro-cache into the repo root."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def isolated_cache_dir(monkeypatch):
+    """Keep CLI runs from writing .repro-cache into the repo root, and
+    from replaying each other's outcomes: a test that compares two runs
+    needs both to verify.  Tests of the store pass ``--cache-dir``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
 
 
 @pytest.fixture
@@ -357,9 +359,19 @@ def test_verify_cache_dir_flag_warms_across_runs(program, capsys, tmp_path):
         l for l in text.splitlines() if not l.startswith("checked ")
     ]
     assert strip(first) == strip(second)
+    import json
     import os
 
     assert os.path.isdir(cache_dir)
+    assert main(
+        ["verify", path, "--cache-dir", cache_dir, "--format", "json"]
+    ) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["files"]
+    from repro import api
+    from repro.verify.verifier import iter_tasks
+
+    tasks = list(iter_tasks(api.compile_program(BUGGY).table))
+    assert entry["report"]["solver_stats"]["tasks_replayed"] == len(tasks)
 
 
 def test_verify_no_cache_leaves_no_cache_dir(program, tmp_path, capsys):
@@ -374,12 +386,12 @@ def test_verify_no_cache_leaves_no_cache_dir(program, tmp_path, capsys):
 
 def test_cache_dir_env_semantics(monkeypatch, tmp_path):
     """$REPRO_CACHE_DIR: unset -> default, set -> that dir, empty ->
-    disk tier off (the old ``env or DEFAULT`` fallthrough silently
+    outcome store off (the old ``env or DEFAULT`` fallthrough silently
     re-enabled the default on an empty value)."""
     import argparse
 
     from repro.cli import _cache_dir
-    from repro.smt.diskcache import DEFAULT_CACHE_DIR
+    from repro.verify.store import DEFAULT_CACHE_DIR
 
     args = argparse.Namespace(no_cache=False, cache_dir=None)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -438,6 +450,7 @@ def test_verify_format_json_emits_one_parseable_document(program, capsys):
     assert report["warnings"]
     assert report["warnings"][0]["kind"] == "nonexhaustive"
     assert report["tasks"] == {"retried": 0, "timed_out": 0, "failed": 0}
+    assert report["solver_stats"]["tasks_replayed"] == 0
 
 
 def test_verify_format_json_multiple_files_and_errors(program, capsys):
@@ -621,18 +634,22 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
     total = stats["total"]
     assert total["queries"] > 0
     assert total["sat"] + total["unsat"] + total["unknown"] == total["queries"]
-    # Cache-tier counters round-trip, and the tiers sum to the hits.
-    for key in ("cache_hits", "cache_misses", "cache_memory_hits", "cache_disk_hits"):
+    # Cache counters round-trip; schema 6 dropped the memory/disk split
+    # of the hits with the query-level disk tier.
+    for key in ("cache_hits", "cache_misses"):
         assert key in total
-    assert total["cache_memory_hits"] + total["cache_disk_hits"] == total["cache_hits"]
+    for key in ("cache_memory_hits", "cache_disk_hits"):
+        assert key not in total
+    assert stats["tasks_replayed"] == 0
     # Schema 4: the phase timers live only on the trace's query spans
     # (tests/obs/test_trace.py checks them there), not in the report.
     assert stats["per_method"]
     for key in ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s"):
         assert key not in total
         assert all(key not in row for row in stats["per_method"].values())
-    # Schema 5 dropped the soft-deadline counter with the soft deadline.
-    assert entry["report"]["schema"] == 5
+    # Schema 5 dropped the soft-deadline counter with the soft deadline;
+    # schema 6 added tasks_replayed.
+    assert entry["report"]["schema"] == 6
 
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only", "algebra-only", "check"])

@@ -175,59 +175,71 @@ class TestPathConditionRebinding:
 
 
 class TestCacheTierAttribution:
-    """Cold → disk-warm → memory-warm, with every hit attributed to
-    exactly one tier.
+    """Cold → store-warm → memory-warm, with each task's work attributed
+    to exactly one tier.
 
-    Regression target: a disk hit promotes the entry into the in-memory
-    tier, and that promotion must not double-count the lookup as a
-    memory hit too.
+    A task is either replayed from the ``cache_dir`` store (counted in
+    ``tasks_replayed``, no query runs) or run, its queries answered by
+    the in-memory query cache or solved.  A replay must not touch the
+    query cache, and the report of a replay equals the run it replays.
     """
 
-    def test_three_runs_attribute_hits_to_exactly_one_tier(self, tmp_path):
-        from repro.smt.diskcache import DiskCache
+    def test_three_runs_attribute_hits_to_exactly_one_tier(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.verify.verifier import iter_tasks
 
         unit = compile_(WARNY_SOURCE)
-        disk_dir = tmp_path / "verdicts"
+        tasks = len(list(iter_tasks(unit.table)))
+        store_dir = str(tmp_path / "outcomes")
+        checks = []
+        real_check = Solver.check
 
-        # Run 1 (cold): empty memory, empty disk — misses only.
-        cold_cache = SolverCache(disk=DiskCache(disk_dir))
+        def counting(solver):
+            checks.append(1)
+            return real_check(solver)
+
+        monkeypatch.setattr(Solver, "check", counting)
+
+        # Run 1 (cold): an empty store and an empty query cache.
+        cold_cache = SolverCache()
         cold = api.verify(
-            unit, options=api.VerifyOptions(cache=cold_cache)
-        ).solver_stats.total
-        assert cold.cache_hits == 0
-        assert cold.cache_memory_hits == 0
-        assert cold.cache_disk_hits == 0
-        assert cold.cache_misses > 0
+            unit,
+            options=api.VerifyOptions(cache=cold_cache, cache_dir=store_dir),
+        )
+        assert cold.tasks_replayed == 0
+        assert cold.solver_stats.total.cache_hits == 0
+        assert cold.solver_stats.total.cache_misses > 0
+        assert len(checks) == cold.solver_stats.total.queries
 
-        # Run 2 (disk-warm): a fresh SolverCache over the same disk dir
-        # models a new process — every hit must come from disk, and the
-        # promotion into memory must not count as a memory hit.
-        warm_cache = SolverCache(disk=DiskCache(disk_dir))
-        disk_warm = api.verify(
-            unit, options=api.VerifyOptions(cache=warm_cache)
-        ).solver_stats.total
-        assert disk_warm.cache_disk_hits > 0
-        assert disk_warm.cache_memory_hits == 0
+        # Run 2 (store-warm): a fresh SolverCache models a new process;
+        # every task replays and the query cache is never consulted.
+        checks.clear()
+        warm_cache = SolverCache()
+        store_warm = api.verify(
+            unit,
+            options=api.VerifyOptions(cache=warm_cache, cache_dir=store_dir),
+        )
+        assert store_warm.tasks_replayed == tasks
+        assert not checks
+        assert warm_cache.hits == warm_cache.misses == 0
+        assert (
+            store_warm.solver_stats.total.to_dict()
+            == cold.solver_stats.total.to_dict()
+        )
 
-        # Run 3 (memory-warm): same cache object again — the promoted
-        # entries now answer from memory, never touching the disk.
+        # Run 3 (memory-warm): the cold run's query cache, no store;
+        # every task runs and its queries hit memory.
         memory_warm = api.verify(
-            unit, options=api.VerifyOptions(cache=warm_cache)
-        ).solver_stats.total
-        assert memory_warm.cache_memory_hits > 0
-        assert memory_warm.cache_disk_hits == 0
-
-        # Invariant across all three runs: the tiers partition the hits.
-        for total in (cold, disk_warm, memory_warm):
-            assert (
-                total.cache_memory_hits + total.cache_disk_hits
-                == total.cache_hits
-            )
+            unit, options=api.VerifyOptions(cache=cold_cache)
+        )
+        total = memory_warm.solver_stats.total
+        assert memory_warm.tasks_replayed == 0
+        assert len(checks) == total.queries
+        assert total.cache_hits > 0
+        assert total.cache_hits + total.cache_misses == total.queries
 
         # And the warnings never depend on which tier answered.
-        for report_cache in (SolverCache(disk=DiskCache(disk_dir)),):
-            rerun = api.verify(
-                unit, options=api.VerifyOptions(cache=report_cache)
-            )
-            baseline = api.verify(unit, options=api.VerifyOptions(cache=None))
-            assert warning_strings(rerun) == warning_strings(baseline)
+        baseline = api.verify(unit, options=api.VerifyOptions(cache=None))
+        for report in (cold, store_warm, memory_warm):
+            assert warning_strings(report) == warning_strings(baseline)

@@ -188,7 +188,8 @@ def verify_result(daemon, paths, request_id=1, **options):
 
 def _normalize_report(document):
     """Zero the fields that legitimately differ between two runs of the
-    same work: wall-clock timings and the driver-decision string."""
+    same work: wall-clock timings, the driver-decision string and how
+    many tasks were replayed (callers check that count themselves)."""
 
     def zero_times(node):
         if isinstance(node, dict):
@@ -203,6 +204,7 @@ def _normalize_report(document):
 
     zero_times(document)
     document["solver_stats"]["parallel_decision"] = ""
+    document["solver_stats"]["tasks_replayed"] = 0
     return document
 
 
@@ -227,6 +229,8 @@ def test_daemon_second_verify_is_all_hits(program):
     assert cold["dep_misses"] > 0 and cold["dep_hits"] == 0
     assert warm["dep_misses"] == 0
     assert warm["dep_hits"] == cold["dep_misses"]
+    (entry,) = warm["files"]
+    assert entry["report"]["solver_stats"]["tasks_replayed"] == warm["dep_hits"]
     normalize = lambda r: [
         {**f, "report": _normalize_report(f["report"])} for f in r["files"]
     ]
@@ -246,6 +250,8 @@ def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
     warm = verify_result(daemon, [path], request_id=2)
     assert warm["dep_misses"] == 1
     assert warm["dep_hits"] == cold["dep_misses"] - 1
+    replayed = warm["files"][0]["report"]["solver_stats"]["tasks_replayed"]
+    assert replayed == warm["dep_hits"]
     # The replayed and re-run tasks together give the report a fresh
     # run of the edited file gives.
     direct = api.verify(
@@ -339,12 +345,13 @@ def test_daemon_reports_protocol_6():
     # Protocol 4 dropped the ``backend`` verify option, protocol 5 the
     # ``tier`` one, protocol 6 ``stats``, ``profile`` and ``dep_index``;
     # report schema 4 dropped the phase timers, schema 5 the
-    # soft-deadline counter.
+    # soft-deadline counter, schema 6 the memory/disk hit split (and
+    # added tasks_replayed).
     daemon = VerifyDaemon(use_cache=False)
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
     assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 6
-    assert response["result"]["version"].startswith("repro-daemon/6.5")
+    assert response["result"]["version"].startswith("repro-daemon/6.6")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
@@ -513,6 +520,90 @@ def test_ensure_daemon_no_spawn_without_daemon():
     socket_path = _short_socket_path()
     with pytest.raises(DaemonError, match="no daemon is listening"):
         ensure_daemon(socket_path=socket_path, spawn=False)
+
+
+def test_socket_path_appears_only_once_listening(monkeypatch):
+    """A client that sees the socket path can connect at once.
+
+    ``listen`` is slowed down so that a path published before it (the
+    bind-then-listen race) would be seen, and refused, by the poller.
+    """
+    socket_path = _short_socket_path()
+    published_before_listen = []
+    real_listen = socket_module.socket.listen
+
+    def slow_listen(sock, *args):
+        published_before_listen.append(os.path.exists(socket_path))
+        time.sleep(0.2)
+        published_before_listen.append(os.path.exists(socket_path))
+        return real_listen(sock, *args)
+
+    monkeypatch.setattr(socket_module.socket, "listen", slow_listen)
+    daemon = VerifyDaemon(use_cache=False)
+    thread = threading.Thread(
+        target=daemon.serve_socket, args=(socket_path,), daemon=True
+    )
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(socket_path):
+            assert time.monotonic() < deadline, "daemon never bound"
+            time.sleep(0.005)
+        # One attempt, no retry: the path exists, so it must listen.
+        with DaemonClient(socket_path, timeout=10.0) as client:
+            assert client.status()["version"] == daemon_version()
+    finally:
+        daemon.shutting_down = True
+        thread.join(timeout=5.0)
+    assert published_before_listen == [False, False]
+    assert not os.path.exists(socket_path)
+    leftovers = [
+        name
+        for name in os.listdir(os.path.dirname(socket_path))
+        if name.startswith("." + os.path.basename(socket_path))
+    ]
+    assert not leftovers
+
+
+def test_daemon_that_loses_the_publish_race_refuses_to_start(monkeypatch):
+    # Another daemon publishes the path while this one is binding.
+    socket_path = _short_socket_path()
+    real_listen = socket_module.socket.listen
+
+    def listen_while_another_publishes(sock, *args):
+        with open(socket_path, "w") as handle:
+            handle.write("the other daemon's socket")
+        return real_listen(sock, *args)
+
+    monkeypatch.setattr(
+        socket_module.socket, "listen", listen_while_another_publishes
+    )
+    with pytest.raises(RuntimeError, match="already serving"):
+        VerifyDaemon(use_cache=False).serve_socket(socket_path)
+    with open(socket_path) as handle:
+        assert handle.read() == "the other daemon's socket"
+    os.unlink(socket_path)
+    leftovers = [
+        name
+        for name in os.listdir(os.path.dirname(socket_path))
+        if name.startswith("." + os.path.basename(socket_path))
+    ]
+    assert not leftovers
+
+
+def test_try_connect_to_a_missing_path_leaks_no_socket():
+    import gc
+    import warnings
+
+    from repro.verify.daemon.client import _try_connect
+
+    socket_path = _short_socket_path()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert _try_connect(socket_path, 1.0) is None
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaked, [str(w.message) for w in leaked]
 
 
 # -- version handshake (real subprocess: different env) ----------------

@@ -109,13 +109,27 @@ def test_crash_recovered_run_is_byte_identical(unit, baseline, monkeypatch):
 
 
 def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
+    options = api.VerifyOptions(jobs=4, cache_dir=str(tmp_path / "cache"))
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(
-        unit,
-        options=api.VerifyOptions(jobs=4, cache_dir=str(tmp_path / "cache")),
-    )
+    recovered = api.verify(unit, options=options)
     assert _snapshot(recovered) == _snapshot(baseline)
     assert recovered.tasks_retried >= 1
+    # Pool and fallback outcomes alike went to the store: a warm run
+    # replays every task in the parent and forks no pool at all.
+    monkeypatch.delenv(faults.ENV_VAR)
+    pools = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    warm = api.verify(unit, options=options)
+    assert not pools
+    assert warm.tasks_replayed == len(list(iter_tasks(unit.table)))
+    assert warm.tasks_retried == 0
+    assert _snapshot(warm) == _snapshot(baseline)
 
 
 def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):

@@ -222,8 +222,8 @@ def test_report_to_dict_shape(unit):
     assert data["solver_stats"]["total"]["queries"] > 0
     assert set(data["solver_stats"]) == {
         "total", "per_method", "tasks_retried", "tasks_timed_out",
-        "tasks_failed", "algebra_discharged", "algebra_fallbacks",
-        "parallel_decision",
+        "tasks_failed", "tasks_replayed", "algebra_discharged",
+        "algebra_fallbacks", "parallel_decision",
     }
 
 
