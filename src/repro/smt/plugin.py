@@ -17,7 +17,6 @@ mentions are registered by the callback itself at ``depth + 1``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,13 +61,6 @@ class LazyTheoryPlugin:
     #: assignment, which matters for persistent engines whose
     #: assignments span a long query chain
     _unfired: set[tuple[Term, bool]] = field(default_factory=set)
-    #: serializes registry growth and first-firing of callbacks when
-    #: several views (see PluginView) share this plugin across threads;
-    #: reentrant because a firing callback registers nested triggers
-    #: back here
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
 
     def register(
         self,
@@ -80,10 +72,9 @@ class LazyTheoryPlugin:
     ) -> None:
         """Attach an axiom generator to one polarity of a trigger atom."""
         key = (atom, polarity)
-        with self._lock:
-            if key not in self._registry:
-                self._registry[key] = _Registration(callback, depth, weak=weak)
-                self._unfired.add(key)
+        if key not in self._registry:
+            self._registry[key] = _Registration(callback, depth, weak=weak)
+            self._unfired.add(key)
 
     def registered(self, atom: Term, polarity: bool) -> bool:
         """Does one polarity of ``atom`` already have a generator?"""
@@ -99,31 +90,22 @@ class LazyTheoryPlugin:
         two queries with identical assertions but different axiom
         schemata must fingerprint differently.
         """
-        with self._lock:
-            return [
-                (atom, polarity, reg.depth, reg.weak, reg.callback)
-                for (atom, polarity), reg in self._registry.items()
-            ]
+        return [
+            (atom, polarity, reg.depth, reg.weak, reg.callback)
+            for (atom, polarity), reg in self._registry.items()
+        ]
 
     def axiom_for(self, key: tuple[Term, bool]) -> Term:
         """Instantiate (at most once, ever) the axiom for a registered key.
 
         Callbacks mint fresh variables and register nested triggers, so
-        a key's callback must run exactly once per obligation no matter
-        how many views observe the trigger; the reentrant lock
-        serializes the first firing and every later caller reuses the
-        cached term.
+        a key's callback must run exactly once per obligation; every
+        deepening pass after the first reuses the cached term.
         """
         reg = self._registry[key]
         if reg.axiom is None:
-            with self._lock:
-                if reg.axiom is None:
-                    reg.axiom = reg.callback()
+            reg.axiom = reg.callback()
         return reg.axiom
-
-    def view(self) -> "PluginView":
-        """A private cursor over this plugin (see PluginView)."""
-        return PluginView(self)
 
     def pending(self, assignment: dict[Term, bool]) -> bool:
         """Would `expand` produce anything (or be depth-suppressed)?"""
@@ -195,120 +177,18 @@ class LazyTheoryPlugin:
         self.max_depth = max_depth
         self.exhausted = False
         self.suppressed.clear()
-        with self._lock:
-            for reg in self._registry.values():
-                reg.fired = False
-            self._unfired = set(self._registry)
+        for reg in self._registry.values():
+            reg.fired = False
+        self._unfired = set(self._registry)
 
 
 class PluginView:
-    """A private cursor over a shared :class:`LazyTheoryPlugin`.
+    """A layer-tracing target only; never instantiated.
 
-    Lets several solvers work on the *same* obligation, each walking
-    its own iterative-deepening schedule.  The registry of trigger
-    callbacks — and each registration's instantiated axiom — is
-    shared: a callback mints fresh variables and registers nested
-    triggers, so it has to run exactly once per obligation regardless
-    of how many views observe its trigger (see
-    :meth:`LazyTheoryPlugin.axiom_for`).  The *cursor* (which keys
-    fired this pass, the current depth bound, the suppression record)
-    belongs to the view.  A view quacks exactly like a plugin to the
-    solver and the query cache (``signature``/``has_triggers``/
-    ``registrations`` are proxied, so cache fingerprints are identical
-    to the base plugin's).
-
-    No solving path creates views: one engine solves each obligation.
-    The class stays while ``perfbench/spans.py`` names
-    ``PluginView.expand`` as a layer target; both go together.
+    ``perfbench/spans.py`` lists ``PluginView.expand`` among the
+    functions it wraps, and every listed function must resolve.  This
+    class and that entry go together.
     """
 
-    def __init__(self, plugin: LazyTheoryPlugin):
-        self._plugin = plugin
-        self.max_depth = plugin.max_depth
-        self.exhausted = False
-        self.suppressed: set[tuple[Term, bool]] = set()
-        self._fired: set[tuple[Term, bool]] = set()
-        self._unfired: set[tuple[Term, bool]] = set()
-        self._seen = 0
-        self._sync()
-
-    @property
-    def signature(self):
-        return self._plugin.signature
-
-    def has_triggers(self) -> bool:
-        return self._plugin.has_triggers()
-
-    def registrations(self):
-        return self._plugin.registrations()
-
-    def register(self, atom, polarity, callback, depth, weak=False) -> None:
-        self._plugin.register(atom, polarity, callback, depth, weak=weak)
-
-    def _sync(self) -> None:
-        # Adopt registry keys added (by any view's callbacks) since the
-        # last sync.  The registry dict is insertion-ordered and only
-        # ever grows, so the new keys are exactly the tail.
-        plugin = self._plugin
-        with plugin._lock:
-            keys = list(plugin._registry)
-        for key in keys[self._seen:]:
-            if key not in self._fired:
-                self._unfired.add(key)
-        self._seen = len(keys)
-
-    def pending(self, assignment: dict[Term, bool]) -> bool:
-        self._sync()
-        return any(
-            assignment.get(atom) == value for atom, value in self._unfired
-        )
-
     def expand(self, assignment: dict[Term, bool]) -> list[Term]:
-        self._sync()
-        unfired = self._unfired
-        if not unfired:
-            return []
-        matched = [
-            key for key in unfired if assignment.get(key[0]) == key[1]
-        ]
-        if not matched:
-            return []
-        if len(matched) > 1:
-            # Same assignment-order firing discipline as the base
-            # plugin: axiom order determines clause numbering downstream.
-            member = set(matched)
-            matched = [
-                (atom, value)
-                for atom, value in assignment.items()
-                if (atom, value) in member
-            ]
-        axioms: list[Term] = []
-        for key in matched:
-            reg = self._plugin._registry[key]
-            if reg.depth > self.max_depth:
-                self.exhausted = True
-                if not reg.weak:
-                    self.suppressed.add(key)
-                continue
-            self._fired.add(key)
-            unfired.discard(key)
-            atom, value = key
-            premise = atom if value else tm.mk_not(atom)
-            axioms.append(tm.mk_implies(premise, self._plugin.axiom_for(key)))
-        return axioms
-
-    def relevant_suppression(self, assignment: dict[Term, bool]) -> bool:
-        return any(
-            assignment.get(atom) == polarity
-            for atom, polarity in self.suppressed
-        )
-
-    def reset_for_depth(self, max_depth: int) -> None:
-        self.max_depth = max_depth
-        self.exhausted = False
-        self.suppressed.clear()
-        self._fired.clear()
-        with self._plugin._lock:
-            keys = list(self._plugin._registry)
-        self._unfired = set(keys)
-        self._seen = len(keys)
+        raise NotImplementedError("PluginView is never instantiated")

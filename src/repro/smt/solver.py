@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import budget
 from . import terms as tm
-from .cache import GLOBAL_CACHE, SolverCache, term_atoms
+from .cache import SolverCache, term_atoms
 from .cnf import CnfBuilder
 from .plugin import LazyTheoryPlugin
 from .sat import FALSE_VAL, TRUE_VAL, SatSolver
@@ -129,29 +129,19 @@ class Solver:
     def __init__(
         self,
         plugin: LazyTheoryPlugin | None = None,
-        cache: SolverCache | None = GLOBAL_CACHE,
+        cache: SolverCache | None = None,
         time_budget: float | None = None,
-        store_models: bool = True,
-        need_model: bool = False,
     ):
         self._assertions: list[Term] = []
         self._frames: list[_Frame] = []
         self.plugin = plugin or LazyTheoryPlugin()
         self._model: TheoryModel | None = None
-        #: verdict memoization; None disables (every query solved fresh)
+        #: verdict memoization; None (the default) solves every query.
+        #: The cache keeps verdicts only, so a check it answers leaves
+        #: no model: a caller that needs one solves with cache=None.
         self.cache = cache
         #: per-instance wall-clock budget; None falls back to TIME_BUDGET
         self.time_budget = time_budget
-        #: whether SAT verdicts are cached with their model snapshot; a
-        #: session's shared engine disables this, because its models
-        #: depend on state inherited from earlier queries and must not
-        #: displace the canonical (fresh-solve) models in the cache
-        self.store_models = store_models
-        #: the caller will ask for a model on SAT: a cached SAT verdict
-        #: without a model snapshot (stored by a shared engine) cannot
-        #: answer it and is treated as a miss, so the fresh solve runs
-        #: and its canonical model displaces the verdict-only entry
-        self.need_model = need_model
         #: a pass blocked candidate models that relied on suppressed
         #: expansions; its UNSAT answer is then inconclusive
         self._blocked_unconfirmed = False
@@ -177,11 +167,6 @@ class Solver:
         #: re-asserting across queries and depths would be wasted work)
         self._asserted_axioms: set[Term] = set()
         self._simplify_memo: dict[Term, Term] = {}
-        #: theory verdicts by exact literal set: ``check_literals`` is a
-        #: pure function, and the query chains an incremental engine
-        #: sees (the same invariant under arm 1, arms 1-2, ...) re-derive
-        #: near-identical assignments, so step 4 repeats across queries
-        self._theory_memo: dict[tuple, object] = {}
         #: persistent theory state (undoable congruence closure) shared
         #: by every theory check this engine ever runs; consecutive
         #: assignments overlap on a long literal prefix, which the
@@ -225,21 +210,12 @@ class Solver:
             fp = self.cache.fingerprint(
                 self._assertions, self.plugin, self.DEPTH_SCHEDULE
             )
-            hit = self.cache.lookup(fp)
+            verdict = self.cache.lookup(fp)
+            if verdict is not None:
+                self.last_cache_tier = "memory"
+                self.stats.cache_hits += 1
+                return verdict
             self.last_cache_tier = "miss"
-            if hit is not None:
-                verdict, model = hit
-                if not (
-                    self.need_model
-                    and verdict == Result.SAT
-                    and model is None
-                ):
-                    self.last_cache_tier = "memory"
-                    self.stats.cache_hits += 1
-                    self._model = model
-                    return verdict
-                # A verdict-only entry cannot answer a model query:
-                # behaves (and traces) as a miss.
             self.stats.cache_misses += 1
         seconds = (
             self.TIME_BUDGET if self.time_budget is None else self.time_budget
@@ -254,8 +230,7 @@ class Solver:
             budget.disarm()
         if fp is not None and result != Result.UNKNOWN:
             # UNKNOWN depends on the budget, not the query: never cached.
-            model = self._model if self.store_models else None
-            self.cache.store(fp, result, model)
+            self.cache.store(fp, result)
         return result
 
     def _check_with_deepening(self) -> Result:
@@ -289,6 +264,11 @@ class Solver:
 
     def model(self) -> TheoryModel:
         if self._model is None:
+            if self.last_cache_tier == "memory":
+                raise RuntimeError(
+                    "no model: the last check() was answered from the "
+                    "query cache, which keeps verdicts only"
+                )
             raise RuntimeError("model is only available after a SAT check")
         return self._model
 
@@ -366,7 +346,7 @@ class Solver:
         # built in the same order as before.
         var_of_term = cnf.var_of_term
         pairs: list[tuple[int, Term]] = []
-        by_id: list[tuple[int, Term]] = []
+        by_id: list[Term] = []
         pairs_key: tuple[int, int] | None = None
 
         def atom_pairs() -> list[tuple[int, Term]]:
@@ -380,9 +360,7 @@ class Solver:
                 # literal lists id-sorted (stable across queries, so the
                 # theory context sees long common prefixes), and keeping
                 # a second presorted view avoids re-sorting every round.
-                by_id = sorted(
-                    ((a._id, a) for _, a in pairs), key=lambda p: p[0]
-                )
+                by_id = sorted((a for _, a in pairs), key=lambda a: a._id)
                 pairs_key = key
             return pairs
 
@@ -437,17 +415,11 @@ class Solver:
             # Step 4: theory consistency.
             t0 = time.perf_counter()
             literals = []
-            key_parts = []
-            for ident, atom in by_id:
+            for atom in by_id:
                 value = assignment.get(atom)
                 if value is not None:
                     literals.append((atom, value))
-                    key_parts.append((ident, value))
-            memo_key = tuple(key_parts)
-            outcome = self._theory_memo.get(memo_key)
-            if outcome is None:
-                outcome = self._theory.check(literals)
-                self._theory_memo[memo_key] = outcome
+            outcome = self._theory.check(literals)
             self.stats.theory_s += time.perf_counter() - t0
             if not outcome.consistent:
                 self.stats.theory_conflicts += 1

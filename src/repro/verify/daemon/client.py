@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import socket
-import subprocess
 import sys
 import time
 
@@ -114,12 +113,15 @@ class DaemonClient:
         return False
 
 
-def spawn_daemon(socket_path: str) -> subprocess.Popen:
-    """Start a detached ``repro serve`` bound to ``socket_path``.
+def spawn_daemon(socket_path: str) -> int:
+    """Start a detached ``repro serve`` bound to ``socket_path``; its pid.
 
     The child gets its own session (it must outlive this CLI process)
     and a PYTHONPATH that can import the same ``repro`` the client is
     running — the spawned daemon is by construction version-matched.
+    It is spawned by pid, not as a ``subprocess.Popen``: a ``Popen``
+    dropped while its child runs warns that the child is still running,
+    and a daemon is meant to keep running.
     """
     import repro
 
@@ -130,14 +132,22 @@ def spawn_daemon(socket_path: str) -> subprocess.Popen:
         package_dir if not existing
         else package_dir + os.pathsep + existing
     )
-    return subprocess.Popen(
+    return os.posix_spawn(
+        sys.executable,
         [sys.executable, "-m", "repro.cli", "serve", "--socket", socket_path],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=env,
-        start_new_session=True,
+        env,
+        file_actions=[
+            (os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_RDWR, 0)
+            for fd in (0, 1, 2)
+        ],
+        setsid=True,
     )
+
+
+def _exit_status(pid: int) -> int | None:
+    """The exit status of a spawned child that has exited, else None."""
+    reaped, status = os.waitpid(pid, os.WNOHANG)
+    return None if reaped == 0 else os.waitstatus_to_exitcode(status)
 
 
 def _try_connect(socket_path: str, timeout: float) -> DaemonClient | None:
@@ -180,7 +190,7 @@ def ensure_daemon(
                 os.unlink(socket_path)
             except OSError:
                 pass
-    process = spawn_daemon(socket_path)
+    pid = spawn_daemon(socket_path)
     deadline = time.monotonic() + spawn_wait
     while time.monotonic() < deadline:
         client = _try_connect(socket_path, request_timeout)
@@ -189,10 +199,11 @@ def ensure_daemon(
             if checked is not None:
                 return checked
             break
-        if process.poll() is not None:
+        status = _exit_status(pid)
+        if status is not None:
             raise DaemonError(
                 "connection",
-                f"spawned daemon exited with status {process.returncode} "
+                f"spawned daemon exited with status {status} "
                 f"before binding {socket_path}",
             )
         time.sleep(0.05)

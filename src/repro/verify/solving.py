@@ -9,11 +9,12 @@ single place to
   mutating ``Solver.TIME_BUDGET``, which would leak to every later
   in-process caller),
 * choose the query cache (the process-wide one by default, a private
-  one, or none),
+  one, or none) for the queries that consult it: verdict queries only,
+  since the cache keeps no models,
 * keep the persistent incremental engines: one ``Solver`` per encoding
   context (plugin), diffed against each query's assertion stack, while
-  a query that needs a model gets a fresh solve of its own (see
-  :meth:`SolverSession._solve`), and
+  a query that needs a model gets a fresh, uncached solve of its own
+  (see :meth:`SolverSession._solve`), and
 * record per-query wall time and solver counters against the method
   currently being verified.
 """
@@ -184,20 +185,17 @@ class SolverSession:
         A query that needs a model gets a fresh solver instead: a
         shared engine's SAT models depend on search state inherited
         from earlier queries, while a fresh solve's model depends on
-        the query alone, so the counterexample the user sees is
-        canonical whether it is solved now or decoded from the cache.
-        ``need_model`` keeps a shared engine's verdict-only cache entry
-        from answering it (a SAT hit without a model snapshot counts as
-        a miss, and the fresh model then displaces it).  A query with
-        no axiom context has nothing to persist against and is solved
-        fresh as well.
+        the query alone, so the counterexample the user sees is the
+        same however earlier queries went.  It never consults the query
+        cache, which keeps verdicts only (its query span says
+        ``cache: "off"``).  A query with no axiom context has nothing
+        to persist against and is solved fresh as well.
         """
         if plugin is None or want_model:
             solver = Solver(
                 plugin,
-                cache=self.cache,
+                cache=None if want_model else self.cache,
                 time_budget=self.budget,
-                need_model=want_model,
             )
             return solve_fresh(solver, terms, want_model)
         engine = self._engine_for(plugin)
@@ -231,16 +229,8 @@ class SolverSession:
         if engine is not None and engine.plugin is plugin:
             self._engines.move_to_end(key)
             return engine
-        # store_models=False: this engine's models depend on inherited
-        # state and must not displace canonical models in the cache
         engine = _Engine(
-            plugin,
-            Solver(
-                plugin,
-                cache=self.cache,
-                time_budget=self.budget,
-                store_models=False,
-            ),
+            plugin, Solver(plugin, cache=self.cache, time_budget=self.budget)
         )
         self._engines[key] = engine
         while len(self._engines) > self.MAX_ENGINES:

@@ -157,12 +157,14 @@ class ReferenceSolver(Solver):
 
 
 def reference_solve(session, plugin, terms, want_model=False):
-    """``SolverSession._solve`` answered by a fresh ``ReferenceSolver``."""
+    """``SolverSession._solve`` answered by a fresh ``ReferenceSolver``.
+
+    As in the session, only a verdict query consults the cache.
+    """
     solver = ReferenceSolver(
         plugin,
-        cache=session.cache,
+        cache=None if want_model else session.cache,
         time_budget=session.budget,
-        need_model=want_model,
     )
     return solve_fresh(solver, terms, want_model)
 

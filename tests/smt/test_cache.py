@@ -51,9 +51,10 @@ def test_alpha_renamed_query_hits():
     assert cache.hits == 1 and cache.stores == 1
 
 
-def test_cached_sat_hit_reproduces_model():
-    # A SAT hit must still expose a model, decoded into the *hitting*
-    # query's own terms, so counterexample rendering is unaffected.
+def test_model_after_cached_sat_hit_raises():
+    # The cache keeps verdicts only: a SAT answered from it has no
+    # model, and asking for one names the cause.  A caller that needs
+    # the model solves without the cache.
     from repro.smt.solver import eval_int
 
     cache = SolverCache()
@@ -70,7 +71,16 @@ def test_cached_sat_hit_reproduces_model():
     s2.add(mk_eq(y, mk_int(7)))
     assert s2.check() == Result.SAT
     assert s2.stats.cache_hits == 1
-    assert eval_int(y, s2.model()) == 7
+    with pytest.raises(RuntimeError, match="answered from the query cache"):
+        s2.model()
+
+
+def test_bare_solver_uses_no_cache():
+    s = Solver()
+    assert s.cache is None
+    s.add(mk_ge(ivar("cache_bare"), mk_int(0)))
+    assert s.check() == Result.SAT
+    assert s.last_cache_tier == "off"
 
 
 def test_unsat_verdicts_cached():
@@ -118,7 +128,7 @@ def test_storing_unknown_is_rejected():
     cache = SolverCache()
     fp = cache.fingerprint([], None, (2, 4, 8))
     with pytest.raises(ValueError):
-        cache.store(fp, Result.UNKNOWN, None)
+        cache.store(fp, Result.UNKNOWN)
 
 
 def test_same_query_different_plugin_registrations_do_not_collide():

@@ -217,10 +217,3 @@ def test_depth_schedule_state_reuse_keeps_verdicts():
     s.add(inv_v)
     assert s.check() == Result.UNKNOWN
     assert s.check() == Result.UNKNOWN
-
-
-def test_store_models_false_checks_but_keeps_no_model():
-    s = Solver(cache=None, store_models=False)
-    x = ivar("x")
-    s.add(mk_eq(x, mk_int(4)))
-    assert s.check() == Result.SAT

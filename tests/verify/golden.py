@@ -107,15 +107,11 @@ def _warnings(report_document: dict) -> list[dict]:
     ]
 
 
-def _file_name(name: str) -> str:
-    return f"{name}.jm"
-
-
 def collect_api(jobs: int) -> dict[str, list[dict]]:
     """Each input's warnings through ``api.verify`` with ``jobs`` workers."""
     out = {}
     for name, source in golden_inputs().items():
-        unit = api.compile_program(source, filename=_file_name(name))
+        unit = api.compile_program(source, filename=f"{name}.jm")
         report = api.verify(
             unit, options=api.VerifyOptions(cache=SolverCache(), jobs=jobs)
         )
@@ -131,7 +127,7 @@ def collect_daemon() -> list[dict[str, list[dict]]]:
     with tempfile.TemporaryDirectory() as workdir:
         paths = {}
         for name, source in inputs.items():
-            path = paths[name] = os.path.join(workdir, _file_name(name))
+            path = paths[name] = os.path.join(workdir, f"{name}.jm")
             Path(path).write_text(source, encoding="utf-8")
         for request_id in (1, 2):
             if request_id == 2:
@@ -193,7 +189,7 @@ def write_golden() -> int:
         "reports": reports,
     }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1, sort_keys=False)
+        json.dump(document, handle, indent=1)
         handle.write("\n")
     total = sum(len(warnings) for warnings in reports.values())
     print(f"wrote {total} warnings for {len(reports)} inputs to {GOLDEN_PATH}")

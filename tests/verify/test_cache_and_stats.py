@@ -192,11 +192,12 @@ class TestCacheTierAttribution:
         unit = compile_(WARNY_SOURCE)
         tasks = len(list(iter_tasks(unit.table)))
         store_dir = str(tmp_path / "outcomes")
+        # one entry per check: True when it ran without a cache (a model query)
         checks = []
         real_check = Solver.check
 
         def counting(solver):
-            checks.append(1)
+            checks.append(solver.cache is None)
             return real_check(solver)
 
         monkeypatch.setattr(Solver, "check", counting)
@@ -237,9 +238,38 @@ class TestCacheTierAttribution:
         assert memory_warm.tasks_replayed == 0
         assert len(checks) == total.queries
         assert total.cache_hits > 0
-        assert total.cache_hits + total.cache_misses == total.queries
+        # Model queries never consult the cache; every other query
+        # either hits or misses.
+        model_queries = sum(checks)
+        assert model_queries > 0
+        assert (
+            total.cache_hits + total.cache_misses
+            == total.queries - model_queries
+        )
 
         # And the warnings never depend on which tier answered.
         baseline = api.verify(unit, options=api.VerifyOptions(cache=None))
         for report in (cold, store_warm, memory_warm):
             assert warning_strings(report) == warning_strings(baseline)
+
+
+def test_model_query_never_consults_the_cache():
+    from repro.obs import Tracer
+    from repro.smt import INT, mk_eq, mk_int, mk_var
+    from repro.verify.solving import SolverSession
+
+    cache = SolverCache()
+    tracer = Tracer()
+    session = SolverSession(cache=cache, tracer=tracer)
+    x = mk_var("model_query_x", INT)
+    for _ in range(2):
+        result, model = session.check(
+            None, [mk_eq(x, mk_int(7))], want_model=True
+        )
+        assert result.value == "sat" and model is not None
+    spans = [span for span in tracer.roots if span.kind == "query"]
+    assert [span.attrs["cache"] for span in spans] == ["off", "off"]
+    assert cache.hits == cache.misses == cache.stores == 0
+    # The same query without a model consults the cache.
+    session.check(None, [mk_eq(x, mk_int(7))])
+    assert cache.misses == 1 and cache.stores == 1

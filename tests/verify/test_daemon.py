@@ -606,6 +606,31 @@ def test_try_connect_to_a_missing_path_leaks_no_socket():
     assert not leaked, [str(w.message) for w in leaked]
 
 
+def test_auto_spawned_daemon_leaks_no_running_subprocess():
+    import gc
+    import warnings
+
+    socket_path = _short_socket_path()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        client = ensure_daemon(socket_path=socket_path, spawn_wait=30.0)
+        try:
+            assert client.status()["version"] == daemon_version()
+        finally:
+            client.shutdown()
+            client.close()
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaked, [str(w.message) for w in leaked]
+
+
+def test_spawned_daemon_that_exits_before_binding_is_diagnosed(tmp_path):
+    # The socket's directory does not exist, so `repro serve` fails to bind.
+    socket_path = str(tmp_path / "missing" / "d.sock")
+    with pytest.raises(DaemonError, match="exited with status 1 before binding"):
+        ensure_daemon(socket_path=socket_path, spawn_wait=30.0)
+
+
 # -- version handshake (real subprocess: different env) ----------------
 
 
