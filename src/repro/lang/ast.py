@@ -491,6 +491,12 @@ class FunctionDecl:
 @dataclass
 class Program:
     declarations: list[Union[ClassDecl, InterfaceDecl, FunctionDecl]]
+    #: a digest of the file name and source text the program was parsed
+    #: from (:func:`repro.lang.parser.parse_program`).  Equal text gives
+    #: an equal analysed program, so the query cache salts with it
+    #: (:class:`repro.verify.translate.EncodeContext`); it is no part of
+    #: the tree, so repr and equality ignore it.
+    text_digest: str = field(repr=False, compare=False)
 
     def classes(self) -> list[ClassDecl]:
         return [d for d in self.declarations if isinstance(d, ClassDecl)]

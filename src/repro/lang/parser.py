@@ -18,6 +18,8 @@ same formula.
 
 from __future__ import annotations
 
+import hashlib
+
 from ..errors import NO_SPAN, ParseError, Span
 from . import ast
 from .lexer import tokenize
@@ -98,7 +100,7 @@ class Parser:
 
     # -- program structure ------------------------------------------------
 
-    def parse_program(self) -> ast.Program:
+    def parse_program(self, text_digest: str) -> ast.Program:
         # Pre-scan for type names so forward references resolve.
         for i, tok in enumerate(self.tokens):
             if tok.kind == TokenKind.KEYWORD and tok.text in ("class", "interface"):
@@ -108,7 +110,7 @@ class Parser:
         decls: list = []
         while not self._peek().is_eof:
             decls.append(self._parse_declaration())
-        return ast.Program(decls)
+        return ast.Program(decls, text_digest)
 
     def _parse_declaration(self):
         abstract = bool(self._accept_keyword("abstract"))
@@ -709,8 +711,10 @@ class Parser:
 
 
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
-    """Parse a complete compilation unit."""
-    return Parser(tokenize(source, filename), filename).parse_program()
+    """Parse a complete compilation unit, recording the digest of its
+    file name and source text (``ast.Program.text_digest``)."""
+    digest = hashlib.sha256(f"{filename}\0{source}".encode("utf-8")).hexdigest()
+    return Parser(tokenize(source, filename), filename).parse_program(digest)
 
 
 def parse_formula(source: str, type_names: set[str] | None = None) -> ast.Expr:

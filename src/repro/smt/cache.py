@@ -45,18 +45,18 @@ the signature, so such a query misses the cache on a warm pass: a lost
 hit, not a wrong one (ROADMAP, "Warm-pass cache misses").
 
 The salt is coarse, though.  Every query carries the program's
-``plugin.signature``, whose first half is
-:func:`~repro.verify.translate.table_signature`: a digest of the
-``repr`` of every declaration in the file, spans and method bodies
-included.  So no entry survives an edit anywhere in the file.  With
-one ``SolverCache`` across two passes, ``nat`` hits 2 of 8 queries
-after a one-line body edit, and ``collections`` hits 5 of 58 after one
-unrelated function is appended (54 of 58 when nothing changed).  A
-daemon's long-lived cache therefore pays only on unchanged programs,
-where its dependency index already replays every task.  A finer salt,
-such as the per-task dependency digests of
-:mod:`repro.verify.daemon.index`, is an open item (ROADMAP, "A
-query-cache salt that survives edits").
+``plugin.signature``, whose first half is the digest of the file's
+name and source text that :func:`~repro.lang.parser.parse_program`
+records (``ast.Program.text_digest``; equal text gives an equal
+analysed program, so it stands for the declarations the axioms expand
+against, at the cost of one hash per compile).  So no entry survives
+an edit anywhere in the file.  With one ``SolverCache`` across two
+passes, ``nat`` hits 2 of 8 queries after a one-line body edit, and
+``collections`` hits 5 of 58 after one unrelated function is appended
+(54 of 58 when nothing changed).  A daemon's long-lived cache
+therefore pays only on unchanged programs, where its dependency index
+already replays every task, undone edits included (the daemon keeps
+the last few outcomes of each task).
 
 The cache lives in memory only, for the lifetime of one process.
 Reuse across runs happens a level up, per task: the ``--cache-dir``

@@ -46,7 +46,7 @@ class LazyTheoryPlugin:
 
     max_depth: int = 4
     #: opaque salt identifying the axiom universe the callbacks draw
-    #: from (e.g. a digest of the program table and viewer); queries
+    #: from (e.g. the program's text digest and viewer); queries
     #: whose triggers look alike but expand against different
     #: declarations must not share cache entries
     signature: object = None

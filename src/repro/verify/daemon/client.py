@@ -23,7 +23,9 @@ from __future__ import annotations
 import os
 import socket
 import sys
+import threading
 import time
+from concurrent.futures import Future
 
 from . import protocol
 
@@ -113,15 +115,18 @@ class DaemonClient:
         return False
 
 
-def spawn_daemon(socket_path: str) -> int:
-    """Start a detached ``repro serve`` bound to ``socket_path``; its pid.
+def spawn_daemon(socket_path: str) -> Future:
+    """Start a detached ``repro serve`` bound to ``socket_path``.
 
     The child gets its own session (it must outlive this CLI process)
     and a PYTHONPATH that can import the same ``repro`` the client is
     running — the spawned daemon is by construction version-matched.
     It is spawned by pid, not as a ``subprocess.Popen``: a ``Popen``
     dropped while its child runs warns that the child is still running,
-    and a daemon is meant to keep running.
+    and a daemon is meant to keep running.  A daemon thread waits for
+    the child, so a daemon that exits while this process lives is
+    reaped, never left a zombie; the returned future resolves to its
+    exit status then.
     """
     import repro
 
@@ -132,7 +137,7 @@ def spawn_daemon(socket_path: str) -> int:
         package_dir if not existing
         else package_dir + os.pathsep + existing
     )
-    return os.posix_spawn(
+    pid = os.posix_spawn(
         sys.executable,
         [sys.executable, "-m", "repro.cli", "serve", "--socket", socket_path],
         env,
@@ -142,12 +147,14 @@ def spawn_daemon(socket_path: str) -> int:
         ],
         setsid=True,
     )
+    exited: Future = Future()
 
+    def reap() -> None:
+        _, status = os.waitpid(pid, 0)
+        exited.set_result(os.waitstatus_to_exitcode(status))
 
-def _exit_status(pid: int) -> int | None:
-    """The exit status of a spawned child that has exited, else None."""
-    reaped, status = os.waitpid(pid, os.WNOHANG)
-    return None if reaped == 0 else os.waitstatus_to_exitcode(status)
+    threading.Thread(target=reap, name=f"reap-{pid}", daemon=True).start()
+    return exited
 
 
 def _try_connect(socket_path: str, timeout: float) -> DaemonClient | None:
@@ -190,7 +197,7 @@ def ensure_daemon(
                 os.unlink(socket_path)
             except OSError:
                 pass
-    pid = spawn_daemon(socket_path)
+    exited = spawn_daemon(socket_path)
     deadline = time.monotonic() + spawn_wait
     while time.monotonic() < deadline:
         client = _try_connect(socket_path, request_timeout)
@@ -199,11 +206,10 @@ def ensure_daemon(
             if checked is not None:
                 return checked
             break
-        status = _exit_status(pid)
-        if status is not None:
+        if exited.done():
             raise DaemonError(
                 "connection",
-                f"spawned daemon exited with status {status} "
+                f"spawned daemon exited with status {exited.result()} "
                 f"before binding {socket_path}",
             )
         time.sleep(0.05)

@@ -17,7 +17,9 @@ This module turns that observation into a *fingerprint* per
 
 * the task's own declaration(s), **spans included** — warnings carry
   source positions, so a task whose text moved must re-run to re-span
-  its warnings;
+  its warnings.  The module's one AST walker (``_dump``) renders them,
+  each span as ``line:col-line:col``, with the file name hashed once
+  per task; the same walk collects the names the closure starts from;
 * the *header* of every type in the task's reference closure (name,
   kind, supertypes, fields, invariants — span-free), plus the sorted
   list of its concrete implementations — so sealing a new class into a
@@ -45,6 +47,7 @@ import dataclasses
 import functools
 import hashlib
 
+from ...errors import Span
 from ...lang import ast
 from ...lang.symbols import ProgramTable
 from ..verifier import VerifyTask, iter_tasks
@@ -53,81 +56,80 @@ from ..verifier import VerifyTask, iter_tasks
 _IMPLICIT_METHODS = ("equals",)
 
 
+#: values rendered by ``repr`` without a walk
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
 @functools.cache
-def _fields_of(cls: type) -> tuple[str, ...] | None:
-    """``cls``'s field names other than ``span``; None for a non-dataclass."""
+def _layout(cls: type, spans: bool) -> tuple | None:
+    """``cls``'s rendering head and ``(label, field)`` pairs, ``span``
+    only with ``spans``; None for a non-dataclass."""
     if not dataclasses.is_dataclass(cls):
         return None
-    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "span")
+    return f"{cls.__name__}(", tuple(
+        (f"{f.name}=", f.name)
+        for f in dataclasses.fields(cls)
+        if spans or f.name != "span"
+    )
 
 
-def _dump(node, out: list[str]) -> None:
-    """A canonical, span-free structural rendering of an AST subtree.
+def _dump(
+    node, out: list[str], names: set[str] | None = None, spans: bool = False
+) -> None:
+    """A canonical structural rendering of an AST subtree.
 
-    Dataclass reprs are structural already, but always include spans;
-    dependency components must be span-*free* so that editing one
-    method (which shifts everything below it in the file) does not
-    invalidate tasks whose own text is unchanged.
+    Span-free by default: dependency components must not change when
+    editing one method shifts everything below it in the file.  With
+    ``spans`` every span is written as ``line:col-line:col`` (a task's
+    own declarations, whose warnings carry positions); the file name
+    is left out, as every span of one file shares it.
+
+    ``names`` collects every identifier that could resolve through the
+    table: type names (tuple elements included), call names and their
+    static qualifiers.  Over-approximate on purpose: a name that turns
+    out not to resolve contributes nothing to the closure.
     """
     cls = type(node)
-    fields = _fields_of(cls)
-    if fields is not None:
-        out.append(cls.__name__)
-        out.append("(")
-        for name in fields:
-            out.append(name)
-            out.append("=")
-            _dump(getattr(node, name), out)
-            out.append(",")
-        out.append(")")
-    elif cls is list or cls is tuple:
+    if cls is list or cls is tuple:
         out.append("[")
         for item in node:
-            _dump(item, out)
+            _dump(item, out, names, spans)
             out.append(",")
         out.append("]")
-    else:
+        return
+    layout = _layout(cls, spans)
+    if layout is None:
         out.append(repr(node))
+        return
+    if names is not None and (cls is ast.Type or cls is ast.Call):
+        names.add(node.name)
+        if cls is ast.Call and node.qualifier is not None:
+            names.add(node.qualifier)
+    head, fields = layout
+    out.append(head)
+    # Leaves and spans are rendered here, not by a call per value.
+    for label, name in fields:
+        out.append(label)
+        value = getattr(node, name)
+        value_cls = type(value)
+        if value_cls is Span:
+            start, end = value.start, value.end
+            out.append(f"{start.line}:{start.column}-{end.line}:{end.column}")
+        elif value_cls in _LEAVES:
+            out.append(repr(value))
+        else:
+            _dump(value, out, names, spans)
+        out.append(",")
+    out.append(")")
 
 
-def _dumps(node) -> str:
+def _dumps(node, names: set[str] | None = None) -> str:
     out: list[str] = []
-    _dump(node, out)
+    _dump(node, out, names)
     return "".join(out)
 
 
-def _referenced_names(node, names: set[str]) -> None:
-    """Collect every identifier that could resolve through the table.
-
-    Type names (including tuple elements), call names and their static
-    qualifiers.  Over-approximate on purpose: a name that turns out not
-    to resolve simply contributes nothing to the closure.
-    """
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        cls = type(current)
-        if cls is list or cls is tuple:
-            stack.extend(current)
-            continue
-        if cls is ast.Type:
-            names.add(current.name)
-            stack.extend(current.elements)
-            continue
-        fields = _fields_of(cls)
-        if fields is None:
-            continue
-        if cls is ast.Call:
-            names.add(current.name)
-            if current.qualifier is not None:
-                names.add(current.qualifier)
-        for name in fields:
-            value = getattr(current, name)
-            if type(value) in (list, tuple) or _fields_of(type(value)) is not None:
-                stack.append(value)
-
-
-def _method_spec_dump(decl) -> str:
+def _method_spec_dump(decl, names: set[str]) -> str:
     """A method's caller-visible surface: everything but the body.
 
     ``body_is_none`` stands in for the body itself — abstractness (an
@@ -139,11 +141,11 @@ def _method_spec_dump(decl) -> str:
         "kind=", repr(getattr(decl, "kind", "function")),
         "static=", repr(getattr(decl, "static", True)),
         "name=", repr(decl.name),
-        "return=", _dumps(decl.return_type),
-        "params=", _dumps(decl.params),
-        "modes=", _dumps(decl.modes),
-        "matches=", _dumps(decl.matches),
-        "ensures=", _dumps(decl.ensures),
+        "return=", _dumps(decl.return_type, names),
+        "params=", _dumps(decl.params, names),
+        "modes=", _dumps(decl.modes, names),
+        "matches=", _dumps(decl.matches, names),
+        "ensures=", _dumps(decl.ensures, names),
         "body_is_none=", repr(decl.body is None),
     ]
     return "".join(parts)
@@ -192,11 +194,11 @@ class _TableIndex:
         ]
         for field_name in sorted(info.fields):
             field_decl = info.fields[field_name]
-            parts += ["field=", _dumps(field_decl)]
-            _referenced_names(field_decl.type, names)
+            parts += ["field=", _dumps(field_decl, names)]
         for inv in info.invariants:
-            parts += ["invariant=", inv.visibility, ":", _dumps(inv.formula)]
-            _referenced_names(inv.formula, names)
+            parts += [
+                "invariant=", inv.visibility, ":", _dumps(inv.formula, names)
+            ]
         component = ("".join(parts), names)
         self._type_components[name] = component
         return component
@@ -221,26 +223,14 @@ class _TableIndex:
             if decl_info is None:
                 continue
             parts += ["owner=", repr(type_name), ":",
-                      _method_spec_dump(decl_info.decl)]
+                      _method_spec_dump(decl_info.decl, names)]
             names.add(type_name)
-            self._scan_spec(decl_info.decl, names)
         function = self.table.functions.get(name)
         if function is not None:
-            parts += ["owner=<function>:", _method_spec_dump(function)]
-            self._scan_spec(function, names)
+            parts += ["owner=<function>:", _method_spec_dump(function, names)]
         component = ("".join(parts), names)
         self._method_components[name] = component
         return component
-
-    def _scan_spec(self, decl, names: set[str]) -> None:
-        for param in decl.params:
-            _referenced_names(param.type, names)
-        if decl.return_type is not None:
-            _referenced_names(decl.return_type, names)
-        if decl.matches is not None:
-            _referenced_names(decl.matches, names)
-        if decl.ensures is not None:
-            _referenced_names(decl.ensures, names)
 
     # -- per-task fingerprints -----------------------------------------
 
@@ -262,18 +252,12 @@ class _TableIndex:
         decl = self.table.functions.get(task.method_name)
         return None if decl is None else [decl]
 
-    def fingerprint(self, task: VerifyTask) -> str | None:
-        """The task's dependency fingerprint, or None (= always rerun)."""
-        roots = self._task_roots(task)
-        if roots is None:
-            return None
-        seeds: set[str] = set(_IMPLICIT_METHODS)
-        for root in roots:
-            _referenced_names(root, seeds)
-        if task.type_name:
-            seeds.add(task.type_name)
-        # The closure: resolve every seed as a type and as a method
-        # name; components surface new names until the set is stable.
+    def _closure(self, seeds: set[str]) -> tuple[set[str], set[str]]:
+        """The type and method names ``seeds`` reach, to a fixpoint.
+
+        Every name resolves as a type and as a method name; their
+        components surface new names until the set is stable.
+        """
         types_done: set[str] = set()
         methods_done: set[str] = set()
         pending = set(seeds)
@@ -292,13 +276,26 @@ class _TableIndex:
                     for n in self.method_component(name)[1]
                     if n not in types_done
                 )
-        digest = hashlib.sha256()
-        digest.update(f"task={task.kind}:{task.label}\n".encode("utf-8"))
-        digest.update(f"viewer={task.type_name or None}\n".encode("utf-8"))
+        return types_done, methods_done
+
+    def fingerprint(self, task: VerifyTask) -> str | None:
+        """The task's dependency fingerprint, or None (= always rerun)."""
+        roots = self._task_roots(task)
+        if roots is None:
+            return None
+        seeds: set[str] = set(_IMPLICIT_METHODS)
+        if task.type_name:
+            seeds.add(task.type_name)
+        text = [f"task={task.kind}:{task.label}\n"
+                f"viewer={task.type_name or None}\n"]
+        if roots:
+            # Spans render without the file name, so it goes in once.
+            text.append(f"file={roots[0].span.filename}\n")
         for root in roots:
-            # The dataclass repr: structural, spans included.
-            digest.update(repr(root).encode("utf-8"))
-            digest.update(b"\n")
+            _dump(root, text, seeds, spans=True)
+            text.append("\n")
+        digest = hashlib.sha256("".join(text).encode("utf-8"))
+        types_done, methods_done = self._closure(seeds)
         for name in sorted(types_done):
             digest.update(self.type_component(name)[0].encode("utf-8"))
             digest.update(b"\n")

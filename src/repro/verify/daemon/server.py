@@ -12,7 +12,9 @@ socket (or stdio), and everything expensive stays hot between them:
   (:mod:`repro.verify.daemon.index`): a re-``verify`` of an edited file
   re-runs only the tasks whose fingerprints changed (``dep-miss``) and
   replays the kept outcome for the rest (``dep-hit``), falling back
-  to a full re-run for any task the index cannot fingerprint.  This is
+  to a full re-run for any task the index cannot fingerprint.  The
+  last few fingerprints of each task are kept, not only the latest,
+  so reverting an edit (an editor's undo) replays too.  This is
   :class:`repro.verify.parallel.TaskReuse` over
   :func:`repro.verify.parallel.run_serial`, the task loop every driver
   shares, backed by the daemon's per-file memory and, when the daemon
@@ -69,28 +71,42 @@ from . import protocol
 from .index import fingerprint_tasks
 
 
+#: how many (fingerprint, outcome) pairs the daemon keeps per task:
+#: enough that undoing the last few edits replays instead of re-running
+_KEPT_PER_TASK = 4
+
+
 @dataclass
 class _FileState:
     """Everything the daemon remembers about one verified path.
 
-    ``entries`` (task -> fingerprint, outcome) is the memory backing of
-    the file's :class:`~repro.verify.parallel.TaskReuse`.
+    ``entries`` (task -> [(fingerprint, outcome), ...], newest first,
+    at most :data:`_KEPT_PER_TASK`) is the memory backing of the file's
+    :class:`~repro.verify.parallel.TaskReuse`.  Keeping earlier
+    fingerprints too means a reverted edit replays its task like any
+    other dep hit.
     """
 
     options_sig: str
-    entries: dict[VerifyTask, tuple] = field(default_factory=dict)
+    entries: dict[VerifyTask, list] = field(default_factory=dict)
     verified_at: float = 0.0
     tasks: int = 0
 
     def get(self, task: VerifyTask, fingerprint: str) -> TaskOutcome | None:
-        kept, outcome = self.entries.get(task, (None, None))
-        return outcome if kept == fingerprint else None
+        for kept, outcome in self.entries.get(task, ()):
+            if kept == fingerprint:
+                return outcome
+        return None
 
     def put(self, task: VerifyTask, fingerprint, outcome) -> None:
         if fingerprint is None:
             self.entries.pop(task, None)
-        else:
-            self.entries[task] = (fingerprint, outcome)
+            return
+        kept = [(fingerprint, outcome)] + [
+            entry for entry in self.entries.get(task, ())
+            if entry[0] != fingerprint
+        ]
+        self.entries[task] = kept[:_KEPT_PER_TASK]
 
 
 #: ``verify`` request options the daemon honors, with defaults; every

@@ -32,7 +32,6 @@ unrelated concrete classes).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -92,35 +91,6 @@ def bound_names(env: VEnv) -> set[str]:
     return set(env)
 
 
-def table_signature(table: ProgramTable) -> str:
-    """A structural digest of the program's declarations.
-
-    The query cache salts each fingerprint with this (plus the viewer)
-    so that queries whose assertions and trigger atoms look identical
-    but whose lazy axioms expand against *different* declarations --
-    e.g. two programs both defining a class ``ZNat``, one with an
-    invariant and one without -- can never share a verdict.  Dataclass
-    reprs of the ASTs are structural, so recompiling identical source
-    yields the same digest.  Computed once per table and memoized on it.
-    """
-    sig = getattr(table, "_encode_signature", None)
-    if sig is None:
-        h = hashlib.sha256()
-        for name in sorted(table.types):
-            h.update(name.encode("utf-8"))
-            h.update(repr(table.types[name].decl).encode("utf-8"))
-        for name in sorted(table.functions):
-            method = table.lookup_function(name)
-            h.update(name.encode("utf-8"))
-            h.update(repr(method.decl if method else None).encode("utf-8"))
-        sig = h.hexdigest()
-        try:
-            table._encode_signature = sig
-        except AttributeError:
-            pass
-    return sig
-
-
 class EncodeContext:
     """Shared state across translations feeding one Solver."""
 
@@ -137,7 +107,9 @@ class EncodeContext:
         self.plugin = plugin or LazyTheoryPlugin()
         # Axiom expansions depend on the declarations and on invariant
         # visibility; the query cache must see both (see cache.py).
-        self.plugin.signature = (table_signature(table), viewer)
+        # Equal text gives equal declarations, so the text digest
+        # stands for them.
+        self.plugin.signature = (table.program.text_digest, viewer)
         #: receives an ``invariant-drop`` event per untranslatable part
         self.tracer = tracer
         self._funsyms: dict[tuple, FunSym] = {}

@@ -86,6 +86,6 @@ PROGRAMS = _programs()
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_programs_parse_the_same_from_either_token_stream(name):
     source = PROGRAMS[name]
-    ours = Parser(tokenize(source, name), name).parse_program()
-    theirs = Parser(reference_lexer.tokenize(source, name), name).parse_program()
+    ours = Parser(tokenize(source, name), name).parse_program("")
+    theirs = Parser(reference_lexer.tokenize(source, name), name).parse_program("")
     assert repr(ours) == repr(theirs)

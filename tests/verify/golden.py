@@ -14,7 +14,8 @@ these bytes:
 * ``jobs2``: the same through the process pool with two workers;
 * ``daemon``: one in-process ``VerifyDaemon`` serving every input from
   disk, cold, then again after one edit (a warning-free method appended
-  to one input), so most tasks replay from its dependency index.
+  to one input), so most tasks replay from its dependency index, then
+  once more after the edit is reverted, when every task replays.
 
 Check a driver, or rewrite the file from the serial driver::
 
@@ -120,7 +121,8 @@ def collect_api(jobs: int) -> dict[str, list[dict]]:
 
 
 def collect_daemon() -> list[dict[str, list[dict]]]:
-    """Each input's warnings from one daemon: cold, then after one edit."""
+    """Each input's warnings from one daemon: cold, after one edit, and
+    after reverting it."""
     inputs = golden_inputs()
     daemon = VerifyDaemon()
     passes = []
@@ -129,19 +131,29 @@ def collect_daemon() -> list[dict[str, list[dict]]]:
         for name, source in inputs.items():
             path = paths[name] = os.path.join(workdir, f"{name}.jm")
             Path(path).write_text(source, encoding="utf-8")
-        for request_id in (1, 2):
+        for request_id in (1, 2, 3):
             if request_id == 2:
                 with open(paths[EDITED_INPUT], "a", encoding="utf-8") as f:
                     f.write(EDIT)
+            if request_id == 3:
+                Path(paths[EDITED_INPUT]).write_text(
+                    inputs[EDITED_INPUT], encoding="utf-8"
+                )
             response = daemon.handle_request(
                 {"op": "verify", "id": request_id, "paths": list(paths.values())}
             )
             assert response["ok"], response
             result = response["result"]
+            if request_id == 1:
+                cold_tasks = result["dep_misses"]
             if request_id == 2:
                 # The edit re-verifies the new method and replays the rest.
                 assert result["dep_misses"] >= 1, result
                 assert result["dep_hits"] > 0, result
+            if request_id == 3:
+                # The revert replays every task from the daemon's memory.
+                assert result["dep_misses"] == 0, result
+                assert result["dep_hits"] == cold_tasks, result
             passes.append(
                 {
                     name: _warnings(entry["report"])

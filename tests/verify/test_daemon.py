@@ -262,6 +262,28 @@ def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
     assert served == _normalize_report(direct.to_dict())
 
 
+def test_daemon_revert_replays_every_task(program):
+    # Edit a method, verify, undo the edit: the undo replays the task's
+    # earlier outcome from memory instead of verifying it again.
+    path = program(BUGGY)
+    daemon = VerifyDaemon()
+    first = verify_result(daemon, [path])
+    edited = BUGGY.replace("case succ(Nat p): return 1;",
+                           "case succ(Nat p): return 2;", 1)
+    with open(path, "w") as handle:
+        handle.write(edited)
+    assert verify_result(daemon, [path], request_id=2)["dep_misses"] == 1
+    with open(path, "w") as handle:
+        handle.write(BUGGY)
+    reverted = verify_result(daemon, [path], request_id=3)
+    assert reverted["dep_misses"] == 0
+    assert reverted["dep_hits"] == first["dep_misses"]
+    encode = lambda result: json.dumps(
+        _normalize_report(result["files"][0]["report"]), sort_keys=True
+    )
+    assert encode(reverted) == encode(first)
+
+
 def test_daemon_invalidate_flips_hits_back_to_misses(program):
     path = program(BUGGY)
     daemon = VerifyDaemon(use_cache=False)
@@ -622,6 +644,32 @@ def test_auto_spawned_daemon_leaks_no_running_subprocess():
         gc.collect()
     leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaked, [str(w.message) for w in leaked]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_auto_spawned_daemon_is_reaped_after_shutdown():
+    socket_path = _short_socket_path()
+    client = ensure_daemon(socket_path=socket_path, spawn_wait=30.0)
+    try:
+        pid = client.status()["pid"]
+    finally:
+        client.shutdown()
+        client.close()
+
+    def state():
+        """The process's state letter, or None once it is gone."""
+        try:
+            with open(f"/proc/{pid}/status") as handle:
+                for line in handle:
+                    if line.startswith("State:"):
+                        return line.split()[1]
+        except FileNotFoundError:
+            return None
+
+    deadline = time.monotonic() + 5.0
+    while state() is not None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert state() != "Z", f"daemon {pid} was left a zombie"
 
 
 def test_spawned_daemon_that_exits_before_binding_is_diagnosed(tmp_path):

@@ -1,12 +1,10 @@
-"""The persistent tier: the ``--cache-dir`` task-outcome store.
+"""The ``--cache-dir`` task-outcome store (:mod:`repro.verify.store`).
 
-The query-level disk tier this file used to cover is gone; its
-persistent role now belongs to :mod:`repro.verify.store`, which keeps
-whole task outcomes under their dependency fingerprints.  The contract
-is the one the disk tier had: outcomes written by one process are
-replayed by another, a format bump or a changed verifier retires every
-entry, corrupt entries degrade to misses, concurrent writers never make
-a reader observe a torn entry, and nothing inconclusive reaches the
+The store keeps whole task outcomes under their dependency
+fingerprints.  Outcomes written by one process are replayed by
+another, a format bump or a changed verifier retires every entry,
+corrupt entries degrade to misses, concurrent writers never make a
+reader observe a torn entry, and nothing inconclusive reaches the
 disk.
 """
 
