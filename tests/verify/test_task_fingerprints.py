@@ -15,7 +15,12 @@ import hashlib
 import pytest
 
 from repro import api
-from repro.verify.daemon.index import _dump, _table_index, fingerprint_tasks
+from repro.verify.daemon.index import (
+    _IMPLICIT_METHODS,
+    _dump,
+    _table_index,
+    fingerprint_tasks,
+)
 from repro.verify.translate import EncodeContext
 from repro.verify.verifier import iter_tasks
 from tests.verify.golden import golden_inputs
@@ -29,7 +34,7 @@ def reference_fingerprint(table, task) -> str | None:
     roots = index._task_roots(task)
     if roots is None:
         return None
-    seeds = {"equals"}
+    seeds = set(_IMPLICIT_METHODS)
     if task.type_name:
         seeds.add(task.type_name)
     for root in roots:
