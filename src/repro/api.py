@@ -67,10 +67,10 @@ def verify(
 
     ``budget`` bounds each SMT query's wall time for this run only (it
     is threaded to the solver instances, never written to global
-    state).  ``cache`` selects the query cache: the process-wide one by
-    default, a private :class:`~repro.smt.cache.SolverCache`, or
-    ``None`` to solve every query from scratch.  The returned report
-    carries per-method solver statistics in ``solver_stats``.
+    state).  ``cache`` is an opt-in SMT query cache (a
+    :class:`~repro.smt.cache.SolverCache`); the default, ``None``,
+    solves every query.  The returned report carries per-method solver
+    statistics in ``solver_stats``.
 
     ``jobs`` selects the driver: 1 (the default) verifies the
     per-method tasks one after another in this process; above 1, they
@@ -81,8 +81,9 @@ def verify(
     (:mod:`repro.verify.store`), so a later run replays every task whose
     dependency fingerprint, options and verifier source are unchanged
     instead of verifying it again (``solver_stats.tasks_replayed``).
-    Only conclusive outcomes are kept.  ``cache=None`` disables the
-    store along with the query cache.
+    Only conclusive outcomes are kept.  Task outcomes are the only
+    reuse across runs: the store is on exactly when ``cache_dir`` is
+    set, whatever ``cache`` holds.
 
     ``jobs`` may also be ``"auto"``, which picks a worker count from
     ``os.cpu_count()`` and the task count -- staying serial on
@@ -105,8 +106,8 @@ def verify(
     serially in this process (see :mod:`repro.verify.parallel`).
 
     ``trace`` writes the run's span tree — run, file, task, statement,
-    obligation, and query spans, with verdicts, cache-tier outcomes,
-    and solver phase timers — to that path as JSONL (see
+    obligation, and query spans, with verdicts and solver phase
+    timers — to that path as JSONL (see
     :mod:`repro.obs`).  Serial and parallel runs of the same unit
     produce the same tree modulo span ids, pids, and timings.  Leaving
     it off runs the pipeline with the zero-cost null tracer.
@@ -165,7 +166,7 @@ def _verify_table(
         report = verify_parallel(table, opts, tracer, jobs, reuse)
     else:
         start = time.perf_counter()
-        outcomes = run_serial(table, tasks, opts, opts.cache, tracer, reuse)
+        outcomes = run_serial(table, tasks, opts, tracer, reuse)
         report = merge_outcomes(outcomes, time.perf_counter() - start)
         if reuse is not None:
             report.solver_stats.tasks_replayed = reuse.replayed

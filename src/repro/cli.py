@@ -46,18 +46,18 @@ def _read(path: str) -> str:
 def _cache_dir(args: argparse.Namespace) -> str | None:
     """The outcome store's location: flag, then env, then the default.
 
-    ``REPRO_CACHE_DIR=""`` (set but empty) disables the store — the
-    historical ``env or DEFAULT`` fallthrough silently re-enabled the
-    default directory instead, which is exactly what someone exporting
-    an empty value was trying to avoid.
+    An empty value, ``--cache-dir ""`` or ``REPRO_CACHE_DIR=""``,
+    disables the store, as ``--no-cache`` does: falling through to the
+    default directory would write exactly what someone passing an empty
+    value was trying to avoid.
     """
     if args.no_cache:
         return None
-    if args.cache_dir is not None:
-        return args.cache_dir
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env is not None:
-        return env or None
+    value = args.cache_dir
+    if value is None:
+        value = os.environ.get("REPRO_CACHE_DIR")
+    if value is not None:
+        return value or None
     from .verify.store import DEFAULT_CACHE_DIR
 
     return DEFAULT_CACHE_DIR
@@ -90,11 +90,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if jobs < 1:
             print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
             return 2
-    from .smt.cache import GLOBAL_CACHE
-
     options = api.VerifyOptions(
         budget=args.budget,
-        cache=None if args.no_cache else GLOBAL_CACHE,
         jobs=jobs,
         cache_dir=_cache_dir(args),
         task_timeout=args.task_timeout,
@@ -204,8 +201,8 @@ def _daemon_entries(args: argparse.Namespace) -> list:
     """:func:`_local_entries`' pairs from one request to a warm daemon.
 
     ``--jobs`` is ignored here — the daemon verifies warm-serial by
-    design (its speed comes from hot caches and the dependency index,
-    not a process pool) — as is ``--cache-dir``, which the daemon fixed
+    design (its speed comes from the task outcomes it keeps, not a
+    process pool) — as is ``--cache-dir``, which the daemon fixed
     at spawn time.
     """
     from .obs import format_profiles
@@ -327,14 +324,16 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", default=None, metavar="DIR",
         help="store of task outcomes, replayed for every method whose "
         "dependencies are unchanged (default: $REPRO_CACHE_DIR when set, "
-        "else .repro-cache; an empty $REPRO_CACHE_DIR disables the store)",
+        "else .repro-cache; an empty DIR or $REPRO_CACHE_DIR disables "
+        "the store)",
     )
     p_verify.add_argument(
         "--daemon", action="store_true",
-        help="verify through the warm daemon (spawning one if needed): "
-        "hot SMT caches plus dependency-aware re-verification across "
-        "invocations; --jobs/--cache-dir are ignored on "
-        "this path (the daemon is warm-serial and owns its cache)",
+        help="verify through the warm daemon (spawning one if needed), "
+        "which replays the kept outcome of every method whose "
+        "dependencies are unchanged across invocations; --jobs/--cache-dir "
+        "are ignored on this path (the daemon is warm-serial and owns "
+        "its store)",
     )
     p_verify.add_argument(
         "--socket", default=None, metavar="PATH",
@@ -343,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument(
         "--stats", action="store_true",
-        help="print per-method solver statistics and cache hit rate",
+        help="print per-method solver statistics and task accounting "
+        "(retried, timed out, failed, replayed)",
     )
     p_verify.add_argument(
         "--profile", action="store_true",
@@ -352,14 +352,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument(
         "--no-cache", action="store_true",
-        help="solve every SMT query from scratch and verify every "
-        "method (disables the query cache and the outcome store)",
+        help="verify every method: replay no kept task outcome (no "
+        "outcome store; with --daemon, nothing from the daemon's memory)",
     )
     p_verify.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write the run's span tree (files, tasks, obligations, SMT "
-        "queries with verdicts, cache tiers, and phase timers) to FILE "
-        "as JSONL",
+        "queries with verdicts and phase timers) to FILE as JSONL",
     )
     p_verify.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -387,12 +386,13 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", default=None, metavar="DIR",
         help="store of task outcomes the daemon reads and writes, so a "
         "fresh daemon starts warm (default: $REPRO_CACHE_DIR when set, "
-        "else .repro-cache; an empty $REPRO_CACHE_DIR disables the store)",
+        "else .repro-cache; an empty DIR or $REPRO_CACHE_DIR disables "
+        "the store)",
     )
     p_serve.add_argument(
         "--no-cache", action="store_true",
-        help="run the daemon without the SMT query cache or the "
-        "outcome store",
+        help="run a daemon that replays no task outcome, from its memory "
+        "or a store: every request verifies every method",
     )
     p_serve.add_argument(
         "--trace", default=None, metavar="FILE",

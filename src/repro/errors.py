@@ -63,14 +63,6 @@ class TypeCheckError(JMatchError):
     """A static semantic error (types, visibility, arity...)."""
 
 
-class ModeError(JMatchError):
-    """A formula is not solvable in the requested mode."""
-
-
-class MultiplicityError(JMatchError):
-    """A non-iterative mode may produce more than one solution."""
-
-
 class EvalError(JMatchError):
     """A runtime failure while solving formulas or executing statements."""
 

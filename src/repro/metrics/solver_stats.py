@@ -2,9 +2,8 @@
 
 The verifier discharges many SMT queries per method; this module rolls
 their per-query measurements (wall time, SAT rounds, theory conflicts
-and their core sizes, axioms asserted, deepening passes, cache
-hits/misses, verdict counts) up into per-method
-and whole-run totals.  The aggregate is surfaced on
+and their core sizes, axioms asserted, deepening passes, verdict
+counts) up into per-method and whole-run totals.  The aggregate is surfaced on
 :class:`repro.verify.VerificationReport`; :func:`format_stats` renders
 its document form as ``repro.cli verify --stats``.  The solver phase
 timers are not rolled up here: they live on each ``query`` trace span,
@@ -42,8 +41,6 @@ class QueryStats:
     theory_core_lits: int = _from_solver()
     axioms_asserted: int = _from_solver()
     deepening_passes: int = _from_solver()
-    cache_hits: int = _from_solver()
-    cache_misses: int = _from_solver()
 
     def add_query(self, verdict: str, seconds: float, solver_stats) -> None:
         """Fold in one query's verdict, wall time, and SolverStats."""
@@ -59,16 +56,9 @@ class QueryStats:
         for name in _SOLVER_COUNTERS:
             counters[name] += getattr(solver_stats, name)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def to_dict(self) -> dict:
         """The counters as a JSON-ready structure (``--format json``)."""
-        document = dict(self.__dict__)
-        document["cache_hit_rate"] = self.cache_hit_rate
-        return document
+        return dict(self.__dict__)
 
     def merge(self, other: "QueryStats") -> None:
         """Fold another group's counters into this one."""
@@ -180,7 +170,6 @@ def format_stats(stats: dict) -> str:
     header = (
         f"{'method':<40}{'queries':>8}{'sat':>6}{'unsat':>7}{'unk':>5}"
         f"{'time(s)':>9}{'rounds':>8}{'axioms':>8}{'deepen':>8}"
-        f"{'hits':>6}{'miss':>6}"
     )
 
     def row(label: str, q: dict) -> str:
@@ -188,7 +177,6 @@ def format_stats(stats: dict) -> str:
             f"{label:<40}{q['queries']:>8}{q['sat']:>6}{q['unsat']:>7}"
             f"{q['unknown']:>5}{q['seconds']:>9.3f}{q['sat_rounds']:>8}"
             f"{q['axioms_asserted']:>8}{q['deepening_passes']:>8}"
-            f"{q['cache_hits']:>6}{q['cache_misses']:>6}"
         )
 
     lines = [header, "-" * len(header)]
@@ -200,10 +188,6 @@ def format_stats(stats: dict) -> str:
     lines.append(
         f"theory conflicts: {t['theory_conflicts']} "
         f"({t['theory_core_lits']} core literals)"
-    )
-    lines.append(
-        f"cache hit rate: {t['cache_hit_rate']:.1%} "
-        f"({t['cache_hits']}/{t['cache_hits'] + t['cache_misses']})"
     )
     lines.append(
         f"tasks: {stats['tasks_retried']} retried, "

@@ -9,7 +9,6 @@ rendered from it.
 """
 
 from .sink import (
-    CACHE_TIERS,
     QUERY_PHASE_KEYS,
     ROW_KEYS,
     TRACE_SCHEMA_VERSION,
@@ -23,7 +22,6 @@ from .sink import (
 from .tracer import NULL_TRACER, SPAN_KINDS, NullTracer, Span, Tracer
 
 __all__ = [
-    "CACHE_TIERS",
     "NULL_TRACER",
     "NullTracer",
     "QUERY_PHASE_KEYS",

@@ -20,9 +20,9 @@ parents before children, ids assigned in document order at write time:
   compare across worker processes, while document order already gives
   within-process ordering.
 * ``attrs`` — kind-specific data: query spans carry ``verdict``,
-  ``cache`` (memory/miss/off), ``depth``, ``passes``, ``rounds``,
-  ``conflicts`` and ``core_lits`` (theory conflicts and the literals
-  across their cores), and the solver phase timers, plus
+  ``depth``, ``passes``, ``rounds``, ``conflicts`` and ``core_lits``
+  (theory conflicts and the literals across their cores), and the
+  solver phase timers, plus
   ``unknown_cause`` (``deadline`` or ``depth``) on an UNKNOWN verdict
   and on no other; task spans carry the task kind and any degradation
   flags.
@@ -47,11 +47,8 @@ TRACE_SCHEMA_VERSION = 1
 #: every row carries exactly these keys
 ROW_KEYS = ("id", "parent", "kind", "name", "pid", "dur_ms", "attrs", "events")
 
-#: phase timer keys a solved (non-cache-hit) query span's attrs carry
+#: phase timer keys a query span's attrs carry
 QUERY_PHASE_KEYS = ("encode_s", "sat_s", "expand_s", "theory_s", "validate_s")
-
-#: legal values of a query span's ``cache`` attribute
-CACHE_TIERS = ("memory", "miss", "off")
 
 
 def span_rows(roots: list[Span]) -> list[dict]:
@@ -179,8 +176,8 @@ def validate_trace_rows(rows: list[dict]) -> list[str]:
     exactly :data:`ROW_KEYS`, kinds come from the span hierarchy,
     parents precede children and nest by hierarchy order (statement
     spans may additionally nest in statement spans, mirroring source
-    nesting), and query spans carry a verdict plus a recognized
-    cache-tier outcome, and a cause exactly when the verdict is UNKNOWN.
+    nesting), and query spans carry a verdict, and a cause exactly when
+    the verdict is UNKNOWN.
     """
     problems: list[str] = []
     kind_rank = {kind: rank for rank, kind in enumerate(SPAN_KINDS)}
@@ -226,11 +223,6 @@ def validate_trace_rows(rows: list[dict]) -> list[str]:
         if row["kind"] == "query":
             if attrs.get("verdict") not in ("sat", "unsat", "unknown"):
                 problems.append(f"{where}: query without a verdict")
-            if attrs.get("cache") not in CACHE_TIERS:
-                problems.append(
-                    f"{where}: query cache tier {attrs.get('cache')!r} "
-                    f"not in {CACHE_TIERS}"
-                )
             if attrs.get("verdict") == "unknown":
                 if attrs.get("unknown_cause") not in ("deadline", "depth"):
                     problems.append(f"{where}: unknown query without a cause")

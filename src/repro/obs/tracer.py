@@ -2,7 +2,7 @@
 
 A verification run decides every obligation through a long chain of
 invisible steps — formula translation, iterative deepening, theory
-plugin rounds, cache probes — spread over ``verifier.py``,
+plugin rounds — spread over ``verifier.py``,
 ``solving.py``, and (under ``--jobs N``) worker processes.  This module
 records that chain as a tree of *spans*:
 
@@ -18,8 +18,8 @@ records that chain as a tree of *spans*:
   (redundancy of arm *i*, exhaustiveness, let-totality, totality,
   postcondition, disjointness);
 * ``query`` — one SMT ``check()`` discharged for the obligation,
-  carrying its verdict, cache outcome (memory/miss/off), the
-  deepening depth reached, and the solver phase timers.
+  carrying its verdict, the deepening depth reached, and the solver
+  phase timers.
 
 Spans hold only plain data (strings, numbers, dicts), so a subtree
 pickles across process boundaries: a pool worker records each task

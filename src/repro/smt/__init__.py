@@ -11,7 +11,7 @@ verifier needs:
 * the term language in :mod:`repro.smt.terms`.
 """
 
-from .cache import GLOBAL_CACHE, SolverCache
+from .cache import SolverCache
 from .plugin import LazyTheoryPlugin
 from .solver import Result, Solver, SolverStats, eval_int
 from .sorts import BOOL, INT, OBJ, Sort
@@ -49,7 +49,6 @@ __all__ = [
     "INT",
     "OBJ",
     "FALSE",
-    "GLOBAL_CACHE",
     "TRUE",
     "FunSym",
     "LazyTheoryPlugin",

@@ -1,23 +1,37 @@
-"""Process-wide memoization of solver verdicts: the SMT query cache.
+"""An opt-in memo of solver verdicts: the SMT query cache.
 
-The verification driver builds a fresh ``EncodeContext``/``Translator``
-pipeline for every ``switch``, ``cond``, and ``let`` it checks, so
-structurally identical queries recur constantly -- both within one
-program (the same invariant instantiated at many sites) and across
-repeated verification passes.  Solving is by far the dominant cost of
-verification, so memoizing verdicts is the single biggest lever on the
-hot path.
+No verification run uses it unless its caller passes one
+(``VerifyOptions(cache=SolverCache())``, or ``Solver(cache=...)``
+directly); the CLI, the daemon and ``api.verify``'s defaults solve
+every query.  Reuse on those paths is per task, a level up: the
+daemon's memory and the ``--cache-dir`` store
+(:mod:`repro.verify.store`) replay whole task outcomes under their
+dependency fingerprints (:class:`repro.verify.parallel.TaskReuse`).
+Within one run the cache did not pay for its fingerprints (ROADMAP,
+item 3); it stays for the benchmark, which passes and traces it.
 
 A query is fingerprinted by a SHA-256 digest of
 
 * the assertion set, with variables alpha-renamed in first-occurrence
   order and function symbols identified by name and sorts (fresh-name
   counters therefore do not defeat the cache),
+* the lazy plugin's ``signature`` (the digest of the file's name and
+  source text that :func:`~repro.lang.parser.parse_program` records,
+  and the viewer), so no entry survives an edit anywhere in the file,
 * the lazy plugin's *trigger signature*: every registration whose
   trigger atom occurs in the assertion set, as (canonical atom,
   polarity, depth, weak, callback code site) -- two queries with the
   same assertions but different axiom schemata must not collide, and
 * the solver's iterative-deepening schedule.
+
+Registrations whose trigger atom does *not* occur in the assertions
+are excluded from the signature on purpose: callbacks register their
+children while firing, so the registry grows during solving, and
+including those grown entries would make a query's fingerprint depend
+on which earlier queries happened to hit the cache.  The depth of a
+registration is included, though, and an atom keeps the depth of its
+first registration, so a warm pass can miss where a cold one solved:
+a lost hit, never a wrong one.
 
 Only conclusive verdicts are memoized; UNKNOWN is never cached (it
 depends on wall-clock budgets, not on the query).  An entry is the
@@ -27,48 +41,9 @@ counterexample) never consults the cache and is solved afresh (see
 depend on the query alone.  A ``Solver`` answered from the cache has
 no model, and its :meth:`~repro.smt.solver.Solver.model` says so.
 
-Registrations whose trigger atom does *not* occur in the assertions
-are excluded from the signature on purpose: callbacks register their
-children while firing, so the registry grows during solving, and
-including those grown entries would make a query's fingerprint depend
-on which earlier queries happened to hit the cache.  Excluding them is
-sound: what a callback adds is fixed by the registrations the
-signature does include.
-
-The registration for an atom is *not* a function of the atom alone,
-though.  ``LazyTheoryPlugin.register`` keeps the first registration and
-``EncodeContext.lazy`` skips an atom that is already registered, so an
-atom that an earlier solve registered while expanding (at depth 1)
-keeps that depth, while a pass that solves nothing (a warm pass
-answering from cache) registers it at depth 0.  The depth is part of
-the signature, so such a query misses the cache on a warm pass: a lost
-hit, not a wrong one (ROADMAP, "Warm-pass cache misses").
-
-The salt is coarse, though.  Every query carries the program's
-``plugin.signature``, whose first half is the digest of the file's
-name and source text that :func:`~repro.lang.parser.parse_program`
-records (``ast.Program.text_digest``; equal text gives an equal
-analysed program, so it stands for the declarations the axioms expand
-against, at the cost of one hash per compile).  So no entry survives
-an edit anywhere in the file.  With one ``SolverCache`` across two
-passes, ``nat`` hits 2 of 8 queries after a one-line body edit, and
-``collections`` hits 5 of 58 after one unrelated function is appended
-(54 of 58 when nothing changed).  A daemon's long-lived cache
-therefore pays only on unchanged programs, where its dependency index
-already replays every task, undone edits included (the daemon keeps
-the last few outcomes of each task).
-
-The cache lives in memory only, for the lifetime of one process.
-Reuse across runs happens a level up, per task: the ``--cache-dir``
-store (:mod:`repro.verify.store`) keeps whole task outcomes under
-their dependency fingerprints.
-
-The cache is a bounded LRU.  A bare ``Solver`` uses none; a
-verification run chooses one through ``VerifyOptions(cache=...)``: the
-process-wide :data:`GLOBAL_CACHE` by default, a private
-:class:`SolverCache`, or None.  Lookups, stores, and the hit/miss
-counters are guarded by a lock, so a cache may be shared between
-threads.
+The cache is a bounded LRU in memory.  Lookups, stores, and its own
+hit/miss counters are guarded by a lock, so a cache may be shared
+between threads.
 """
 
 from __future__ import annotations
@@ -326,7 +301,3 @@ class SolverCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-
-#: the process-wide cache a verification run uses unless told otherwise
-GLOBAL_CACHE = SolverCache()

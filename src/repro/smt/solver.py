@@ -81,8 +81,6 @@ class SolverStats:
     theory_core_lits: int = 0
     axioms_asserted: int = 0
     deepening_passes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: phase timers (seconds): where solving time actually goes
     encode_s: float = 0.0
     sat_s: float = 0.0
@@ -147,9 +145,6 @@ class Solver:
         self._blocked_unconfirmed = False
         self.stats = SolverStats()
         # -- per-check observability (read by the tracing layer) ---------
-        #: how the query cache answered the last check():
-        #: "memory" | "miss" | "off" (no cache configured)
-        self.last_cache_tier: str = "off"
         #: deepest iterative-deepening depth the last check() reached
         #: (0: answered before deepening -- cache hit or no triggers)
         self.last_depth: int = 0
@@ -203,7 +198,6 @@ class Solver:
         """Decide the conjunction of current assertions."""
         self._model = None
         self.last_depth = 0
-        self.last_cache_tier = "off"
         self.last_unknown_cause = None
         fp = None
         if self.cache is not None:
@@ -212,11 +206,7 @@ class Solver:
             )
             verdict = self.cache.lookup(fp)
             if verdict is not None:
-                self.last_cache_tier = "memory"
-                self.stats.cache_hits += 1
                 return verdict
-            self.last_cache_tier = "miss"
-            self.stats.cache_misses += 1
         seconds = (
             self.TIME_BUDGET if self.time_budget is None else self.time_budget
         )
@@ -264,12 +254,10 @@ class Solver:
 
     def model(self) -> TheoryModel:
         if self._model is None:
-            if self.last_cache_tier == "memory":
-                raise RuntimeError(
-                    "no model: the last check() was answered from the "
-                    "query cache, which keeps verdicts only"
-                )
-            raise RuntimeError("model is only available after a SAT check")
+            raise RuntimeError(
+                "model is only available after a solved SAT check (a "
+                "query-cache hit keeps the verdict only)"
+            )
         return self._model
 
     # -- incremental encoding ---------------------------------------------

@@ -48,12 +48,6 @@ class TheoryModel:
     obj_class: dict[Term, int] = field(default_factory=dict)
     atom_values: dict[Term, bool] = field(default_factory=dict)
 
-    def int_value(self, t: Term) -> int | None:
-        return self.int_values.get(t)
-
-    def obj_value(self, t: Term) -> int | None:
-        return self.obj_class.get(t)
-
     def same_object(self, a: Term, b: Term) -> bool:
         ca, cb = self.obj_class.get(a), self.obj_class.get(b)
         return ca is not None and ca == cb

@@ -20,8 +20,9 @@ Responses::
 
 ``verify`` takes four options: the scalar
 :class:`repro.api.VerifyOptions` fields that affect verdicts
-(``budget``, ``task_timeout``, ``use_cache``) and ``trace``, which
-ships the request's span rows back in the response.  Any other option
+(``budget``, ``task_timeout``), ``use_cache`` (false: replay no kept
+task outcome, verify every task) and ``trace``, which ships the
+request's span rows back in the response.  Any other option
 key is rejected with ``invalid-params`` (protocol 6 dropped ``stats``,
 ``profile`` and ``dep_index``: the daemon renders no text, and
 dependency-aware reuse is always on).  The result reuses

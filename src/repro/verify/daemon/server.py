@@ -1,25 +1,22 @@
-"""The verification daemon: warm state + dependency-aware re-verify.
+"""The verification daemon: dependency-aware re-verify from memory.
 
 One daemon process serves many ``verify`` requests over a Unix domain
-socket (or stdio), and everything expensive stays hot between them:
-
-* the in-memory :class:`~repro.smt.cache.SolverCache`, which a cold
-  CLI invocation pays for from scratch every time;
-* the pattern-algebra signature memos
-  (:func:`repro.verify.tiered.warm_algebra`), pre-built per compiled
-  table;
-* per-task *outcomes* keyed by dependency fingerprint
-  (:mod:`repro.verify.daemon.index`): a re-``verify`` of an edited file
-  re-runs only the tasks whose fingerprints changed (``dep-miss``) and
-  replays the kept outcome for the rest (``dep-hit``), falling back
-  to a full re-run for any task the index cannot fingerprint.  The
-  last few fingerprints of each task are kept, not only the latest,
-  so reverting an edit (an editor's undo) replays too.  This is
-  :class:`repro.verify.parallel.TaskReuse` over
-  :func:`repro.verify.parallel.run_serial`, the task loop every driver
-  shares, backed by the daemon's per-file memory and, when the daemon
-  has a ``cache_dir``, by the on-disk store of
-  :mod:`repro.verify.store`, so a fresh daemon starts warm.
+socket (or stdio) and keeps per-task *outcomes* between them, keyed by
+dependency fingerprint (:mod:`repro.verify.daemon.index`).  That is
+its only reuse; it keeps no SMT query cache.  A re-``verify`` of an
+edited file re-runs only the tasks whose fingerprints changed
+(``dep-miss``) and replays the kept outcome for the rest (``dep-hit``),
+falling back to a full re-run for any task the index cannot
+fingerprint.  The last few fingerprints of each task are kept, not
+only the latest, so reverting an edit (an editor's undo) replays too.
+This is :class:`repro.verify.parallel.TaskReuse` over
+:func:`repro.verify.parallel.run_serial`, the task loop every driver
+shares, backed by the daemon's per-file memory and, when the daemon
+has a ``cache_dir``, by the on-disk store of
+:mod:`repro.verify.store`, so a fresh daemon starts warm.  A daemon
+made with ``use_cache=False`` (``repro serve --no-cache``), or a
+request with the ``use_cache`` option false (``verify --daemon
+--no-cache``), replays nothing and verifies every task.
 
 Every connection is served from the thread that calls
 :meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
@@ -56,7 +53,6 @@ from ... import api
 from ...errors import JMatchError
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
-from ...smt.cache import SolverCache
 from ..parallel import (
     TaskOutcome,
     TaskReuse,
@@ -65,7 +61,6 @@ from ..parallel import (
     run_serial,
 )
 from ..store import OutcomeStore
-from ..tiered import warm_algebra
 from ..verifier import VerifyTask, iter_tasks
 from . import protocol
 from .index import fingerprint_tasks
@@ -109,9 +104,11 @@ class _FileState:
         self.entries[task] = kept[:_KEPT_PER_TASK]
 
 
-#: ``verify`` request options the daemon honors, with defaults; every
-#: one maps onto the same-named VerifyOptions field except ``trace``,
-#: which ships the request's span rows back in the response
+#: ``verify`` request options the daemon honors, with defaults:
+#: ``budget`` and ``task_timeout`` map onto the same-named
+#: VerifyOptions fields, ``use_cache`` false replays no kept task
+#: outcome, and ``trace`` ships the request's span rows back in the
+#: response
 _VERIFY_OPTION_DEFAULTS = {
     "budget": None,
     "task_timeout": None,
@@ -129,8 +126,8 @@ _SEND_TIMEOUT_S = 30.0
 class VerifyDaemon:
     """The daemon's state machine, transport-agnostic.
 
-    :meth:`handle_request` implements the protocol ops against the warm
-    state; :meth:`serve_socket` / :meth:`serve_stdio` are thin
+    :meth:`handle_request` implements the protocol ops against the kept
+    outcomes; :meth:`serve_socket` / :meth:`serve_stdio` are thin
     transports over it.
     """
 
@@ -140,9 +137,9 @@ class VerifyDaemon:
         use_cache: bool = True,
         trace_path: str | None = None,
     ):
-        self.cache = SolverCache() if use_cache else None
-        #: the outcome store's directory (None: outcomes stay in memory);
-        #: a request without the query cache does without it too
+        #: whether requests replay kept task outcomes at all
+        self.use_cache = use_cache
+        #: the outcome store's directory (None: outcomes stay in memory)
         self.cache_dir = cache_dir
         self.files: dict[str, _FileState] = {}
         self.started = time.time()
@@ -248,9 +245,7 @@ class VerifyDaemon:
         opts = dict(_VERIFY_OPTION_DEFAULTS)
         opts.update(raw)
         options = api.VerifyOptions(
-            budget=opts["budget"],
-            task_timeout=opts["task_timeout"],
-            cache=self.cache if opts["use_cache"] else None,
+            budget=opts["budget"], task_timeout=opts["task_timeout"]
         )
         try:
             options.validate()
@@ -259,6 +254,7 @@ class VerifyDaemon:
                 request_id, protocol.ERROR_INVALID_PARAMS, str(exc)
             )
         options_sig = options_signature(options)
+        replay = self.use_cache and bool(opts["use_cache"])
         self.requests_served += 1
         tracing = bool(opts["trace"]) or self.trace_path is not None
         tracer = Tracer() if tracing else NULL_TRACER
@@ -268,7 +264,7 @@ class VerifyDaemon:
         with tracer.span("run", "request", op="verify"):
             for path in paths:
                 entry, file_hits, file_misses = self._verify_file(
-                    path, options, options_sig, tracer
+                    path, options, options_sig, replay, tracer
                 )
                 files.append(entry)
                 hits += file_hits
@@ -294,13 +290,19 @@ class VerifyDaemon:
     # -- the warm verification path ------------------------------------
 
     def _verify_file(
-        self, path: str, options: api.VerifyOptions, options_sig: str, tracer
+        self,
+        path: str,
+        options: api.VerifyOptions,
+        options_sig: str,
+        replay: bool,
+        tracer,
     ) -> tuple[dict, int, int]:
-        """Verify one path against the warm state; a CLI-shaped entry.
+        """Verify one path against the kept outcomes; a CLI-shaped entry.
 
         The returned entry matches ``verify --format json`` exactly
         (``{"path", "report"}`` or ``{"path", "error"}``), so daemon and
-        CLI reports are the same document.
+        CLI reports are the same document.  Without ``replay`` every
+        task runs, and the kept outcomes are neither read nor changed.
         """
         abspath = os.path.abspath(path)
         try:
@@ -313,30 +315,30 @@ class VerifyDaemon:
         except JMatchError as exc:
             return {"path": path, "error": str(exc)}, 0, 0
         table = unit.table
-        warm_algebra(table)
         tasks = list(iter_tasks(table))
-        state = self.files.get(abspath)
-        if state is None or state.options_sig != options_sig:
-            state = _FileState(options_sig)
-        backings = [state]
-        if self.cache_dir is not None and options.use_cache:
-            backings.append(OutcomeStore(self.cache_dir, options_sig))
-        reuse = TaskReuse(fingerprint_tasks(table, tasks), backings)
+        reuse = None
+        if replay:
+            state = self.files.get(abspath)
+            if state is None or state.options_sig != options_sig:
+                state = _FileState(options_sig)
+            backings = [state]
+            if self.cache_dir is not None:
+                backings.append(OutcomeStore(self.cache_dir, options_sig))
+            reuse = TaskReuse(fingerprint_tasks(table, tasks), backings)
         start = time.perf_counter()
         with tracer.span("file", path):
-            outcomes = run_serial(
-                table, tasks, options, options.cache, tracer, reuse
-            )
-            hits = reuse.replayed
+            outcomes = run_serial(table, tasks, options, tracer, reuse)
+            hits = 0 if reuse is None else reuse.replayed
             misses = len(tasks) - hits
             tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
-        # Drop entries for tasks that no longer exist in the source.
-        live = set(tasks)
-        for stale in [key for key in state.entries if key not in live]:
-            del state.entries[stale]
-        state.verified_at = time.time()
-        state.tasks = len(tasks)
-        self.files[abspath] = state
+        if reuse is not None:
+            # Drop entries for tasks that no longer exist in the source.
+            live = set(tasks)
+            for stale in [key for key in state.entries if key not in live]:
+                del state.entries[stale]
+            state.verified_at = time.time()
+            state.tasks = len(tasks)
+            self.files[abspath] = state
         report = merge_outcomes(outcomes, time.perf_counter() - start)
         report.solver_stats.tasks_replayed = hits
         report.solver_stats.parallel_decision = (

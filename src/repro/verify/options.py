@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from ..smt.cache import GLOBAL_CACHE, SolverCache
+from ..smt.cache import SolverCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Tracer
@@ -41,18 +41,20 @@ class VerifyOptions:
 
     (The ``cache`` and ``tracer`` fields hold live objects and do not
     cross process boundaries; the parallel driver ships workers
-    scalars — ``use_cache``, whether tracing is on — instead.)
+    flags — whether a cache was passed, whether tracing is on —
+    instead.)
     """
 
     #: per-query SMT wall-time budget in seconds (None: solver default)
     budget: float | None = None
-    #: the query cache: the process-wide one, a private SolverCache, or
-    #: None to solve every query from scratch
-    cache: SolverCache | None = GLOBAL_CACHE
+    #: an opt-in SMT query cache (a SolverCache); None, the default,
+    #: solves every query.  Reuse across runs is per task, through
+    #: ``cache_dir``, whatever this field holds
+    cache: SolverCache | None = None
     #: worker processes (int), or "auto" to size from CPUs and tasks
     jobs: int | str = 1
-    #: directory of the task-outcome store (None: no store); see
-    #: :mod:`repro.verify.store`
+    #: directory of the task-outcome store (None: no store, so no task
+    #: is replayed); see :mod:`repro.verify.store`
     cache_dir: str | None = None
     #: wall-clock limit per verification task (method), in seconds
     task_timeout: float | None = None
@@ -61,10 +63,6 @@ class VerifyOptions:
     #: an externally-owned tracer to record into (overrides ``trace``
     #: file handling; the caller writes the sink)
     tracer: "Tracer | None" = field(default=None, repr=False)
-
-    @property
-    def use_cache(self) -> bool:
-        return self.cache is not None
 
     def replace(self, **changes) -> "VerifyOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

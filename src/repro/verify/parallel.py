@@ -12,24 +12,24 @@ out across a ``ProcessPoolExecutor`` and reassembles the same result:
   in that same order, so warnings come out byte-identical to a serial
   run, whatever order workers finish in;
 * every task runs inside a pristine term-interning scope with a fresh
-  ``SolverSession``, so models, counterexample text, and cache
-  fingerprints do not depend on which process ran which tasks before;
-* each worker process builds its own in-memory
-  :class:`~repro.smt.cache.SolverCache` from the pickled program
-  table; workers share nothing.
+  ``SolverSession``, so models and counterexample text do not depend
+  on which process ran which tasks before;
+* workers share nothing: each gets the pickled program table, and its
+  own in-memory :class:`~repro.smt.cache.SolverCache` only when the
+  caller passed one (``VerifyOptions.cache``).
 
-Given a :class:`TaskReuse`, both drivers replay the kept outcome of
-every task whose dependency fingerprint is unchanged (``dep-hit``,
-counted in ``VerifyStats.tasks_replayed``) and keep the outcome of
-every task they run (``dep-miss``); the pool gets only the misses.
-Outcomes live in the daemon's memory, the ``--cache-dir`` store
+Task outcomes are the one reuse on every user path.  Given a
+:class:`TaskReuse`, both drivers replay the kept outcome of every task
+whose dependency fingerprint is unchanged (``dep-hit``, counted in
+``VerifyStats.tasks_replayed``) and keep the outcome of every task they
+run (``dep-miss``); the pool gets only the misses.  Outcomes live in
+the daemon's memory, the ``--cache-dir`` store
 (:mod:`repro.verify.store`), or both.
 
 Throughput comes from amortization, not from more processes:
 
-* **warm workers** — the pool initializer builds the table, the cache
-  tiers, and the shared pattern-algebra signature memo
-  (:func:`repro.verify.tiered.warm_algebra`) once per worker process;
+* **warm workers** — the pool initializer receives the table once per
+  worker process, not once per task;
 * **batching** — many small obligations ship per pool submission
   (:func:`resolve_batch_size` sizes batches from the task and worker
   counts), collapsing the per-future submit/pickle/result overhead.
@@ -94,7 +94,6 @@ from ..obs import NULL_TRACER, Span, Tracer
 from ..smt.cache import SolverCache
 from .faults import maybe_fail_task
 from .options import VerifyOptions
-from .tiered import warm_algebra
 from .verifier import (
     VerificationReport,
     Verifier,
@@ -148,10 +147,11 @@ def task_deadline(seconds: float | None):
 
 
 def options_signature(options: VerifyOptions) -> str:
-    """The options a task outcome depends on (not ``jobs``, not tracing:
-    every driver gives the same outcomes, and a replay gets a fresh
-    span), so a budget change re-runs every task."""
-    return repr((options.budget, options.task_timeout, options.use_cache))
+    """The options a task outcome depends on (not ``jobs``, not tracing,
+    not the query cache: every driver gives the same outcomes, a replay
+    gets a fresh span, and cached verdicts never change warnings), so a
+    budget change re-runs every task."""
+    return repr((options.budget, options.task_timeout))
 
 
 class TaskReuse:
@@ -203,8 +203,8 @@ def stored_reuse(
     table: ProgramTable, tasks: list[VerifyTask], options: VerifyOptions
 ) -> TaskReuse | None:
     """Reuse backed by ``options.cache_dir``'s store, or None without
-    one; ``cache=None`` (``--no-cache``) turns the store off too."""
-    if options.cache_dir is None or not options.use_cache:
+    one (``--no-cache`` passes none)."""
+    if options.cache_dir is None:
         return None
     from .daemon.index import fingerprint_tasks
     from .store import OutcomeStore
@@ -220,23 +220,17 @@ _WORKER: dict = {}
 def _init_worker(
     table: ProgramTable,
     budget: float | None,
-    use_cache: bool,
+    with_cache: bool,
     task_timeout: float | None,
     trace: bool,
 ) -> None:
-    """Build this worker's warm state (runs once per process).
-
-    Everything a task would otherwise rebuild on first touch happens
-    here instead: the query cache, and the pattern-algebra signature
-    memo for every (viewer, type) pair, shared by all of this worker's
-    tasks.
-    """
+    """Keep this worker's state (runs once per process): the table,
+    and a query cache of its own when the caller passed one."""
     _WORKER["table"] = table
     _WORKER["budget"] = budget
-    _WORKER["cache"] = SolverCache() if use_cache else None
+    _WORKER["cache"] = SolverCache() if with_cache else None
     _WORKER["task_timeout"] = task_timeout
     _WORKER["trace"] = trace
-    warm_algebra(table)
 
 
 def run_one_task(
@@ -250,9 +244,9 @@ def run_one_task(
     """Verify one task, rebuilding the solver session.
 
     A fresh :class:`Verifier` (and with it a fresh ``SolverSession``)
-    is constructed per task; only the caller's query cache persists
-    between tasks, and cached verdicts never change warnings.  When
-    ``trace`` is set the task records its spans under a private
+    is constructed per task; only a query cache the caller passed
+    persists between tasks, and cached verdicts never change warnings.
+    When ``trace`` is set the task records its spans under a private
     :class:`~repro.obs.Tracer` whose single root (the task span) ships
     back on ``TaskOutcome.trace`` for the parent to re-attach.  A task
     that overruns ``task_timeout`` returns a deterministic timed-out
@@ -343,7 +337,6 @@ def run_serial(
     table: ProgramTable,
     tasks: list[VerifyTask],
     options: VerifyOptions,
-    cache,
     tracer,
     reuse: TaskReuse | None = None,
 ) -> list[TaskOutcome]:
@@ -362,8 +355,8 @@ def run_serial(
         if outcome is None:
             try:
                 outcome = run_one_task(
-                    table, task, options.budget, cache, options.task_timeout,
-                    trace,
+                    table, task, options.budget, options.cache,
+                    options.task_timeout, trace,
                 )
             except Exception as exc:
                 outcome = _failed_outcome(table, task, exc, trace)
@@ -651,7 +644,7 @@ def verify_parallel(
             initargs=(
                 table,
                 options.budget,
-                options.use_cache,
+                options.cache is not None,
                 options.task_timeout,
                 trace,
             ),
@@ -682,7 +675,6 @@ def verify_parallel(
             table,
             [tasks[index] for index in missing],
             options,
-            SolverCache() if options.use_cache else None,
             Tracer() if trace else NULL_TRACER,
         )
         for index, outcome in zip(missing, rerun):

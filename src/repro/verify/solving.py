@@ -8,9 +8,8 @@ single place to
 * thread the per-query time budget to each solver *instance* (never by
   mutating ``Solver.TIME_BUDGET``, which would leak to every later
   in-process caller),
-* choose the query cache (the process-wide one by default, a private
-  one, or none) for the queries that consult it: verdict queries only,
-  since the cache keeps no models,
+* hand a caller's query cache, if it passed one, to the queries that
+  consult it: verdict queries only, since the cache keeps no models,
 * keep the persistent incremental engines: one ``Solver`` per encoding
   context (plugin), diffed against each query's assertion stack, while
   a query that needs a model gets a fresh, uncached solve of its own
@@ -28,7 +27,7 @@ from typing import NamedTuple
 from ..metrics.solver_stats import VerifyStats
 from ..obs import NULL_TRACER, QUERY_PHASE_KEYS
 from ..smt import Result
-from ..smt.cache import GLOBAL_CACHE, SolverCache
+from ..smt.cache import SolverCache
 from ..smt.plugin import LazyTheoryPlugin
 from ..smt.solver import Solver, SolverStats
 from ..smt.terms import Term
@@ -43,8 +42,6 @@ class QueryOutcome(NamedTuple):
     model: TheoryModel | None
     #: the counters this query alone spent
     stats: SolverStats
-    #: "memory" | "miss" | "off"
-    cache_tier: str
     #: deepest iterative-deepening depth reached
     depth: int
     #: why an UNKNOWN verdict is unknown: "deadline" or "depth"
@@ -63,7 +60,6 @@ def solve_fresh(
         result,
         model,
         solver.stats,
-        solver.last_cache_tier,
         solver.last_depth,
         solver.last_unknown_cause,
     )
@@ -90,7 +86,7 @@ class SolverSession:
     def __init__(
         self,
         budget: float | None = None,
-        cache: SolverCache | None = GLOBAL_CACHE,
+        cache: SolverCache | None = None,
         stats: VerifyStats | None = None,
         tracer=NULL_TRACER,
     ):
@@ -142,12 +138,11 @@ class SolverSession:
             )
         tracer = self.tracer
         if tracer.enabled:
-            # The observability leaf: verdict, cache-tier outcome,
-            # deepening depth reached, and where the time went.  Guarded
-            # by ``enabled`` so an untraced run never assembles this.
+            # The observability leaf: verdict, deepening depth reached,
+            # and where the time went.  Guarded by ``enabled`` so an
+            # untraced run never assembles this.
             attrs = {
                 "verdict": outcome.result.value,
-                "cache": outcome.cache_tier,
                 "depth": outcome.depth,
                 "passes": query_stats.deepening_passes,
                 "rounds": query_stats.sat_rounds,
@@ -187,9 +182,8 @@ class SolverSession:
         from earlier queries, while a fresh solve's model depends on
         the query alone, so the counterexample the user sees is the
         same however earlier queries went.  It never consults the query
-        cache, which keeps verdicts only (its query span says
-        ``cache: "off"``).  A query with no axiom context has nothing
-        to persist against and is solved fresh as well.
+        cache, which keeps verdicts only.  A query with no axiom context
+        has nothing to persist against and is solved fresh as well.
         """
         if plugin is None or want_model:
             solver = Solver(
@@ -218,7 +212,6 @@ class SolverSession:
             result,
             None,
             solver.stats.delta(before),
-            solver.last_cache_tier,
             solver.last_depth,
             solver.last_unknown_cause,
         )

@@ -30,7 +30,7 @@ from ..lang.symbols import MethodInfo, ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..modes.mode import RESULT
 from ..obs import NULL_TRACER
-from ..smt.cache import GLOBAL_CACHE, SolverCache
+from ..smt.cache import SolverCache
 from ..smt.terms import scoped_intern_state
 from . import fir
 from .disjointness import DisjointnessChecker
@@ -105,7 +105,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 6
+REPORT_SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -189,7 +189,7 @@ class Verifier:
         self,
         table: ProgramTable,
         budget: float | None = None,
-        cache: SolverCache | None = GLOBAL_CACHE,
+        cache: SolverCache | None = None,
         tracer=NULL_TRACER,
     ):
         self.table = table

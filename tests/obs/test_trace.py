@@ -6,7 +6,7 @@ JSONL span tree that (a) satisfies the executable schema
 — run, file, task, statement, obligation, and query spans — and
 (c) has a deterministic *shape*: ids, parents, kinds, names, and
 verdicts are a function of the program alone, while pids, durations,
-and cache tiers vary run to run.  The golden file pins that shape for
+depths and phase timers vary run to run.  The golden file pins that shape for
 one small program so schema drift is a reviewed change, not an
 accident.
 """
@@ -56,8 +56,8 @@ def normalize(rows):
     """The deterministic projection of a trace: its shape and verdicts.
 
     Ids and parents are document-order (assigned at write time), so
-    they belong to the shape; pids, durations, cache tiers, depths,
-    and phase timers are legitimately run-dependent and are dropped.
+    they belong to the shape; pids, durations, depths, and phase
+    timers are legitimately run-dependent and are dropped.
     """
     return [
         (
@@ -115,14 +115,14 @@ def test_statement_and_obligation_spans_are_present(traced):
     assert any(name.startswith("redundancy of arm") for name in obligations)
 
 
-def test_query_spans_carry_verdict_cache_and_phase_timers(traced):
+def test_query_spans_carry_verdict_and_phase_timers(traced):
     _, _, rows = traced
     queries = [row for row in rows if row["kind"] == "query"]
     assert queries
     for row in queries:
         attrs = row["attrs"]
         assert attrs["verdict"] in ("sat", "unsat", "unknown")
-        assert attrs["cache"] in ("memory", "miss", "off")
+        assert "cache" not in attrs
         for key in ("encode_s", "sat_s", "expand_s", "theory_s",
                     "validate_s", "depth", "passes", "rounds",
                     "conflicts", "core_lits"):
@@ -188,7 +188,7 @@ def test_sink_roundtrip_and_id_assignment(tmp_path):
             with tracer.span("task", "T.m", kind="method"):
                 tracer.leaf(
                     "query", "unsat", 0.0, 0.001,
-                    {"verdict": "unsat", "cache": "miss"},
+                    {"verdict": "unsat"},
                 )
     rows = span_rows(tracer.roots)
     assert [(r["id"], r["parent"]) for r in rows] == [

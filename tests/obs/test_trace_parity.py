@@ -5,9 +5,8 @@ serial run and a ``--jobs 4`` run of the same program must emit the
 same span tree modulo span ids being reassigned (they are document-
 order, so they actually coincide), pids, and timings.  Concretely, the
 normalized projection — (id, parent, kind, name, verdict) per row —
-must be equal; pids, durations, cache tiers, deepening depths, and
-phase timers legitimately differ because workers rebuild private
-sessions and caches.
+must be equal; pids, durations, deepening depths, and phase timers
+legitimately differ because workers rebuild private sessions.
 """
 
 import pytest

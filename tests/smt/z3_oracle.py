@@ -86,8 +86,7 @@ def z3_solve(session, plugin, terms, want_model=False):
         )
     except BudgetExceeded:
         result, depth = Result.UNKNOWN, None
-    stats.cache_misses += 1
-    return QueryOutcome(result, None, stats, "off", depth)
+    return QueryOutcome(result, None, stats, depth)
 
 
 @contextlib.contextmanager

@@ -63,8 +63,10 @@ def test_verify_stats_table(program, capsys):
     assert main(["verify", program(BUGGY), "--stats"]) == 0
     out = capsys.readouterr().out
     assert "queries" in out
-    assert "cache hit rate" in out
     assert "total" in out
+    assert "replayed" in out
+    # Schema 7 dropped the query-cache counters, and the table with them.
+    assert "cache hit rate" not in out
 
 
 def test_verify_no_cache_output_matches_cached(program, capsys):
@@ -74,7 +76,7 @@ def test_verify_no_cache_output_matches_cached(program, capsys):
     assert main(["verify", path, "--no-cache"]) == 0
     plain = capsys.readouterr().out
     # Warning lines (everything except the timing summary) must be
-    # byte-identical with and without the cache.
+    # byte-identical with and without --no-cache.
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("checked ")]
     assert strip(cached) == strip(plain)
 
@@ -113,19 +115,6 @@ def test_verify_rejects_non_finite_budget_and_timeout(program, capsys, flag, bad
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""
-
-
-def test_verify_exits_2_when_the_cache_is_not_a_solver_cache(
-    program, capsys, monkeypatch
-):
-    # The CLI builds its options from the process-wide cache; whatever
-    # stands there must pass VerifyOptions.validate, or the run exits 2
-    # before any task starts.
-    import repro.smt.cache
-
-    monkeypatch.setattr(repro.smt.cache, "GLOBAL_CACHE", False)
-    assert main(["verify", program(CLEAN)]) == 2
-    assert "SolverCache or None" in capsys.readouterr().err
 
 
 def test_verify_task_timeout_output_matches_plain(program, capsys):
@@ -403,6 +392,10 @@ def test_cache_dir_env_semantics(monkeypatch, tmp_path):
     # the --cache-dir flag still beats the env either way
     flagged = argparse.Namespace(no_cache=False, cache_dir="explicit")
     assert _cache_dir(flagged) == "explicit"
+    # ... and an empty flag disables the store, as the empty env does
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
+    emptied = argparse.Namespace(no_cache=False, cache_dir="")
+    assert _cache_dir(emptied) is None
 
 
 def test_empty_cache_dir_env_disables_disk_tier(program, monkeypatch,
@@ -414,6 +407,31 @@ def test_empty_cache_dir_env_disables_disk_tier(program, monkeypatch,
     assert main(["verify", program(BUGGY)]) == 0
     capsys.readouterr()
     assert not os.path.exists(tmp_path / ".repro-cache")
+
+
+def test_empty_cache_dir_flag_disables_the_store(program, monkeypatch,
+                                                 tmp_path, capsys):
+    # ``--cache-dir ""`` used to open the store at the working
+    # directory itself (an ``outcomes-v1`` directory beside the input).
+    import io
+    import json
+    import os
+
+    monkeypatch.chdir(tmp_path)
+    path = program(BUGGY)
+    assert main(["verify", path, "--cache-dir", ""]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == ["program.jm"]
+    requests = [
+        {"id": 1, "op": "verify", "paths": [path]},
+        {"id": 2, "op": "shutdown"},
+    ]
+    lines = "".join(json.dumps(request) + "\n" for request in requests)
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert main(["serve", "--stdio", "--cache-dir", ""]) == 0
+    first = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert first["ok"] and first["result"]["dep_misses"] > 0
+    assert os.listdir(tmp_path) == ["program.jm"]
 
 
 def test_run_function(program, capsys):
@@ -634,11 +652,12 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
     total = stats["total"]
     assert total["queries"] > 0
     assert total["sat"] + total["unsat"] + total["unknown"] == total["queries"]
-    # Cache counters round-trip; schema 6 dropped the memory/disk split
-    # of the hits with the query-level disk tier.
-    for key in ("cache_hits", "cache_misses"):
-        assert key in total
-    for key in ("cache_memory_hits", "cache_disk_hits"):
+    # Schema 6 dropped the memory/disk split of the hits with the
+    # query-level disk tier, and schema 7 the query-cache counters.
+    for key in (
+        "cache_hits", "cache_misses", "cache_hit_rate",
+        "cache_memory_hits", "cache_disk_hits",
+    ):
         assert key not in total
     assert stats["tasks_replayed"] == 0
     # Schema 4: the phase timers live only on the trace's query spans
@@ -649,7 +668,7 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
         assert all(key not in row for row in stats["per_method"].values())
     # Schema 5 dropped the soft-deadline counter with the soft deadline;
     # schema 6 added tasks_replayed.
-    assert entry["report"]["schema"] == 6
+    assert entry["report"]["schema"] == 7
 
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only", "algebra-only", "check"])

@@ -210,7 +210,7 @@ def _normalize_report(document):
 
 def test_daemon_verify_matches_api(program):
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     result = verify_result(daemon, [path])
     direct = api.verify(
         api.compile_program(BUGGY, filename=path),
@@ -223,7 +223,7 @@ def test_daemon_verify_matches_api(program):
 
 def test_daemon_second_verify_is_all_hits(program):
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     cold = verify_result(daemon, [path])
     warm = verify_result(daemon, [path], request_id=2)
     assert cold["dep_misses"] > 0 and cold["dep_hits"] == 0
@@ -239,7 +239,7 @@ def test_daemon_second_verify_is_all_hits(program):
 
 def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     cold = verify_result(daemon, [path])
     # Rewrite one arm of f in place (same line count, so no other
     # declaration's spans move).
@@ -284,9 +284,43 @@ def test_daemon_revert_replays_every_task(program):
     assert encode(reverted) == encode(first)
 
 
-def test_daemon_invalidate_flips_hits_back_to_misses(program):
+def test_daemon_no_cache_request_replays_nothing(program):
+    # ``verify --daemon --no-cache`` verifies every method: a request
+    # with use_cache false replays no outcome, even one the daemon kept.
+    from repro.corpus import combined_programs
+
+    path = program(combined_programs()["nat"], name="nat.jm")
+    daemon = VerifyDaemon()
+    results = [
+        verify_result(daemon, [path], request_id=i, use_cache=False)
+        for i in (1, 2)
+    ]
+    for result in results:
+        assert result["dep_hits"] == 0
+        assert result["dep_misses"] > 0
+        stats = result["files"][0]["report"]["solver_stats"]
+        assert stats["tasks_replayed"] == 0
+    # The no-cache requests kept nothing; default requests keep and
+    # replay as before.
+    assert verify_result(daemon, [path], request_id=3)["dep_hits"] == 0
+    warm = verify_result(daemon, [path], request_id=4)
+    assert warm["dep_misses"] == 0
+    assert warm["dep_hits"] == results[0]["dep_misses"]
+
+
+def test_daemon_made_without_cache_replays_nothing(program):
+    # ``repro serve --no-cache``: no request replays a task outcome.
     path = program(BUGGY)
     daemon = VerifyDaemon(use_cache=False)
+    cold = verify_result(daemon, [path])
+    again = verify_result(daemon, [path], request_id=2)
+    assert again["dep_hits"] == 0
+    assert again["dep_misses"] == cold["dep_misses"] > 0
+
+
+def test_daemon_invalidate_flips_hits_back_to_misses(program):
+    path = program(BUGGY)
+    daemon = VerifyDaemon()
     cold = verify_result(daemon, [path])
     response = json.loads(
         protocol.encode(
@@ -301,14 +335,14 @@ def test_daemon_invalidate_flips_hits_back_to_misses(program):
 
 def test_daemon_option_change_flushes_outcomes(program):
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     verify_result(daemon, [path], budget=2.0)
     switched = verify_result(daemon, [path], request_id=2, budget=1.0)
     assert switched["dep_hits"] == 0
 
 
 def test_daemon_verify_rejects_bad_params(program):
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     for params in (
         {"paths": []},
         {"paths": "x.jm"},
@@ -325,7 +359,7 @@ def test_daemon_verify_rejects_bad_params(program):
 
 
 def test_daemon_verify_rejects_removed_options(program):
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     for options in (
         {"incremental": False},
         {"backend": "portfolio"},
@@ -349,7 +383,7 @@ def test_daemon_verify_rejects_removed_options(program):
 def test_daemon_verify_rejects_tier_option(program):
     # Protocol 5 dropped the ``tier`` verify option: the pattern
     # algebra is a fast path, not a setting.
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     for tier in ("auto", "smt-only", "algebra-only", "check"):
         response = daemon.handle_line(
             request_line(
@@ -368,17 +402,17 @@ def test_daemon_reports_protocol_6():
     # ``tier`` one, protocol 6 ``stats``, ``profile`` and ``dep_index``;
     # report schema 4 dropped the phase timers, schema 5 the
     # soft-deadline counter, schema 6 the memory/disk hit split (and
-    # added tasks_replayed).
-    daemon = VerifyDaemon(use_cache=False)
+    # added tasks_replayed), schema 7 the query-cache counters.
+    daemon = VerifyDaemon()
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
     assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 6
-    assert response["result"]["version"].startswith("repro-daemon/6.6")
+    assert response["result"]["version"].startswith("repro-daemon/6.7")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
     path = program("class {", name="broken.jm")
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     result = verify_result(daemon, [path])
     entry = result["files"][0]
     assert "error" in entry and "report" not in entry
@@ -386,7 +420,7 @@ def test_daemon_compile_error_is_a_file_entry(program):
 
 
 def test_daemon_survives_internal_errors(program, monkeypatch):
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     monkeypatch.setattr(
         daemon, "_op_verify",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
@@ -403,7 +437,7 @@ def test_daemon_trace_rows_validate(program):
     from repro.obs import validate_trace_rows
 
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     result = verify_result(daemon, [path], trace=True)
     rows = result["trace"]
     assert validate_trace_rows(rows) == []
@@ -422,7 +456,7 @@ def test_daemon_trace_toggle_keeps_outcomes(program):
     # A dep-hit gets a fresh span, never the stored outcome's, so asking
     # for a trace (--trace, --profile) must not flush the outcomes.
     path = program(BUGGY)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     cold = verify_result(daemon, [path])
     traced = verify_result(daemon, [path], request_id=2, trace=True)
     assert traced["dep_misses"] == 0
@@ -437,7 +471,7 @@ def test_daemon_trace_toggle_keeps_outcomes(program):
 @pytest.fixture
 def served_daemon(tmp_path):
     socket_path = _short_socket_path()
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     thread = threading.Thread(
         target=daemon.serve_socket, args=(socket_path,), daemon=True
     )
@@ -505,7 +539,7 @@ def test_socket_survives_malformed_line(served_daemon):
 
 def test_socket_refuses_second_daemon(served_daemon):
     _, socket_path = served_daemon
-    second = VerifyDaemon(use_cache=False)
+    second = VerifyDaemon()
     with pytest.raises(RuntimeError, match="already serving"):
         second.serve_socket(socket_path)
 
@@ -517,7 +551,7 @@ def test_stale_socket_file_is_replaced():
                                  socket_module.SOCK_STREAM)
     stale.bind(socket_path)
     stale.close()  # closed without listen/unlink: connects are refused
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     thread = threading.Thread(
         target=daemon.serve_socket, args=(socket_path,), daemon=True
     )
@@ -561,7 +595,7 @@ def test_socket_path_appears_only_once_listening(monkeypatch):
         return real_listen(sock, *args)
 
     monkeypatch.setattr(socket_module.socket, "listen", slow_listen)
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     thread = threading.Thread(
         target=daemon.serve_socket, args=(socket_path,), daemon=True
     )
@@ -601,7 +635,7 @@ def test_daemon_that_loses_the_publish_race_refuses_to_start(monkeypatch):
         socket_module.socket, "listen", listen_while_another_publishes
     )
     with pytest.raises(RuntimeError, match="already serving"):
-        VerifyDaemon(use_cache=False).serve_socket(socket_path)
+        VerifyDaemon().serve_socket(socket_path)
     with open(socket_path) as handle:
         assert handle.read() == "the other daemon's socket"
     os.unlink(socket_path)
@@ -744,9 +778,10 @@ def test_cli_daemon_auto_spawn_and_output_parity(program, capsys,
             line.startswith("checked ") for line in served_warm.splitlines()
         )
         # --stats and --profile print through the same printer on both
-        # paths: same headers and method rows, timings aside.  (A new
-        # cache setting flushes the daemon's outcomes, so every task
-        # runs and earns its --profile row; the driver line differs.)
+        # paths: same headers and method rows, timings aside.
+        # (--no-cache replays none of the daemon's outcomes, so every
+        # task runs and earns its --profile row; the driver line
+        # differs.)
         flags = ["--stats", "--profile", "--no-cache"]
         assert main(["verify", path, *flags]) == 0
         local = capsys.readouterr().out
@@ -818,7 +853,7 @@ def test_socket_hang_times_out_and_daemon_keeps_serving(program,
     monkeypatch.setenv("REPRO_FAULT", "hang:f")
     path = program(BUGGY)
     socket_path = _short_socket_path()
-    daemon = VerifyDaemon(use_cache=False)
+    daemon = VerifyDaemon()
     results = {}
 
     def client_side():

@@ -63,11 +63,10 @@ def test_loose_kwargs_to_api_verify_are_rejected(unit):
 
 
 def test_options_fields_mirror_legacy_defaults():
-    from repro.smt.cache import GLOBAL_CACHE
-
     opts = VerifyOptions()
     assert opts.budget is None
-    assert opts.cache is GLOBAL_CACHE
+    # No query cache unless the caller passes one.
+    assert opts.cache is None
     assert opts.jobs == 1
     assert opts.cache_dir is None
     assert opts.task_timeout is None
@@ -77,7 +76,7 @@ def test_options_fields_mirror_legacy_defaults():
     assert not hasattr(opts, "tier")
     assert not hasattr(opts, "backend")
     assert not hasattr(opts, "batch_size")
-    assert opts.use_cache is True
+    assert not hasattr(opts, "use_cache")
     assert not hasattr(opts, "trace_enabled")
 
 

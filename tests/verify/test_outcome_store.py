@@ -17,7 +17,6 @@ import pytest
 from repro import api
 from repro.errors import Warning, WarningKind
 from repro.smt import SolverCache
-from repro.smt.cache import GLOBAL_CACHE
 from repro.verify import store as store_module
 from repro.verify.daemon import VerifyDaemon
 from repro.verify.parallel import TaskOutcome
@@ -313,7 +312,7 @@ def test_cache_dir_applies_to_its_own_run_only(tmp_path):
     )
     report = api.verify(other, options=api.VerifyOptions(cache=cache))
     assert report.tasks_replayed == 0
-    assert report.solver_stats.total.cache_misses > 0
+    assert report.solver_stats.total.queries > 0
     assert len(_entries(tmp_path)) == written
 
 
@@ -333,15 +332,18 @@ def test_corrupt_cache_fault_truncates_writes(tmp_path, monkeypatch):
     assert third.tasks_replayed == _tasks(unit)
 
 
-def test_global_cache_has_no_disk_tier(tmp_path):
-    assert not hasattr(GLOBAL_CACHE, "disk")
-    # The store goes with the query cache: cache=None keeps nothing.
-    report = api.verify(
-        _unit(),
-        options=api.VerifyOptions(cache=None, cache_dir=str(tmp_path)),
-    )
-    assert report.tasks_replayed == 0
-    assert not _entries(tmp_path)
+def test_cache_dir_alone_turns_the_store_on(tmp_path):
+    # Task outcomes are the one reuse across runs: without a query
+    # cache (the default), a cache_dir still keeps and replays them.
+    unit = _unit()
+    options = api.VerifyOptions(cache_dir=str(tmp_path))
+    assert options.cache is None
+    cold = api.verify(unit, options=options)
+    assert cold.tasks_replayed == 0
+    assert len(_entries(tmp_path)) == _tasks(unit)
+    warm = api.verify(unit, options=options)
+    assert warm.tasks_replayed == _tasks(unit)
+    assert _warnings(warm) == _warnings(cold)
 
 
 def test_clear_drops_only_memory(tmp_path):

@@ -68,7 +68,7 @@ def unit():
 def test_every_checker_names_the_cause(unit, monkeypatch, cause):
     def unknown(self, plugin, terms, want_model):
         return QueryOutcome(
-            Result.UNKNOWN, None, SolverStats(), "off", 0, cause
+            Result.UNKNOWN, None, SolverStats(), 0, cause
         )
 
     monkeypatch.setattr(SolverSession, "_solve", unknown)
