@@ -17,7 +17,6 @@ There is one solving engine, the incremental lazy DPLL(T)
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import Diagnostics
@@ -81,9 +80,9 @@ def verify(
     (:mod:`repro.verify.store`), so a later run replays every task whose
     dependency fingerprint, options and verifier source are unchanged
     instead of verifying it again (``solver_stats.tasks_replayed``).
-    Only conclusive outcomes are kept.  Task outcomes are the only
-    reuse across runs: the store is on exactly when ``cache_dir`` is
-    set, whatever ``cache`` holds.
+    Only conclusive outcomes are kept, the newest four per task.  Task
+    outcomes are the only reuse across runs: the store is on exactly
+    when ``cache_dir`` is set, whatever ``cache`` holds.
 
     ``jobs`` may also be ``"auto"``, which picks a worker count from
     ``os.cpu_count()`` and the task count -- staying serial on
@@ -129,7 +128,7 @@ def verify(
     run_span = tracer.begin("run", "verify") if owns_trace else None
     try:
         with tracer.span("file", unit.filename):
-            report = _verify_table(unit.table, opts, tracer)
+            report = _verify_unit(unit, opts, tracer)
     finally:
         if owns_trace:
             tracer.end(run_span)
@@ -137,21 +136,21 @@ def verify(
     return report
 
 
-def _verify_table(
-    table: ProgramTable, opts: VerifyOptions, tracer
+def _verify_unit(
+    unit: CompiledUnit, opts: VerifyOptions, tracer
 ) -> VerificationReport:
-    """Run every task of one table on the driver ``opts.jobs`` picks."""
+    """Run every task of one unit on the driver ``opts.jobs`` picks."""
     from .verify.faults import active_fault
     from .verify.parallel import (
+        TaskReuse,
         describe_parallel_decision,
-        merge_outcomes,
         resolve_jobs,
-        run_serial,
-        stored_reuse,
+        verify_tasks,
     )
     from .verify.verifier import iter_tasks
 
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
+    table = unit.table
     tasks = list(iter_tasks(table))
     jobs = resolve_jobs(opts.jobs, len(tasks))
     decision = describe_parallel_decision(
@@ -159,17 +158,16 @@ def _verify_table(
     )
     if tracer.enabled:
         tracer.event("jobs-decision", decision=decision)
-    reuse = stored_reuse(table, tasks, opts)
-    if jobs > 1:
-        from .verify.parallel import verify_parallel
+    reuse = None
+    if opts.cache_dir is not None:
+        from .verify.daemon.index import fingerprint_tasks
+        from .verify.store import OutcomeTable
 
-        report = verify_parallel(table, opts, tracer, jobs, reuse)
-    else:
-        start = time.perf_counter()
-        outcomes = run_serial(table, tasks, opts, tracer, reuse)
-        report = merge_outcomes(outcomes, time.perf_counter() - start)
-        if reuse is not None:
-            report.solver_stats.tasks_replayed = reuse.replayed
+        reuse = TaskReuse(
+            OutcomeTable(opts.cache_dir), unit.filename,
+            fingerprint_tasks(table, tasks), opts,
+        )
+    report = verify_tasks(table, tasks, opts, tracer, jobs, reuse)
     report.solver_stats.parallel_decision = decision
     return report
 

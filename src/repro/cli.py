@@ -76,23 +76,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs: int | str = args.jobs
-    if jobs != "auto":
-        try:
-            jobs = int(jobs)
-        except ValueError:
-            print(
-                f"error: --jobs must be a positive integer or 'auto', "
-                f"got {args.jobs!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if jobs < 1:
-            print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-            return 2
     options = api.VerifyOptions(
         budget=args.budget,
-        jobs=jobs,
+        jobs=args.jobs,
         cache_dir=_cache_dir(args),
         task_timeout=args.task_timeout,
     )
@@ -101,7 +87,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         options.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Every message opens with the field's name: name the flag.
+        field_name, _, rest = str(exc).partition(" ")
+        flag = field_name.replace("_", "-")
+        print(f"error: --{flag} {rest}", file=sys.stderr)
         return 2
     if args.daemon:
         from .verify.daemon import DaemonError

@@ -1,11 +1,12 @@
 """The warm verification daemon (``repro serve`` / ``verify --daemon``).
 
-A long-running server process that keeps every expensive piece of
-verification state hot across requests — the in-memory
-:class:`~repro.smt.cache.SolverCache`, the pre-warmed pattern-algebra
-signature memos, and (the daemon's own contribution) per-task
-*dependency fingerprints* with cached task outcomes, so re-verifying an
+A long-running server process that keeps task outcomes across
+requests in one :class:`~repro.verify.store.OutcomeTable`, the same
+table and policy as ``verify --cache-dir``, and replays each one while
+the task's *dependency fingerprint* is unchanged, so re-verifying an
 edited file re-runs only the obligations whose dependencies changed.
+It keeps nothing else between requests: no SMT query cache and no
+pattern-algebra memo.
 
 The pieces:
 

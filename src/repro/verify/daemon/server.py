@@ -1,22 +1,24 @@
 """The verification daemon: dependency-aware re-verify from memory.
 
 One daemon process serves many ``verify`` requests over a Unix domain
-socket (or stdio) and keeps per-task *outcomes* between them, keyed by
-dependency fingerprint (:mod:`repro.verify.daemon.index`).  That is
-its only reuse; it keeps no SMT query cache.  A re-``verify`` of an
-edited file re-runs only the tasks whose fingerprints changed
-(``dep-miss``) and replays the kept outcome for the rest (``dep-hit``),
-falling back to a full re-run for any task the index cannot
-fingerprint.  The last few fingerprints of each task are kept, not
-only the latest, so reverting an edit (an editor's undo) replays too.
-This is :class:`repro.verify.parallel.TaskReuse` over
-:func:`repro.verify.parallel.run_serial`, the task loop every driver
-shares, backed by the daemon's per-file memory and, when the daemon
-has a ``cache_dir``, by the on-disk store of
-:mod:`repro.verify.store`, so a fresh daemon starts warm.  A daemon
-made with ``use_cache=False`` (``repro serve --no-cache``), or a
-request with the ``use_cache`` option false (``verify --daemon
---no-cache``), replays nothing and verifies every task.
+socket (or stdio) and keeps task *outcomes* between them in one
+:class:`~repro.verify.store.OutcomeTable`, held for its whole life.
+That is its only reuse; it keeps no SMT query cache.  A re-``verify``
+of an edited file re-runs only the tasks whose dependency fingerprints
+(:mod:`repro.verify.daemon.index`) changed (``dep-miss``) and replays
+the kept outcome for the rest (``dep-hit``), falling back to a full
+re-run for any task the index cannot fingerprint.  The table's policy
+is the ``--cache-dir`` store's: each task keeps its newest few
+conclusive outcomes, so reverting an edit (an editor's undo) replays,
+and a task that failed or stayed inconclusive runs again.  When the
+daemon has a ``cache_dir`` the table writes through to the store and
+reads through to it, so a fresh daemon starts warm.  Each file goes
+through :func:`repro.verify.parallel.verify_tasks` with ``jobs=1``,
+the report assembly every driver shares.  A daemon made with
+``use_cache=False`` (``repro serve --no-cache``), or a request with
+the ``use_cache`` option false (``verify --daemon --no-cache``),
+replays nothing and verifies every task.  ``invalidate`` drops the
+named files' outcomes from the table's memory.
 
 Every connection is served from the thread that calls
 :meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
@@ -47,61 +49,16 @@ import os
 import selectors
 import socket
 import time
-from dataclasses import dataclass, field
 
 from ... import api
 from ...errors import JMatchError
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
-from ..parallel import (
-    TaskOutcome,
-    TaskReuse,
-    merge_outcomes,
-    options_signature,
-    run_serial,
-)
-from ..store import OutcomeStore
-from ..verifier import VerifyTask, iter_tasks
+from ..parallel import TaskReuse, verify_tasks
+from ..store import OutcomeTable
+from ..verifier import iter_tasks
 from . import protocol
 from .index import fingerprint_tasks
-
-
-#: how many (fingerprint, outcome) pairs the daemon keeps per task:
-#: enough that undoing the last few edits replays instead of re-running
-_KEPT_PER_TASK = 4
-
-
-@dataclass
-class _FileState:
-    """Everything the daemon remembers about one verified path.
-
-    ``entries`` (task -> [(fingerprint, outcome), ...], newest first,
-    at most :data:`_KEPT_PER_TASK`) is the memory backing of the file's
-    :class:`~repro.verify.parallel.TaskReuse`.  Keeping earlier
-    fingerprints too means a reverted edit replays its task like any
-    other dep hit.
-    """
-
-    options_sig: str
-    entries: dict[VerifyTask, list] = field(default_factory=dict)
-    verified_at: float = 0.0
-    tasks: int = 0
-
-    def get(self, task: VerifyTask, fingerprint: str) -> TaskOutcome | None:
-        for kept, outcome in self.entries.get(task, ()):
-            if kept == fingerprint:
-                return outcome
-        return None
-
-    def put(self, task: VerifyTask, fingerprint, outcome) -> None:
-        if fingerprint is None:
-            self.entries.pop(task, None)
-            return
-        kept = [(fingerprint, outcome)] + [
-            entry for entry in self.entries.get(task, ())
-            if entry[0] != fingerprint
-        ]
-        self.entries[task] = kept[:_KEPT_PER_TASK]
 
 
 #: ``verify`` request options the daemon honors, with defaults:
@@ -139,9 +96,12 @@ class VerifyDaemon:
     ):
         #: whether requests replay kept task outcomes at all
         self.use_cache = use_cache
-        #: the outcome store's directory (None: outcomes stay in memory)
-        self.cache_dir = cache_dir
-        self.files: dict[str, _FileState] = {}
+        #: every task outcome the daemon keeps, for its whole life, and
+        #: with a ``cache_dir`` in the store there too
+        self.outcomes = OutcomeTable(cache_dir)
+        #: absolute path -> {"tasks", "verified_at"} of each file a
+        #: replaying request verified
+        self.files: dict[str, dict] = {}
         self.started = time.time()
         self.requests_served = 0
         self.dep_hits = 0
@@ -191,13 +151,7 @@ class VerifyDaemon:
             "requests": self.requests_served,
             "dep_hits": self.dep_hits,
             "dep_misses": self.dep_misses,
-            "files": {
-                path: {
-                    "tasks": state.tasks,
-                    "verified_at": state.verified_at,
-                }
-                for path, state in sorted(self.files.items())
-            },
+            "files": dict(sorted(self.files.items())),
         }
 
     def _op_invalidate(self, request_id, request: dict) -> dict:
@@ -205,13 +159,15 @@ class VerifyDaemon:
         if paths is None:
             dropped = len(self.files)
             self.files.clear()
+            self.outcomes.forget()
         elif isinstance(paths, list) and all(
             isinstance(p, str) for p in paths
         ):
-            dropped = 0
-            for path in paths:
-                if self.files.pop(os.path.abspath(path), None) is not None:
-                    dropped += 1
+            targets = {os.path.abspath(path) for path in paths}
+            dropped = sum(
+                self.files.pop(path, None) is not None for path in targets
+            )
+            self.outcomes.forget(lambda name: os.path.abspath(name) in targets)
         else:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS,
@@ -253,7 +209,6 @@ class VerifyDaemon:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS, str(exc)
             )
-        options_sig = options_signature(options)
         replay = self.use_cache and bool(opts["use_cache"])
         self.requests_served += 1
         tracing = bool(opts["trace"]) or self.trace_path is not None
@@ -264,7 +219,7 @@ class VerifyDaemon:
         with tracer.span("run", "request", op="verify"):
             for path in paths:
                 entry, file_hits, file_misses = self._verify_file(
-                    path, options, options_sig, replay, tracer
+                    path, options, replay, tracer
                 )
                 files.append(entry)
                 hits += file_hits
@@ -293,7 +248,6 @@ class VerifyDaemon:
         self,
         path: str,
         options: api.VerifyOptions,
-        options_sig: str,
         replay: bool,
         tracer,
     ) -> tuple[dict, int, int]:
@@ -304,7 +258,6 @@ class VerifyDaemon:
         CLI reports are the same document.  Without ``replay`` every
         task runs, and the kept outcomes are neither read nor changed.
         """
-        abspath = os.path.abspath(path)
         try:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
@@ -318,29 +271,20 @@ class VerifyDaemon:
         tasks = list(iter_tasks(table))
         reuse = None
         if replay:
-            state = self.files.get(abspath)
-            if state is None or state.options_sig != options_sig:
-                state = _FileState(options_sig)
-            backings = [state]
-            if self.cache_dir is not None:
-                backings.append(OutcomeStore(self.cache_dir, options_sig))
-            reuse = TaskReuse(fingerprint_tasks(table, tasks), backings)
-        start = time.perf_counter()
+            reuse = TaskReuse(
+                self.outcomes, unit.filename,
+                fingerprint_tasks(table, tasks), options,
+            )
         with tracer.span("file", path):
-            outcomes = run_serial(table, tasks, options, tracer, reuse)
-            hits = 0 if reuse is None else reuse.replayed
+            report = verify_tasks(table, tasks, options, tracer, 1, reuse)
+            hits = report.solver_stats.tasks_replayed
             misses = len(tasks) - hits
             tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
-        if reuse is not None:
-            # Drop entries for tasks that no longer exist in the source.
-            live = set(tasks)
-            for stale in [key for key in state.entries if key not in live]:
-                del state.entries[stale]
-            state.verified_at = time.time()
-            state.tasks = len(tasks)
-            self.files[abspath] = state
-        report = merge_outcomes(outcomes, time.perf_counter() - start)
-        report.solver_stats.tasks_replayed = hits
+        if replay:
+            self.files[os.path.abspath(path)] = {
+                "tasks": len(tasks),
+                "verified_at": time.time(),
+            }
         report.solver_stats.parallel_decision = (
             f"daemon: warm serial over {len(tasks)} tasks "
             f"({hits} dep hits, {misses} dep misses)"

@@ -35,7 +35,7 @@ workers), selects at most one fault per run:
 
 ``corrupt-cache``
     Truncate every ``--cache-dir`` store entry as it is written
-    (:meth:`repro.verify.store.OutcomeStore.put`), simulating the torn
+    (:class:`repro.verify.store.OutcomeTable`), simulating the torn
     writes of a killed process; later reads must count and drop the
     entries and re-run their tasks, never raise.
 

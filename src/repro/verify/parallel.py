@@ -2,10 +2,13 @@
 
 The paper verifies "one method at a time" (Section 7), so the program
 table decomposes into independent :class:`~repro.verify.verifier
-.VerifyTask` obligations.  Every in-process run verifies them through
-one loop, :func:`run_serial` (each task via :func:`run_one_task`,
-merged by :func:`merge_outcomes`); :func:`verify_parallel` fans them
-out across a ``ProcessPoolExecutor`` and reassembles the same result:
+.VerifyTask` obligations.  Every report, ``api.verify``'s and the
+daemon's, is assembled by one function, :func:`verify_tasks`: it
+replays what it can, runs the rest in process through
+:func:`run_serial` (each task via :func:`run_one_task`) or fans them
+out across a ``ProcessPoolExecutor`` through :func:`verify_parallel`,
+and merges the outcomes (:func:`merge_outcomes`) into the same result
+either way:
 
 * the task list is produced in serial (source) order by
   :func:`~repro.verify.verifier.iter_tasks` and results are merged back
@@ -19,12 +22,12 @@ out across a ``ProcessPoolExecutor`` and reassembles the same result:
   caller passed one (``VerifyOptions.cache``).
 
 Task outcomes are the one reuse on every user path.  Given a
-:class:`TaskReuse`, both drivers replay the kept outcome of every task
-whose dependency fingerprint is unchanged (``dep-hit``, counted in
-``VerifyStats.tasks_replayed``) and keep the outcome of every task they
-run (``dep-miss``); the pool gets only the misses.  Outcomes live in
-the daemon's memory, the ``--cache-dir`` store
-(:mod:`repro.verify.store`), or both.
+:class:`TaskReuse`, :func:`verify_tasks` replays the kept outcome of
+every task whose dependency fingerprint is unchanged (``dep-hit``,
+counted in ``VerifyStats.tasks_replayed``) and offers the outcome of
+every task it runs (``dep-miss``) to the
+:class:`~repro.verify.store.OutcomeTable`, whose policy decides what is
+kept; the pool gets only the misses.
 
 Throughput comes from amortization, not from more processes:
 
@@ -94,11 +97,11 @@ from ..obs import NULL_TRACER, Span, Tracer
 from ..smt.cache import SolverCache
 from .faults import maybe_fail_task
 from .options import VerifyOptions
+from .store import OutcomeTable, outcome_salt
 from .verifier import (
     VerificationReport,
     Verifier,
     VerifyTask,
-    iter_tasks,
     task_span,
 )
 
@@ -146,27 +149,26 @@ def task_deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def options_signature(options: VerifyOptions) -> str:
-    """The options a task outcome depends on (not ``jobs``, not tracing,
-    not the query cache: every driver gives the same outcomes, a replay
-    gets a fresh span, and cached verdicts never change warnings), so a
-    budget change re-runs every task."""
-    return repr((options.budget, options.task_timeout))
-
-
 class TaskReuse:
-    """Replays kept task outcomes in place of running their tasks.
+    """Replays one unit's kept task outcomes in place of running its tasks.
 
-    ``fingerprints`` maps each task to its dependency fingerprint (None:
-    never replay).  ``backings`` hold the outcomes, each with
-    ``get(task, fingerprint)`` and ``put(task, fingerprint, outcome)``;
-    a lookup tries them in order and copies a hit into the backings
-    before the one that answered.
+    ``outcomes`` is the :class:`~repro.verify.store.OutcomeTable` that
+    keeps them, under the identity ``(filename, task label)`` and the
+    salt of ``options``; ``fingerprints`` maps each task to its
+    dependency fingerprint (None: never replay).
     """
 
-    def __init__(self, fingerprints: dict, backings: list):
+    def __init__(
+        self,
+        outcomes: OutcomeTable,
+        filename: str,
+        fingerprints: dict,
+        options: VerifyOptions,
+    ):
+        self.outcomes = outcomes
+        self.filename = filename
         self.fingerprints = fingerprints
-        self.backings = backings
+        self.salt = outcome_salt(options)
         #: how many tasks :meth:`replay` answered
         self.replayed = 0
 
@@ -175,42 +177,29 @@ class TaskReuse:
         fingerprint = self.fingerprints.get(task)
         if fingerprint is None:
             return None
-        for position, backing in enumerate(self.backings):
-            outcome = backing.get(task, fingerprint)
-            if outcome is not None:
-                for earlier in self.backings[:position]:
-                    earlier.put(task, fingerprint, outcome)
-                self.replayed += 1
-                if trace:
-                    span = task_event_span(
-                        task, "dep-hit", warnings=len(outcome.warnings)
-                    )
-                    outcome = replace(outcome, trace=span)
-                return outcome
-        return None
+        outcome = self.outcomes.get(
+            (self.filename, task.label), self.salt, fingerprint
+        )
+        if outcome is None:
+            return None
+        self.replayed += 1
+        if trace:
+            span = task_event_span(
+                task, "dep-hit", warnings=len(outcome.warnings)
+            )
+            outcome = replace(outcome, trace=span)
+        return outcome
 
     def keep(self, task: VerifyTask, outcome: TaskOutcome) -> None:
-        """Record the outcome of a task that ran, without its spans."""
+        """Offer the outcome of a task that ran, without its spans."""
         kept = outcome
         if outcome.trace is not None:
             outcome.trace.event("dep-miss")
             kept = replace(outcome, trace=None)
-        for backing in self.backings:
-            backing.put(task, self.fingerprints.get(task), kept)
-
-
-def stored_reuse(
-    table: ProgramTable, tasks: list[VerifyTask], options: VerifyOptions
-) -> TaskReuse | None:
-    """Reuse backed by ``options.cache_dir``'s store, or None without
-    one (``--no-cache`` passes none)."""
-    if options.cache_dir is None:
-        return None
-    from .daemon.index import fingerprint_tasks
-    from .store import OutcomeStore
-
-    store = OutcomeStore(options.cache_dir, options_signature(options))
-    return TaskReuse(fingerprint_tasks(table, tasks), [store])
+        self.outcomes.put(
+            (self.filename, task.label), self.salt,
+            self.fingerprints.get(task), kept,
+        )
 
 
 #: per-worker-process state, set once by the pool initializer
@@ -337,34 +326,72 @@ def run_serial(
     table: ProgramTable,
     tasks: list[VerifyTask],
     options: VerifyOptions,
-    tracer,
-    reuse: TaskReuse | None = None,
+    trace: bool,
 ) -> list[TaskOutcome]:
     """Verify ``tasks`` one after another in this process.
 
-    The one in-process task loop: serial runs, the pool's fallback and
-    the daemon all go through it, replaying what ``reuse`` can.  A task
-    that raises degrades to an UNKNOWN-style warning instead of taking
-    the run down, and each task's span tree is adopted by ``tracer`` in
-    task order.
+    The one in-process task loop, serial runs' and the pool fallback's.
+    A task that raises degrades to an UNKNOWN-style warning instead of
+    taking the run down.
     """
-    trace = tracer.enabled
     outcomes: list[TaskOutcome] = []
     for task in tasks:
-        outcome = None if reuse is None else reuse.replay(task, trace)
+        try:
+            outcome = run_one_task(
+                table, task, options.budget, options.cache,
+                options.task_timeout, trace,
+            )
+        except Exception as exc:
+            outcome = _failed_outcome(table, task, exc, trace)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def verify_tasks(
+    table: ProgramTable,
+    tasks: list[VerifyTask],
+    options: VerifyOptions,
+    tracer,
+    jobs: int = 1,
+    reuse: TaskReuse | None = None,
+) -> VerificationReport:
+    """Verify ``tasks`` and assemble their report: every driver's path.
+
+    Replays what ``reuse`` can, runs the rest through :func:`run_serial`
+    or, when ``jobs`` > 1, :func:`verify_parallel`, offers each outcome
+    that ran to ``reuse``, and adopts the span trees into ``tracer`` and
+    merges the outcomes in task order, so every driver gives the serial
+    report and span tree.  ``api.verify`` calls it with the resolved
+    worker count, the daemon with ``jobs=1``.
+    """
+    trace = tracer.enabled
+    start = time.perf_counter()
+    replayed = [
+        None if reuse is None else reuse.replay(task, trace)
+        for task in tasks
+    ]
+    runnable = [
+        task for task, outcome in zip(tasks, replayed) if outcome is None
+    ]
+    retried = 0
+    if jobs > 1 and runnable:
+        ran, retried = verify_parallel(table, runnable, options, trace, jobs)
+    else:
+        ran = run_serial(table, runnable, options, trace)
+    ran = iter(ran)
+    ordered: list[TaskOutcome] = []
+    for task, outcome in zip(tasks, replayed):
         if outcome is None:
-            try:
-                outcome = run_one_task(
-                    table, task, options.budget, options.cache,
-                    options.task_timeout, trace,
-                )
-            except Exception as exc:
-                outcome = _failed_outcome(table, task, exc, trace)
+            outcome = next(ran)
             if reuse is not None:
                 reuse.keep(task, outcome)
         tracer.attach(outcome.trace)
-        outcomes.append(outcome)
-    return outcomes
+        ordered.append(outcome)
+    report = merge_outcomes(ordered, time.perf_counter() - start)
+    report.solver_stats.tasks_retried += retried
+    if reuse is not None:
+        report.solver_stats.tasks_replayed = reuse.replayed
+    return report
 
 
 def verify_method_task(task: VerifyTask) -> TaskOutcome:
@@ -607,87 +634,52 @@ def _drain_pool(
 
 def verify_parallel(
     table: ProgramTable,
+    tasks: list[VerifyTask],
     options: VerifyOptions,
-    tracer,
+    trace: bool,
     jobs: int,
-    reuse: TaskReuse | None = None,
-) -> VerificationReport:
-    """Verify every task of ``table`` on a pool of ``jobs`` (> 1) processes.
+) -> tuple[list[TaskOutcome], int]:
+    """Verify ``tasks`` on a pool of up to ``jobs`` (> 1) processes.
 
-    ``jobs`` is the count :func:`resolve_jobs` already decided.  This
-    process replays what ``reuse`` can; a pool, forked only if tasks
-    are left, runs them in batches of :func:`resolve_batch_size`.  The
+    ``jobs`` is the count :func:`resolve_jobs` already decided.  The
+    pool runs the tasks in batches of :func:`resolve_batch_size`.  The
     tasks left without an outcome — a broken pool's unfinished ones,
     and any whose run raised inside a live worker — go through
     :func:`run_serial` in this process and count as retried; each gets
-    a ``retry`` event on its task span.  Outcomes are merged in task
-    order exactly as a serial run would produce them, and worker span
-    trees are re-attached to ``tracer`` in that same order, so a traced
-    parallel run yields the serial span tree modulo span ids, pids, and
-    timings.
+    a ``retry`` event on its task span.  Returns the outcomes in task
+    order, and how many were retried.
     """
-    tasks = list(iter_tasks(table))
-    trace = tracer.enabled
-    start = time.perf_counter()
-    outcomes: dict[int, TaskOutcome] = {}
-    if reuse is not None:
-        for index, task in enumerate(tasks):
-            outcome = reuse.replay(task, trace)
-            if outcome is not None:
-                outcomes[index] = outcome
-    runnable = [index for index in range(len(tasks)) if index not in outcomes]
-    if runnable:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(runnable)),
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(
-                table,
-                options.budget,
-                options.cache is not None,
-                options.task_timeout,
-                trace,
-            ),
-        )
-        try:
-            pooled, broken = _drain_pool(
-                pool,
-                [tasks[index] for index in runnable],
-                options.task_timeout,
-                resolve_batch_size(len(runnable), jobs, options.task_timeout),
-            )
-        except BaseException:
-            # KeyboardInterrupt (or anything unexpected): drop queued
-            # work without blocking on what is already running.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=not broken, cancel_futures=True)
-        for position, outcome in pooled.items():
-            index = runnable[position]
-            if reuse is not None:
-                reuse.keep(tasks[index], outcome)
-            outcomes[index] = outcome
-    missing = [index for index in runnable if index not in outcomes]
-    if missing:
-        # The trees are adopted in task order below, so the fallback's
-        # own tracer only has to keep traces recording.
-        rerun = run_serial(
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=_pool_context(),
+        initializer=_init_worker,
+        initargs=(
             table,
-            [tasks[index] for index in missing],
-            options,
-            Tracer() if trace else NULL_TRACER,
+            options.budget,
+            options.cache is not None,
+            options.task_timeout,
+            trace,
+        ),
+    )
+    try:
+        outcomes, broken = _drain_pool(
+            pool,
+            tasks,
+            options.task_timeout,
+            resolve_batch_size(len(tasks), jobs, options.task_timeout),
         )
-        for index, outcome in zip(missing, rerun):
-            if reuse is not None:
-                reuse.keep(tasks[index], outcome)
-            if outcome.trace is not None:
-                outcome.trace.event("retry")
-            outcomes[index] = outcome
-    ordered = [outcomes[index] for index in range(len(tasks))]
-    for outcome in ordered:
-        tracer.attach(outcome.trace)
-    report = merge_outcomes(ordered, time.perf_counter() - start)
-    report.solver_stats.tasks_retried += len(missing)
-    if reuse is not None:
-        report.solver_stats.tasks_replayed = reuse.replayed
-    return report
+    except BaseException:
+        # KeyboardInterrupt (or anything unexpected): drop queued
+        # work without blocking on what is already running.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=not broken, cancel_futures=True)
+    missing = [index for index in range(len(tasks)) if index not in outcomes]
+    rerun = run_serial(
+        table, [tasks[index] for index in missing], options, trace
+    )
+    for index, outcome in zip(missing, rerun):
+        if outcome.trace is not None:
+            outcome.trace.event("retry")
+        outcomes[index] = outcome
+    return [outcomes[index] for index in range(len(tasks))], len(missing)

@@ -1,22 +1,29 @@
-"""Task outcomes kept on disk across runs: the ``--cache-dir`` store.
+"""The outcome table: the one policy for which task outcomes are kept.
 
 A task's outcome is a function of the table slice its dependency
 fingerprint covers (:mod:`repro.verify.daemon.index`), of the options
-that can change a verdict
-(:func:`repro.verify.parallel.options_signature`) and of the verifier
-itself.  Each :class:`~repro.verify.parallel.TaskOutcome` is keyed by
-all three, the last as a digest of the ``repro`` package source, so an
-upgraded verifier never replays an older one's warnings.
+that can change a verdict and of the verifier itself.  The daemon's
+replays and a ``--cache-dir`` run's go through one
+:class:`OutcomeTable`:
 
-* Entries are files in ``<root>/outcomes-v<format>/``; bumping
-  :attr:`OutcomeStore.ENTRY_FORMAT` retires every old entry at once.
-* Each entry is written to a temporary file and published with
-  :func:`os.replace`, so racing writers never expose a torn entry.
-* A corrupt or truncated entry is counted, deleted and treated as a
-  miss; an I/O or pickling failure costs that entry, never the run.
-* Only conclusive outcomes are written: one with an UNKNOWN query, a
+* **key and bound**: one entry per task identity (the unit's file name
+  plus the task label) holds its newest :data:`KEPT_PER_TASK`
+  ``(salt, fingerprint, outcome)`` triples, so an undone edit replays.
+  The salt (:func:`outcome_salt`) includes a digest of the ``repro``
+  source, so an upgraded verifier never replays an older one's output;
+* **what**: only conclusive outcomes.  One with an UNKNOWN query, a
   task timeout or a failure depends on the wall clock or on a fault of
-  the run that produced it.
+  the run that produced it, so the next run derives it again;
+* **where**: always in memory.  With a root, every change writes
+  through to one file per identity in ``<root>/outcomes-v2/``, and a
+  memory miss reads through to it.  The daemon holds one table for its
+  life; ``api.verify`` makes one per call.
+
+A file is published with :func:`os.replace`, so racing writers never
+expose a torn one; a corrupt file is counted, deleted and treated as a
+miss, and an I/O or pickling failure costs that write, never the run.
+The first write removes what older formats left under the root
+(:attr:`OutcomeTable.LEGACY_DIRS`) and nothing else.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import functools
 import hashlib
 import os
 import pickle
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -33,6 +41,10 @@ from .faults import corrupt_cache_writes
 #: default location, relative to the working directory; the CLI lets
 #: ``--cache-dir`` / ``REPRO_CACHE_DIR`` override it
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: how many (salt, fingerprint, outcome) triples one task keeps: enough
+#: that undoing the last few edits replays instead of re-running
+KEPT_PER_TASK = 4
 
 _MAGIC = "repro-task-outcome"
 
@@ -50,6 +62,17 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
+def outcome_salt(options) -> str:
+    """What an outcome depends on besides its fingerprint.
+
+    The options that can change a verdict, so a budget change re-runs
+    every task (not ``jobs``, not tracing, not the query cache: every
+    driver gives the same outcomes, a replay gets a fresh span, and
+    cached verdicts never change warnings), and the verifier source.
+    """
+    return f"{options.budget!r}\0{options.task_timeout!r}\0{source_digest()}"
+
+
 def _conclusive(outcome) -> bool:
     """Whether an outcome may be replayed by a later run."""
     stats = outcome.stats
@@ -58,76 +81,117 @@ def _conclusive(outcome) -> bool:
     )
 
 
-class OutcomeStore:
-    """A directory of pickled task outcomes under one options signature."""
+def _find(kept, salt: str, fingerprint: str):
+    for kept_salt, kept_fingerprint, outcome in kept:
+        if kept_salt == salt and kept_fingerprint == fingerprint:
+            return outcome
+    return None
+
+
+class OutcomeTable:
+    """Task outcomes by identity, in memory and optionally on disk.
+
+    An identity is ``(file name, task label)``.  ``root`` None keeps
+    the table in memory only.
+    """
 
     #: bump when the entry payload layout changes
-    ENTRY_FORMAT = 1
+    ENTRY_FORMAT = 2
+    #: what earlier formats left under the root: the version-1 outcome
+    #: files and the deleted SMT query cache's disk tier
+    LEGACY_DIRS = ("outcomes-v1", "v2-*")
 
-    def __init__(self, root: str | os.PathLike, options_sig: str):
-        self.root = Path(root)
-        self.dir = self.root / f"outcomes-v{self.ENTRY_FORMAT}"
-        self._salt = f"{options_sig}\0{source_digest()}\0"
+    def __init__(self, root: str | os.PathLike | None = None):
+        format_dir = f"outcomes-v{self.ENTRY_FORMAT}"
+        self.dir = None if root is None else Path(root) / format_dir
+        #: identity -> [(salt, fingerprint, outcome), ...], newest first
+        self.entries: dict[tuple[str, str], list] = {}
         self._dir_made = False
         self.hits = 0
         self.stores = 0
         #: unreadable/corrupt entries dropped, plus failed writes
         self.errors = 0
 
-    def _key(self, fingerprint: str) -> str:
-        return hashlib.sha256(
-            (self._salt + fingerprint).encode("utf-8")
-        ).hexdigest()
+    def get(self, identity: tuple[str, str], salt: str, fingerprint: str):
+        """The kept outcome of ``identity`` under ``salt`` and
+        ``fingerprint``, or None."""
+        kept = self.entries.get(identity, [])
+        outcome = _find(kept, salt, fingerprint)
+        if outcome is None and self.dir is not None:
+            stored = self._read(identity)
+            if stored:
+                known = {triple[:2] for triple in kept}
+                kept = kept + [t for t in stored if t[:2] not in known]
+                self.entries[identity] = kept[:KEPT_PER_TASK]
+                outcome = _find(self.entries[identity], salt, fingerprint)
+        if outcome is not None:
+            self.hits += 1
+        return outcome
 
-    def _path(self, key: str) -> Path:
-        return self.dir / key
+    def put(
+        self, identity: tuple[str, str], salt: str, fingerprint: str | None,
+        outcome,
+    ) -> None:
+        """Keep a conclusive outcome as the newest of ``identity``'s."""
+        if fingerprint is None or not _conclusive(outcome):
+            return
+        kept = [(salt, fingerprint, outcome)] + [
+            triple for triple in self.entries.get(identity, ())
+            if triple[:2] != (salt, fingerprint)
+        ]
+        self.entries[identity] = kept[:KEPT_PER_TASK]
+        if self.dir is not None:
+            self._write(identity, self.entries[identity])
 
-    def get(self, task, fingerprint: str):
-        """The stored outcome of ``task`` under ``fingerprint``, or None."""
-        key = self._key(fingerprint)
-        path = self._path(key)
+    def forget(self, matches=lambda filename: True) -> None:
+        """Drop from memory every entry whose file name ``matches``;
+        the disk keeps them."""
+        for identity in [i for i in self.entries if matches(i[0])]:
+            del self.entries[identity]
+
+    # -- disk ------------------------------------------------------------
+
+    def _path(self, identity: tuple[str, str]) -> Path:
+        name = hashlib.sha256("\0".join(identity).encode("utf-8"))
+        return self.dir / name.hexdigest()
+
+    def _read(self, identity: tuple[str, str]) -> list | None:
+        path = self._path(identity)
         try:
             payload = path.read_bytes()
         except OSError:
             return None
         try:
-            magic, entry_format, stored_key, stored_task, outcome = (
-                pickle.loads(payload)
-            )
+            magic, entry_format, stored_identity, kept = pickle.loads(payload)
             if (
                 magic != _MAGIC
                 or entry_format != self.ENTRY_FORMAT
-                or stored_key != key
-                or stored_task != task
+                or stored_identity != identity
             ):
                 raise ValueError("entry does not match its key")
+            return [(salt, fp, outcome) for salt, fp, outcome in kept]
         except Exception:
             self.errors += 1
             _unlink_quietly(path)
             return None
-        self.hits += 1
-        return outcome
 
-    def put(self, task, fingerprint: str | None, outcome) -> None:
-        """Atomically publish one conclusive outcome (failures are counted).
+    def _write(self, identity: tuple[str, str], kept: list) -> None:
+        """Atomically publish ``identity``'s triples (failures are counted).
 
         Pickling happens inside the guard: an outcome pickle refuses
-        must cost one entry, never the verification run.
+        must cost one write, never the verification run.
         """
-        if fingerprint is None or not _conclusive(outcome):
-            return
-        key = self._key(fingerprint)
-        path = self._path(key)
         tmp_name = None
         try:
             payload = pickle.dumps(
-                (_MAGIC, self.ENTRY_FORMAT, key, task, outcome)
+                (_MAGIC, self.ENTRY_FORMAT, identity, kept)
             )
             if corrupt_cache_writes():
                 payload = payload[: max(1, len(payload) // 2)]
             if not self._dir_made:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
+                self._remove_legacy_dirs()
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.dir, prefix=".tmp-", suffix=".part"
             )
@@ -135,13 +199,19 @@ class OutcomeStore:
                 os.write(fd, payload)
             finally:
                 os.close(fd)
-            os.replace(tmp_name, path)
+            os.replace(tmp_name, self._path(identity))
             tmp_name = None
             self.stores += 1
         except Exception:
             self.errors += 1
             if tmp_name is not None:
                 _unlink_quietly(tmp_name)
+
+    def _remove_legacy_dirs(self) -> None:
+        for pattern in self.LEGACY_DIRS:
+            for path in self.dir.parent.glob(pattern):
+                if path.is_dir() and not path.is_symlink():
+                    shutil.rmtree(path, ignore_errors=True)
 
 
 def _unlink_quietly(path) -> None:

@@ -308,6 +308,63 @@ def test_daemon_no_cache_request_replays_nothing(program):
     assert warm["dep_hits"] == results[0]["dep_misses"]
 
 
+def _failed_warnings(report):
+    return [
+        w["message"] for w in report["warnings"]
+        if "FaultInjected" in w["message"]
+    ]
+
+
+def test_daemon_reruns_a_task_whose_fault_was_cleared(program, monkeypatch):
+    # A failed task's outcome is never kept: once the fault is gone, the
+    # next request runs the task again and reports its real warnings.
+    from repro.corpus import combined_programs
+
+    source = combined_programs()["nat"]
+    path = program(source, name="nat.jm")
+    daemon = VerifyDaemon()
+    monkeypatch.setenv("REPRO_FAULT", "raise:Nat.zero")
+    faulted = verify_result(daemon, [path])
+    report = faulted["files"][0]["report"]
+    assert _failed_warnings(report)
+    assert report["solver_stats"]["tasks_failed"] == 1
+    monkeypatch.delenv("REPRO_FAULT")
+    cleared = verify_result(daemon, [path], request_id=2)
+    assert cleared["dep_misses"] == 1
+    assert cleared["dep_hits"] == faulted["dep_misses"] - 1
+    report = cleared["files"][0]["report"]
+    assert not _failed_warnings(report)
+    assert report["solver_stats"]["tasks_failed"] == 0
+    direct = api.verify(api.compile_program(source, filename=path))
+    assert _normalize_report(report) == _normalize_report(direct.to_dict())
+
+
+def test_cache_dir_run_reruns_a_task_whose_fault_was_cleared(
+    program, monkeypatch, capsys, tmp_path
+):
+    from repro.corpus import combined_programs
+
+    source = combined_programs()["nat"]
+    path = program(source, name="nat.jm")
+    args = ["verify", path, "--cache-dir", str(tmp_path / "store"),
+            "--format", "json"]
+
+    def run():
+        assert main(args) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["files"]
+        return entry["report"]
+
+    monkeypatch.setenv("REPRO_FAULT", "raise:Nat.zero")
+    faulted = run()
+    assert _failed_warnings(faulted)
+    monkeypatch.delenv("REPRO_FAULT")
+    cleared = run()
+    assert not _failed_warnings(cleared)
+    assert cleared["solver_stats"]["tasks_failed"] == 0
+    tasks = len(list(iter_tasks(api.compile_program(source).table)))
+    assert cleared["solver_stats"]["tasks_replayed"] == tasks - 1
+
+
 def test_daemon_made_without_cache_replays_nothing(program):
     # ``repro serve --no-cache``: no request replays a task outcome.
     path = program(BUGGY)
@@ -333,12 +390,41 @@ def test_daemon_invalidate_flips_hits_back_to_misses(program):
     assert recold["dep_misses"] == cold["dep_misses"]
 
 
+def test_daemon_invalidate_keeps_other_files_outcomes(program):
+    path_a = program(BUGGY, name="a.jm")
+    path_b = program(CLEAN, name="b.jm")
+    daemon = VerifyDaemon()
+    verify_result(daemon, [path_a, path_b])
+    response = daemon.handle_line(
+        request_line("invalidate", 2, paths=[path_a])
+    )
+    assert response["result"]["invalidated"] == 1
+    warm = verify_result(daemon, [path_a, path_b], request_id=3)
+    replayed = [
+        entry["report"]["solver_stats"]["tasks_replayed"]
+        for entry in warm["files"]
+    ]
+    assert replayed == [0, 1]
+
+
 def test_daemon_option_change_flushes_outcomes(program):
     path = program(BUGGY)
     daemon = VerifyDaemon()
     verify_result(daemon, [path], budget=2.0)
     switched = verify_result(daemon, [path], request_id=2, budget=1.0)
     assert switched["dep_hits"] == 0
+
+
+def test_daemon_switching_a_budget_back_replays(program):
+    # Outcomes are kept per salt, not flushed: a budget used by one of
+    # the last few requests replays its outcomes again.
+    path = program(BUGGY)
+    daemon = VerifyDaemon()
+    cold = verify_result(daemon, [path], budget=2.0)
+    verify_result(daemon, [path], request_id=2, budget=1.0)
+    back = verify_result(daemon, [path], request_id=3, budget=2.0)
+    assert back["dep_misses"] == 0
+    assert back["dep_hits"] == cold["dep_misses"]
 
 
 def test_daemon_verify_rejects_bad_params(program):

@@ -1,11 +1,12 @@
-"""The ``--cache-dir`` task-outcome store (:mod:`repro.verify.store`).
+"""The ``--cache-dir`` side of the outcome table (:mod:`repro.verify.store`).
 
-The store keeps whole task outcomes under their dependency
-fingerprints.  Outcomes written by one process are replayed by
-another, a format bump or a changed verifier retires every entry,
-corrupt entries degrade to misses, concurrent writers never make a
-reader observe a torn entry, and nothing inconclusive reaches the
-disk.
+The table keeps whole task outcomes under their task identity and
+dependency fingerprints, the newest few per task.  Outcomes written by
+one process are replayed by another, a format bump or a changed
+verifier retires every entry, corrupt entries degrade to misses,
+concurrent writers never make a reader observe a torn entry, nothing
+inconclusive is kept, the store holds one file per task, and the first
+write removes the directories older formats left behind.
 """
 
 import json
@@ -20,7 +21,7 @@ from repro.smt import SolverCache
 from repro.verify import store as store_module
 from repro.verify.daemon import VerifyDaemon
 from repro.verify.parallel import TaskOutcome
-from repro.verify.store import OutcomeStore
+from repro.verify.store import KEPT_PER_TASK, OutcomeTable
 from repro.verify.verifier import VerifyTask, iter_tasks
 
 NAT_SWITCH = """
@@ -37,6 +38,8 @@ static int f(Nat n) {
 """
 
 TASK = VerifyTask("function", method_name="f")
+#: the outcome table's key for TASK of ``_unit()``
+IDENTITY = ("nat_switch.jm", TASK.label)
 
 
 def _unit():
@@ -140,9 +143,9 @@ def test_format_version_salt_invalidates_old_entries(tmp_path, monkeypatch):
     assert written == _tasks(unit)
 
     monkeypatch.setattr(
-        OutcomeStore, "ENTRY_FORMAT", OutcomeStore.ENTRY_FORMAT + 1
+        OutcomeTable, "ENTRY_FORMAT", OutcomeTable.ENTRY_FORMAT + 1
     )
-    assert not OutcomeStore(tmp_path, "").dir.exists()
+    assert not OutcomeTable(tmp_path).dir.exists()
     assert _verify(unit, tmp_path).tasks_replayed == 0
     assert len(_entries(tmp_path)) == 2 * written
 
@@ -167,32 +170,35 @@ def test_corrupt_entry_is_dropped_and_resolved(tmp_path):
     third = _verify(unit, tmp_path)
     assert third.tasks_replayed == _tasks(unit)
 
-    store = OutcomeStore(tmp_path / "direct", "sig")
-    store.put(TASK, "fp", _outcome())
+    OutcomeTable(tmp_path / "direct").put(IDENTITY, "salt", "fp", _outcome())
     (entry,) = _entries(tmp_path / "direct")
     entry.write_bytes(b"garbage")
-    assert store.get(TASK, "fp") is None
+    # A fresh table, as in a later process, reads the entry from disk.
+    store = OutcomeTable(tmp_path / "direct")
+    assert store.get(IDENTITY, "salt", "fp") is None
     assert store.errors == 1 and store.hits == 0
     assert not entry.exists()
 
 
 def test_wrong_digest_inside_entry_is_rejected(tmp_path):
-    store = OutcomeStore(tmp_path, "sig")
-    store.put(TASK, "fp1", _outcome())
-    path = store._path(store._key("fp1"))
-    other = store._path(store._key("fp2"))
-    other.parent.mkdir(parents=True, exist_ok=True)
-    path.replace(other)  # entry now lives under the wrong key
-    assert store.get(TASK, "fp2") is None
-    assert store.errors == 1
-    # An entry of another task under this task's key is rejected too.
-    store.put(TASK, "fp3", _outcome())
-    assert store.get(VerifyTask("function", method_name="g"), "fp3") is None
-    assert store.errors == 2
+    store = OutcomeTable(tmp_path)
+    other_task = ("nat_switch.jm", "g")
+    store.put(IDENTITY, "salt", "fp", _outcome())
+    # The entry now lives under another task's key.
+    store._path(IDENTITY).replace(store._path(other_task))
+    reader = OutcomeTable(tmp_path)
+    assert reader.get(other_task, "salt", "fp") is None
+    assert reader.errors == 1
+    # An entry of the same task in another file is rejected too.
+    other_file = ("other.jm", TASK.label)
+    store.put(IDENTITY, "salt", "fp", _outcome())
+    store._path(IDENTITY).replace(store._path(other_file))
+    assert reader.get(other_file, "salt", "fp") is None
+    assert reader.errors == 2
 
 
 def test_unknown_is_never_written_to_disk(tmp_path):
-    store = OutcomeStore(tmp_path, "sig")
+    store = OutcomeTable(tmp_path)
     unknown = _outcome()
     unknown.stats.total.unknown = 1
     timed_out = _outcome()
@@ -200,8 +206,9 @@ def test_unknown_is_never_written_to_disk(tmp_path):
     failed = _outcome()
     failed.stats.tasks_failed = 1
     for outcome in (unknown, timed_out, failed):
-        store.put(TASK, "fp", outcome)
+        store.put(IDENTITY, "salt", "fp", outcome)
     assert not _entries(tmp_path) and store.stores == 0
+    assert not store.entries  # not in memory either
 
     # End to end: a starved budget makes f's query UNKNOWN, so f's
     # outcome is never kept and the next run derives it again.
@@ -216,34 +223,37 @@ def test_unknown_is_never_written_to_disk(tmp_path):
 def test_store_failures_are_silent(tmp_path):
     blocker = tmp_path / "outcomes"
     blocker.write_text("a file where the store directory should be")
-    store = OutcomeStore(blocker, "sig")
-    store.put(TASK, "fp", _outcome())  # the write fails, quietly
+    store = OutcomeTable(blocker)
+    store.put(IDENTITY, "salt", "fp", _outcome())  # the write fails, quietly
     assert store.errors == 1
     assert not store.dir.exists()
-    assert store.get(TASK, "fp") is None
+    # The memory still holds the outcome; a later process finds none.
+    assert store.get(IDENTITY, "salt", "fp") is not None
+    assert OutcomeTable(blocker).get(IDENTITY, "salt", "fp") is None
 
 
 def test_unpicklable_snapshot_is_counted_not_raised(tmp_path):
     """put() must survive an outcome pickle refuses (the contract says
     best-effort, so serialization belongs inside the guard)."""
-    store = OutcomeStore(tmp_path, "sig")
-    store.put(TASK, "fp", _outcome(warnings=[lambda: None]))
+    store = OutcomeTable(tmp_path)
+    store.put(IDENTITY, "salt", "fp", _outcome(warnings=[lambda: None]))
     assert store.errors == 1
     assert store.stores == 0
     assert not _entries(tmp_path)
     # The store keeps working for well-behaved outcomes afterwards.
-    store.put(TASK, "fp", _outcome())
+    store.put(IDENTITY, "salt", "fp", _outcome())
     assert store.stores == 1
 
 
 def test_too_deep_snapshot_is_counted_not_raised(tmp_path):
-    store = OutcomeStore(tmp_path, "sig")
+    store = OutcomeTable(tmp_path)
     deep = []
     tail = deep
     for _ in range(100_000):
         tail.append([])
         tail = tail[0]
-    store.put(TASK, "fp", _outcome(warnings=[deep]))  # RecursionError
+    # pickling it raises RecursionError
+    store.put(IDENTITY, "salt", "fp", _outcome(warnings=[deep]))
     assert store.errors == 1
     assert not _entries(tmp_path)
 
@@ -272,8 +282,8 @@ def test_readonly_cache_dir_never_raises(tmp_path, monkeypatch):
         return real_mkdir(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "mkdir", deny)
-    store = OutcomeStore(tmp_path / "ro", "sig")
-    store.put(TASK, "fp", _outcome())
+    store = OutcomeTable(tmp_path / "ro")
+    store.put(IDENTITY, "salt", "fp", _outcome())
     assert store.errors >= 1
     assert not store.dir.exists()
     unit = _unit()
@@ -360,9 +370,10 @@ def test_clear_drops_only_memory(tmp_path):
 def test_concurrent_writers_never_tear_an_entry(tmp_path):
     """Racing puts on one key: readers only ever see complete entries.
 
-    Each writer thread uses its own OutcomeStore (modelling concurrent
+    Each writer thread uses its own OutcomeTable (modelling concurrent
     CLI runs) and repeatedly publishes a large outcome under the same
-    fingerprint while readers hammer get().  Every successful get must
+    fingerprint while readers hammer get(), each through a fresh table
+    so that every get reads the disk.  Every successful get must
     decode to one of the published outcomes in full -- a torn read
     would fail to unpickle and surface as an error.
     """
@@ -379,23 +390,24 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
     problems: list[str] = []
 
     def writer(tag):
-        store = OutcomeStore(tmp_path, "sig")
+        store = OutcomeTable(tmp_path)
         while not stop.is_set():
-            store.put(TASK, "fp", outcomes[tag])
+            store.put(IDENTITY, "salt", "fp", outcomes[tag])
 
     def reader():
-        store = OutcomeStore(tmp_path, "sig")
-        seen = 0
+        seen = errors = 0
         while not stop.is_set() or seen == 0:
-            loaded = store.get(TASK, "fp")
+            store = OutcomeTable(tmp_path)
+            loaded = store.get(IDENTITY, "salt", "fp")
+            errors += store.errors
             if loaded is None:
                 continue
             seen += 1
             if loaded != outcomes[loaded.methods_checked]:
                 problems.append("observed a torn or mixed entry")
                 return
-        if store.errors:
-            problems.append(f"{store.errors} unreadable entries during race")
+        if errors:
+            problems.append(f"{errors} unreadable entries during race")
 
     threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
     threads += [threading.Thread(target=reader) for _ in range(2)]
@@ -408,7 +420,57 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
     timer.cancel()
     stop.set()
     assert not problems, problems
-    assert OutcomeStore(tmp_path, "sig").get(TASK, "fp") is not None
+    assert OutcomeTable(tmp_path).get(IDENTITY, "salt", "fp") is not None
+
+
+def _cli_replayed(path, cache_dir, budget, capsys):
+    """``repro verify --cache-dir`` at ``budget``: its replayed count."""
+    from repro.cli import main
+
+    args = ["verify", str(path), "--cache-dir", str(cache_dir),
+            "--budget", str(budget), "--format", "json"]
+    assert main(args) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["files"]
+    return entry["report"]["solver_stats"]["tasks_replayed"]
+
+
+def test_store_keeps_the_newest_outcomes_of_each_task(tmp_path, capsys):
+    from repro.corpus import combined_programs
+
+    source = combined_programs()["nat"]
+    path = tmp_path / "nat.jm"
+    path.write_text(source)
+    store = tmp_path / "store"
+    budgets = (1, 2, 3, 4, 5)
+    assert KEPT_PER_TASK < len(budgets)
+    for budget in budgets:
+        assert _cli_replayed(path, store, budget, capsys) == 0
+    tasks = _tasks(api.compile_program(source))
+    # One file per task, each holding the newest KEPT_PER_TASK outcomes.
+    assert len(_entries(store)) == tasks
+    assert _cli_replayed(path, store, 5, capsys) == tasks
+    # Budget 1 was the oldest outcome of every task, so it was evicted.
+    assert _cli_replayed(path, store, 1, capsys) == 0
+    assert len(_entries(store)) == tasks
+
+
+def test_first_write_removes_only_legacy_directories(tmp_path):
+    legacy = [tmp_path / "outcomes-v1", tmp_path / "v2-1", tmp_path / "v2-7"]
+    for directory in legacy:
+        directory.mkdir()
+        (directory / "entry").write_bytes(b"old")
+    kept = [tmp_path / "notes.txt", tmp_path / "v2.txt"]
+    for path in kept:
+        path.write_text("not the store's")
+    (tmp_path / "v3-1").mkdir()
+    kept.append(tmp_path / "v3-1")
+
+    unit = _unit()
+    _verify(unit, tmp_path)
+    assert not any(directory.exists() for directory in legacy)
+    assert all(path.exists() for path in kept)
+    assert (tmp_path / "notes.txt").read_text() == "not the store's"
+    assert _verify(unit, tmp_path).tasks_replayed == _tasks(unit)
 
 
 @pytest.fixture(autouse=True)
