@@ -36,6 +36,7 @@ import sys
 from . import api
 from .errors import JMatchError
 from .runtime import render
+from .verify.options import OptionError
 
 
 def _read(path: str) -> str:
@@ -86,11 +87,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # without --daemon (and never spawns a daemon).
     try:
         options.validate()
-    except ValueError as exc:
-        # Every message opens with the field's name: name the flag.
-        field_name, _, rest = str(exc).partition(" ")
-        flag = field_name.replace("_", "-")
-        print(f"error: --{flag} {rest}", file=sys.stderr)
+    except OptionError as exc:
+        flag = exc.option.replace("_", "-")
+        print(f"error: --{flag} {exc.problem}", file=sys.stderr)
         return 2
     if args.daemon:
         from .verify.daemon import DaemonError

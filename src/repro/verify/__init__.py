@@ -2,7 +2,6 @@
 disjointness (Sections 4-6 of the paper)."""
 
 from .options import VerifyOptions
-from .parallel import verify_parallel
 from .tiered import AlgebraDecision, PatternAlgebra
 from .verifier import VerificationReport, Verifier, VerifyTask, iter_tasks
 
@@ -14,5 +13,4 @@ __all__ = [
     "VerifyOptions",
     "VerifyTask",
     "iter_tasks",
-    "verify_parallel",
 ]

@@ -2,23 +2,21 @@
 
 One daemon process serves many ``verify`` requests over a Unix domain
 socket (or stdio) and keeps task *outcomes* between them in one
-:class:`~repro.verify.store.OutcomeTable`, held for its whole life.
-That is its only reuse; it keeps no SMT query cache.  A re-``verify``
-of an edited file re-runs only the tasks whose dependency fingerprints
-(:mod:`repro.verify.daemon.index`) changed (``dep-miss``) and replays
-the kept outcome for the rest (``dep-hit``), falling back to a full
-re-run for any task the index cannot fingerprint.  The table's policy
-is the ``--cache-dir`` store's: each task keeps its newest few
-conclusive outcomes, so reverting an edit (an editor's undo) replays,
-and a task that failed or stayed inconclusive runs again.  When the
-daemon has a ``cache_dir`` the table writes through to the store and
-reads through to it, so a fresh daemon starts warm.  Each file goes
-through :func:`repro.verify.parallel.verify_tasks` with ``jobs=1``,
-the report assembly every driver shares.  A daemon made with
-``use_cache=False`` (``repro serve --no-cache``), or a request with
-the ``use_cache`` option false (``verify --daemon --no-cache``),
-replays nothing and verifies every task.  ``invalidate`` drops the
-named files' outcomes from the table's memory.
+:class:`~repro.verify.store.OutcomeTable`, held for its whole life and
+under the ``--cache-dir`` store's policy; it keeps no SMT query cache.
+A re-``verify`` of an edited file re-runs only the tasks whose
+dependency fingerprints (:mod:`repro.verify.daemon.index`) changed, or
+that the index cannot fingerprint (``dep-miss``), and replays the kept
+outcome for the rest (``dep-hit``): an undone edit replays, and a task
+that failed or stayed inconclusive runs again.  With a ``cache_dir``
+the table writes and reads through to the store, so a fresh daemon
+starts warm.  Each file goes through
+:func:`repro.verify.parallel.verify_tasks` with ``jobs=1``.  A daemon
+made with ``use_cache=False`` (``repro serve --no-cache``), or a
+request with ``use_cache`` false (``verify --daemon --no-cache``),
+replays nothing.  ``invalidate`` drops the named files' outcomes from
+memory, and each request drops those of a file's tasks that no longer
+exist, so the memory holds the live tasks' outcomes only.
 
 Every connection is served from the thread that calls
 :meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
@@ -167,7 +165,9 @@ class VerifyDaemon:
             dropped = sum(
                 self.files.pop(path, None) is not None for path in targets
             )
-            self.outcomes.forget(lambda name: os.path.abspath(name) in targets)
+            self.outcomes.forget(
+                lambda identity: os.path.abspath(identity[0]) in targets
+            )
         else:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS,
@@ -281,6 +281,13 @@ class VerifyDaemon:
             misses = len(tasks) - hits
             tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
         if replay:
+            # Memory keeps the live tasks' outcomes only; the store, if
+            # any, keeps a renamed or deleted method's on disk.
+            labels = {task.label for task in tasks}
+            self.outcomes.forget(
+                lambda identity: identity[0] == unit.filename
+                and identity[1] not in labels
+            )
             self.files[os.path.abspath(path)] = {
                 "tasks": len(tasks),
                 "verified_at": time.time(),

@@ -35,6 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Tracer
 
 
+class OptionError(ValueError):
+    """An out-of-range :class:`VerifyOptions` field, named by ``option``."""
+
+    def __init__(self, option: str, problem: str):
+        super().__init__(f"{option} {problem}")
+        self.option, self.problem = option, problem
+
+
 @dataclass
 class VerifyOptions:
     """Every knob of one verification run, in one picklable-ish bundle.
@@ -69,7 +77,7 @@ class VerifyOptions:
         return replace(self, **changes)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on out-of-range settings — and normalize.
+        """Raise :class:`OptionError` on out-of-range settings — and normalize.
 
         A ``task_timeout`` is out of range off the main thread: its
         deadline is a ``SIGALRM`` alarm, which cannot arm there.
@@ -88,30 +96,30 @@ class VerifyOptions:
         if self.budget is not None and not (
             math.isfinite(self.budget) and self.budget >= 0
         ):
-            raise ValueError(
-                f"budget must be finite and non-negative, got {self.budget}"
+            raise OptionError(
+                "budget", f"must be finite and non-negative, got {self.budget}"
             )
         if self.task_timeout is not None and not (
             math.isfinite(self.task_timeout) and self.task_timeout > 0
         ):
-            raise ValueError(
-                "task_timeout must be finite and positive, "
-                f"got {self.task_timeout}"
+            raise OptionError(
+                "task_timeout",
+                f"must be finite and positive, got {self.task_timeout}",
             )
         if (
             self.task_timeout is not None
             and threading.current_thread() is not threading.main_thread()
         ):
-            raise ValueError(
-                "task_timeout needs the main thread (its deadline is a "
-                "SIGALRM alarm)"
+            raise OptionError(
+                "task_timeout",
+                "needs the main thread (its deadline is a SIGALRM alarm)",
             )
         # ``cache=False`` reads as "no cache" but is not None: every task
         # would then fail on the first cache call.  None turns it off.
         if self.cache is not None and not isinstance(self.cache, SolverCache):
-            raise ValueError(
-                "cache must be a SolverCache or None (no cache), "
-                f"got {self.cache!r}"
+            raise OptionError(
+                "cache",
+                f"must be a SolverCache or None (no cache), got {self.cache!r}",
             )
         self.jobs = self._normalize_jobs(self.jobs)
 
@@ -120,17 +128,16 @@ class VerifyOptions:
         """``"auto"`` or a positive int; digit strings become ints."""
         if value == "auto":
             return "auto"
+        invalid = OptionError(
+            "jobs", f"must be a positive integer or 'auto', got {value!r}"
+        )
         if isinstance(value, bool):
-            raise ValueError(
-                f"jobs must be a positive integer or 'auto', got {value!r}"
-            )
+            raise invalid
         try:
             count = int(value)
         except (TypeError, ValueError):
-            raise ValueError(
-                f"jobs must be a positive integer or 'auto', got {value!r}"
-            ) from None
+            raise invalid from None
         if count < 1:
-            raise ValueError(f"jobs must be >= 1, got {count}")
+            raise OptionError("jobs", f"must be >= 1, got {count}")
         return count
 

@@ -21,13 +21,9 @@ either way:
   own in-memory :class:`~repro.smt.cache.SolverCache` only when the
   caller passed one (``VerifyOptions.cache``).
 
-Task outcomes are the one reuse on every user path.  Given a
-:class:`TaskReuse`, :func:`verify_tasks` replays the kept outcome of
-every task whose dependency fingerprint is unchanged (``dep-hit``,
-counted in ``VerifyStats.tasks_replayed``) and offers the outcome of
-every task it runs (``dep-miss``) to the
-:class:`~repro.verify.store.OutcomeTable`, whose policy decides what is
-kept; the pool gets only the misses.
+Task outcomes are the one reuse on every user path (:class:`TaskReuse`
+over a :class:`~repro.verify.store.OutcomeTable`, whose policy decides
+what is kept); the pool gets only the tasks that do not replay.
 
 Throughput comes from amortization, not from more processes:
 
@@ -359,10 +355,8 @@ def verify_tasks(
 
     Replays what ``reuse`` can, runs the rest through :func:`run_serial`
     or, when ``jobs`` > 1, :func:`verify_parallel`, offers each outcome
-    that ran to ``reuse``, and adopts the span trees into ``tracer`` and
-    merges the outcomes in task order, so every driver gives the serial
-    report and span tree.  ``api.verify`` calls it with the resolved
-    worker count, the daemon with ``jobs=1``.
+    that ran to ``reuse``, then adopts span trees and merges outcomes in
+    task order, so every driver gives the serial report and span tree.
     """
     trace = tracer.enabled
     start = time.perf_counter()

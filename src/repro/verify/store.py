@@ -6,24 +6,22 @@ that can change a verdict and of the verifier itself.  The daemon's
 replays and a ``--cache-dir`` run's go through one
 :class:`OutcomeTable`:
 
-* **key and bound**: one entry per task identity (the unit's file name
-  plus the task label) holds its newest :data:`KEPT_PER_TASK`
-  ``(salt, fingerprint, outcome)`` triples, so an undone edit replays.
-  The salt (:func:`outcome_salt`) includes a digest of the ``repro``
-  source, so an upgraded verifier never replays an older one's output;
-* **what**: only conclusive outcomes.  One with an UNKNOWN query, a
-  task timeout or a failure depends on the wall clock or on a fault of
-  the run that produced it, so the next run derives it again;
-* **where**: always in memory.  With a root, every change writes
-  through to one file per identity in ``<root>/outcomes-v2/``, and a
-  memory miss reads through to it.  The daemon holds one table for its
-  life; ``api.verify`` makes one per call.
+* **key and bound**: each task identity (file name plus task label)
+  keeps its newest :data:`KEPT_PER_TASK` ``(salt, fingerprint,
+  outcome)`` triples, so an undone edit replays; the salt
+  (:func:`outcome_salt`) covers the ``repro`` source too;
+* **what**: only conclusive outcomes.  An UNKNOWN query, a timeout or
+  a failure depends on the clock or on a fault of its run;
+* **where**: always in memory, and with a root, written through to
+  one file per identity in ``<root>/outcomes-v2/`` and read through
+  on a memory miss.  The daemon holds one table for its life;
+  ``api.verify`` makes one per call.
 
 A file is published with :func:`os.replace`, so racing writers never
 expose a torn one; a corrupt file is counted, deleted and treated as a
 miss, and an I/O or pickling failure costs that write, never the run.
-The first write removes what older formats left under the root
-(:attr:`OutcomeTable.LEGACY_DIRS`) and nothing else.
+The first write removes the directories older formats left under the
+root, and only those that hold nothing but their entries.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ import functools
 import hashlib
 import os
 import pickle
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -97,9 +96,6 @@ class OutcomeTable:
 
     #: bump when the entry payload layout changes
     ENTRY_FORMAT = 2
-    #: what earlier formats left under the root: the version-1 outcome
-    #: files and the deleted SMT query cache's disk tier
-    LEGACY_DIRS = ("outcomes-v1", "v2-*")
 
     def __init__(self, root: str | os.PathLike | None = None):
         format_dir = f"outcomes-v{self.ENTRY_FORMAT}"
@@ -115,15 +111,14 @@ class OutcomeTable:
     def get(self, identity: tuple[str, str], salt: str, fingerprint: str):
         """The kept outcome of ``identity`` under ``salt`` and
         ``fingerprint``, or None."""
-        kept = self.entries.get(identity, [])
-        outcome = _find(kept, salt, fingerprint)
+        outcome = _find(self.entries.get(identity, ()), salt, fingerprint)
         if outcome is None and self.dir is not None:
+            # The file holds what the last writer of this identity kept,
+            # this table's writes included
             stored = self._read(identity)
             if stored:
-                known = {triple[:2] for triple in kept}
-                kept = kept + [t for t in stored if t[:2] not in known]
-                self.entries[identity] = kept[:KEPT_PER_TASK]
-                outcome = _find(self.entries[identity], salt, fingerprint)
+                self.entries[identity] = stored
+                outcome = _find(stored, salt, fingerprint)
         if outcome is not None:
             self.hits += 1
         return outcome
@@ -143,10 +138,10 @@ class OutcomeTable:
         if self.dir is not None:
             self._write(identity, self.entries[identity])
 
-    def forget(self, matches=lambda filename: True) -> None:
-        """Drop from memory every entry whose file name ``matches``;
-        the disk keeps them."""
-        for identity in [i for i in self.entries if matches(i[0])]:
+    def forget(self, matches=lambda identity: True) -> None:
+        """Drop from memory every entry whose identity ``matches``; the
+        disk keeps them."""
+        for identity in [i for i in self.entries if matches(i)]:
             del self.entries[identity]
 
     # -- disk ------------------------------------------------------------
@@ -162,12 +157,8 @@ class OutcomeTable:
         except OSError:
             return None
         try:
-            magic, entry_format, stored_identity, kept = pickle.loads(payload)
-            if (
-                magic != _MAGIC
-                or entry_format != self.ENTRY_FORMAT
-                or stored_identity != identity
-            ):
+            *header, kept = pickle.loads(payload)
+            if header != [_MAGIC, self.ENTRY_FORMAT, identity]:
                 raise ValueError("entry does not match its key")
             return [(salt, fp, outcome) for salt, fp, outcome in kept]
         except Exception:
@@ -176,22 +167,19 @@ class OutcomeTable:
             return None
 
     def _write(self, identity: tuple[str, str], kept: list) -> None:
-        """Atomically publish ``identity``'s triples (failures are counted).
-
-        Pickling happens inside the guard: an outcome pickle refuses
-        must cost one write, never the verification run.
-        """
+        """Atomically publish ``identity``'s triples; a failure, pickling
+        included, is counted and costs this write, never the run."""
         tmp_name = None
         try:
-            payload = pickle.dumps(
-                (_MAGIC, self.ENTRY_FORMAT, identity, kept)
-            )
+            payload = pickle.dumps((_MAGIC, self.ENTRY_FORMAT, identity, kept))
             if corrupt_cache_writes():
                 payload = payload[: max(1, len(payload) // 2)]
             if not self._dir_made:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
-                self._remove_legacy_dirs()
+                for path in self.dir.parent.iterdir():
+                    if _is_legacy_dir(path):
+                        shutil.rmtree(path, ignore_errors=True)
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.dir, prefix=".tmp-", suffix=".part"
             )
@@ -207,11 +195,23 @@ class OutcomeTable:
             if tmp_name is not None:
                 _unlink_quietly(tmp_name)
 
-    def _remove_legacy_dirs(self) -> None:
-        for pattern in self.LEGACY_DIRS:
-            for path in self.dir.parent.glob(pattern):
-                if path.is_dir() and not path.is_symlink():
-                    shutil.rmtree(path, ignore_errors=True)
+
+#: what earlier formats named their directories under the root (the
+#: version-1 outcomes, the deleted SMT query cache's ``v2-1``), and
+#: their files and shard directories (hex digests, ``.tmp-*.part``)
+_LEGACY_DIR = re.compile(r"outcomes-v1|v2-[0-9]+")
+_ENTRY_NAME = re.compile(r"[0-9a-f]+|\.tmp-.*\.part")
+
+
+def _is_legacy_dir(path: Path) -> bool:
+    """Whether ``path`` is an older format's directory holding nothing
+    but its entries, so removing it loses nothing of anyone's."""
+    return bool(_LEGACY_DIR.fullmatch(path.name)) and (
+        path.is_dir() and not path.is_symlink() and all(
+            _ENTRY_NAME.fullmatch(entry.name) and not entry.is_symlink()
+            for entry in path.rglob("*")
+        )
+    )
 
 
 def _unlink_quietly(path) -> None:

@@ -407,6 +407,20 @@ def test_daemon_invalidate_keeps_other_files_outcomes(program):
     assert replayed == [0, 1]
 
 
+def test_daemon_drops_the_outcomes_of_a_renamed_method(program):
+    # The daemon's memory holds the live tasks' outcomes only.
+    path = program(BUGGY)
+    daemon = VerifyDaemon()
+    verify_result(daemon, [path])
+    assert (path, "f") in daemon.outcomes.entries
+    with open(path, "w") as handle:
+        handle.write(BUGGY.replace("static int f(", "static int h(", 1))
+    renamed = verify_result(daemon, [path], request_id=2)
+    assert renamed["dep_misses"] == 1
+    labels = {label for name, label in daemon.outcomes.entries}
+    assert "f" not in labels and {"g", "h"} <= labels
+
+
 def test_daemon_option_change_flushes_outcomes(program):
     path = program(BUGGY)
     daemon = VerifyDaemon()

@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.api import VerifyOptions
 from repro.smt.cache import SolverCache
+from repro.verify.options import OptionError
 from repro.verify.verifier import REPORT_SCHEMA_VERSION
 
 PROGRAM = """
@@ -102,6 +103,22 @@ def test_replace_returns_a_modified_copy():
 def test_validate_rejects_out_of_range_settings(bad):
     with pytest.raises(ValueError):
         VerifyOptions(**bad).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    {"budget": -1.0},
+    {"task_timeout": 0.0},
+    {"jobs": "many"},
+    {"jobs": 0},
+    {"cache": False},
+])
+def test_validate_names_the_offending_field(bad):
+    # The CLI turns ``option`` into the flag it prints (``--jobs``)
+    (field_name,) = bad
+    with pytest.raises(OptionError) as excinfo:
+        VerifyOptions(**bad).validate()
+    assert excinfo.value.option == field_name
+    assert str(excinfo.value) == f"{field_name} {excinfo.value.problem}"
 
 
 @pytest.mark.parametrize("cache", [False, True, 0, "memory"])

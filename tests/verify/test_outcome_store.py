@@ -455,15 +455,25 @@ def test_store_keeps_the_newest_outcomes_of_each_task(tmp_path, capsys):
 
 
 def test_first_write_removes_only_legacy_directories(tmp_path):
+    digest = "ab" * 32
     legacy = [tmp_path / "outcomes-v1", tmp_path / "v2-1", tmp_path / "v2-7"]
     for directory in legacy:
         directory.mkdir()
-        (directory / "entry").write_bytes(b"old")
+    (tmp_path / "outcomes-v1" / digest).write_bytes(b"old")
+    (tmp_path / "v2-1" / "ab").mkdir()
+    (tmp_path / "v2-1" / "ab" / digest).write_bytes(b"old")
+    (tmp_path / "v2-7" / ".tmp-x.part").write_bytes(b"old")
     kept = [tmp_path / "notes.txt", tmp_path / "v2.txt"]
     for path in kept:
         path.write_text("not the store's")
     (tmp_path / "v3-1").mkdir()
     kept.append(tmp_path / "v3-1")
+    # A user's directories: one whose name only looks like a legacy
+    # one, and one with a legacy name that holds a file no format wrote.
+    for name in ("v2-notes", "v2-2"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "notes.txt").write_text("not the store's")
+        kept.append(tmp_path / name / "notes.txt")
 
     unit = _unit()
     _verify(unit, tmp_path)
