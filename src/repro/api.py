@@ -71,10 +71,11 @@ def verify(
     solves every query.  The returned report carries per-method solver
     statistics in ``solver_stats``.
 
-    ``jobs`` selects the driver: 1 (the default) verifies the
-    per-method tasks one after another in this process; above 1, they
-    are fanned out over that many worker processes and merged back in
-    source order, producing byte-identical warnings and counts.
+    ``jobs`` is the worker count, a positive integer: the per-method
+    tasks that do not replay run on ``min(jobs, tasks)`` worker
+    processes and are merged back in source order, producing
+    byte-identical warnings and counts; a count of 1 (the default)
+    runs them one after another in this process.
 
     ``cache_dir`` keeps task outcomes in a store under that directory
     (:mod:`repro.verify.store`), so a later run replays every task whose
@@ -83,14 +84,6 @@ def verify(
     Only conclusive outcomes are kept, the newest four per task.  Task
     outcomes are the only reuse across runs: the store is on exactly
     when ``cache_dir`` is set, whatever ``cache`` holds.
-
-    ``jobs`` may also be ``"auto"``, which picks a worker count from
-    ``os.cpu_count()`` and the task count -- staying serial on
-    single-CPU machines or tiny programs, where pool overhead would
-    make verification slower.  An explicit integer is honored except
-    on programs below a small task-count floor, which always run
-    serially; the resolved decision is recorded on the report
-    (``solver_stats.parallel_decision``) and in the trace.
 
     Parallel runs ship obligations to workers in batches sized from
     the task and worker counts (single-task batches under
@@ -141,23 +134,12 @@ def _verify_unit(
 ) -> VerificationReport:
     """Run every task of one unit on the driver ``opts.jobs`` picks."""
     from .verify.faults import active_fault
-    from .verify.parallel import (
-        TaskReuse,
-        describe_parallel_decision,
-        resolve_jobs,
-        verify_tasks,
-    )
+    from .verify.parallel import TaskReuse, verify_tasks
     from .verify.verifier import iter_tasks
 
     active_fault()  # reject a malformed REPRO_FAULT loudly, up front
     table = unit.table
     tasks = list(iter_tasks(table))
-    jobs = resolve_jobs(opts.jobs, len(tasks))
-    decision = describe_parallel_decision(
-        opts.jobs, jobs, len(tasks), opts.task_timeout
-    )
-    if tracer.enabled:
-        tracer.event("jobs-decision", decision=decision)
     reuse = None
     if opts.cache_dir is not None:
         from .verify.daemon.index import fingerprint_tasks
@@ -167,9 +149,7 @@ def _verify_unit(
             OutcomeTable(opts.cache_dir), unit.filename,
             fingerprint_tasks(table, tasks), opts,
         )
-    report = verify_tasks(table, tasks, opts, tracer, jobs, reuse)
-    report.solver_stats.parallel_decision = decision
-    return report
+    return verify_tasks(table, tasks, opts, tracer, opts.jobs, reuse)
 
 
 def interpreter(unit: CompiledUnit) -> Interpreter:

@@ -71,12 +71,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print(
-            f"error: --task-timeout must be positive, got {args.task_timeout}",
-            file=sys.stderr,
-        )
-        return 2
     options = api.VerifyOptions(
         budget=args.budget,
         jobs=args.jobs,
@@ -297,10 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.add_argument(
         "--jobs", default="1", metavar="N",
-        help="verify methods on N worker processes, or 'auto' to size the "
-        "pool from the CPU count and task count (default: 1, serial); "
-        "methods ship to workers in batches sized from the task and "
-        "worker counts",
+        help="verify methods on N worker processes, a positive integer "
+        "(default: 1, serial); a file with fewer tasks to run gets one "
+        "worker per task, and methods ship to workers in batches sized "
+        "from the task and worker counts",
     )
     p_verify.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",

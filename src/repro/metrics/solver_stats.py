@@ -97,10 +97,6 @@ class VerifyStats:
     #: (non-exhaustive matches fall through so the counterexample comes
     #: from the model, byte-identical to an SMT-only run)
     algebra_fallbacks: int = 0
-    #: how the run's driver was chosen — serial or a pool, and why
-    #: (task count vs. thresholds, batch size); set by the dispatcher,
-    #: empty for direct Verifier runs
-    parallel_decision: str = ""
 
     def record(
         self,
@@ -133,10 +129,6 @@ class VerifyStats:
         self.tasks_replayed += other.tasks_replayed
         self.algebra_discharged += other.algebra_discharged
         self.algebra_fallbacks += other.algebra_fallbacks
-        # The decision is a whole-run fact the dispatcher sets once;
-        # per-task stats merged in never carry one.
-        if not self.parallel_decision:
-            self.parallel_decision = other.parallel_decision
 
     def to_dict(self) -> dict:
         """The aggregate as a JSON-ready structure (``--format json``).
@@ -157,7 +149,6 @@ class VerifyStats:
             "tasks_replayed": self.tasks_replayed,
             "algebra_discharged": self.algebra_discharged,
             "algebra_fallbacks": self.algebra_fallbacks,
-            "parallel_decision": self.parallel_decision,
         }
 
 
@@ -199,6 +190,4 @@ def format_stats(stats: dict) -> str:
         f"tiers: {stats['algebra_discharged']} obligations discharged by "
         f"the pattern algebra, {stats['algebra_fallbacks']} fell back to SMT"
     )
-    if stats["parallel_decision"]:
-        lines.append(f"jobs: {stats['parallel_decision']}")
     return "\n".join(lines)

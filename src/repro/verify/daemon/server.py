@@ -292,10 +292,6 @@ class VerifyDaemon:
                 "tasks": len(tasks),
                 "verified_at": time.time(),
             }
-        report.solver_stats.parallel_decision = (
-            f"daemon: warm serial over {len(tasks)} tasks "
-            f"({hits} dep hits, {misses} dep misses)"
-        )
         return {"path": path, "report": report.to_dict()}, hits, misses
 
     def _append_trace(self, rows: list[dict]) -> None:

@@ -59,7 +59,8 @@ class VerifyOptions:
     #: solves every query.  Reuse across runs is per task, through
     #: ``cache_dir``, whatever this field holds
     cache: SolverCache | None = None
-    #: worker processes (int), or "auto" to size from CPUs and tasks
+    #: worker processes for the tasks that run, a positive integer: the
+    #: pool runs on ``min(jobs, tasks)`` workers when that is above 1
     jobs: int | str = 1
     #: directory of the task-outcome store (None: no store, so no task
     #: is replayed); see :mod:`repro.verify.store`
@@ -99,12 +100,11 @@ class VerifyOptions:
             raise OptionError(
                 "budget", f"must be finite and non-negative, got {self.budget}"
             )
-        if self.task_timeout is not None and not (
-            math.isfinite(self.task_timeout) and self.task_timeout > 0
-        ):
+        timeout = self.task_timeout
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            problem = "positive" if math.isfinite(timeout) else "finite"
             raise OptionError(
-                "task_timeout",
-                f"must be finite and positive, got {self.task_timeout}",
+                "task_timeout", f"must be {problem}, got {timeout}"
             )
         if (
             self.task_timeout is not None
@@ -124,12 +124,10 @@ class VerifyOptions:
         self.jobs = self._normalize_jobs(self.jobs)
 
     @staticmethod
-    def _normalize_jobs(value) -> int | str:
-        """``"auto"`` or a positive int; digit strings become ints."""
-        if value == "auto":
-            return "auto"
+    def _normalize_jobs(value) -> int:
+        """A positive int; digit strings become ints."""
         invalid = OptionError(
-            "jobs", f"must be a positive integer or 'auto', got {value!r}"
+            "jobs", f"must be a positive integer, got {value!r}"
         )
         if isinstance(value, bool):
             raise invalid

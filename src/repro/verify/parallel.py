@@ -25,6 +25,11 @@ Task outcomes are the one reuse on every user path (:class:`TaskReuse`
 over a :class:`~repro.verify.store.OutcomeTable`, whose policy decides
 what is kept); the pool gets only the tasks that do not replay.
 
+``--jobs N`` means N workers: the tasks that do not replay run on a
+pool of ``min(N, len(runnable))`` workers when that is above 1, and in
+process otherwise.  No task-count floor second-guesses N: honoring it
+on a tiny program costs one fork.
+
 Throughput comes from amortization, not from more processes:
 
 * **warm workers** — the pool initializer receives the table once per
@@ -34,12 +39,7 @@ Throughput comes from amortization, not from more processes:
   counts), collapsing the per-future submit/pickle/result overhead.
   Outcomes stay per-task inside each batch, so merging is unchanged.
   Runs under ``--task-timeout`` keep single-task batches: a deadline
-  must attribute to exactly one method;
-* **serial for tiny workloads** — both ``--jobs auto`` and an explicit
-  ``--jobs N`` stay serial below a small task count
-  (:data:`MIN_TASKS_PARALLEL`), where pool spawn dominates; the
-  decision is recorded on ``VerifyStats.parallel_decision`` (rendered
-  by ``--stats``) and as a trace event.
+  must attribute to exactly one method.
 
 A failing task degrades instead of diverging, on every driver (the
 paper's Section 6.2 time budget turns an undecidable obligation into a
@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
 import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -353,8 +352,9 @@ def verify_tasks(
 ) -> VerificationReport:
     """Verify ``tasks`` and assemble their report: every driver's path.
 
-    Replays what ``reuse`` can, runs the rest through :func:`run_serial`
-    or, when ``jobs`` > 1, :func:`verify_parallel`, offers each outcome
+    Replays what ``reuse`` can and runs the rest on
+    ``min(jobs, len(runnable))`` workers: through :func:`verify_parallel`
+    when that is above 1, else :func:`run_serial`.  It offers each outcome
     that ran to ``reuse``, then adopts span trees and merges outcomes in
     task order, so every driver gives the serial report and span tree.
     """
@@ -368,8 +368,11 @@ def verify_tasks(
         task for task, outcome in zip(tasks, replayed) if outcome is None
     ]
     retried = 0
-    if jobs > 1 and runnable:
-        ran, retried = verify_parallel(table, runnable, options, trace, jobs)
+    workers = min(jobs, len(runnable))
+    if workers > 1:
+        ran, retried = verify_parallel(
+            table, runnable, options, trace, workers
+        )
     else:
         ran = run_serial(table, runnable, options, trace)
     ran = iter(ran)
@@ -452,23 +455,6 @@ def merge_outcomes(
     )
 
 
-#: below this many tasks, ``--jobs auto`` stays serial: pool startup and
-#: table pickling cost more than the queries they would parallelize
-AUTO_MIN_TASKS = 8
-
-#: ``--jobs auto`` never uses more workers than this, however many
-#: cores the box has; the corpus-sized workloads stop scaling earlier
-AUTO_MAX_JOBS = 8
-
-#: even an *explicit* ``--jobs N`` stays serial below this many tasks:
-#: pool spawn alone costs more than verifying a near-empty program, so
-#: honoring N to the letter would only ever make those runs slower
-#: (a four-worker pool over a small corpus group measured 0.53x of
-#: serial speed).  Deliberately
-#: lower than AUTO_MIN_TASKS — an explicit N is a stated preference,
-#: so only the hopeless cases override it.
-MIN_TASKS_PARALLEL = 4
-
 #: batches aim for about this many per worker, enough slack for the
 #: pool to rebalance around uneven task costs
 BATCHES_PER_WORKER = 4
@@ -476,26 +462,6 @@ BATCHES_PER_WORKER = 4
 #: no batch holds more obligations than this, bounding how much
 #: finished work a crashed worker can take down with it
 MAX_AUTO_BATCH = 64
-
-
-def resolve_jobs(jobs: int | str, task_count: int) -> int:
-    """Turn a ``--jobs`` value (an int or ``"auto"``) into a worker count.
-
-    ``auto`` falls back to serial on single-CPU machines and for small
-    task counts -- a pool on a 1-CPU box measured a 0.73x "speedup" over
-    serial, so process-pool overhead must never be the default.  An
-    explicit integer is honored except below
-    :data:`MIN_TASKS_PARALLEL` tasks, where the pool cannot win.
-    """
-    if jobs != "auto":
-        requested = int(jobs)
-        if requested > 1 and task_count < MIN_TASKS_PARALLEL:
-            return 1
-        return requested
-    cpus = os.cpu_count() or 1
-    if cpus < 2 or task_count < AUTO_MIN_TASKS:
-        return 1
-    return max(1, min(cpus, task_count, AUTO_MAX_JOBS))
 
 
 def resolve_batch_size(
@@ -514,43 +480,6 @@ def resolve_batch_size(
         return 1
     target = -(-task_count // (jobs * BATCHES_PER_WORKER))  # ceil div
     return max(1, min(MAX_AUTO_BATCH, target))
-
-
-def describe_parallel_decision(
-    requested: int | str,
-    jobs: int,
-    task_count: int,
-    task_timeout: float | None,
-) -> str:
-    """One human-readable line on how the run's driver was chosen.
-
-    Lands on ``VerifyStats.parallel_decision`` (rendered by
-    ``--stats``) and on the trace as a ``jobs-decision`` event, so
-    "why did my --jobs 8 run serially?" is answerable from the output.
-    """
-    if jobs > 1:
-        batch_size = resolve_batch_size(task_count, jobs, task_timeout)
-        return (
-            f"parallel: {jobs} workers over {task_count} tasks, "
-            f"batch size {batch_size} (requested jobs={requested})"
-        )
-    if requested == 1:
-        return f"serial: as requested (jobs=1, {task_count} tasks)"
-    if requested != "auto" and task_count < MIN_TASKS_PARALLEL:
-        return (
-            f"serial: {task_count} tasks is below the parallel "
-            f"threshold ({MIN_TASKS_PARALLEL}) — pool spawn would cost "
-            f"more than it saves (requested jobs={requested})"
-        )
-    if requested == "auto" and task_count < AUTO_MIN_TASKS:
-        return (
-            f"serial: {task_count} tasks is below the auto threshold "
-            f"({AUTO_MIN_TASKS}) (requested jobs=auto)"
-        )
-    return (
-        f"serial: too few usable CPUs for a pool to win "
-        f"({task_count} tasks, requested jobs={requested})"
-    )
 
 
 def _stall_window(task_timeout: float) -> float:
@@ -633,10 +562,9 @@ def verify_parallel(
     trace: bool,
     jobs: int,
 ) -> tuple[list[TaskOutcome], int]:
-    """Verify ``tasks`` on a pool of up to ``jobs`` (> 1) processes.
+    """Verify ``tasks`` on a pool of ``jobs`` (> 1) processes.
 
-    ``jobs`` is the count :func:`resolve_jobs` already decided.  The
-    pool runs the tasks in batches of :func:`resolve_batch_size`.  The
+    The pool runs the tasks in batches of :func:`resolve_batch_size`.  The
     tasks left without an outcome — a broken pool's unfinished ones,
     and any whose run raised inside a live worker — go through
     :func:`run_serial` in this process and count as retried; each gets
@@ -644,7 +572,7 @@ def verify_parallel(
     order, and how many were retried.
     """
     pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
+        max_workers=jobs,
         mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(

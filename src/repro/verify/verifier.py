@@ -105,7 +105,7 @@ def task_span(table: ProgramTable, task: VerifyTask):
 
 
 #: bump when the machine-readable report shape changes incompatibly
-REPORT_SCHEMA_VERSION = 7
+REPORT_SCHEMA_VERSION = 8
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """CLI integration tests."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -198,16 +200,12 @@ def test_verify_rejects_garbage_jobs(program, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_verify_jobs_auto_output_matches_serial(program, capsys):
-    path = program(BUGGY)
-    strip = lambda text: [
-        l for l in text.splitlines() if not l.startswith("checked ")
-    ]
-    assert main(["verify", path]) == 0
-    serial = capsys.readouterr().out
-    assert main(["verify", path, "--jobs", "auto"]) == 0
-    auto = capsys.readouterr().out
-    assert strip(serial) == strip(auto)
+def test_verify_rejects_jobs_auto(program, capsys):
+    # --jobs is a worker count; nothing sizes the pool for you.
+    assert main(["verify", program(CLEAN), "--jobs", "auto"]) == 2
+    captured = capsys.readouterr()
+    assert "--jobs must be a positive integer, got 'auto'" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_profile_table(program, capsys):
@@ -253,33 +251,25 @@ def test_verify_profile_sums_the_trace_query_spans(program, capsys, tmp_path):
     }
 
 
-def test_resolve_jobs_auto_policy(monkeypatch):
-    from repro.verify import parallel
-    from repro.verify.parallel import resolve_jobs
+@pytest.mark.parametrize("jobs, tasks, workers", [
+    (1, 4, None), (2, 1, None), (64, 1, None),
+    (2, 2, 2), (3, 4, 3), (8, 3, 3),
+])
+def test_jobs_is_the_worker_count(monkeypatch, jobs, tasks, workers):
+    # --jobs N runs the pool on min(N, tasks) workers when that is
+    # above 1, and in process otherwise; no task-count floor overrides N.
+    from repro import api
 
-    # Explicit integers are honored on real workloads...
-    assert resolve_jobs(3, 100) == 3
-    assert resolve_jobs("5", parallel.MIN_TASKS_PARALLEL) == 5
-    # ...but fall back to serial below the task-count floor, where a
-    # pool can only lose (the 0.53x regression shape).
-    assert resolve_jobs("5", 1) == 1
-    assert resolve_jobs(8, parallel.MIN_TASKS_PARALLEL - 1) == 1
-    assert resolve_jobs(1, 1) == 1
-    # Serial on single-CPU boxes, whatever the task count.
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-    assert resolve_jobs("auto", 100) == 1
-    # Serial for tiny programs: pool startup costs more than it saves.
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-    assert resolve_jobs("auto", parallel.AUTO_MIN_TASKS - 1) == 1
-    # Otherwise bounded by cpus, tasks, and the hard ceiling.
-    assert resolve_jobs("auto", parallel.AUTO_MIN_TASKS) == (
-        parallel.AUTO_MIN_TASKS
+    from .verify.test_fault_tolerance import count_pools
+
+    pools = count_pools(monkeypatch)
+    source = "".join(
+        f"static int f{i}(int x) {{ return x; }}\n" for i in range(tasks)
     )
-    assert resolve_jobs("auto", 1000) == parallel.AUTO_MAX_JOBS
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    assert resolve_jobs("auto", 1000) == 2
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
-    assert resolve_jobs("auto", 1000) == 1
+    unit = api.compile_program(source)
+    report = api.verify(unit, options=api.VerifyOptions(jobs=jobs))
+    assert report.methods_checked == tasks
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_resolve_batch_size_policy():
@@ -328,13 +318,21 @@ def test_verify_batched_parallel_output_matches_serial(program, capsys):
     assert strip(serial) == strip(batched)
 
 
-def test_verify_stats_reports_jobs_decision(program, capsys):
-    # One task: an explicit --jobs 64 must fall back to serial, and
-    # --stats must say so.
-    assert main(["verify", program(CLEAN), "--stats", "--jobs", "64"]) == 0
+def test_verify_stats_reports_what_the_pool_did(
+    program, capsys, monkeypatch
+):
+    # Two tasks under --jobs 2 get a two-worker pool; a crashed worker's
+    # tasks re-run in process and --stats counts them as retried.  The
+    # jobs: line that described the driver is gone.
+    source = (
+        "static int one(int x) { return x; }\n"
+        "static int two(int x) { return x; }\n"
+    )
+    monkeypatch.setenv("REPRO_FAULT", "crash:one")
+    assert main(["verify", program(source), "--stats", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
-    assert "jobs: serial" in out
-    assert "below the parallel threshold" in out
+    assert re.search(r"^tasks: [12] retried", out, re.MULTILINE)
+    assert "jobs:" not in out
 
 
 def test_verify_cache_dir_flag_warms_across_runs(program, capsys, tmp_path):
@@ -667,8 +665,10 @@ def test_verify_format_json_embeds_solver_stats_and_profile(program, capsys):
         assert key not in total
         assert all(key not in row for row in stats["per_method"].values())
     # Schema 5 dropped the soft-deadline counter with the soft deadline;
-    # schema 6 added tasks_replayed.
-    assert entry["report"]["schema"] == 7
+    # schema 6 added tasks_replayed; schema 8 dropped the driver-decision
+    # string.
+    assert "parallel_decision" not in stats
+    assert entry["report"]["schema"] == 8
 
 
 @pytest.mark.parametrize("tier", ["auto", "smt-only", "algebra-only", "check"])

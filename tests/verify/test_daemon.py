@@ -188,8 +188,8 @@ def verify_result(daemon, paths, request_id=1, **options):
 
 def _normalize_report(document):
     """Zero the fields that legitimately differ between two runs of the
-    same work: wall-clock timings, the driver-decision string and how
-    many tasks were replayed (callers check that count themselves)."""
+    same work: wall-clock timings and how many tasks were replayed
+    (callers check that count themselves)."""
 
     def zero_times(node):
         if isinstance(node, dict):
@@ -203,7 +203,6 @@ def _normalize_report(document):
                 zero_times(item)
 
     zero_times(document)
-    document["solver_stats"]["parallel_decision"] = ""
     document["solver_stats"]["tasks_replayed"] = 0
     return document
 
@@ -502,12 +501,13 @@ def test_daemon_reports_protocol_6():
     # ``tier`` one, protocol 6 ``stats``, ``profile`` and ``dep_index``;
     # report schema 4 dropped the phase timers, schema 5 the
     # soft-deadline counter, schema 6 the memory/disk hit split (and
-    # added tasks_replayed), schema 7 the query-cache counters.
+    # added tasks_replayed), schema 7 the query-cache counters, schema 8
+    # the driver-decision string.
     daemon = VerifyDaemon()
     response = daemon.handle_line(request_line("status", 1))
     assert response["ok"] is True
     assert response["result"]["protocol"] == protocol.PROTOCOL_VERSION == 6
-    assert response["result"]["version"].startswith("repro-daemon/6.7")
+    assert response["result"]["version"].startswith("repro-daemon/6.8")
 
 
 def test_daemon_compile_error_is_a_file_entry(program):
@@ -880,8 +880,7 @@ def test_cli_daemon_auto_spawn_and_output_parity(program, capsys,
         # --stats and --profile print through the same printer on both
         # paths: same headers and method rows, timings aside.
         # (--no-cache replays none of the daemon's outcomes, so every
-        # task runs and earns its --profile row; the driver line
-        # differs.)
+        # task runs and earns its --profile row.)
         flags = ["--stats", "--profile", "--no-cache"]
         assert main(["verify", path, *flags]) == 0
         local = capsys.readouterr().out
@@ -889,7 +888,7 @@ def test_cli_daemon_auto_spawn_and_output_parity(program, capsys,
         served = capsys.readouterr().out
         mask = lambda text: [
             re.sub(r"\d+\.\d+", "#", line) for line in text.splitlines()
-            if not line.startswith(("checked ", "jobs: "))
+            if not line.startswith("checked ")
         ]
         assert mask(served) == mask(local)
         assert "solver phases cover" in served

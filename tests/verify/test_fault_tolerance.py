@@ -66,6 +66,19 @@ def _snapshot(report):
     )
 
 
+def count_pools(monkeypatch) -> list[int]:
+    """The worker count of each pool the driver builds from now on."""
+    pools: list[int] = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def unit():
     return api.compile_program(SOURCE)
@@ -117,14 +130,7 @@ def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
     # Pool and fallback outcomes alike went to the store: a warm run
     # replays every task in the parent and forks no pool at all.
     monkeypatch.delenv(faults.ENV_VAR)
-    pools = []
-
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    pools = count_pools(monkeypatch)
     warm = api.verify(unit, options=options)
     assert not pools
     assert warm.tasks_replayed == len(list(iter_tasks(unit.table)))
@@ -134,19 +140,38 @@ def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
 
 def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):
     """A broken pool is not respawned: the serial fallback finishes."""
-    pools = []
-
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    pools = count_pools(monkeypatch)
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert _snapshot(recovered) == _snapshot(baseline)
     assert len(pools) == 1
     assert recovered.tasks_retried >= 1
+
+
+#: the smallest program a pool can split: two tasks, each warning
+TWO_TASKS = """
+static int one(int x) { switch (x) { case 0: return 0; } }
+static int two(int x) { switch (x) { case 1: return 1; } }
+"""
+
+
+def test_two_task_program_gets_the_two_workers_it_asks_for(monkeypatch):
+    """``jobs=2`` means two workers, however small the program.
+
+    A task-count floor used to run this program serially, so the crash
+    never fired and nothing was retried.  Whether ``two`` finishes
+    before ``one``'s crash breaks the pool is a race, so ``two`` may be
+    retried as well.
+    """
+    unit = api.compile_program(TWO_TASKS)
+    serial = api.verify(unit)
+    pools = count_pools(monkeypatch)
+    monkeypatch.setenv(faults.ENV_VAR, "crash:one")
+    recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
+    assert pools == [2]
+    assert recovered.tasks_retried in (1, 2)
+    assert len(serial.diagnostics.warnings) == 2
+    assert _snapshot(recovered) == _snapshot(serial)
 
 
 def test_crash_fault_never_fires_in_process(unit, baseline, monkeypatch):
@@ -274,19 +299,33 @@ def _force_batch_size(monkeypatch, size):
     )
 
 
+def _record_batches(monkeypatch) -> list:
+    """The batches the next pool run submits, filled in as it cuts them."""
+    batches: list = []
+    chunk = parallel._chunk
+
+    def recording(items, size):
+        batches[:] = chunk(items, size)
+        return list(batches)
+
+    monkeypatch.setattr(parallel, "_chunk", recording)
+    return batches
+
+
 def test_batched_run_without_faults_is_byte_identical(
     unit, baseline, monkeypatch
 ):
+    task_count = len(list(iter_tasks(unit.table)))
     for batch_size in (1, 2, 5):
         _force_batch_size(monkeypatch, batch_size)
+        batches = _record_batches(monkeypatch)
         report = api.verify(
             unit, options=api.VerifyOptions(jobs=2, cache=None)
         )
         assert _snapshot(report) == _snapshot(baseline)
         assert report.tasks_retried == 0
-        assert f"batch size {batch_size}" in (
-            report.solver_stats.parallel_decision
-        )
+        assert len(batches) == -(-task_count // batch_size)
+        assert max(len(batch) for batch in batches) == batch_size
 
 
 def test_raise_inside_batch_degrades_only_that_member(

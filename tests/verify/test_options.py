@@ -134,8 +134,16 @@ def test_verify_rejects_cache_false_before_any_task_runs(unit):
         api.verify(unit, options=VerifyOptions(cache=False))
 
 
-def test_validate_accepts_auto_jobs_and_zero_budget():
-    VerifyOptions(jobs="auto", budget=0.0).validate()
+def test_validate_accepts_zero_budget():
+    VerifyOptions(budget=0.0).validate()
+
+
+@pytest.mark.parametrize("bad", ["auto", "0", 0, -2, "lots", None])
+def test_validate_rejects_jobs_that_are_not_a_positive_integer(bad):
+    # jobs is a worker count and nothing else: no "auto" sizing
+    with pytest.raises(OptionError) as info:
+        VerifyOptions(jobs=bad).validate()
+    assert info.value.option == "jobs"
 
 
 def test_validate_normalizes_numeric_strings_in_place():
@@ -146,10 +154,7 @@ def test_validate_normalizes_numeric_strings_in_place():
     assert opts.jobs == 3 and type(opts.jobs) is int
 
 
-def test_validate_keeps_auto_and_ints_as_is():
-    opts = VerifyOptions(jobs="auto")
-    opts.validate()
-    assert opts.jobs == "auto"
+def test_validate_keeps_ints_as_is():
     opts = VerifyOptions(jobs=4)
     opts.validate()
     assert opts.jobs == 4
@@ -162,7 +167,7 @@ def test_validate_keeps_auto_and_ints_as_is():
 def test_validate_rejects_booleans(bad):
     # bool subclasses int, so int(True) == 1 would slip through as a
     # silent typo; reject it loudly instead
-    with pytest.raises(ValueError, match="positive integer or 'auto'"):
+    with pytest.raises(ValueError, match="positive integer"):
         VerifyOptions(**bad).validate()
 
 
@@ -239,7 +244,7 @@ def test_report_to_dict_shape(unit):
     assert set(data["solver_stats"]) == {
         "total", "per_method", "tasks_retried", "tasks_timed_out",
         "tasks_failed", "tasks_replayed", "algebra_discharged",
-        "algebra_fallbacks", "parallel_decision",
+        "algebra_fallbacks",
     }
 
 

@@ -23,6 +23,7 @@ from repro.smt import SolverCache
 from repro.verify import PatternAlgebra, VerifyOptions
 
 from .test_exhaustiveness import NAT_PRELUDE
+from .test_fault_tolerance import count_pools
 from .tier_oracle import smt_only, tier_check
 
 try:
@@ -230,9 +231,8 @@ class TestOracleSelfTest:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_lying_algebra_fails_tier_check(self, monkeypatch, jobs):
-        # The algebra swears an incomplete switch is exhaustive.  Four
-        # copies of the method take the program over the pool's task
-        # floor, so jobs=2 really forks workers.
+        # The algebra swears an incomplete switch is exhaustive, in four
+        # copies of the method; jobs=2 forks two workers for them.
         from repro.verify import tiered
 
         real = tiered.PatternAlgebra.analyze_switch
@@ -244,6 +244,7 @@ class TestOracleSelfTest:
             return decision
 
         monkeypatch.setattr(tiered.PatternAlgebra, "analyze_switch", lying)
+        pools = count_pools(monkeypatch)
         methods = "".join(
             f"static int f{i}(Nat n) {{\n"
             "  switch (n) { case succ(Nat p): return 1; }\n"
@@ -259,9 +260,7 @@ class TestOracleSelfTest:
         # again in the parent's serial re-run.
         assert report.tasks_failed == 4
         assert report.tasks_retried == (4 if jobs > 1 else 0)
-        assert report.solver_stats.parallel_decision.startswith(
-            "parallel" if jobs > 1 else "serial"
-        )
+        assert pools == ([jobs] if jobs > 1 else [])
         assert disagreements
         assert all(
             "tier disagreement on switch (exhaustiveness: "
