@@ -17,6 +17,7 @@ There is one solving engine, the incremental lazy DPLL(T)
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .errors import Diagnostics
@@ -145,8 +146,12 @@ def _verify_unit(
         from .verify.daemon.index import fingerprint_tasks
         from .verify.store import OutcomeTable
 
+        filename = unit.filename
+        if os.path.isfile(filename):
+            # Every spelling of a file's path keeps one set of entries.
+            filename = os.path.realpath(filename)
         reuse = TaskReuse(
-            OutcomeTable(opts.cache_dir), unit.filename,
+            OutcomeTable(opts.cache_dir), filename,
             fingerprint_tasks(table, tasks), opts,
         )
     return verify_tasks(table, tasks, opts, tracer, opts.jobs, reuse)

@@ -16,10 +16,13 @@ records that chain as a tree of *spans*:
   source position;
 * ``obligation`` — one logical question about a statement or spec
   (redundancy of arm *i*, exhaustiveness, let-totality, totality,
-  postcondition, disjointness);
+  postcondition, spec, disjointness), opened by
+  :func:`repro.verify.obligation.discharge` for both tiers and carrying
+  ``tier`` (``smt`` or ``algebra``) and ``verdict``;
 * ``query`` — one SMT ``check()`` discharged for the obligation,
   carrying its verdict, the deepening depth reached, and the solver
-  phase timers.
+  phase timers.  An SMT obligation whose verdict came from a query
+  holds exactly one.
 
 Spans hold only plain data (strings, numbers, dicts), so a subtree
 pickles across process boundaries: a pool worker records each task

@@ -151,7 +151,7 @@ class Solver:
         #: why the last check() answered UNKNOWN: "deadline" (the time
         #: budget ran out) or "depth" (the deepening schedule ended with
         #: an expansion still suppressed); None for any other answer
-        self.last_unknown_cause: str | None = None
+        self.unknown_cause: str | None = None
         # -- the persistent incremental engine ---------------------------
         self._cnf = CnfBuilder()
         self._sat = SatSolver()
@@ -198,7 +198,7 @@ class Solver:
         """Decide the conjunction of current assertions."""
         self._model = None
         self.last_depth = 0
-        self.last_unknown_cause = None
+        self.unknown_cause = None
         fp = None
         if self.cache is not None:
             fp = self.cache.fingerprint(
@@ -215,7 +215,7 @@ class Solver:
             result = self._check_with_deepening()
         except budget.BudgetExceeded:
             result = Result.UNKNOWN
-            self.last_unknown_cause = "deadline"
+            self.unknown_cause = "deadline"
         finally:
             budget.disarm()
         if fp is not None and result != Result.UNKNOWN:
@@ -249,7 +249,7 @@ class Solver:
                 return result
             if result == Result.SAT:
                 return result
-        self.last_unknown_cause = "depth"
+        self.unknown_cause = "depth"
         return Result.UNKNOWN
 
     def model(self) -> TheoryModel:

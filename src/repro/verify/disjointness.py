@@ -12,12 +12,12 @@ its own fresh ``y``).
 
 from __future__ import annotations
 
-from ..errors import Diagnostics, Span, WarningKind
+from ..errors import Diagnostics, Span
 from ..lang import ast
-from ..smt import Result
 from ..smt.sorts import OBJ
 from . import fir
 from .fir import F
+from .obligation import Obligation, discharge
 from .solving import SolverSession
 from .translate import EncodeContext, TranslationError, Translator, VEnv
 
@@ -47,15 +47,10 @@ def _collect_disjoint_ors(expr: ast.Expr, out: list[ast.PatOr]) -> None:
 
 
 class DisjointnessChecker:
-    def __init__(
-        self,
-        table,
-        diag: Diagnostics,
-        session: SolverSession | None = None,
-    ):
+    def __init__(self, table, diag: Diagnostics, session: SolverSession):
         self.table = table
         self.diag = diag
-        self.session = session or SolverSession()
+        self.session = session
         #: one PatternAlgebra per owner (viewer) seen, for the
         #: structural discharge predicate (see _asserted_by_algebra)
         self._algebras: dict = {}
@@ -103,17 +98,8 @@ class DisjointnessChecker:
         label: str,
     ) -> None:
         if self._asserted_by_algebra(node, owner):
-            stats = self.session.stats
-            if stats is not None:
-                stats.algebra_discharged += 1
-            if self.session.tracer.enabled:
-                self.session.tracer.leaf(
-                    "obligation",
-                    f"disjointness of `{node}`",
-                    0.0,
-                    0.0,
-                    {"tier": "algebra", "verdict": "asserted"},
-                )
+            obligation = Obligation("disjointness", span, node, label=label)
+            discharge(obligation, self.session, self.diag, "asserted")
             return
         self._check_smt(node, owner, env_types, span, label)
 
@@ -140,34 +126,16 @@ class DisjointnessChecker:
             # Arms we cannot translate are not checked; the paper's
             # compiler similarly reports only what it can analyze.
             return
-        with self.session.tracer.span(
-            "obligation", f"disjointness of `{node}`", tier="smt"
-        ):
-            result, _ = self.session.check(
-                ctx.plugin, [f.to_term() for f in context + [left, right]]
-            )
-            if result != Result.UNSAT and (
-                self._involves_abstraction(left, ctx)
-                or self._involves_abstraction(right, ctx)
-            ):
-                # The overlap witness involves abstract constructors:
-                # "abstraction prevents us from making this guarantee"
-                # (Section 8), so `|` is asserted rather than verified
-                # here.
-                pass
-            elif result == Result.SAT:
-                self.diag.warn(
-                    WarningKind.NOT_DISJOINT,
-                    f"{label}: the arms of `{node}` are not disjoint",
-                    span,
-                )
-            elif result == Result.UNKNOWN:
-                self.diag.warn(
-                    WarningKind.UNKNOWN,
-                    f"{label}: could not prove `{node}` disjoint"
-                    + self.session.unknown_suffix(),
-                    span,
-                )
+        # The overlap witness may involve abstract constructors:
+        # "abstraction prevents us from making this guarantee" (Section
+        # 8), so such a `|` is asserted rather than verified here.
+        obligation = Obligation(
+            "disjointness", span, node, context + [left, right], ctx.plugin,
+            label=label,
+            asserted=lambda: self._involves_abstraction(left, ctx)
+            or self._involves_abstraction(right, ctx),
+        )
+        discharge(obligation, self.session, self.diag)
 
     def _involves_abstraction(self, f: F, ctx: EncodeContext) -> bool:
         from ..smt import terms as tm

@@ -48,17 +48,18 @@ conservative warning; this module does the same per task):
 * **degradation** — a task whose run raises becomes an UNKNOWN-style
   warning (``tasks_failed``), serial and parallel alike.
 * **crash recovery** — when a worker dies (OOM killer, hard crash:
-  ``BrokenProcessPool``), every completed outcome is kept and the
-  tasks without one run through :func:`run_serial` in this process.
-  A task that raised inside a live worker takes the same path.  There
-  is no second pool: a deterministic crash would only recur.
+  ``BrokenProcessPool``), all of the pool's tasks run again through
+  :func:`run_serial` in this process, so ``tasks_retried`` does not
+  depend on which batches beat the crash.  A task that raised inside
+  a live worker re-runs alone.  There is no second pool: a
+  deterministic crash would only recur.
 * **per-task deadlines** — ``task_timeout`` bounds each obligation's
   wall time via ``SIGALRM`` in whichever process runs it, converting a
   hung task into a deterministic UNKNOWN-style warning attributed to
   its method.  A parent-side watchdog backstops the alarm: if no task
   completes for well past the deadline (alarm lost, worker wedged in
-  native code), the workers are killed and the unfinished tasks take
-  the crash-recovery path.  The alarm arms on a process's main thread
+  native code), the workers are killed and the pool's tasks take the
+  crash-recovery path.  The alarm arms on a process's main thread
   only, so a ``task_timeout`` off it is rejected up front (see
   :func:`task_deadline`); on platforms without ``SIGALRM`` the
   deadline is a no-op.
@@ -412,8 +413,8 @@ def verify_batch_task(tasks: list[VerifyTask]) -> list:
     (``REPRO_FAULT``) keeps per-method naming: :func:`run_one_task`
     consults the harness with each member's own label, so
     ``crash:T.m`` fires exactly when the batch reaches ``T.m`` (a
-    crash then loses the batch's buffered outcomes — the parent
-    re-runs those members serially).  Per-member deadlines arm
+    crash breaks the pool, and the parent re-runs all of the pool's
+    tasks serially).  Per-member deadlines arm
     inside :func:`run_one_task` too, so a hung member times out alone
     and its batchmates keep running.
     """
@@ -565,8 +566,8 @@ def verify_parallel(
     """Verify ``tasks`` on a pool of ``jobs`` (> 1) processes.
 
     The pool runs the tasks in batches of :func:`resolve_batch_size`.  The
-    tasks left without an outcome — a broken pool's unfinished ones,
-    and any whose run raised inside a live worker — go through
+    tasks left without an outcome — all of them when the pool broke,
+    else any whose run raised inside a live worker — go through
     :func:`run_serial` in this process and count as retried; each gets
     a ``retry`` event on its task span.  Returns the outcomes in task
     order, and how many were retried.
@@ -596,6 +597,9 @@ def verify_parallel(
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=not broken, cancel_futures=True)
+    if broken:
+        # Which batches beat the break is a race; none of them count.
+        outcomes = {}
     missing = [index for index in range(len(tasks)) if index not in outcomes]
     rerun = run_serial(
         table, [tasks[index] for index in missing], options, trace

@@ -1,9 +1,10 @@
 """Shared solver construction and instrumentation for the checkers.
 
-Every checker (exhaustiveness, totality, disjointness) used to build
-bare :class:`~repro.smt.solver.Solver` instances; a
-:class:`SolverSession` centralizes that so one verification run has a
-single place to
+Every SMT query of a verification run is one obligation's, sent by
+:func:`repro.verify.obligation.discharge` to
+:meth:`SolverSession.check`, which returns the query's own
+:class:`QueryOutcome`: the verdict, the model, the counters, and why
+an UNKNOWN is unknown.  The session is the single place to
 
 * thread the per-query time budget to each solver *instance* (never by
   mutating ``Solver.TIME_BUDGET``, which would leak to every later
@@ -61,7 +62,7 @@ def solve_fresh(
         model,
         solver.stats,
         solver.last_depth,
-        solver.last_unknown_cause,
+        solver.unknown_cause,
     )
 
 
@@ -97,37 +98,25 @@ class SolverSession:
         self.tracer = tracer
         #: set by the driver around each method; labels the stats rows
         self.method_label = "<toplevel>"
-        #: why the last query answered UNKNOWN ("deadline" or "depth")
-        self.last_unknown_cause: str | None = None
         self._engines: OrderedDict[int, _Engine] = OrderedDict()
-
-    def unknown_suffix(self) -> str:
-        """What the warning for an UNKNOWN last query appends: which
-        limit it reached, the time budget or the deepening schedule."""
-        exhausted = (
-            "time budget"
-            if self.last_unknown_cause == "deadline"
-            else "expansion depth"
-        )
-        return f" ({exhausted} exhausted)"
 
     def check(
         self,
         plugin: LazyTheoryPlugin | None,
         terms: list[Term],
         want_model: bool = False,
-    ) -> tuple[Result, TheoryModel | None]:
+    ) -> QueryOutcome:
         """Solve one query, recording it against the current method.
 
         ``want_model`` asks for a counterexample model on SAT; callers
         that only branch on the verdict leave it off, which lets the
         query run on a shared engine instead of the fresh solve that
-        models require.
+        models require.  The outcome carries its own UNKNOWN cause, so
+        a warning names the limit that query reached.
         """
         start = time.perf_counter()
         outcome = self._solve(plugin, terms, want_model)
         elapsed = time.perf_counter() - start
-        self.last_unknown_cause = outcome.unknown_cause
         query_stats = outcome.stats
         if self.stats is not None:
             self.stats.record(
@@ -159,7 +148,7 @@ class SolverSession:
             tracer.leaf(
                 "query", outcome.result.value, start, start + elapsed, attrs
             )
-        return outcome.result, outcome.model
+        return outcome
 
     def _solve(
         self,
@@ -213,7 +202,7 @@ class SolverSession:
             None,
             solver.stats.delta(before),
             solver.last_depth,
-            solver.last_unknown_cause,
+            solver.unknown_cause,
         )
 
     def _engine_for(self, plugin: LazyTheoryPlugin) -> _Engine:

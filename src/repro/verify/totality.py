@@ -18,26 +18,24 @@ left to the programmer").
 
 from __future__ import annotations
 
-from ..errors import Diagnostics, WarningKind
+from ..errors import Diagnostics
 from ..lang import ast
 from ..lang.symbols import MethodInfo
 from ..modes.mode import RESULT, Mode
-from ..smt import Result
 from ..smt.sorts import OBJ
 from . import fir
 from .extract import extract_ensures, extract_matches
 from .fir import F, negate
+from .obligation import Obligation, discharge
 from .solving import SolverSession
 from .translate import EncodeContext, TranslationError, Translator, VEnv
 
 
 class TotalityChecker:
-    def __init__(
-        self, table, diag: Diagnostics, session: SolverSession | None = None
-    ):
+    def __init__(self, table, diag: Diagnostics, session: SolverSession):
         self.table = table
         self.diag = diag
-        self.session = session or SolverSession()
+        self.session = session
 
     def check_method(self, method: MethodInfo) -> None:
         decl = method.decl
@@ -99,9 +97,16 @@ class TotalityChecker:
         context.extend(known_context)
         return ctx, translator, env, context
 
-    def _label(self, method: MethodInfo, mode: Mode) -> str:
+    def _discharge(
+        self, kind: str, method: MethodInfo, mode: Mode, ctx: EncodeContext,
+        formulas: list[F] | None = None, error: str | None = None,
+    ) -> None:
         owner = f"{method.owner}." if method.owner else ""
-        return f"{owner}{method.name} in mode {mode}"
+        obligation = Obligation(
+            kind, method.decl.span, f"{owner}{method.name} in mode {mode}",
+            formulas, ctx.plugin, error=error,
+        )
+        discharge(obligation, self.session, self.diag)
 
     def _check_concrete(self, method: MethodInfo, mode: Mode) -> None:
         ctx, translator, env, context = self._setup(method, mode)
@@ -119,69 +124,26 @@ class TotalityChecker:
             body_f = translator.vf(body, dict(env), capture)
             matches_f = translator.vf(matches_ast, dict(env), lambda e: fir.TRUE)
         except TranslationError as exc:
-            self.diag.warn(
-                WarningKind.UNKNOWN,
-                f"could not verify {self._label(method, mode)}: {exc.message}",
-                method.decl.span,
-            )
+            self._discharge("totality", method, mode, ctx, error=exc.message)
             return
         # Assertion (4).
-        with self.session.tracer.span(
-            "obligation", f"totality of {self._label(method, mode)}"
-        ):
-            result = self._solve(ctx, context + [matches_f, negate(body_f)])
-            if result == Result.SAT:
-                self.diag.warn(
-                    WarningKind.TOTALITY,
-                    f"{self._label(method, mode)} may fail although its "
-                    "matching precondition holds",
-                    method.decl.span,
-                )
-            elif result == Result.UNKNOWN:
-                self.diag.warn(
-                    WarningKind.UNKNOWN,
-                    f"could not decide totality of "
-                    f"{self._label(method, mode)}"
-                    + self.session.unknown_suffix(),
-                    method.decl.span,
-                )
+        formulas = context + [matches_f, negate(body_f)]
+        self._discharge("totality", method, mode, ctx, formulas)
         # Assertion (5).
-        if method.decl.ensures is not None:
-            post_env = env_after_body[-1] if env_after_body else dict(env)
-            try:
-                ensures_f = translator.vf(
-                    method.decl.ensures, dict(post_env), lambda e: fir.TRUE
-                )
-            except TranslationError as exc:
-                self.diag.warn(
-                    WarningKind.UNKNOWN,
-                    f"could not check postcondition of "
-                    f"{self._label(method, mode)}: {exc.message}",
-                    method.decl.span,
-                )
-                return
-            with self.session.tracer.span(
-                "obligation",
-                f"postcondition of {self._label(method, mode)}",
-            ):
-                result = self._solve(
-                    ctx, context + [body_f, negate(ensures_f)]
-                )
-                if result == Result.SAT:
-                    self.diag.warn(
-                        WarningKind.POSTCONDITION,
-                        f"{self._label(method, mode)} may succeed without "
-                        "establishing its ensures clause",
-                        method.decl.span,
-                    )
-                elif result == Result.UNKNOWN:
-                    self.diag.warn(
-                        WarningKind.UNKNOWN,
-                        f"could not decide the postcondition of "
-                        f"{self._label(method, mode)}"
-                        + self.session.unknown_suffix(),
-                        method.decl.span,
-                    )
+        if method.decl.ensures is None:
+            return
+        post_env = env_after_body[-1] if env_after_body else dict(env)
+        try:
+            ensures_f = translator.vf(
+                method.decl.ensures, dict(post_env), lambda e: fir.TRUE
+            )
+        except TranslationError as exc:
+            self._discharge(
+                "postcondition", method, mode, ctx, error=exc.message
+            )
+            return
+        formulas = context + [body_f, negate(ensures_f)]
+        self._discharge("postcondition", method, mode, ctx, formulas)
 
     def _check_abstract(self, method: MethodInfo, mode: Mode) -> None:
         ctx, translator, env, context = self._setup(method, mode)
@@ -192,34 +154,7 @@ class TotalityChecker:
             matches_f = translator.vf(matches_ast, dict(env), lambda e: fir.TRUE)
             ensures_f = translator.vf(ensures_ast, dict(env), lambda e: fir.TRUE)
         except TranslationError as exc:
-            self.diag.warn(
-                WarningKind.UNKNOWN,
-                f"could not verify {self._label(method, mode)}: {exc.message}",
-                method.decl.span,
-            )
+            self._discharge("spec", method, mode, ctx, error=exc.message)
             return
-        with self.session.tracer.span(
-            "obligation", f"spec of {self._label(method, mode)}"
-        ):
-            result = self._solve(ctx, context + [matches_f, negate(ensures_f)])
-            if result == Result.SAT:
-                self.diag.warn(
-                    WarningKind.POSTCONDITION,
-                    f"{self._label(method, mode)}: the postcondition may not "
-                    "hold when the matching precondition does",
-                    method.decl.span,
-                )
-            elif result == Result.UNKNOWN:
-                self.diag.warn(
-                    WarningKind.UNKNOWN,
-                    f"could not check specification of "
-                    f"{self._label(method, mode)}"
-                    + self.session.unknown_suffix(),
-                    method.decl.span,
-                )
-
-    def _solve(self, ctx: EncodeContext, formulas: list[F]) -> Result:
-        result, _ = self.session.check(
-            ctx.plugin, [f.to_term() for f in formulas]
-        )
-        return result
+        formulas = context + [matches_f, negate(ensures_f)]
+        self._discharge("spec", method, mode, ctx, formulas)

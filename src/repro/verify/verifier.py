@@ -34,9 +34,10 @@ from ..smt.cache import SolverCache
 from ..smt.terms import scoped_intern_state
 from . import fir
 from .disjointness import DisjointnessChecker
-from .exhaustiveness import CheckOutcome, ExhaustivenessChecker
+from .exhaustiveness import ExhaustivenessChecker
 from .extract import mode_knowns
 from .fir import F
+from .obligation import Obligation, discharge
 from .solving import SolverSession
 from .tiered import AlgebraDecision, PatternAlgebra
 from .totality import TotalityChecker
@@ -510,48 +511,21 @@ class _BodyWalker:
                 stats.algebra_fallbacks += 1
         self._check_switch_smt(stmt, scope, path)
 
-    def _check_switch_smt(self, stmt, scope, path) -> CheckOutcome:
+    def _check_switch_smt(self, stmt, scope, path) -> list[Obligation]:
         checker, env, context = self._fresh_context(scope, path)
         return checker.check_switch(stmt, context, env)
 
     def _report_algebra(self, stmt, decision: AlgebraDecision) -> None:
-        """Emit one exhaustive decision's warnings, spans, and counters.
-
-        Warning text matches the SMT pipeline byte for byte, so the
-        fast path never changes what a clean or redundant program
-        reports.
-        """
-        tracer = self.tracer
+        """Discharge an algebra decision's obligations at the algebra
+        tier, through the :func:`discharge` every SMT verdict takes."""
+        session = self.verifier.session
         for index in range(decision.arms):
-            redundant = index in decision.redundant
-            if tracer.enabled:
-                tracer.leaf(
-                    "obligation",
-                    f"redundancy of arm {index + 1}",
-                    0.0,
-                    0.0,
-                    {
-                        "tier": "algebra",
-                        "verdict": "unsat" if redundant else "sat",
-                    },
-                )
-            if redundant:
-                self.diag.warn(
-                    WarningKind.REDUNDANT_ARM,
-                    f"arm {index + 1} is redundant: no value reaches it",
-                    stmt.span,
-                )
-        if decision.exhaustive is not None and tracer.enabled:
-            tracer.leaf(
-                "obligation",
-                "exhaustiveness",
-                0.0,
-                0.0,
-                {"tier": "algebra", "verdict": "unsat"},
-            )
-        stats = self.verifier.session.stats
-        if stats is not None:
-            stats.algebra_discharged += decision.obligations
+            verdict = "unsat" if index in decision.redundant else "sat"
+            arm = Obligation("redundancy", stmt.span, f"arm {index + 1}")
+            discharge(arm, session, self.diag, verdict)
+        if decision.exhaustive is not None:
+            exhaustive = Obligation("exhaustiveness", stmt.span)
+            discharge(exhaustive, session, self.diag, "unsat")
 
     def _walk_let(self, formula, span, scope, path):
         self.verifier.statements_checked += 1

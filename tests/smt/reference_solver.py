@@ -55,7 +55,7 @@ class ReferenceSolver(Solver):
                 return result
             if result == Result.SAT:
                 return result
-        self.last_unknown_cause = "depth"
+        self.unknown_cause = "depth"
         return Result.UNKNOWN
 
     def _rebuild_pass(self) -> Result:

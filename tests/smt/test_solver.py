@@ -168,7 +168,7 @@ def test_lazy_plugin_depth_exhaustion_reports_unknown():
     # The chain is infinite; every deepening pass leaves expansions
     # suppressed, so the solver cannot confirm a model.
     assert result == Result.UNKNOWN
-    assert s.last_unknown_cause == "depth"
+    assert s.unknown_cause == "depth"
 
 
 def test_unknown_cause_names_the_deadline():
@@ -176,11 +176,11 @@ def test_unknown_cause_names_the_deadline():
     x = ivar("x")
     s.add(mk_ge(x, mk_int(0)))
     assert s.check() == Result.UNKNOWN
-    assert s.last_unknown_cause == "deadline"
+    assert s.unknown_cause == "deadline"
     # A decided check clears it.
     s.time_budget = None
     assert s.check() == Result.SAT
-    assert s.last_unknown_cause is None
+    assert s.unknown_cause is None
 
 
 def test_model_validation_guard():

@@ -321,9 +321,9 @@ def test_verify_batched_parallel_output_matches_serial(program, capsys):
 def test_verify_stats_reports_what_the_pool_did(
     program, capsys, monkeypatch
 ):
-    # Two tasks under --jobs 2 get a two-worker pool; a crashed worker's
-    # tasks re-run in process and --stats counts them as retried.  The
-    # jobs: line that described the driver is gone.
+    # Two tasks under --jobs 2 get a two-worker pool; a crashed worker
+    # breaks it, both tasks re-run in process and --stats counts them as
+    # retried.  The jobs: line that described the driver is gone.
     source = (
         "static int one(int x) { return x; }\n"
         "static int two(int x) { return x; }\n"
@@ -331,7 +331,7 @@ def test_verify_stats_reports_what_the_pool_did(
     monkeypatch.setenv("REPRO_FAULT", "crash:one")
     assert main(["verify", program(source), "--stats", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"^tasks: [12] retried", out, re.MULTILINE)
+    assert re.search(r"^tasks: 2 retried", out, re.MULTILINE)
     assert "jobs:" not in out
 
 

@@ -271,10 +271,10 @@ def test_model_query_never_consults_the_cache():
     session = SolverSession(cache=cache, tracer=tracer)
     x = mk_var("model_query_x", INT)
     for _ in range(2):
-        result, model = session.check(
+        outcome = session.check(
             None, [mk_eq(x, mk_int(7))], want_model=True
         )
-        assert result.value == "sat" and model is not None
+        assert outcome.result.value == "sat" and outcome.model is not None
     spans = [span for span in tracer.roots if span.kind == "query"]
     assert len(spans) == 2
     assert cache.hits == cache.misses == cache.stores == 0

@@ -113,10 +113,9 @@ def test_crash_recovered_run_is_byte_identical(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=4))
     assert _snapshot(recovered) == _snapshot(baseline)
-    # The crash broke the pool, so the target (with every other task
-    # still unfinished) re-ran in the serial fallback, where the crash
-    # fault does not fire.
-    assert recovered.tasks_retried >= 1
+    # The crash broke the pool, so every task of the pool re-ran in the
+    # serial fallback, where the crash fault does not fire.
+    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
     assert recovered.tasks_failed == 0
     assert recovered.tasks_timed_out == 0
 
@@ -126,7 +125,7 @@ def test_crash_recovery_with_disk_cache(unit, baseline, monkeypatch, tmp_path):
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
     recovered = api.verify(unit, options=options)
     assert _snapshot(recovered) == _snapshot(baseline)
-    assert recovered.tasks_retried >= 1
+    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
     # Pool and fallback outcomes alike went to the store: a warm run
     # replays every task in the parent and forks no pool at all.
     monkeypatch.delenv(faults.ENV_VAR)
@@ -145,7 +144,7 @@ def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert _snapshot(recovered) == _snapshot(baseline)
     assert len(pools) == 1
-    assert recovered.tasks_retried >= 1
+    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
 
 
 #: the smallest program a pool can split: two tasks, each warning
@@ -159,9 +158,8 @@ def test_two_task_program_gets_the_two_workers_it_asks_for(monkeypatch):
     """``jobs=2`` means two workers, however small the program.
 
     A task-count floor used to run this program serially, so the crash
-    never fired and nothing was retried.  Whether ``two`` finishes
-    before ``one``'s crash breaks the pool is a race, so ``two`` may be
-    retried as well.
+    never fired and nothing was retried.  ``one``'s crash breaks the
+    pool, so both tasks re-run in process, however far ``two`` got.
     """
     unit = api.compile_program(TWO_TASKS)
     serial = api.verify(unit)
@@ -169,7 +167,7 @@ def test_two_task_program_gets_the_two_workers_it_asks_for(monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, "crash:one")
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert pools == [2]
-    assert recovered.tasks_retried in (1, 2)
+    assert recovered.tasks_retried == 2
     assert len(serial.diagnostics.warnings) == 2
     assert _snapshot(recovered) == _snapshot(serial)
 
@@ -286,11 +284,11 @@ def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# batch granularity: a fault inside a batch costs only that batch's
-# unfinished members (the REPRO_FAULT label matches per member, since
-# batches consult the harness one task at a time).  No option sets the
-# batch size, so these tests force one where the parent process
-# computes it.
+# batch granularity: a raise or a hang inside a batch costs only that
+# member, while a crash breaks the pool and re-runs all of its tasks
+# (the REPRO_FAULT label matches per member, since batches consult the
+# harness one task at a time).  No option sets the batch size, so these
+# tests force one where the parent process computes it.
 
 
 def _force_batch_size(monkeypatch, size):
@@ -358,9 +356,9 @@ def test_crash_inside_batch_recovers_byte_identical(
     monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
     recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert _snapshot(recovered) == _snapshot(baseline)
-    # The crash lost the batch's buffered outcomes and broke the pool;
-    # the serial fallback completed every task left without an outcome.
-    assert recovered.tasks_retried >= 1
+    # The crash broke the pool; the serial fallback re-ran all of its
+    # tasks, including the batches that finished first.
+    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
     assert recovered.tasks_failed == 0
 
 

@@ -454,6 +454,28 @@ def test_store_keeps_the_newest_outcomes_of_each_task(tmp_path, capsys):
     assert len(_entries(store)) == tasks
 
 
+def test_every_spelling_of_a_path_shares_one_entry_per_task(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.corpus import combined_programs
+
+    source = combined_programs()["nat"]
+    (tmp_path / "nat.jm").write_text(source)
+    store = tmp_path / "store"
+    monkeypatch.chdir(tmp_path)
+    spellings = ("nat.jm", tmp_path / "nat.jm")
+    tasks = _tasks(api.compile_program(source))
+    # The second spelling re-runs: its warnings name the file as typed,
+    # and the fingerprint holds that name.  Its outcomes join the same
+    # file per task instead of starting a second one.
+    for spelling in spellings:
+        assert _cli_replayed(spelling, store, 8, capsys) == 0
+    assert len(_entries(store)) == tasks
+    for spelling in spellings:
+        assert _cli_replayed(spelling, store, 8, capsys) == tasks
+    assert len(_entries(store)) == tasks
+
+
 def test_first_write_removes_only_legacy_directories(tmp_path):
     digest = "ab" * 32
     legacy = [tmp_path / "outcomes-v1", tmp_path / "v2-1", tmp_path / "v2-7"]

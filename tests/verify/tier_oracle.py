@@ -11,9 +11,11 @@ solving engine:
   must be byte-identical to a default run.
 * :func:`tier_check` runs both sides on every obligation the algebra
   decides and raises ``AssertionError`` on any verdict disagreement.
-  UNKNOWN and untranslatable SMT outcomes are compatible with any
-  algebra verdict (SMT ran out of budget or scope; it did not
-  disagree).  The task loop turns the error into a failed task on
+  The SMT side's verdicts are its discharged
+  :class:`~repro.verify.obligation.Obligation` records' ``verdict``
+  ("sat", "unsat", "unknown" or "error").  UNKNOWN and untranslatable
+  ("error") SMT outcomes are compatible with any algebra verdict (SMT
+  ran out of budget or scope; it did not disagree).  The task loop turns the error into a failed task on
   every driver, so a run passes the check when ``tasks_failed == 0``.
   The ``with`` target is a list that collects the disagreements raised
   in this process.
@@ -44,28 +46,32 @@ def smt_only():
         yield
 
 
-def switch_disagreements(decision, outcome) -> list[str]:
-    """Where an algebra decision and an SMT ``CheckOutcome`` disagree."""
+def switch_disagreements(decision, obligations) -> list[str]:
+    """Where an algebra decision and SMT's discharged obligations
+    (``ExhaustivenessChecker.check_switch``'s) disagree."""
     mismatches: list[str] = []
-    for index, verdict in enumerate(outcome.arm_verdicts):
+    arms = [o for o in obligations if o.kind == "redundancy"]
+    for index, arm in enumerate(arms):
         algebra_redundant = index in decision.redundant
-        if verdict == "redundant" and not algebra_redundant:
+        if arm.verdict == "unsat" and not algebra_redundant:
             mismatches.append(
                 f"arm {index + 1}: smt=redundant, algebra=reachable"
             )
-        elif verdict == "reachable" and algebra_redundant:
+        elif arm.verdict == "sat" and algebra_redundant:
             mismatches.append(
                 f"arm {index + 1}: smt=reachable, algebra=redundant"
             )
-    smt_exhaustive = outcome.exhaustive_verdict
-    if smt_exhaustive == "exhaustive" and decision.exhaustive is False:
-        mismatches.append(
-            "exhaustiveness: smt=exhaustive, algebra=nonexhaustive"
-        )
-    elif smt_exhaustive == "nonexhaustive" and decision.exhaustive is True:
-        mismatches.append(
-            "exhaustiveness: smt=nonexhaustive, algebra=exhaustive"
-        )
+    for obligation in obligations:
+        if obligation.kind != "exhaustiveness":
+            continue
+        if obligation.verdict == "unsat" and decision.exhaustive is False:
+            mismatches.append(
+                "exhaustiveness: smt=exhaustive, algebra=nonexhaustive"
+            )
+        elif obligation.verdict == "sat" and decision.exhaustive is True:
+            mismatches.append(
+                "exhaustiveness: smt=nonexhaustive, algebra=exhaustive"
+            )
     return mismatches
 
 
@@ -81,13 +87,13 @@ def tier_check():
 
     def checked_switch(walker, stmt, scope, path):
         decision = walker.algebra.analyze_switch(stmt, scope, path)
-        outcome = walker._check_switch_smt(stmt, scope, path)
+        obligations = walker._check_switch_smt(stmt, scope, path)
         if decision is None:
             return
         stats = walker.verifier.session.stats
         if stats is not None:
             stats.algebra_discharged += decision.obligations
-        details = switch_disagreements(decision, outcome)
+        details = switch_disagreements(decision, obligations)
         if details:
             fail(
                 stmt.span,
