@@ -93,9 +93,9 @@ class VerifyStats:
     #: obligations the syntactic pattern algebra decided without an
     #: SMT query
     algebra_discharged: int = 0
-    #: switch statements the algebra analyzed but handed to SMT anyway
-    #: (non-exhaustive matches fall through so the counterexample comes
-    #: from the model, byte-identical to an SMT-only run)
+    #: switch statements the algebra found non-exhaustive but SMT did
+    #: not (its counterexample query was UNSAT, UNKNOWN or could not
+    #: run), so the whole statement went to SMT after all
     algebra_fallbacks: int = 0
 
     def record(
@@ -188,6 +188,7 @@ def format_stats(stats: dict) -> str:
     )
     lines.append(
         f"tiers: {stats['algebra_discharged']} obligations discharged by "
-        f"the pattern algebra, {stats['algebra_fallbacks']} fell back to SMT"
+        f"the pattern algebra, {stats['algebra_fallbacks']} switches fell "
+        f"back to SMT"
     )
     return "\n".join(lines)

@@ -57,12 +57,17 @@ class ExhaustivenessChecker:
         self.diag = diag
         self.session = session
 
+    def _obligation(
+        self, kind: str, site: Span, subject: object = "", **fields
+    ) -> Obligation:
+        return Obligation(
+            kind, site, subject, plugin=self.ctx.plugin, **fields
+        )
+
     def _discharge(
         self, kind: str, site: Span, subject: object = "", **fields
     ) -> Obligation:
-        obligation = Obligation(
-            kind, site, subject, plugin=self.ctx.plugin, **fields
-        )
+        obligation = self._obligation(kind, site, subject, **fields)
         return discharge(obligation, self.session, self.diag)
 
     # ------------------------------------------------------------------
@@ -74,50 +79,89 @@ class ExhaustivenessChecker:
         context: list[F],
         env: VEnv,
         span: Span,
+        arm_verdicts: list[str] | None = None,
     ) -> list[Obligation]:
         """The core algorithm; also used for switch after desugaring.
 
         Returns the discharged obligations: one redundancy obligation
         per arm, then exhaustiveness unless an else suppresses it.
+
+        ``arm_verdicts`` are the pattern algebra's redundancy verdicts
+        ("sat" or "unsat", one per arm) for a statement it found
+        non-exhaustive.  They are kept, and SMT is asked only the
+        exhaustiveness query, whose model renders the counterexample;
+        see :meth:`_keep_arm_verdicts`.
         """
         invariant: list[F] = list(context)
         translator = Translator(self.ctx, self.owner)
         done: list[Obligation] = []
         for index, arm in enumerate(arms):
-            subject = f"arm {index + 1}"
+            obligation = self._obligation(
+                "redundancy", span, f"arm {index + 1}"
+            )
             try:
                 arm_f = translator.vf(arm, dict(env), lambda e: fir.TRUE)
             except TranslationError as exc:
-                done.append(
-                    self._discharge(
-                        "redundancy", span, subject, error=exc.message
-                    )
-                )
-                continue
-            done.append(
-                self._discharge(
-                    "redundancy", span, subject, formulas=invariant + [arm_f]
-                )
+                obligation.error = exc.message
+            else:
+                obligation.formulas = invariant + [arm_f]
+                invariant.append(negate(fir.fresh(arm_f)))
+            done.append(obligation)
+            if arm_verdicts is None:
+                discharge(obligation, self.session, self.diag)
+        if has_else:
+            return done
+        done.append(
+            self._obligation(
+                "exhaustiveness",
+                span,
+                formulas=invariant,
+                shown=_shown_names(env),
             )
-            invariant.append(negate(fir.fresh(arm_f)))
-        if not has_else:
-            done.append(
-                self._discharge(
-                    "exhaustiveness",
-                    span,
-                    formulas=invariant,
-                    shown=_shown_names(env),
-                )
-            )
+        )
+        if arm_verdicts is None:
+            discharge(done[-1], self.session, self.diag)
+        elif not self._keep_arm_verdicts(done, arm_verdicts):
+            for obligation in done:
+                discharge(obligation, self.session, self.diag)
         return done
+
+    def _keep_arm_verdicts(
+        self, done: list[Obligation], arm_verdicts: list[str]
+    ) -> bool:
+        """Discharge ``done``'s arms with the algebra's verdicts, when
+        SMT agrees that the statement is not exhaustive.
+
+        The exhaustiveness query runs first, reporting into a buffer,
+        so that its warning still follows the arms'.  If it is not SAT
+        (UNSAT, UNKNOWN, or no query could run), nothing is reported,
+        the run counts an algebra fallback, and False sends every
+        obligation to SMT.
+        """
+        *arms, exhaustive = done
+        found = Diagnostics()
+        discharge(exhaustive, self.session, found)
+        if exhaustive.verdict != "sat":
+            self._fall_back()
+            return False
+        for arm, verdict in zip(arms, arm_verdicts):
+            discharge(arm, self.session, self.diag, verdict)
+        self.diag.extend(found)
+        return True
+
+    def _fall_back(self) -> None:
+        if self.session.stats is not None:
+            self.session.stats.algebra_fallbacks += 1
 
     def check_switch(
         self,
         stmt: ast.SwitchStmt,
         context: list[F],
         env: VEnv,
+        arm_verdicts: list[str] | None = None,
     ) -> list[Obligation]:
-        """Desugar switch to cond (Section 5.1) and check it."""
+        """Desugar switch to cond (Section 5.1) and check it, keeping
+        the algebra's ``arm_verdicts`` as :meth:`check_cond` does."""
         translator = Translator(self.ctx, self.owner)
         env = dict(env)
         context = list(context)
@@ -137,6 +181,8 @@ class ExhaustivenessChecker:
             # part of the context.
             context.append(subject_f)
         except TranslationError as exc:
+            if arm_verdicts is not None:
+                self._fall_back()
             return [
                 self._discharge("exhaustiveness", stmt.span, error=exc.message)
             ]
@@ -151,7 +197,8 @@ class ExhaustivenessChecker:
             for p in case.patterns
         ]
         return self.check_cond(
-            arms, stmt.default is not None, context, env, stmt.span
+            arms, stmt.default is not None, context, env, stmt.span,
+            arm_verdicts,
         )
 
     def check_let(

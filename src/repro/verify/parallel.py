@@ -169,7 +169,13 @@ class TaskReuse:
         self.replayed = 0
 
     def replay(self, task: VerifyTask, trace: bool) -> TaskOutcome | None:
-        """The kept outcome of ``task`` (with a fresh span), or None."""
+        """The kept outcome of ``task``, or None.
+
+        The replay's warnings and method and statement counts are the
+        kept ones, but it made no query and discharged nothing, so its
+        ``stats`` are empty (the driver counts it in ``tasks_replayed``)
+        and its trace is a fresh ``dep-hit`` span.
+        """
         fingerprint = self.fingerprints.get(task)
         if fingerprint is None:
             return None
@@ -179,12 +185,12 @@ class TaskReuse:
         if outcome is None:
             return None
         self.replayed += 1
+        span = None
         if trace:
             span = task_event_span(
                 task, "dep-hit", warnings=len(outcome.warnings)
             )
-            outcome = replace(outcome, trace=span)
-        return outcome
+        return replace(outcome, stats=VerifyStats(), trace=span)
 
     def keep(self, task: VerifyTask, outcome: TaskOutcome) -> None:
         """Offer the outcome of a task that ran, without its spans."""

@@ -39,11 +39,13 @@ semantics.  Concretely:
   ``T x`` declarations are irrefutable only when the column type is a
   subtype of ``T``.
 
-When the algebra concludes NON-exhaustive, the driver still falls
-through to SMT, so the model-based counterexample in the warning stays
-byte-identical to an SMT-only run.  ``tests/verify/tier_oracle.py``
-runs both sides on every obligation the algebra decides and fails on
-any disagreement.
+When the algebra concludes NON-exhaustive, its arm verdicts stand
+and SMT answers one query: the exhaustiveness query, whose model
+renders the counterexample, so the warning stays byte-identical to an
+SMT-only run.  Only if that query is not SAT does the whole statement
+go to SMT (an algebra fallback).  ``tests/verify/tier_oracle.py`` runs
+both sides on every obligation the algebra decides and fails on any
+disagreement.
 
 Disjointness obligations get a narrower treatment: the SMT checker
 never warns about a ``|`` whose overlap witness involves an abstract
@@ -126,9 +128,19 @@ class AlgebraDecision:
     exhaustive: bool | None = None
 
     @property
+    def arm_verdicts(self) -> list[str]:
+        """Each arm's redundancy verdict: "unsat" (redundant) or "sat"."""
+        return [
+            "unsat" if index in self.redundant else "sat"
+            for index in range(self.arms)
+        ]
+
+    @property
     def obligations(self) -> int:
-        """How many SMT obligations this decision replaces."""
-        return self.arms + (0 if self.exhaustive is None else 1)
+        """How many SMT obligations this decision replaces: every arm,
+        and exhaustiveness when it is proved (a non-exhaustive
+        statement still asks SMT for its counterexample)."""
+        return self.arms + (1 if self.exhaustive else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -494,33 +494,32 @@ class _BodyWalker:
         """Discharge one switch with the pattern algebra, else SMT.
 
         Statements the algebra proves exhaustive (or that carry a
-        ``default``) are decided without any SMT query; a non-exhaustive
-        or ineligible statement runs the SMT pipeline unchanged, so its
-        warnings -- including the model-derived counterexample -- stay
-        byte-identical to an SMT-only run.
+        ``default``) are decided without any SMT query.  On a statement
+        it finds non-exhaustive, its arm verdicts stand and SMT is
+        asked only the exhaustiveness query, whose model renders the
+        counterexample; if SMT does not find that statement
+        non-exhaustive, the whole statement goes to SMT and counts as
+        an algebra fallback.  An ineligible statement runs the SMT
+        pipeline unchanged.
         """
         decision = self.algebra.analyze_switch(stmt, scope, path)
         if decision is not None and decision.exhaustive is not False:
             self._report_algebra(stmt, decision)
             return
-        if decision is not None:
-            # Algebra says non-exhaustive: hand the whole statement to
-            # SMT so the counterexample comes from the model.
-            stats = self.verifier.session.stats
-            if stats is not None:
-                stats.algebra_fallbacks += 1
-        self._check_switch_smt(stmt, scope, path)
+        arm_verdicts = None if decision is None else decision.arm_verdicts
+        self._check_switch_smt(stmt, scope, path, arm_verdicts)
 
-    def _check_switch_smt(self, stmt, scope, path) -> list[Obligation]:
+    def _check_switch_smt(
+        self, stmt, scope, path, arm_verdicts=None
+    ) -> list[Obligation]:
         checker, env, context = self._fresh_context(scope, path)
-        return checker.check_switch(stmt, context, env)
+        return checker.check_switch(stmt, context, env, arm_verdicts)
 
     def _report_algebra(self, stmt, decision: AlgebraDecision) -> None:
         """Discharge an algebra decision's obligations at the algebra
         tier, through the :func:`discharge` every SMT verdict takes."""
         session = self.verifier.session
-        for index in range(decision.arms):
-            verdict = "unsat" if index in decision.redundant else "sat"
+        for index, verdict in enumerate(decision.arm_verdicts):
             arm = Obligation("redundancy", stmt.span, f"arm {index + 1}")
             discharge(arm, session, self.diag, verdict)
         if decision.exhaustive is not None:

@@ -3,38 +3,68 @@ accounted for by exactly one ``obligation`` span.
 
 Each obligation span carries its ``tier`` (``smt`` or ``algebra``) and
 its ``verdict``.  Over the Table 1 programs (``trees`` is left out: its
-queries run to the budget), the SMT spans that reached a query add up
-to the report's query count, and the algebra spans to
-``algebra_discharged``; both tiers' spans record real time.
+queries run to the budget) and one generated file, the SMT spans that
+reached a query add up to the report's query count, and the algebra
+spans to ``algebra_discharged``; both tiers' spans record real time.
 """
 
 import pytest
 
 from repro import api
 from repro.corpus import combined_programs
+from repro.gen import GenConfig, generate_corpus
 from repro.obs import Tracer
 
 GROUPS = ["nat", "lists", "cps", "typeinf", "collections"]
 
+#: a generated file with three ``inexhaustive`` and three ``redundant``
+#: methods, every one of them decided by the pattern algebra
+GENERATED = generate_corpus(
+    GenConfig(methods=10, seed=5, methods_per_file=10)
+).files[0]
+
 QUERY_VERDICTS = ("sat", "unsat", "unknown")
 
 
+def _expected(kind: str) -> int:
+    return sum(1 for warning in GENERATED.expected if warning.kind == kind)
+
+
 @pytest.fixture(scope="module")
-def ledger():
+def traces():
+    """Each input's span roots, query count and algebra discharges."""
     programs = combined_programs()
-    tracer = Tracer()
-    queries = discharged = 0
-    for group in GROUPS:
-        unit = api.compile_program(programs[group], filename=group)
+    inputs = {group: programs[group] for group in GROUPS}
+    inputs[GENERATED.name] = GENERATED.source
+    out = {}
+    for name, source in inputs.items():
+        tracer = Tracer()
+        unit = api.compile_program(source, filename=name)
         report = api.verify(unit, options=api.VerifyOptions(tracer=tracer))
-        queries += report.solver_stats.total.queries
-        discharged += report.solver_stats.algebra_discharged
-    obligations = [
+        stats = report.solver_stats
+        out[name] = (
+            tracer.roots, stats.total.queries, stats.algebra_discharged
+        )
+    return out
+
+
+def _obligations(roots):
+    return [
         span
-        for root in tracer.roots
+        for root in roots
         for span in root.walk()
         if span.kind == "obligation"
     ]
+
+
+@pytest.fixture(scope="module")
+def ledger(traces):
+    obligations = []
+    queries = discharged = 0
+    for roots, input_queries, input_discharged in traces.values():
+        obligations += _obligations(roots)
+        queries += input_queries
+        discharged += input_discharged
     return obligations, queries, discharged
 
 
@@ -73,3 +103,49 @@ def test_algebra_obligations_record_real_time(ledger):
     for span in obligations:
         if span.attrs["tier"] == "algebra":
             assert span.duration > 0, span.name
+
+
+def _switches(roots):
+    """Each switch statement span's obligation spans."""
+    return [
+        [child for child in span.children if child.kind == "obligation"]
+        for root in roots
+        for span in root.walk()
+        if span.kind == "statement" and span.name.startswith("switch@")
+    ]
+
+
+def test_a_non_exhaustive_switch_asks_smt_only_for_its_counterexample(
+    traces,
+):
+    # The algebra finds the switch non-exhaustive: its n arm verdicts
+    # stand (n algebra spans), and one SMT span holds the model query.
+    roots, _, _ = traces[GENERATED.name]
+    mixed = []
+    for obligations in _switches(roots):
+        smt = [o for o in obligations if o.attrs["tier"] == "smt"]
+        if smt and len(smt) < len(obligations):
+            mixed.append((smt, obligations))
+    assert len(mixed) == _expected("nonexhaustive")
+    for smt, obligations in mixed:
+        (exhaustive,) = smt
+        assert exhaustive.name == "exhaustiveness"
+        assert exhaustive.attrs["verdict"] == "sat"
+        assert [child.kind for child in exhaustive.children] == ["query"]
+        arms = [o for o in obligations if o is not exhaustive]
+        assert arms
+        for arm in arms:
+            assert arm.attrs["tier"] == "algebra"
+            assert arm.name.startswith("redundancy of arm ")
+
+
+def test_a_redundant_arm_is_an_algebra_verdict(traces):
+    roots, _, _ = traces[GENERATED.name]
+    redundant = [
+        o
+        for obligations in _switches(roots)
+        for o in obligations
+        if o.name.startswith("redundancy") and o.attrs["verdict"] == "unsat"
+    ]
+    assert len(redundant) == _expected("redundant-arm")
+    assert all(o.attrs["tier"] == "algebra" for o in redundant)

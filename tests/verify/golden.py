@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import api
@@ -108,8 +109,15 @@ def _warnings(report_document: dict) -> list[dict]:
     ]
 
 
-def collect_api(jobs: int) -> dict[str, list[dict]]:
-    """Each input's warnings through ``api.verify`` with ``jobs`` workers."""
+def collect_api(
+    jobs: int, totals: Counter | None = None
+) -> dict[str, list[dict]]:
+    """Each input's warnings through ``api.verify`` with ``jobs`` workers.
+
+    ``totals``, when given, gets the reports' summed query count and
+    ``algebra_fallbacks`` (a cache answers queries but never removes
+    one from the count, so these are ``VerifyOptions()``'s counts too).
+    """
     out = {}
     for name, source in golden_inputs().items():
         unit = api.compile_program(source, filename=f"{name}.jm")
@@ -117,6 +125,9 @@ def collect_api(jobs: int) -> dict[str, list[dict]]:
             unit, options=api.VerifyOptions(cache=SolverCache(), jobs=jobs)
         )
         out[name] = _warnings(report.to_dict())
+        if totals is not None:
+            totals["queries"] += report.solver_stats.total.queries
+            totals["algebra_fallbacks"] += report.solver_stats.algebra_fallbacks
     return out
 
 

@@ -207,6 +207,22 @@ def _normalize_report(document):
     return document
 
 
+def _without_work(document):
+    """A normalised report without its ``solver_stats``: a replayed
+    task keeps its warnings and counts, but reports no queries or
+    algebra discharges, as it made none."""
+    return {
+        key: value
+        for key, value in _normalize_report(document).items()
+        if key != "solver_stats"
+    }
+
+
+def _work(document):
+    stats = document["solver_stats"]
+    return stats["total"]["queries"], stats["algebra_discharged"]
+
+
 def test_daemon_verify_matches_api(program):
     path = program(BUGGY)
     daemon = VerifyDaemon()
@@ -230,8 +246,10 @@ def test_daemon_second_verify_is_all_hits(program):
     assert warm["dep_hits"] == cold["dep_misses"]
     (entry,) = warm["files"]
     assert entry["report"]["solver_stats"]["tasks_replayed"] == warm["dep_hits"]
+    assert _work(entry["report"]) == (0, 0)
+    assert _work(cold["files"][0]["report"]) != (0, 0)
     normalize = lambda r: [
-        {**f, "report": _normalize_report(f["report"])} for f in r["files"]
+        {**f, "report": _without_work(f["report"])} for f in r["files"]
     ]
     assert normalize(warm) == normalize(cold)
 
@@ -257,8 +275,10 @@ def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
         api.compile_program(edited, filename=path),
         options=api.VerifyOptions(cache=None),
     )
-    served = _normalize_report(warm["files"][0]["report"])
-    assert served == _normalize_report(direct.to_dict())
+    served = warm["files"][0]["report"]
+    assert _without_work(served) == _without_work(direct.to_dict())
+    # Only the edited method did any work.
+    assert set(served["solver_stats"]["per_method"]) == {"f"}
 
 
 def test_daemon_revert_replays_every_task(program):
@@ -278,9 +298,10 @@ def test_daemon_revert_replays_every_task(program):
     assert reverted["dep_misses"] == 0
     assert reverted["dep_hits"] == first["dep_misses"]
     encode = lambda result: json.dumps(
-        _normalize_report(result["files"][0]["report"]), sort_keys=True
+        _without_work(result["files"][0]["report"]), sort_keys=True
     )
     assert encode(reverted) == encode(first)
+    assert _work(reverted["files"][0]["report"]) == (0, 0)
 
 
 def test_daemon_no_cache_request_replays_nothing(program):
@@ -335,7 +356,8 @@ def test_daemon_reruns_a_task_whose_fault_was_cleared(program, monkeypatch):
     assert not _failed_warnings(report)
     assert report["solver_stats"]["tasks_failed"] == 0
     direct = api.verify(api.compile_program(source, filename=path))
-    assert _normalize_report(report) == _normalize_report(direct.to_dict())
+    assert _without_work(report) == _without_work(direct.to_dict())
+    assert set(report["solver_stats"]["per_method"]) <= {"Nat.zero"}
 
 
 def test_cache_dir_run_reruns_a_task_whose_fault_was_cleared(

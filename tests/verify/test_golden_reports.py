@@ -1,10 +1,22 @@
-"""The serial driver reproduces ``golden_reports.json`` byte for byte.
+"""The serial driver reproduces ``golden_reports.json`` byte for byte,
+within a bound on the SMT queries it takes.
 
 See :mod:`tests.verify.golden` for the inputs and for the ``jobs=2``
 and daemon drivers that CI holds to the same file.
 """
 
-from tests.verify.golden import collect, differences, golden_inputs, load_golden
+from collections import Counter
+
+from tests.verify.golden import (
+    collect_api,
+    differences,
+    golden_inputs,
+    load_golden,
+)
+
+#: the golden inputs' SMT queries before the algebra kept its arm
+#: verdicts on non-exhaustive switches (2,248), less 800
+MAX_QUERIES = 2248 - 800
 
 
 def test_golden_file_covers_every_input():
@@ -12,6 +24,12 @@ def test_golden_file_covers_every_input():
 
 
 def test_serial_reports_match_golden():
-    (got,) = collect("serial")
+    # The serial driver's one pass also pins the queries it takes: the
+    # algebra answers every arm of a switch it decides, and SMT agrees
+    # with each non-exhaustive one it finds (no fallback).
+    totals = Counter()
+    got = collect_api(jobs=1, totals=totals)
     problems = differences(load_golden(), got)
     assert not problems, "\n".join(problems)
+    assert totals["queries"] <= MAX_QUERIES, totals
+    assert totals["algebra_fallbacks"] == 0, totals

@@ -19,8 +19,9 @@ import pytest
 from repro import api
 from repro.corpus import combined_programs
 from repro.errors import WarningKind
-from repro.smt import SolverCache
+from repro.smt import Result, SolverCache
 from repro.verify import PatternAlgebra, VerifyOptions
+from repro.verify.solving import SolverSession
 
 from .test_exhaustiveness import NAT_PRELUDE
 from .test_fault_tolerance import count_pools
@@ -88,6 +89,14 @@ class TestEdgeCases:
         "missing_ctor": in_method(
             "switch (n) { case succ(Nat p): return 1; }"
         ),
+        # non-exhaustive with a redundant arm: the arm's warning comes
+        # before the exhaustiveness warning, as under SMT
+        "redundant_and_missing": in_method(
+            "switch (n) {\n"
+            "  case succ(_): return 1;\n"
+            "  case succ(Nat p): return 2;\n"
+            "}"
+        ),
         "complete_split": in_method(
             "switch (n) {\n"
             "  case zero(): return 0;\n"
@@ -143,12 +152,40 @@ class TestEdgeCases:
         smt = verify_tier(self.CASES["complete_split"], "smt-only")
         assert stats.total.queries < smt.solver_stats.total.queries
 
-    def test_nonexhaustive_falls_back_for_counterexample(self):
-        # The algebra decides "not exhaustive" but defers to SMT so the
-        # warning keeps its model counterexample.
-        report = verify_tier(self.CASES["missing_ctor"], "auto")
-        assert report.of_kind(WarningKind.NONEXHAUSTIVE)
-        assert report.solver_stats.algebra_fallbacks > 0
+    def test_nonexhaustive_asks_smt_only_for_the_counterexample(self):
+        # The algebra decides "not exhaustive" and keeps its arm
+        # verdicts; SMT answers one query, the model query whose
+        # counterexample the warning shows.
+        auto = verify_tier(self.CASES["missing_ctor"], "auto")
+        smt = verify_tier(self.CASES["missing_ctor"], "smt-only")
+        assert auto.of_kind(WarningKind.NONEXHAUSTIVE)
+        assert warning_strings(auto) == warning_strings(smt)
+        assert auto.solver_stats.per_method["f"].queries == 1
+        assert smt.solver_stats.per_method["f"].queries == 2
+        assert auto.solver_stats.algebra_fallbacks == 0
+
+    def test_model_query_that_disagrees_falls_back_to_smt(self, monkeypatch):
+        # SMT answers UNKNOWN to every model query: the algebra's arm
+        # verdicts are dropped unreported, and the whole switch goes
+        # through SMT, as under smt_only().
+        real = SolverSession._solve
+
+        def unknown_models(self, plugin, terms, want_model):
+            outcome = real(self, plugin, terms, want_model)
+            if not want_model:
+                return outcome
+            return outcome._replace(
+                result=Result.UNKNOWN, model=None, unknown_cause="deadline"
+            )
+
+        monkeypatch.setattr(SolverSession, "_solve", unknown_models)
+        auto = verify_tier(self.CASES["missing_ctor"], "auto")
+        smt = verify_tier(self.CASES["missing_ctor"], "smt-only")
+        assert auto.of_kind(WarningKind.UNKNOWN)
+        assert warning_strings(auto) == warning_strings(smt)
+        assert auto.solver_stats.algebra_fallbacks == 1
+        # the failed model query, then the arm and the model query again
+        assert auto.solver_stats.per_method["f"].queries == 3
 
     def test_redundant_after_wildcard_warns_identically(self):
         auto = verify_tier(self.CASES["redundant_after_wildcard"], "auto")

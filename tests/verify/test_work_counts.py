@@ -103,9 +103,9 @@ def solver_checks(monkeypatch):
 
 
 def _comparable(report):
-    """The report document without what a replay may change."""
+    """The report document without the work a replay does not do."""
     document = report.to_dict()
-    del document["seconds"], document["solver_stats"]["tasks_replayed"]
+    del document["seconds"], document["solver_stats"]
     return document
 
 
@@ -125,6 +125,11 @@ def test_warm_cache_dir_pass_replays_every_task(
         assert report.tasks_replayed == tasks, group
         assert cold[group].tasks_replayed == 0, group
         assert _comparable(report) == _comparable(cold[group]), group
+        # A replayed task made no query and discharged nothing.
+        assert report.solver_stats.total.queries == 0, group
+        assert report.solver_stats.per_method == {}, group
+        assert report.solver_stats.algebra_discharged == 0, group
+    assert sum(r.solver_stats.algebra_discharged for r in cold.values()) > 0
 
 
 def _dep_events(unit, cache_dir):

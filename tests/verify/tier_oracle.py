@@ -11,6 +11,9 @@ solving engine:
   must be byte-identical to a default run.
 * :func:`tier_check` runs both sides on every obligation the algebra
   decides and raises ``AssertionError`` on any verdict disagreement.
+  It replaces ``_BodyWalker._check_switch`` whole, so the arm verdicts
+  a default run keeps on a non-exhaustive switch, asking SMT only for
+  the counterexample, are re-derived by SMT here too.
   The SMT side's verdicts are its discharged
   :class:`~repro.verify.obligation.Obligation` records' ``verdict``
   ("sat", "unsat", "unknown" or "error").  UNKNOWN and untranslatable
