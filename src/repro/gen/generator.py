@@ -26,8 +26,9 @@ perturbs the matrix in a way whose warning set is known exactly:
 * ``guard`` — insert ``case p where (k > 0):`` in front of an existing
   arm ``case p:``; the guarded arm is reachable (``k > 0``), the
   original stays reachable (``k <= 0``), exhaustiveness is unchanged —
-  no warnings, but the ``where`` pushes the statement off the pattern
-  algebra's fragment, so the SMT pipeline is exercised.
+  no warnings.  The pattern algebra decides every other obligation of
+  the statement; the guarded arm and the arm after it, which only the
+  guard's satisfiability can decide, exercise the SMT pipeline.
 * ``default`` — delete one row *and* add a ``default:`` arm, which
   suppresses the exhaustiveness obligation; no warnings.
 

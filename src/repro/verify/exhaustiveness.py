@@ -79,18 +79,19 @@ class ExhaustivenessChecker:
         context: list[F],
         env: VEnv,
         span: Span,
-        arm_verdicts: list[str] | None = None,
+        verdicts: list[str | None] | None = None,
     ) -> list[Obligation]:
         """The core algorithm; also used for switch after desugaring.
 
         Returns the discharged obligations: one redundancy obligation
         per arm, then exhaustiveness unless an else suppresses it.
 
-        ``arm_verdicts`` are the pattern algebra's redundancy verdicts
-        ("sat" or "unsat", one per arm) for a statement it found
-        non-exhaustive.  They are kept, and SMT is asked only the
-        exhaustiveness query, whose model renders the counterexample;
-        see :meth:`_keep_arm_verdicts`.
+        ``verdicts`` are the pattern algebra's verdicts on those
+        obligations, in that order: "sat", "unsat", or None where it
+        left the obligation to SMT.  They are kept, and SMT is asked
+        only the undecided obligations and, on a statement the algebra
+        found non-exhaustive, the exhaustiveness query, whose model
+        renders the counterexample; see :meth:`_keep_verdicts`.
         """
         invariant: list[F] = list(context)
         translator = Translator(self.ctx, self.owner)
@@ -107,45 +108,51 @@ class ExhaustivenessChecker:
                 obligation.formulas = invariant + [arm_f]
                 invariant.append(negate(fir.fresh(arm_f)))
             done.append(obligation)
-            if arm_verdicts is None:
+            if verdicts is None:
                 discharge(obligation, self.session, self.diag)
-        if has_else:
-            return done
-        done.append(
-            self._obligation(
-                "exhaustiveness",
-                span,
-                formulas=invariant,
-                shown=_shown_names(env),
+        if not has_else:
+            done.append(
+                self._obligation(
+                    "exhaustiveness",
+                    span,
+                    formulas=invariant,
+                    shown=_shown_names(env),
+                )
             )
-        )
-        if arm_verdicts is None:
-            discharge(done[-1], self.session, self.diag)
-        elif not self._keep_arm_verdicts(done, arm_verdicts):
+            if verdicts is None:
+                discharge(done[-1], self.session, self.diag)
+        if verdicts is not None and not self._keep_verdicts(done, verdicts):
             for obligation in done:
                 discharge(obligation, self.session, self.diag)
         return done
 
-    def _keep_arm_verdicts(
-        self, done: list[Obligation], arm_verdicts: list[str]
+    def _keep_verdicts(
+        self, done: list[Obligation], verdicts: list[str | None]
     ) -> bool:
-        """Discharge ``done``'s arms with the algebra's verdicts, when
-        SMT agrees that the statement is not exhaustive.
+        """Discharge ``done`` in order, with the algebra's verdicts and
+        with SMT where a verdict is None.
 
-        The exhaustiveness query runs first, reporting into a buffer,
-        so that its warning still follows the arms'.  If it is not SAT
-        (UNSAT, UNKNOWN, or no query could run), nothing is reported,
-        the run counts an algebra fallback, and False sends every
-        obligation to SMT.
+        On a statement the algebra found non-exhaustive, the
+        exhaustiveness query runs first, reporting into a buffer, so
+        that its warning still follows the arms'.  If it is not SAT
+        (UNSAT, UNKNOWN, or no query could run), or if some arm could
+        not be translated (SMT reports it as covering nothing), nothing
+        is reported, the run counts an algebra fallback, and False
+        sends every obligation to SMT.
         """
-        *arms, exhaustive = done
-        found = Diagnostics()
-        discharge(exhaustive, self.session, found)
-        if exhaustive.verdict != "sat":
+        if any(obligation.error is not None for obligation in done):
             self._fall_back()
             return False
-        for arm, verdict in zip(arms, arm_verdicts):
-            discharge(arm, self.session, self.diag, verdict)
+        pending = list(zip(done, verdicts))
+        found = Diagnostics()
+        if done[-1].kind == "exhaustiveness" and verdicts[-1] == "sat":
+            exhaustive, _ = pending.pop()
+            discharge(exhaustive, self.session, found)
+            if exhaustive.verdict != "sat":
+                self._fall_back()
+                return False
+        for obligation, verdict in pending:
+            discharge(obligation, self.session, self.diag, verdict)
         self.diag.extend(found)
         return True
 
@@ -158,10 +165,10 @@ class ExhaustivenessChecker:
         stmt: ast.SwitchStmt,
         context: list[F],
         env: VEnv,
-        arm_verdicts: list[str] | None = None,
+        verdicts: list[str | None] | None = None,
     ) -> list[Obligation]:
         """Desugar switch to cond (Section 5.1) and check it, keeping
-        the algebra's ``arm_verdicts`` as :meth:`check_cond` does."""
+        the algebra's ``verdicts`` as :meth:`check_cond` does."""
         translator = Translator(self.ctx, self.owner)
         env = dict(env)
         context = list(context)
@@ -181,7 +188,7 @@ class ExhaustivenessChecker:
             # part of the context.
             context.append(subject_f)
         except TranslationError as exc:
-            if arm_verdicts is not None:
+            if verdicts is not None:
                 self._fall_back()
             return [
                 self._discharge("exhaustiveness", stmt.span, error=exc.message)
@@ -198,7 +205,7 @@ class ExhaustivenessChecker:
         ]
         return self.check_cond(
             arms, stmt.default is not None, context, env, stmt.span,
-            arm_verdicts,
+            verdicts,
         )
 
     def check_let(

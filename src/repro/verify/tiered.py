@@ -1,15 +1,15 @@
 """The pre-SMT pattern-algebra fast path.
 
 Most ``switch`` exhaustiveness/redundancy obligations in the corpus
-range over plain constructor patterns: no ``where`` refinements, no
-arithmetic, no equality constructors.  Over a *sealed* type -- one
-whose visible invariants pin every value to a finite constructor
-signature, like ``invariant(this = zero() | succ(_))`` -- those
-obligations are decidable purely syntactically by the classic
-usefulness-matrix algorithm (Maranget-style constructor splitting with
-wildcard defaults, tuple and nested-pattern expansion, or-pattern
-flattening).  This module implements that fast path; anything it
-cannot decide falls through to the SMT pipeline untouched.
+range over plain constructor patterns: no arithmetic, no equality
+constructors, at most a ``where`` refinement on some arms.  Over a
+*sealed* type -- one whose visible invariants pin every value to a
+finite constructor signature, like ``invariant(this = zero() |
+succ(_))`` -- those obligations are decidable purely syntactically by
+the classic usefulness-matrix algorithm (Maranget-style constructor
+splitting with wildcard defaults, tuple and nested-pattern expansion,
+or-pattern flattening).  This module implements that fast path;
+anything it cannot decide falls through to the SMT pipeline untouched.
 
 Alignment with SMT is the design constraint, not an
 afterthought: an obligation is only *eligible* here when the free-
@@ -39,13 +39,28 @@ semantics.  Concretely:
   ``T x`` declarations are irrefutable only when the column type is a
   subtype of ``T``.
 
+A ``where`` refinement, at the top of a case pattern or nested in it,
+is outside the free algebra: the guard is a formula only SMT can
+judge.  The arm is lowered to its unguarded *skeleton* and marked
+*guarded*, and every obligation is bounded from both sides.  The
+*lower* matrix holds only the unguarded rows (a guard may match
+nothing); the *upper* matrix holds every skeleton (a guard may match
+everything).  An arm whose rows are all useless against the lower
+matrix is redundant; an unguarded arm with a row useful against the
+upper matrix is reachable; the switch is exhaustive when a wildcard is
+useless against the lower matrix and non-exhaustive when it is useful
+against the upper one.  What falls between the bounds is
+:data:`UNDECIDED`, and only that obligation goes to SMT; a guarded arm
+is never proved reachable.  Without guards the bounds coincide and
+every obligation is decided.
+
 When the algebra concludes NON-exhaustive, its arm verdicts stand
-and SMT answers one query: the exhaustiveness query, whose model
-renders the counterexample, so the warning stays byte-identical to an
-SMT-only run.  Only if that query is not SAT does the whole statement
-go to SMT (an algebra fallback).  ``tests/verify/tier_oracle.py`` runs
-both sides on every obligation the algebra decides and fails on any
-disagreement.
+and SMT answers the exhaustiveness query, whose model renders the
+counterexample, so the warning stays byte-identical to an SMT-only
+run.  Only if that query is not SAT, or some arm cannot be translated
+(a guard the translator rejects), does the whole statement go to SMT
+(an algebra fallback).  ``tests/verify/tier_oracle.py`` runs both sides
+on every obligation the algebra decides and fails on any disagreement.
 
 Disjointness obligations get a narrower treatment: the SMT checker
 never warns about a ``|`` whose overlap witness involves an abstract
@@ -73,6 +88,7 @@ __all__ = [
     "POr",
     "PWild",
     "Signature",
+    "UNDECIDED",
 ]
 
 
@@ -116,31 +132,47 @@ class Signature:
     ctors: dict
 
 
+#: the verdict of an obligation the algebra's two bounds leave open;
+#: SMT answers it
+UNDECIDED = "undecided"
+
+
 @dataclass
 class AlgebraDecision:
     """What the algebra concluded about one switch statement."""
 
-    #: number of desugared arms (one per case-label pattern)
-    arms: int = 0
-    #: 0-based indices of arms no value can reach
-    redundant: list = field(default_factory=list)
-    #: True/False, or None when a ``default`` suppresses the obligation
-    exhaustive: bool | None = None
+    #: one redundancy verdict per desugared arm (one per case-label
+    #: pattern): "unsat" (redundant), "sat" (reachable) or UNDECIDED
+    arm_verdicts: list = field(default_factory=list)
+    #: True/False, UNDECIDED, or None when a ``default`` suppresses the
+    #: obligation
+    exhaustive: bool | str | None = None
+    #: some arm carries a ``where`` guard, whose translation only the
+    #: SMT pipeline can attempt
+    guarded: bool = False
 
     @property
-    def arm_verdicts(self) -> list[str]:
-        """Each arm's redundancy verdict: "unsat" (redundant) or "sat"."""
-        return [
-            "unsat" if index in self.redundant else "sat"
-            for index in range(self.arms)
-        ]
+    def verdicts(self) -> list[str | None]:
+        """The algebra's verdict on each obligation
+        ``ExhaustivenessChecker.check_cond`` builds (every arm, then
+        exhaustiveness unless a ``default`` suppresses it), None where
+        SMT answers, as :func:`~repro.verify.obligation.discharge`
+        takes them."""
+        out = [None if v == UNDECIDED else v for v in self.arm_verdicts]
+        if self.exhaustive is not None:
+            out.append({True: "unsat", False: "sat", UNDECIDED: None}[
+                self.exhaustive
+            ])
+        return out
 
     @property
     def obligations(self) -> int:
-        """How many SMT obligations this decision replaces: every arm,
-        and exhaustiveness when it is proved (a non-exhaustive
-        statement still asks SMT for its counterexample)."""
-        return self.arms + (1 if self.exhaustive else 0)
+        """How many SMT obligations this decision replaces: every
+        decided arm, and exhaustiveness when it is proved (a
+        non-exhaustive statement still asks SMT for its
+        counterexample)."""
+        decided = sum(v != UNDECIDED for v in self.arm_verdicts)
+        return decided + (1 if self.exhaustive is True else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +389,9 @@ class PatternAlgebra:
             return POr(tuple(alts))
         if isinstance(pattern, ast.Call):
             return self._lower_ctor(pattern, col_type, bound, env_names)
+        if isinstance(pattern, ast.Where):
+            # the skeleton; the arm is marked guarded (see _has_guard)
+            return self._lower(pattern.pattern, col_type, bound, env_names)
         raise _Ineligible(f"pattern {type(pattern).__name__}")
 
     def _lower_ctor(
@@ -510,27 +545,45 @@ class PatternAlgebra:
             self._check_column_safety(col_type)
         env_names = frozenset(scope)
         width = len(col_types)
-        arm_rows: list[list] = []
+        types = list(col_types)
+        decision = AlgebraDecision()
+        lower: list = []  # the unguarded rows: a guard may match nothing
+        upper: list = []  # every skeleton: a guard may match everything
         for case in stmt.cases:
             for pattern in case.patterns:
-                arm_rows.append(
-                    self._lower_arm(pattern, col_types, width, env_names)
-                )
-        decision = AlgebraDecision(arms=len(arm_rows))
-        matrix: list = []
-        for index, rows in enumerate(arm_rows):
-            if not any(
-                self._useful(matrix, row, list(col_types)) for row in rows
-            ):
-                decision.redundant.append(index)
-            # The SMT invariant accumulates every arm's negation,
-            # redundant or not; mirror that.
-            matrix.extend(rows)
+                rows = self._lower_arm(pattern, col_types, width, env_names)
+                guarded = _has_guard(pattern)
+                verdict = self._bounded(lower, upper, rows, types)
+                if guarded and verdict == "sat":
+                    verdict = UNDECIDED  # its guard may match nothing
+                decision.arm_verdicts.append(verdict)
+                decision.guarded = decision.guarded or guarded
+                # The SMT invariant accumulates every arm's negation,
+                # redundant or not; mirror that.
+                upper.extend(rows)
+                if not guarded:
+                    lower.extend(rows)
         if stmt.default is None:
-            decision.exhaustive = not self._useful(
-                matrix, [PWild()] * width, list(col_types)
+            missed = self._bounded(lower, upper, [[PWild()] * width], types)
+            decision.exhaustive = (
+                UNDECIDED if missed == UNDECIDED else missed == "unsat"
             )
         return decision
+
+    def _bounded(self, lower: list, upper: list, rows: list, types) -> str:
+        """Does some value match one of ``rows`` and no earlier arm?
+
+        "unsat" (no) when no row is useful against the ``lower``
+        matrix, "sat" (yes) when one is useful against the ``upper``
+        matrix, and UNDECIDED between the bounds.
+        """
+        if not any(self._useful(lower, row, types) for row in rows):
+            return "unsat"
+        if len(lower) == len(upper):  # no guard yet: the bounds coincide
+            return "sat"
+        if any(self._useful(upper, row, types) for row in rows):
+            return "sat"
+        return UNDECIDED
 
     def _lower_arm(self, pattern, col_types, width, env_names) -> list:
         """One case-label pattern as matrix rows (top-level ors split)."""
@@ -544,6 +597,10 @@ class PatternAlgebra:
             return rows
         if width == 1:
             return [[self._lower(pattern, col_types[0], bound, env_names)]]
+        if isinstance(pattern, ast.Where):
+            return self._lower_arm(
+                pattern.pattern, col_types, width, env_names
+            )
         if isinstance(pattern, ast.Wildcard):
             return [[PWild()] * width]
         if isinstance(pattern, ast.Var):
@@ -600,6 +657,23 @@ class PatternAlgebra:
             elif isinstance(node, ast.TupleExpr):
                 stack.extend(node.items)
         return False
+
+
+def _has_guard(pattern: ast.Expr) -> bool:
+    """Does a ``where`` refine this case pattern, at its top or nested
+    anywhere the lowering reaches?"""
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Where):
+            return True
+        if isinstance(node, ast.PatOr):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.Call):
+            stack.extend(node.args)
+        elif isinstance(node, ast.TupleExpr):
+            stack.extend(node.items)
+    return False
 
 
 #: sentinel for memoized "type with unsafe invariants"

@@ -493,27 +493,31 @@ class _BodyWalker:
     def _check_switch(self, stmt, scope, path) -> None:
         """Discharge one switch with the pattern algebra, else SMT.
 
-        Statements the algebra proves exhaustive (or that carry a
-        ``default``) are decided without any SMT query.  On a statement
-        it finds non-exhaustive, its arm verdicts stand and SMT is
-        asked only the exhaustiveness query, whose model renders the
-        counterexample; if SMT does not find that statement
-        non-exhaustive, the whole statement goes to SMT and counts as
-        an algebra fallback.  An ineligible statement runs the SMT
-        pipeline unchanged.
+        Statements the algebra fully decides as exhaustive (or that
+        carry a ``default``), with no ``where`` guard, are decided
+        without translation or any SMT query.  On any other statement
+        it decides, its verdicts stand and SMT is asked only what it
+        left undecided (a guarded arm, and an arm or the
+        exhaustiveness a guard may change) and, when it finds the
+        statement non-exhaustive, the exhaustiveness query, whose
+        model renders the counterexample.  If SMT does not find that
+        statement non-exhaustive, or an arm cannot be translated, the
+        whole statement goes to SMT and counts as an algebra fallback.
+        An ineligible statement runs the SMT pipeline unchanged.
         """
         decision = self.algebra.analyze_switch(stmt, scope, path)
-        if decision is not None and decision.exhaustive is not False:
+        if decision is None:
+            self._check_switch_smt(stmt, scope, path)
+        elif not decision.guarded and decision.exhaustive is not False:
             self._report_algebra(stmt, decision)
-            return
-        arm_verdicts = None if decision is None else decision.arm_verdicts
-        self._check_switch_smt(stmt, scope, path, arm_verdicts)
+        else:
+            self._check_switch_smt(stmt, scope, path, decision.verdicts)
 
     def _check_switch_smt(
-        self, stmt, scope, path, arm_verdicts=None
+        self, stmt, scope, path, verdicts=None
     ) -> list[Obligation]:
         checker, env, context = self._fresh_context(scope, path)
-        return checker.check_switch(stmt, context, env, arm_verdicts)
+        return checker.check_switch(stmt, context, env, verdicts)
 
     def _report_algebra(self, stmt, decision: AlgebraDecision) -> None:
         """Discharge an algebra decision's obligations at the algebra

@@ -3,10 +3,12 @@ accounted for by exactly one ``obligation`` span.
 
 Each obligation span carries its ``tier`` (``smt`` or ``algebra``) and
 its ``verdict``.  Over the Table 1 programs (``trees`` is left out: its
-queries run to the budget) and one generated file, the SMT spans that
+queries run to the budget) and two generated files, the SMT spans that
 reached a query add up to the report's query count, and the algebra
 spans to ``algebra_discharged``; both tiers' spans record real time.
 """
+
+import re
 
 import pytest
 
@@ -23,6 +25,11 @@ GENERATED = generate_corpus(
     GenConfig(methods=10, seed=5, methods_per_file=10)
 ).files[0]
 
+#: a generated file with three ``guard`` methods
+GUARDED = generate_corpus(
+    GenConfig(methods=10, seed=3, methods_per_file=10)
+).files[0]
+
 QUERY_VERDICTS = ("sat", "unsat", "unknown")
 
 
@@ -36,6 +43,7 @@ def traces():
     programs = combined_programs()
     inputs = {group: programs[group] for group in GROUPS}
     inputs[GENERATED.name] = GENERATED.source
+    inputs["guarded.jm"] = GUARDED.source
     out = {}
     for name, source in inputs.items():
         tracer = Tracer()
@@ -105,14 +113,33 @@ def test_algebra_obligations_record_real_time(ledger):
             assert span.duration > 0, span.name
 
 
-def _switches(roots):
-    """Each switch statement span's obligation spans."""
-    return [
-        [child for child in span.children if child.kind == "obligation"]
+def _switches(roots, methods=None):
+    """Each switch statement span's obligation spans, by method (only
+    ``methods``' when given)."""
+    return {
+        task.name: [
+            child for child in span.children if child.kind == "obligation"
+        ]
         for root in roots
-        for span in root.walk()
+        for task in root.walk()
+        if task.kind == "task" and (methods is None or task.name in methods)
+        for span in task.children
         if span.kind == "statement" and span.name.startswith("switch@")
-    ]
+    }
+
+
+def _guarded_arms(generated) -> dict[str, int]:
+    """Each ``guard``-flavoured method of a generated file, and the
+    number of its guarded arm (the generator emits one case label per
+    line, each returning its 0-based index)."""
+    return {
+        method: int(arm) + 1
+        for method, arm in re.findall(
+            r"static int (m\d+)\(.*\n  switch.*\n(?:    case .*\n)*?"
+            r"    case [^\n]* where \(k > 0\): return (\d+);",
+            generated.source,
+        )
+    }
 
 
 def test_a_non_exhaustive_switch_asks_smt_only_for_its_counterexample(
@@ -122,7 +149,10 @@ def test_a_non_exhaustive_switch_asks_smt_only_for_its_counterexample(
     # stand (n algebra spans), and one SMT span holds the model query.
     roots, _, _ = traces[GENERATED.name]
     mixed = []
-    for obligations in _switches(roots):
+    guarded = _guarded_arms(GENERATED)
+    for method, obligations in _switches(roots).items():
+        if method in guarded:
+            continue  # see test_a_guarded_switch_asks_smt_only_two_arms
         smt = [o for o in obligations if o.attrs["tier"] == "smt"]
         if smt and len(smt) < len(obligations):
             mixed.append((smt, obligations))
@@ -143,9 +173,38 @@ def test_a_redundant_arm_is_an_algebra_verdict(traces):
     roots, _, _ = traces[GENERATED.name]
     redundant = [
         o
-        for obligations in _switches(roots)
+        for obligations in _switches(roots).values()
         for o in obligations
         if o.name.startswith("redundancy") and o.attrs["verdict"] == "unsat"
     ]
     assert len(redundant) == _expected("redundant-arm")
     assert all(o.attrs["tier"] == "algebra" for o in redundant)
+
+
+@pytest.mark.parametrize(
+    "name, generated",
+    [(GENERATED.name, GENERATED), ("guarded.jm", GUARDED)],
+    ids=["seed5", "seed3"],
+)
+def test_a_guarded_switch_asks_smt_only_two_arms(traces, name, generated):
+    # ``case p where (k > 0): ... case p:`` -- the guarded arm and the
+    # arm after it, which only the guard can make redundant, are the
+    # SMT's; every other arm and the exhaustiveness are the algebra's.
+    roots, _, _ = traces[name]
+    guarded = _guarded_arms(generated)
+    assert guarded
+    switches = _switches(roots, guarded)
+    assert set(switches) == set(guarded)
+    for method, arm in guarded.items():
+        obligations = switches[method]
+        smt = [o.name for o in obligations if o.attrs["tier"] == "smt"]
+        assert smt == [
+            f"redundancy of arm {arm}",
+            f"redundancy of arm {arm + 1}",
+        ], method
+        assert any(o.name == "exhaustiveness" for o in obligations)
+        assert all(
+            o.attrs["tier"] == "algebra"
+            for o in obligations
+            if o.name not in smt
+        )

@@ -4,14 +4,15 @@ Three layers of assurance, all through the oracle in
 :mod:`tests.verify.tier_oracle`:
 
 - hand-written edge cases (empty match, lone wildcard, or-patterns at
-  the top and under nesting, arms shadowed by an earlier wildcard),
-  each checked for byte-identical warnings with and without the
-  algebra (``smt_only()``) and for the expected discharge accounting;
+  the top and under nesting, arms shadowed by an earlier wildcard,
+  ``where`` guards the algebra bounds from both sides), each checked
+  for byte-identical warnings with and without the algebra
+  (``smt_only()``) and for the expected discharge accounting;
 - the whole example corpus under ``tier_check()``, which fails a task
   on any algebra/SMT verdict disagreement;
 - a property-style sweep: random small constructor hierarchies and
-  random pattern columns, verified under ``tier_check()`` with the SMT
-  pipeline as the oracle.
+  random pattern columns, some rows guarded, verified under
+  ``tier_check()`` with the SMT pipeline as the oracle.
 """
 
 import pytest
@@ -65,6 +66,16 @@ def in_method(body):
     return NAT_PRELUDE + "\nstatic int f(Nat n) {\n" + body + "\n}\n"
 
 
+def in_guarded_method(body):
+    """``body`` in ``f(Nat n, int k)``, with a predicate ``pos`` whose
+    call on a tuple the translator rejects."""
+    return (
+        NAT_PRELUDE
+        + "\nstatic boolean pos(int a) ( a >= 0 )\n"
+        + "static int f(Nat n, int k) {\n" + body + "\n}\n"
+    )
+
+
 class TestEdgeCases:
     """Hand-written pattern shapes, each compared across tiers."""
 
@@ -108,6 +119,45 @@ class TestEdgeCases:
             "  case zero(): return 0;\n"
             "  case succ(_): return 1;\n"
             "  case succ(succ(_)): return 2;\n"
+            "}"
+        ),
+        # the guarded arm's skeleton is covered already: redundant
+        # whatever the guard says
+        "guard_covered": in_guarded_method(
+            "switch (n) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(_): return 1;\n"
+            "  case succ(Nat p) where (k > 0): return 2;\n"
+            "}"
+        ),
+        # an always-true guard makes the next arm redundant, which only
+        # SMT can see
+        "guard_always_true": in_guarded_method(
+            "switch (n) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(_) where (true): return 1;\n"
+            "  case succ(_): return 2;\n"
+            "}"
+        ),
+        "guard_first_nonexhaustive": in_guarded_method(
+            "switch (n) {\n"
+            "  case zero() where (k > 0): return 0;\n"
+            "  case succ(zero()): return 1;\n"
+            "}"
+        ),
+        "guard_untranslatable": in_guarded_method(
+            "switch (n) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(_) where (pos((k, k))): return 1;\n"
+            "  case succ(_): return 2;\n"
+            "}"
+        ),
+        # covered: the algebra alone would call it redundant
+        "guard_untranslatable_covered": in_guarded_method(
+            "switch (n) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(_): return 1;\n"
+            "  case succ(_) where (pos((k, k))): return 2;\n"
             "}"
         ),
     }
@@ -193,9 +243,63 @@ class TestEdgeCases:
         assert redundant
         assert auto.solver_stats.algebra_discharged > 0
 
+    def test_covered_guard_is_redundant_without_a_query(self):
+        auto = verify_tier(self.CASES["guard_covered"], "auto")
+        smt = verify_tier(self.CASES["guard_covered"], "smt-only")
+        redundant = auto.of_kind(WarningKind.REDUNDANT_ARM)
+        assert [w.message for w in redundant] == [
+            "arm 3 is redundant: no value reaches it"
+        ]
+        assert "f" not in auto.solver_stats.per_method
+        assert smt.solver_stats.per_method["f"].queries == 4
 
-class TestRefinementsStayOnSmt:
-    """Patterns the algebra must refuse to judge."""
+    def test_always_true_guard_leaves_the_next_arm_to_smt(self):
+        # The guarded arm and the arm after it are undecided; SMT finds
+        # the second redundant, and arm 1 and exhaustiveness stay with
+        # the algebra.
+        auto = verify_tier(self.CASES["guard_always_true"], "auto")
+        redundant = auto.of_kind(WarningKind.REDUNDANT_ARM)
+        assert [w.message for w in redundant] == [
+            "arm 3 is redundant: no value reaches it"
+        ]
+        assert auto.solver_stats.per_method["f"].queries == 2
+
+    def test_guarded_first_arm_keeps_the_counterexample(self):
+        # Arm 1 goes to SMT, arm 2 is the algebra's, and SMT's model
+        # query renders the counterexample.
+        auto = verify_tier(self.CASES["guard_first_nonexhaustive"], "auto")
+        smt = verify_tier(
+            self.CASES["guard_first_nonexhaustive"], "smt-only"
+        )
+        (warning,) = auto.of_kind(WarningKind.NONEXHAUSTIVE)
+        assert warning.counterexample
+        assert warning_strings(auto) == warning_strings(smt)
+        assert auto.solver_stats.per_method["f"].queries == 2
+        assert auto.solver_stats.algebra_fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "name, arm",
+        [("guard_untranslatable", 2), ("guard_untranslatable_covered", 3)],
+    )
+    def test_untranslatable_guard_falls_back_and_keeps_its_warning(
+        self, name, arm
+    ):
+        auto = verify_tier(self.CASES[name], "auto")
+        smt = verify_tier(self.CASES[name], "smt-only")
+        assert [w.message for w in auto.of_kind(WarningKind.UNKNOWN)] == [
+            f"arm {arm} could not be analyzed: tuple argument"
+        ]
+        assert warning_strings(auto) == warning_strings(smt)
+        assert auto.solver_stats.algebra_fallbacks == 1
+        assert (
+            auto.solver_stats.per_method["f"].queries
+            == smt.solver_stats.per_method["f"].queries
+        )
+
+
+class TestGuardedRows:
+    """A ``where`` arm is lowered to its skeleton; SMT answers only
+    what the guard can change."""
 
     GUARDED = NAT_PRELUDE + """
     static int g(Nat n, int k) {
@@ -207,10 +311,15 @@ class TestRefinementsStayOnSmt:
     }
     """
 
-    def test_where_clause_falls_through_to_smt(self):
+    def test_where_clause_sends_only_its_undecided_arms_to_smt(self):
+        # Arm 1 and exhaustiveness are the algebra's; the guarded arm 2
+        # and arm 3, which only the guard can make redundant, go to SMT.
         auto = verify_tier(self.GUARDED, "auto")
         smt = verify_tier(self.GUARDED, "smt-only")
         assert warning_strings(auto) == warning_strings(smt)
+        assert auto.solver_stats.per_method["g"].queries == 2
+        assert smt.solver_stats.per_method["g"].queries == 4
+        assert auto.solver_stats.algebra_fallbacks == 0
 
 
 #: trees is minutes-long under full-budget SMT, so (matching the
@@ -386,22 +495,31 @@ if HAVE_HYPOTHESIS:
 
         return st.one_of(wild, *[ctor(i) for i in range(len(arities))])
 
+    #: a row's optional guard: none, one only SMT can judge, an
+    #: always-true one (the upper bound is exact) and an always-false
+    #: one (the lower bound is)
+    GUARDS = (None, "k > 0", "true", "false")
+
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_random_columns_agree_with_smt_oracle(data):
         arities = data.draw(hierarchies())
         rows = data.draw(
             st.lists(
-                patterns_for(arities), min_size=0, max_size=4
+                st.tuples(patterns_for(arities), st.sampled_from(GUARDS)),
+                min_size=0,
+                max_size=4,
             )
         )
         cases = "\n".join(
-            f"    case {_pattern_source(p, arities)}: return {i};"
-            for i, p in enumerate(rows)
+            f"    case {_pattern_source(p, arities)}"
+            + ("" if guard is None else f" where ({guard})")
+            + f": return {i};"
+            for i, (p, guard) in enumerate(rows)
         )
         source = (
             _hierarchy_source(arities)
-            + "static int f(T t) {\n  switch (t) {\n"
+            + "static int f(T t, int k) {\n  switch (t) {\n"
             + cases
             + "\n  }\n}\n"
         )

@@ -11,9 +11,12 @@ solving engine:
   must be byte-identical to a default run.
 * :func:`tier_check` runs both sides on every obligation the algebra
   decides and raises ``AssertionError`` on any verdict disagreement.
-  It replaces ``_BodyWalker._check_switch`` whole, so the arm verdicts
-  a default run keeps on a non-exhaustive switch, asking SMT only for
-  the counterexample, are re-derived by SMT here too.
+  It replaces ``_BodyWalker._check_switch`` whole, so every verdict a
+  default run keeps -- on a non-exhaustive switch, where SMT is asked
+  only for the counterexample, and on a guarded one, where SMT answers
+  only what the algebra left undecided -- is re-derived by SMT here
+  too.  Undecided obligations are not compared (SMT answers them in
+  both runs).
   The SMT side's verdicts are its discharged
   :class:`~repro.verify.obligation.Obligation` records' ``verdict``
   ("sat", "unsat", "unknown" or "error").  UNKNOWN and untranslatable
@@ -51,16 +54,17 @@ def smt_only():
 
 def switch_disagreements(decision, obligations) -> list[str]:
     """Where an algebra decision and SMT's discharged obligations
-    (``ExhaustivenessChecker.check_switch``'s) disagree."""
+    (``ExhaustivenessChecker.check_switch``'s) disagree.  Only decided
+    verdicts are compared: an undecided one is SMT's in a default run
+    too."""
     mismatches: list[str] = []
     arms = [o for o in obligations if o.kind == "redundancy"]
-    for index, arm in enumerate(arms):
-        algebra_redundant = index in decision.redundant
-        if arm.verdict == "unsat" and not algebra_redundant:
+    for index, (arm, verdict) in enumerate(zip(arms, decision.arm_verdicts)):
+        if arm.verdict == "unsat" and verdict == "sat":
             mismatches.append(
                 f"arm {index + 1}: smt=redundant, algebra=reachable"
             )
-        elif arm.verdict == "sat" and algebra_redundant:
+        elif arm.verdict == "sat" and verdict == "unsat":
             mismatches.append(
                 f"arm {index + 1}: smt=reachable, algebra=redundant"
             )
