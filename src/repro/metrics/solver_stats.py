@@ -93,9 +93,8 @@ class VerifyStats:
     #: obligations the syntactic pattern algebra decided without an
     #: SMT query
     algebra_discharged: int = 0
-    #: switch statements the algebra found non-exhaustive but SMT did
-    #: not (its counterexample query was UNSAT, UNKNOWN or could not
-    #: run), so the whole statement went to SMT after all
+    #: always 0: the algebra's verdicts are final, and no statement
+    #: falls back to SMT; kept for perfbench's ``tiered.fallbacks``
     algebra_fallbacks: int = 0
 
     def record(
@@ -188,7 +187,6 @@ def format_stats(stats: dict) -> str:
     )
     lines.append(
         f"tiers: {stats['algebra_discharged']} obligations discharged by "
-        f"the pattern algebra, {stats['algebra_fallbacks']} switches fell "
-        f"back to SMT"
+        f"the pattern algebra"
     )
     return "\n".join(lines)

@@ -18,6 +18,8 @@ but there may be one" warning.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..errors import Diagnostics, Span
 from ..lang import ast
 from . import fir
@@ -79,20 +81,21 @@ class ExhaustivenessChecker:
         context: list[F],
         env: VEnv,
         span: Span,
-        verdicts: list[str | None] | None = None,
+        verdicts: Sequence[str | None] = (),
     ) -> list[Obligation]:
         """The core algorithm; also used for switch after desugaring.
 
-        Returns the discharged obligations: one redundancy obligation
-        per arm, then exhaustiveness unless an else suppresses it.
+        Discharges, in order, one redundancy obligation per arm, then
+        exhaustiveness unless an else suppresses it, and returns them.
 
         ``verdicts`` are the pattern algebra's verdicts on those
-        obligations, in that order: "sat", "unsat", or None where it
-        left the obligation to SMT.  They are kept, and SMT is asked
-        only the undecided obligations and, on a statement the algebra
-        found non-exhaustive, the exhaustiveness query, whose model
-        renders the counterexample; see :meth:`_keep_verdicts`.
+        obligations, in that order: "sat", "unsat", or None (the
+        default for all of them) where SMT answers.  An arm that cannot
+        be translated reports its translation error whatever the
+        algebra said; like SMT, the algebra's verdicts on later arms
+        read it as matching nothing.
         """
+        algebra = iter(verdicts)
         invariant: list[F] = list(context)
         translator = Translator(self.ctx, self.owner)
         done: list[Obligation] = []
@@ -100,75 +103,42 @@ class ExhaustivenessChecker:
             obligation = self._obligation(
                 "redundancy", span, f"arm {index + 1}"
             )
+            verdict = next(algebra, None)
             try:
                 arm_f = translator.vf(arm, dict(env), lambda e: fir.TRUE)
             except TranslationError as exc:
                 obligation.error = exc.message
+                verdict = None
             else:
                 obligation.formulas = invariant + [arm_f]
                 invariant.append(negate(fir.fresh(arm_f)))
-            done.append(obligation)
-            if verdicts is None:
-                discharge(obligation, self.session, self.diag)
-        if not has_else:
             done.append(
-                self._obligation(
-                    "exhaustiveness",
-                    span,
-                    formulas=invariant,
-                    shown=_shown_names(env),
+                discharge(obligation, self.session, self.diag, verdict)
+            )
+        if not has_else:
+            exhaustive = self._obligation(
+                "exhaustiveness",
+                span,
+                formulas=invariant,
+                shown=_shown_names(env),
+            )
+            done.append(
+                discharge(
+                    exhaustive, self.session, self.diag, next(algebra, None)
                 )
             )
-            if verdicts is None:
-                discharge(done[-1], self.session, self.diag)
-        if verdicts is not None and not self._keep_verdicts(done, verdicts):
-            for obligation in done:
-                discharge(obligation, self.session, self.diag)
         return done
-
-    def _keep_verdicts(
-        self, done: list[Obligation], verdicts: list[str | None]
-    ) -> bool:
-        """Discharge ``done`` in order, with the algebra's verdicts and
-        with SMT where a verdict is None.
-
-        On a statement the algebra found non-exhaustive, the
-        exhaustiveness query runs first, reporting into a buffer, so
-        that its warning still follows the arms'.  If it is not SAT
-        (UNSAT, UNKNOWN, or no query could run), or if some arm could
-        not be translated (SMT reports it as covering nothing), nothing
-        is reported, the run counts an algebra fallback, and False
-        sends every obligation to SMT.
-        """
-        if any(obligation.error is not None for obligation in done):
-            self._fall_back()
-            return False
-        pending = list(zip(done, verdicts))
-        found = Diagnostics()
-        if done[-1].kind == "exhaustiveness" and verdicts[-1] == "sat":
-            exhaustive, _ = pending.pop()
-            discharge(exhaustive, self.session, found)
-            if exhaustive.verdict != "sat":
-                self._fall_back()
-                return False
-        for obligation, verdict in pending:
-            discharge(obligation, self.session, self.diag, verdict)
-        self.diag.extend(found)
-        return True
-
-    def _fall_back(self) -> None:
-        if self.session.stats is not None:
-            self.session.stats.algebra_fallbacks += 1
 
     def check_switch(
         self,
         stmt: ast.SwitchStmt,
         context: list[F],
         env: VEnv,
-        verdicts: list[str | None] | None = None,
+        verdicts: Sequence[str | None] = (),
     ) -> list[Obligation]:
-        """Desugar switch to cond (Section 5.1) and check it, keeping
-        the algebra's ``verdicts`` as :meth:`check_cond` does."""
+        """Desugar switch to cond (Section 5.1) and check it, with the
+        algebra's ``verdicts`` as :meth:`check_cond` takes them.  An
+        untranslatable subject reports only that error."""
         translator = Translator(self.ctx, self.owner)
         env = dict(env)
         context = list(context)
@@ -188,8 +158,6 @@ class ExhaustivenessChecker:
             # part of the context.
             context.append(subject_f)
         except TranslationError as exc:
-            if verdicts is not None:
-                self._fall_back()
             return [
                 self._discharge("exhaustiveness", stmt.span, error=exc.message)
             ]

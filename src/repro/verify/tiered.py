@@ -54,13 +54,17 @@ against the upper one.  What falls between the bounds is
 is never proved reachable.  Without guards the bounds coincide and
 every obligation is decided.
 
-When the algebra concludes NON-exhaustive, its arm verdicts stand
-and SMT answers the exhaustiveness query, whose model renders the
-counterexample, so the warning stays byte-identical to an SMT-only
-run.  Only if that query is not SAT, or some arm cannot be translated
-(a guard the translator rejects), does the whole statement go to SMT
-(an algebra fallback).  ``tests/verify/tier_oracle.py`` runs both sides
-on every obligation the algebra decides and fails on any disagreement.
+The algebra's verdicts are final: ``ExhaustivenessChecker.check_cond``
+discharges each arm with its verdict, or asks SMT where it has none.
+A NON-exhaustive verdict is not kept (see
+:attr:`AlgebraDecision.verdicts`): SMT asks that query, whose model
+renders the counterexample, and its answer stands whatever it is.  An
+arm the translator rejects (a guard it cannot translate) reports that
+error; the lower matrix already reads a guarded arm as matching
+nothing, so the verdicts on later arms hold.  An unguarded pattern the
+algebra lowers always translates.  ``tests/verify/tier_oracle.py``
+runs both sides on every obligation the algebra decides and fails on
+any disagreement.
 
 Disjointness obligations get a narrower treatment: the SMT checker
 never warns about a ``|`` whose overlap witness involves an abstract
@@ -157,22 +161,12 @@ class AlgebraDecision:
         ``ExhaustivenessChecker.check_cond`` builds (every arm, then
         exhaustiveness unless a ``default`` suppresses it), None where
         SMT answers, as :func:`~repro.verify.obligation.discharge`
-        takes them."""
+        takes them.  SMT answers a non-exhaustive statement's
+        exhaustiveness too: its model is the counterexample."""
         out = [None if v == UNDECIDED else v for v in self.arm_verdicts]
         if self.exhaustive is not None:
-            out.append({True: "unsat", False: "sat", UNDECIDED: None}[
-                self.exhaustive
-            ])
+            out.append("unsat" if self.exhaustive is True else None)
         return out
-
-    @property
-    def obligations(self) -> int:
-        """How many SMT obligations this decision replaces: every
-        decided arm, and exhaustiveness when it is proved (a
-        non-exhaustive statement still asks SMT for its
-        counterexample)."""
-        decided = sum(v != UNDECIDED for v in self.arm_verdicts)
-        return decided + (1 if self.exhaustive is True else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +183,7 @@ _SHARED_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _signature_store(table: ProgramTable, viewer: str | None) -> dict:
-    try:
-        per_table = _SHARED_SIGNATURES.setdefault(table, {})
-    except TypeError:  # unhashable/unweakrefable table stand-in (tests)
-        return {}
-    return per_table.setdefault(viewer, {})
+    return _SHARED_SIGNATURES.setdefault(table, {}).setdefault(viewer, {})
 
 
 class PatternAlgebra:
@@ -544,6 +534,16 @@ class PatternAlgebra:
         for col_type in col_types:
             self._check_column_safety(col_type)
         env_names = frozenset(scope)
+        if "this" in scope and self.viewer:
+            # The translator binds the owner's fields as well
+            # (``Translator.bind_fields``), so a pattern variable named
+            # after one is an equality test.
+            env_names |= {
+                name
+                for ancestor in self.table.supertypes(self.viewer)
+                if ancestor in self.table.types
+                for name in self.table.types[ancestor].fields
+            }
         width = len(col_types)
         types = list(col_types)
         decision = AlgebraDecision()

@@ -491,30 +491,28 @@ class _BodyWalker:
     # -- the pattern-algebra fast path (repro.verify.tiered) -----------
 
     def _check_switch(self, stmt, scope, path) -> None:
-        """Discharge one switch with the pattern algebra, else SMT.
+        """Discharge one switch with the pattern algebra and SMT.
 
-        Statements the algebra fully decides as exhaustive (or that
-        carry a ``default``), with no ``where`` guard, are decided
-        without translation or any SMT query.  On any other statement
-        it decides, its verdicts stand and SMT is asked only what it
-        left undecided (a guarded arm, and an arm or the
-        exhaustiveness a guard may change) and, when it finds the
-        statement non-exhaustive, the exhaustiveness query, whose
-        model renders the counterexample.  If SMT does not find that
-        statement non-exhaustive, or an arm cannot be translated, the
-        whole statement goes to SMT and counts as an algebra fallback.
-        An ineligible statement runs the SMT pipeline unchanged.
+        A statement with no ``where`` guard whose every obligation the
+        algebra decides (exhaustive, or with a ``default``) is reported
+        without translation or any SMT query.  Any other statement runs
+        :meth:`ExhaustivenessChecker.check_cond`'s one pass with the
+        algebra's verdicts, SMT answering the rest; an ineligible one
+        has no verdicts.
         """
         decision = self.algebra.analyze_switch(stmt, scope, path)
-        if decision is None:
-            self._check_switch_smt(stmt, scope, path)
-        elif not decision.guarded and decision.exhaustive is not False:
+        verdicts = () if decision is None else decision.verdicts
+        if (
+            decision is not None
+            and None not in verdicts
+            and not decision.guarded
+        ):
             self._report_algebra(stmt, decision)
         else:
-            self._check_switch_smt(stmt, scope, path, decision.verdicts)
+            self._check_switch_smt(stmt, scope, path, verdicts)
 
     def _check_switch_smt(
-        self, stmt, scope, path, verdicts=None
+        self, stmt, scope, path, verdicts=()
     ) -> list[Obligation]:
         checker, env, context = self._fresh_context(scope, path)
         return checker.check_switch(stmt, context, env, verdicts)

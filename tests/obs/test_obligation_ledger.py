@@ -208,3 +208,27 @@ def test_a_guarded_switch_asks_smt_only_two_arms(traces, name, generated):
             for o in obligations
             if o.name not in smt
         )
+
+
+def test_each_switch_discharges_its_arms_in_order_then_exhaustiveness(
+    traces,
+):
+    # ExhaustivenessChecker.check_cond's one pass: arms 1..n, then the
+    # exhaustiveness, whichever tier decides each.  (A switch's
+    # statement span also holds the disjointness spans of its patterns.)
+    orders = [
+        [
+            child.name
+            for child in span.children
+            if child.kind == "obligation"
+            and not child.name.startswith("disjointness")
+        ]
+        for roots, _, _ in traces.values()
+        for root in roots
+        for span in root.walk()
+        if span.kind == "statement" and span.name.startswith("switch@")
+    ]
+    assert orders
+    for names in orders:
+        arms = [f"redundancy of arm {i}" for i in range(1, len(names) + 1)]
+        assert names in (arms, arms[:-1] + ["exhaustiveness"]), names

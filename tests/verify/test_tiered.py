@@ -10,6 +10,8 @@ Three layers of assurance, all through the oracle in
   (``smt_only()``) and for the expected discharge accounting;
 - the whole example corpus under ``tier_check()``, which fails a task
   on any algebra/SMT verdict disagreement;
+- every unguarded arm the algebra decides, over the golden inputs and
+  the shapes here, translates;
 - a property-style sweep: random small constructor hierarchies and
   random pattern columns, some rows guarded, verified under
   ``tier_check()`` with the SMT pipeline as the oracle.
@@ -214,10 +216,10 @@ class TestEdgeCases:
         assert smt.solver_stats.per_method["f"].queries == 2
         assert auto.solver_stats.algebra_fallbacks == 0
 
-    def test_model_query_that_disagrees_falls_back_to_smt(self, monkeypatch):
+    def test_unknown_model_query_keeps_smt_only_warnings(self, monkeypatch):
         # SMT answers UNKNOWN to every model query: the algebra's arm
-        # verdicts are dropped unreported, and the whole switch goes
-        # through SMT, as under smt_only().
+        # verdict stands, and SMT's UNKNOWN on the exhaustiveness query
+        # is reported as under smt_only(), with no second pass.
         real = SolverSession._solve
 
         def unknown_models(self, plugin, terms, want_model):
@@ -233,9 +235,33 @@ class TestEdgeCases:
         smt = verify_tier(self.CASES["missing_ctor"], "smt-only")
         assert auto.of_kind(WarningKind.UNKNOWN)
         assert warning_strings(auto) == warning_strings(smt)
-        assert auto.solver_stats.algebra_fallbacks == 1
-        # the failed model query, then the arm and the model query again
-        assert auto.solver_stats.per_method["f"].queries == 3
+        assert auto.solver_stats.algebra_fallbacks == 0
+        assert auto.solver_stats.per_method["f"].queries == 1
+
+    def test_starved_budget_keeps_the_algebra_verdicts(self):
+        # Under a zero budget every query is UNKNOWN, but the algebra's
+        # proof that arm 2 is redundant needs none: the switch reports
+        # it, then SMT's UNKNOWN on the exhaustiveness query.
+        source = self.CASES["redundant_and_missing"]
+        report = api.verify(
+            compile_(source), options=api.VerifyOptions(budget=0.0)
+        )
+        switch = source[: source.index("switch")].count("\n") + 1
+        assert [
+            (w.kind, w.message)
+            for w in report.diagnostics.warnings
+            if w.span.start.line == switch
+        ] == [
+            (
+                WarningKind.REDUNDANT_ARM,
+                "arm 2 is redundant: no value reaches it",
+            ),
+            (
+                WarningKind.UNKNOWN,
+                "no counterexample to exhaustiveness found, but there "
+                "may be one (time budget exhausted)",
+            ),
+        ]
 
     def test_redundant_after_wildcard_warns_identically(self):
         auto = verify_tier(self.CASES["redundant_after_wildcard"], "auto")
@@ -281,20 +307,20 @@ class TestEdgeCases:
         "name, arm",
         [("guard_untranslatable", 2), ("guard_untranslatable_covered", 3)],
     )
-    def test_untranslatable_guard_falls_back_and_keeps_its_warning(
-        self, name, arm
-    ):
+    def test_untranslatable_guard_keeps_its_warning(self, name, arm):
+        # The arm reports its translation error whatever the algebra
+        # said, and the algebra's verdicts on the other arms stand.
         auto = verify_tier(self.CASES[name], "auto")
         smt = verify_tier(self.CASES[name], "smt-only")
         assert [w.message for w in auto.of_kind(WarningKind.UNKNOWN)] == [
             f"arm {arm} could not be analyzed: tuple argument"
         ]
         assert warning_strings(auto) == warning_strings(smt)
-        assert auto.solver_stats.algebra_fallbacks == 1
-        assert (
-            auto.solver_stats.per_method["f"].queries
-            == smt.solver_stats.per_method["f"].queries
-        )
+        assert auto.solver_stats.algebra_fallbacks == 0
+        # f asks SMT only its undecided arms: 1 and 0 queries against 3
+        per_method = auto.solver_stats.per_method
+        queries = per_method["f"].queries if "f" in per_method else 0
+        assert queries < smt.solver_stats.per_method["f"].queries
 
 
 class TestGuardedRows:
@@ -320,6 +346,105 @@ class TestGuardedRows:
         assert auto.solver_stats.per_method["g"].queries == 2
         assert smt.solver_stats.per_method["g"].queries == 4
         assert auto.solver_stats.algebra_fallbacks == 0
+
+
+def in_box(body):
+    """``body`` in an instance method ``get(Nat m)`` of a class whose
+    field ``pred`` the translator binds in every method of it."""
+    return (
+        NAT_PRELUDE
+        + "class Box {\n  Nat pred;\n  int get(Nat m) {\n"
+        + body
+        + "\n  }\n}\n"
+    )
+
+
+class TestUnguardedArmsTranslate:
+    """Every unguarded pattern the algebra lowers translates, so an arm
+    that reports a translation error (whatever the algebra said) is
+    always a guarded one, and no statement needs a second pass."""
+
+    SHAPES = {
+        "tuple_subject": NAT_PRELUDE
+        + "static int f(Nat n, Nat m) {\n"
+        "  switch (n, m) {\n"
+        "    case (zero(), _) | (_, zero()): return 0;\n"
+        "    case (succ(Nat a), succ(succ(b))): return 1;\n"
+        "    case t: return 2;\n"
+        "  }\n"
+        "}\n",
+        "binders": in_method(
+            "switch (n) {\n"
+            "  case succ(succ(Nat a) | zero()): return 0;\n"
+            "  case Nat q: return 1;\n"
+            "  case succ(p): return 2;\n"
+            "}"
+        ),
+        "instance_method": in_box(
+            "switch (m) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(succ(q)): return 1;\n"
+            "}"
+        ),
+    }
+
+    def test_every_unguarded_arm_the_algebra_decides_translates(
+        self, monkeypatch
+    ):
+        from repro.verify.tiered import _has_guard
+        from repro.verify.verifier import _BodyWalker
+
+        from .golden import golden_inputs
+
+        failures: list[str] = []
+        arms_checked = 0
+
+        def translating(walker, stmt, scope, path):
+            # Translate every arm of a decided switch, even one the
+            # default run reports without translation.
+            nonlocal arms_checked
+            decision = walker.algebra.analyze_switch(stmt, scope, path)
+            verdicts = () if decision is None else decision.verdicts
+            done = walker._check_switch_smt(stmt, scope, path, verdicts)
+            if decision is None:
+                return
+            patterns = [p for case in stmt.cases for p in case.patterns]
+            arms = [o for o in done if o.kind == "redundancy"]
+            if len(arms) != len(patterns):
+                failures.append(f"{stmt.span}: subject did not translate")
+            for pattern, arm in zip(patterns, arms):
+                if not _has_guard(pattern):
+                    arms_checked += 1
+                    if arm.error is not None:
+                        failures.append(f"{stmt.span}: {arm.error}")
+
+        monkeypatch.setattr(_BodyWalker, "_check_switch", translating)
+        sources = {**golden_inputs(), **TestEdgeCases.CASES, **self.SHAPES}
+        for name, source in sources.items():
+            report = api.verify(
+                api.compile_program(source, filename=name),
+                options=api.VerifyOptions(budget=0.0),
+            )
+            assert report.tasks_failed == 0, name
+        assert failures == []
+        assert arms_checked > 1000
+
+    def test_a_binder_named_after_a_field_is_an_equality_test(self):
+        # In an instance method the translator binds the owner's fields,
+        # so ``succ(pred)`` matches only ``this.pred``'s successor and
+        # arm 3 is reachable.  The algebra must not read ``pred`` as a
+        # fresh binder (which proves arm 3 redundant).
+        source = in_box(
+            "switch (m) {\n"
+            "  case zero(): return 0;\n"
+            "  case succ(pred): return 1;\n"
+            "  case succ(_): return 2;\n"
+            "}"
+        )
+        auto = verify_tier(source, "check")
+        smt = verify_tier(source, "smt-only")
+        assert not auto.of_kind(WarningKind.REDUNDANT_ARM)
+        assert warning_strings(auto) == warning_strings(smt)
 
 
 #: trees is minutes-long under full-budget SMT, so (matching the
@@ -538,3 +663,8 @@ if HAVE_HYPOTHESIS:
             )
         assert disagreements == []
         assert report.tasks_failed == 0
+        # every drawn pattern and guard translates
+        assert not [
+            w for w in report.of_kind(WarningKind.UNKNOWN)
+            if "could not be analyzed" in w.message
+        ]

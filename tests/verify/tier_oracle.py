@@ -16,7 +16,7 @@ solving engine:
   only for the counterexample, and on a guarded one, where SMT answers
   only what the algebra left undecided -- is re-derived by SMT here
   too.  Undecided obligations are not compared (SMT answers them in
-  both runs).
+  both runs), and a decided exhaustiveness is compared either way.
   The SMT side's verdicts are its discharged
   :class:`~repro.verify.obligation.Obligation` records' ``verdict``
   ("sat", "unsat", "unknown" or "error").  UNKNOWN and untranslatable
@@ -99,7 +99,10 @@ def tier_check():
             return
         stats = walker.verifier.session.stats
         if stats is not None:
-            stats.algebra_discharged += decision.obligations
+            # what a default run discharges at the algebra tier
+            stats.algebra_discharged += sum(
+                verdict is not None for verdict in decision.verdicts
+            )
         details = switch_disagreements(decision, obligations)
         if details:
             fail(
