@@ -189,17 +189,28 @@ def _distribute_value(
 
 
 class Normalizer:
-    """Rewrites every formula of a program in place."""
+    """Rewrites every formula of a program in place.
+
+    Most rewrites hand back the node they were given; distributing a
+    comparison (:func:`_distribute_value`) is the one that changes a
+    tree, so :meth:`run` records which declarations it changed in
+    ``table.rewritten``.
+    """
 
     def __init__(self, table: ProgramTable):
         self.table = table
+        #: comparisons distributed so far
+        self.distributed = 0
 
     def run(self) -> None:
-        for decl in self.table.program.declarations:
+        for index, decl in enumerate(self.table.program.declarations):
+            before = self.distributed
             if isinstance(decl, ast.FunctionDecl):
                 self._do_callable(decl, owner=None)
             else:
                 self._do_type(decl)
+            if self.distributed != before:
+                self.table.rewritten.add(index)
 
     def _do_type(self, decl: ast.ClassDecl | ast.InterfaceDecl) -> None:
         env = TypeEnv(self.table, decl.name)
@@ -315,6 +326,7 @@ class Normalizer:
                         f"'{expr.op}': no comparison to distribute over",
                         expr.span,
                     )
+                self.distributed += 1
                 return rewritten
             expr.right = self.rewrite(expr.right, position, env)
             return expr

@@ -57,9 +57,11 @@ _ESCAPE = re.compile(r"\\(.)")
 
 
 class Lexer:
-    def __init__(self, source: str, filename: str = "<input>"):
+    def __init__(self, source: str, filename: str = "<input>", line: int = 1):
         self.source = source
         self.filename = filename
+        #: the line number of the source's first line
+        self.line = line
 
     def tokens(self) -> list[Token]:
         """Scan the entire source into a token list ending with EOF."""
@@ -67,7 +69,7 @@ class Lexer:
         filename = self.filename
         out: list[Token] = []
         append = out.append
-        line = 1
+        line = self.line
         line_start = 0  # offset of the first character of ``line``
         for match in _MASTER.finditer(source):
             group = match.lastgroup
@@ -193,6 +195,12 @@ class Lexer:
             index += 1
 
 
-def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: source text to token list."""
-    return Lexer(source, filename).tokens()
+def tokenize(
+    source: str, filename: str = "<input>", line: int = 1
+) -> list[Token]:
+    """Convenience wrapper: source text to token list.
+
+    ``line`` numbers the source's first line, so a piece of a file that
+    starts at column 1 of that line lexes to the tokens the whole file
+    has there."""
+    return Lexer(source, filename, line).tokens()

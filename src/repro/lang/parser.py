@@ -102,11 +102,7 @@ class Parser:
 
     def parse_program(self, text_digest: str) -> ast.Program:
         # Pre-scan for type names so forward references resolve.
-        for i, tok in enumerate(self.tokens):
-            if tok.kind == TokenKind.KEYWORD and tok.text in ("class", "interface"):
-                nxt = self.tokens[i + 1] if i + 1 < len(self.tokens) else None
-                if nxt is not None and nxt.kind == TokenKind.IDENT:
-                    self.type_names.add(nxt.text)
+        self.type_names |= declared_type_names(self.tokens)
         decls: list = []
         while not self._peek().is_eof:
             decls.append(self._parse_declaration())
@@ -710,11 +706,29 @@ class Parser:
         return ast.VarDecl(type_, name, span=span)
 
 
+def declared_type_names(tokens: list[Token]) -> set[str]:
+    """The names that follow ``class`` or ``interface`` in ``tokens``."""
+    names = set()
+    for i, tok in enumerate(tokens):
+        if tok.kind is _KEYWORD and tok.text in ("class", "interface"):
+            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+            if nxt is not None and nxt.kind is TokenKind.IDENT:
+                names.add(nxt.text)
+    return names
+
+
+def text_digest(source: str, filename: str) -> str:
+    """The digest of a file name and source text
+    (``ast.Program.text_digest``)."""
+    return hashlib.sha256(f"{filename}\0{source}".encode("utf-8")).hexdigest()
+
+
 def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     """Parse a complete compilation unit, recording the digest of its
     file name and source text (``ast.Program.text_digest``)."""
-    digest = hashlib.sha256(f"{filename}\0{source}".encode("utf-8")).hexdigest()
-    return Parser(tokenize(source, filename), filename).parse_program(digest)
+    return Parser(tokenize(source, filename), filename).parse_program(
+        text_digest(source, filename)
+    )
 
 
 def parse_formula(source: str, type_names: set[str] | None = None) -> ast.Expr:

@@ -97,6 +97,9 @@ class ProgramTable:
         #: the lazy axiom templates of this program, filled as axioms
         #: first fire (see :mod:`repro.verify.templates`)
         self.axiom_templates: dict = {}
+        #: indices into ``program.declarations`` of the declarations
+        #: whose formulas analysis rewrote (:func:`repro.lang.check.analyze`)
+        self.rewritten: set[int] = set()
         for decl in program.declarations:
             if isinstance(decl, ast.FunctionDecl):
                 if decl.name in self.functions:

@@ -4,6 +4,11 @@ One daemon process serves many ``verify`` requests over a Unix domain
 socket (or stdio) and keeps task *outcomes* between them in one
 :class:`~repro.verify.store.OutcomeTable`, held for its whole life and
 under the ``--cache-dir`` store's policy; it keeps no SMT query cache.
+It also keeps, per path, the parsed top-level declarations of that
+path's last compile (:class:`~repro.lang.incremental.DeclarationMemo`),
+so a request re-parses only the declarations whose text, first line or
+file-wide type names changed, through the same ``tokenize``,
+``Parser.parse_program`` and ``api.analyze`` as ``api.compile_program``.
 A re-``verify`` of an edited file re-runs only the tasks whose
 dependency fingerprints (:mod:`repro.verify.daemon.index`) changed, or
 that the index cannot fingerprint (``dep-miss``), and replays the kept
@@ -14,9 +19,11 @@ starts warm.  Each file goes through
 :func:`repro.verify.parallel.verify_tasks` with ``jobs=1``.  A daemon
 made with ``use_cache=False`` (``repro serve --no-cache``), or a
 request with ``use_cache`` false (``verify --daemon --no-cache``),
-replays nothing.  ``invalidate`` drops the named files' outcomes from
-memory, and each request drops those of a file's tasks that no longer
-exist, so the memory holds the live tasks' outcomes only.
+replays nothing.  ``invalidate`` drops the named files' outcomes and
+declarations from memory, a ``verify`` of a path that no longer exists
+drops the same, and each request drops the outcomes of a file's tasks
+that no longer exist, so the memory holds the live files' and tasks'
+state only.
 
 Every connection is served from the thread that calls
 :meth:`VerifyDaemon.serve_socket`, through one ``selectors`` loop:
@@ -32,7 +39,8 @@ off like anywhere else.  A daemon served from another thread rejects
 
 Observability: every request runs under a ``run``-kind span named
 ``request`` with one ``file`` span per path; each file span carries a
-``revalidate`` event (dep-hit/dep-miss counts) and one ``task`` span
+``revalidate`` event (dep-hit/dep-miss counts, and the declarations
+parsed and reused: ``decls_parsed``/``decls_reused``) and one ``task`` span
 per task tagged with a ``dep-hit`` or ``dep-miss`` event.  With
 ``serve --trace FILE`` the rows append to FILE per request; a client
 may also ask for the rows in its response (``"trace": true``), which
@@ -50,6 +58,7 @@ import time
 
 from ... import api
 from ...errors import JMatchError
+from ...lang.incremental import DeclarationMemo
 from ...obs import NULL_TRACER, Tracer
 from ...obs.sink import span_rows
 from ..parallel import TaskReuse, verify_tasks
@@ -100,6 +109,8 @@ class VerifyDaemon:
         #: absolute path -> {"tasks", "verified_at"} of each file a
         #: replaying request verified
         self.files: dict[str, dict] = {}
+        #: absolute path -> the chunks of that path's last compile
+        self.declarations: dict[str, DeclarationMemo] = {}
         self.started = time.time()
         self.requests_served = 0
         self.dep_hits = 0
@@ -157,23 +168,28 @@ class VerifyDaemon:
         if paths is None:
             dropped = len(self.files)
             self.files.clear()
+            self.declarations.clear()
             self.outcomes.forget()
         elif isinstance(paths, list) and all(
             isinstance(p, str) for p in paths
         ):
-            targets = {os.path.abspath(path) for path in paths}
-            dropped = sum(
-                self.files.pop(path, None) is not None for path in targets
-            )
-            self.outcomes.forget(
-                lambda identity: os.path.abspath(identity[0]) in targets
-            )
+            dropped = self._forget({os.path.abspath(path) for path in paths})
         else:
             return protocol.error_response(
                 request_id, protocol.ERROR_INVALID_PARAMS,
                 "invalidate paths must be a list of strings",
             )
         return protocol.ok_response(request_id, {"invalidated": dropped})
+
+    def _forget(self, targets: set[str]) -> int:
+        """Drop what memory keeps for these absolute paths; the number
+        of them that had a ``files`` entry."""
+        for path in targets:
+            self.declarations.pop(path, None)
+        self.outcomes.forget(
+            lambda identity: os.path.abspath(identity[0]) in targets
+        )
+        return sum(self.files.pop(path, None) is not None for path in targets)
 
     def _op_verify(self, request_id, request: dict) -> dict:
         paths = request.get("paths")
@@ -262,9 +278,11 @@ class VerifyDaemon:
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
         except OSError as exc:
+            if isinstance(exc, FileNotFoundError):
+                self._forget({os.path.abspath(path)})
             return {"path": path, "error": str(exc)}, 0, 0
         try:
-            unit = api.compile_program(source, filename=path)
+            unit, memo = self._compile(path, source)
         except JMatchError as exc:
             return {"path": path, "error": str(exc)}, 0, 0
         table = unit.table
@@ -279,7 +297,10 @@ class VerifyDaemon:
             report = verify_tasks(table, tasks, options, tracer, 1, reuse)
             hits = report.solver_stats.tasks_replayed
             misses = len(tasks) - hits
-            tracer.event("revalidate", dep_hits=hits, dep_misses=misses)
+            tracer.event(
+                "revalidate", dep_hits=hits, dep_misses=misses,
+                decls_parsed=memo.parsed, decls_reused=memo.reused,
+            )
         if replay:
             # Memory keeps the live tasks' outcomes only; the store, if
             # any, keeps a renamed or deleted method's on disk.
@@ -293,6 +314,26 @@ class VerifyDaemon:
                 "verified_at": time.time(),
             }
         return {"path": path, "report": report.to_dict()}, hits, misses
+
+    def _compile(
+        self, path: str, source: str
+    ) -> tuple[api.CompiledUnit, DeclarationMemo]:
+        """What ``api.compile_program(source, filename=path)`` gives,
+        parsing only the declarations the path's last compile does not
+        hold; also the path's memo."""
+        key = os.path.abspath(path)
+        memo = self.declarations.get(key)
+        if memo is None or memo.filename != path:
+            memo = self.declarations[key] = DeclarationMemo(path)
+        program = memo.parse(source)
+        try:
+            table = api.analyze(program)
+        except JMatchError:
+            # Analysis may have rewritten any of the trees.
+            del self.declarations[key]
+            raise
+        memo.settle(table.rewritten)
+        return api.CompiledUnit(program, table, path), memo
 
     def _append_trace(self, rows: list[dict]) -> None:
         from ...obs.sink import append_jsonl

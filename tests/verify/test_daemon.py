@@ -428,6 +428,32 @@ def test_daemon_invalidate_keeps_other_files_outcomes(program):
     assert replayed == [0, 1]
 
 
+def test_daemon_invalidate_drops_the_parsed_declarations(program):
+    path = program(BUGGY)
+    daemon = VerifyDaemon()
+    verify_result(daemon, [path])
+    assert list(daemon.declarations) == [os.path.abspath(path)]
+    daemon.handle_line(request_line("invalidate", 2, paths=[path]))
+    assert daemon.declarations == {}
+    verify_result(daemon, [path], request_id=3)
+    daemon.handle_line(request_line("invalidate", 4))
+    assert daemon.declarations == {}
+
+
+def test_daemon_forgets_a_file_that_is_gone(program):
+    gone = program(BUGGY, name="a.jm")
+    kept = program(CLEAN, name="b.jm")
+    daemon = VerifyDaemon()
+    verify_result(daemon, [gone, kept])
+    os.unlink(gone)
+    result = verify_result(daemon, [gone, kept], request_id=2)
+    assert "No such file" in result["files"][0]["error"]
+    assert result["files"][1]["report"]["solver_stats"]["tasks_replayed"] == 1
+    assert list(daemon.declarations) == [os.path.abspath(kept)]
+    assert list(daemon.files) == [os.path.abspath(kept)]
+    assert {name for name, _ in daemon.outcomes.entries} == {kept}
+
+
 def test_daemon_drops_the_outcomes_of_a_renamed_method(program):
     # The daemon's memory holds the live tasks' outcomes only.
     path = program(BUGGY)
