@@ -13,7 +13,7 @@ Every node carries a :class:`~repro.errors.Span` for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..errors import NO_SPAN, Span
 
@@ -243,6 +243,38 @@ class NotAll(Expr):
 
     def __str__(self) -> str:
         return f"notall({', '.join(self.names)})"
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of ``expr``, in source order except
+    that a call's arguments come before its receiver.  Literals,
+    variables, declarations, ``_`` and ``notall`` have none."""
+    cls = type(expr)
+    if cls is Binary or cls is PatOr or cls is PatAnd:
+        return (expr.left, expr.right)
+    if cls is Call:
+        if expr.receiver is None:
+            return tuple(expr.args)
+        return (*expr.args, expr.receiver)
+    if cls is FieldAccess:
+        return (expr.receiver,)
+    if cls is Not:
+        return (expr.operand,)
+    if cls is Where:
+        return (expr.pattern, expr.condition)
+    if cls is TupleExpr:
+        return tuple(expr.items)
+    return ()
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every expression below it, each node before its
+    children and the children in :func:`children` order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 # ---------------------------------------------------------------------------

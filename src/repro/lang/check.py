@@ -358,31 +358,9 @@ class Normalizer:
 
 def _bind_declared(expr: ast.Expr, env: TypeEnv) -> None:
     """Record declaration-pattern bindings so later statements see them."""
-    if isinstance(expr, ast.VarDecl) and expr.name is not None:
-        env.bind(expr.name, expr.type)
-    for child in _children(expr):
-        _bind_declared(child, env)
-
-
-def _children(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.Binary):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.Not):
-        return [expr.operand]
-    if isinstance(expr, (ast.PatOr, ast.PatAnd)):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.Where):
-        return [expr.pattern, expr.condition]
-    if isinstance(expr, ast.TupleExpr):
-        return list(expr.items)
-    if isinstance(expr, ast.Call):
-        out = list(expr.args)
-        if expr.receiver is not None:
-            out.append(expr.receiver)
-        return out
-    if isinstance(expr, ast.FieldAccess):
-        return [expr.receiver]
-    return []
+    for node in ast.walk(expr):
+        if isinstance(node, ast.VarDecl) and node.name is not None:
+            env.bind(node.name, node.type)
 
 
 def normalize_formula(

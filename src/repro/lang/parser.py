@@ -1,19 +1,26 @@
-"""Recursive-descent parser for the JMatch 2.0 subset.
+"""Parser for the JMatch 2.0 subset.
 
-Operator precedence, loosest to tightest (Section 3.3 and the paper's
-examples fix the relative order of the pattern operators):
+Declarations and statements are parsed by recursive descent; formulas
+by one precedence-climbing loop (``Parser._parse_expr``) over the
+``_BINARY`` table.  Binding levels, loosest to tightest (Section 3.3
+and the paper's examples fix the relative order of the pattern
+operators):
 
-    ``||``  <  ``|`` ``#``  <  ``&&``  <  ``!``  <  comparisons
-    <  ``as`` / ``where``  <  ``+ -``  <  ``* / %``  <  unary ``-``
-    <  postfix (calls, selections)
+    1 ``||``   2 ``|`` ``#``   3 ``&&``   4 prefix ``!``   5 comparisons
+    6 ``as`` / ``where``   7 ``+ -``   8 ``* / %``
+
+and then unary ``-`` and postfix (calls, selections).  Comparisons do
+not chain (``a < b < c`` is an error), and ``!`` binds looser than a
+comparison (``!a = b`` is ``!(a = b)``) but cannot be an operand of
+one.  ``where`` takes a parenthesised formula or a comparison.
 
 With ``|``/``#`` parsed *above* ``&&``, Figure 4's
 ``zero() && n.zero() | succ(Nat y) && n.succ(y)`` groups as intended.
 The other reading the paper requires -- ``x = 1 | 2`` meaning
-``x = (1 | 2)`` -- is recovered by a semantic normalisation pass
-(:func:`repro.lang.check.normalize_disjunctions`) that distributes the
-comparison over value-pattern operands, which is semantically the
-same formula.
+``x = (1 | 2)`` -- is recovered after parsing:
+:class:`repro.lang.check.Normalizer` (run by
+:func:`repro.lang.check.analyze`) distributes the comparison over
+value-pattern operands, which is semantically the same formula.
 """
 
 from __future__ import annotations
@@ -31,6 +38,22 @@ _OPERATOR = TokenKind.OPERATOR
 _EOF = TokenKind.EOF
 #: keywords that are literals
 _LITERALS = {"true": True, "false": False, "null": None}
+
+#: the binding level of each binary operator and of the ``as``/``where``
+#: keywords, loosest first; prefix ``!`` binds at ``_NOT``
+_BINARY = {
+    "||": 1,
+    "|": 2, "#": 2,
+    "&&": 3,
+    "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
+    "as": 6, "where": 6,
+    "+": 7, "-": 7,
+    "*": 8, "/": 8, "%": 8,
+}
+_DISJUNCTION = 2
+_NOT = 4
+_COMPARISON = 5
+_TIGHTEST = 8
 
 
 def _shown(tok: Token) -> str:
@@ -520,80 +543,50 @@ class Parser:
     # -- formulas / patterns / expressions ---------------------------------
 
     def parse_formula(self) -> ast.Expr:
-        return self._parse_or()
+        return self._parse_expr(1)
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_disjunction()
-        while self._at_op("||"):
-            span = self._advance().span
-            right = self._parse_disjunction()
-            left = ast.Binary("||", left, right, span=span)
-        return left
+    def _parse_expr(self, level: int) -> ast.Expr:
+        """An expression whose operators all bind at ``level`` or tighter.
 
-    def _parse_disjunction(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at_op("|") or self._at_op("#"):
-            op = self._advance()
-            right = self._parse_and()
-            left = ast.PatOr(left, right, disjoint=op.text == "|", span=op.span)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self._at_op("&&"):
-            span = self._advance().span
-            right = self._parse_not()
-            left = ast.Binary("&&", left, right, span=span)
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self._at_op("!"):
-            span = self._advance().span
-            return ast.Not(self._parse_not(), span=span)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_as_where()
-        if self._at_op("=", "!=", "<", "<=", ">", ">="):
-            op = self._advance()
-            right = self._parse_as_where()
-            return ast.Binary(op.text, left, right, span=op.span)
-        return left
-
-    def _parse_as_where(self) -> ast.Expr:
-        expr = self._parse_additive()
+        After an operator at level ``p`` the loop lowers its ceiling so
+        that only a looser operator may follow: ``p + 1`` for the
+        left-associative levels, ``p`` for comparisons, which do not
+        chain, and ``_NOT`` after ``!``.
+        """
+        tok = self.tokens[self.pos]
+        if level <= _NOT and tok.kind is _OPERATOR and tok.text == "!":
+            self.pos += 1
+            left: ast.Expr = ast.Not(self._parse_expr(_NOT), span=tok.span)
+            ceiling = _NOT
+        else:
+            left = self._parse_prefix()
+            ceiling = _TIGHTEST + 1
         while True:
-            if self._at_keyword("as"):
-                span = self._advance().span
-                right = self._parse_additive()
-                expr = ast.PatAnd(expr, right, span=span)
-            elif self._at_keyword("where"):
-                span = self._advance().span
-                if self._at_op("("):
-                    self._advance()
+            tok = self.tokens[self.pos]
+            if tok.kind is not _OPERATOR and tok.kind is not _KEYWORD:
+                return left
+            op = tok.text
+            p = _BINARY.get(op)
+            if p is None or p < level or p >= ceiling:
+                return left
+            self.pos += 1
+            span = tok.span
+            if op == "where":
+                if self._accept_op("("):
                     condition = self.parse_formula()
                     self._expect_op(")")
                 else:
-                    condition = self._parse_comparison()
-                expr = ast.Where(expr, condition, span=span)
+                    condition = self._parse_expr(_COMPARISON)
+                left = ast.Where(left, condition, span=span)
             else:
-                return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._at_op("+", "-"):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.Binary(op.text, left, right, span=op.span)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_prefix()
-        while self._at_op("*", "/", "%"):
-            op = self._advance()
-            right = self._parse_prefix()
-            left = ast.Binary(op.text, left, right, span=op.span)
-        return left
+                right = self._parse_expr(p + 1)
+                if p == _DISJUNCTION:
+                    left = ast.PatOr(left, right, disjoint=op == "|", span=span)
+                elif op == "as":
+                    left = ast.PatAnd(left, right, span=span)
+                else:
+                    left = ast.Binary(op, left, right, span=span)
+            ceiling = p if p == _COMPARISON else p + 1
 
     def _parse_prefix(self) -> ast.Expr:
         if self._at_op("-"):

@@ -24,70 +24,21 @@ from .mode import RESULT, Mode, select_mode
 
 def declared_vars(expr: ast.Expr) -> set[str]:
     """Names bound by declaration patterns inside ``expr``."""
-    out: set[str] = set()
-
-    def go(e: ast.Expr) -> None:
-        if isinstance(e, ast.VarDecl):
-            if e.name is not None:
-                out.add(e.name)
-        elif isinstance(e, ast.Binary):
-            go(e.left)
-            go(e.right)
-        elif isinstance(e, ast.Not):
-            go(e.operand)
-        elif isinstance(e, (ast.PatOr, ast.PatAnd)):
-            go(e.left)
-            go(e.right)
-        elif isinstance(e, ast.Where):
-            go(e.pattern)
-            go(e.condition)
-        elif isinstance(e, ast.TupleExpr):
-            for item in e.items:
-                go(item)
-        elif isinstance(e, ast.Call):
-            if e.receiver is not None:
-                go(e.receiver)
-            for arg in e.args:
-                go(arg)
-        elif isinstance(e, ast.FieldAccess):
-            go(e.receiver)
-
-    go(expr)
-    return out
+    return {
+        node.name
+        for node in ast.walk(expr)
+        if isinstance(node, ast.VarDecl) and node.name is not None
+    }
 
 
 def free_vars(expr: ast.Expr) -> set[str]:
     """Variable names referenced (not declared) in ``expr``."""
     out: set[str] = set()
-
-    def go(e: ast.Expr) -> None:
-        if isinstance(e, ast.Var):
-            out.add(e.name)
-        elif isinstance(e, ast.Binary):
-            go(e.left)
-            go(e.right)
-        elif isinstance(e, ast.Not):
-            go(e.operand)
-        elif isinstance(e, (ast.PatOr, ast.PatAnd)):
-            go(e.left)
-            go(e.right)
-        elif isinstance(e, ast.Where):
-            go(e.pattern)
-            go(e.condition)
-        elif isinstance(e, ast.TupleExpr):
-            for item in e.items:
-                go(item)
-        elif isinstance(e, ast.Call):
-            if e.receiver is not None:
-                go(e.receiver)
-            for arg in e.args:
-                go(arg)
-        elif isinstance(e, ast.FieldAccess):
-            go(e.receiver)
-        elif isinstance(e, ast.NotAll):
-            out.update(e.names)
-
-    go(expr)
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Var):
+            out.add(node.name)
+        elif isinstance(node, ast.NotAll):
+            out.update(node.names)
     return out
 
 

@@ -75,17 +75,24 @@ OPS = ("verify", "status", "invalidate", "shutdown")
 def daemon_version() -> str:
     """The version string clients compare before trusting a daemon.
 
-    Combines the wire protocol version with the report schema version:
-    either changing makes an old daemon's answers unusable by a new
-    client.  ``REPRO_DAEMON_VERSION`` overrides the whole string (tests
-    use this to simulate a stale daemon).
+    Combines the wire protocol version, the report schema version and
+    the digest of the ``repro`` sources: changing any of them makes an
+    old daemon's answers unusable by a new client, as a daemon built
+    from other verifier code may give other verdicts.  A daemon takes
+    its version once, when it starts.  ``REPRO_DAEMON_VERSION``
+    overrides the whole string (tests use this to simulate a stale
+    daemon).
     """
     override = os.environ.get(VERSION_ENV)
     if override:
         return override
+    from ..store import source_digest
     from ..verifier import REPORT_SCHEMA_VERSION
 
-    return f"repro-daemon/{PROTOCOL_VERSION}.{REPORT_SCHEMA_VERSION}"
+    return (
+        f"repro-daemon/{PROTOCOL_VERSION}.{REPORT_SCHEMA_VERSION}"
+        f"+{source_digest()}"
+    )
 
 
 def default_socket_path(cwd: str | None = None) -> str:

@@ -112,6 +112,9 @@ class VerifyDaemon:
         #: absolute path -> the chunks of that path's last compile
         self.declarations: dict[str, DeclarationMemo] = {}
         self.started = time.time()
+        #: the version of the code this daemon runs, taken now: the
+        #: sources may change on disk while it serves
+        self.version = protocol.daemon_version()
         self.requests_served = 0
         self.dep_hits = 0
         self.dep_misses = 0
@@ -154,7 +157,7 @@ class VerifyDaemon:
     def _status(self) -> dict:
         return {
             "pid": os.getpid(),
-            "version": protocol.daemon_version(),
+            "version": self.version,
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_s": time.time() - self.started,
             "requests": self.requests_served,

@@ -22,30 +22,6 @@ from .solving import SolverSession
 from .translate import EncodeContext, TranslationError, Translator, VEnv
 
 
-def _collect_disjoint_ors(expr: ast.Expr, out: list[ast.PatOr]) -> None:
-    if isinstance(expr, ast.PatOr):
-        if expr.disjoint:
-            out.append(expr)
-        _collect_disjoint_ors(expr.left, out)
-        _collect_disjoint_ors(expr.right, out)
-    elif isinstance(expr, (ast.Binary, ast.PatAnd)):
-        _collect_disjoint_ors(expr.left, out)
-        _collect_disjoint_ors(expr.right, out)
-    elif isinstance(expr, ast.Not):
-        _collect_disjoint_ors(expr.operand, out)
-    elif isinstance(expr, ast.Where):
-        _collect_disjoint_ors(expr.pattern, out)
-        _collect_disjoint_ors(expr.condition, out)
-    elif isinstance(expr, ast.TupleExpr):
-        for item in expr.items:
-            _collect_disjoint_ors(item, out)
-    elif isinstance(expr, ast.Call):
-        for arg in expr.args:
-            _collect_disjoint_ors(arg, out)
-        if expr.receiver is not None:
-            _collect_disjoint_ors(expr.receiver, out)
-
-
 class DisjointnessChecker:
     def __init__(self, table, diag: Diagnostics, session: SolverSession):
         self.table = table
@@ -84,10 +60,9 @@ class DisjointnessChecker:
         label: str,
     ) -> None:
         """Verify every `|` inside one formula, under given knowns."""
-        ors: list[ast.PatOr] = []
-        _collect_disjoint_ors(formula, ors)
-        for node in ors:
-            self._check_one(node, owner, env_types, span, label)
+        for node in ast.walk(formula):
+            if isinstance(node, ast.PatOr) and node.disjoint:
+                self._check_one(node, owner, env_types, span, label)
 
     def _check_one(
         self,

@@ -635,27 +635,15 @@ class PatternAlgebra:
         )
 
     def _mentions_abstract(self, expr: ast.Expr, owner: str | None) -> bool:
-        stack: list = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.Call):
-                if node.receiver is None and node.qualifier is None:
-                    canonical = self._resolve_pattern_ctor(node, owner=owner)
-                    if canonical is not None and canonical.abstract:
-                        return True
-                stack.extend(node.args)
-                if node.receiver is not None:
-                    stack.append(node.receiver)
-            elif isinstance(node, (ast.Binary, ast.PatOr, ast.PatAnd)):
-                stack.append(node.left)
-                stack.append(node.right)
-            elif isinstance(node, ast.Not):
-                stack.append(node.operand)
-            elif isinstance(node, ast.Where):
-                stack.append(node.pattern)
-                stack.append(node.condition)
-            elif isinstance(node, ast.TupleExpr):
-                stack.extend(node.items)
+        for node in ast.walk(expr):
+            if (
+                isinstance(node, ast.Call)
+                and node.receiver is None
+                and node.qualifier is None
+            ):
+                canonical = self._resolve_pattern_ctor(node, owner=owner)
+                if canonical is not None and canonical.abstract:
+                    return True
         return False
 
 

@@ -19,7 +19,6 @@ warnings given to the programmer" -- the driver returns a
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,6 +28,7 @@ from ..lang import ast
 from ..lang.symbols import MethodInfo, ProgramTable
 from ..metrics.solver_stats import VerifyStats
 from ..modes.mode import RESULT
+from ..modes.ordering import all_vars
 from ..obs import NULL_TRACER
 from ..smt.cache import SolverCache
 from ..smt.terms import scoped_intern_state
@@ -296,37 +296,6 @@ class Verifier:
         return scope
 
 
-def _expr_names(expr: ast.Expr) -> set[str]:
-    """Every variable name mentioned (or bound) in a source expression.
-
-    Used to decide which path conditions an imperative re-binding
-    invalidates; bound names (pattern declarations) are included, which
-    errs on the side of dropping a condition -- always sound, since a
-    smaller path context only weakens later checks.
-    """
-    out: set[str] = set()
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, list):
-            stack.extend(node)
-            continue
-        if not isinstance(node, ast.Expr):
-            continue
-        if isinstance(node, ast.Var):
-            out.add(node.name)
-        elif isinstance(node, ast.VarDecl):
-            if node.name is not None:
-                out.add(node.name)
-        elif isinstance(node, ast.NotAll):
-            out.update(node.names)
-        for fld in dataclasses.fields(node):
-            value = getattr(node, fld.name)
-            if isinstance(value, (ast.Expr, list)):
-                stack.append(value)
-    return out
-
-
 class _BodyWalker:
     """Walks an imperative body, checking each pattern-matching statement."""
 
@@ -377,24 +346,9 @@ class _BodyWalker:
         return out
 
     def _collect_decls(self, expr: ast.Expr, scope) -> None:
-        if isinstance(expr, ast.VarDecl) and expr.name is not None:
-            scope[expr.name] = expr.type
-        elif isinstance(expr, (ast.Binary, ast.PatOr, ast.PatAnd)):
-            self._collect_decls(expr.left, scope)
-            self._collect_decls(expr.right, scope)
-        elif isinstance(expr, ast.Not):
-            self._collect_decls(expr.operand, scope)
-        elif isinstance(expr, ast.Where):
-            self._collect_decls(expr.pattern, scope)
-            self._collect_decls(expr.condition, scope)
-        elif isinstance(expr, ast.TupleExpr):
-            for item in expr.items:
-                self._collect_decls(item, scope)
-        elif isinstance(expr, ast.Call):
-            for arg in expr.args:
-                self._collect_decls(arg, scope)
-            if expr.receiver is not None:
-                self._collect_decls(expr.receiver, scope)
+        for node in ast.walk(expr):
+            if isinstance(node, ast.VarDecl) and node.name is not None:
+                scope[node.name] = node.type
 
     # -- statement dispatch ------------------------------------------------
 
@@ -423,10 +377,12 @@ class _BodyWalker:
                 # Imperative re-binding: side effects are outside the
                 # reasoning (Section 5.4).  Only conditions mentioning
                 # the re-bound name are stale; the rest still hold and
-                # keep later exhaustiveness contexts precise.
+                # keep later exhaustiveness contexts precise.  A name a
+                # condition declares counts too: dropping a condition
+                # only weakens later checks, so erring that way is sound.
                 assigned = expr.left.name
                 return scope, [
-                    f for f in path if assigned not in _expr_names(f)
+                    f for f in path if assigned not in all_vars(f)
                 ]
             if isinstance(expr, ast.Call):
                 return scope, path  # effectful call, nothing to check

@@ -20,6 +20,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.verify import store as store_module
 from repro.verify.daemon import (
     DaemonClient,
     DaemonError,
@@ -683,6 +684,37 @@ def test_socket_survives_malformed_line(served_daemon):
     raw.sendall(protocol.encode({"id": 2, "op": "status"}))
     assert json.loads(reader.readline())["ok"] is True
     raw.close()
+
+
+def test_daemon_version_names_the_verifier_sources(monkeypatch):
+    # A daemon built from other verifier code may give other verdicts.
+    before = daemon_version()
+    monkeypatch.setattr(store_module, "source_digest", lambda: "edited")
+    assert daemon_version() != before
+    assert daemon_version().endswith("+edited")
+
+
+def test_daemon_started_before_a_source_edit_is_refused(monkeypatch):
+    socket_path = _short_socket_path()
+    daemon = VerifyDaemon()
+    thread = threading.Thread(
+        target=daemon.serve_socket, args=(socket_path,), daemon=True
+    )
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(socket_path):
+            assert time.monotonic() < deadline, "daemon never bound"
+            time.sleep(0.02)
+        # the sources change on disk after the daemon loaded them
+        monkeypatch.setattr(store_module, "source_digest", lambda: "edited")
+        with pytest.raises(DaemonError, match="version-mismatch"):
+            ensure_daemon(socket_path=socket_path, spawn=False)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "the stale daemon was not shut down"
+    finally:
+        daemon.shutting_down = True
+        thread.join(timeout=5.0)
 
 
 def test_socket_refuses_second_daemon(served_daemon):

@@ -352,3 +352,32 @@ class TestUnknownCause:
             "one (time budget exhausted)"
         ) in messages
         assert not any("expansion depth" in m for m in messages)
+
+
+class TestDeclarationUnderFieldAccess:
+    """A declaration pattern under a field selection binds for the body."""
+
+    SOURCE = NAT_PRELUDE + """
+    static int g(Nat n) {
+      if ((PSucc q).pred = n) {
+        switch (q) {
+          case succ(_): return 1;
+        }
+      }
+      return 0;
+    }
+    """
+
+    def test_counterexample_names_the_declared_variable(self):
+        report = verify(self.SOURCE)
+        assert kinds(report) == [WarningKind.NONEXHAUSTIVE]
+        (warning,) = report.diagnostics.warnings
+        assert warning.counterexample == (
+            "$subject: not matched-by Nat.succ[n], matched-by Nat.zero[pred], "
+            "instanceof Nat, instanceof PSucc; "
+            "n: matched-by Nat.succ[n], not matched-by Nat.zero[pred], "
+            "instanceof Nat; "
+            "q: not matched-by Nat.succ[n], matched-by Nat.zero[pred], "
+            "instanceof Nat, instanceof PSucc; "
+            "result = 0"
+        )

@@ -3,6 +3,8 @@
 from repro import api
 from repro.errors import WarningKind
 
+from .test_exhaustiveness import NAT_PRELUDE
+
 
 def verify(source):
     return api.verify(api.compile_program(source))
@@ -195,3 +197,24 @@ class TestDisjointness:
         """
         report = verify(source)
         assert not report.of_kind(WarningKind.NOT_DISJOINT)
+
+    def test_disjunction_under_field_access_is_checked(self):
+        # `p` and `q` may be one object, so `(p | q)` is not disjoint,
+        # also when a field selection wraps it.
+        source = NAT_PRELUDE + """
+        static int f(PSucc p, PSucc q, Nat n) {
+          let (p | q).pred = n;
+          return 0;
+        }
+        """
+        report = verify(source)
+        assert [(w.kind, w.message) for w in report.diagnostics.warnings] == [
+            (
+                WarningKind.LET_MAY_FAIL,
+                "let may not be total: ((p | q).pred = n)",
+            ),
+            (
+                WarningKind.NOT_DISJOINT,
+                "let: the arms of `(p | q)` are not disjoint",
+            ),
+        ]
