@@ -10,6 +10,11 @@ For a cond with arms ``f_1 .. f_n``:
   a satisfying assignment becomes the counterexample shown to the
   programmer.
 
+The pattern algebra (:mod:`repro.verify.tiered`) decides most switch
+obligations before any of this runs; for a switch it finds
+non-exhaustive, its witness pattern (``t = succ(_)``) is the
+counterexample, and no model is asked for.
+
 ``let f`` is total iff ``negate(VF[[f]])`` is unsatisfiable (given the
 context).  UNKNOWN results from the solver (depth-bounded lazy
 expansion, Section 6.2) become the "could not find a counterexample,
@@ -82,6 +87,7 @@ class ExhaustivenessChecker:
         env: VEnv,
         span: Span,
         verdicts: Sequence[str | None] = (),
+        witness: str | None = None,
     ) -> list[Obligation]:
         """The core algorithm; also used for switch after desugaring.
 
@@ -90,10 +96,11 @@ class ExhaustivenessChecker:
 
         ``verdicts`` are the pattern algebra's verdicts on those
         obligations, in that order: "sat", "unsat", or None (the
-        default for all of them) where SMT answers.  An arm that cannot
-        be translated reports its translation error whatever the
-        algebra said; like SMT, the algebra's verdicts on later arms
-        read it as matching nothing.
+        default for all of them) where SMT answers.  ``witness`` is the
+        counterexample text of an exhaustiveness verdict of "sat".  An
+        arm that cannot be translated reports its translation error
+        whatever the algebra said; like SMT, the algebra's verdicts on
+        later arms read it as matching nothing.
         """
         algebra = iter(verdicts)
         invariant: list[F] = list(context)
@@ -121,6 +128,7 @@ class ExhaustivenessChecker:
                 span,
                 formulas=invariant,
                 shown=_shown_names(env),
+                witness=witness,
             )
             done.append(
                 discharge(
@@ -135,46 +143,56 @@ class ExhaustivenessChecker:
         context: list[F],
         env: VEnv,
         verdicts: Sequence[str | None] = (),
+        witness: str | None = None,
     ) -> list[Obligation]:
         """Desugar switch to cond (Section 5.1) and check it, with the
-        algebra's ``verdicts`` as :meth:`check_cond` takes them.  An
-        untranslatable subject reports only that error."""
-        translator = Translator(self.ctx, self.owner)
-        env = dict(env)
-        context = list(context)
+        algebra's ``verdicts`` and ``witness`` as :meth:`check_cond`
+        takes them.  An untranslatable subject reports only that
+        error."""
         try:
-            holder: list = []
-
-            def grab(value, e):
-                holder.append(value)
-                return fir.TRUE
-
-            subject_f = translator.vp(stmt.subject, dict(env), grab)
-            if not holder:
-                raise TranslationError("subject not evaluable", stmt.span)
-            subject_value = holder[0]
-            # The subject's own translation (e.g. a call's success
-            # predicate, whose ensures clause may bound the value) is
-            # part of the context.
-            context.append(subject_f)
+            arms, context, env = self.desugar_switch(stmt, context, env)
         except TranslationError as exc:
             return [
                 self._discharge("exhaustiveness", stmt.span, error=exc.message)
             ]
+        return self.check_cond(
+            arms, stmt.default is not None, context, env, stmt.span,
+            verdicts, witness,
+        )
+
+    def desugar_switch(
+        self, stmt: ast.SwitchStmt, context: list[F], env: VEnv
+    ) -> tuple[list[ast.Expr], list[F], VEnv]:
+        """The cond a switch becomes: one arm ``$subject = p`` per case
+        pattern, with the context and environment extended by the
+        subject's translation.  Raises :class:`TranslationError` when
+        the subject cannot be translated."""
+        translator = Translator(self.ctx, self.owner)
+        env = dict(env)
+        holder: list = []
+
+        def grab(value, e):
+            holder.append(value)
+            return fir.TRUE
+
+        subject_f = translator.vp(stmt.subject, dict(env), grab)
+        if not holder:
+            raise TranslationError("subject not evaluable", stmt.span)
+        # The subject's own translation (e.g. a call's success
+        # predicate, whose ensures clause may bound the value) is part
+        # of the context.
+        context = context + [subject_f]
         subject_type = None
         if isinstance(stmt.subject, ast.Var):
             entry = env.get(stmt.subject.name)
             subject_type = entry[1] if entry else None
-        env[SUBJECT] = (subject_value, subject_type)
+        env[SUBJECT] = (holder[0], subject_type)
         arms = [
             ast.Binary("=", ast.Var(SUBJECT, span=p.span), p, span=p.span)
             for case in stmt.cases
             for p in case.patterns
         ]
-        return self.check_cond(
-            arms, stmt.default is not None, context, env, stmt.span,
-            verdicts,
-        )
+        return arms, context, env
 
     def check_let(
         self, formula: ast.Expr, context: list[F], env: VEnv, span: Span

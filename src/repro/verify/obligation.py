@@ -118,6 +118,9 @@ class Obligation:
     #: asserted, not verified (a ``|`` over abstract constructors,
     #: Section 8), so it reports nothing
     asserted: Callable[[], bool] | None = None
+    #: the counterexample the pattern algebra rendered, in source
+    #: syntax (``t = succ(_)``); shown when no model renders one
+    witness: str | None = None
     #: set by :func:`discharge`: a query's "sat", "unsat" or "unknown",
     #: "error" when no query could run, or the algebra's verdict
     verdict: str | None = None
@@ -200,7 +203,9 @@ def _report(
         error=obligation.error,
     )
     counterexample = (
-        None if model is None else render_counterexample(model, obligation.shown)
+        obligation.witness
+        if model is None
+        else render_counterexample(model, obligation.shown)
     )
     diag.warn(warning, message, obligation.site, counterexample)
 

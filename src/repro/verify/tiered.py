@@ -54,17 +54,27 @@ against the upper one.  What falls between the bounds is
 is never proved reachable.  Without guards the bounds coincide and
 every obligation is decided.
 
+The usefulness test builds its answer (Maranget's algorithm I): a
+*witness*, a pattern vector every instance of which matches the query
+row and no matrix row, or None.  The exhaustiveness witness of a
+non-exhaustive switch comes from the upper matrix, so it escapes every
+skeleton and therefore every arm; rendered in source syntax
+(``t = succ(zero())``, ``(m, n) = (zero(), succ(_))``) it is the
+warning's counterexample, and no SMT model is asked for.  An open
+column (no sealing invariant) whose rows name constructors has no
+pattern witness: a value there matches none of them, and no pattern
+names it.  SMT then answers that switch's exhaustiveness, and its
+model renders the counterexample.
+
 The algebra's verdicts are final: ``ExhaustivenessChecker.check_cond``
-discharges each arm with its verdict, or asks SMT where it has none.
-A NON-exhaustive verdict is not kept (see
-:attr:`AlgebraDecision.verdicts`): SMT asks that query, whose model
-renders the counterexample, and its answer stands whatever it is.  An
-arm the translator rejects (a guard it cannot translate) reports that
-error; the lower matrix already reads a guarded arm as matching
-nothing, so the verdicts on later arms hold.  An unguarded pattern the
-algebra lowers always translates.  ``tests/verify/tier_oracle.py``
-runs both sides on every obligation the algebra decides and fails on
-any disagreement.
+discharges each obligation with its verdict, or asks SMT where it has
+none (see :attr:`AlgebraDecision.verdicts`).  An arm the translator
+rejects (a guard it cannot translate) reports that error; the lower
+matrix already reads a guarded arm as matching nothing, so the
+verdicts on later arms hold.  An unguarded pattern the algebra lowers
+always translates.  ``tests/verify/tier_oracle.py`` runs both sides on
+every obligation the algebra decides, checks every witness with SMT,
+and fails on any disagreement.
 
 Disjointness obligations get a narrower treatment: the SMT checker
 never warns about a ``|`` whose overlap witness involves an abstract
@@ -128,6 +138,12 @@ class POr:
 
 
 @dataclass(frozen=True)
+class POther:
+    """A witness entry on an open column: a value that no constructor
+    its rows name matches.  No pattern denotes it."""
+
+
+@dataclass(frozen=True)
 class Signature:
     """The finite constructor signature of one sealed type."""
 
@@ -154,6 +170,10 @@ class AlgebraDecision:
     #: some arm carries a ``where`` guard, whose translation only the
     #: SMT pipeline can attempt
     guarded: bool = False
+    #: for a non-exhaustive switch, the source pattern of a value no arm
+    #: matches (a tuple pattern for a tuple subject); None when no
+    #: pattern names one (an open column whose rows name constructors)
+    witness: ast.Expr | None = None
 
     @property
     def verdicts(self) -> list[str | None]:
@@ -161,12 +181,19 @@ class AlgebraDecision:
         ``ExhaustivenessChecker.check_cond`` builds (every arm, then
         exhaustiveness unless a ``default`` suppresses it), None where
         SMT answers, as :func:`~repro.verify.obligation.discharge`
-        takes them.  SMT answers a non-exhaustive statement's
-        exhaustiveness too: its model is the counterexample."""
+        takes them.  A non-exhaustive statement's exhaustiveness is
+        "sat" when it has a :attr:`witness`, its counterexample, and
+        otherwise SMT answers it and its model is the counterexample."""
         out = [None if v == UNDECIDED else v for v in self.arm_verdicts]
-        if self.exhaustive is not None:
-            out.append("unsat" if self.exhaustive is True else None)
+        if self.exhaustive is True:
+            out.append("unsat")
+        elif self.exhaustive is not None:  # False or UNDECIDED
+            out.append(None if self.witness is None else "sat")
         return out
+
+    def counterexample(self, subject: ast.Expr) -> str | None:
+        """The witness as a warning shows it: ``<subject> = <pattern>``."""
+        return None if self.witness is None else f"{subject} = {self.witness}"
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +331,9 @@ class PatternAlgebra:
         stack = [formula]
         while stack:
             node = stack.pop()
-            if isinstance(node, ast.PatOr):
-                stack.append(node.left)
+            if isinstance(node, ast.PatOr):  # source order
                 stack.append(node.right)
+                stack.append(node.left)
             elif (
                 isinstance(node, ast.Binary)
                 and node.op == "="
@@ -462,20 +489,30 @@ class PatternAlgebra:
                     out.extend(self._default([[alt] + rest]))
         return out
 
-    def _useful(self, rows: list, q: list, types: list) -> bool:
-        """Does some value match ``q`` but no row of ``rows``?"""
+    def _witness(self, rows: list, q: list, types: list) -> list | None:
+        """A pattern vector every instance of which matches ``q`` and no
+        row of ``rows``, or None when no value does: ``q`` is useful
+        against ``rows`` exactly when there is one (Maranget's
+        algorithm I).  A :class:`POther` entry stands for a value of an
+        open column that no listed constructor matches."""
         if not q:
-            return not rows
+            return None if rows else []
         head, rest = q[0], q[1:]
         if isinstance(head, POr):
-            return any(
-                self._useful(rows, [alt] + rest, types) for alt in head.alts
-            )
+            for alt in head.alts:
+                found = self._witness(rows, [alt] + rest, types)
+                if found is not None:
+                    return found
+            return None
         if isinstance(head, PCtor):
-            return self._useful(
-                self._specialize(rows, head.name, len(head.args)),
-                list(head.args) + rest,
-                list(head.arg_types) + types[1:],
+            return _rebuild(
+                head.name,
+                head.arg_types,
+                self._witness(
+                    self._specialize(rows, head.name, len(head.args)),
+                    list(head.args) + rest,
+                    list(head.arg_types) + types[1:],
+                ),
             )
         # Wildcard head: split on a complete signature, else default.
         sig = self._column_signature(types[0])
@@ -483,15 +520,30 @@ class PatternAlgebra:
         for row in rows:
             heads |= self._head_ctors(row[0])
         if sig is not None and set(sig.ctors) <= heads:
-            return any(
-                self._useful(
-                    self._specialize(rows, key, len(arg_types)),
-                    [PWild()] * len(arg_types) + rest,
-                    list(arg_types) + types[1:],
+            for key, (_, arg_types) in sig.ctors.items():
+                found = _rebuild(
+                    key,
+                    arg_types,
+                    self._witness(
+                        self._specialize(rows, key, len(arg_types)),
+                        [PWild()] * len(arg_types) + rest,
+                        list(arg_types) + types[1:],
+                    ),
                 )
-                for key, (_, arg_types) in sig.ctors.items()
-            )
-        return self._useful(self._default(rows), rest, types[1:])
+                if found is not None:
+                    return found
+            return None
+        found = self._witness(self._default(rows), rest, types[1:])
+        if found is None:
+            return None
+        if not heads:
+            return [PWild()] + found
+        if sig is None:
+            return [POther()] + found
+        key, (_, arg_types) = next(
+            (key, ctor) for key, ctor in sig.ctors.items() if key not in heads
+        )
+        return [PCtor(key, (PWild(),) * len(arg_types), arg_types)] + found
 
     def _column_signature(self, col_type) -> Signature | None:
         if (
@@ -553,7 +605,7 @@ class PatternAlgebra:
             for pattern in case.patterns:
                 rows = self._lower_arm(pattern, col_types, width, env_names)
                 guarded = _has_guard(pattern)
-                verdict = self._bounded(lower, upper, rows, types)
+                verdict, _ = self._bounded(lower, upper, rows, types)
                 if guarded and verdict == "sat":
                     verdict = UNDECIDED  # its guard may match nothing
                 decision.arm_verdicts.append(verdict)
@@ -564,26 +616,68 @@ class PatternAlgebra:
                 if not guarded:
                     lower.extend(rows)
         if stmt.default is None:
-            missed = self._bounded(lower, upper, [[PWild()] * width], types)
+            missed, witness = self._bounded(
+                lower, upper, [[PWild()] * width], types
+            )
             decision.exhaustive = (
                 UNDECIDED if missed == UNDECIDED else missed == "unsat"
             )
+            if witness is not None:
+                decision.witness = self._witness_pattern(witness)
         return decision
 
-    def _bounded(self, lower: list, upper: list, rows: list, types) -> str:
+    def _bounded(self, lower: list, upper: list, rows: list, types):
         """Does some value match one of ``rows`` and no earlier arm?
 
         "unsat" (no) when no row is useful against the ``lower``
         matrix, "sat" (yes) when one is useful against the ``upper``
-        matrix, and UNDECIDED between the bounds.
+        matrix, and UNDECIDED between the bounds.  Returns the verdict
+        and, for "sat", a witness against the upper matrix: it matches
+        a row and escapes every earlier skeleton.
         """
-        if not any(self._useful(lower, row, types) for row in rows):
-            return "unsat"
+        witness = self._first_witness(lower, rows, types)
+        if witness is None:
+            return "unsat", None
         if len(lower) == len(upper):  # no guard yet: the bounds coincide
-            return "sat"
-        if any(self._useful(upper, row, types) for row in rows):
-            return "sat"
-        return UNDECIDED
+            return "sat", witness
+        witness = self._first_witness(upper, rows, types)
+        return (UNDECIDED, None) if witness is None else ("sat", witness)
+
+    def _first_witness(self, matrix: list, rows: list, types) -> list | None:
+        for row in rows:
+            witness = self._witness(matrix, row, types)
+            if witness is not None:
+                return witness
+        return None
+
+    def _witness_pattern(self, witness: list) -> ast.Expr | None:
+        """A witness vector as a source pattern, or None when no pattern
+        denotes it: an open column's :class:`POther`, or a constructor
+        whose name resolves elsewhere from this viewer."""
+        try:
+            items = [self._source_pattern(pat) for pat in witness]
+        except _Ineligible:
+            return None
+        return items[0] if len(items) == 1 else ast.TupleExpr(items)
+
+    def _source_pattern(self, pat) -> ast.Expr:
+        if isinstance(pat, PWild):
+            return ast.Wildcard()
+        if isinstance(pat, POther):
+            raise _Ineligible("no pattern names this value")
+        call = ast.Call(
+            None,
+            None,
+            pat.name.rsplit(".", 1)[1],
+            [self._source_pattern(arg) for arg in pat.args],
+        )
+        canonical = self._resolve_pattern_ctor(call)
+        if (
+            canonical is None
+            or f"{canonical.owner}.{canonical.name}" != pat.name
+        ):
+            raise _Ineligible("constructor name resolves elsewhere")
+        return call
 
     def _lower_arm(self, pattern, col_types, width, env_names) -> list:
         """One case-label pattern as matrix rows (top-level ors split)."""
@@ -645,6 +739,14 @@ class PatternAlgebra:
                 if canonical is not None and canonical.abstract:
                     return True
         return False
+
+
+def _rebuild(name: str, arg_types: tuple, found: list | None) -> list | None:
+    """``c(w1..wk)`` followed by the rest of a specialized witness."""
+    if found is None:
+        return None
+    arity = len(arg_types)
+    return [PCtor(name, tuple(found[:arity]), arg_types)] + found[arity:]
 
 
 def _has_guard(pattern: ast.Expr) -> bool:

@@ -450,28 +450,31 @@ class _BodyWalker:
         """Discharge one switch with the pattern algebra and SMT.
 
         A statement with no ``where`` guard whose every obligation the
-        algebra decides (exhaustive, or with a ``default``) is reported
-        without translation or any SMT query.  Any other statement runs
+        algebra decides is reported without translation or any SMT
+        query; a non-exhaustive one shows the algebra's witness as its
+        counterexample.  Any other statement runs
         :meth:`ExhaustivenessChecker.check_cond`'s one pass with the
-        algebra's verdicts, SMT answering the rest; an ineligible one
-        has no verdicts.
+        algebra's verdicts and witness, SMT answering the rest; an
+        ineligible one has no verdicts.
         """
         decision = self.algebra.analyze_switch(stmt, scope, path)
-        verdicts = () if decision is None else decision.verdicts
-        if (
-            decision is not None
-            and None not in verdicts
-            and not decision.guarded
-        ):
+        if decision is None:
+            self._check_switch_smt(stmt, scope, path)
+            return
+        verdicts = decision.verdicts
+        if None not in verdicts and not decision.guarded:
             self._report_algebra(stmt, decision)
         else:
-            self._check_switch_smt(stmt, scope, path, verdicts)
+            self._check_switch_smt(
+                stmt, scope, path, verdicts,
+                decision.counterexample(stmt.subject),
+            )
 
     def _check_switch_smt(
-        self, stmt, scope, path, verdicts=()
+        self, stmt, scope, path, verdicts=(), witness=None
     ) -> list[Obligation]:
         checker, env, context = self._fresh_context(scope, path)
-        return checker.check_switch(stmt, context, env, verdicts)
+        return checker.check_switch(stmt, context, env, verdicts, witness)
 
     def _report_algebra(self, stmt, decision: AlgebraDecision) -> None:
         """Discharge an algebra decision's obligations at the algebra
@@ -481,8 +484,12 @@ class _BodyWalker:
             arm = Obligation("redundancy", stmt.span, f"arm {index + 1}")
             discharge(arm, session, self.diag, verdict)
         if decision.exhaustive is not None:
-            exhaustive = Obligation("exhaustiveness", stmt.span)
-            discharge(exhaustive, session, self.diag, "unsat")
+            exhaustive = Obligation(
+                "exhaustiveness",
+                stmt.span,
+                witness=decision.counterexample(stmt.subject),
+            )
+            discharge(exhaustive, session, self.diag, decision.verdicts[-1])
 
     def _walk_let(self, formula, span, scope, path):
         self.verifier.statements_checked += 1

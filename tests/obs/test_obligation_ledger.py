@@ -142,31 +142,31 @@ def _guarded_arms(generated) -> dict[str, int]:
     }
 
 
-def test_a_non_exhaustive_switch_asks_smt_only_for_its_counterexample(
-    traces,
-):
-    # The algebra finds the switch non-exhaustive: its n arm verdicts
-    # stand (n algebra spans), and one SMT span holds the model query.
+def test_a_non_exhaustive_switch_asks_smt_nothing(traces):
+    # The algebra finds the switch non-exhaustive and renders its
+    # witness: its n arm verdicts and its exhaustiveness verdict "sat"
+    # are n + 1 algebra spans, with no query under any of them.
     roots, _, _ = traces[GENERATED.name]
-    mixed = []
+    missing = []
     guarded = _guarded_arms(GENERATED)
     for method, obligations in _switches(roots).items():
         if method in guarded:
             continue  # see test_a_guarded_switch_asks_smt_only_two_arms
-        smt = [o for o in obligations if o.attrs["tier"] == "smt"]
-        if smt and len(smt) < len(obligations):
-            mixed.append((smt, obligations))
-    assert len(mixed) == _expected("nonexhaustive")
-    for smt, obligations in mixed:
-        (exhaustive,) = smt
+        if any(
+            o.name == "exhaustiveness" and o.attrs["verdict"] == "sat"
+            for o in obligations
+        ):
+            missing.append(obligations)
+    assert len(missing) == _expected("nonexhaustive")
+    for obligations in missing:
+        *arms, exhaustive = obligations
         assert exhaustive.name == "exhaustiveness"
-        assert exhaustive.attrs["verdict"] == "sat"
-        assert [child.kind for child in exhaustive.children] == ["query"]
-        arms = [o for o in obligations if o is not exhaustive]
         assert arms
         for arm in arms:
-            assert arm.attrs["tier"] == "algebra"
             assert arm.name.startswith("redundancy of arm ")
+        for obligation in obligations:
+            assert obligation.attrs["tier"] == "algebra"
+            assert obligation.children == []
 
 
 def test_a_redundant_arm_is_an_algebra_verdict(traces):

@@ -718,18 +718,33 @@ def test_verify_tier_rejects_unknown_value(program, capsys):
 
 
 def test_verify_tier_auto_matches_smt_only_text(program, capsys):
-    from tests.verify.tier_oracle import smt_only
+    from tests.verify.tier_oracle import (
+        algebra_counterexamples,
+        smt_only,
+        smt_only_mismatches,
+    )
 
     path = program(BUGGY)
-    strip = lambda text: [
-        l for l in text.splitlines() if not l.startswith("checked ")
-    ]
+    prefix = "  counterexample: "
+
+    def findings(text):
+        """(warning line, counterexample) pairs of the printed text."""
+        out = []
+        for line in text.splitlines():
+            if line.startswith(prefix):
+                out[-1] = (out[-1][0], line[len(prefix):])
+            elif not line.startswith("checked "):
+                out.append((line, None))
+        return out
+
     with smt_only():
         assert main(["verify", path, "--no-cache"]) == 0
     smt = capsys.readouterr().out
-    assert main(["verify", path, "--no-cache"]) == 0
+    with algebra_counterexamples() as rendered:
+        assert main(["verify", path, "--no-cache"]) == 0
     auto = capsys.readouterr().out
-    assert strip(smt) == strip(auto)
+    assert rendered == ["n = zero()"]
+    assert smt_only_mismatches(findings(auto), findings(smt), rendered) == []
 
 
 def test_verify_tier_check_lying_algebra_fails_the_task(

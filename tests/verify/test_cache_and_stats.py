@@ -20,7 +20,9 @@ def warning_strings(report):
 
 
 #: a program with both a redundant arm and a nonexhaustive switch, so
-#: parity checks cover counterexample rendering too
+#: parity checks cover counterexample rendering too; a path condition
+#: in scope leaves the nonexhaustive switch to SMT, whose model renders
+#: its counterexample
 WARNY_SOURCE = NAT_PRELUDE + """
 static int observe(Nat n) {
   switch (n) {
@@ -29,10 +31,13 @@ static int observe(Nat n) {
     case zero(): return 0;
   }
 }
-static int partial(Nat n) {
-  switch (n) {
-    case succ(Nat p): return 1;
+static int partial(Nat n, int k) {
+  if (k > 0) {
+    switch (n) {
+      case succ(Nat p): return 1;
+    }
   }
+  return 0;
 }
 """
 
@@ -75,9 +80,8 @@ class TestSolverStatsSurfaced:
         assert stats.total.queries > 0
         assert stats.total.seconds > 0.0
         # observe's switch is discharged by the pattern algebra (no
-        # queries); partial's non-exhaustive switch keeps the algebra's
-        # arm verdicts but asks SMT for its model counterexample, so it
-        # records a query.
+        # queries); partial's non-exhaustive switch has a path condition
+        # in scope, so SMT decides it and it records queries.
         assert any("partial" in label for label in stats.per_method)
         with smt_only():
             smt = api.verify(

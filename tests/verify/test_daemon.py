@@ -58,6 +58,31 @@ static int g(Nat n) {
 }
 """
 
+#: BUGGY with f's switch under a path condition, which leaves it to
+#: SMT: f asks queries, where the pattern algebra decides BUGGY's f
+#: without one
+QUERYING = """
+interface Nat {
+  invariant(this = zero() | succ(_));
+  constructor zero() matches(notall(result)) returns();
+  constructor succ(Nat n) matches(notall(result)) returns(n);
+}
+static int f(Nat n, int k) {
+  if (k > 0) {
+    switch (n) {
+      case succ(Nat p): return 1;
+    }
+  }
+  return 0;
+}
+static int g(Nat n) {
+  switch (n) {
+    case zero(): return 0;
+    case succ(Nat p): return 1;
+  }
+}
+"""
+
 
 @pytest.fixture(autouse=True)
 def no_disk_cache(monkeypatch):
@@ -256,12 +281,12 @@ def test_daemon_second_verify_is_all_hits(program):
 
 
 def test_daemon_reverifies_only_the_edited_method(program, tmp_path):
-    path = program(BUGGY)
+    path = program(QUERYING)
     daemon = VerifyDaemon()
     cold = verify_result(daemon, [path])
     # Rewrite one arm of f in place (same line count, so no other
     # declaration's spans move).
-    edited = BUGGY.replace("case succ(Nat p): return 1;",
+    edited = QUERYING.replace("case succ(Nat p): return 1;",
                            "case succ(Nat p): return 2;", 1)
     with open(path, "w") as handle:
         handle.write(edited)
@@ -939,7 +964,7 @@ def test_cli_daemon_auto_spawn_and_output_parity(program, capsys,
                                                  monkeypatch):
     socket_path = _short_socket_path()
     monkeypatch.setenv("REPRO_DAEMON_SOCKET", socket_path)
-    path = program(BUGGY)
+    path = program(QUERYING)
     assert main(["verify", path]) == 0
     local = capsys.readouterr().out
     assert main(["verify", "--daemon", path]) == 0

@@ -331,13 +331,18 @@ class TestLetTotality:
 
 
 class TestUnknownCause:
-    """An inconclusive exhaustiveness check names why it is inconclusive."""
+    """An inconclusive exhaustiveness check names why it is inconclusive.
+    (The path condition leaves the switch to SMT: the pattern algebra
+    decides one without it whatever the budget.)"""
 
     SOURCE = NAT_PRELUDE + """
-    static int observe(Nat n) {
-      switch (n) {
-        case succ(Nat p): return 1;
+    static int observe(Nat n, int k) {
+      if (k > 0) {
+        switch (n) {
+          case succ(Nat p): return 1;
+        }
       }
+      return 0;
     }
     """
 

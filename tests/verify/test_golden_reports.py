@@ -15,9 +15,10 @@ from tests.verify.golden import (
 )
 
 #: the golden inputs' SMT queries once the algebra bounds guarded
-#: switches (706: only a guarded arm and the arm after it reach SMT),
-#: plus 5%
-MAX_QUERIES = 741
+#: switches and renders the witness of each switch it finds
+#: non-exhaustive (453: only a guarded arm and the arm after it reach
+#: SMT, and no algebra verdict needs a model query), plus 5%
+MAX_QUERIES = 476
 
 
 def test_golden_file_covers_every_input():
@@ -26,9 +27,9 @@ def test_golden_file_covers_every_input():
 
 def test_serial_reports_match_golden():
     # The serial driver's one pass also pins the queries it takes: the
-    # algebra answers every arm of a switch it decides, SMT only what a
-    # guard leaves open, and SMT agrees with each non-exhaustive switch
-    # the algebra finds (no fallback).
+    # algebra answers every arm of a switch it decides and the
+    # exhaustiveness of each it finds non-exhaustive, SMT only what a
+    # guard leaves open (no fallback).
     totals = Counter()
     got = collect_api(jobs=1, totals=totals)
     problems = differences(load_golden(), got)

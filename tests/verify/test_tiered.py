@@ -6,10 +6,12 @@ Three layers of assurance, all through the oracle in
 - hand-written edge cases (empty match, lone wildcard, or-patterns at
   the top and under nesting, arms shadowed by an earlier wildcard,
   ``where`` guards the algebra bounds from both sides), each checked
-  for byte-identical warnings with and without the algebra
-  (``smt_only()``) and for the expected discharge accounting;
+  for the same warnings with and without the algebra (``smt_only()``;
+  an algebra witness stands in for SMT's model counterexample) and for
+  the expected discharge accounting;
 - the whole example corpus under ``tier_check()``, which fails a task
-  on any algebra/SMT verdict disagreement;
+  on any algebra/SMT verdict disagreement and on any witness SMT finds
+  false;
 - every unguarded arm the algebra decides, over the golden inputs and
   the shapes here, translates;
 - a property-style sweep: random small constructor hierarchies and
@@ -28,7 +30,13 @@ from repro.verify.solving import SolverSession
 
 from .test_exhaustiveness import NAT_PRELUDE
 from .test_fault_tolerance import count_pools
-from .tier_oracle import smt_only, tier_check
+from .tier_oracle import (
+    algebra_counterexamples,
+    findings,
+    smt_only,
+    smt_only_mismatches,
+    tier_check,
+)
 
 try:
     from hypothesis import given, settings
@@ -167,15 +175,17 @@ class TestEdgeCases:
     #: every case is conclusive for both sides (the canonical pattern-
     #: mode encoding keeps one success predicate per constructor, so
     #: nested-wildcard redundancy like ``deep_redundant`` is provable
-    #: by SMT too), so warnings must match byte for byte.
+    #: by SMT too), so warnings must match byte for byte, except that
+    #: an algebra witness replaces SMT's model counterexample.
     PARITY_CASES = sorted(CASES)
 
     @pytest.mark.parametrize("name", PARITY_CASES)
     def test_auto_matches_smt_only_byte_for_byte(self, name):
         source = self.CASES[name]
-        auto = verify_tier(source, "auto")
+        with algebra_counterexamples() as rendered:
+            auto = verify_tier(source, "auto")
         smt = verify_tier(source, "smt-only")
-        assert warning_strings(auto) == warning_strings(smt)
+        assert smt_only_mismatches(findings(auto), findings(smt), rendered) == []
 
     def test_deep_redundancy_proved_by_both_tiers(self):
         # succ(succ(_)) after succ(_): the arms share one success
@@ -204,22 +214,22 @@ class TestEdgeCases:
         smt = verify_tier(self.CASES["complete_split"], "smt-only")
         assert stats.total.queries < smt.solver_stats.total.queries
 
-    def test_nonexhaustive_asks_smt_only_for_the_counterexample(self):
-        # The algebra decides "not exhaustive" and keeps its arm
-        # verdicts; SMT answers one query, the model query whose
-        # counterexample the warning shows.
+    def test_nonexhaustive_asks_smt_nothing(self):
+        # The algebra decides "not exhaustive", keeps its arm verdicts
+        # and renders its witness as the counterexample: f makes no
+        # query, where smt_only() makes two.
         auto = verify_tier(self.CASES["missing_ctor"], "auto")
         smt = verify_tier(self.CASES["missing_ctor"], "smt-only")
-        assert auto.of_kind(WarningKind.NONEXHAUSTIVE)
-        assert warning_strings(auto) == warning_strings(smt)
-        assert auto.solver_stats.per_method["f"].queries == 1
+        (warning,) = auto.of_kind(WarningKind.NONEXHAUSTIVE)
+        assert warning.counterexample == "n = zero()"
+        assert "f" not in auto.solver_stats.per_method
         assert smt.solver_stats.per_method["f"].queries == 2
         assert auto.solver_stats.algebra_fallbacks == 0
 
-    def test_unknown_model_query_keeps_smt_only_warnings(self, monkeypatch):
-        # SMT answers UNKNOWN to every model query: the algebra's arm
-        # verdict stands, and SMT's UNKNOWN on the exhaustiveness query
-        # is reported as under smt_only(), with no second pass.
+    def test_unknown_model_query_keeps_the_algebra_witness(self, monkeypatch):
+        # SMT answers UNKNOWN to every model query.  smt_only() can only
+        # report that; the algebra's verdict needs no model, so the
+        # switch still warns non-exhaustive with its witness.
         real = SolverSession._solve
 
         def unknown_models(self, plugin, terms, want_model):
@@ -233,35 +243,64 @@ class TestEdgeCases:
         monkeypatch.setattr(SolverSession, "_solve", unknown_models)
         auto = verify_tier(self.CASES["missing_ctor"], "auto")
         smt = verify_tier(self.CASES["missing_ctor"], "smt-only")
-        assert auto.of_kind(WarningKind.UNKNOWN)
-        assert warning_strings(auto) == warning_strings(smt)
+        assert [
+            (w.message, w.counterexample)
+            for w in auto.of_kind(WarningKind.NONEXHAUSTIVE)
+        ] == [("match is not exhaustive", "n = zero()")]
+        assert not auto.of_kind(WarningKind.UNKNOWN)
+        assert [w.message for w in smt.of_kind(WarningKind.UNKNOWN)] == [
+            "no counterexample to exhaustiveness found, but there may be "
+            "one (time budget exhausted)"
+        ]
         assert auto.solver_stats.algebra_fallbacks == 0
-        assert auto.solver_stats.per_method["f"].queries == 1
+        assert "f" not in auto.solver_stats.per_method
 
     def test_starved_budget_keeps_the_algebra_verdicts(self):
         # Under a zero budget every query is UNKNOWN, but the algebra's
-        # proof that arm 2 is redundant needs none: the switch reports
-        # it, then SMT's UNKNOWN on the exhaustiveness query.
+        # proof that arm 2 is redundant, and its witness that the match
+        # is not exhaustive, need none.
         source = self.CASES["redundant_and_missing"]
         report = api.verify(
             compile_(source), options=api.VerifyOptions(budget=0.0)
         )
         switch = source[: source.index("switch")].count("\n") + 1
         assert [
-            (w.kind, w.message)
+            (w.kind, w.message, w.counterexample)
             for w in report.diagnostics.warnings
             if w.span.start.line == switch
         ] == [
             (
                 WarningKind.REDUNDANT_ARM,
                 "arm 2 is redundant: no value reaches it",
+                None,
             ),
             (
-                WarningKind.UNKNOWN,
-                "no counterexample to exhaustiveness found, but there "
-                "may be one (time budget exhausted)",
+                WarningKind.NONEXHAUSTIVE,
+                "match is not exhaustive",
+                "n = zero()",
             ),
         ]
+
+    def test_algebra_warnings_do_not_depend_on_the_budget(self):
+        # The algebra decides every obligation of this switch, so a
+        # starved budget changes none of its warnings (the prelude's
+        # own obligations do go UNKNOWN).
+        source = self.CASES["redundant_and_missing"]
+        switch = source[: source.index("switch")].count("\n") + 1
+        unit = compile_(source)
+        starved, default = (
+            [
+                str(w)
+                for w in api.verify(unit, options=options).diagnostics.warnings
+                if w.span.start.line == switch
+            ]
+            for options in (
+                api.VerifyOptions(budget=0.0),
+                api.VerifyOptions(),
+            )
+        )
+        assert len(default) == 2
+        assert starved == default
 
     def test_redundant_after_wildcard_warns_identically(self):
         auto = verify_tier(self.CASES["redundant_after_wildcard"], "auto")
@@ -291,16 +330,19 @@ class TestEdgeCases:
         assert auto.solver_stats.per_method["f"].queries == 2
 
     def test_guarded_first_arm_keeps_the_counterexample(self):
-        # Arm 1 goes to SMT, arm 2 is the algebra's, and SMT's model
-        # query renders the counterexample.
-        auto = verify_tier(self.CASES["guard_first_nonexhaustive"], "auto")
+        # Arm 1 goes to SMT; arm 2 and the exhaustiveness are the
+        # algebra's, whose witness escapes every arm's skeleton.
+        with algebra_counterexamples() as rendered:
+            auto = verify_tier(
+                self.CASES["guard_first_nonexhaustive"], "auto"
+            )
         smt = verify_tier(
             self.CASES["guard_first_nonexhaustive"], "smt-only"
         )
         (warning,) = auto.of_kind(WarningKind.NONEXHAUSTIVE)
-        assert warning.counterexample
-        assert warning_strings(auto) == warning_strings(smt)
-        assert auto.solver_stats.per_method["f"].queries == 2
+        assert warning.counterexample == "n = succ(succ(_))"
+        assert smt_only_mismatches(findings(auto), findings(smt), rendered) == []
+        assert auto.solver_stats.per_method["f"].queries == 1
         assert auto.solver_stats.algebra_fallbacks == 0
 
     @pytest.mark.parametrize(
