@@ -23,7 +23,8 @@ are the whole file's.
 Analysis rewrites some trees in place
 (:class:`~repro.lang.check.Normalizer`), so :meth:`DeclarationMemo.settle`
 drops the chunks whose declarations it rewrote: every kept tree equals
-a fresh parse of its chunk.
+a fresh parse of its chunk, and a chunk can keep the dependency index's
+renderings of its trees (:attr:`Chunk.renders`) for as long as it lives.
 """
 
 from __future__ import annotations
@@ -74,13 +75,16 @@ def split_chunks(source: str) -> list[tuple[int, str]]:
 
 
 class Chunk(NamedTuple):
-    """One chunk's parse."""
+    """One chunk's parse, and what was rendered of it since."""
 
     #: the type names the chunk declares
     names: frozenset[str]
     #: the file's type names it was parsed with
     file_names: frozenset[str]
     declarations: list
+    #: the dependency index's renderings of ``declarations``, filled
+    #: only while the chunk is kept after :meth:`DeclarationMemo.settle`
+    renders: dict
 
 
 class DeclarationMemo:
@@ -135,6 +139,7 @@ class DeclarationMemo:
                         chunk_names,
                         file_names,
                         chunk_parser.parse_program("").declarations,
+                        {},
                     )
                     parsed += len(chunk.declarations)
                 fresh[key] = chunk

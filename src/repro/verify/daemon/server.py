@@ -39,9 +39,10 @@ off like anywhere else.  A daemon served from another thread rejects
 
 Observability: every request runs under a ``run``-kind span named
 ``request`` with one ``file`` span per path; each file span carries a
-``revalidate`` event (dep-hit/dep-miss counts, and the declarations
-parsed and reused: ``decls_parsed``/``decls_reused``) and one ``task`` span
-per task tagged with a ``dep-hit`` or ``dep-miss`` event.  With
+``revalidate`` event (dep-hit/dep-miss counts, the declarations
+parsed and reused: ``decls_parsed``/``decls_reused``, and the task
+roots the index took from a kept chunk: ``renders_reused``) and one
+``task`` span per task tagged with a ``dep-hit`` or ``dep-miss`` event.  With
 ``serve --trace FILE`` the rows append to FILE per request; a client
 may also ask for the rows in its response (``"trace": true``), which
 is how ``verify --daemon --profile`` gets its phase table.  The daemon
@@ -65,7 +66,7 @@ from ..parallel import TaskReuse, verify_tasks
 from ..store import OutcomeTable
 from ..verifier import iter_tasks
 from . import protocol
-from .index import fingerprint_tasks
+from .index import fingerprint_tasks, renders_reused
 
 
 #: ``verify`` request options the daemon honors, with defaults:
@@ -294,7 +295,7 @@ class VerifyDaemon:
         if replay:
             reuse = TaskReuse(
                 self.outcomes, unit.filename,
-                fingerprint_tasks(table, tasks), options,
+                fingerprint_tasks(table, tasks, memo.chunks.values()), options,
             )
         with tracer.span("file", path):
             report = verify_tasks(table, tasks, options, tracer, 1, reuse)
@@ -303,6 +304,7 @@ class VerifyDaemon:
             tracer.event(
                 "revalidate", dep_hits=hits, dep_misses=misses,
                 decls_parsed=memo.parsed, decls_reused=memo.reused,
+                renders_reused=renders_reused(table),
             )
         if replay:
             # Memory keeps the live tasks' outcomes only; the store, if

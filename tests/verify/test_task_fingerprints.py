@@ -1,10 +1,13 @@
-"""The dependency index's AST walker against ``repr``, and the query-cache salt.
+"""The dependency index's AST walker against ``repr``, its closure
+against the old fixpoint, and the query-cache salt.
 
 A task's own declarations enter its fingerprint with their spans, as
 ``repro.verify.daemon.index._dump`` renders them.  The dataclass
 ``repr`` of those declarations, spans and file names included, is the
 reference: over the 50 golden inputs the walker must tell apart
-exactly the task texts that ``repr`` tells apart.
+exactly the task texts that ``repr`` tells apart.  The closure the
+reference hashes is ``reference_closure``'s fixpoint, and the union of
+the index's per-name ``reach`` must equal it on every task.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.verify.daemon.index import (
 from repro.verify.translate import EncodeContext
 from repro.verify.verifier import iter_tasks
 from tests.verify.golden import golden_inputs
+from tests.verify.reference_closure import reference_closure
 
 INPUTS = golden_inputs()
 
@@ -42,11 +46,11 @@ def reference_fingerprint(table, task) -> str | None:
     digest = hashlib.sha256(f"{task.kind}:{task.label}".encode("utf-8"))
     for root in roots:
         digest.update(repr(root).encode("utf-8"))
-    types, methods = index._closure(seeds)
+    types, methods = reference_closure(index, seeds)
     for name in sorted(types):
-        digest.update(index.type_component(name)[0].encode("utf-8"))
+        digest.update(index.type_component(name)[0])
     for name in sorted(methods):
-        digest.update(index.method_component(name)[0].encode("utf-8"))
+        digest.update(index.method_component(name)[0])
     return digest.hexdigest()
 
 
@@ -110,6 +114,25 @@ def test_shifted_text_changes_what_repr_changes(name, where):
         assert expected, "a shifted declaration must change its fingerprint"
     if where == "middle":
         assert expected != set(reference)
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_reach_unions_to_the_reference_closure(name):
+    table = api.compile_program(INPUTS[name], filename="input.jm").table
+    index = _table_index(table)
+    method_names = set(table.functions).union(
+        *(info.methods for info in table.types.values())
+    )
+    for task in iter_tasks(table):
+        seeds = set(_IMPLICIT_METHODS)
+        if task.type_name:
+            seeds.add(task.type_name)
+        for root in index._task_roots(task):
+            _dump(root, [], seeds)
+        reached = set().union(*map(index.reach, seeds))
+        types, methods = reference_closure(index, seeds)
+        assert reached & set(table.types) == types, task.label
+        assert reached & method_names == methods, task.label
 
 
 def salt(source: str, filename: str, viewer: str | None = None):
