@@ -86,10 +86,9 @@ def verify(
     outcomes are the only reuse across runs: the store is on exactly
     when ``cache_dir`` is set, whatever ``cache`` holds.
 
-    Parallel runs ship obligations to workers in batches sized from
-    the task and worker counts (single-task batches under
-    ``task_timeout``, so deadlines attribute to exactly one method);
-    no option sets the batch size.
+    In parallel runs each worker claims one obligation at a time, so
+    deadlines and failures attribute to exactly one method; no option
+    sets how work is split.
 
     ``task_timeout`` bounds each verification task's (method's) wall
     time; an obligation that overruns it is reported with an

@@ -293,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", default="1", metavar="N",
         help="verify methods on N worker processes, a positive integer "
         "(default: 1, serial); a file with fewer tasks to run gets one "
-        "worker per task, and methods ship to workers in batches sized "
-        "from the task and worker counts",
+        "worker per task, and each worker claims one method at a time",
     )
     p_verify.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -397,9 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # The parallel engine has already cancelled its queued futures
-        # (shutdown(cancel_futures=True)) on the way out; exit with the
-        # conventional 128+SIGINT status instead of a traceback.
+        # The parallel engine has already terminated and joined its
+        # workers on the way out; exit with the conventional
+        # 128+SIGINT status instead of a traceback.
         print("interrupted", file=sys.stderr)
         return 130
 

@@ -6,8 +6,8 @@ configure a run; both drivers (the serial task loop
 :func:`~repro.verify.parallel.verify_parallel`) consume the same object
 directly, and the CLI and the daemon build one from their flags and
 request options and call :meth:`VerifyOptions.validate` on it before
-verifying.  Settings that only tune how a run is carried out, such as
-the pool's batch size, are derived rather than set.
+verifying.  How a run is carried out beyond these fields (the pool's
+workers claim one task at a time) is not an option.
 
 Beyond the solver and driver knobs, two fields serve observability:
 

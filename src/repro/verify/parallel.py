@@ -6,8 +6,8 @@ table decomposes into independent :class:`~repro.verify.verifier
 daemon's, is assembled by one function, :func:`verify_tasks`: it
 replays what it can, runs the rest in process through
 :func:`run_serial` (each task via :func:`run_one_task`) or fans them
-out across a ``ProcessPoolExecutor`` through :func:`verify_parallel`,
-and merges the outcomes (:func:`merge_outcomes`) into the same result
+out across worker processes through :func:`verify_parallel`, and
+merges the outcomes (:func:`merge_outcomes`) into the same result
 either way:
 
 * the task list is produced in serial (source) order by
@@ -17,9 +17,10 @@ either way:
 * every task runs inside a pristine term-interning scope with a fresh
   ``SolverSession``, so models and counterexample text do not depend
   on which process ran which tasks before;
-* workers share nothing: each gets the pickled program table, and its
-  own in-memory :class:`~repro.smt.cache.SolverCache` only when the
-  caller passed one (``VerifyOptions.cache``).
+* workers share nothing but a task counter: each gets the program
+  table (inherited under fork), and its own in-memory
+  :class:`~repro.smt.cache.SolverCache` only when the caller passed
+  one (``VerifyOptions.cache``).
 
 Task outcomes are the one reuse on every user path (:class:`TaskReuse`
 over a :class:`~repro.verify.store.OutcomeTable`, whose policy decides
@@ -30,16 +31,19 @@ pool of ``min(N, len(runnable))`` workers when that is above 1, and in
 process otherwise.  No task-count floor second-guesses N: honoring it
 on a tiny program costs one fork.
 
-Throughput comes from amortization, not from more processes:
+A pool lives for one call, and costs little more than its forks:
 
-* **warm workers** — the pool initializer receives the table once per
-  worker process, not once per task;
-* **batching** — many small obligations ship per pool submission
-  (:func:`resolve_batch_size` sizes batches from the task and worker
-  counts), collapsing the per-future submit/pickle/result overhead.
-  Outcomes stay per-task inside each batch, so merging is unchanged.
-  Runs under ``--task-timeout`` keep single-task batches: a deadline
-  must attribute to exactly one method.
+* **workers** — ``jobs`` ``Process``es of the fork context get the
+  table, the tasks and the settings as arguments: inherited for free
+  under fork, pickled once per worker under spawn.  Each worker calls
+  ``gc.freeze()`` first, so its collections never walk the inherited
+  heap (never in the parent: ``api.verify`` does not own its caller's
+  heap).
+* **claims** — a worker takes task indices one at a time from a shared
+  counter and sends ``(index, outcome)`` over its own one-way pipe as
+  each task finishes (:func:`verify_batch_task`).  The load balances
+  itself, and a deadline or a failure belongs to exactly one method.
+  The parent waits on the pipes (``multiprocessing.connection.wait``).
 
 A failing task degrades instead of diverging, on every driver (the
 paper's Section 6.2 time budget turns an undecidable obligation into a
@@ -47,20 +51,21 @@ conservative warning; this module does the same per task):
 
 * **degradation** — a task whose run raises becomes an UNKNOWN-style
   warning (``tasks_failed``), serial and parallel alike.
-* **crash recovery** — when a worker dies (OOM killer, hard crash:
-  ``BrokenProcessPool``), all of the pool's tasks run again through
-  :func:`run_serial` in this process, so ``tasks_retried`` does not
-  depend on which batches beat the crash.  A task that raised inside
-  a live worker re-runs alone.  There is no second pool: a
-  deterministic crash would only recur.
+* **crash recovery** — when a worker dies (OOM killer, hard crash: its
+  pipe ends and its exit code is nonzero), all of the pool's tasks run
+  again through :func:`run_serial` in this process, so
+  ``tasks_retried`` does not depend on which tasks beat the crash.  A
+  task that raised inside a live worker re-runs alone.  There is no
+  second pool: a deterministic crash would only recur.
 * **per-task deadlines** — ``task_timeout`` bounds each obligation's
   wall time via ``SIGALRM`` in whichever process runs it, converting a
   hung task into a deterministic UNKNOWN-style warning attributed to
   its method.  A parent-side watchdog backstops the alarm: if no task
-  completes for well past the deadline (alarm lost, worker wedged in
-  native code), the workers are killed and the pool's tasks take the
-  crash-recovery path.  The alarm arms on a process's main thread
-  only, so a ``task_timeout`` off it is rejected up front (see
+  completes for well past the one-task deadline (twice it plus slack,
+  :func:`_stall_window`: alarm lost, worker wedged in native code), the
+  workers are killed and the pool's tasks take the crash-recovery
+  path.  The alarm arms on a process's main thread only, so a
+  ``task_timeout`` off it is rejected up front (see
   :func:`task_deadline`); on platforms without ``SIGALRM`` the
   deadline is a no-op.
 * **accounting** — ``tasks_retried`` / ``tasks_timed_out`` /
@@ -73,17 +78,19 @@ the :mod:`repro.verify.faults` harness (``REPRO_FAULT``).
 Processes, not threads: solving is pure-Python CPU work, so threads
 would serialize on the GIL.  The ``fork`` start method is preferred
 for its low startup cost; ``spawn`` (macOS, Windows) works the same
-way because all worker state flows through the initializer.
+way because all worker state flows through the ``Process`` arguments.
+Every way out of :func:`verify_parallel` terminates and joins its
+workers, so no call leaves a process behind.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from dataclasses import dataclass, field, replace
 
 from ..errors import Diagnostics, Warning, WarningKind
@@ -202,26 +209,6 @@ class TaskReuse:
             (self.filename, task.label), self.salt,
             self.fingerprints.get(task), kept,
         )
-
-
-#: per-worker-process state, set once by the pool initializer
-_WORKER: dict = {}
-
-
-def _init_worker(
-    table: ProgramTable,
-    budget: float | None,
-    with_cache: bool,
-    task_timeout: float | None,
-    trace: bool,
-) -> None:
-    """Keep this worker's state (runs once per process): the table,
-    and a query cache of its own when the caller passed one."""
-    _WORKER["table"] = table
-    _WORKER["budget"] = budget
-    _WORKER["cache"] = SolverCache() if with_cache else None
-    _WORKER["task_timeout"] = task_timeout
-    _WORKER["trace"] = trace
 
 
 def run_one_task(
@@ -398,48 +385,6 @@ def verify_tasks(
     return report
 
 
-def verify_method_task(task: VerifyTask) -> TaskOutcome:
-    """Verify one task inside a pool worker (see :func:`run_one_task`)."""
-    return run_one_task(
-        _WORKER["table"],
-        task,
-        _WORKER["budget"],
-        _WORKER["cache"],
-        _WORKER["task_timeout"],
-        _WORKER["trace"],
-    )
-
-
-def verify_batch_task(tasks: list[VerifyTask]) -> list:
-    """Verify a batch of tasks inside a pool worker, one entry per task.
-
-    Each entry is that task's :class:`TaskOutcome`, or the exception
-    its run raised — per-member, so one poisoned obligation does not
-    discard its batchmates' finished work.  Fault injection
-    (``REPRO_FAULT``) keeps per-method naming: :func:`run_one_task`
-    consults the harness with each member's own label, so
-    ``crash:T.m`` fires exactly when the batch reaches ``T.m`` (a
-    crash breaks the pool, and the parent re-runs all of the pool's
-    tasks serially).  Per-member deadlines arm
-    inside :func:`run_one_task` too, so a hung member times out alone
-    and its batchmates keep running.
-    """
-    results: list = []
-    for task in tasks:
-        try:
-            results.append(verify_method_task(task))
-        except Exception as exc:
-            results.append(exc)
-    return results
-
-
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
 def merge_outcomes(
     outcomes: list[TaskOutcome], seconds: float
 ) -> VerificationReport:
@@ -462,31 +407,79 @@ def merge_outcomes(
     )
 
 
-#: batches aim for about this many per worker, enough slack for the
-#: pool to rebalance around uneven task costs
-BATCHES_PER_WORKER = 4
-
-#: no batch holds more obligations than this, bounding how much
-#: finished work a crashed worker can take down with it
-MAX_AUTO_BATCH = 64
+#: per-worker-process state, set once when a pool worker starts
+_WORKER: dict = {}
 
 
-def resolve_batch_size(
-    task_count: int, jobs: int, task_timeout: float | None = None
-) -> int:
-    """Obligations per pool submission for ``task_count`` tasks.
+def verify_method_task(task: VerifyTask) -> TaskOutcome:
+    """Verify one task inside a pool worker (see :func:`run_one_task`)."""
+    return run_one_task(
+        _WORKER["table"],
+        task,
+        _WORKER["budget"],
+        _WORKER["cache"],
+        _WORKER["task_timeout"],
+        _WORKER["trace"],
+    )
 
-    Targets :data:`BATCHES_PER_WORKER` batches per worker (capped at
-    :data:`MAX_AUTO_BATCH`), which amortizes submit/pickle overhead
-    while leaving the pool enough batches to load-balance.  Under
-    ``task_timeout`` it stays at 1: a deadline must cut off and
-    attribute exactly one method, and a batch would stretch the
-    parent-side watchdog window by its whole length.
+
+def verify_batch_task(tasks: list[VerifyTask], counter, writer) -> None:
+    """A pool worker's share of ``tasks``: claim one, verify it, send it.
+
+    The worker takes the next task index from the shared ``counter``
+    until none is left, and sends ``(index, outcome)`` over ``writer``
+    as each task finishes, so a worker never holds more than the one
+    task it is on.  The outcome is None when the task's run raised: one
+    poisoned obligation costs only itself.  Fault injection
+    (``REPRO_FAULT``) and the per-task deadline act inside
+    :func:`run_one_task`, with each task's own label.
     """
-    if jobs <= 1 or task_timeout is not None:
-        return 1
-    target = -(-task_count // (jobs * BATCHES_PER_WORKER))  # ceil div
-    return max(1, min(MAX_AUTO_BATCH, target))
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value += 1
+        if index >= len(tasks):
+            return
+        try:
+            outcome = verify_method_task(tasks[index])
+        except Exception:
+            outcome = None
+        writer.send((index, outcome))
+
+
+def _work(
+    table: ProgramTable,
+    tasks: list[VerifyTask],
+    budget: float | None,
+    with_cache: bool,
+    task_timeout: float | None,
+    trace: bool,
+    counter,
+    writer,
+) -> None:
+    """A pool worker's life: keep its settings, then claim tasks.
+
+    ``gc.freeze()`` comes first, so the worker's collections never walk
+    (and so never copy) the heap it inherited from the parent.  The
+    query cache is the worker's own, made only when the caller passed
+    one.
+    """
+    gc.freeze()
+    _WORKER.update(
+        table=table,
+        budget=budget,
+        cache=SolverCache() if with_cache else None,
+        task_timeout=task_timeout,
+        trace=trace,
+    )
+    verify_batch_task(tasks, counter, writer)
+
+
+def _pool_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
 
 
 def _stall_window(task_timeout: float) -> float:
@@ -500,66 +493,38 @@ def _stall_window(task_timeout: float) -> float:
     return task_timeout * 2 + 5.0
 
 
-def _chunk(items: list, size: int) -> list[list]:
-    """Split ``items`` into consecutive runs of at most ``size``."""
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _drain_pool(
-    pool: ProcessPoolExecutor,
-    tasks: list[VerifyTask],
-    task_timeout: float | None,
-    batch_size: int,
+def _collect(
+    workers: dict, task_timeout: float | None
 ) -> tuple[dict[int, TaskOutcome], bool]:
-    """Submit task batches and collect outcomes until done or broken.
+    """Receive outcomes until every worker is done or the pool broke.
 
-    Returns the outcomes by task index, plus whether the pool died
-    (worker crash or watchdog kill).  A batch resolves member by
-    member: a member whose run raised inside a live worker simply has
-    no outcome, so one bad obligation never voids its batchmates.
+    ``workers`` maps each worker's pipe to its process.  Returns the
+    outcomes by task index, plus whether the pool broke: a pipe that
+    ended with a nonzero exit code (a crash), or the watchdog.
     """
-    futures = {
-        pool.submit(verify_batch_task, [task for _, task in batch]): batch
-        for batch in _chunk(list(enumerate(tasks)), batch_size)
-    }
+    window = None if task_timeout is None else _stall_window(task_timeout)
     outcomes: dict[int, TaskOutcome] = {}
-    broken = False
-    pending = set(futures)
-    # A healthy batch may legitimately produce nothing for as long as
-    # every member in sequence takes its full deadline.
-    window = (
-        _stall_window(task_timeout * batch_size)
-        if task_timeout is not None
-        else None
-    )
-    while pending and not broken:
-        done, pending = wait(
-            pending, timeout=window, return_when=FIRST_COMPLETED
-        )
-        if not done:
+    live = list(workers)
+    while live:
+        ready = wait(live, timeout=window)
+        if not ready:
             # Watchdog: nothing completed for well past the per-task
             # deadline, so the in-worker alarms are not firing (wedged
-            # in native code, signal lost).  Kill the workers; the
-            # unfinished tasks take the crash-recovery path.
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            broken = True
-            break
-        for future in done:
-            batch = futures[future]
+            # in native code, signal lost).  The caller kills the
+            # workers; every task takes the crash-recovery path.
+            return outcomes, True
+        for reader in ready:
             try:
-                results = future.result()
-            except BrokenProcessPool:
-                broken = True
+                index, outcome = reader.recv()
+            except EOFError:
+                live.remove(reader)
+                workers[reader].join()
+                if workers[reader].exitcode:
+                    return outcomes, True
                 continue
-            except Exception:
-                # The batch call itself failed (e.g. its result did not
-                # unpickle); every member takes the serial fallback.
-                continue
-            for (index, _), result in zip(batch, results):
-                if isinstance(result, TaskOutcome):
-                    outcomes[index] = result
-    return outcomes, broken
+            if outcome is not None:
+                outcomes[index] = outcome
+    return outcomes, False
 
 
 def verify_parallel(
@@ -569,42 +534,45 @@ def verify_parallel(
     trace: bool,
     jobs: int,
 ) -> tuple[list[TaskOutcome], int]:
-    """Verify ``tasks`` on a pool of ``jobs`` (> 1) processes.
+    """Verify ``tasks`` on ``jobs`` (> 1) worker processes.
 
-    The pool runs the tasks in batches of :func:`resolve_batch_size`.  The
-    tasks left without an outcome — all of them when the pool broke,
-    else any whose run raised inside a live worker — go through
-    :func:`run_serial` in this process and count as retried; each gets
-    a ``retry`` event on its task span.  Returns the outcomes in task
-    order, and how many were retried.
+    The workers live for this call and claim the tasks one at a time
+    (:func:`verify_batch_task`).  The tasks left without an outcome —
+    all of them when the pool broke, else any whose run raised inside a
+    live worker — go through :func:`run_serial` in this process and
+    count as retried; each gets a ``retry`` event on its task span.
+    Every way out terminates and joins the workers.  Returns the
+    outcomes in task order, and how many were retried.
     """
-    pool = ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(
-            table,
-            options.budget,
-            options.cache is not None,
-            options.task_timeout,
-            trace,
-        ),
+    context = _pool_context()
+    counter = context.Value("i", 0)
+    settings = (
+        table,
+        tasks,
+        options.budget,
+        options.cache is not None,
+        options.task_timeout,
+        trace,
+        counter,
     )
+    workers = {}
     try:
-        outcomes, broken = _drain_pool(
-            pool,
-            tasks,
-            options.task_timeout,
-            resolve_batch_size(len(tasks), jobs, options.task_timeout),
-        )
-    except BaseException:
-        # KeyboardInterrupt (or anything unexpected): drop queued
-        # work without blocking on what is already running.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=not broken, cancel_futures=True)
+        for _ in range(jobs):
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_work, args=settings + (writer,), daemon=True
+            )
+            worker.start()
+            writer.close()
+            workers[reader] = worker
+        outcomes, broken = _collect(workers, options.task_timeout)
+    finally:
+        for reader, worker in workers.items():
+            worker.terminate()
+            worker.join()
+            reader.close()
     if broken:
-        # Which batches beat the break is a race; none of them count.
+        # Which tasks beat the break is a race; none of them count.
         outcomes = {}
     missing = [index for index in range(len(tasks)) if index not in outcomes]
     rerun = run_serial(

@@ -272,28 +272,9 @@ def test_jobs_is_the_worker_count(monkeypatch, jobs, tasks, workers):
     assert pools == ([] if workers is None else [workers])
 
 
-def test_resolve_batch_size_policy():
-    from repro.verify.parallel import (
-        BATCHES_PER_WORKER,
-        MAX_AUTO_BATCH,
-        resolve_batch_size,
-    )
-
-    # Single-task batches for serial runs and under a deadline
-    # (timeouts must attribute to exactly one method).
-    assert resolve_batch_size(1000, 1) == 1
-    assert resolve_batch_size(1000, 4, task_timeout=1.0) == 1
-    # About BATCHES_PER_WORKER batches per worker, capped.
-    assert resolve_batch_size(1000, 4) == -(
-        -1000 // (4 * BATCHES_PER_WORKER)
-    )
-    assert resolve_batch_size(10_000_000, 2) == MAX_AUTO_BATCH
-    assert resolve_batch_size(6, 4) == 1
-
-
 def test_verify_batch_size_flag_validation(program, capsys):
-    # The batch size is derived from the task and worker counts; no
-    # flag sets it.
+    # There is no batching (each worker claims one task at a time), and
+    # no flag sets a batch size.
     path = program(BUGGY)
     for value in ("auto", "2"):
         with pytest.raises(SystemExit) as exit_info:

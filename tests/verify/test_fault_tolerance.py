@@ -14,11 +14,20 @@ deterministically through the :mod:`repro.verify.faults` harness
   UNKNOWN-style warning, the same one on every driver (a pool run gets
   there after its serial-fallback retry);
 * the accounting (``tasks_retried`` / ``tasks_timed_out`` /
-  ``tasks_failed``) must land on the report and ``--stats``.
+  ``tasks_failed``) must land on the report and ``--stats``;
+* every pool, normal, crashed or killed by the watchdog, must leave no
+  process behind.
 """
+
+import contextlib
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import api
 from repro.errors import WarningKind
 from repro.metrics.solver_stats import format_stats
@@ -67,15 +76,26 @@ def _snapshot(report):
 
 
 def count_pools(monkeypatch) -> list[int]:
-    """The worker count of each pool the driver builds from now on."""
+    """The worker count of each pool the driver starts from now on."""
     pools: list[int] = []
+    real = parallel._pool_context
 
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    class CountingContext:
+        def __init__(self, context):
+            self.context = context
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        def __getattr__(self, name):
+            return getattr(self.context, name)
+
+        def Process(self, *args, **kwargs):
+            pools[-1] += 1
+            return self.context.Process(*args, **kwargs)
+
+    def counting_context():
+        pools.append(0)
+        return CountingContext(real())
+
+    monkeypatch.setattr(parallel, "_pool_context", counting_context)
     return pools
 
 
@@ -145,6 +165,7 @@ def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):
     assert _snapshot(recovered) == _snapshot(baseline)
     assert len(pools) == 1
     assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
+    assert recovered.tasks_failed == 0
 
 
 #: the smallest program a pool can split: two tasks, each warning
@@ -284,57 +305,57 @@ def test_raising_task_degrades_serially_under_timeout(unit, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# batch granularity: a raise or a hang inside a batch costs only that
-# member, while a crash breaks the pool and re-runs all of its tasks
-# (the REPRO_FAULT label matches per member, since batches consult the
-# harness one task at a time).  No option sets the batch size, so these
-# tests force one where the parent process computes it.
+# per-task claims: a raise or a hang in a worker costs only that task,
+# while a crash or the watchdog breaks the pool and re-runs all of its
+# tasks.  Every way out leaves no process behind.
 
 
-def _force_batch_size(monkeypatch, size):
-    monkeypatch.setattr(
-        parallel, "resolve_batch_size", lambda *args, **kwargs: size
+#: enough tasks for more workers than cores to interleave their claims
+MANY_TASKS = "".join(
+    f"static int m{i}(int x) {{ switch (x) {{ case {i}: return {i}; }} }}\n"
+    for i in range(48)
+)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_workers_claim_each_task_once(jobs, monkeypatch, tmp_path):
+    """Every task runs exactly once, in a worker, and the report is serial's.
+
+    Workers are forked with the patched ``verify_method_task`` in place,
+    so each claim appends its worker's pid and the task's label to a
+    log.  A lost update of the shared counter would run a task twice or
+    skip one.
+    """
+    unit = api.compile_program(MANY_TASKS)
+    serial = api.verify(unit)
+    log = tmp_path / "claims"
+    real = parallel.verify_method_task
+
+    def logging(task):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {task.label}\n")
+        return real(task)
+
+    monkeypatch.setattr(parallel, "verify_method_task", logging)
+    pools = count_pools(monkeypatch)
+    report = api.verify(unit, options=api.VerifyOptions(jobs=jobs))
+    assert _snapshot(report) == _snapshot(serial)
+    assert report.tasks_retried == 0
+    assert pools == [jobs]
+    claims = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert sorted(label for _, label in claims) == sorted(
+        task.label for task in iter_tasks(unit.table)
     )
+    assert str(os.getpid()) not in {pid for pid, _ in claims}
+    assert not multiprocessing.active_children()
 
 
-def _record_batches(monkeypatch) -> list:
-    """The batches the next pool run submits, filled in as it cuts them."""
-    batches: list = []
-    chunk = parallel._chunk
-
-    def recording(items, size):
-        batches[:] = chunk(items, size)
-        return list(batches)
-
-    monkeypatch.setattr(parallel, "_chunk", recording)
-    return batches
-
-
-def test_batched_run_without_faults_is_byte_identical(
-    unit, baseline, monkeypatch
-):
-    task_count = len(list(iter_tasks(unit.table)))
-    for batch_size in (1, 2, 5):
-        _force_batch_size(monkeypatch, batch_size)
-        batches = _record_batches(monkeypatch)
-        report = api.verify(
-            unit, options=api.VerifyOptions(jobs=2, cache=None)
-        )
-        assert _snapshot(report) == _snapshot(baseline)
-        assert report.tasks_retried == 0
-        assert len(batches) == -(-task_count // batch_size)
-        assert max(len(batch) for batch in batches) == batch_size
-
-
-def test_raise_inside_batch_degrades_only_that_member(
-    unit, baseline, monkeypatch
-):
-    _force_batch_size(monkeypatch, 3)
+def test_raise_in_a_worker_costs_only_that_task(unit, baseline, monkeypatch):
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{TARGET}")
     report = api.verify(unit, options=api.VerifyOptions(jobs=2))
     assert report.tasks_failed == 1
-    # Only the poisoned member took the serial-fallback path; its
-    # batchmates' outcomes from the same submission were kept.
+    # Only the poisoned task took the serial-fallback path; the other
+    # tasks kept the outcomes their workers sent.
     assert report.tasks_retried == 1
     degraded = [
         w
@@ -349,41 +370,113 @@ def test_raise_inside_batch_degrades_only_that_member(
     assert got_texts[0] == base_texts[0]
 
 
-def test_crash_inside_batch_recovers_byte_identical(
+def test_hang_in_a_worker_times_out_only_that_task(
     unit, baseline, monkeypatch
 ):
-    _force_batch_size(monkeypatch, 3)
-    monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
-    recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
-    assert _snapshot(recovered) == _snapshot(baseline)
-    # The crash broke the pool; the serial fallback re-ran all of its
-    # tasks, including the batches that finished first.
-    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
-    assert recovered.tasks_failed == 0
-
-
-def test_hang_inside_batch_times_out_only_that_member(
-    unit, baseline, monkeypatch
-):
-    # Under a timeout the computed batch size is 1; force 3 so the
-    # hung member shares a batch.
-    _force_batch_size(monkeypatch, 3)
     monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
     report = api.verify(
         unit, options=api.VerifyOptions(jobs=2, task_timeout=1.0)
     )
     assert report.tasks_timed_out == 1
+    # The worker's own alarm cut the task off: nothing re-ran.
+    assert report.tasks_retried == 0
     timeouts = [
         w
         for w in report.of_kind(WarningKind.UNKNOWN)
         if "task timeout" in w.message
     ]
     assert len(timeouts) == 1 and TARGET in timeouts[0].message
-    # Batchmates after the hung member still completed in-batch.
+    # The other tasks still completed in their workers.
     assert report.methods_checked == baseline.methods_checked - 1
     assert len(report.diagnostics.warnings) == len(
         baseline.diagnostics.warnings
     )
+
+
+def lose_alarms_in_workers(monkeypatch) -> None:
+    """Workers forked from now on never arm their task deadline.
+
+    That is the case the watchdog exists for (a lost alarm, a worker
+    wedged in native code): a hung worker would spin forever.  The
+    stall window shrinks to 0.3 s so that tests do not wait for it.
+    """
+    real = parallel.task_deadline
+
+    def deadline(seconds):
+        if faults.in_worker():
+            return contextlib.nullcontext()
+        return real(seconds)
+
+    monkeypatch.setattr(parallel, "task_deadline", deadline)
+    monkeypatch.setattr(parallel, "_stall_window", lambda seconds: 0.3)
+
+
+def test_watchdog_breaks_a_silent_pool(unit, baseline, monkeypatch):
+    """No completion for the stall window: kill the workers, re-run all.
+
+    The hung worker's alarm is lost, so only the watchdog ends the pool;
+    every task re-runs in process, and there the hung task times out.
+    """
+    lose_alarms_in_workers(monkeypatch)
+    monkeypatch.setenv(faults.ENV_VAR, f"hang:{TARGET}")
+    pools = count_pools(monkeypatch)
+    report = api.verify(
+        unit, options=api.VerifyOptions(jobs=2, task_timeout=1.0)
+    )
+    assert pools == [2]
+    assert report.tasks_retried == len(list(iter_tasks(unit.table)))
+    assert report.tasks_timed_out == 1
+    assert report.methods_checked == baseline.methods_checked - 1
+    assert not multiprocessing.active_children()
+
+
+#: runs one pool under the fault in ``REPRO_FAULT`` and fails unless
+#: the process is left without a child, running or unreaped
+NO_CHILD_LEFT = """
+import multiprocessing, os, sys
+import pytest
+from repro import api
+from tests.verify.test_fault_tolerance import lose_alarms_in_workers
+
+lose_alarms_in_workers(pytest.MonkeyPatch())
+timeout = float(sys.argv[1]) if sys.argv[1] else None
+report = api.verify(
+    api.compile_program(sys.stdin.read()),
+    options=api.VerifyOptions(jobs=2, task_timeout=timeout),
+)
+assert multiprocessing.active_children() == []
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("a child process is left")
+print(report.tasks_retried, report.tasks_timed_out)
+"""
+
+
+@pytest.mark.parametrize("fault, timeout, counts", [
+    ("", "", "0 0"),
+    (f"crash:{TARGET}", "", "6 0"),
+    (f"hang:{TARGET}", "1.0", "6 1"),
+])
+def test_no_process_is_left_running(fault, timeout, counts):
+    """A normal, a crashed and a watchdog-killed pool reap every worker.
+
+    Each runs in a fresh interpreter, so ``os.waitpid(-1, ...)`` sees
+    only the pool's children.
+    """
+    env = dict(os.environ, REPRO_FAULT=fault)
+    env["PYTHONPATH"] = os.pathsep.join([
+        os.path.dirname(os.path.dirname(repro.__file__)),
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", NO_CHILD_LEFT, timeout],
+        input=SOURCE, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == counts.split()
 
 
 # ----------------------------------------------------------------------

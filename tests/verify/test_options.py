@@ -183,8 +183,8 @@ def test_validate_rejects_unknown_backend():
 
 
 def test_batch_size_option_is_rejected():
-    # The pool sizes its batches from the task and worker counts; no
-    # option sets them.
+    # The pool has no batches (each worker claims one task at a time);
+    # no option sets a batch size.
     for batch_size in ("auto", 1, 8):
         with pytest.raises(TypeError, match="batch_size"):
             VerifyOptions(batch_size=batch_size)
