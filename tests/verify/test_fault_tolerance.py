@@ -165,6 +165,21 @@ def test_crash_run_builds_exactly_one_pool(unit, baseline, monkeypatch):
     assert _snapshot(recovered) == _snapshot(baseline)
     assert len(pools) == 1
     assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
+
+
+def test_crash_inside_batch_recovers_byte_identical(
+    unit, baseline, monkeypatch
+):
+    """A worker dies in the middle of the run of tasks it claimed.
+
+    With two workers the crashing one has usually finished other tasks
+    first; the broken pool drops those outcomes too, and the serial
+    fallback re-runs every task.
+    """
+    monkeypatch.setenv(faults.ENV_VAR, f"crash:{TARGET}")
+    recovered = api.verify(unit, options=api.VerifyOptions(jobs=2))
+    assert _snapshot(recovered) == _snapshot(baseline)
+    assert recovered.tasks_retried == len(list(iter_tasks(unit.table)))
     assert recovered.tasks_failed == 0
 
 
